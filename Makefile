@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-ingest bench-obs bench-json metrics-smoke events-smoke torture cluster-smoke cluster-smoke-procs loader-smoke memory-smoke membership-smoke anytime-smoke
+.PHONY: all build vet test race benchmark-check bench bench-ingest bench-obs bench-json metrics-smoke events-smoke torture cluster-smoke cluster-smoke-procs loader-smoke memory-smoke membership-smoke anytime-smoke
 
 all: vet build test
 
@@ -17,6 +17,14 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# benchmark/ is its own module (replace smiler => ../), so `./...` above
+# never compiles it — yet it builds against index.SearchCtx,
+# core.PipelineConfig and core.Pipeline.Timing. Vet and unit-test it so
+# an API change that breaks the repository benchmark fails here (<5 s).
+benchmark-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
 
 # Paper-shape benchmarks (Tables 3-4, Figs 7-13).
 bench:
@@ -78,11 +86,10 @@ cluster-smoke-procs: build
 loader-smoke: build
 	./scripts/loader_smoke.sh
 
-# Anytime engine end to end: a deadline sweep over a -anytime
-# -learned-lb server — moderate deadline answers exactly with zero
-# AR(1) fallbacks, aggressive deadline answers progressively with zero
-# errors, per-quality counters live on /metrics
-# (scripts/anytime_smoke.sh, docs/INDEX.md).
+# Quality ladder end to end: a -predict-deadline sweep — moderate
+# deadline answers exactly with zero AR(1) fallbacks, aggressive
+# deadline answers progressively with zero errors, per-quality counters
+# live on /metrics (scripts/anytime_smoke.sh, docs/INDEX.md).
 anytime-smoke: build
 	./scripts/anytime_smoke.sh
 

@@ -1,18 +1,20 @@
 package smiler
 
 import (
-	"bytes"
 	"context"
-	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // countdownCtx is a deterministic deadline: its Err flips to
 // DeadlineExceeded after n calls, so tests stage "the deadline fired
 // after exactly this much search work" without wall-clock flakiness.
+// It reports a Deadline, so the verifier stages rounds for it as for
+// any real deadline.
 type countdownCtx struct {
 	context.Context
 	left atomic.Int64
@@ -33,9 +35,13 @@ func (c *countdownCtx) Err() error {
 
 func (c *countdownCtx) Done() <-chan struct{} { return nil }
 
+func (c *countdownCtx) Deadline() (time.Time, bool) {
+	return time.Now().Add(time.Hour), true
+}
+
 // noisySeries is noisySeasonal with the noise turned up: still
 // forecastable (the seasonal analogs exist), but the lower bounds are
-// loose enough that the filter step keeps many candidates and anytime
+// loose enough that the filter step keeps many candidates and staged
 // verification actually runs in rounds.
 func noisySeries(rng *rand.Rand, n int) []float64 {
 	out := make([]float64, n)
@@ -46,11 +52,12 @@ func noisySeries(rng *rand.Rand, n int) []float64 {
 	return out
 }
 
-// TestAnytimeABBitIdentical is the headline safety claim of the
-// anytime engine at the public API: with no deadline, a system running
-// -anytime -learned-lb forecasts bit-identically to a plain one. The
-// learned model may reorder verification rounds but never changes what
-// a completed search — and hence the predictor — sees.
+// TestAnytimeABBitIdentical is the verifier's safety claim at the
+// public API: the round schedule never shows. A system whose
+// predictions carry no deadline (one verification round) and one whose
+// predictions all run under a far-future PredictDeadline (staged
+// geometric rounds) forecast bit-identically, and both tag every
+// forecast exact/1.
 func TestAnytimeABBitIdentical(t *testing.T) {
 	exact, err := New(smallConfig())
 	if err != nil {
@@ -58,8 +65,7 @@ func TestAnytimeABBitIdentical(t *testing.T) {
 	}
 	defer exact.Close()
 	anyCfg := smallConfig()
-	anyCfg.Anytime = true
-	anyCfg.LearnedLB = true
+	anyCfg.PredictDeadline = time.Hour
 	anySys, err := New(anyCfg)
 	if err != nil {
 		t.Fatal(err)
@@ -90,12 +96,13 @@ func TestAnytimeABBitIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if fa.Mean != fe.Mean || fa.Variance != fe.Variance {
-				t.Fatalf("step %d sensor %s: anytime %v/%v vs exact %v/%v",
+				t.Fatalf("step %d sensor %s: staged %v/%v vs one round %v/%v",
 					i, id, fa.Mean, fa.Variance, fe.Mean, fe.Variance)
 			}
-			if fa.Quality != "exact" || fa.QualityEstimate != 1 {
-				t.Fatalf("undeadlined anytime forecast tagged %q/%v, want exact/1",
-					fa.Quality, fa.QualityEstimate)
+			for _, f := range []Forecast{fe, fa} {
+				if f.Quality != "exact" || f.QualityEstimate != 1 {
+					t.Fatalf("uninterrupted forecast tagged %q/%v, want exact/1", f.Quality, f.QualityEstimate)
+				}
 			}
 			he, err := exact.PredictHorizons(id, []int{1, 3})
 			if err != nil {
@@ -120,92 +127,73 @@ func TestAnytimeABBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointLBModelSurvives: the learned lower-bound model rides
-// the checkpoint envelope — a restored system resumes with the trained
-// model (same observation count, forecasts bit-identical), and a
-// checkpoint written before the field existed restores to a fresh
-// model instead of failing.
-func TestCheckpointLBModelSurvives(t *testing.T) {
+// TestCheckpointLBModelEnvelopeLoads: an envelope written by a
+// `-anytime -learned-lb` system before the learned lower-bound layer was
+// deleted (testdata/checkpoint_learnedlb_pr10.ckpt, saved at commit
+// 946f425 with the LBModel gob field populated) still loads. Gob skips
+// the field the struct no longer has, the model is simply dropped, and
+// forecasts are bit-identical both to what that commit served after
+// restoring the same bytes and to a system that lived through the same
+// stream here. WAL replay, spill/fault-in and migration move sensors in
+// this same envelope.
+func TestCheckpointLBModelEnvelopeLoads(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Anytime = true
-	cfg.LearnedLB = true
-	sys, err := New(cfg)
+	cfg.Predictor = PredictorGP
+	f, err := os.Open("testdata/checkpoint_learnedlb_pr10.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sys.Close()
-	rng := rand.New(rand.NewSource(12))
-	all := noisySeries(rng, 460)
-	if err := sys.AddSensor("a", all[:400]); err != nil {
+	defer f.Close()
+	restored, err := Load(f, cfg)
+	if err != nil {
+		t.Fatalf("loading a checkpoint that carries an LBModel: %v", err)
+	}
+	defer restored.Close()
+
+	// The stream the fixture's system lived through.
+	live, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer live.Close()
+	all := noisySeries(rand.New(rand.NewSource(12)), 460)
+	if err := live.AddSensor("a", all[:400]); err != nil {
 		t.Fatal(err)
 	}
 	for i := 400; i < 430; i++ {
-		if _, err := sys.Predict("a", 1); err != nil {
+		if _, err := live.Predict("a", 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := sys.Observe("a", all[i]); err != nil {
+		if err := live.Observe("a", all[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	wantForecast, err := sys.Predict("a", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Captured after the last Predict: that search trains the model too.
-	wantN := sys.sensors["a"].lbModel.N()
-	if wantN == 0 {
-		t.Fatal("model untrained after 30 verified searches")
-	}
 
-	var buf bytes.Buffer
-	if err := sys.SaveTo(&buf); err != nil {
-		t.Fatal(err)
+	// Mean/variance bits the parent commit served for h=1 then h=3 after
+	// loading the same file.
+	parent := map[int][2]uint64{
+		1: {0xc00a1a89db46b767, 0x40249006051ae4e2},
+		3: {0x40187060d2eb47e4, 0x402cdae86298a571},
 	}
-	restored, err := Load(&buf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer restored.Close()
-	if got := restored.sensors["a"].lbModel.N(); got != wantN {
-		t.Fatalf("restored model has %d observations, want %d", got, wantN)
-	}
-	gotForecast, err := restored.Predict("a", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotForecast.Mean != wantForecast.Mean || gotForecast.Variance != wantForecast.Variance {
-		t.Fatalf("restored forecast %v, want %v", gotForecast, wantForecast)
-	}
-
-	// Pre-ladder checkpoint: saved without LearnedLB, loaded with it —
-	// gob decodes the absent field as nil and the sensor starts over
-	// with a fresh (untrained) model.
-	plain, err := New(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plain.Close()
-	if err := plain.AddSensor("a", all[:400]); err != nil {
-		t.Fatal(err)
-	}
-	buf.Reset()
-	if err := plain.SaveTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	upgraded, err := Load(&buf, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer upgraded.Close()
-	if m := upgraded.sensors["a"].lbModel; m == nil || m.N() != 0 {
-		t.Fatalf("pre-ladder checkpoint should restore a fresh model, got %v", m)
-	}
-	if _, err := upgraded.Predict("a", 1); err != nil {
-		t.Fatal(err)
+	for _, h := range []int{1, 3} {
+		got, err := restored.Predict("a", h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := live.Predict("a", h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Mean != want.Mean || got.Variance != want.Variance {
+			t.Fatalf("h=%d: restored %v/%v, live %v/%v", h, got.Mean, got.Variance, want.Mean, want.Variance)
+		}
+		if bits := [2]uint64{math.Float64bits(got.Mean), math.Float64bits(got.Variance)}; bits != parent[h] {
+			t.Fatalf("h=%d: restored bits %#x, parent commit served %#x", h, bits, parent[h])
+		}
 	}
 }
 
-// TestAnytimeDeadlineLadderMAE measures the engine's value claim: at
+// TestAnytimeDeadlineLadderMAE measures the quality ladder's value claim: at
 // every staged deadline, a progressive answer (the verified-so-far
 // neighbor set pushed through the real predictor) forecasts better
 // than the AR(1) fallback the system would otherwise serve. Budgets
@@ -213,8 +201,6 @@ func TestCheckpointLBModelSurvives(t *testing.T) {
 // the resulting table is recorded in EXPERIMENTS.md.
 func TestAnytimeDeadlineLadderMAE(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Anytime = true
-	cfg.LearnedLB = true
 	cfg.Fallback = FallbackAR1
 	sys, err := New(cfg)
 	if err != nil {
@@ -231,7 +217,7 @@ func TestAnytimeDeadlineLadderMAE(t *testing.T) {
 	// is an AR(1) fallback. The rest of the ladder lands mid- or
 	// post-verification. Budgets are ctx.Err() call counts: the
 	// lower-bound kernel consumes one per block (Omega=8 here), each
-	// progressive verify round one more.
+	// verify round one more.
 	budgets := []int64{0, 9, 10, 12, 16, 1 << 30}
 	type rung struct {
 		absErr   float64
@@ -298,15 +284,19 @@ func TestAnytimeDeadlineLadderMAE(t *testing.T) {
 		prevEst = meanEst
 	}
 	if !sawProgressive {
-		t.Fatal("no staged budget produced a progressive answer — ladder is not exercising the anytime path")
+		t.Fatal("no staged budget produced a progressive answer — ladder is not exercising the progressive rung")
 	}
 }
 
-// TestAnytimeDeadlineOverrunBounded pins satellite semantics at the
-// public API: in exact (non-anytime) mode a deadline mid-verification
-// surfaces as DeadlineExceeded (here: an AR(1) fallback with reason
-// "deadline"), never a partial answer.
-func TestExactModeDeadlineNeverPartial(t *testing.T) {
+// TestDeadlineContract pins the quality ladder at the public API. With
+// a fallback configured: a prediction no deadline interrupts is
+// exact/1; a deadline that fires after the lower-bound pass (budget 9:
+// one entry check, Omega=8 lower-bound blocks, then the first round
+// runs and the check after it trips) completes on the best-so-far sets
+// — never degraded, "progressive" with an estimate below 1 unless the
+// first round already sealed the answer; one that fires before the
+// lower-bound pass ends is the degraded fallback with reason "deadline".
+func TestDeadlineContract(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Fallback = FallbackAR1
 	sys, err := New(cfg)
@@ -314,21 +304,45 @@ func TestExactModeDeadlineNeverPartial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	rng := rand.New(rand.NewSource(14))
-	all := noisySeries(rng, 960)
+	all := noisySeries(rand.New(rand.NewSource(14)), 920)
 	if err := sys.AddSensor("s", all[:900]); err != nil {
 		t.Fatal(err)
 	}
-	for _, b := range []int64{0, 9, 10, 12, 16} {
-		f, err := sys.PredictCtx(newCountdown(b), "s", 1)
+	progressive := 0
+	for _, v := range all[900:] {
+		f, err := sys.PredictCtx(context.Background(), "s", 1)
 		if err != nil {
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("budget %d: %v", b, err)
+			t.Fatal(err)
+		}
+		if f.Degraded || f.Quality != "exact" || f.QualityEstimate != 1 {
+			t.Fatalf("undeadlined forecast: %+v, want exact/1", f)
+		}
+		f, err = sys.PredictCtx(newCountdown(9), "s", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case f.Degraded:
+			t.Fatalf("deadline after the lower-bound pass fell back: %+v", f)
+		case f.Quality == "progressive" && f.QualityEstimate < 1:
+			progressive++
+		case f.Quality != "exact" || f.QualityEstimate != 1:
+			t.Fatalf("deadline after the lower-bound pass: %+v, want progressive/<1 or exact/1", f)
+		}
+		for _, b := range []int64{0, 1, 8} {
+			f, err = sys.PredictCtx(newCountdown(b), "s", 1)
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
+			if !f.Degraded || f.DegradedReason != "deadline" || f.Quality != "fallback" {
+				t.Fatalf("budget %d (deadline inside the lower-bound pass): %+v, want the deadline fallback", b, f)
+			}
 		}
-		if !f.Degraded && f.Quality == "progressive" {
-			t.Fatalf("budget %d: exact-mode system returned a progressive answer: %+v", b, f)
+		if err := sys.Observe("s", v); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if progressive == 0 {
+		t.Fatal("no deadline after the lower-bound pass produced a progressive forecast")
 	}
 }

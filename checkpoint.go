@@ -11,11 +11,9 @@ import (
 	"os"
 	"sort"
 
-	"smiler/internal/anytime"
 	"smiler/internal/core"
 	"smiler/internal/fault"
 	"smiler/internal/gp"
-	"smiler/internal/index"
 	"smiler/internal/timeseries"
 	"smiler/internal/wal"
 )
@@ -49,11 +47,6 @@ type sensorCheckpoint struct {
 	Normalized bool
 	Norm       timeseries.Stats
 	Cells      []cellCheckpoint
-	// LBModel is the learned lower-bound model's state (nil without
-	// Config.LearnedLB, and in checkpoints written before the field
-	// existed — gob decodes the missing field as nil, restoring a fresh
-	// untrained model).
-	LBModel *anytime.ModelState
 }
 
 // checkpoint is the gob payload.
@@ -224,10 +217,6 @@ func snapshotSensorLocked(id string, st *sensorState) sensorCheckpoint {
 			cc.Hyper = gpp.Hyper()
 		}
 		sc.Cells = append(sc.Cells, cc)
-	}
-	if st.lbModel != nil {
-		ms := st.lbModel.State()
-		sc.LBModel = &ms
 	}
 	return sc
 }
@@ -432,13 +421,6 @@ func (s *System) restoreSensorLocked(sc sensorCheckpoint) error {
 		if gpp, ok := c.Pred.(*core.GPPredictor); ok {
 			gpp.SetHyper(hyperByKD[[2]int{c.K, c.D}])
 		}
-	}
-	if sc.LBModel != nil && st.lbModel != nil {
-		// Reinstate the trained learned-LB model (the add path installed
-		// a fresh one). Config still governs: a checkpointed model is
-		// dropped when LearnedLB is off.
-		st.lbModel = anytime.NewModelFromState(*sc.LBModel)
-		st.ix.SetAnytime(index.Anytime{Enabled: s.cfg.Anytime, Model: st.lbModel})
 	}
 	return nil
 }

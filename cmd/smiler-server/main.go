@@ -12,7 +12,6 @@
 //	smiler-server -addr :8080 -pprof -log-level debug
 //	smiler-server -checkpoint state.gob -wal-dir wal/ -fsync always
 //	smiler-server -predict-deadline 200ms -degraded-fallback ar1
-//	smiler-server -predict-deadline 50ms -anytime -learned-lb -degraded-fallback ar1
 //	smiler-server -node-id n1 -cluster-peers n1=http://h1:8080,n2=http://h2:8080,n3=http://h3:8080
 //	smiler-server -node-id n4 -cluster-peers n4=http://h4:8080 -cluster-join http://h1:8080 -drain-on-term
 //
@@ -30,19 +29,14 @@
 // answers 503 until recovery completes and again while draining;
 // /healthz stays pure liveness.
 //
-// With -degraded-fallback, predictions that fail or overrun
-// -predict-deadline are answered by a cheap stateless predictor
-// (persistence or AR(1)) and tagged "degraded" in the response
-// instead of erroring.
-//
-// With -anytime, a prediction that hits -predict-deadline mid-search
-// answers from the best verified-so-far neighbor set instead: the
-// response carries quality "progressive" plus a numeric quality
-// estimate, and only truly failed predictions reach the
-// -degraded-fallback rung. -learned-lb additionally orders the
-// verification rounds by a learned per-sensor lower-bound model so
-// the most promising candidates are verified first; it never changes
-// what a completed search returns.
+// -predict-deadline is a quality budget on the ladder exact →
+// progressive → fallback: a prediction that hits it mid-search answers
+// from the best verified-so-far neighbor set (the response carries
+// quality "progressive" plus a numeric quality estimate). With
+// -degraded-fallback, predictions that fail, or whose deadline fires
+// before any neighbor set exists, are answered by a cheap stateless
+// predictor (persistence or AR(1)) and tagged "degraded" in the
+// response instead of erroring.
 //
 // With -cluster-peers (and a matching -node-id), the process joins a
 // cluster: a consistent-hash ring assigns each sensor a primary plus
@@ -105,19 +99,15 @@ type options struct {
 	logLevel     string
 	pprof        bool
 	workers      int
-	sharedHyper  bool
 
-	maxHotSensors  int
-	spillDir       string
-	disablePooling bool
+	maxHotSensors int
+	spillDir      string
 
 	walDir          string
 	fsync           string
 	fsyncInterval   time.Duration
 	predictDeadline time.Duration
 	fallback        string
-	anytime         bool
-	learnedLB       bool
 	runtimeMetrics  time.Duration
 
 	nodeID            string
@@ -154,17 +144,13 @@ func main() {
 	flag.StringVar(&o.logLevel, "log-level", "info", "log floor: debug|info|warn|error")
 	flag.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
 	flag.IntVar(&o.workers, "predict-workers", 0, "prediction-step cell-fit workers (0 = GOMAXPROCS, 1 = sequential)")
-	flag.BoolVar(&o.sharedHyper, "shared-hyper", false, "share GP hyperparameters per item-query column (approximate, faster)")
 	flag.IntVar(&o.maxHotSensors, "max-hot-sensors", 0, "cap on sensors kept hot in memory; the LRU excess spills to disk (0 = unlimited)")
 	flag.StringVar(&o.spillDir, "spill-dir", "", "directory for cold-sensor spill files (empty = temp dir; wiped at boot)")
-	flag.BoolVar(&o.disablePooling, "disable-pooling", false, "disable the memsys slab pool (A/B benchmarking; plain allocations)")
 	flag.StringVar(&o.walDir, "wal-dir", "", "write-ahead-log directory (empty = no WAL)")
 	flag.StringVar(&o.fsync, "fsync", "always", "WAL fsync policy: always|interval|off")
 	flag.DurationVar(&o.fsyncInterval, "fsync-interval", 0, "fsync period for -fsync interval (0 = default 50ms)")
-	flag.DurationVar(&o.predictDeadline, "predict-deadline", 0, "per-prediction deadline (0 = none)")
+	flag.DurationVar(&o.predictDeadline, "predict-deadline", 0, "per-prediction deadline: a mid-search expiry answers from the verified-so-far neighbor set, quality \"progressive\" (0 = none)")
 	flag.StringVar(&o.fallback, "degraded-fallback", "none", "degraded-mode predictor: none|persistence|ar1")
-	flag.BoolVar(&o.anytime, "anytime", false, "progressive kNN search: on deadline, answer from the verified-so-far neighbor set (quality \"progressive\") instead of falling back")
-	flag.BoolVar(&o.learnedLB, "learned-lb", false, "order anytime verification rounds by a learned per-sensor lower-bound tightness model (never changes results)")
 	flag.DurationVar(&o.runtimeMetrics, "runtime-metrics-interval", 0, "runtime/GC telemetry sample period (0 = default 10s, negative = sample at scrape time only)")
 	flag.StringVar(&o.nodeID, "node-id", "", "this node's cluster member id (enables clustering with -cluster-peers)")
 	flag.StringVar(&o.clusterPeers, "cluster-peers", "", `static membership incl. self: "n1=http://host1:8080,n2=http://host2:8080"`)
@@ -222,13 +208,9 @@ func run(o options) error {
 	cfg.Devices = o.devices
 	cfg.MaxHistory = o.maxHistory
 	cfg.PredictWorkers = o.workers
-	cfg.SharedHyper = o.sharedHyper
 	cfg.MaxHotSensors = o.maxHotSensors
 	cfg.SpillDir = o.spillDir
-	cfg.DisablePooling = o.disablePooling
 	cfg.PredictDeadline = o.predictDeadline
-	cfg.Anytime = o.anytime
-	cfg.LearnedLB = o.learnedLB
 	cfg.RuntimeMetricsInterval = o.runtimeMetrics
 	fb, err := smiler.ParseFallback(o.fallback)
 	if err != nil {

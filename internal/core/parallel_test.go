@@ -1,11 +1,9 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
-	"smiler/internal/gp"
 	"smiler/internal/gpusim"
 	"smiler/internal/index"
 	"smiler/internal/memsys"
@@ -14,7 +12,7 @@ import (
 
 // workerPipeline builds a GP pipeline over hist with an explicit
 // Prediction-Step configuration.
-func workerPipeline(t *testing.T, hist []float64, workers int, shared bool) *Pipeline {
+func workerPipeline(t *testing.T, hist []float64, workers int) *Pipeline {
 	t.Helper()
 	dev := gpusim.MustNewDevice(gpusim.DefaultConfig())
 	p := index.Params{Rho: 3, Omega: 8, ELV: []int{16, 24, 40}}
@@ -29,7 +27,6 @@ func workerPipeline(t *testing.T, hist []float64, workers int, shared bool) *Pip
 		Horizon:        1,
 		Factory:        func() Predictor { return NewGP() },
 		PredictWorkers: workers,
-		SharedHyper:    shared,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -44,8 +41,8 @@ func TestParallelMatchesSequentialBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	all := seasonal(rng, 530)
 	warm := 500
-	seq := workerPipeline(t, all[:warm], 1, false)
-	par := workerPipeline(t, all[:warm], 4, false)
+	seq := workerPipeline(t, all[:warm], 1)
+	par := workerPipeline(t, all[:warm], 4)
 
 	for i := warm; i < len(all); i++ {
 		a, err := seq.Predict(1)
@@ -82,8 +79,8 @@ func TestPredictMultiParallelDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	all := seasonal(rng, 520)
 	warm := 500
-	seq := workerPipeline(t, all[:warm], 1, false)
-	par := workerPipeline(t, all[:warm], 4, false)
+	seq := workerPipeline(t, all[:warm], 1)
+	par := workerPipeline(t, all[:warm], 4)
 	hs := []int{1, 3, 6}
 
 	for step := 0; step < 6; step++ {
@@ -131,91 +128,6 @@ func TestPredictMultiParallelDeterministic(t *testing.T) {
 	}
 }
 
-// TestSharedHyperAccuracyDelta quantifies the accuracy cost of the
-// opt-in SharedHyper approximation against default per-cell training on
-// the same stream (the EXPERIMENTS.md "SharedHyper accuracy delta"
-// block regenerates its numbers from this test's -v output).
-func TestSharedHyperAccuracyDelta(t *testing.T) {
-	rng := rand.New(rand.NewSource(24))
-	all := seasonal(rng, 560)
-	warm := 500
-	def := workerPipeline(t, all[:warm], 1, false)
-	sh := workerPipeline(t, all[:warm], 1, true)
-
-	var maeDef, maeSh, meanDelta, maxDelta float64
-	steps := 0
-	for i := warm; i < len(all); i++ {
-		a, err := def.Predict(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := sh.Predict(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		maeDef += math.Abs(a.Mean - all[i])
-		maeSh += math.Abs(b.Mean - all[i])
-		d := math.Abs(a.Mean - b.Mean)
-		meanDelta += d
-		if d > maxDelta {
-			maxDelta = d
-		}
-		if err := def.Observe(all[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := sh.Observe(all[i]); err != nil {
-			t.Fatal(err)
-		}
-		steps++
-	}
-	n := float64(steps)
-	t.Logf("default MAE %.5f, SharedHyper MAE %.5f, mean |Δmean| %.5f, max |Δmean| %.5f over %d steps",
-		maeDef/n, maeSh/n, meanDelta/n, maxDelta, steps)
-	// The approximation must stay in the same accuracy regime: allow at
-	// most a 50%% relative MAE regression on clean seasonal data.
-	if maeSh > maeDef*1.5 && maeSh/n > 0.05 {
-		t.Fatalf("SharedHyper MAE %.5f too far above default %.5f", maeSh/n, maeDef/n)
-	}
-}
-
-// TestSharedHyperPipeline exercises the opt-in SharedHyper mode end to
-// end: predictions stay valid and accurate on clean seasonal data, and
-// the smaller-k cells actually reuse prefixes of the shared Cholesky
-// factor.
-func TestSharedHyperPipeline(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	all := seasonal(rng, 520)
-	warm := 500
-	pl := workerPipeline(t, all[:warm], 0, true)
-
-	before := gp.SnapshotStats()
-	var absErr float64
-	for i := warm; i < len(all); i++ {
-		pred, err := pl.Predict(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !pred.Valid() {
-			t.Fatalf("invalid prediction %+v", pred)
-		}
-		absErr += math.Abs(pred.Mean - all[i])
-		if err := pl.Observe(all[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	after := gp.SnapshotStats()
-	if after.PrefixReuses == before.PrefixReuses {
-		t.Fatal("SharedHyper run should reuse Cholesky prefixes for smaller-k cells")
-	}
-	if after.Columns == before.Columns {
-		t.Fatal("SharedHyper run should materialize shared columns")
-	}
-	mae := absErr / 20
-	if mae > 0.3 {
-		t.Fatalf("SharedHyper MAE %v too high on clean seasonal data", mae)
-	}
-}
-
 // TestPooledMatchesUnpooledBitwise extends the determinism contract to
 // the slab allocator: with memsys pooling on, every posterior and the
 // full auto-tuning trajectory must be bit-identical to a run with
@@ -231,7 +143,7 @@ func TestPooledMatchesUnpooledBitwise(t *testing.T) {
 
 	run := func(pooled bool, workers int) ([]Prediction, []interface{}) {
 		memsys.SetEnabled(pooled)
-		pl := workerPipeline(t, all[:warm], workers, false)
+		pl := workerPipeline(t, all[:warm], workers)
 		var out []Prediction
 		for i := warm; i < len(all); i++ {
 			f, err := pl.Predict(1)

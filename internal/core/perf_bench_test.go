@@ -32,10 +32,6 @@ func benchHistory(n int) []float64 {
 // newBenchPipeline builds the paper-default 3×3 GP pipeline over a
 // fresh simulated device.
 func newBenchPipeline(b *testing.B, workers int, factory PredictorFactory) *Pipeline {
-	return newBenchPipelineShared(b, workers, factory, false)
-}
-
-func newBenchPipelineShared(b *testing.B, workers int, factory PredictorFactory, shared bool) *Pipeline {
 	b.Helper()
 	dev := gpusim.MustNewDevice(gpusim.DefaultConfig())
 	p := index.DefaultParams()
@@ -47,7 +43,6 @@ func newBenchPipelineShared(b *testing.B, workers int, factory PredictorFactory,
 	cfg := DefaultPipelineConfig()
 	cfg.Index = p
 	cfg.PredictWorkers = workers
-	cfg.SharedHyper = shared
 	if factory != nil {
 		cfg.Factory = factory
 	}
@@ -98,13 +93,6 @@ func BenchmarkPredict(b *testing.B) {
 // apples-to-apples view of the pure algorithmic sharing.
 func BenchmarkPredictSequential(b *testing.B) {
 	runPredictBench(b, newBenchPipeline(b, 1, nil))
-}
-
-// BenchmarkPredictSharedHyper measures the opt-in SharedHyper mode:
-// one hyperparameter fit per column at the largest k, prefix-Cholesky
-// reuse for the smaller-k cells.
-func BenchmarkPredictSharedHyper(b *testing.B) {
-	runPredictBench(b, newBenchPipelineShared(b, 0, nil, true))
 }
 
 // BenchmarkPredictMulti measures PredictMulti over a 3-horizon ladder

@@ -42,25 +42,6 @@ type PipelineConfig struct {
 	// n > 1 caps the pool at n. Columns are independent, so the output
 	// is identical at any setting.
 	PredictWorkers int
-	// Anytime turns the Predict deadline into a quality budget instead
-	// of a hard failure: the index must be configured for progressive
-	// search (index.SetAnytime), the context deadline governs the Search
-	// Step only — an expired deadline stops the cost-ordered
-	// verification rounds and the search returns its best-so-far kNN
-	// sets — and the bounded post-search phases (GP fits on ≤ k
-	// neighbours, the mix) always run to completion. LastQuality reports
-	// whether the last prediction was exact or progressive and how good
-	// the progressive set is estimated to be. With no deadline on the
-	// context, anytime predictions are bit-identical to exact ones.
-	Anytime bool
-	// SharedHyper turns on per-column hyperparameter sharing: the
-	// column's GP hyperparameters are fitted once at the largest k and
-	// every smaller-k cell reuses the leading principal block of the
-	// resulting Cholesky factor. Exact under the shared hyperparameters
-	// (a leading submatrix of a Cholesky factor is the factor of the
-	// leading submatrix), but the smaller cells no longer tune their own
-	// Θ — an accuracy/time trade-off, off by default.
-	SharedHyper bool
 }
 
 // DefaultPipelineConfig returns the paper's defaults (Table 2): the
@@ -115,8 +96,9 @@ type QualityInfo struct {
 	// LBGap is 1 − minUnverifiedLB/kthDist: how far the most promising
 	// unverified candidate is from provably not mattering (0 for exact).
 	LBGap float64
-	// Rounds is the number of progressive verification rounds the Search
-	// Step ran (0 in exact mode or when seeds covered every survivor).
+	// Rounds is the number of verification rounds the Search Step ran
+	// (one without a deadline, several under one, 0 when the threshold
+	// seeds covered every survivor).
 	Rounds int
 }
 
@@ -203,14 +185,15 @@ func (p *Pipeline) PredictTraced(h int, tr *obs.Trace) (Prediction, error) {
 	return p.PredictTracedCtx(context.Background(), h, tr)
 }
 
-// PredictTracedCtx is PredictTraced with a deadline: the context is
-// checked at every phase boundary (before the search, before the cell
-// fits, before the mix) and inside the search at verify-chunk
-// granularity, so an expired deadline surfaces as ctx.Err() within one
-// in-flight chunk rather than after the whole pipeline. In anytime
-// mode (PipelineConfig.Anytime) the deadline instead budgets the
-// Search Step: the search returns best-so-far results when it expires,
-// and the bounded post-search phases always run to completion.
+// PredictTracedCtx is PredictTraced with a deadline, which budgets the
+// Search Step on the exact → progressive → fallback ladder: a context
+// that has expired before the search or expires during its lower-bound
+// pass surfaces as ctx.Err() (the caller falls back); one that expires
+// later stops the verification rounds and the search returns its
+// best-so-far kNN sets. The post-search phases (GP fits on at most MaxK
+// neighbours, the mix) are bounded and always run to completion —
+// otherwise a deadline generous enough for a progressive search would
+// still void its result one phase later. LastQuality reports the rung.
 func (p *Pipeline) PredictTracedCtx(ctx context.Context, h int, tr *obs.Trace) (Prediction, error) {
 	if h <= 0 {
 		return Prediction{}, fmt.Errorf("core: horizon %d must be positive", h)
@@ -227,10 +210,6 @@ func (p *Pipeline) PredictTracedCtx(ctx context.Context, h int, tr *obs.Trace) (
 	}
 	p.timing.SearchSec = time.Since(searchStart).Seconds()
 	p.recordSearch(tr, searchStart)
-	post := p.postSearchCtx(ctx)
-	if err := post.Err(); err != nil {
-		return Prediction{}, err
-	}
 	predictStart := time.Now()
 	byD := make(map[int]index.ItemResult, len(results))
 	for _, r := range results {
@@ -238,11 +217,8 @@ func (p *Pipeline) PredictTracedCtx(ctx context.Context, h int, tr *obs.Trace) (
 	}
 
 	n := p.ix.Len()
-	preds, err := p.cellPredictions(post, byD, h, n, tr)
+	preds, err := p.cellPredictions(byD, h, n, tr)
 	if err != nil {
-		return Prediction{}, err
-	}
-	if err := post.Err(); err != nil {
 		return Prediction{}, err
 	}
 	mixed, err := p.mixTimed(preds, tr)
@@ -254,18 +230,6 @@ func (p *Pipeline) PredictTracedCtx(ctx context.Context, h int, tr *obs.Trace) (
 	return mixed, nil
 }
 
-// postSearchCtx resolves the context governing the post-search phases:
-// in anytime mode the deadline budgets the search only — the remaining
-// work (GP fits on at most MaxK neighbours, the mix) is bounded and
-// always completes, otherwise a deadline generous enough for a
-// progressive search would still void its result one phase later.
-func (p *Pipeline) postSearchCtx(ctx context.Context) context.Context {
-	if p.cfg.Anytime {
-		return context.Background()
-	}
-	return ctx
-}
-
 // progRoundSpanCap bounds how many per-round verify spans one trace
 // records; deeper rounds collapse into a single tail span.
 const progRoundSpanCap = 12
@@ -274,21 +238,18 @@ const progRoundSpanCap = 12
 // struct: the span covering the whole Search Step plus the index's
 // wall-clock split of lower-bound production vs DTW verification and
 // its kNN effectiveness counters. It also derives the prediction's
-// quality rung from the search stats and, in anytime mode, records the
-// per-round progressive spans and quality counters.
+// quality rung from the search stats; a search that staged more than
+// one verification round gets one span per round.
 func (p *Pipeline) recordSearch(tr *obs.Trace, searchStart time.Time) {
 	st := p.ix.Stats()
 	p.timing.LowerBoundSec = st.LowerBoundWallSeconds
 	p.timing.VerifySec = st.VerifyWallSeconds
-	q := QualityInfo{Tag: "exact", Estimate: 1, FracVerified: 1}
-	if p.cfg.Anytime {
-		q.Rounds = st.Rounds
-		if st.Progressive {
-			q.Tag = "progressive"
-			q.Estimate = st.ProbExact
-			q.FracVerified = st.FracVerified
-			q.LBGap = st.LBGap
-		}
+	q := QualityInfo{Tag: "exact", Estimate: 1, FracVerified: 1, Rounds: st.Rounds}
+	if st.Progressive {
+		q.Tag = "progressive"
+		q.Estimate = st.ProbExact
+		q.FracVerified = st.FracVerified
+		q.LBGap = st.LBGap
 	}
 	p.quality = q
 	if tr == nil {
@@ -301,7 +262,7 @@ func (p *Pipeline) recordSearch(tr *obs.Trace, searchStart time.Time) {
 	tr.AddSpan("lower_bound", "", sinceTraceStart(tr, base), lbDur)
 	tr.AddSpan("verify", "", sinceTraceStart(tr, base.Add(lbDur)),
 		time.Duration(st.VerifyWallSeconds*float64(time.Second)))
-	if p.cfg.Anytime {
+	if st.Rounds > 1 {
 		at := base.Add(lbDur)
 		for i, sec := range st.RoundWallSeconds {
 			dur := time.Duration(sec * float64(time.Second))
@@ -320,7 +281,6 @@ func (p *Pipeline) recordSearch(tr *obs.Trace, searchStart time.Time) {
 		}
 		tr.SetStat("progressive_rounds", float64(st.Rounds))
 		tr.SetStat("verified_at_deadline", float64(st.VerifiedAtDeadline))
-		tr.SetStat("lb_model_hits", float64(st.LBModelHits))
 		tr.SetStat("quality_estimate", q.Estimate)
 	}
 	tr.SetStat("knn_candidates", float64(st.Candidates))
@@ -367,8 +327,7 @@ func (p *Pipeline) PredictMultiTraced(hs []int, tr *obs.Trace) (map[int]Predicti
 }
 
 // PredictMultiTracedCtx is PredictMultiTraced with a deadline (see
-// PredictTracedCtx); the context is additionally checked between
-// horizons.
+// PredictTracedCtx).
 func (p *Pipeline) PredictMultiTracedCtx(ctx context.Context, hs []int, tr *obs.Trace) (map[int]Prediction, error) {
 	if len(hs) == 0 {
 		return nil, errors.New("core: empty horizon list")
@@ -390,20 +349,16 @@ func (p *Pipeline) PredictMultiTracedCtx(ctx context.Context, hs []int, tr *obs.
 	}
 	p.timing.SearchSec = time.Since(searchStart).Seconds()
 	p.recordSearch(tr, searchStart)
-	post := p.postSearchCtx(ctx)
 	predictStart := time.Now()
 
 	n := p.ix.Len()
 	out := make(map[int]Prediction, len(hs))
 	for _, h := range hs {
-		if err := post.Err(); err != nil {
-			return nil, err
-		}
 		byD := make(map[int]index.ItemResult, len(resultsByH[h]))
 		for _, r := range resultsByH[h] {
 			byD[r.D] = r
 		}
-		preds, err := p.cellPredictions(post, byD, h, n, tr)
+		preds, err := p.cellPredictions(byD, h, n, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -467,7 +422,7 @@ func (p *Pipeline) predictWorkers(ncols int) int {
 // Gram base once, and independent columns run on a bounded worker pool.
 // Output order, timing sums and span order are deterministic and
 // identical at any worker count.
-func (p *Pipeline) cellPredictions(ctx context.Context, byD map[int]index.ItemResult, h, n int, tr *obs.Trace) ([]CellPrediction, error) {
+func (p *Pipeline) cellPredictions(byD map[int]index.ItemResult, h, n int, tr *obs.Trace) ([]CellPrediction, error) {
 	var cols []*predColumn
 	byCol := make(map[int]*predColumn, len(byD))
 	slots := 0
@@ -499,9 +454,6 @@ func (p *Pipeline) cellPredictions(ctx context.Context, byD map[int]index.ItemRe
 	workers := p.predictWorkers(len(cols))
 	if workers <= 1 {
 		for i, pc := range cols {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
 			outs[i] = p.safePredictColumn(pc, h, n, tr != nil, results, valid)
 		}
 	} else {
@@ -515,10 +467,6 @@ func (p *Pipeline) cellPredictions(ctx context.Context, byD map[int]index.ItemRe
 					i := int(next.Add(1)) - 1
 					if i >= len(cols) {
 						return
-					}
-					if err := ctx.Err(); err != nil {
-						outs[i] = colOutcome{err: err}
-						continue // mark every remaining column cancelled
 					}
 					outs[i] = p.safePredictColumn(cols[i], h, n, tr != nil, results, valid)
 				}
@@ -626,10 +574,6 @@ func (p *Pipeline) predictColumn(pc *predColumn, h, n int, traced bool, results 
 		}
 	}
 
-	if p.cfg.SharedHyper && col != nil && p.sharedColumnCells(pc, col, kmax, h, traced, results, valid, &out) {
-		return out
-	}
-
 	for ci, cell := range pc.cells {
 		k := cell.K
 		if k > kmax {
@@ -661,102 +605,6 @@ func (p *Pipeline) predictColumn(pc *predColumn, h, n int, traced bool, results 
 		valid[pc.slots[ci]] = true
 	}
 	return out
-}
-
-// sharedColumnCells attempts the opt-in SharedHyper path: the column's
-// largest-k GP cell trains Θ once on the full column, the covariance is
-// factored once, and every GP cell is conditioned from the leading
-// principal block of that one Cholesky factor (exact under the shared
-// Θ). Returns false — leaving the per-cell path to run — when the
-// column has no GP driver at kmax or any shared step fails; non-GP
-// cells inside an otherwise shared column still use their own Predict.
-func (p *Pipeline) sharedColumnCells(pc *predColumn, col *gp.Column, kmax, h int, traced bool, results []CellPrediction, valid []bool, out *colOutcome) bool {
-	var driver *GPPredictor
-	for _, c := range pc.cells {
-		k := c.K
-		if k > kmax {
-			k = kmax
-		}
-		if k == kmax {
-			if g, ok := c.Pred.(*GPPredictor); ok {
-				driver = g
-				break
-			}
-		}
-	}
-	if driver == nil {
-		return false
-	}
-	fitStart := time.Now()
-	hyper, err := driver.OptimizeColumnHyper(col)
-	var sf *gp.SharedFactor
-	// Released on every exit path — including the return-false fallbacks
-	// to the per-cell path, which refit from the (still live) column.
-	defer func() { sf.Release() }()
-	if err == nil {
-		sf, err = col.Factor(hyper)
-	}
-	dur := time.Since(fitStart)
-	out.fitSec += dur.Seconds()
-	if traced {
-		out.spans = append(out.spans, spanRec{
-			name:   "gp_shared_hyper",
-			detail: fmt.Sprintf("kmax=%d d=%d h=%d", kmax, pc.d, h),
-			start:  fitStart,
-			dur:    dur,
-		})
-	}
-	if err != nil {
-		return false
-	}
-	x0 := col.X0()
-	pscratch := memsys.GetFloats(2 * kmax)
-	defer memsys.PutFloats(pscratch)
-	for ci, cell := range pc.cells {
-		k := cell.K
-		if k > kmax {
-			k = kmax
-		}
-		fitStart := time.Now()
-		var pr Prediction
-		var err error
-		if _, ok := cell.Pred.(*GPPredictor); ok {
-			var m *gp.Model
-			m, err = sf.ModelAt(k)
-			if err == nil {
-				var mean, variance float64
-				mean, variance, err = m.PredictBuf(x0, pscratch[:2*k])
-				if k < kmax {
-					// Prefix models are per-cell transients; the full-k
-					// model aliases sf and is released with it.
-					m.Release()
-				}
-				if variance < varianceFloor {
-					variance = varianceFloor
-				}
-				pr = Prediction{Mean: mean, Variance: variance}
-			}
-		} else {
-			x, y := col.XY(k)
-			pr, err = cell.Pred.Predict(x0, x, y)
-		}
-		dur := time.Since(fitStart)
-		out.fitSec += dur.Seconds()
-		if traced {
-			out.spans = append(out.spans, spanRec{
-				name:   strings.ToLower(cell.Pred.Name()) + "_fit",
-				detail: fmt.Sprintf("k=%d d=%d h=%d shared", cell.K, cell.D, h),
-				start:  fitStart,
-				dur:    dur,
-			})
-		}
-		if err != nil {
-			return false // fall back to the per-cell path
-		}
-		results[pc.slots[ci]] = CellPrediction{Cell: cell, Pred: pr}
-		valid[pc.slots[ci]] = true
-	}
-	return true
 }
 
 // Observe feeds the next observation into the pipeline: it closes the

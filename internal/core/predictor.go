@@ -272,42 +272,6 @@ func (g *GPPredictor) PredictColumn(col *gp.Column, k int) (Prediction, error) {
 	return Prediction{Mean: mean, Variance: variance}, nil
 }
 
-// OptimizeColumnHyper trains the hyperparameters once on the column's
-// full (largest-k) training set with the predictor's usual warm-start,
-// fallback and prior-collapse rules, updates the warm-start state, and
-// returns the resulting shared Θ — the SharedHyper driver step.
-func (g *GPPredictor) OptimizeColumnHyper(col *gp.Column) (gp.Hyper, error) {
-	if err := fault.Check(fault.PointGPFit); err != nil {
-		return gp.Hyper{}, fmt.Errorf("core: GP fit: %w", err)
-	}
-	k := col.Len()
-	x, y := col.XY(k)
-	iters := g.OnlineIterations
-	init := g.hyper
-	if !g.trained || init.Validate() != nil {
-		init = gp.HeuristicHyper(x, y)
-		iters = g.FullIterations
-	}
-	optimize := col.Optimize
-	if g.Objective == ObjectiveML {
-		optimize = col.OptimizeML
-	}
-	res, err := optimize(k, init, iters)
-	if err != nil {
-		res, err = optimize(k, gp.HeuristicHyper(x, y), g.FullIterations)
-		if err != nil {
-			return gp.Hyper{}, fmt.Errorf("core: GP training failed: %w", err)
-		}
-	}
-	hyper := res.Hyper
-	if !supported(col.X0(), x, hyper) {
-		hyper = gp.HeuristicHyper(x, y)
-	}
-	g.hyper = hyper
-	g.trained = true
-	return hyper, nil
-}
-
 // supported reports whether the test input retains meaningful
 // covariance with at least one training point under hp: the largest
 // normalized kernel value c(x0,xi)/θ₀² must exceed a small floor.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"smiler/internal/mat"
-	"smiler/internal/memsys"
 )
 
 // Column holds the shared state of one Prediction-Step ensemble column
@@ -133,70 +132,4 @@ func (c *Column) OptimizeML(k int, init Hyper, maxIter int) (OptimizeResult, err
 	res, err := ascend(c.set(k), init, maxIter, mlValueGrad)
 	statOptimizeEvals.Add(uint64(res.Evals))
 	return res, err
-}
-
-// SharedFactor is the column's full covariance factored once under a
-// single shared hyperparameter set. Because a leading submatrix of a
-// Cholesky factor is exactly the factor of the leading submatrix,
-// smaller-k cells condition by copying the leading principal block of
-// L instead of refactorizing — exact under the shared Θ.
-type SharedFactor struct {
-	col   *Column
-	hyper Hyper
-	full  *Model
-}
-
-// Factor fits the column's full training set under hp (walking the
-// usual jitter ladder) and returns the shared factorization.
-func (c *Column) Factor(hp Hyper) (*SharedFactor, error) {
-	m, err := c.Fit(c.Len(), hp)
-	if err != nil {
-		return nil, err
-	}
-	return &SharedFactor{col: c, hyper: hp, full: m}, nil
-}
-
-// Hyper returns the shared hyperparameters.
-func (sf *SharedFactor) Hyper() Hyper { return sf.hyper }
-
-// Release returns the full model's pooled state. Models obtained from
-// ModelAt at the full column size alias sf.full — releasing either
-// releases both (idempotently); models from smaller k are independent
-// and carry their own Release.
-func (sf *SharedFactor) Release() {
-	if sf != nil {
-		sf.full.Release()
-	}
-}
-
-// ModelAt returns the GP conditioned on the leading k pairs under the
-// shared hyperparameters, reusing the leading k×k block of the full
-// Cholesky factor. k equal to the column size returns the full model.
-func (sf *SharedFactor) ModelAt(k int) (*Model, error) {
-	if err := sf.col.checkK(k); err != nil {
-		return nil, err
-	}
-	if k == sf.col.Len() {
-		return sf.full, nil
-	}
-	ch, err := sf.full.chol.GetPrefix(k)
-	if err != nil {
-		return nil, err
-	}
-	alpha := memsys.GetFloats(k)
-	if err := ch.SolveVecTo(alpha, sf.col.y[:k]); err != nil {
-		memsys.PutFloats(alpha)
-		ch.Release()
-		return nil, fmt.Errorf("%w: %v", ErrCondition, err)
-	}
-	statPrefixReuses.Add(1)
-	return &Model{
-		x:      sf.col.x[:k],
-		y:      sf.col.y[:k],
-		hyper:  sf.hyper,
-		dim:    len(sf.col.x0),
-		chol:   ch,
-		alpha:  alpha,
-		jitter: sf.full.jitter,
-	}, nil
 }

@@ -119,63 +119,3 @@ func TestColumnOptimizeMatchesPlain(t *testing.T) {
 		}
 	}
 }
-
-// TestSharedFactorPrefixMatchesIndependentFit is the prefix-Cholesky
-// property test: under a shared Θ, ModelAt(k) must reproduce an
-// independent Fit on the leading k pairs to tight tolerance (the only
-// differences are rounding in the triangular solves).
-func TestSharedFactorPrefixMatchesIndependentFit(t *testing.T) {
-	x0, x, y := columnFixture(t, 32, 8, 4)
-	col, err := NewColumn(x0, x, y)
-	if err != nil {
-		t.Fatalf("NewColumn: %v", err)
-	}
-	hp := Hyper{Signal: 1.0, Length: 1.8, Noise: 0.12}
-	sf, err := col.Factor(hp)
-	if err != nil {
-		t.Fatalf("Factor: %v", err)
-	}
-	for _, k := range []int{4, 8, 16, 31, 32} {
-		shared, err := sf.ModelAt(k)
-		if err != nil {
-			t.Fatalf("ModelAt(%d): %v", k, err)
-		}
-		indep, err := Fit(x[:k], y[:k], hp)
-		if err != nil {
-			t.Fatalf("Fit(k=%d): %v", k, err)
-		}
-		m1, v1, err := shared.Predict(x0)
-		if err != nil {
-			t.Fatalf("shared.Predict(k=%d): %v", k, err)
-		}
-		m2, v2, err := indep.Predict(x0)
-		if err != nil {
-			t.Fatalf("indep.Predict(k=%d): %v", k, err)
-		}
-		if math.Abs(m1-m2) > 1e-9 || math.Abs(v1-v2) > 1e-9 {
-			t.Fatalf("k=%d: shared (%v, %v) vs independent (%v, %v) beyond 1e-9",
-				k, m1, v1, m2, v2)
-		}
-	}
-}
-
-// TestSharedFactorFullModelIsSame checks that the largest-k cell reuses
-// the driver's factorization outright.
-func TestSharedFactorFullModelIsSame(t *testing.T) {
-	x0, x, y := columnFixture(t, 12, 4, 5)
-	col, err := NewColumn(x0, x, y)
-	if err != nil {
-		t.Fatalf("NewColumn: %v", err)
-	}
-	sf, err := col.Factor(Hyper{Signal: 1, Length: 1, Noise: 0.1})
-	if err != nil {
-		t.Fatalf("Factor: %v", err)
-	}
-	m, err := sf.ModelAt(col.Len())
-	if err != nil {
-		t.Fatalf("ModelAt(full): %v", err)
-	}
-	if m != sf.full {
-		t.Fatal("ModelAt(Len) should return the shared full model")
-	}
-}

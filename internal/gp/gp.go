@@ -217,8 +217,7 @@ func (m *Model) factorize(r2 func(i, j int) float64) error {
 // Release returns the model's pooled covariance, factor, precision and
 // α slabs to memsys. Idempotent, and safe to skip entirely — an
 // unreleased model is collected by the GC like any other value. Callers
-// must be completely done with the model (including models aliased via
-// SharedFactor.ModelAt at the full column size).
+// must be completely done with the model.
 func (m *Model) Release() {
 	if m == nil {
 		return

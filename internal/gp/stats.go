@@ -13,7 +13,6 @@ var (
 	statJitterRetries atomic.Uint64
 	statOptimizeEvals atomic.Uint64
 	statColumns       atomic.Uint64
-	statPrefixReuses  atomic.Uint64
 )
 
 // Stats is a point-in-time snapshot of the package counters.
@@ -30,10 +29,6 @@ type Stats struct {
 	// Columns counts shared per-column Gram-base constructions (one per
 	// ensemble column per Prediction Step on the shared path).
 	Columns uint64
-	// PrefixReuses counts cell conditionings served by reusing the
-	// leading principal block of a shared Cholesky factor instead of a
-	// fresh factorization (SharedHyper mode).
-	PrefixReuses uint64
 }
 
 // SnapshotStats reads the package counters.
@@ -43,6 +38,5 @@ func SnapshotStats() Stats {
 		JitterRetries: statJitterRetries.Load(),
 		OptimizeEvals: statOptimizeEvals.Load(),
 		Columns:       statColumns.Load(),
-		PrefixReuses:  statPrefixReuses.Load(),
 	}
 }

@@ -166,9 +166,6 @@ type Index struct {
 	unbooked int64 // appended-history bytes not yet reflected on the device
 	closed   bool
 
-	// any configures progressive (anytime) search — see progressive.go.
-	any Anytime
-
 	stats SearchStats
 }
 
@@ -200,28 +197,34 @@ type SearchStats struct {
 	// rather than read between launches.
 	PerItem []ItemStats
 
-	// Progressive-search counters (anytime mode; all zero in exact
-	// mode). They explain why a query went progressive: how many
-	// cost-ordered verify rounds ran, how much of the candidate set was
-	// verified when the deadline fired, and whether the learned
-	// lower-bound model ordered the rounds.
+	// Verification-round counters: how the verifier scheduled its work
+	// and, when a deadline stopped it, how good the best-so-far result
+	// is (see verify).
 	//
-	// Rounds is the number of cost-ordered verification rounds run.
+	// Rounds is the number of verification rounds run: one for a
+	// deadline-free context, several under a deadline, zero when the
+	// threshold seeds covered every survivor.
 	Rounds int
-	// LBModelHits counts candidates whose verification order came from
-	// the learned lower-bound model rather than the raw lower bound.
-	LBModelHits int
 	// VerifiedAtDeadline is the number of candidates verified when the
-	// deadline fired (0 when the search ran to completion).
+	// deadline fired (0 when the result is exact).
 	VerifiedAtDeadline int
 	// RoundWallSeconds holds per-round wall-clock durations, ordered.
 	RoundWallSeconds []float64
-	// Progressive is true when the search returned a best-so-far
-	// (non-exhaustive) result because the context deadline fired.
+	// Progressive is true when the context expired mid-verification and
+	// the result is a best-so-far set that is not provably exact. It
+	// stays false when every survivor was verified or every unverified
+	// lower bound already exceeds the k-th best-so-far distance (sealed).
 	Progressive bool
-	// FracVerified, LBGap and ProbExact summarize result quality across
-	// item queries (worst case over items); see anytime.Quality. A
-	// completed search reports 1, 0, 1.
+	// FracVerified, LBGap and ProbExact summarize a progressive result
+	// across item queries (worst case over items); an exact result
+	// reports 1, 0, 1. FracVerified is the fraction of filter-surviving
+	// candidates whose exact DTW distance was computed. LBGap is the
+	// relative gap between the smallest unverified lower bound and the
+	// k-th best-so-far distance, in [0,1]: 0 means the bound already
+	// seals the result, 1 means an unverified candidate could still be
+	// arbitrarily closer. ProbExact is the ProS-style estimate of the
+	// probability that the best-so-far set equals the exact set (up to
+	// distance ties).
 	FracVerified float64
 	LBGap        float64
 	ProbExact    float64

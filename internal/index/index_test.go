@@ -469,54 +469,6 @@ func TestIndexOutOfDeviceMemory(t *testing.T) {
 	}
 }
 
-// SearchMulti must return, for every horizon, exactly what Search
-// returns for that horizon — while verifying each candidate once.
-func TestSearchMultiMatchesSingle(t *testing.T) {
-	dev := testDevice(t)
-	rng := rand.New(rand.NewSource(20))
-	p := smallParams()
-	hist := randwalk(rng, 400)
-	hs := []int{1, 3, 7}
-	const k = 8
-
-	multiIx, err := New(dev, hist, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer multiIx.Close()
-	multi, err := multiIx.SearchMulti(k, hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range hs {
-		single, err := New(dev, hist, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := single.Search(k, h)
-		single.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := multi[h]
-		if len(got) != len(want) {
-			t.Fatalf("h=%d: %d items, want %d", h, len(got), len(want))
-		}
-		for i := range want {
-			if len(got[i].Neighbors) != len(want[i].Neighbors) {
-				t.Fatalf("h=%d item %d: %d neighbours, want %d",
-					h, i, len(got[i].Neighbors), len(want[i].Neighbors))
-			}
-			for j := range want[i].Neighbors {
-				if math.Abs(got[i].Neighbors[j].Dist-want[i].Neighbors[j].Dist) > 1e-9 {
-					t.Fatalf("h=%d item %d neighbour %d: %v vs %v", h, i, j,
-						got[i].Neighbors[j].Dist, want[i].Neighbors[j].Dist)
-				}
-			}
-		}
-	}
-}
-
 func TestSearchMultiContinuous(t *testing.T) {
 	dev := testDevice(t)
 	rng := rand.New(rand.NewSource(21))

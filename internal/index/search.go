@@ -30,11 +30,6 @@ type ItemResult struct {
 	Neighbors []Neighbor
 }
 
-// verifyChunk is the number of candidate positions one verification
-// block processes (two-phase filter/verify per Section 4.4 keeps the
-// block's lanes homogeneous).
-const verifyChunk = 256
-
 // Search answers the Suffix kNN Search for the current master query:
 // for every item query length in ELV it returns the k nearest
 // historical segments under banded DTW, considering only candidates
@@ -44,78 +39,231 @@ func (ix *Index) Search(k, h int) ([]ItemResult, error) {
 	return ix.SearchCtx(context.Background(), k, h)
 }
 
-// SearchCtx is Search with a context. In exact mode an expired deadline
-// surfaces as ctx.Err() at verify-chunk granularity (the fused launch
-// aborts within one in-flight chunk per worker instead of overshooting
-// by the whole verification phase). In anytime mode (SetAnytime) the
-// deadline instead stops the cost-ordered verification rounds and the
-// call returns the current best-so-far kNN sets with quality counters
-// in Stats().
+// SearchCtx is Search with a context: the one-horizon case of
+// SearchMultiCtx, with the same deadline contract.
 func (ix *Index) SearchCtx(ctx context.Context, k, h int) ([]ItemResult, error) {
-	if ix.closed {
-		return nil, errors.New("index: closed")
+	res, err := ix.SearchMultiCtx(ctx, k, []int{h})
+	if err != nil {
+		return nil, err
 	}
+	return res[h], nil
+}
+
+// SearchMulti answers the Suffix kNN Search for several horizons in a
+// single pass. The horizon only changes the label-validity mask
+// (candidates must satisfy t ≤ |C| − d − h), so the group-level lower
+// bounds are produced once and each candidate segment's DTW is
+// verified at most once, no matter how many horizons ask for it. The
+// result maps each horizon to its per-item-query kNN sets.
+func (ix *Index) SearchMulti(k int, hs []int) (map[int][]ItemResult, error) {
+	return ix.SearchMultiCtx(context.Background(), k, hs)
+}
+
+// SearchMultiCtx is SearchMulti with a context. The deadline contract
+// is the quality ladder: a context that expires during the lower-bound
+// pass surfaces as ctx.Err() (no best-so-far set exists yet); one that
+// expires later stops the verification rounds and the call returns the
+// always-valid best-so-far kNN sets, with Stats() reporting whether
+// they are provably exact and, if not, how good they are estimated to
+// be (see verify).
+func (ix *Index) SearchMultiCtx(ctx context.Context, k int, hs []int) (map[int][]ItemResult, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("index: k=%d must be positive", k)
+	}
+	if len(hs) == 0 {
+		return nil, errors.New("index: empty horizon list")
+	}
+	sorted := append([]int(nil), hs...)
+	sort.Ints(sorted)
+	hMin := sorted[0]
+	if hMin <= 0 {
+		return nil, fmt.Errorf("index: horizon h=%d must be positive", hMin)
+	}
+	out := make(map[int][]ItemResult, len(sorted))
+	for _, h := range sorted {
+		out[h] = make([]ItemResult, len(ix.p.ELV))
+	}
+	n := len(ix.c)
+	// Per item query, the survivors are the union of the per-horizon
+	// filters, each threshold derived on its own candidate range. The
+	// early-abandon cutoff is the max threshold over horizons: τ_h ≤
+	// τ_max for every h, so a candidate abandoned at τ_max has true
+	// distance > τ_max ≥ τ_h and cannot be among any horizon's k nearest
+	// — the seeds backing each τ_h all have true distance ≤ τ_h and
+	// survive fully computed.
+	task := func(d int, query, lbs []float64) (*verifyTask, error) {
+		t := &verifyTask{d: d, query: query, lbs: lbs, k: k}
+		tauMax := math.Inf(-1)
+		for _, h := range sorted {
+			maxT := n - d - h
+			if maxT < 0 {
+				break // ascending horizons: no later one has a candidate either
+			}
+			tau, seeds, err := ix.threshold(d, query, lbs[:maxT+1], k)
+			if err != nil {
+				return nil, err
+			}
+			t.filters = append(t.filters, horizonFilter{maxT: maxT, tau: tau})
+			t.seeds = append(t.seeds, seeds...)
+			if tau > tauMax {
+				tauMax = tau
+			}
+		}
+		t.cutoff = ix.abandonCutoff(tauMax)
+		return t, nil
+	}
+	pick := func(i, d int, dists []float64) error {
+		for _, h := range sorted {
+			var neighbors []Neighbor
+			if maxT := n - d - h; maxT >= 0 {
+				var err error
+				if neighbors, err = ix.selectK(dists[:maxT+1], k); err != nil {
+					return err
+				}
+			}
+			out[h][i] = ItemResult{D: d, Neighbors: neighbors}
+			if h == hMin {
+				// Next step's threshold seeds (Section 4.3.3, Filtering).
+				prev := make([]int, len(neighbors))
+				for j, nb := range neighbors {
+					prev[j] = nb.T
+				}
+				ix.prevNN[d] = prev
+			}
+		}
+		return nil
+	}
+	if err := ix.search(ctx, hMin, task, pick); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// SearchRange answers the ε-range variant of the Suffix search: for
+// every item query length in ELV it returns ALL historical segments
+// within DTW distance eps (squared-cost convention, like every
+// distance in this package), considering only candidates whose
+// h-step-ahead label exists. Range search is the classic DualMatch
+// workload; on the SMiLer Index it reuses the same group-level lower
+// bounds — the filter threshold is simply eps itself, no k-th-NN
+// bootstrap needed. Results are sorted ascending by distance.
+func (ix *Index) SearchRange(eps float64, h int) ([]ItemResult, error) {
+	return ix.SearchRangeCtx(context.Background(), eps, h)
+}
+
+// SearchRangeCtx is SearchRange with a context, with the same deadline
+// contract as SearchMultiCtx. A best-so-far range result is the subset
+// of in-range segments found before the deadline; Stats() reports the
+// fraction of candidates verified and the probability the subset is
+// already complete.
+func (ix *Index) SearchRangeCtx(ctx context.Context, eps float64, h int) ([]ItemResult, error) {
+	if eps < 0 || math.IsNaN(eps) {
+		return nil, fmt.Errorf("index: invalid range radius %v", eps)
 	}
 	if h <= 0 {
 		return nil, fmt.Errorf("index: horizon h=%d must be positive", h)
 	}
-	ix.stats = SearchStats{}
+	results := make([]ItemResult, len(ix.p.ELV))
+	// The filter threshold is eps itself, and eps is also an exact
+	// early-abandon cutoff: a candidate abandoned at eps has true
+	// distance > eps and is outside the range by definition.
+	task := func(d int, query, lbs []float64) (*verifyTask, error) {
+		return &verifyTask{d: d, query: query, lbs: lbs, eps: eps, cutoff: ix.abandonCutoff(eps),
+			filters: []horizonFilter{{maxT: len(lbs) - 1, tau: eps}}}, nil
+	}
+	pick := func(i, d int, dists []float64) error {
+		// Keep everything within eps: the k-selection kernel with k =
+		// candidate count sorts ascending, then trim at the radius.
+		sel, err := ix.kSelect(dists, len(dists))
+		if err != nil {
+			return err
+		}
+		for j, nb := range sel {
+			if nb.Dist > eps {
+				sel = sel[:j]
+				break
+			}
+		}
+		results[i] = ItemResult{D: d, Neighbors: sel}
+		return nil
+	}
+	if err := ix.search(ctx, h, task, pick); err != nil {
+		return nil, err
+	}
+	return results, nil
+}
 
-	lbs, err := ix.groupLevelLowerBounds(ctx, h)
+// CountRange reports, per ELV entry, how many historical segments lie
+// within DTW distance eps of the current suffix — a cheap density
+// probe (how much support would a semi-lazy model have right now?).
+func (ix *Index) CountRange(eps float64, h int) (map[int]int, error) {
+	res, err := ix.SearchRange(eps, h)
 	if err != nil {
 		return nil, err
 	}
+	out := make(map[int]int, len(res))
+	for _, r := range res {
+		out[r.D] = len(r.Neighbors)
+	}
+	return out, nil
+}
+
+// search is the one filter → verify → select skeleton behind every
+// public search (paper §4.3.3–4.4): reset the stats, produce the
+// group-level lower bounds under the label mask of horizon h, build one
+// verify task per item query that has candidates, verify them all
+// together, fold the per-item counters, and hand each item query's
+// verified distances (+Inf where filtered, abandoned or unverified; nil
+// when the item query has no candidate) to pick. The searches differ
+// only in task (which candidates survive, with what cutoff) and pick
+// (how distances become results).
+func (ix *Index) search(ctx context.Context, h int,
+	task func(d int, query, lbs []float64) (*verifyTask, error),
+	pick func(i, d int, dists []float64) error) error {
+	if ix.closed {
+		return errors.New("index: closed")
+	}
+	ix.stats = SearchStats{}
+	lbs, err := ix.groupLevelLowerBounds(ctx, h)
+	if err != nil {
+		return err
+	}
 	defer releaseBounds(lbs)
 
-	// Filter phase per item query (threshold derivation is cheap and
-	// seeds from the previous step's kNN), then ONE fused verification
-	// launch covering every item query's chunks, then selection.
 	n := len(ix.c)
-	results := make([]ItemResult, len(ix.p.ELV))
-	tasks := make([]*verifyTask, len(ix.p.ELV))
-	defer releaseTaskDists(tasks)
-	var launch []*verifyTask
+	tasks := make([]*verifyTask, len(ix.p.ELV)) // nil: item query without candidates
+	var live []*verifyTask
+	defer func() {
+		for _, t := range live {
+			memsys.PutFloats(t.dists)
+		}
+	}()
 	for i, d := range ix.p.ELV {
-		results[i] = ItemResult{D: d}
 		if len(lbs[i]) == 0 {
 			continue
 		}
-		query := ix.c[n-d:]
-		tau, seeds, err := ix.threshold(d, query, lbs[i], k)
+		t, err := task(d, ix.c[n-d:], lbs[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		t := &verifyTask{d: d, query: query, lbs: lbs[i], tau: tau, cutoff: ix.abandonCutoff(tau), seeds: seeds}
 		tasks[i] = t
-		launch = append(launch, t)
+		live = append(live, t)
 	}
-	if err := ix.runVerify(ctx, launch, k); err != nil {
-		return nil, err
+	if err := ix.verify(ctx, live); err != nil {
+		return err
 	}
-	ix.finishQuality(launch)
 	for i, d := range ix.p.ELV {
-		t := tasks[i]
-		if t == nil {
-			continue
+		var dists []float64
+		if t := tasks[i]; t != nil {
+			ix.stats.Unfiltered += t.verified
+			ix.stats.PerItem[i].Unfiltered = t.verified
+			dists = t.dists
 		}
-		ix.stats.Unfiltered += t.unfiltered
-		if i < len(ix.stats.PerItem) {
-			ix.stats.PerItem[i].Unfiltered = t.unfiltered
+		if err := pick(i, d, dists); err != nil {
+			return err
 		}
-		neighbors, err := ix.selectK(t.dists, k)
-		if err != nil {
-			return nil, err
-		}
-		results[i].Neighbors = neighbors
-		prev := make([]int, len(neighbors))
-		for j, nb := range neighbors {
-			prev[j] = nb.T
-		}
-		ix.prevNN[d] = prev
 	}
-	return results, nil
+	return nil
 }
 
 // abandonCutoff returns the early-abandon cutoff threaded into DTW
@@ -169,8 +317,8 @@ func (ix *Index) groupLevelLowerBounds(ctx context.Context, h int) ([][]float64,
 			maxT[i] = -1
 		}
 		// History-length bound rows are the Search Step's biggest
-		// transient; Search/SearchMulti return them to the pool when the
-		// kNN sets have been extracted.
+		// transient; search returns them to the pool when the results
+		// have been extracted.
 		lbs[i] = memsys.GetFloats(maxT[i] + 1)
 		for t := range lbs[i] {
 			lbs[i][t] = inf
@@ -250,10 +398,10 @@ func (ix *Index) groupLevelLowerBounds(ctx context.Context, h int) ([][]float64,
 }
 
 // seedCand is one threshold seed: a candidate position whose exact DTW
-// distance to the current query was computed while deriving τ. In
-// anytime mode the seeds prefill the verification output — they are the
-// previous step's kNN set, so progressive search starts from an
-// already-valid best-so-far answer before the first round runs.
+// distance to the current query was computed while deriving τ. The
+// seeds prefill the verification output — during continuous prediction
+// they are the previous step's kNN set, so verification starts from an
+// already-valid best-so-far answer before its first round runs.
 type seedCand struct {
 	t    int
 	dist float64
@@ -350,168 +498,6 @@ func releaseBounds(lbs [][]float64) {
 	}
 }
 
-// releaseTaskDists returns the pooled distance rows of completed
-// verify tasks.
-func releaseTaskDists(tasks []*verifyTask) {
-	for _, t := range tasks {
-		if t != nil && t.dists != nil {
-			d := t.dists
-			t.dists = nil
-			memsys.PutFloats(d)
-		}
-	}
-}
-
-// verifyTask describes one item query's slice of the fused
-// verification launch: which candidates to verify (an explicit need
-// mask, or the lb ≤ τ filter), the early-abandon cutoff, and the
-// output distances (+Inf for filtered or abandoned candidates).
-type verifyTask struct {
-	d      int
-	query  []float64
-	lbs    []float64
-	need   []bool // nil: filter by lbs[t] ≤ tau
-	tau    float64
-	cutoff float64 // early-abandon cutoff (+Inf disables)
-
-	// seeds are the threshold candidates with their exact distances;
-	// progressive verification prefills them (see progressive.go).
-	seeds []seedCand
-	// rangeMode marks an ε-range task: quality accounting compares
-	// against the fixed radius tau instead of a running k-th distance.
-	rangeMode bool
-
-	dists      []float64 // out: exact DTW or +Inf
-	unfiltered int       // out: candidates verified
-
-	// Progressive outputs (anytime mode only; see verifyProgressive).
-	kept       int     // candidates surviving the filter (incl. seeds)
-	verified   int     // candidates with exact distances computed
-	flips      int     // verified at-risk candidates that entered the set
-	atRisk     int     // verified candidates that could have entered
-	remaining  int     // unverified candidates still able to change the set
-	minUnverLB float64 // smallest unverified lower bound (+Inf if none)
-	kthDist    float64 // k-th best-so-far distance (+Inf until k found)
-	complete   bool    // every kept candidate verified
-}
-
-// keep reports whether candidate position t must be verified.
-func (t *verifyTask) keep(pos int) bool {
-	if t.need != nil {
-		return t.need[pos]
-	}
-	return t.lbs[pos] <= t.tau
-}
-
-// runVerify dispatches the verification phase: the classic one-launch
-// fused pass in exact mode, or cost-ordered progressive rounds when
-// anytime search is enabled (see progressive.go). k is the selection
-// size the quality tracker compares against (0 for range tasks).
-func (ix *Index) runVerify(ctx context.Context, tasks []*verifyTask, k int) error {
-	if ix.any.Enabled {
-		return ix.verifyProgressive(ctx, tasks, k)
-	}
-	return ix.verifyFused(ctx, tasks)
-}
-
-// verifyFused runs the DTW verification of every item query in ONE
-// device launch: each grid block verifies one fixed-size chunk of one
-// task's candidate positions, so the simulated device pays a single
-// launch overhead per Search instead of one per ELV entry. Each block
-// charges the cost model for the columns its candidates actually
-// processed — early-abandoned lanes stream and compute only what they
-// touched, with the SIMD lock-step wave cost set by the longest lane.
-// The context is checked at the top of every chunk, so an expired
-// deadline aborts the launch within the chunks already in flight
-// instead of overshooting by the whole verification phase.
-func (ix *Index) verifyFused(ctx context.Context, tasks []*verifyTask) error {
-	inf := math.Inf(1)
-	type chunkRef struct {
-		task, lo int
-	}
-	var refs []chunkRef
-	for ti, t := range tasks {
-		n := len(t.lbs)
-		t.dists = memsys.GetFloats(n)
-		for i := range t.dists {
-			t.dists[i] = inf
-		}
-		for lo := 0; lo < n; lo += verifyChunk {
-			refs = append(refs, chunkRef{ti, lo})
-		}
-	}
-	if len(refs) == 0 {
-		return nil
-	}
-	rho := ix.p.Rho
-	wallStart := time.Now()
-	defer func() { ix.stats.VerifyWallSeconds += time.Since(wallStart).Seconds() }()
-	before := ix.dev.SimSeconds()
-	counts := make([]int, len(refs))
-	err := ix.dev.Launch(len(refs), func(blk *gpusim.Block) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ref := refs[blk.ID]
-		t := tasks[ref.task]
-		lo := ref.lo
-		hi := lo + verifyChunk
-		if hi > len(t.lbs) {
-			hi = len(t.lbs)
-		}
-		// Count survivors first so the phases stay separate (Section 4.4).
-		cnt := 0
-		for pos := lo; pos < hi; pos++ {
-			blk.GlobalAccess(1)
-			if t.keep(pos) {
-				cnt++
-			}
-		}
-		counts[blk.ID] = cnt
-		if cnt == 0 {
-			return nil
-		}
-		d := t.d
-		if err := blk.AllocShared(8 * d); err != nil { // query resident
-			return err
-		}
-		if err := blk.AllocShared(8 * dtw.CompressedScratchLen(rho)); err != nil {
-			return err
-		}
-		scratch := dtw.GetCompressedScratch(rho)
-		defer dtw.PutCompressedScratch(scratch)
-		totalCols, maxCols := 0, 0
-		for pos := lo; pos < hi; pos++ {
-			if !t.keep(pos) {
-				continue
-			}
-			dist, cols, err := dtw.DistanceCompressedAbandon(t.query, ix.c[pos:pos+d], rho, t.cutoff, scratch)
-			if err != nil {
-				return err
-			}
-			t.dists[pos] = dist
-			totalCols += cols
-			if cols > maxCols {
-				maxCols = cols
-			}
-		}
-		// Honest abandon accounting: candidates stream only the columns
-		// that were processed, and each lane fills cols·(2ρ+1) band
-		// cells in lock-step waves bounded by the longest lane.
-		blk.GlobalAccess(totalCols)
-		blk.ParallelCompute(cnt, maxCols*(2*rho+1)*6)
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	ix.stats.VerifySimSeconds += ix.dev.SimSeconds() - before
-	for i, ref := range refs {
-		tasks[ref.task].unfiltered += counts[i]
-	}
-	return nil
-}
-
 // selectK picks the k nearest verified candidates. With MinSeparation
 // ≤ 1 this is the exact GPU block k-selection; otherwise a greedy
 // sweep over the sorted candidates enforces the separation (best-effort
@@ -519,6 +505,15 @@ func (ix *Index) verifyFused(ctx context.Context, tasks []*verifyTask) error {
 func (ix *Index) selectK(dists []float64, k int) ([]Neighbor, error) {
 	if ix.p.MinSeparation > 1 {
 		return ix.selectSeparated(dists, k), nil
+	}
+	return ix.kSelect(dists, k)
+}
+
+// kSelect runs the block k-selection kernel: the k smallest finite
+// distances, ascending (ties by position).
+func (ix *Index) kSelect(dists []float64, k int) ([]Neighbor, error) {
+	if len(dists) == 0 {
+		return nil, nil // an item query without candidates pays no launch
 	}
 	var sel []gpusim.KSelectResult
 	if err := ix.dev.Launch(1, func(blk *gpusim.Block) error {

@@ -284,7 +284,7 @@ func (c *Cholesky) Size() int { return c.n }
 func (c *Cholesky) L() *Dense { return c.l }
 
 // Release returns the factor's slab to the pool when it is pooled
-// (GetCholesky/GetPrefix); a no-op otherwise. Idempotent.
+// (GetCholesky); a no-op otherwise. Idempotent.
 func (c *Cholesky) Release() {
 	if c != nil {
 		c.l.Release()
@@ -349,32 +349,6 @@ func (c *Cholesky) Solve(b *Dense) (*Dense, error) {
 		}
 	}
 	return out, nil
-}
-
-// Prefix returns the Cholesky factorization of the leading k×k
-// principal submatrix of the factored matrix. Column j of a Cholesky
-// factor depends only on the leading j×j block of the input, so the
-// leading k×k block of L is exactly the factor of the leading k×k
-// submatrix — Prefix just copies it out, no refactorization.
-func (c *Cholesky) Prefix(k int) (*Cholesky, error) {
-	return c.prefix(k, NewDense)
-}
-
-// GetPrefix is Prefix with the copied factor block in a pooled matrix;
-// release it via the returned factor's Release.
-func (c *Cholesky) GetPrefix(k int) (*Cholesky, error) {
-	return c.prefix(k, GetDense)
-}
-
-func (c *Cholesky) prefix(k int, alloc func(r, cc int) *Dense) (*Cholesky, error) {
-	if k <= 0 || k > c.n {
-		return nil, ErrShape
-	}
-	l := alloc(k, k)
-	for i := 0; i < k; i++ {
-		copy(l.Row(i)[:i+1], c.l.Row(i)[:i+1])
-	}
-	return &Cholesky{n: k, l: l}, nil
 }
 
 // Inverse returns A⁻¹ computed from the factorization by inverting the

@@ -36,11 +36,9 @@ type systemObs struct {
 	observed    *obs.Counter
 	observeErrs *obs.Counter
 
-	// qualityEst is the distribution of anytime quality estimates
-	// (ProS-style probability that the served set equals the exact one);
-	// observed only when anytime mode is on.
+	// qualityEst is the distribution of quality estimates (ProS-style
+	// probability that the served set equals the exact one).
 	qualityEst *obs.Histogram
-	anytime    bool
 
 	predictPhase map[string]*obs.Histogram
 	observePhase map[string]*obs.Histogram
@@ -103,7 +101,7 @@ func newSystemObs() *systemObs {
 			obs.L("quality", q))
 	}
 	so.qualityEst = reg.Histogram("smiler_anytime_quality_estimate",
-		"Quality estimate of anytime predictions: probability the served neighbour sets equal the exact ones.",
+		"Quality estimate of predictions: probability the served neighbour sets equal the exact ones (1 exact, 0 fallback).",
 		[]float64{0, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1})
 	so.degraded = make(map[string]*obs.Counter, len(degradeReasons))
 	for _, reason := range degradeReasons {
@@ -133,9 +131,6 @@ func newSystemObs() *systemObs {
 	reg.CounterFunc("smiler_gp_columns_total",
 		"Shared per-column Gram bases materialized for the Prediction Step.",
 		func() float64 { return float64(gp.SnapshotStats().Columns) })
-	reg.CounterFunc("smiler_gp_prefix_reuses_total",
-		"Smaller-k models served from a prefix of a shared Cholesky factor.",
-		func() float64 { return float64(gp.SnapshotStats().PrefixReuses) })
 	registerMemsys(reg)
 	return so
 }
@@ -185,7 +180,6 @@ func registerMemsys(reg *obs.Registry) {
 // registerSystem adds the gauges that read live system state at
 // scrape time (sensor count, device memory).
 func (so *systemObs) registerSystem(s *System) {
-	so.anytime = s.cfg.Anytime
 	if so.reg == nil {
 		return
 	}
@@ -234,9 +228,7 @@ func (so *systemObs) recordPredict(totalSec float64, timing core.PhaseTiming, st
 			c.Inc()
 		}
 	}
-	if so.anytime {
-		so.qualityEst.Observe(qual.Estimate)
-	}
+	so.qualityEst.Observe(qual.Estimate)
 	so.predictPhase["total"].Observe(totalSec)
 	so.predictPhase["search"].Observe(timing.SearchSec)
 	so.predictPhase["lower_bound"].Observe(timing.LowerBoundSec)
@@ -275,9 +267,7 @@ func (so *systemObs) recordDegraded(sensor, traceID, reason string, err error) {
 	if so.predictions != nil {
 		so.predictions["fallback"].Inc()
 	}
-	if so.anytime {
-		so.qualityEst.Observe(0)
-	}
+	so.qualityEst.Observe(0)
 	so.events.Record(obs.Event{
 		Type:     "degraded_prediction",
 		Severity: obs.SevWarn,

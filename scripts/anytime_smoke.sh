@@ -1,7 +1,6 @@
 #!/usr/bin/env sh
-# Anytime smoke test: boot one smiler-server per deadline rung with the
-# progressive (anytime) search engine on, drive forecast-heavy load,
-# and assert the quality ladder behaves:
+# Anytime smoke test: boot one smiler-server per -predict-deadline rung,
+# drive forecast-heavy load, and assert the quality ladder behaves:
 #
 #   - moderate deadline: zero errors, zero AR(1) fallbacks — every
 #     answer comes from the real pipeline (exact or progressive);
@@ -42,7 +41,6 @@ run_rung() {
     deadline=$2
     slo=$3
     "$BIN" -addr "127.0.0.1:$PORT" -predictor gp \
-        -anytime -learned-lb \
         -predict-deadline "$deadline" -degraded-fallback ar1 \
         -log-level warn &
     SRV_PID=$!

@@ -32,7 +32,7 @@ trap 'rm -f "$raw" "$base"' EXIT
 # Snapshot the committed baseline before OUT is overwritten.
 if [ -f "$BASELINE" ]; then cp "$BASELINE" "$base"; else : >"$base"; fi
 
-go test ./internal/core -run '^$' -bench 'Benchmark(Predict|PredictSequential|PredictSharedHyper|PredictMulti|Observe)$' \
+go test ./internal/core -run '^$' -bench 'Benchmark(Predict|PredictSequential|PredictMulti|Observe)$' \
     -benchmem -benchtime "$BENCHTIME" >>"$raw"
 go test ./internal/ingest -run '^$' -bench 'BenchmarkIngestThroughput/direct' \
     -benchmem -benchtime "$INGEST_BENCHTIME" >>"$raw"
@@ -157,7 +157,7 @@ BEGIN {
     close(baseline)
     fail = 0
 }
-/"name": "BenchmarkPredict(Sequential|SharedHyper|Multi)?"/ {
+/"name": "BenchmarkPredict(Sequential|Multi)?"/ {
     bn = bname($0)
     cur = field($0, "allocs_per_op")
     if (!(bn in baseA) || baseA[bn] == "" || cur == "") next

@@ -40,12 +40,10 @@ import (
 	"sync/atomic"
 	"time"
 
-	"smiler/internal/anytime"
 	"smiler/internal/baselines"
 	"smiler/internal/core"
 	"smiler/internal/gpusim"
 	"smiler/internal/index"
-	"smiler/internal/memsys"
 	"smiler/internal/obs"
 	"smiler/internal/timeseries"
 )
@@ -193,14 +191,6 @@ type Config struct {
 	// are bit-identical regardless of the setting.
 	PredictWorkers int
 
-	// SharedHyper fits the GP hyperparameters once per item-query
-	// column (at the column's largest k) and reuses the shared Θ — and
-	// a prefix of the resulting Cholesky factor — for every smaller-k
-	// cell of that column. Cheaper, but cells no longer train their own
-	// Θ, so posteriors differ slightly from the default per-cell
-	// training (see docs/PERF.md). Off by default.
-	SharedHyper bool
-
 	// DisableEarlyAbandon turns off the τ-cutoff early-abandoning DTW
 	// in the index verification step (an exactness-preserving
 	// optimization, on by default) for ablations and debugging.
@@ -221,17 +211,17 @@ type Config struct {
 	// checkpoints (which embed cold sensors) plus WAL replay.
 	SpillDir string
 
-	// DisablePooling switches the memsys slab allocator off for the
-	// whole process (pooling is an allocator property, like GOGC), so
-	// every pooled Get degrades to a plain make. Exists for the
-	// pooled-vs-unpooled determinism harness and A/B benchmarks.
-	DisablePooling bool
-
 	// PredictDeadline bounds every prediction that arrives without its
-	// own context deadline: when it elapses, the pipeline stops at the
-	// next phase boundary and — with Fallback set — the caller gets a
-	// degraded answer instead of an error. 0 means no implicit
-	// deadline.
+	// own context deadline, as a quality budget on the ladder exact →
+	// progressive → fallback. The per-sensor index verifies kNN
+	// candidates in cost-ordered rounds; a deadline expiring mid-search
+	// returns the always-valid best-so-far neighbour sets, the prediction
+	// completes on them and is tagged Forecast.Quality "progressive" with
+	// a quality estimate. A deadline that fires before any best-so-far
+	// set exists (during the lower-bound pass) fails the prediction —
+	// with Fallback set, the caller gets a degraded answer instead of an
+	// error. A prediction its deadline never interrupts is exact and
+	// bit-identical to an undeadlined one. 0 means no implicit deadline.
 	PredictDeadline time.Duration
 
 	// Fallback selects the graceful-degradation predictor. With
@@ -239,33 +229,6 @@ type Config struct {
 	// persistence or AR(1), they come back as answers tagged
 	// Forecast.Degraded with the failure reason.
 	Fallback FallbackKind
-
-	// Anytime turns the prediction deadline into a quality budget: the
-	// per-sensor index verifies kNN candidates in cost-ordered
-	// progressive rounds, and a deadline expiring mid-search returns the
-	// always-valid best-so-far neighbour sets — the prediction completes
-	// on the retrieved subset and is tagged Forecast.Quality
-	// "progressive" with a quality estimate — instead of failing over to
-	// the crude Fallback baseline. Without a deadline, anytime
-	// predictions are bit-identical to exact ones. The quality ladder is
-	// exact → progressive → fallback: the fallback still catches
-	// deadlines that fire before any best-so-far set exists (during the
-	// lower-bound pass) and non-deadline failures.
-	Anytime bool
-
-	// LearnedLB enables the learned lower-bound layer: a per-sensor
-	// piecewise-linear model over the index's envelope lower bounds,
-	// trained incrementally from every verified (lower bound, DTW
-	// distance) pair, that predicts each candidate's true distance and
-	// orders the progressive verification rounds by it — most promising
-	// candidates first, so the best-so-far set converges sooner under a
-	// deadline. The model only reorders verification; it never changes
-	// which candidates are verified or with what cutoff, so results stay
-	// bit-identical (this is the exactness ablation knob: flip it and
-	// compare). The model state is serialized through the checkpoint
-	// envelope and survives WAL replay, tiering spill, migration and
-	// replication. Only meaningful together with Anytime.
-	LearnedLB bool
 }
 
 // DefaultConfig returns the paper's default parameters: ρ=8, ω=16,
@@ -304,8 +267,8 @@ type Forecast struct {
 	DegradedReason string
 	// Quality is the forecast's rung on the quality ladder: "exact"
 	// (the full semi-lazy pipeline ran on the true kNN sets),
-	// "progressive" (anytime mode: the deadline stopped the kNN search
-	// early and the pipeline ran on the best-so-far sets), or
+	// "progressive" (the deadline stopped the kNN search early and the
+	// pipeline ran on the best-so-far sets), or
 	// "fallback" (the answer came from the degradation baseline —
 	// Degraded is also set).
 	Quality string
@@ -348,9 +311,6 @@ type sensorState struct {
 	pipe *core.Pipeline
 	ix   *index.Index
 	dev  *gpusim.Device
-	// lbModel is the sensor's learned lower-bound model (nil unless
-	// Config.LearnedLB); it rides the checkpoint envelope.
-	lbModel *anytime.Model
 	// gone marks a state spilled cold by the tier while a caller held a
 	// stale pointer: set under mu, it tells the caller to retry through
 	// the fault-in path instead of using the closed index.
@@ -379,9 +339,6 @@ func New(cfg Config) (*System, error) {
 	}
 	if cfg.MaxHistory < 0 {
 		return nil, fmt.Errorf("smiler: negative MaxHistory %d", cfg.MaxHistory)
-	}
-	if cfg.DisablePooling {
-		memsys.SetEnabled(false)
 	}
 	tier, err := newTierState(cfg)
 	if err != nil {
@@ -513,21 +470,12 @@ func (s *System) addSensorLocked(id string, history []float64) error {
 	if s.cfg.DisableEnsemble {
 		ekv = []int{s.cfg.FixedK}
 	}
-	var lbModel *anytime.Model
-	if s.cfg.LearnedLB {
-		lbModel = anytime.NewModel()
-	}
-	if s.cfg.Anytime || lbModel != nil {
-		ix.SetAnytime(index.Anytime{Enabled: s.cfg.Anytime, Model: lbModel})
-	}
 	pipe, err := core.NewPipeline(ix, core.PipelineConfig{
 		EKV:            ekv,
 		Index:          params,
 		Horizon:        1,
 		Factory:        s.cfg.predictorFactory(),
 		PredictWorkers: s.cfg.PredictWorkers,
-		SharedHyper:    s.cfg.SharedHyper,
-		Anytime:        s.cfg.Anytime,
 		Ensemble: core.EnsembleConfig{
 			DisableAdaptation: s.cfg.DisableAdaptation,
 			DisableSleep:      s.cfg.DisableSleep,
@@ -537,7 +485,7 @@ func (s *System) addSensorLocked(id string, history []float64) error {
 		ix.Close()
 		return fmt.Errorf("smiler: sensor %q: %w", id, err)
 	}
-	s.sensors[id] = &sensorState{norm: norm, pipe: pipe, ix: ix, dev: dev, lbModel: lbModel}
+	s.sensors[id] = &sensorState{norm: norm, pipe: pipe, ix: ix, dev: dev}
 	return nil
 }
 
