@@ -106,7 +106,8 @@ func (s *System) SaveToWithCover(w io.Writer, cover map[int]uint64) error {
 }
 
 // readSpill loads one cold sensor's checkpoint entry from its spill
-// envelope. Callers hold s.mu (read side suffices).
+// envelope — the one spill reader, behind fault-in and the saves that
+// fold cold sensors in. Callers hold s.mu (read side suffices).
 func (s *System) readSpill(id string) (sensorCheckpoint, error) {
 	f, err := os.Open(s.tier.spillPath(id))
 	if err != nil {
@@ -116,6 +117,9 @@ func (s *System) readSpill(id string) (sensorCheckpoint, error) {
 	cp, err := decodeCheckpoint(f)
 	if err != nil {
 		return sensorCheckpoint{}, fmt.Errorf("smiler: reading spill for %q: %w", id, err)
+	}
+	if cp.Version != checkpointVersion {
+		return sensorCheckpoint{}, fmt.Errorf("smiler: reading spill for %q: spill version %d, want %d", id, cp.Version, checkpointVersion)
 	}
 	for _, sc := range cp.Sensors {
 		if sc.ID == id {
@@ -284,16 +288,8 @@ func (s *System) sensorsLocked() []string {
 	for id := range s.sensors {
 		out = append(out, id)
 	}
-	sortStrings(out)
+	sort.Strings(out)
 	return out
-}
-
-func sortStrings(xs []string) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
 }
 
 // Load reconstructs a System from a checkpoint written by SaveTo,
@@ -377,33 +373,22 @@ func (s *System) restoreSensor(sc sensorCheckpoint) error {
 }
 
 // restoreSensorLocked re-adds one sensor from its checkpoint. The
-// history in the checkpoint is already normalized, so it bypasses
-// AddSensor's normalization and reinstates the frozen statistics
-// directly. Callers hold s.mu write-locked and do their own tier
-// bookkeeping.
+// history in the checkpoint is already normalized, so it is installed
+// as is, with the frozen statistics reinstated bit-exactly (refitting
+// on reconstructed points would only approximate them and recovered
+// values would drift by an ulp from the never-crashed system). Callers
+// hold s.mu write-locked and do their own tier bookkeeping.
 func (s *System) restoreSensorLocked(sc sensorCheckpoint) error {
 	if sc.Normalized != s.cfg.Normalize {
 		return fmt.Errorf("normalization mismatch: checkpoint %v, config %v",
 			sc.Normalized, s.cfg.Normalize)
 	}
-	if s.cfg.Normalize {
-		// Temporarily disable normalization for the raw re-index, then
-		// re-attach the frozen normalizer.
-		raw := s.cfg.Normalize
-		s.cfg.Normalize = false
-		err := s.addSensorLocked(sc.ID, sc.History)
-		s.cfg.Normalize = raw
-		if err != nil {
-			return err
-		}
-		// Reinstate the frozen statistics bit-exactly; refitting on
-		// reconstructed points would only approximate them and recovered
-		// values would drift by an ulp from the never-crashed system.
-		s.sensors[sc.ID].norm = timeseries.NewNormalizerFromStats(sc.Norm)
-	} else {
-		if err := s.addSensorLocked(sc.ID, sc.History); err != nil {
-			return err
-		}
+	var norm *timeseries.Normalizer
+	if sc.Normalized {
+		norm = timeseries.NewNormalizerFromStats(sc.Norm)
+	}
+	if err := s.installSensorLocked(sc.ID, sc.History, norm); err != nil {
+		return err
 	}
 	st := s.sensors[sc.ID]
 	st.mu.Lock()

@@ -71,6 +71,17 @@ func TestClusterFailover(t *testing.T) {
 		if f.Mean == 0 && f.Variance == 0 {
 			t.Fatalf("degraded forecast carries no prediction: %+v", f)
 		}
+		// The ladder route is the same handler behind the same hook:
+		// every element is tagged.
+		fs, err := entryCl.Forecasts(sensor, []int{1, 3})
+		if err != nil || len(fs) != 2 {
+			t.Fatalf("forecasts via %s: %d elements, err %v", entry.id, len(fs), err)
+		}
+		for _, f := range fs {
+			if !f.Degraded || f.DegradedReason != "replica" {
+				t.Fatalf("forecasts element not tagged replica: %+v", f)
+			}
+		}
 	}
 
 	// Writes must be refused while the primary is gone — a promoted

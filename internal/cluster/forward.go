@@ -346,16 +346,27 @@ func (n *Node) serveAsReplica(w http.ResponseWriter, r *http.Request, sensor str
 	if i := strings.IndexByte(rest, '/'); i >= 0 {
 		verb = rest[i+1:]
 	}
-	switch verb {
-	case "forecast":
-		n.replicaForecast(w, r, sensor)
-	case "forecasts":
-		n.replicaForecasts(w, r, sensor)
-	default:
+	if verb != "forecast" && verb != "forecasts" {
 		// Non-forecast reads (ensemble, etc.) serve from local replica
 		// state untagged; they are diagnostics, not predictions.
 		next.ServeHTTP(w, r)
+		return
 	}
+	// Both forecast routes are the server's own handler; the hook tags
+	// every answer and turns a prediction failure into a retryable 503.
+	start := time.Now()
+	n.srv.ServeForecast(w, r, sensor, func(out []server.ForecastResponse, err error) int {
+		n.recordFailoverTrace(r, sensor, start, err)
+		if err != nil {
+			return http.StatusServiceUnavailable
+		}
+		n.m.promotedServe.Inc()
+		for i := range out {
+			out[i].Degraded = true
+			out[i].DegradedReason = "replica"
+		}
+		return 0
+	})
 }
 
 // recordFailoverTrace records a "failover_serve" hop span for a
@@ -376,85 +387,6 @@ func (n *Node) recordFailoverTrace(r *http.Request, sensor string, start time.Ti
 	tr.AddSpan("failover_serve", "for primary "+primary, 0, time.Since(start))
 	tr.Finish(predErr)
 	store.Add(tr)
-}
-
-func parseZ(r *http.Request) (float64, bool) {
-	z := 1.96
-	if v := r.URL.Query().Get("z"); v != "" {
-		p, err := strconv.ParseFloat(v, 64)
-		if err != nil || p <= 0 {
-			return 0, false
-		}
-		z = p
-	}
-	return z, true
-}
-
-func (n *Node) replicaForecast(w http.ResponseWriter, r *http.Request, sensor string) {
-	h := 1
-	if v := r.URL.Query().Get("h"); v != "" {
-		p, err := strconv.Atoi(v)
-		if err != nil || p <= 0 {
-			writeError(w, http.StatusBadRequest, "invalid horizon "+strconv.Quote(v))
-			return
-		}
-		h = p
-	}
-	z, ok := parseZ(r)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "invalid z")
-		return
-	}
-	start := time.Now()
-	f, err := n.sys.PredictCtx(r.Context(), sensor, h)
-	n.recordFailoverTrace(r, sensor, start, err)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "replica predict: "+err.Error())
-		return
-	}
-	n.m.promotedServe.Inc()
-	resp := server.MakeForecastResponse(sensor, h, f, z)
-	resp.Degraded = true
-	resp.DegradedReason = "replica"
-	writeJSON(w, http.StatusOK, resp)
-}
-
-func (n *Node) replicaForecasts(w http.ResponseWriter, r *http.Request, sensor string) {
-	hsParam := r.URL.Query().Get("hs")
-	if hsParam == "" {
-		writeError(w, http.StatusBadRequest, "missing hs parameter")
-		return
-	}
-	var hs []int
-	for _, part := range strings.Split(hsParam, ",") {
-		h, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || h <= 0 {
-			writeError(w, http.StatusBadRequest, "invalid horizon "+strconv.Quote(part))
-			return
-		}
-		hs = append(hs, h)
-	}
-	z, ok := parseZ(r)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "invalid z")
-		return
-	}
-	start := time.Now()
-	fs, err := n.sys.PredictHorizonsCtx(r.Context(), sensor, hs)
-	n.recordFailoverTrace(r, sensor, start, err)
-	if err != nil {
-		writeError(w, http.StatusServiceUnavailable, "replica predict: "+err.Error())
-		return
-	}
-	out := make([]server.ForecastResponse, 0, len(hs))
-	for _, h := range hs {
-		resp := server.MakeForecastResponse(sensor, h, fs[h], z)
-		resp.Degraded = true
-		resp.DegradedReason = "replica"
-		out = append(out, resp)
-	}
-	n.m.promotedServe.Inc()
-	writeJSON(w, http.StatusOK, out)
 }
 
 // --- bulk observations ---

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestParallelMatchesSequentialBitwise(t *testing.T) {
 	}
 }
 
-// TestPredictMultiParallelDeterministic checks PredictMultiTraced under
+// TestPredictMultiParallelDeterministic checks PredictMultiTracedCtx under
 // concurrent cell fits: identical outputs, pending updates appended in
 // horizon order, and the trace's span sequence (names and details)
 // independent of the worker count.
@@ -86,11 +87,11 @@ func TestPredictMultiParallelDeterministic(t *testing.T) {
 	for step := 0; step < 6; step++ {
 		trSeq := obs.NewTrace("seq", hs...)
 		trPar := obs.NewTrace("par", hs...)
-		a, err := seq.PredictMultiTraced(hs, trSeq)
+		a, err := seq.PredictMultiTracedCtx(context.Background(), hs, trSeq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := par.PredictMultiTraced(hs, trPar)
+		b, err := par.PredictMultiTracedCtx(context.Background(), hs, trPar)
 		if err != nil {
 			t.Fatal(err)
 		}

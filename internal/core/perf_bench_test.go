@@ -122,17 +122,30 @@ func BenchmarkPredictMulti(b *testing.B) {
 // of one matured prediction plus the incremental index advance — with
 // the reweight queue refilled outside the pipeline each iteration
 // (white-box) so every Observe pays the full auto-tuning cost.
+// Index.Advance is O(history) and every iteration appends, so the
+// pipeline is rebuilt (timer stopped) every observeRebuildEvery
+// iterations: the history stays within 800..800+observeRebuildEvery
+// points and ns/op does not depend on b.N.
 func BenchmarkObserve(b *testing.B) {
-	pl := newBenchPipeline(b, 0, func() Predictor { return NewAR() })
-	if _, err := pl.Predict(1); err != nil {
-		b.Fatal(err)
-	}
-	preds := pl.pending[0].preds
-	pl.pending = pl.pending[:0]
+	const observeRebuildEvery = 512
 	vals := benchHistory(256)
+	var pl *Pipeline
+	var preds []CellPrediction
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%observeRebuildEvery == 0 {
+			b.StopTimer()
+			if pl != nil {
+				pl.ix.Close()
+			}
+			pl = newBenchPipeline(b, 0, func() Predictor { return NewAR() })
+			if _, err := pl.Predict(1); err != nil {
+				b.Fatal(err)
+			}
+			preds = pl.pending[0].preds
+			pl.pending = pl.pending[:0]
+			b.StartTimer()
+		}
 		pl.pending = append(pl.pending, pendingUpdate{target: pl.ix.Len(), preds: preds})
 		if err := pl.Observe(vals[i%len(vals)]); err != nil {
 			b.Fatal(err)

@@ -169,65 +169,15 @@ func (p *Pipeline) Index() *index.Index { return p.ix }
 func (p *Pipeline) Ensemble() *Ensemble { return p.ens }
 
 // Predict runs one Search Step + Prediction Step for horizon h and
-// returns the mixed posterior. The per-cell predictions are queued so
-// that when the observation for the predicted time step arrives via
-// Observe, the ensemble weights adapt.
+// returns the mixed posterior: the one-element case of PredictMulti.
 func (p *Pipeline) Predict(h int) (Prediction, error) {
-	return p.PredictTraced(h, nil)
+	return p.PredictTracedCtx(context.Background(), h, nil)
 }
 
-// PredictTraced is Predict with per-phase tracing: when tr is
-// non-nil, one span is recorded for the index search (with nested
-// lower-bound and verify spans from the index's own wall clocks), one
-// per awake ensemble cell's model fit, and one for the mix, plus the
-// search's kNN effectiveness stats. A nil trace costs nothing.
-func (p *Pipeline) PredictTraced(h int, tr *obs.Trace) (Prediction, error) {
-	return p.PredictTracedCtx(context.Background(), h, tr)
-}
-
-// PredictTracedCtx is PredictTraced with a deadline, which budgets the
-// Search Step on the exact → progressive → fallback ladder: a context
-// that has expired before the search or expires during its lower-bound
-// pass surfaces as ctx.Err() (the caller falls back); one that expires
-// later stops the verification rounds and the search returns its
-// best-so-far kNN sets. The post-search phases (GP fits on at most MaxK
-// neighbours, the mix) are bounded and always run to completion —
-// otherwise a deadline generous enough for a progressive search would
-// still void its result one phase later. LastQuality reports the rung.
+// PredictTracedCtx is the one-horizon case of PredictMultiTracedCtx.
 func (p *Pipeline) PredictTracedCtx(ctx context.Context, h int, tr *obs.Trace) (Prediction, error) {
-	if h <= 0 {
-		return Prediction{}, fmt.Errorf("core: horizon %d must be positive", h)
-	}
-	p.timing = PhaseTiming{}
-	p.quality = QualityInfo{}
-	if err := ctx.Err(); err != nil {
-		return Prediction{}, err
-	}
-	searchStart := time.Now()
-	results, err := p.ix.SearchCtx(ctx, p.ens.MaxK(), h)
-	if err != nil {
-		return Prediction{}, fmt.Errorf("core: search step failed: %w", err)
-	}
-	p.timing.SearchSec = time.Since(searchStart).Seconds()
-	p.recordSearch(tr, searchStart)
-	predictStart := time.Now()
-	byD := make(map[int]index.ItemResult, len(results))
-	for _, r := range results {
-		byD[r.D] = r
-	}
-
-	n := p.ix.Len()
-	preds, err := p.cellPredictions(byD, h, n, tr)
-	if err != nil {
-		return Prediction{}, err
-	}
-	mixed, err := p.mixTimed(preds, tr)
-	if err != nil {
-		return Prediction{}, err
-	}
-	p.timing.PredictSec = time.Since(predictStart).Seconds()
-	p.pending = append(p.pending, pendingUpdate{target: n - 1 + h, preds: preds})
-	return mixed, nil
+	out, err := p.PredictMultiTracedCtx(ctx, []int{h}, tr)
+	return out[h], err
 }
 
 // progRoundSpanCap bounds how many per-round verify spans one trace
@@ -311,23 +261,34 @@ func (p *Pipeline) Timing() PhaseTiming { return p.timing }
 // Observe call.
 func (p *Pipeline) LastObserveTiming() ObserveTiming { return p.obsTiming }
 
-// PredictMulti runs one Search Step shared across several horizons
-// (the index verifies each candidate segment at most once) and one
-// Prediction Step per horizon, returning the mixed posterior for each.
-// It is equivalent to calling Predict for every horizon, at a fraction
-// of the search cost.
+// PredictMulti is PredictMultiTracedCtx without a deadline or a trace.
 func (p *Pipeline) PredictMulti(hs []int) (map[int]Prediction, error) {
-	return p.PredictMultiTraced(hs, nil)
+	return p.PredictMultiTracedCtx(context.Background(), hs, nil)
 }
 
-// PredictMultiTraced is PredictMulti with per-phase tracing (see
-// PredictTraced); the cell-fit spans carry the horizon they belong to.
-func (p *Pipeline) PredictMultiTraced(hs []int, tr *obs.Trace) (map[int]Prediction, error) {
-	return p.PredictMultiTracedCtx(context.Background(), hs, tr)
-}
-
-// PredictMultiTracedCtx is PredictMultiTraced with a deadline (see
-// PredictTracedCtx).
+// PredictMultiTracedCtx is the pipeline's one forecast path: one Search
+// Step shared across the horizons (the index verifies each candidate
+// segment at most once; the horizon only moves the label-validity mask)
+// and one Prediction Step per horizon, in the order given, returning the
+// mixed posterior for each. The per-cell predictions are queued so that
+// when the observation for a predicted time step arrives via Observe,
+// the ensemble weights adapt.
+//
+// When tr is non-nil, one span is recorded for the index search (with
+// nested lower-bound and verify spans from the index's own wall clocks),
+// one per awake ensemble cell's model fit (carrying its horizon), and
+// one per mix, plus the search's kNN effectiveness stats. A nil trace
+// costs nothing.
+//
+// ctx budgets the Search Step on the exact → progressive → fallback
+// ladder: a context that has expired before the search or expires
+// during its lower-bound pass surfaces as ctx.Err() (the caller falls
+// back); one that expires later stops the verification rounds and the
+// search returns its best-so-far kNN sets. The post-search phases (GP
+// fits on at most MaxK neighbours, the mix) are bounded and always run
+// to completion — otherwise a deadline generous enough for a
+// progressive search would still void its result one phase later.
+// LastQuality reports the rung.
 func (p *Pipeline) PredictMultiTracedCtx(ctx context.Context, hs []int, tr *obs.Trace) (map[int]Prediction, error) {
 	if len(hs) == 0 {
 		return nil, errors.New("core: empty horizon list")

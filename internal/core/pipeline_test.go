@@ -173,29 +173,38 @@ func TestPredictMultiMatchesPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	all := seasonal(rng, 520)
 	warm := 500
-	// Two pipelines over identical state: one multi call vs repeated
-	// single calls must produce identical mixtures (AR predictors are
-	// stateless, so the comparison is exact).
-	a := testPipeline(t, func() Predictor { return NewAR() }, EnsembleConfig{}, all[:warm])
-	b := testPipeline(t, func() Predictor { return NewAR() }, EnsembleConfig{}, all[:warm])
 	hs := []int{1, 4, 9}
-	multi, err := a.PredictMulti(hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(multi) != len(hs) {
-		t.Fatalf("got %d predictions", len(multi))
-	}
-	for _, h := range hs {
-		single, err := b.Predict(h)
+	// Two pipelines over identical state: one multi call vs repeated
+	// single calls in the same horizon order are the same code run on
+	// the same inputs, so the mixtures are bit-identical — for stateless
+	// AR cells and for GP cells alike (same order ⇒ same warm-start
+	// sequence).
+	var a *Pipeline
+	for _, factory := range []PredictorFactory{
+		func() Predictor { return NewGP() },
+		func() Predictor { return NewAR() },
+	} {
+		name := factory().Name()
+		a = testPipeline(t, factory, EnsembleConfig{}, all[:warm])
+		b := testPipeline(t, factory, EnsembleConfig{}, all[:warm])
+		multi, err := a.PredictMulti(hs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(multi[h].Mean-single.Mean) > 1e-9 {
-			t.Fatalf("h=%d: mean %v vs %v", h, multi[h].Mean, single.Mean)
+		if len(multi) != len(hs) {
+			t.Fatalf("%s: got %d predictions", name, len(multi))
 		}
-		if math.Abs(multi[h].Variance-single.Variance) > 1e-9 {
-			t.Fatalf("h=%d: variance %v vs %v", h, multi[h].Variance, single.Variance)
+		for _, h := range hs {
+			single, err := b.Predict(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(multi[h].Mean) != math.Float64bits(single.Mean) {
+				t.Fatalf("%s h=%d: mean %v vs %v", name, h, multi[h].Mean, single.Mean)
+			}
+			if math.Float64bits(multi[h].Variance) != math.Float64bits(single.Variance) {
+				t.Fatalf("%s h=%d: variance %v vs %v", name, h, multi[h].Variance, single.Variance)
+			}
 		}
 	}
 	// Pending updates queue one entry per horizon and resolve on the

@@ -14,25 +14,29 @@ import (
 // observations. Beyond that, extra horizons are simply recomputed.
 const maxCachedHorizons = 16
 
-// flightKey identifies one deduplicable forecast computation.
+// flightKey identifies one deduplicable forecast computation: a sensor
+// and the ordered horizon set requested (fmt.Sprint of the list — the
+// order is part of the key because it is the order the pipeline fits
+// the horizons in).
 type flightKey struct {
 	id string
-	h  int
+	hs string
 }
 
 // flight is one in-progress forecast computation; followers block on
-// done and read f/err afterwards.
+// done and read fs/err afterwards.
 type flight struct {
 	done  chan struct{}
-	stale bool // an observation landed while the computation ran
-	f     smiler.Forecast
+	stale bool              // an observation landed while the computation ran
+	fs    []smiler.Forecast // aligned with the requested horizons
 	err   error
 }
 
-// coalescer is the read-side of the pipeline: a single-flight layer
-// plus a small per-sensor forecast cache keyed (sensor, horizon),
-// invalidated by that sensor's next observation. A thundering herd of
-// identical forecast requests costs one kNN search + GP fit.
+// coalescer is the read-side of the pipeline and the single forecast
+// entry: a single-flight layer keyed (sensor, horizon set) plus a small
+// per-sensor forecast cache keyed (sensor, horizon), invalidated by that
+// sensor's next observation. A thundering herd of identical forecast
+// requests costs one kNN search + one model fit per horizon.
 type coalescer struct {
 	sys System
 
@@ -55,36 +59,39 @@ func newCoalescer(sys System) *coalescer {
 	}
 }
 
-// forecast returns the (id, h) forecast, serving it from the cache
-// when the sensor has not been observed since it was computed, and
-// otherwise computing it at most once no matter how many callers ask
-// concurrently. ctx carries request-scoped values (the distributed
-// trace context) into the computation this caller starts; followers
-// piggyback on the leader's flight and its ctx.
-func (c *coalescer) forecast(ctx context.Context, id string, h int) (smiler.Forecast, error) {
-	key := flightKey{id: id, h: h}
+// forecasts returns the sensor's forecast at every horizon in hs, in
+// that order (a single horizon is the one-element set). The request is
+// a cache hit when the sensor has not been observed since every
+// requested horizon was computed; otherwise the whole set is computed
+// at most once no matter how many callers ask for it concurrently. The
+// counters are per request, not per horizon. ctx carries request-scoped values (the
+// distributed trace context) into the computation this caller starts;
+// followers piggyback on the leader's flight and its ctx. The returned
+// slice may be shared with other callers and must not be modified.
+func (c *coalescer) forecasts(ctx context.Context, id string, hs []int) ([]smiler.Forecast, error) {
 	c.mu.Lock()
-	if f, ok := c.cache[id][h]; ok {
+	if fs := c.cachedLocked(id, hs); fs != nil {
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return f, nil
+		return fs, nil
 	}
+	key := flightKey{id: id, hs: fmt.Sprint(hs)}
 	if fl, ok := c.flights[key]; ok {
 		c.mu.Unlock()
 		c.waits.Add(1)
 		<-fl.done
-		return fl.f, fl.err
+		return fl.fs, fl.err
 	}
 	fl := &flight{done: make(chan struct{})}
 	c.flights[key] = fl
 	c.mu.Unlock()
 
 	c.misses.Add(1)
-	f, err := c.safePredict(ctx, id, h)
+	fs, err := c.safePredict(ctx, id, hs)
 
 	c.mu.Lock()
 	delete(c.flights, key)
-	fl.f, fl.err = f, err
+	fl.fs, fl.err = fs, err
 	// Cache only clean, full-pipeline, exact successes: if an
 	// observation was applied while we computed, the result describes
 	// the pre-observation state; a degraded (fallback) answer must not
@@ -93,19 +100,44 @@ func (c *coalescer) forecast(ctx context.Context, id string, h int) (smiler.Fore
 	// caching it would pin a lower-quality forecast on followers who
 	// might have gotten an exact one, so every non-exact request gets a
 	// fresh chance.
-	if err == nil && !fl.stale && !f.Degraded && cacheableQuality(f.Quality) {
+	if err == nil && !fl.stale {
 		byH := c.cache[id]
-		if byH == nil {
-			byH = make(map[int]smiler.Forecast)
-			c.cache[id] = byH
-		}
-		if len(byH) < maxCachedHorizons {
-			byH[h] = f
+		for i, f := range fs {
+			if f.Degraded || !cacheableQuality(f.Quality) {
+				continue
+			}
+			if byH == nil {
+				byH = make(map[int]smiler.Forecast)
+				c.cache[id] = byH
+			}
+			// A horizon an overlapping set cached first keeps its value:
+			// between two observations a horizon has one cached answer.
+			if _, have := byH[hs[i]]; !have && len(byH) < maxCachedHorizons {
+				byH[hs[i]] = f
+			}
 		}
 	}
 	c.mu.Unlock()
 	close(fl.done)
-	return f, err
+	return fs, err
+}
+
+// cachedLocked returns the cached forecasts for hs, or nil unless every
+// requested horizon is cached. Callers hold c.mu.
+func (c *coalescer) cachedLocked(id string, hs []int) []smiler.Forecast {
+	byH := c.cache[id]
+	if len(byH) == 0 || len(hs) == 0 {
+		return nil
+	}
+	out := make([]smiler.Forecast, len(hs))
+	for i, h := range hs {
+		f, ok := byH[h]
+		if !ok {
+			return nil
+		}
+		out[i] = f
+	}
+	return out
 }
 
 // cacheableQuality reports whether a forecast's quality rung may enter
@@ -113,26 +145,25 @@ func (c *coalescer) forecast(ctx context.Context, id string, h int) (smiler.Fore
 // fakes predating the quality ladder).
 func cacheableQuality(q string) bool { return q == "" || q == "exact" }
 
-// ctxPredictor is the optional context-aware prediction capability:
-// *smiler.System implements it, test fakes need not.
-type ctxPredictor interface {
-	PredictCtx(ctx context.Context, id string, h int) (smiler.Forecast, error)
-}
-
-// safePredict runs the system's Predict with a panic guard: a panic
+// safePredict runs the system's predict with a panic guard: a panic
 // inside the prediction pipeline fails this flight (all coalesced
 // followers see the error) instead of killing the process.
-func (c *coalescer) safePredict(ctx context.Context, id string, h int) (f smiler.Forecast, err error) {
+func (c *coalescer) safePredict(ctx context.Context, id string, hs []int) (fs []smiler.Forecast, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			c.panics.Add(1)
-			f, err = smiler.Forecast{}, fmt.Errorf("ingest: recovered panic in forecast: %v", r)
+			fs, err = nil, fmt.Errorf("ingest: recovered panic in forecast: %v", r)
 		}
 	}()
-	if p, ok := c.sys.(ctxPredictor); ok && ctx != nil {
-		return p.PredictCtx(ctx, id, h)
+	byH, err := c.sys.PredictHorizonsCtx(ctx, id, hs)
+	if err != nil {
+		return nil, err
 	}
-	return c.sys.Predict(id, h)
+	fs = make([]smiler.Forecast, len(hs))
+	for i, h := range hs {
+		fs[i] = byH[h]
+	}
+	return fs, nil
 }
 
 // invalidate flushes the sensor's cached forecasts and marks its

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -55,6 +56,34 @@ func TestForecastCachedUntilNextObservation(t *testing.T) {
 	if st.CacheHits != 1 || st.Misses != 3 || st.Invalidations == 0 {
 		t.Fatalf("coalesce stats = %+v", st)
 	}
+
+	// Horizon sets use the same per-horizon cache: a set fully covered
+	// by cached horizons is one hit and no computation; a set with any
+	// uncached horizon is one miss that computes the whole set.
+	ctx := context.Background()
+	if _, err := p.Forecast("s", 3); err != nil { // h=1 is cached; add h=3
+		t.Fatal(err)
+	}
+	fs, err := p.ForecastsCtx(ctx, "s", []int{3, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fs) != 2 || fs[0].Horizon != 3 || fs[1].Horizon != 1 || fs[1].Mean != f3.Mean {
+		t.Fatalf("covered set = %+v", fs)
+	}
+	if sys.predictCalls.Load() != 4 {
+		t.Fatalf("covered set recomputed: %d calls", sys.predictCalls.Load())
+	}
+	if _, err := p.ForecastsCtx(ctx, "s", []int{1, 3, 6}); err != nil {
+		t.Fatal(err)
+	}
+	if sys.predictCalls.Load() != 5 {
+		t.Fatalf("partly covered set should compute once, got %d calls", sys.predictCalls.Load())
+	}
+	st = p.Stats().Coalesce
+	if st.CacheHits != 2 || st.Misses != 5 || st.CacheSize != 3 {
+		t.Fatalf("coalesce stats after sets = %+v", st)
+	}
 }
 
 // TestNonExactForecastNeverCached pins the quality-ladder cache
@@ -104,9 +133,15 @@ func TestNonExactForecastNeverCached(t *testing.T) {
 }
 
 // TestForecastSingleFlight aims a thundering herd of identical
-// requests at one (sensor, horizon): exactly one Predict runs, every
-// caller gets its result.
+// requests at one (sensor, horizon set): exactly one Predict runs,
+// every caller gets its result.
 func TestForecastSingleFlight(t *testing.T) {
+	for _, hs := range [][]int{{1}, {1, 3, 6}} {
+		herdOnSet(t, hs)
+	}
+}
+
+func herdOnSet(t *testing.T, hs []int) {
 	sys := newFakeSystem()
 	sys.predictGate = make(chan struct{})
 	p := mustPipeline(t, sys, Config{Shards: 1})
@@ -118,12 +153,12 @@ func TestForecastSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			f, err := p.Forecast("s", 1)
-			if err != nil {
-				t.Errorf("forecast: %v", err)
+			fs, err := p.ForecastsCtx(context.Background(), "s", hs)
+			if err != nil || len(fs) != len(hs) {
+				t.Errorf("forecast %v: %d results, err %v", hs, len(fs), err)
 				return
 			}
-			results <- f.Mean
+			results <- fs[len(fs)-1].Mean
 		}()
 	}
 	// Predict blocks on the gate, so every follower must be either
@@ -155,9 +190,15 @@ func TestForecastSingleFlight(t *testing.T) {
 }
 
 // TestStaleFlightNotCached: an observation that lands while a
-// forecast is computing must keep the (pre-observation) result out of
-// the cache.
+// forecast is computing must keep the (pre-observation) result — every
+// horizon of it — out of the cache.
 func TestStaleFlightNotCached(t *testing.T) {
+	for _, hs := range [][]int{{1}, {1, 3, 6}} {
+		staleFlightOnSet(t, hs)
+	}
+}
+
+func staleFlightOnSet(t *testing.T, hs []int) {
 	sys := newFakeSystem()
 	sys.predictGate = make(chan struct{})
 	p := mustPipeline(t, sys, Config{Shards: 1})
@@ -165,7 +206,7 @@ func TestStaleFlightNotCached(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		p.Forecast("s", 1)
+		p.ForecastsCtx(context.Background(), "s", hs)
 	}()
 	waitFor(t, "leader to start computing", func() bool {
 		return sys.predictCalls.Load() == 1
@@ -178,9 +219,12 @@ func TestStaleFlightNotCached(t *testing.T) {
 	}
 	close(sys.predictGate)
 	<-done
+	if st := p.Stats().Coalesce; st.CacheSize != 0 {
+		t.Fatalf("hs=%v: stale flight cached %d horizons", hs, st.CacheSize)
+	}
 
 	// The stale result must not serve the next request from cache.
-	f, err := p.Forecast("s", 1)
+	f, err := p.Forecast("s", hs[len(hs)-1])
 	if err != nil {
 		t.Fatal(err)
 	}

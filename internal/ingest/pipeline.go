@@ -15,9 +15,9 @@
 //     policy decides whether the producer blocks, the observation is
 //     dropped (with accounting), or the caller gets an error.
 //   - Read side: identical concurrent forecast requests for one
-//     (sensor, horizon) are collapsed into a single kNN search + GP
-//     fit (single-flight), and the result is cached until that
-//     sensor's next observation invalidates it.
+//     (sensor, horizon set) are collapsed into a single kNN search +
+//     one fit per horizon (single-flight), and each horizon's result
+//     is cached until that sensor's next observation invalidates it.
 //
 // Close drains: every observation accepted before Close returns is
 // applied to the system, which is what lets the server drain the
@@ -41,7 +41,7 @@ import (
 // to an interface so tests can inject instrumented fakes.
 type System interface {
 	Observe(id string, v float64) error
-	Predict(id string, h int) (smiler.Forecast, error)
+	PredictHorizonsCtx(ctx context.Context, id string, hs []int) (map[int]smiler.Forecast, error)
 	HasSensor(id string) bool
 }
 
@@ -281,20 +281,33 @@ func (p *Pipeline) ObserveBulk(obs []Observation) BulkResult {
 	return res
 }
 
-// Forecast returns the sensor's h-step-ahead forecast through the
-// coalescing layer: cached until the sensor's next observation, and
-// computed at most once across concurrent identical requests.
+// Forecast is ForecastCtx with a background context.
 func (p *Pipeline) Forecast(id string, h int) (smiler.Forecast, error) {
-	return p.co.forecast(context.Background(), id, h)
+	return p.ForecastCtx(context.Background(), id, h)
 }
 
-// ForecastCtx is Forecast with a caller context: its values (notably
-// the distributed trace context) reach the prediction when this call
-// starts the computation. Cancellation semantics are the caller's
-// choice — a coalesced flight outlives any single follower, so pass a
-// context whose cancellation you are willing to share.
+// ForecastCtx returns the sensor's h-step-ahead forecast: the
+// one-horizon case of ForecastsCtx.
 func (p *Pipeline) ForecastCtx(ctx context.Context, id string, h int) (smiler.Forecast, error) {
-	return p.co.forecast(ctx, id, h)
+	fs, err := p.co.forecasts(ctx, id, []int{h})
+	if err != nil {
+		return smiler.Forecast{}, err
+	}
+	return fs[0], nil
+}
+
+// ForecastsCtx returns the sensor's forecast at every horizon in hs,
+// in that order, through the coalescing layer: served from the cache
+// until the sensor's next observation when every horizon is cached, and
+// otherwise computed — the whole set from one shared kNN search — at
+// most once across concurrent identical requests. ctx's values (notably the
+// distributed trace context) reach the prediction when this call starts
+// the computation. Cancellation semantics are the caller's choice — a
+// coalesced flight outlives any single follower, so pass a context whose
+// cancellation you are willing to share. The returned slice may be
+// shared with other callers and must not be modified.
+func (p *Pipeline) ForecastsCtx(ctx context.Context, id string, hs []int) ([]smiler.Forecast, error) {
+	return p.co.forecasts(ctx, id, hs)
 }
 
 // SetOnApplied installs (or clears, with nil) the post-apply hook at

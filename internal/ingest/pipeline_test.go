@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -51,16 +52,20 @@ func (f *fakeSystem) Observe(id string, v float64) error {
 	return nil
 }
 
-func (f *fakeSystem) Predict(id string, h int) (smiler.Forecast, error) {
+func (f *fakeSystem) PredictHorizonsCtx(_ context.Context, id string, hs []int) (map[int]smiler.Forecast, error) {
 	f.predictCalls.Add(1)
 	if f.predictGate != nil {
 		<-f.predictGate
 	}
 	if !f.HasSensor(id) {
-		return smiler.Forecast{}, fmt.Errorf("unknown sensor %q", id)
+		return nil, fmt.Errorf("unknown sensor %q", id)
 	}
 	q, _ := f.quality.Load().(string)
-	return smiler.Forecast{Mean: float64(f.applied.Load()), Variance: 1, Horizon: h, Quality: q}, nil
+	out := make(map[int]smiler.Forecast, len(hs))
+	for _, h := range hs {
+		out[h] = smiler.Forecast{Mean: float64(f.applied.Load()), Variance: 1, Horizon: h, Quality: q}
+	}
+	return out, nil
 }
 
 func (f *fakeSystem) HasSensor(id string) bool {

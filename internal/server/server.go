@@ -1,9 +1,9 @@
 // Package server exposes a SMiLer system as an HTTP/JSON service —
 // the deployment shape the paper targets (many sensors streaming
 // observations, applications pulling forecasts in real time). Writes
-// and single-horizon reads are routed through internal/ingest: a
-// sharded, micro-batching ingestion pipeline with per-sensor ordering
-// and single-flight forecast coalescing.
+// and forecasts are routed through internal/ingest: a sharded,
+// micro-batching ingestion pipeline with per-sensor ordering and
+// single-flight forecast coalescing.
 //
 // Routes:
 //
@@ -26,12 +26,14 @@
 //	GET    /sensors                 list sensor ids
 //	POST   /sensors                 {"id": "...", "history": [...]}
 //	DELETE /sensors/{id}            remove a sensor
-//	GET    /sensors/{id}/forecast?h=1[&z=1.96]
+//	GET    /sensors/{id}/forecast?h=1[&z=1.96]   one horizon, one object
+//	GET    /sensors/{id}/forecasts?hs=1,3,6[&z=1.96]  a horizon ladder, an
+//	                                array of the same objects in request
+//	                                order (one handler serves both)
 //	POST   /sensors/{id}/observe    {"value": 1.23}  (or {"values": [...]})
 //	POST   /sensors/{id}/readings   {"readings":[{"at":"RFC3339","value":x},...]}
 //	                                (requires NewWithInterval; irregular readings
 //	                                are regularized onto the fixed sample grid)
-//	GET    /sensors/{id}/forecasts?hs=1,3,6  multi-horizon ladder
 //	GET    /sensors/{id}/ensemble   auto-tuning weights
 //
 // Observations accepted by the pipeline are applied asynchronously
@@ -369,24 +371,6 @@ type ForecastResponse struct {
 	QualityEstimate float64 `json:"quality_estimate,omitempty"`
 }
 
-// MakeForecastResponse assembles the wire shape from a Forecast — the
-// cluster layer uses it when a promoted replica answers directly (and
-// then overrides the Degraded fields).
-func MakeForecastResponse(id string, h int, f smiler.Forecast, z float64) ForecastResponse {
-	return forecastResponse(id, h, f, z)
-}
-
-// forecastResponse assembles the wire shape from a Forecast.
-func forecastResponse(id string, h int, f smiler.Forecast, z float64) ForecastResponse {
-	lo, hi := f.Interval(z)
-	return ForecastResponse{
-		ID: id, Horizon: h, Mean: f.Mean, Variance: f.Variance,
-		StdDev: f.StdDev(), Lo: lo, Hi: hi, Z: z,
-		Degraded: f.Degraded, DegradedReason: f.DegradedReason,
-		Quality: f.Quality, QualityEstimate: f.QualityEstimate,
-	}
-}
-
 // StatsResponse summarizes the system.
 type StatsResponse struct {
 	Sensors     int        `json:"sensors"`
@@ -581,10 +565,8 @@ func (s *Server) handleSensor(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case verb == "" && r.Method == http.MethodDelete:
 		s.deleteSensor(w, id)
-	case verb == "forecast" && r.Method == http.MethodGet:
-		s.forecast(w, r, id)
-	case verb == "forecasts" && r.Method == http.MethodGet:
-		s.forecastMulti(w, r, id)
+	case (verb == "forecast" || verb == "forecasts") && r.Method == http.MethodGet:
+		s.ServeForecast(w, r, id, nil)
 	case verb == "observe" && r.Method == http.MethodPost:
 		s.observe(w, r, id)
 	case verb == "readings" && r.Method == http.MethodPost:
@@ -622,58 +604,40 @@ func (s *Server) deleteSensor(w http.ResponseWriter, id string) {
 	writeJSON(w, http.StatusOK, map[string]string{"id": id})
 }
 
-func (s *Server) forecast(w http.ResponseWriter, r *http.Request, id string) {
-	h := 1
-	if v := r.URL.Query().Get("h"); v != "" {
-		parsed, err := strconv.Atoi(v)
-		if err != nil || parsed <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid horizon %q", v))
-			return
-		}
-		h = parsed
-	}
-	z := 1.96
-	if v := r.URL.Query().Get("z"); v != "" {
-		parsed, err := strconv.ParseFloat(v, 64)
-		if err != nil || parsed <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid z %q", v))
-			return
-		}
-		z = parsed
-	}
-	// Single-horizon forecasts go through the coalescing layer: a
-	// thundering herd of identical requests costs one kNN+GP run.
-	// WithoutCancel keeps the flight's lifetime decoupled from this
-	// request (coalesced followers must not die with the leader) while
-	// still carrying the trace context into the prediction.
-	f, err := s.pipe.ForecastCtx(context.WithoutCancel(r.Context()), id, h)
-	if err != nil {
-		writeError(w, statusFor(err), err.Error())
-		return
-	}
-	s.setSpanSummary(w, r, id)
-	writeJSON(w, http.StatusOK, forecastResponse(id, h, f, z))
-}
-
-// forecastMulti serves a ladder of horizons from one shared kNN
-// search: GET /sensors/{id}/forecasts?hs=1,3,6[&z=1.96].
-func (s *Server) forecastMulti(w http.ResponseWriter, r *http.Request, id string) {
-	hsParam := r.URL.Query().Get("hs")
-	if hsParam == "" {
+// ServeForecast is the one forecast handler, behind both routes: GET
+// /sensors/{id}/forecast?h=1[&z=1.96] answers one ForecastResponse
+// object, GET /sensors/{id}/forecasts?hs=1,3,6[&z=1.96] the array for a
+// ladder of horizons in request order — the same call with a longer
+// horizon list, served from one shared kNN search.
+//
+// after, when non-nil, runs once the pipeline has answered (not for a
+// malformed query): it may edit the responses, and on a prediction error
+// a non-zero return replaces the error's HTTP status. The cluster's
+// promoted-replica read path passes one to tag its answers.
+func (s *Server) ServeForecast(w http.ResponseWriter, r *http.Request, id string, after func(out []ForecastResponse, err error) (status int)) {
+	q := r.URL.Query()
+	multi := strings.HasSuffix(r.URL.Path, "/forecasts")
+	parts := []string{"1"}
+	switch {
+	case multi && q.Get("hs") == "":
 		writeError(w, http.StatusBadRequest, "missing hs parameter")
 		return
+	case multi:
+		parts = strings.Split(q.Get("hs"), ",")
+	case q.Get("h") != "":
+		parts[0] = q.Get("h")
 	}
-	var hs []int
-	for _, part := range strings.Split(hsParam, ",") {
+	hs := make([]int, len(parts))
+	for i, part := range parts {
 		h, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || h <= 0 {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid horizon %q", part))
 			return
 		}
-		hs = append(hs, h)
+		hs[i] = h
 	}
 	z := 1.96
-	if v := r.URL.Query().Get("z"); v != "" {
+	if v := q.Get("z"); v != "" {
 		parsed, err := strconv.ParseFloat(v, 64)
 		if err != nil || parsed <= 0 {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid z %q", v))
@@ -681,19 +645,39 @@ func (s *Server) forecastMulti(w http.ResponseWriter, r *http.Request, id string
 		}
 		z = parsed
 	}
-	// The request's context carries the client disconnect (and any
-	// proxy deadline) into the pipeline's phase-boundary checks.
-	fs, err := s.sys.PredictHorizonsCtx(r.Context(), id, hs)
+	// Every forecast goes through the coalescing layer: a thundering
+	// herd of identical requests costs one kNN+GP run. WithoutCancel
+	// keeps the flight's lifetime decoupled from this request (coalesced
+	// followers must not die with the leader) while still carrying the
+	// trace context into the prediction.
+	fs, err := s.pipe.ForecastsCtx(context.WithoutCancel(r.Context()), id, hs)
+	out := make([]ForecastResponse, len(fs))
+	for i, f := range fs {
+		lo, hi := f.Interval(z)
+		out[i] = ForecastResponse{
+			ID: id, Horizon: hs[i], Mean: f.Mean, Variance: f.Variance,
+			StdDev: f.StdDev(), Lo: lo, Hi: hi, Z: z,
+			Degraded: f.Degraded, DegradedReason: f.DegradedReason,
+			Quality: f.Quality, QualityEstimate: f.QualityEstimate,
+		}
+	}
+	status := 0
+	if after != nil {
+		status = after(out, err)
+	}
 	if err != nil {
-		writeError(w, statusFor(err), err.Error())
+		if status == 0 {
+			status = statusFor(err)
+		}
+		writeError(w, status, err.Error())
 		return
 	}
 	s.setSpanSummary(w, r, id)
-	out := make([]ForecastResponse, 0, len(hs))
-	for _, h := range hs {
-		out = append(out, forecastResponse(id, h, fs[h], z))
+	if multi {
+		writeJSON(w, http.StatusOK, out)
+	} else {
+		writeJSON(w, http.StatusOK, out[0])
 	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) observe(w http.ResponseWriter, r *http.Request, id string) {

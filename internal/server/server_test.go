@@ -1,6 +1,7 @@
 package server
 
 import (
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -295,15 +296,38 @@ func TestForecastMultiEndpoint(t *testing.T) {
 	if math.Abs(single.Mean-fs[1].Mean) > 1e-9 {
 		t.Fatalf("multi %v vs single %v", fs[1].Mean, single.Mean)
 	}
-	// Error paths.
-	for _, q := range []string{"", "hs=0", "hs=a", "hs=1&z=bad"} {
-		resp, err := ts.Client().Get(ts.URL + "/sensors/m/forecasts?" + q)
+	get := func(path string) (int, string) {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/sensors/m/" + path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("forecasts?%s: status %d, want 400", q, resp.StatusCode)
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	// One handler behind both routes: /forecast is element 0 of the
+	// one-horizon /forecasts, byte for byte.
+	_, one := get("forecast?h=3&z=1.5")
+	_, many := get("forecasts?hs=3&z=1.5")
+	if want := "[" + strings.TrimSuffix(one, "\n") + "]\n"; many != want {
+		t.Fatalf("forecasts?hs=3 = %q, want forecast?h=3 wrapped: %q", many, want)
+	}
+	// Error paths: a bad horizon or z is the same 400 on both routes.
+	for _, q := range []string{"", "hs=0", "hs=a", "hs=1&z=bad"} {
+		status, body := get("forecasts?" + q)
+		if status != http.StatusBadRequest {
+			t.Fatalf("forecasts?%s: status %d, want 400", q, status)
+		}
+		if q == "" {
+			continue // only /forecasts has a required parameter
+		}
+		single := strings.Replace(q, "hs=", "h=", 1)
+		if s1, b1 := get("forecast?" + single); s1 != status || b1 != body {
+			t.Fatalf("forecast?%s answered %d %q, forecasts?%s %d %q", single, s1, b1, q, status, body)
 		}
 	}
 	if _, err := cl.Forecasts("nope", hs); err == nil {

@@ -413,38 +413,41 @@ func (s *System) AddSensor(id string, history []float64) error {
 	return s.enforceCapLocked(id)
 }
 
-// addSensorLocked is AddSensor without the lock, the duplicate check
-// against cold sensors, or the tier bookkeeping — the shared core of
-// AddSensor, checkpoint restore and tier fault-in. Callers hold s.mu.
+// addSensorLocked is AddSensor without the lock or the tier
+// bookkeeping: it conditions the raw history (MaxHistory cap, then the
+// frozen z-normalisation) and installs the result. Callers hold s.mu.
 func (s *System) addSensorLocked(id string, history []float64) error {
+	if s.cfg.MaxHistory > 0 && len(history) > s.cfg.MaxHistory {
+		history = history[len(history)-s.cfg.MaxHistory:]
+	}
+	if !s.cfg.Normalize {
+		return s.installSensorLocked(id, history, nil)
+	}
+	norm, err := timeseries.NewNormalizer(history)
+	if err != nil {
+		return fmt.Errorf("smiler: sensor %q: %w", id, err)
+	}
+	work := make([]float64, len(history))
+	for i, v := range history {
+		work[i] = norm.Apply(v)
+	}
+	return s.installSensorLocked(id, work, norm)
+}
+
+// installSensorLocked indexes work — history already in the space the
+// index holds — builds the sensor's pipeline and registers it with its
+// normaliser (nil when normalisation is off): the shared tail of
+// AddSensor, checkpoint restore and tier fault-in. Callers hold s.mu.
+func (s *System) installSensorLocked(id string, work []float64, norm *timeseries.Normalizer) error {
 	if s.closed {
 		return errors.New("smiler: system closed")
 	}
-	if _, dup := s.sensors[id]; dup {
-		return fmt.Errorf("smiler: sensor %q already registered", id)
-	}
-	if s.tier.isCold(id) {
+	if _, dup := s.sensors[id]; dup || s.tier.isCold(id) {
 		return fmt.Errorf("smiler: sensor %q already registered", id)
 	}
 	params, err := s.cfg.indexParams()
 	if err != nil {
 		return err
-	}
-	if s.cfg.MaxHistory > 0 && len(history) > s.cfg.MaxHistory {
-		history = history[len(history)-s.cfg.MaxHistory:]
-	}
-
-	work := history
-	var norm *timeseries.Normalizer
-	if s.cfg.Normalize {
-		norm, err = timeseries.NewNormalizer(history)
-		if err != nil {
-			return fmt.Errorf("smiler: sensor %q: %w", id, err)
-		}
-		work = make([]float64, len(history))
-		for i, v := range history {
-			work[i] = norm.Apply(v)
-		}
 	}
 
 	// Place the sensor on the device with the most free memory; if the
@@ -578,107 +581,48 @@ func (s *System) History(id string) ([]float64, error) {
 }
 
 // Predict forecasts the sensor's value h steps ahead of its latest
-// observation. With metrics enabled, the prediction's per-phase
-// latencies and kNN effectiveness land in the registry and a trace of
-// its spans in the trace store.
+// observation: the one-horizon case of PredictHorizons.
 func (s *System) Predict(id string, h int) (Forecast, error) {
 	return s.PredictCtx(context.Background(), id, h)
 }
 
-// PredictCtx is Predict with a deadline: the context is checked at
-// every pipeline phase boundary. With Config.Fallback set, any
-// operational failure — deadline exceeded, a predictor panic, a GP or
-// index error — comes back as a degraded answer from the cheap
-// baseline instead of an error. Validation failures (unknown sensor,
-// non-positive horizon) always surface as errors; there is nothing to
-// degrade to.
+// PredictCtx is the one-horizon case of PredictHorizonsCtx.
 func (s *System) PredictCtx(ctx context.Context, id string, h int) (Forecast, error) {
-	st, faulted, err := s.acquire(id)
-	if err != nil {
-		s.obs.predictErrs.Inc()
-		return Forecast{}, err
-	}
-	// st.mu is held from here; every return path below unlocks it.
-	if h <= 0 {
-		st.mu.Unlock()
-		s.obs.predictErrs.Inc()
-		return Forecast{}, fmt.Errorf("smiler: horizon %d must be positive", h)
-	}
-	ctx, cancel := s.predictContext(ctx)
-	defer cancel()
-	var tr *obs.Trace
-	if s.obs.traces != nil {
-		tr = obs.NewTrace(id, h)
-		if tc, ok := obs.TraceFromContext(ctx); ok {
-			tr.SetContext(tc)
-		}
-		if faulted {
-			tr.SetStat("tier_fault", 1)
-		}
-	}
-	start := time.Now()
-	pred, err := st.pipe.PredictTracedCtx(ctx, h, tr)
-	timing := st.pipe.Timing()
-	searchStats := st.ix.Stats()
-	qual := st.pipe.LastQuality()
-	if err != nil && s.cfg.Fallback != FallbackNone {
-		if fb, fbErr := s.fallbackLocked(st, h); fbErr == nil {
-			st.mu.Unlock()
-			reason := degradeReason(err)
-			s.obs.recordDegraded(id, tr.ID(), reason, err)
-			tr.SetStat("degraded", 1)
-			tr.Finish(nil)
-			s.obs.traces.Add(tr)
-			fb.DegradedReason = reason
-			return fb, nil
-		}
-	}
-	st.mu.Unlock()
-	s.obs.recordPredict(time.Since(start).Seconds(), timing, searchStats, qual, err)
-	tr.Finish(err)
-	s.obs.traces.Add(tr)
-	if err != nil {
-		s.obs.countPanic(err)
-		return Forecast{}, err
-	}
-	f := Forecast{Mean: pred.Mean, Variance: pred.Variance, Horizon: h,
-		Quality: qual.Tag, QualityEstimate: qual.Estimate}
-	if st.norm != nil {
-		f.Mean = st.norm.Invert(pred.Mean)
-		f.Variance = st.norm.InvertVariance(pred.Variance)
-	}
-	return f, nil
+	fs, err := s.PredictHorizonsCtx(ctx, id, []int{h})
+	return fs[h], err
 }
 
-// PredictHorizons forecasts the sensor at several horizons from one
-// shared kNN search (the index verifies each candidate at most once).
-// Equivalent to calling Predict per horizon, considerably cheaper when
-// forecasting a ladder of lead times.
+// PredictHorizons is PredictHorizonsCtx without a deadline.
 func (s *System) PredictHorizons(id string, hs []int) (map[int]Forecast, error) {
 	return s.PredictHorizonsCtx(context.Background(), id, hs)
 }
 
-// PredictHorizonsCtx is PredictHorizons with a deadline and — when
-// Config.Fallback is set — graceful degradation (see PredictCtx): on
-// an operational failure every requested horizon gets a fallback
-// forecast.
+// PredictHorizonsCtx is the system's one forecast path: it forecasts
+// the sensor at every horizon in hs from one shared kNN search (the
+// index verifies each candidate at most once), so a ladder of lead
+// times costs little more than one. With metrics enabled, the
+// prediction's per-phase latencies and kNN effectiveness land in the
+// registry and a trace of its spans in the trace store.
+//
+// The context is a deadline on the quality ladder (see
+// Config.PredictDeadline). With Config.Fallback set, any operational
+// failure — deadline exceeded, a predictor panic, a GP or index error —
+// comes back as a degraded answer from the cheap baseline for every
+// requested horizon instead of an error. Validation failures (unknown
+// sensor, empty horizon list, non-positive horizon) always surface as
+// errors; there is nothing to degrade to.
 func (s *System) PredictHorizonsCtx(ctx context.Context, id string, hs []int) (map[int]Forecast, error) {
+	if err := validHorizons(hs); err != nil {
+		s.obs.predictErrs.Inc()
+		return nil, err
+	}
 	st, faulted, err := s.acquire(id)
 	if err != nil {
 		s.obs.predictErrs.Inc()
 		return nil, err
 	}
-	defer st.mu.Unlock()
-	if len(hs) == 0 {
-		s.obs.predictErrs.Inc()
-		return nil, errors.New("smiler: empty horizon list")
-	}
-	for _, h := range hs {
-		if h <= 0 {
-			s.obs.predictErrs.Inc()
-			return nil, fmt.Errorf("smiler: horizon %d must be positive", h)
-		}
-	}
+	// st.mu is held from here until the pipeline's state has been read
+	// out; metrics, the trace store and de-normalisation run without it.
 	ctx, cancel := s.predictContext(ctx)
 	defer cancel()
 	var tr *obs.Trace
@@ -693,29 +637,24 @@ func (s *System) PredictHorizonsCtx(ctx context.Context, id string, hs []int) (m
 	}
 	start := time.Now()
 	preds, err := st.pipe.PredictMultiTracedCtx(ctx, hs, tr)
+	timing := st.pipe.Timing()
+	searchStats := st.ix.Stats()
 	qual := st.pipe.LastQuality()
+	var degraded map[int]Forecast
+	var reason string
 	if err != nil && s.cfg.Fallback != FallbackNone {
-		reason := degradeReason(err)
-		out := make(map[int]Forecast, len(hs))
-		ok := true
-		for _, h := range hs {
-			fb, fbErr := s.fallbackLocked(st, h)
-			if fbErr != nil {
-				ok = false
-				break
-			}
-			fb.DegradedReason = reason
-			out[h] = fb
-		}
-		if ok {
-			s.obs.recordDegraded(id, tr.ID(), reason, err)
-			tr.SetStat("degraded", 1)
-			tr.Finish(nil)
-			s.obs.traces.Add(tr)
-			return out, nil
-		}
+		reason = degradeReason(err)
+		degraded = s.fallbackLocked(st, hs, reason)
 	}
-	s.obs.recordPredict(time.Since(start).Seconds(), st.pipe.Timing(), st.ix.Stats(), qual, err)
+	st.mu.Unlock()
+	if degraded != nil {
+		s.obs.recordDegraded(id, tr.ID(), reason, err)
+		tr.SetStat("degraded", 1)
+		tr.Finish(nil)
+		s.obs.traces.Add(tr)
+		return degraded, nil
+	}
+	s.obs.recordPredict(time.Since(start).Seconds(), timing, searchStats, qual, err)
 	tr.Finish(err)
 	s.obs.traces.Add(tr)
 	if err != nil {
@@ -724,15 +663,34 @@ func (s *System) PredictHorizonsCtx(ctx context.Context, id string, hs []int) (m
 	}
 	out := make(map[int]Forecast, len(preds))
 	for h, pred := range preds {
-		f := Forecast{Mean: pred.Mean, Variance: pred.Variance, Horizon: h,
-			Quality: qual.Tag, QualityEstimate: qual.Estimate}
-		if st.norm != nil {
-			f.Mean = st.norm.Invert(pred.Mean)
-			f.Variance = st.norm.InvertVariance(pred.Variance)
-		}
-		out[h] = f
+		out[h] = st.rawUnits(Forecast{Mean: pred.Mean, Variance: pred.Variance, Horizon: h,
+			Quality: qual.Tag, QualityEstimate: qual.Estimate})
 	}
 	return out, nil
+}
+
+// validHorizons rejects an empty horizon list or a non-positive horizon.
+func validHorizons(hs []int) error {
+	if len(hs) == 0 {
+		return errors.New("smiler: empty horizon list")
+	}
+	for _, h := range hs {
+		if h <= 0 {
+			return fmt.Errorf("smiler: horizon %d must be positive", h)
+		}
+	}
+	return nil
+}
+
+// rawUnits maps a forecast from the sensor's normalised space back to
+// its raw units (a no-op without normalisation). The normaliser is
+// frozen at registration, so no lock is needed.
+func (st *sensorState) rawUnits(f Forecast) Forecast {
+	if st.norm != nil {
+		f.Mean = st.norm.Invert(f.Mean)
+		f.Variance = st.norm.InvertVariance(f.Variance)
+	}
+	return f
 }
 
 // predictContext applies the configured PredictDeadline when the
@@ -760,28 +718,29 @@ func degradeReason(err error) string {
 	}
 }
 
-// fallbackLocked computes the degraded forecast from the sensor's
-// surviving history (normalized space when normalization is on, then
-// inverted like the normal path). Callers hold st.mu.
-func (s *System) fallbackLocked(st *sensorState, h int) (Forecast, error) {
+// fallbackLocked computes the degraded forecast for every horizon from
+// the sensor's surviving history (normalized space when normalization is
+// on, then inverted like the normal path), or nil when the baseline
+// cannot answer one of them. Callers hold st.mu.
+func (s *System) fallbackLocked(st *sensorState, hs []int, reason string) map[int]Forecast {
 	hist := st.ix.History()
-	var pred baselines.Prediction
-	var err error
-	switch s.cfg.Fallback {
-	case FallbackAR1:
-		pred, err = baselines.AR1Fallback(hist, h)
-	default:
-		pred, err = baselines.PersistenceFallback(hist, h)
+	out := make(map[int]Forecast, len(hs))
+	for _, h := range hs {
+		var pred baselines.Prediction
+		var err error
+		switch s.cfg.Fallback {
+		case FallbackAR1:
+			pred, err = baselines.AR1Fallback(hist, h)
+		default:
+			pred, err = baselines.PersistenceFallback(hist, h)
+		}
+		if err != nil {
+			return nil
+		}
+		out[h] = st.rawUnits(Forecast{Mean: pred.Mean, Variance: pred.Variance, Horizon: h,
+			Degraded: true, DegradedReason: reason, Quality: "fallback"})
 	}
-	if err != nil {
-		return Forecast{}, err
-	}
-	f := Forecast{Mean: pred.Mean, Variance: pred.Variance, Horizon: h, Degraded: true, Quality: "fallback"}
-	if st.norm != nil {
-		f.Mean = st.norm.Invert(pred.Mean)
-		f.Variance = st.norm.InvertVariance(pred.Variance)
-	}
-	return f, nil
+	return out
 }
 
 // Observe streams the next observation of the sensor into the system:

@@ -347,40 +347,52 @@ func TestObserveMissingReadingImputes(t *testing.T) {
 func TestPredictHorizonsMatchesPredict(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	hist := noisySeasonal(rng, 400, 4, 20)
-	a, err := New(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := New(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := a.AddSensor("s", hist); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.AddSensor("s", hist); err != nil {
-		t.Fatal(err)
-	}
 	hs := []int{1, 3, 6}
-	multi, err := a.PredictHorizons("s", hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(multi) != len(hs) {
-		t.Fatalf("got %d forecasts", len(multi))
-	}
-	for _, h := range hs {
-		single, err := b.Predict("s", h)
+	// One multi call vs single calls in the same horizon order: the same
+	// path on the same state, so bit-identical — AR and GP (same order ⇒
+	// same warm-start sequence) alike.
+	var a *System
+	for _, kind := range []PredictorKind{PredictorGP, PredictorAR} {
+		cfg := smallConfig()
+		cfg.Predictor = kind
+		var err error
+		a, err = New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if math.Abs(multi[h].Mean-single.Mean) > 1e-9 {
-			t.Fatalf("h=%d: mean %v vs %v", h, multi[h].Mean, single.Mean)
+		defer a.Close()
+		b, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if multi[h].Horizon != h {
-			t.Fatalf("h=%d: horizon field %d", h, multi[h].Horizon)
+		defer b.Close()
+		if err := a.AddSensor("s", hist); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AddSensor("s", hist); err != nil {
+			t.Fatal(err)
+		}
+		multi, err := a.PredictHorizons("s", hs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(multi) != len(hs) {
+			t.Fatalf("%v: got %d forecasts", kind, len(multi))
+		}
+		for _, h := range hs {
+			single, err := b.Predict("s", h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(multi[h].Mean) != math.Float64bits(single.Mean) {
+				t.Fatalf("%v h=%d: mean %v vs %v", kind, h, multi[h].Mean, single.Mean)
+			}
+			if math.Float64bits(multi[h].Variance) != math.Float64bits(single.Variance) {
+				t.Fatalf("%v h=%d: variance %v vs %v", kind, h, multi[h].Variance, single.Variance)
+			}
+			if multi[h].Horizon != h {
+				t.Fatalf("%v h=%d: horizon field %d", kind, h, multi[h].Horizon)
+			}
 		}
 	}
 	if _, err := a.PredictHorizons("nope", hs); err == nil {

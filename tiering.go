@@ -1,7 +1,6 @@
 package smiler
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -283,40 +282,20 @@ func (s *System) faultIn(id string) error {
 	if !s.tier.isCold(id) {
 		return fmt.Errorf("smiler: unknown sensor %q", id)
 	}
-	path := s.tier.spillPath(id)
-	data, err := os.ReadFile(path)
+	sc, err := s.readSpill(id)
 	if err != nil {
-		return fmt.Errorf("smiler: faulting in sensor %q: %w", id, err)
+		return err
 	}
-	cp, err := decodeCheckpoint(bytes.NewReader(data))
-	if err != nil {
-		return fmt.Errorf("smiler: faulting in sensor %q: %w", id, err)
-	}
-	if cp.Version != checkpointVersion {
-		return fmt.Errorf("smiler: faulting in sensor %q: spill version %d, want %d", id, cp.Version, checkpointVersion)
-	}
-	restored := false
-	// The id leaves the cold set before the restore (addSensorLocked
+	// The id leaves the cold set before the restore (installSensorLocked
 	// treats cold ids as duplicates); a failed restore puts it back so
 	// the sensor stays reachable for a retry.
 	s.tier.dropCold(id)
-	for _, sc := range cp.Sensors {
-		if sc.ID != id {
-			continue
-		}
-		if err := s.restoreSensorLocked(sc); err != nil {
-			s.tier.markCold(id)
-			return fmt.Errorf("smiler: faulting in sensor %q: %w", id, err)
-		}
-		restored = true
-		break
-	}
-	if !restored {
+	if err := s.restoreSensorLocked(sc); err != nil {
 		s.tier.markCold(id)
-		return fmt.Errorf("smiler: faulting in sensor %q: spill file does not contain it", id)
+		return fmt.Errorf("smiler: faulting in sensor %q: %w", id, err)
 	}
 	s.tier.markHot(id)
-	_ = os.Remove(path)
+	_ = os.Remove(s.tier.spillPath(id))
 	s.obs.sensorFaults.Inc()
 	s.obs.events.Record(obs.Event{Type: "sensor_fault_in", Severity: obs.SevInfo, Sensor: id})
 	return s.enforceCapLocked(id)

@@ -404,6 +404,48 @@ func TestTieringConcurrentChurn(t *testing.T) {
 	}
 }
 
+// TestMinHistoryRacesFaultIn: MinHistory reads the config without a
+// lock, so nothing may write the config after New. With a hot cap of 1,
+// two sensors alternating forecasts fault each other in on every call;
+// restoring a sensor used to flip cfg.Normalize off and on around the
+// re-index. Run under -race.
+func TestMinHistoryRacesFaultIn(t *testing.T) {
+	sys, err := New(tieredConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	addSeeded(t, sys, 2)
+	want := sys.MinHistory()
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if got := sys.MinHistory(); got != want {
+				t.Errorf("MinHistory = %d mid-churn, want %d", got, want)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 12; i++ {
+		if _, err := sys.Predict(fmt.Sprintf("t%d", i%2), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+	if st := sys.Tiering(); st.Faults == 0 {
+		t.Fatalf("alternating forecasts must fault sensors in: %+v", st)
+	}
+}
+
 // TestSystemPooledMatchesUnpooled extends the PR 3 determinism
 // contract through the full System surface: forecasts and checkpoint
 // bytes with the slab pool enabled must be bit-identical to a run with
