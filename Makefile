@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race benchmark-check bench bench-ingest bench-obs bench-json metrics-smoke events-smoke torture cluster-smoke cluster-smoke-procs loader-smoke memory-smoke membership-smoke anytime-smoke
+.PHONY: all build vet test race benchmark-check benchmark-smoke bench bench-ingest bench-obs bench-json metrics-smoke events-smoke torture cluster-smoke cluster-smoke-procs loader-smoke memory-smoke membership-smoke anytime-smoke
 
 all: vet build test
 
@@ -25,6 +25,15 @@ race:
 benchmark-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
+
+# One short, fixed-work run of the repository benchmark's write-heavy
+# workload against a freshly built smiler-server: 12 rounds of bulk
+# ingest through the WAL with forecasts beside them. The exit code is
+# the verdict — counts reconcile, no forecast read pre-observe state,
+# and every oracle sensor's served means and variances are bit-identical
+# to an in-process replay (~15 s).
+benchmark-smoke:
+	bash benchmark/run.sh --workload ingest_durable --seed 1 -rounds 12 --trace 0
 
 # Paper-shape benchmarks (Tables 3-4, Figs 7-13).
 bench:

@@ -175,7 +175,7 @@ func smilerPipeline(dev *gpusim.Device, hist []float64, variant string) (*core.P
 	default:
 		factory = func() core.Predictor { return core.NewGP() }
 	}
-	ix, err := index.New(dev, hist, p)
+	ix, err := builtIndex(dev, hist, p)
 	if err != nil {
 		return nil, err
 	}

@@ -173,20 +173,20 @@ func AblationContinuousReuse(c *Corpus, steps int) (reuseSec, rebuildSec float64
 	}
 	dev := gpusim.MustNewDevice(gpusim.DefaultConfig())
 
-	ixA, err := index.New(dev, z[:c.Spec.Warm], p)
+	ixA, err := builtIndex(dev, z[:c.Spec.Warm], p)
 	if err != nil {
 		return 0, 0, err
 	}
 	defer ixA.Close()
 	t := StartTimer()
 	for s := 0; s < steps; s++ {
-		if err := ixA.Advance(z[c.Spec.Warm+s]); err != nil {
+		if err := advance(ixA, z[c.Spec.Warm+s]); err != nil {
 			return 0, 0, err
 		}
 	}
 	reuseSec = t.Seconds()
 
-	ixB, err := index.New(dev, z[:c.Spec.Warm], p)
+	ixB, err := builtIndex(dev, z[:c.Spec.Warm], p)
 	if err != nil {
 		return 0, 0, err
 	}

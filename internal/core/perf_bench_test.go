@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -118,16 +119,38 @@ func BenchmarkPredictMulti(b *testing.B) {
 	b.ReportMetric(predictSec/float64(b.N)*1e9, "predict-step-ns/op")
 }
 
-// BenchmarkObserve measures the Observe path — self-adaptive reweight
-// of one matured prediction plus the incremental index advance — with
-// the reweight queue refilled outside the pipeline each iteration
-// (white-box) so every Observe pays the full auto-tuning cost.
-// Index.Advance is O(history) and every iteration appends, so the
-// pipeline is rebuilt (timer stopped) every observeRebuildEvery
-// iterations: the history stays within 800..800+observeRebuildEvery
+// observeRebuildEvery bounds how far the Observe benches let a history
+// grow: a search costs O(history) and every iteration appends, so the
+// pipeline is replaced (timer stopped) every observeRebuildEvery
+// iterations, the history stays within 800..800+observeRebuildEvery
 // points and ns/op does not depend on b.N.
+const observeRebuildEvery = 512
+
+// freshObservePipeline replaces old (nil on the first call) with a new
+// AR pipeline whose window level is built and whose threshold seeds are
+// primed, and returns it with one forecast's cell predictions to feed
+// the reweight queue from.
+func freshObservePipeline(b *testing.B, old *Pipeline) (*Pipeline, []CellPrediction) {
+	b.Helper()
+	if old != nil {
+		old.ix.Close()
+	}
+	pl := newBenchPipeline(b, 0, func() Predictor { return NewAR() })
+	if _, err := pl.Predict(1); err != nil {
+		b.Fatal(err)
+	}
+	preds := pl.pending[0].preds
+	pl.pending = pl.pending[:0]
+	return pl, preds
+}
+
+// BenchmarkObserve measures the Observe path — the append to the
+// index's history plus the self-adaptive reweight of one matured
+// prediction — with the reweight queue refilled outside the pipeline
+// each iteration (white-box) so every Observe pays the full auto-tuning
+// cost. No search follows, so no index maintenance is in this number;
+// BenchmarkObserveThenSearch is where it shows.
 func BenchmarkObserve(b *testing.B) {
-	const observeRebuildEvery = 512
 	vals := benchHistory(256)
 	var pl *Pipeline
 	var preds []CellPrediction
@@ -135,20 +158,43 @@ func BenchmarkObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if i%observeRebuildEvery == 0 {
 			b.StopTimer()
-			if pl != nil {
-				pl.ix.Close()
-			}
-			pl = newBenchPipeline(b, 0, func() Predictor { return NewAR() })
-			if _, err := pl.Predict(1); err != nil {
-				b.Fatal(err)
-			}
-			preds = pl.pending[0].preds
-			pl.pending = pl.pending[:0]
+			pl, preds = freshObservePipeline(b, pl)
 			b.StartTimer()
 		}
 		pl.pending = append(pl.pending, pendingUpdate{target: pl.ix.Len(), preds: preds})
 		if err := pl.Observe(vals[i%len(vals)]); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkObserveThenSearch measures an observation with its share of
+// index maintenance: every gap-th Observe is followed by one Search
+// Step, which catches the window level up over the gap in one batch
+// (gap=512 exceeds the ring, so that search rebuilds it). One iteration
+// is one observation, so ns/op is the cost per observation of a sensor
+// that is forecast once every gap steps.
+func BenchmarkObserveThenSearch(b *testing.B) {
+	for _, gap := range []int{1, 4, 64, 512} {
+		b.Run(fmt.Sprintf("gap=%d", gap), func(b *testing.B) {
+			vals := benchHistory(256)
+			var pl *Pipeline
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%observeRebuildEvery == 0 {
+					b.StopTimer()
+					pl, _ = freshObservePipeline(b, pl)
+					b.StartTimer()
+				}
+				if err := pl.Observe(vals[i%len(vals)]); err != nil {
+					b.Fatal(err)
+				}
+				if (i+1)%gap == 0 {
+					if _, err := pl.ix.Search(pl.ens.MaxK(), 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

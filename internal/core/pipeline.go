@@ -132,8 +132,8 @@ type PhaseTiming struct {
 }
 
 // ObserveTiming reports where the last Observe call spent its time:
-// the self-adaptive reweighting of matured predictions vs the
-// incremental index advance.
+// the self-adaptive reweighting of matured predictions vs the append to
+// the index's history.
 type ObserveTiming struct {
 	ReweightSec float64
 	AdvanceSec  float64
@@ -188,7 +188,8 @@ const progRoundSpanCap = 12
 // struct: the span covering the whole Search Step plus the index's
 // wall-clock split of lower-bound production vs DTW verification and
 // its kNN effectiveness counters. It also derives the prediction's
-// quality rung from the search stats; a search that staged more than
+// quality rung from the search stats; a search that first had to catch
+// the index up gets an index_catchup span, and one that staged more than
 // one verification round gets one span per round.
 func (p *Pipeline) recordSearch(tr *obs.Trace, searchStart time.Time) {
 	st := p.ix.Stats()
@@ -208,6 +209,12 @@ func (p *Pipeline) recordSearch(tr *obs.Trace, searchStart time.Time) {
 	searchDur := time.Duration(p.timing.SearchSec * float64(time.Second))
 	base := searchStart
 	tr.AddSpan("search", "", sinceTraceStart(tr, base), searchDur)
+	if st.CatchupSteps > 0 || st.Rebuilt {
+		dur := time.Duration(st.CatchupWallSeconds * float64(time.Second))
+		tr.AddSpan("index_catchup", fmt.Sprintf("steps=%d rebuilt=%t", st.CatchupSteps, st.Rebuilt),
+			sinceTraceStart(tr, base), dur)
+		base = base.Add(dur)
+	}
 	lbDur := time.Duration(st.LowerBoundWallSeconds * float64(time.Second))
 	tr.AddSpan("lower_bound", "", sinceTraceStart(tr, base), lbDur)
 	tr.AddSpan("verify", "", sinceTraceStart(tr, base.Add(lbDur)),
@@ -275,7 +282,8 @@ func (p *Pipeline) PredictMulti(hs []int) (map[int]Prediction, error) {
 // the ensemble weights adapt.
 //
 // When tr is non-nil, one span is recorded for the index search (with
-// nested lower-bound and verify spans from the index's own wall clocks),
+// nested catch-up, lower-bound and verify spans from the index's own
+// wall clocks),
 // one per awake ensemble cell's model fit (carrying its horizon), and
 // one per mix, plus the search's kNN effectiveness stats. A nil trace
 // costs nothing.
@@ -568,12 +576,20 @@ func (p *Pipeline) predictColumn(pc *predColumn, h, n int, traced bool, results 
 	return out
 }
 
-// Observe feeds the next observation into the pipeline: it closes the
-// auto-tuning loop for any prediction whose target time step this
-// observation is, then advances the index (continuous reuse path).
+// Observe feeds the next observation into the pipeline: it appends it
+// to the index's history (the next forecast catches the window level
+// up), then closes the auto-tuning loop for any prediction whose target
+// time step this observation is. The append goes first so an
+// observation the index refuses consumes no pending update.
 func (p *Pipeline) Observe(v float64) error {
 	t := p.ix.Len() // index the new observation will occupy
+	advanceStart := time.Now()
+	err := p.ix.Advance(v)
 	reweightStart := time.Now()
+	p.obsTiming = ObserveTiming{AdvanceSec: reweightStart.Sub(advanceStart).Seconds()}
+	if err != nil {
+		return err
+	}
 	kept := p.pending[:0]
 	for _, pu := range p.pending {
 		switch {
@@ -585,11 +601,8 @@ func (p *Pipeline) Observe(v float64) error {
 		// Targets below t are stale (already matched or skipped).
 	}
 	p.pending = kept
-	advanceStart := time.Now()
-	p.obsTiming.ReweightSec = advanceStart.Sub(reweightStart).Seconds()
-	err := p.ix.Advance(v)
-	p.obsTiming.AdvanceSec = time.Since(advanceStart).Seconds()
-	return err
+	p.obsTiming.ReweightSec = time.Since(reweightStart).Seconds()
+	return nil
 }
 
 // PendingUpdates reports how many predictions still await their truth.

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
 
 	"smiler/internal/gpusim"
 	"smiler/internal/index"
+	"smiler/internal/obs"
 )
 
 // seasonal synthesizes a noisy periodic signal — the regime where the
@@ -225,5 +228,128 @@ func TestPredictMultiMatchesPredict(t *testing.T) {
 	}
 	if _, err := a.PredictMulti([]int{0}); err == nil {
 		t.Fatal("h=0 should fail")
+	}
+}
+
+// An observation the index refuses (its device cannot grow) must leave
+// the pipeline as it was: the matured prediction stays queued and the
+// ensemble is not reweighted, so the retry closes the loop exactly once.
+func TestRefusedObserveKeepsPendingUpdates(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	all := seasonal(rng, 340)
+	const warm = 300
+	p := index.Params{Rho: 3, Omega: 8, ELV: []int{16, 24, 40}}
+	probe := gpusim.MustNewDevice(gpusim.DefaultConfig())
+	ixProbe, err := index.New(probe, all[:warm], p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	footprint := probe.UsedBytes()
+	ixProbe.Close()
+
+	const hogBytes = 1 << 20
+	cfg := gpusim.DefaultConfig()
+	cfg.GlobalMemBytes = footprint + hogBytes + 64
+	dev := gpusim.MustNewDevice(cfg)
+	hog, err := dev.Malloc("hog", hogBytes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := index.New(dev, all[:warm], p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	pl, err := NewPipeline(ix, PipelineConfig{EKV: []int{4, 8}, Index: p, Horizon: 1,
+		Factory: func() Predictor { return NewAR() }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := warm
+	for ; next < len(all); next++ {
+		if _, err := pl.Predict(1); err != nil {
+			t.Fatal(err)
+		}
+		if err = pl.Observe(all[next]); err != nil {
+			break
+		}
+	}
+	if !errors.Is(err, gpusim.ErrOutOfMemory) {
+		t.Fatalf("err = %v, want ErrOutOfMemory while the hog holds the headroom", err)
+	}
+	if pl.PendingUpdates() != 1 {
+		t.Fatalf("refused Observe left %d pending updates, want the matured one kept", pl.PendingUpdates())
+	}
+	before := pl.Ensemble().ExportState()
+	if err := pl.Observe(all[next]); !errors.Is(err, gpusim.ErrOutOfMemory) {
+		t.Fatalf("retry err = %v, want ErrOutOfMemory again", err)
+	}
+	for i, st := range pl.Ensemble().ExportState() {
+		if st != before[i] {
+			t.Fatalf("cell %d reweighted by a refused observation: %+v vs %+v", i, st, before[i])
+		}
+	}
+	if err := dev.Free(hog); err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Observe(all[next]); err != nil {
+		t.Fatal(err)
+	}
+	if pl.PendingUpdates() != 0 {
+		t.Fatalf("pending = %d after the accepted retry, want 0", pl.PendingUpdates())
+	}
+	if _, err := pl.Predict(1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// The forecast trace shows index maintenance where it now happens: an
+// index_catchup child of the search span whenever the search had
+// observations to fold in (or the window level to build), inside the
+// search's own time, and nothing when the index was already in step.
+func TestTraceRecordsIndexCatchup(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	all := seasonal(rng, 340)
+	const warm = 300
+	pl := testPipeline(t, func() Predictor { return NewAR() }, EnsembleConfig{}, all[:warm])
+	catchup := func() (detail string, found bool) {
+		t.Helper()
+		tr := obs.NewTrace("s", 1)
+		if _, err := pl.PredictTracedCtx(context.Background(), 1, tr); err != nil {
+			t.Fatal(err)
+		}
+		var search, inner float64
+		for _, sp := range tr.Spans {
+			switch sp.Name {
+			case "search":
+				search = sp.Duration
+			case "index_catchup":
+				detail, found = sp.Detail, true
+				inner += sp.Duration
+			case "lower_bound", "verify":
+				inner += sp.Duration
+			}
+		}
+		if inner > search {
+			t.Fatalf("catch-up + lower bound + verify = %vs exceeds the search span %vs", inner, search)
+		}
+		if pt := pl.Timing(); pt.SearchSec < search {
+			t.Fatalf("PhaseTiming.SearchSec %v is less than the search span %v", pt.SearchSec, search)
+		}
+		return detail, found
+	}
+	if d, ok := catchup(); !ok || d != "steps=0 rebuilt=true" {
+		t.Fatalf("first forecast: catch-up span %q (found=%t), want the initial build", d, ok)
+	}
+	if d, ok := catchup(); ok {
+		t.Fatalf("forecast with nothing to catch up recorded a span %q", d)
+	}
+	for i := 0; i < 5; i++ {
+		if err := pl.Observe(all[warm+i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if d, ok := catchup(); !ok || d != "steps=5 rebuilt=false" {
+		t.Fatalf("forecast after 5 observations: catch-up span %q (found=%t)", d, ok)
 	}
 }

@@ -18,9 +18,11 @@
 // the suffix-sharing reuse of Remark 2.
 //
 // Continuous prediction reuses the window level across steps (Remark
-// 1): posting lists live in a rotating ring; advancing one time step
-// computes a single fresh sliding-window row, refreshes the ρ rows
-// whose query envelopes changed, and drops the stale oldest row.
+// 1): posting lists live in a rotating ring; advancing m time steps
+// computes m fresh sliding-window rows, refreshes the ρ rows whose query
+// envelopes changed, and drops the m stale oldest rows. The window level
+// is maintained semi-lazily: Advance only appends to the history, and
+// the next search catches the ring up in one batch (Sync).
 //
 // Search then follows the paper's filter → verify → select pipeline
 // (Section 4.3.3): threshold from the k-th smallest lower bound (or
@@ -32,6 +34,7 @@ package index
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"smiler/internal/dtw"
 	"smiler/internal/gpusim"
@@ -137,6 +140,15 @@ type Index struct {
 	dmax int       // master query length = max(ELV)
 	nSW  int       // number of sliding windows = dmax − ω + 1
 
+	// The window level (everything down to the master-query envelope)
+	// is a lazily maintained view of c[:synced]: Advance appends to c,
+	// Sync brings the view up to len(c). Until built is set — by the
+	// first Sync, and again after a failed one — there is no view, and
+	// synced only remembers where the history stood when the index was
+	// created or last in step.
+	synced int
+	built  bool
+
 	// Disjoint windows. dwEnvU/dwEnvL[r] hold the envelope of DW_r
 	// computed with full-series context (a superset envelope, so the
 	// bounds stay valid; see Theorem 4.3's proof which drops boundary
@@ -155,13 +167,16 @@ type Index struct {
 	postEC [][]float64
 	cursor int
 
-	// Master-query envelope, refreshed on every advance (length dmax).
+	// Master-query envelope, refreshed by every Sync (length dmax).
 	mqEnvU, mqEnvL []float64
 
 	// prevNN remembers the last step's kNN positions per item length
 	// for the continuous-threshold reuse (Section 4.3.3, Filtering).
 	prevNN map[int][]int
 
+	// Device residency is booked eagerly — New and Advance reserve what
+	// the window level will occupy once built — so capacity errors
+	// surface at registration and ingest, not inside a forecast.
 	bufs     []*gpusim.Buffer
 	unbooked int64 // appended-history bytes not yet reflected on the device
 	closed   bool
@@ -228,6 +243,15 @@ type SearchStats struct {
 	FracVerified float64
 	LBGap        float64
 	ProbExact    float64
+
+	// CatchupSteps is how many observations the window level was behind
+	// when the search began (appended since the index was created or
+	// last in step), Rebuilt whether the search had to build the window
+	// level from scratch rather than advance it, and CatchupWallSeconds
+	// the host wall-clock time either took (see Sync).
+	CatchupSteps       int
+	Rebuilt            bool
+	CatchupWallSeconds float64
 }
 
 // ItemStats is the per-item-query slice of the search counters.
@@ -252,9 +276,11 @@ func (s SearchStats) Pruned() int {
 	return p
 }
 
-// New builds an index over the given history. The history must be at
+// New creates an index over the given history. The history must be at
 // least max(ELV)+ω points long so that a master query and at least one
-// disjoint window exist. The slice is copied.
+// disjoint window exist. The slice is copied and the device memory the
+// index will occupy is booked; the window level itself is built by the
+// first search (see Sync).
 func New(dev *gpusim.Device, history []float64, p Params) (*Index, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -269,35 +295,17 @@ func New(dev *gpusim.Device, history []float64, p Params) (*Index, error) {
 		c:      append([]float64(nil), history...),
 		dmax:   dmax,
 		nSW:    dmax - p.Omega + 1,
+		synced: len(history),
 		prevNN: make(map[int][]int),
 	}
 	// Device residency: the history plus both posting-list planes. The
 	// posting lists grow with the history; reserve for the current size
-	// and extend on demand in grow().
-	ix.nDW = len(ix.c) / p.Omega
-	bytes := int64(8 * (len(ix.c) + 2*ix.nSW*ix.nDW))
-	buf, err := dev.Malloc("smiler-index", bytes)
+	// and extend on demand in Advance.
+	buf, err := dev.Malloc("smiler-index", ix.MemoryFootprint().Total())
 	if err != nil {
 		return nil, err
 	}
 	ix.bufs = append(ix.bufs, buf)
-
-	ix.dwEnvU = make([][]float64, ix.nDW)
-	ix.dwEnvL = make([][]float64, ix.nDW)
-	for r := 0; r < ix.nDW; r++ {
-		ix.computeDWEnvelope(r)
-	}
-	ix.postEQ = make([][]float64, ix.nSW)
-	ix.postEC = make([][]float64, ix.nSW)
-	for s := 0; s < ix.nSW; s++ {
-		ix.postEQ[s] = make([]float64, ix.nDW)
-		ix.postEC[s] = make([]float64, ix.nDW)
-	}
-	ix.refreshMQEnvelope()
-	if err := ix.rebuildWindowLevel(); err != nil {
-		ix.Close()
-		return nil, err
-	}
 	return ix, nil
 }
 
@@ -341,12 +349,14 @@ type Footprint struct {
 // Total returns the full per-sensor footprint in bytes.
 func (f Footprint) Total() int64 { return f.HistoryBytes + f.PostingBytes }
 
-// MemoryFootprint reports the index's current device residency — the
-// quantity Fig. 12(c)'s sensors-per-GPU capacity is derived from.
+// MemoryFootprint reports the index's device residency — the quantity
+// Fig. 12(c)'s sensors-per-GPU capacity is derived from. It is a
+// function of the history length alone, whether or not the window level
+// has been built yet.
 func (ix *Index) MemoryFootprint() Footprint {
 	return Footprint{
 		HistoryBytes: int64(8 * len(ix.c)),
-		PostingBytes: int64(8 * 2 * ix.nSW * ix.nDW),
+		PostingBytes: int64(8 * 2 * ix.nSW * (len(ix.c) / ix.p.Omega)),
 	}
 }
 
@@ -481,8 +491,8 @@ func (ix *Index) fillPostingRow(blk *gpusim.Block, b, rLo, rHi int, eqOnly bool)
 }
 
 // rebuildWindowLevel recomputes every posting row — the from-scratch
-// path used at construction and by the no-reuse ablation. One GPU block
-// processes one sliding window (Section 4.3.1).
+// branch of Sync. One GPU block processes one sliding window (Section
+// 4.3.1).
 func (ix *Index) rebuildWindowLevel() error {
 	ix.cursor = 0
 	return ix.dev.Launch(ix.nSW, func(blk *gpusim.Block) error {
@@ -491,13 +501,18 @@ func (ix *Index) rebuildWindowLevel() error {
 	})
 }
 
-// growPostingRows extends every physical posting row with zeroed slots
-// for newly completed disjoint windows.
+// growPostingRows extends every physical posting row (allocating the
+// ring on first use) with zeroed slots for newly completed disjoint
+// windows.
 func (ix *Index) growPostingRows() {
+	if ix.postEQ == nil {
+		ix.postEQ = make([][]float64, ix.nSW)
+		ix.postEC = make([][]float64, ix.nSW)
+	}
 	for s := 0; s < ix.nSW; s++ {
-		for len(ix.postEQ[s]) < ix.nDW {
-			ix.postEQ[s] = append(ix.postEQ[s], 0)
-			ix.postEC[s] = append(ix.postEC[s], 0)
+		if grow := ix.nDW - len(ix.postEQ[s]); grow > 0 {
+			ix.postEQ[s] = append(ix.postEQ[s], make([]float64, grow)...)
+			ix.postEC[s] = append(ix.postEC[s], make([]float64, grow)...)
 		}
 	}
 }
@@ -534,93 +549,124 @@ func (ix *Index) refreshPendingDWColumns() error {
 	})
 }
 
-// Advance appends a new observation and shifts the master query one
-// step, reusing the window level per Remark 1: the ring cursor steps
-// back one row, the vacated row is filled with the new rightmost
-// sliding window, and the LBEQ halves of the ρ rows whose query
-// envelopes gained the new point are recomputed. New and
-// context-pending disjoint windows are folded in as they complete.
+// Advance appends a new observation to the history. The window level
+// is not touched — the next search brings it up to date (see Sync) — but
+// the device memory the observation will occupy there is booked now,
+// one allocation per completed disjoint window, so an index that cannot
+// grow refuses the observation here. A refused observation leaves the
+// index unchanged.
 func (ix *Index) Advance(obs float64) error {
 	if ix.closed {
 		return errors.New("index: closed")
 	}
-	ix.c = append(ix.c, obs)
-	ix.unbooked += 8 // the appended observation itself
-	oldNDW := ix.nDW
-	ix.nDW = len(ix.c) / ix.p.Omega
-	if ix.nDW > oldNDW {
+	unbooked := ix.unbooked + 8 // the appended observation itself
+	if omega := ix.p.Omega; (len(ix.c)+1)/omega > len(ix.c)/omega {
 		// Book the accumulated history bytes plus the new posting-plane
-		// columns in one allocation per completed disjoint window.
-		extra := ix.unbooked + int64(8*2*ix.nSW*(ix.nDW-oldNDW))
-		nb, err := ix.dev.Malloc("smiler-index-grow", extra)
+		// column.
+		nb, err := ix.dev.Malloc("smiler-index-grow", unbooked+int64(8*2*ix.nSW))
 		if err != nil {
 			return err
 		}
 		ix.bufs = append(ix.bufs, nb)
-		ix.unbooked = 0
-		for r := oldNDW; r < ix.nDW; r++ {
-			ix.dwEnvU = append(ix.dwEnvU, nil)
-			ix.dwEnvL = append(ix.dwEnvL, nil)
-			ix.computeDWEnvelope(r)
-		}
+		unbooked = 0
+	}
+	ix.unbooked = unbooked
+	ix.c = append(ix.c, obs)
+	return nil
+}
+
+// Sync brings the window level up to the history. Every search calls it
+// first; it is exported so benchmarks can time index maintenance apart
+// from the search that would otherwise pay for it.
+//
+// With m observations appended since the last Sync, the master query
+// has shifted m steps. Reusing the window level per Remark 1, the ring
+// cursor steps back m rows, the vacated rows are filled with the m new
+// rightmost sliding windows, and the LBEQ halves of the ρ rows whose
+// query envelopes gained new points are recomputed; new and
+// context-pending disjoint windows are folded in — min(m+ρ, nSW) rows of
+// work however the m observations arrived. A window level that was
+// never built, or a gap that leaves no row to reuse (m+ρ ≥ nSW), is
+// built from scratch instead.
+//
+// The three paths need not produce bit-equal posting planes (a reused
+// row keeps the query envelope it had when its right context completed,
+// which may reach left of the current master query and so be looser
+// than a rebuilt row's), but every entry is a valid lower bound, and
+// exact DTW verification behind any valid lower bound yields the exact
+// kNN set. A failed Sync leaves the window level marked not built, so
+// the next one rebuilds it from the history.
+func (ix *Index) Sync() error {
+	if ix.closed {
+		return errors.New("index: closed")
+	}
+	m := len(ix.c) - ix.synced
+	if ix.built && m == 0 {
+		return nil
+	}
+	start := time.Now()
+	rho := ix.p.Rho
+	rebuilt := !ix.built || m+rho >= ix.nSW
+	ix.built = false // until every step below has succeeded
+
+	oldNDW := ix.nDW
+	if rebuilt {
+		oldNDW = 0
+		ix.dwCtxPending = nil
+	}
+	ix.nDW = len(ix.c) / ix.p.Omega
+	ix.dwEnvU = append(ix.dwEnvU[:oldNDW], make([][]float64, ix.nDW-oldNDW)...)
+	ix.dwEnvL = append(ix.dwEnvL[:oldNDW], make([][]float64, ix.nDW-oldNDW)...)
+	for r := oldNDW; r < ix.nDW; r++ {
+		ix.computeDWEnvelope(r)
 	}
 	ix.refreshMQEnvelope()
 	ix.growPostingRows()
 
-	// Rotate: logical b=0 must land on the slot of the previous oldest
-	// window (previous b = nSW−1). Moving the cursor back one position
-	// achieves exactly that.
-	ix.cursor = (ix.cursor - 1 + ix.nSW) % ix.nSW
-
-	rho := ix.p.Rho
-	rows := 1 + rho // fresh row + ρ envelope-refresh rows
-	if rows > ix.nSW {
-		rows = ix.nSW
+	if rebuilt {
+		if err := ix.rebuildWindowLevel(); err != nil {
+			return err
+		}
+	} else {
+		// Rotate: logical b ∈ [0, m) must land on the slots of the m
+		// previous oldest windows (previous b ∈ [nSW−m, nSW)). Moving the
+		// cursor back m positions achieves exactly that.
+		ix.cursor = (ix.cursor - m + ix.nSW) % ix.nSW
+		if err := ix.dev.Launch(m+rho, func(blk *gpusim.Block) error {
+			b := blk.ID
+			// b < m are the brand-new rightmost windows: full recompute.
+			// b ∈ [m, m+ρ) are reused rows whose query envelope changed:
+			// only LBEQ needs refreshing (Fig. 6).
+			ix.fillPostingRow(blk, b, 0, ix.nDW, b >= m)
+			return nil
+		}); err != nil {
+			return err
+		}
+		// Every reused row still needs both bound halves for the
+		// brand-new DW columns (the eqOnly refresh above left their LBEC
+		// at zero).
+		if err := ix.extendDWColumns(oldNDW, m); err != nil {
+			return err
+		}
+		if err := ix.refreshPendingDWColumns(); err != nil {
+			return err
+		}
 	}
-	if err := ix.dev.Launch(rows, func(blk *gpusim.Block) error {
-		b := blk.ID
-		// b == 0 is the brand-new rightmost window: full recompute.
-		// b ∈ [1, ρ] are reused rows whose query envelope changed: only
-		// LBEQ needs refreshing (Fig. 6).
-		ix.fillPostingRow(blk, b, 0, ix.nDW, b != 0)
-		return nil
-	}); err != nil {
-		return err
-	}
-	// Every reused row still needs both bound halves for the brand-new
-	// DW columns (the eqOnly refresh above left their LBEC at zero).
-	if err := ix.extendDWColumns(oldNDW, 1); err != nil {
-		return err
-	}
-	return ix.refreshPendingDWColumns()
+	ix.built, ix.synced = true, len(ix.c)
+	ix.stats.CatchupSteps = m
+	ix.stats.Rebuilt = rebuilt
+	ix.stats.CatchupWallSeconds = time.Since(start).Seconds()
+	return nil
 }
 
 // AdvanceRebuild appends a new observation and rebuilds the window
-// level from scratch — the non-reuse baseline for the continuous-reuse
-// ablation benchmark.
+// level from scratch, dropping the threshold seeds too — the non-reuse
+// baseline for the continuous-reuse ablation benchmark.
 func (ix *Index) AdvanceRebuild(obs float64) error {
-	if ix.closed {
-		return errors.New("index: closed")
+	if err := ix.Advance(obs); err != nil {
+		return err
 	}
-	ix.c = append(ix.c, obs)
-	oldNDW := ix.nDW
-	ix.nDW = len(ix.c) / ix.p.Omega
-	for r := oldNDW; r < ix.nDW; r++ {
-		ix.dwEnvU = append(ix.dwEnvU, nil)
-		ix.dwEnvL = append(ix.dwEnvL, nil)
-	}
-	// Recompute all envelopes with fresh context (brute-force path).
-	ix.dwCtxPending = nil
-	for r := 0; r < ix.nDW; r++ {
-		ix.computeDWEnvelope(r)
-	}
-	for s := 0; s < ix.nSW; s++ {
-		for len(ix.postEQ[s]) < ix.nDW {
-			ix.postEQ[s] = append(ix.postEQ[s], 0)
-			ix.postEC[s] = append(ix.postEC[s], 0)
-		}
-	}
-	ix.refreshMQEnvelope()
+	ix.built = false
 	ix.prevNN = make(map[int][]int)
-	return ix.rebuildWindowLevel()
+	return ix.Sync()
 }

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -10,7 +9,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"smiler/internal/dtw"
 	"smiler/internal/gpusim"
 	"smiler/internal/scan"
 )
@@ -117,26 +115,7 @@ func TestGroupLevelLowerBoundIsLowerBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	const h = 2
-	lbs, err := ix.groupLevelLowerBounds(context.Background(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range p.ELV {
-		query := hist[len(hist)-d:]
-		for tpos, lb := range lbs[i] {
-			if math.IsInf(lb, 1) {
-				continue
-			}
-			dist, err := dtw.Distance(query, hist[tpos:tpos+d], p.Rho)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lb > dist+1e-9*(1+dist) {
-				t.Fatalf("d=%d t=%d: LBw %v > DTW %v", d, tpos, lb, dist)
-			}
-		}
-	}
+	checkLowerBounds(t, ix, 2)
 }
 
 // Every valid position must receive a finite lower bound (coverage of
@@ -152,7 +131,7 @@ func TestGroupLevelCoverage(t *testing.T) {
 	}
 	defer ix.Close()
 	const h = 1
-	lbs, err := ix.groupLevelLowerBounds(context.Background(), h)
+	lbs, err := ix.ComputeLowerBounds(h)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -209,21 +209,22 @@ func (ix *Index) CountRange(eps float64, h int) (map[int]int, error) {
 }
 
 // search is the one filter → verify → select skeleton behind every
-// public search (paper §4.3.3–4.4): reset the stats, produce the
-// group-level lower bounds under the label mask of horizon h, build one
-// verify task per item query that has candidates, verify them all
-// together, fold the per-item counters, and hand each item query's
-// verified distances (+Inf where filtered, abandoned or unverified; nil
-// when the item query has no candidate) to pick. The searches differ
-// only in task (which candidates survive, with what cutoff) and pick
-// (how distances become results).
+// public search (paper §4.3.3–4.4): reset the stats, catch the window
+// level up with the history, produce the group-level lower bounds under
+// the label mask of horizon h, build one verify task per item query
+// that has candidates, verify them all together, fold the per-item
+// counters, and hand each item query's verified distances (+Inf where
+// filtered, abandoned or unverified; nil when the item query has no
+// candidate) to pick. The searches differ only in task (which
+// candidates survive, with what cutoff) and pick (how distances become
+// results).
 func (ix *Index) search(ctx context.Context, h int,
 	task func(d int, query, lbs []float64) (*verifyTask, error),
 	pick func(i, d int, dists []float64) error) error {
-	if ix.closed {
-		return errors.New("index: closed")
-	}
 	ix.stats = SearchStats{}
+	if err := ix.Sync(); err != nil { // also refuses a closed index
+		return err
+	}
 	lbs, err := ix.groupLevelLowerBounds(ctx, h)
 	if err != nil {
 		return err
@@ -294,6 +295,9 @@ func (ix *Index) ComputeLowerBounds(h int) ([][]float64, error) {
 		return nil, fmt.Errorf("index: horizon h=%d must be positive", h)
 	}
 	ix.stats = SearchStats{}
+	if err := ix.Sync(); err != nil {
+		return nil, err
+	}
 	return ix.groupLevelLowerBounds(context.Background(), h)
 }
 

@@ -47,6 +47,13 @@ type systemObs struct {
 	knnPruned     *obs.Counter
 	knnUnfiltered *obs.Counter
 
+	// Semi-lazy index maintenance, paid by forecasts: observations their
+	// searches folded into the index, and window levels built from
+	// scratch (first forecast after registration or fault-in, a gap too
+	// long to advance over, or recovery from a failed catch-up).
+	indexCatchupSteps *obs.Counter
+	indexBuilds       *obs.Counter
+
 	// Fault-tolerance instruments: degraded (fallback) answers by
 	// failure reason, and panics recovered into errors instead of
 	// crashing the process.
@@ -87,6 +94,10 @@ func newSystemObs() *systemObs {
 			"Candidates eliminated by the LBen filter without DTW verification."),
 		knnUnfiltered: reg.Counter("smiler_knn_unfiltered_total",
 			"Candidates that survived the filter and required DTW verification."),
+		indexCatchupSteps: reg.Counter("smiler_index_catchup_steps_total",
+			"Observations that forecasts' searches caught the index up over (appended since the sensor's previous search)."),
+		indexBuilds: reg.Counter("smiler_index_builds_total",
+			"Searches that built the index's window level from scratch instead of advancing it."),
 	}
 	so.panicsRecovered = reg.Counter("smiler_panics_recovered_total",
 		"Panics recovered into errors (predict workers, ingest shards, coalescer flights).")
@@ -238,6 +249,10 @@ func (so *systemObs) recordPredict(totalSec float64, timing core.PhaseTiming, st
 	so.knnCandidates.Add(st.Candidates)
 	so.knnPruned.Add(st.Pruned())
 	so.knnUnfiltered.Add(st.Unfiltered)
+	so.indexCatchupSteps.Add(st.CatchupSteps)
+	if st.Rebuilt {
+		so.indexBuilds.Inc()
+	}
 }
 
 // recordObserve folds one applied observation's timing into the

@@ -32,7 +32,7 @@ trap 'rm -f "$raw" "$base"' EXIT
 # Snapshot the committed baseline before OUT is overwritten.
 if [ -f "$BASELINE" ]; then cp "$BASELINE" "$base"; else : >"$base"; fi
 
-go test ./internal/core -run '^$' -bench 'Benchmark(Predict|PredictSequential|PredictMulti|Observe)$' \
+go test ./internal/core -run '^$' -bench 'Benchmark(Predict|PredictSequential|PredictMulti|Observe|ObserveThenSearch)$' \
     -benchmem -benchtime "$BENCHTIME" >>"$raw"
 go test ./internal/ingest -run '^$' -bench 'BenchmarkIngestThroughput/direct' \
     -benchmem -benchtime "$INGEST_BENCHTIME" >>"$raw"

@@ -744,8 +744,10 @@ func (s *System) fallbackLocked(st *sensorState, hs []int, reason string) map[in
 }
 
 // Observe streams the next observation of the sensor into the system:
-// it closes the auto-tuning loop for matured predictions and advances
-// the index incrementally. A NaN observation marks a missing reading:
+// it appends it to the index's history — the sensor's next forecast
+// catches the index up, so an observation nobody forecasts after costs
+// an append — and closes the auto-tuning loop for matured predictions.
+// A NaN observation marks a missing reading:
 // the gap is filled with the system's own one-step-ahead prediction so
 // the fixed sample rate (Section 3.1) is preserved; the auto-tuning
 // update for that step is skipped (there is no truth to score
