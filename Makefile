@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race benchmark-check benchmark-smoke bench bench-ingest bench-obs bench-json metrics-smoke events-smoke torture cluster-smoke cluster-smoke-procs loader-smoke memory-smoke membership-smoke anytime-smoke
+.PHONY: all build vet test race fuzz-smoke benchmark-check benchmark-smoke bench bench-ingest bench-obs bench-json metrics-smoke events-smoke torture cluster-smoke cluster-smoke-procs loader-smoke memory-smoke membership-smoke anytime-smoke
 
 all: vet build test
 
@@ -18,6 +18,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Ten seconds of fuzzing the banded-DTW verify kernel against the
+# modulus-indexed kernel it replaced (internal/dtw/kernel_oracle_test.go):
+# distances bit for bit, processed-column counts exactly.
+fuzz-smoke:
+	$(GO) test ./internal/dtw -run '^$$' -fuzz FuzzDistanceCompressedAbandon -fuzztime 10s
+
 # benchmark/ is its own module (replace smiler => ../), so `./...` above
 # never compiles it — yet it builds against index.SearchCtx,
 # core.PipelineConfig and core.Pipeline.Timing. Vet and unit-test it so
@@ -26,14 +32,17 @@ benchmark-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# One short, fixed-work run of the repository benchmark's write-heavy
-# workload against a freshly built smiler-server: 12 rounds of bulk
-# ingest through the WAL with forecasts beside them. The exit code is
-# the verdict — counts reconcile, no forecast read pre-observe state,
-# and every oracle sensor's served means and variances are bit-identical
-# to an in-process replay (~15 s).
+# Two short, fixed-work runs of the repository benchmark against a
+# freshly built smiler-server: 12 rounds of the write-heavy workload
+# (bulk ingest through the WAL with forecasts beside them), then 6 rounds
+# of the search-heavy one (2,048-point histories, every observation
+# followed by a forecast). The exit code is the verdict — counts
+# reconcile, no forecast read pre-observe state, and every oracle
+# sensor's served means and variances are bit-identical to an in-process
+# replay (~25 s).
 benchmark-smoke:
 	bash benchmark/run.sh --workload ingest_durable --seed 1 -rounds 12 --trace 0
+	bash benchmark/run.sh --workload continuous_gp --seed 1 -rounds 6 --trace 0
 
 # Paper-shape benchmarks (Tables 3-4, Figs 7-13).
 bench:

@@ -11,9 +11,11 @@
 package smiler_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"smiler"
 	"smiler/internal/baselines"
 	"smiler/internal/bench"
 	"smiler/internal/core"
@@ -477,4 +479,46 @@ func BenchmarkAblationBootstrapUncertainty(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkContinuousGPLoop is the repository benchmark's continuous_gp
+// traffic shape without the transport: 8 sensors × 2,048 ROAD points,
+// default GP configuration; one iteration is one observation followed by
+// one forecast on the next sensor in turn, each sensor's horizons walking
+// 1,1,3,3,6,6. It is the loop docs/PERF.md profiles ("Verify kernel"):
+//
+//	go test -run '^$' -bench ContinuousGPLoop -benchtime 300x -cpuprofile cpu.out .
+func BenchmarkContinuousGPLoop(b *testing.B) {
+	const sensors, history = 8, 2048
+	horizons := [...]int{1, 1, 3, 3, 6, 6}
+	sys, err := smiler.New(smiler.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	ids := make([]string, sensors)
+	streams := make([]*datasets.Stream, sensors)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("s%d", i)
+		if streams[i], err = datasets.NewStream(datasets.Road, 11, i); err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.AddSensor(ids[i], streams[i].Take(history)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.Predict(ids[i], 1); err != nil { // build the index, warm the hyperparameters
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		i := n % sensors
+		if err := sys.Observe(ids[i], streams[i].Next()); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.Predict(ids[i], horizons[n/sensors%len(horizons)]); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -31,8 +31,8 @@ func dist(a, b float64) float64 {
 // Distance computes the DTW distance between equal-length series q and
 // c under a Sakoe-Chiba band of half-width rho, using a full (d+1)²
 // dynamic-programming matrix. It is the readable reference
-// implementation; DistanceCompressed is the memory-compressed variant
-// the simulated GPU kernels run.
+// implementation; DistanceCompressedAbandon is the memory-compressed
+// kernel the simulated GPU blocks run.
 func Distance(q, c []float64, rho int) (float64, error) {
 	d := len(q)
 	if d == 0 || d != len(c) {
@@ -75,69 +75,15 @@ func Distance(q, c []float64, rho int) (float64, error) {
 
 // DistanceCompressed computes the same banded DTW distance with the
 // paper's compressed warping matrix (Algorithm 2): a rolling buffer of
-// 2 columns × (2ρ+2) band cells indexed by modulus, sized to fit a
-// GPU block's shared memory. scratch may be nil or a buffer from
-// NewCompressedScratch to avoid per-call allocation.
+// 2 columns × (2ρ+2) words, sized to fit a GPU block's shared memory.
+// It is DistanceCompressedAbandon without a cutoff. scratch may be nil
+// or a buffer from NewCompressedScratch to avoid per-call allocation.
 func DistanceCompressed(q, c []float64, rho int, scratch []float64) (float64, error) {
-	d := len(q)
-	if d == 0 || d != len(c) {
-		return 0, fmt.Errorf("%w: |q|=%d |c|=%d", ErrLength, len(q), len(c))
-	}
-	if rho < 0 {
-		return 0, fmt.Errorf("dtw: negative warping width %d", rho)
-	}
-	m := 2*rho + 2 // band rows kept live per column
-	if len(scratch) < 2*m {
-		scratch = make([]float64, 2*m)
-	}
-	g := scratch[:2*m]
-	inf := math.Inf(1)
-	// Column j=0 boundary: γ(0,0)=0, γ(i,0)=∞ for i>0.
-	for i := 0; i < m; i++ {
-		g[i*2] = inf
-	}
-	g[0] = 0
-	// cell(i, j) maps matrix row i (0..d), column parity j to scratch.
-	cell := func(i, j int) *float64 {
-		ii := i % m
-		if ii < 0 {
-			ii += m
-		}
-		return &g[ii*2+(j&1)]
-	}
-	for j := 1; j <= d; j++ {
-		// Invalidate the two cells that leave the band as the column
-		// advances (Algorithm 2 lines 7–8).
-		*cell(j-rho-1, j) = inf
-		*cell(j+rho, j-1) = inf
-		if j-rho-1 < 0 {
-			// Row 0 is still inside the retained band window but
-			// γ(0,j) = ∞ for every j ≥ 1; without this the slot would
-			// hold the stale γ(0,0) = 0 (or γ(0,j-2)) start cell.
-			*cell(0, j) = inf
-		}
-		ilo, ihi := j-rho, j+rho
-		if ilo < 1 {
-			ilo = 1
-		}
-		if ihi > d {
-			ihi = d
-		}
-		for i := ilo; i <= ihi; i++ {
-			best := *cell(i-1, j)
-			if v := *cell(i, j-1); v < best {
-				best = v
-			}
-			if v := *cell(i-1, j-1); v < best {
-				best = v
-			}
-			*cell(i, j) = dist(q[i-1], c[j-1]) + best
-		}
-	}
-	return *cell(d, d), nil
+	v, _, err := DistanceCompressedAbandon(q, c, rho, math.Inf(1), scratch)
+	return v, err
 }
 
-// DistanceCompressedAbandon is DistanceCompressed with an early-
+// DistanceCompressedAbandon is the banded-DTW kernel with an early-
 // abandoning cutoff: every warping path visits every column of the
 // warping matrix and path costs only grow along a path, so once the
 // minimum over a column's band cells exceeds cutoff no path can finish
@@ -145,8 +91,16 @@ func DistanceCompressed(q, c []float64, rho int, scratch []float64) (float64, er
 // nil) with cols the number of columns actually processed — callers
 // charge cost models for work done, not work skipped. Abandonment
 // fires only on a strictly greater column minimum, so candidates whose
-// true distance equals the cutoff are fully computed. With cutoff =
-// +Inf the result is identical to DistanceCompressed.
+// true distance equals the cutoff are fully computed; cutoff = +Inf
+// never abandons.
+//
+// The two live columns are addressed by band offset: cell γ(i,j) sits
+// at k = i−j+ρ ∈ [0, 2ρ] of its column, followed by one +Inf pad word.
+// Its three predecessors are then γ(i−1,j) — the cell just written,
+// kept in a local —, γ(i,j−1) at k+1 and γ(i−1,j−1) at k of the previous
+// column, so a column is one pass over three equal-length slices with no
+// index arithmetic. The pad is what γ(j+ρ, j−1), one row past the
+// previous column's band, reads as.
 func DistanceCompressedAbandon(q, c []float64, rho int, cutoff float64, scratch []float64) (float64, int, error) {
 	d := len(q)
 	if d == 0 || d != len(c) {
@@ -159,52 +113,57 @@ func DistanceCompressedAbandon(q, c []float64, rho int, cutoff float64, scratch 
 	if len(scratch) < 2*m {
 		scratch = make([]float64, 2*m)
 	}
-	g := scratch[:2*m]
+	prev, cur := scratch[:m], scratch[m:2*m]
 	inf := math.Inf(1)
-	for i := 0; i < m; i++ {
-		g[i*2] = inf
+	// Column 0: γ(0,0) = 0, γ(i,0) = ∞ for i > 0 — and both pads.
+	for k := range prev {
+		prev[k] = inf
 	}
-	g[0] = 0
-	cell := func(i, j int) *float64 {
-		ii := i % m
-		if ii < 0 {
-			ii += m
-		}
-		return &g[ii*2+(j&1)]
-	}
+	prev[rho] = 0
+	cur[m-1] = inf
 	for j := 1; j <= d; j++ {
-		*cell(j-rho-1, j) = inf
-		*cell(j+rho, j-1) = inf
-		if j-rho-1 < 0 {
-			*cell(0, j) = inf
+		ilo, ihi := max(1, j-rho), min(d, j+rho)
+		klo := ilo - j + rho
+		if klo > 0 {
+			// Row 0 is inside the band until column ρ, and γ(0,j) = ∞ for
+			// every j ≥ 1: the next column reads it as its first diagonal.
+			cur[klo-1] = inf
 		}
-		ilo, ihi := j-rho, j+rho
-		if ilo < 1 {
-			ilo = 1
-		}
-		if ihi > d {
-			ihi = d
-		}
-		colMin := inf
-		for i := ilo; i <= ihi; i++ {
-			best := *cell(i-1, j)
-			if v := *cell(i, j-1); v < best {
+		// One slice per operand, all of the column's length, so the loop
+		// below carries no bounds checks.
+		qs := q[ilo-1 : ihi]
+		out := cur[klo:][:len(qs)]
+		diag := prev[klo:][:len(qs)]
+		left := prev[klo+1:][:len(qs)]
+		cj := c[j-1]
+		// A cell is a sum of squares — never negative, never −0 — and for
+		// such values, +Inf included, IEEE-754 bit patterns order like the
+		// values while every NaN pattern sorts above +Inf. An unsigned
+		// minimum over the bits is therefore the float minimum that skips
+		// NaN, which is what `v < best` does with a NaN v, and it compiles
+		// to a conditional move where the float comparison is a branch the
+		// predictor keeps losing. The left/diagonal minimum and the column
+		// minimum are taken that way. The comparison with the in-column
+		// predecessor stays a float `<`: a NaN there must stick (nothing is
+		// less than it), and it sits on the loop-carried dependency chain,
+		// where a predicted branch is free and a conditional move is not.
+		up, colMin := inf, math.Float64bits(inf)
+		for k, qv := range qs {
+			side := min(math.Float64bits(left[k]), math.Float64bits(diag[k]))
+			best := up
+			if v := math.Float64frombits(side); v < best {
 				best = v
 			}
-			if v := *cell(i-1, j-1); v < best {
-				best = v
-			}
-			v := dist(q[i-1], c[j-1]) + best
-			*cell(i, j) = v
-			if v < colMin {
-				colMin = v
-			}
+			up = dist(qv, cj) + best
+			out[k] = up
+			colMin = min(colMin, math.Float64bits(up))
 		}
-		if colMin > cutoff {
+		if math.Float64frombits(colMin) > cutoff {
 			return inf, j, nil
 		}
+		prev, cur = cur, prev
 	}
-	return *cell(d, d), d, nil
+	return prev[rho], d, nil
 }
 
 // CompressedScratchLen returns the scratch length DistanceCompressed
@@ -237,8 +196,9 @@ func DistanceEarlyAbandon(q, c []float64, rho int, threshold float64) (float64, 
 		return 0, false, fmt.Errorf("%w: |q|=%d |c|=%d", ErrLength, len(q), len(c))
 	}
 	inf := math.Inf(1)
-	prev := make([]float64, d+1)
-	cur := make([]float64, d+1)
+	rows := memsys.GetFloats(2 * (d + 1))
+	defer memsys.PutFloats(rows)
+	prev, cur := rows[:d+1], rows[d+1:]
 	for i := range prev {
 		prev[i] = inf
 	}

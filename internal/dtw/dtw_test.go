@@ -278,17 +278,44 @@ func BenchmarkDistanceFull64(b *testing.B) {
 	}
 }
 
-func BenchmarkDistanceCompressed64(b *testing.B) {
+// benchKernel times the verify kernel at the serving shape (d=64, ρ=8,
+// pooled scratch) and requires it to allocate nothing. The cutoff is
+// either +Inf, which never abandons, or the pair's true distance — the
+// tightest cutoff that still runs every column.
+func benchKernel(b *testing.B, cutoffAtTruth bool) {
 	rng := rand.New(rand.NewSource(12))
 	q := randSeries(rng, 64)
 	c := randSeries(rng, 64)
-	scratch := NewCompressedScratch(8)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := DistanceCompressed(q, c, 8, scratch); err != nil {
+	scratch := GetCompressedScratch(8)
+	defer PutCompressedScratch(scratch)
+	at := math.Inf(1)
+	if cutoffAtTruth {
+		var err error
+		if at, err = DistanceCompressed(q, c, 8, scratch); err != nil {
 			b.Fatal(err)
 		}
 	}
+	run := func() {
+		if _, cols, err := DistanceCompressedAbandon(q, c, 8, at, scratch); err != nil || cols != 64 {
+			b.Fatalf("cols=%d err=%v", cols, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		b.Fatalf("kernel allocates %v times per call, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
+func BenchmarkDistanceCompressed64(b *testing.B) {
+	benchKernel(b, false)
+}
+
+func BenchmarkDistanceCompressedAbandon64(b *testing.B) {
+	benchKernel(b, true)
 }
 
 func BenchmarkLBEn64(b *testing.B) {

@@ -501,19 +501,38 @@ func (ix *Index) rebuildWindowLevel() error {
 	})
 }
 
+// growHeadroom is the spare capacity, in disjoint windows, that a
+// reallocated table of the window level is given: at ω observations per
+// window it spaces reallocations growHeadroom·ω observations apart.
+const growHeadroom = 4
+
+// grow extends s to length n; the index's tables never shrink, so the
+// new slots are zero. When it must reallocate it asks for n+spare,
+// where append would ask for a multiple of the old capacity. The sensors
+// of a deployment are registered together and fed in step, so their
+// tables fill up on the same observation: with append, resident memory
+// climbs by a quarter to a half of everything the index holds in one
+// step, and a process that ingests or forecasts faster gets there
+// sooner.
+func grow[T any](s []T, n, spare int) []T {
+	if n <= cap(s) {
+		return s[:n]
+	}
+	out := make([]T, n, n+spare)
+	copy(out, s)
+	return out
+}
+
 // growPostingRows extends every physical posting row (allocating the
-// ring on first use) with zeroed slots for newly completed disjoint
-// windows.
+// ring on first use) with slots for newly completed disjoint windows.
 func (ix *Index) growPostingRows() {
 	if ix.postEQ == nil {
 		ix.postEQ = make([][]float64, ix.nSW)
 		ix.postEC = make([][]float64, ix.nSW)
 	}
 	for s := 0; s < ix.nSW; s++ {
-		if grow := ix.nDW - len(ix.postEQ[s]); grow > 0 {
-			ix.postEQ[s] = append(ix.postEQ[s], make([]float64, grow)...)
-			ix.postEC[s] = append(ix.postEC[s], make([]float64, grow)...)
-		}
+		ix.postEQ[s] = grow(ix.postEQ[s], ix.nDW, growHeadroom)
+		ix.postEC[s] = grow(ix.postEC[s], ix.nDW, growHeadroom)
 	}
 }
 
@@ -571,7 +590,13 @@ func (ix *Index) Advance(obs float64) error {
 		unbooked = 0
 	}
 	ix.unbooked = unbooked
-	ix.c = append(ix.c, obs)
+	// The history is appended to for the life of the sensor, so unlike
+	// the per-window tables it keeps amortized-constant growth — at a
+	// sixteenth of its length, where append takes a quarter and rounds up
+	// to a size class — with growHeadroom windows as the floor.
+	n := len(ix.c)
+	ix.c = grow(ix.c, n+1, max(growHeadroom*ix.p.Omega, n/16))
+	ix.c[n] = obs
 	return nil
 }
 
@@ -615,8 +640,8 @@ func (ix *Index) Sync() error {
 		ix.dwCtxPending = nil
 	}
 	ix.nDW = len(ix.c) / ix.p.Omega
-	ix.dwEnvU = append(ix.dwEnvU[:oldNDW], make([][]float64, ix.nDW-oldNDW)...)
-	ix.dwEnvL = append(ix.dwEnvL[:oldNDW], make([][]float64, ix.nDW-oldNDW)...)
+	ix.dwEnvU = grow(ix.dwEnvU, ix.nDW, growHeadroom)
+	ix.dwEnvL = grow(ix.dwEnvL, ix.nDW, growHeadroom)
 	for r := oldNDW; r < ix.nDW; r++ {
 		ix.computeDWEnvelope(r)
 	}

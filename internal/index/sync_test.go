@@ -320,3 +320,57 @@ func TestRefusedAdvanceLeavesIndexUnchanged(t *testing.T) {
 		t.Fatalf("device usage %d fell behind footprint %d", dev.UsedBytes(), fp)
 	}
 }
+
+// hostPostingCap is the capacity, in words, the host holds for the two
+// posting planes.
+func hostPostingCap(ix *Index) int {
+	words := 0
+	for s := range ix.postEQ {
+		words += cap(ix.postEQ[s]) + cap(ix.postEC[s])
+	}
+	return words
+}
+
+// Completing a disjoint window grows every posting row of the sensor at
+// once, so the rows must grow by the new columns plus a constant
+// headroom — not by a factor of the history behind them, which is what
+// append does to a full slice.
+func TestPostingRowsGrowByNewColumns(t *testing.T) {
+	p := DefaultParams()
+	nSW := p.ELV[len(p.ELV)-1] - p.Omega + 1
+	const newWindows = growHeadroom + 1 // one more than a fresh row has room for
+	var growth []int
+	for _, windows := range []int{64, 128, 512} {
+		dev := testDevice(t)
+		rng := rand.New(rand.NewSource(65))
+		ix, err := New(dev, randwalk(rng, windows*p.Omega), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		if _, err := ix.Search(4, 1); err != nil {
+			t.Fatal(err)
+		}
+		before := hostPostingCap(ix)
+		for i := 0; i < newWindows*p.Omega; i++ {
+			if err := ix.Advance(rng.NormFloat64()); err != nil {
+				t.Fatal(err)
+			}
+			if (i+1)%p.Omega == 0 {
+				if _, err := ix.Search(4, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got := hostPostingCap(ix) - before
+		if limit := 2 * nSW * (newWindows + growHeadroom); got <= 0 || got > limit {
+			t.Errorf("%d-window history: posting capacity grew %d words over %d new windows, want (0, %d]", windows, got, newWindows, limit)
+		}
+		growth = append(growth, got)
+	}
+	for _, g := range growth[1:] {
+		if g != growth[0] {
+			t.Fatalf("posting capacity growth depends on history length: %v words", growth)
+		}
+	}
+}

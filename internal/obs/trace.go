@@ -156,9 +156,15 @@ func (s *TraceStore) Add(t *Trace) {
 		return
 	}
 	s.mu.Lock()
-	ring := append(s.bySensor[t.Sensor], t)
-	if len(ring) > s.capacity {
-		ring = ring[len(ring)-s.capacity:]
+	ring := s.bySensor[t.Sensor]
+	if len(ring) < s.capacity {
+		ring = append(ring, t)
+	} else {
+		// Shift down rather than re-slice: a dropped trace left in the
+		// backing array stays reachable until append happens to reallocate
+		// it, which keeps up to twice the capacity alive.
+		copy(ring, ring[1:])
+		ring[len(ring)-1] = t
 	}
 	s.bySensor[t.Sensor] = ring
 	s.mu.Unlock()

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"errors"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -98,5 +100,32 @@ func TestTraceStoreDefaultCapacity(t *testing.T) {
 	}
 	if n := len(st.Last("s", 0)); n != DefaultTraceCapacity {
 		t.Fatalf("default ring kept %d, want %d", n, DefaultTraceCapacity)
+	}
+}
+
+// A trace that has left the ring must be collectable: the store's
+// footprint is capacity traces per sensor however many forecasts the
+// sensor has served. (Re-slicing the ring forward instead of shifting it
+// down leaves dropped traces reachable in the backing array — up to
+// another full capacity of them.)
+func TestTraceStoreReleasesDroppedTraces(t *testing.T) {
+	const capacity = 4
+	st := NewTraceStore(capacity)
+	var collected atomic.Int32
+	for i := 0; i < 2*capacity; i++ {
+		tr := NewTrace("s")
+		runtime.SetFinalizer(tr, func(*Trace) { collected.Add(1) })
+		tr.Finish(nil)
+		st.Add(tr)
+	}
+	for deadline := time.Now().Add(5 * time.Second); collected.Load() < capacity; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the %d dropped traces were collected", collected.Load(), capacity)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if n := len(st.Last("s", 0)); n != capacity {
+		t.Fatalf("ring kept %d, want %d", n, capacity)
 	}
 }

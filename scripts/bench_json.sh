@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# bench_json.sh — run the prediction-path benchmarks and emit
+# bench_json.sh — run the prediction-path benchmarks (and the DTW verify
+# kernel beneath them) and emit
 # BENCH_predict.json with ns/op, allocs and every custom metric
 # (predict-step-ns/op, cell-fit-ns/op, search-ns/op, ...), plus a
 # vs_baseline section with the B/op and allocs/op deltas against the
@@ -33,6 +34,10 @@ trap 'rm -f "$raw" "$base"' EXIT
 if [ -f "$BASELINE" ]; then cp "$BASELINE" "$base"; else : >"$base"; fi
 
 go test ./internal/core -run '^$' -bench 'Benchmark(Predict|PredictSequential|PredictMulti|Observe|ObserveThenSearch)$' \
+    -benchmem -benchtime "$BENCHTIME" >>"$raw"
+# The verify kernel under every search above, at the serving shape
+# (d=64, ρ=8); the benchmarks themselves fail on a single allocation.
+go test ./internal/dtw -run '^$' -bench 'BenchmarkDistanceCompressed(Abandon)?64$' \
     -benchmem -benchtime "$BENCHTIME" >>"$raw"
 go test ./internal/ingest -run '^$' -bench 'BenchmarkIngestThroughput/direct' \
     -benchmem -benchtime "$INGEST_BENCHTIME" >>"$raw"
