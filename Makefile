@@ -91,7 +91,7 @@ torture:
 # a degraded replica, bit-exact migration, idempotent retry dedupe
 # through the proxy (docs/CLUSTER.md).
 cluster-smoke:
-	$(GO) test -race -count=1 -run 'TestCluster' ./internal/cluster
+	$(GO) test -race -count=3 -run 'TestCluster|TestPeer' ./internal/cluster
 
 # Same story against three real smiler-server processes on loopback
 # ports (scripts/cluster_smoke.sh).

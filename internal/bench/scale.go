@@ -159,12 +159,21 @@ func RunFig13(c *Corpus, activePoints []int) ([]Fig13Row, error) {
 	return rows, nil
 }
 
+// AblationCost is one arm of an ablation: wall-clock seconds for the
+// printed report, and the simulated device cycles the same work was
+// charged — reproducible to the cycle (docs/GPUSIM.md), so the one a
+// test may compare.
+type AblationCost struct {
+	Sec    float64
+	Cycles float64
+}
+
 // AblationContinuousReuse compares the incremental window-level update
 // (Remark 1) against rebuilding the index from scratch on every step —
 // one of the DESIGN.md ablations.
-func AblationContinuousReuse(c *Corpus, steps int) (reuseSec, rebuildSec float64, err error) {
+func AblationContinuousReuse(c *Corpus, steps int) (reuse, rebuild AblationCost, err error) {
 	if steps <= 0 {
-		return 0, 0, fmt.Errorf("bench: steps %d must be positive", steps)
+		return reuse, rebuild, fmt.Errorf("bench: steps %d must be positive", steps)
 	}
 	p := searchParams()
 	z := c.Series[0]
@@ -172,31 +181,24 @@ func AblationContinuousReuse(c *Corpus, steps int) (reuseSec, rebuildSec float64
 		steps = len(z) - c.Spec.Warm
 	}
 	dev := gpusim.MustNewDevice(gpusim.DefaultConfig())
-
-	ixA, err := builtIndex(dev, z[:c.Spec.Warm], p)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer ixA.Close()
-	t := StartTimer()
-	for s := 0; s < steps; s++ {
-		if err := advance(ixA, z[c.Spec.Warm+s]); err != nil {
-			return 0, 0, err
+	arm := func(step func(*index.Index, float64) error) (AblationCost, error) {
+		ix, err := builtIndex(dev, z[:c.Spec.Warm], p)
+		if err != nil {
+			return AblationCost{}, err
 		}
-	}
-	reuseSec = t.Seconds()
-
-	ixB, err := builtIndex(dev, z[:c.Spec.Warm], p)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer ixB.Close()
-	t = StartTimer()
-	for s := 0; s < steps; s++ {
-		if err := ixB.AdvanceRebuild(z[c.Spec.Warm+s]); err != nil {
-			return 0, 0, err
+		defer ix.Close()
+		dev.ResetTimer() // cost the maintenance, not the construction
+		t := StartTimer()
+		for s := 0; s < steps; s++ {
+			if err := step(ix, z[c.Spec.Warm+s]); err != nil {
+				return AblationCost{}, err
+			}
 		}
+		return AblationCost{Sec: t.Seconds(), Cycles: dev.Profile().TotalCycles()}, nil
 	}
-	rebuildSec = t.Seconds()
-	return reuseSec, rebuildSec, nil
+	if reuse, err = arm(advance); err != nil {
+		return reuse, rebuild, err
+	}
+	rebuild, err = arm((*index.Index).AdvanceRebuild)
+	return reuse, rebuild, err
 }

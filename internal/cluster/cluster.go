@@ -13,7 +13,9 @@
 //
 // Membership is a versioned cluster map (clustermap.go): a monotonic
 // epoch signed by the elected primary, pushed to all members and
-// pulled by any node that sees a higher epoch on a peer request. The
+// pulled by any node that sees a higher epoch on a peer request or on
+// the response to any call it made (peer.go: the one function every
+// node-to-node call goes through, and the one route table). The
 // lowest-id-alive active member is the primary (vote.go); it admits
 // joiners, flips drainers, and drives batched resumable rebalancing
 // (rebalance.go) over the bit-exact migration primitive below.
@@ -46,21 +48,17 @@ package cluster
 
 import (
 	"bytes"
-	"crypto/subtle"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"smiler"
-	"smiler/internal/fault"
 	"smiler/internal/ingest"
 	"smiler/internal/server"
 	"smiler/internal/wal"
@@ -93,14 +91,12 @@ type Config struct {
 	// VirtualNodes is the per-member vnode count on the ring
 	// (default 64).
 	VirtualNodes int
-	// ProbeInterval is the peer health probe period (default 500ms).
+	// ProbeInterval is the peer health probe period, and the idle
+	// replication heartbeat period (default 500ms).
 	ProbeInterval time.Duration
 	// ProbeFailures is how many consecutive probe failures mark a peer
 	// down (default 3).
 	ProbeFailures int
-	// HeartbeatInterval is the idle replication heartbeat period
-	// (default ProbeInterval).
-	HeartbeatInterval time.Duration
 	// MaxStaleness bounds how stale a promoted replica may serve: once
 	// this long has passed since the failed primary was last heard
 	// from, degraded reads answer 503 instead (default 5m).
@@ -112,9 +108,9 @@ type Config struct {
 	// (default 200ms).
 	RebalanceInterval time.Duration
 	// Secret, when set, is required (in the X-Smiler-Cluster-Secret
-	// header) on every state-changing /cluster/* endpoint — replicate,
-	// restore, assign, migrate, map, join, decommission — and attached
-	// to all intra-cluster requests this node makes. It also keys the
+	// header) on every /cluster/* route of class secret or peer (the
+	// peerRoutes table in peer.go) and attached to all intra-cluster
+	// requests this node makes. It also keys the
 	// cluster-map HMAC. Every member must share the same value. Leave
 	// empty only when untrusted clients cannot reach the serving port
 	// (see docs/CLUSTER.md, Security).
@@ -138,9 +134,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.ProbeFailures <= 0 {
 		c.ProbeFailures = 3
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = c.ProbeInterval
 	}
 	if c.MaxStaleness <= 0 {
 		c.MaxStaleness = 5 * time.Minute
@@ -251,17 +244,7 @@ func New(sys *smiler.System, srv *server.Server, cfg Config) (*Node, error) {
 	n.m = newMetrics(sys.Metrics(), n)
 	n.m.syncPeers(n.peerIDs())
 
-	srv.Handle("/cluster/ring", n.handleRing)
-	srv.Handle("/cluster/health", n.handleHealth)
-	srv.Handle("/cluster/replicate", n.handleReplicate)
-	srv.Handle("/cluster/restore", n.handleRestore)
-	srv.Handle("/cluster/migrate", n.handleMigrate)
-	srv.Handle("/cluster/assign", n.handleAssign)
-	srv.Handle("/cluster/map", n.handleMap)
-	srv.Handle("/cluster/join", n.handleJoin)
-	srv.Handle("/cluster/decommission", n.handleDecommission)
-	srv.Handle("/cluster/sensors", n.handleSensorList)
-	srv.Handle("/cluster/rebalance", n.handleRebalance)
+	n.mountPeerRoutes()
 	srv.SetGate(n.gate)
 	// Every observation the pipeline applies locally streams to this
 	// sensor's followers (the gate only lets the owner apply locally,
@@ -394,72 +377,6 @@ func (n *Node) replicaTargets(sensor string) []string {
 	return out
 }
 
-// --- peer authentication ---
-
-// secretHeader carries the shared cluster secret on intra-cluster
-// requests when Config.Secret is set.
-const secretHeader = "X-Smiler-Cluster-Secret"
-
-// peerHeaders stamps an outbound intra-cluster request with this
-// node's identity, base URL, installed map epoch and, when
-// configured, the shared secret.
-func (n *Node) peerHeaders(req *http.Request) {
-	req.Header.Set(fromHeader, n.cfg.Self)
-	req.Header.Set(fromURLHeader, n.selfURL)
-	req.Header.Set(epochHeader, strconv.FormatUint(n.epoch(), 10))
-	if n.cfg.Secret != "" {
-		req.Header.Set(secretHeader, n.cfg.Secret)
-	}
-}
-
-// authSecret enforces the shared cluster secret when one is
-// configured. The operator-facing /cluster/migrate uses just this —
-// the operator is not a member and carries no fromHeader.
-func (n *Node) authSecret(w http.ResponseWriter, r *http.Request) bool {
-	if n.cfg.Secret == "" {
-		return true
-	}
-	if subtle.ConstantTimeCompare([]byte(r.Header.Get(secretHeader)), []byte(n.cfg.Secret)) != 1 {
-		writeError(w, http.StatusForbidden, "missing or wrong "+secretHeader+" header")
-		return false
-	}
-	return true
-}
-
-// authPeer gates the peer-to-peer /cluster/* endpoints (replicate,
-// restore, assign): the sender must present the shared secret when one
-// is configured and name itself as another member of the installed
-// map. Without a secret the membership check only stops stray API
-// clients from overwriting sensor state or flipping ownership — any
-// sender can claim a member id — so the secret, or keeping the port
-// off the client network, is the real boundary (docs/CLUSTER.md).
-// The sender's epoch is noted first, even when the request is then
-// rejected: a node that fell off a newer map learns about it from the
-// rejection path itself.
-func (n *Node) authPeer(w http.ResponseWriter, r *http.Request) bool {
-	n.noteEpoch(r.Header, "")
-	if !n.authSecret(w, r) {
-		return false
-	}
-	from := r.Header.Get(fromHeader)
-	if _, ok := n.member(from); !ok || from == n.cfg.Self {
-		writeError(w, http.StatusForbidden,
-			"cluster endpoint requires a known peer "+fromHeader+" header")
-		return false
-	}
-	return true
-}
-
-// checkPeerFault consults a cluster fault point twice: once bare and
-// once suffixed ":<peer>", so tests can fail the path toward a single
-// peer (a partition) or toward everyone.
-func checkPeerFault(point, peer string) error {
-	if err := fault.Check(point); err != nil {
-		return err
-	}
-	return fault.Check(point + ":" + peer)
-}
-
 // --- pause (quiesce) ---
 
 func (n *Node) pauseSensor(sensor string) {
@@ -480,13 +397,11 @@ func (n *Node) isPaused(sensor string) bool {
 	return n.paused[sensor]
 }
 
-// snapshotSensor quiesces the sensor and captures (checkpoint bytes,
-// covered seq) atomically: new mutations 503 while paused (clients
-// retry under their idempotent backoff), the pipeline drains, and
-// only then are the sequence number and state read.
-func (n *Node) snapshotSensor(sensor string) ([]byte, uint64, error) {
-	n.pauseSensor(sensor)
-	defer n.unpauseSensor(sensor)
+// captureSensor reads a paused sensor's (checkpoint bytes, covered
+// seq) pair atomically: the caller holds the pause, so new mutations
+// 503 (clients retry under their idempotent backoff); the pipeline
+// drains, and only then are the sequence number and state read.
+func (n *Node) captureSensor(sensor string) ([]byte, uint64, error) {
 	if err := n.srv.Pipeline().Drain(); err != nil {
 		return nil, 0, err
 	}
@@ -519,11 +434,6 @@ type SensorRoute struct {
 }
 
 func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
-		return
-	}
-	n.stampEpoch(w)
 	sensor := r.URL.Query().Get("sensor")
 	if sensor == "" {
 		info := RingInfo{Self: n.cfg.Self, Epoch: n.epoch(), Primary: n.electedPrimary()}
@@ -541,32 +451,11 @@ func (n *Node) handleRing(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (n *Node) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
-		return
-	}
-	n.stampEpoch(w)
+func (n *Node) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{
 		"self":    n.cfg.Self,
 		"epoch":   n.epoch(),
 		"primary": n.electedPrimary(),
 		"peers":   n.health.snapshot(),
 	})
-}
-
-// --- small shared helpers ---
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, map[string]string{"error": msg})
-}
-
-func readJSON(r interface{ Read([]byte) (int, error) }, v any) error {
-	return json.NewDecoder(r).Decode(v)
 }

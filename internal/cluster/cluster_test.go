@@ -173,7 +173,8 @@ func TestClusterGapResync(t *testing.T) {
 // TestClusterIdempotentRetryThroughForwarding: the same keyed mutation
 // sent twice through a non-owner applies exactly once on the owner —
 // the forwarder propagates the key and the owner's idempotency layer
-// dedupes.
+// dedupes — but at most once per node, not per cluster: a retry that
+// follows its sensor across a migration cutover executes again.
 func TestClusterIdempotentRetryThroughForwarding(t *testing.T) {
 	nodes := newTestCluster(t, 3, nil)
 	const sensor = "idem-sensor"
@@ -219,6 +220,30 @@ func TestClusterIdempotentRetryThroughForwarding(t *testing.T) {
 	drainAll(t, nodes)
 	if got, _ := owner.sys.HistoryLen(sensor); got != 401 {
 		t.Fatalf("owner history = %d, want 401 (duplicate must not double-apply)", got)
+	}
+
+	// The dedupe window lives on the node that executed the request and
+	// does not travel with a migrating sensor: once the sensor has moved,
+	// the same key runs again on the new owner. This is the at-least-once
+	// window docs/CLUSTER.md states; the snapshot already holds the first
+	// application, so the retry is a duplicate observation.
+	resp, err := http.Post(owner.ts.URL+"/cluster/migrate", "application/json",
+		strings.NewReader(`{"sensor":"`+sensor+`","target":"`+entry.id+`"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("migrate: HTTP %d", resp.StatusCode)
+	}
+	third := send()
+	if third.StatusCode != http.StatusOK || third.Header.Get(server.IdempotentReplayHeader) != "" {
+		t.Fatalf("retry after cutover: HTTP %d, replay %q; want a fresh execution on the new owner",
+			third.StatusCode, third.Header.Get(server.IdempotentReplayHeader))
+	}
+	drainAll(t, nodes)
+	if got, _ := entry.sys.HistoryLen(sensor); got != 402 {
+		t.Fatalf("new owner history = %d, want 402 (snapshot's 401 + the re-executed retry)", got)
 	}
 }
 

@@ -5,9 +5,10 @@
 // (HMAC-SHA256 under the shared secret, plain SHA-256 without one).
 // The primary publishes a new map by bumping the epoch, signing, and
 // pushing it to the union of old and new members; every intra-cluster
-// request and response carries the sender's epoch, so a stale node
-// notices within one heartbeat and pulls the newer map. A node never
-// installs a map with an epoch below its own.
+// request and response carries the sender's epoch and every receiver
+// reads it (peer.go), so a stale node notices on its next exchange of
+// any kind and pulls the newer map. A node never installs a map with
+// an epoch below its own.
 //
 // Member states drive a two-ring view:
 //
@@ -24,6 +25,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"crypto/hmac"
 	"crypto/sha256"
 	"encoding/hex"
@@ -34,11 +36,9 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
-	"smiler/internal/fault"
 	"smiler/internal/obs"
 )
 
@@ -317,14 +317,6 @@ func (n *Node) noteMembershipChange(old, cur *memberView) {
 
 // --- epoch propagation ---
 
-// epochHeader carries the sender's installed map epoch on every
-// intra-cluster request and response; fromURLHeader carries the
-// sender's base URL so even a not-yet-known sender can be pulled from.
-const (
-	epochHeader   = "X-Smiler-Epoch"
-	fromURLHeader = "X-Smiler-From-Url"
-)
-
 func (n *Node) curView() *memberView { return n.view.Load() }
 
 func (n *Node) epoch() uint64 {
@@ -334,29 +326,7 @@ func (n *Node) epoch() uint64 {
 	return 0
 }
 
-func (n *Node) stampEpoch(w http.ResponseWriter) {
-	w.Header().Set(epochHeader, strconv.FormatUint(n.epoch(), 10))
-}
-
-// noteEpoch inspects peer-sent headers for a newer epoch and, when the
-// sender is ahead, pulls its map asynchronously. src is the fallback
-// URL to pull from when the headers name no reachable sender.
-func (n *Node) noteEpoch(h http.Header, src string) {
-	e, err := strconv.ParseUint(h.Get(epochHeader), 10, 64)
-	if err != nil || e <= n.epoch() {
-		return
-	}
-	if u := h.Get(fromURLHeader); u != "" {
-		src = u
-	} else if m, ok := n.member(h.Get(fromHeader)); ok {
-		src = m.URL
-	}
-	if src != "" {
-		n.pullMapAsync(src)
-	}
-}
-
-func (n *Node) pullMapAsync(url string) {
+func (n *Node) pullMapAsync(from Member) {
 	if !n.pulling.CompareAndSwap(false, true) {
 		return
 	}
@@ -364,28 +334,18 @@ func (n *Node) pullMapAsync(url string) {
 	go func() {
 		defer n.wg.Done()
 		defer n.pulling.Store(false)
-		if err := n.pullMap(url); err != nil && n.log != nil {
-			n.log.Warn("cluster map pull failed", "from", url, "err", err)
+		if err := n.fetchMap(from, rpcMapPull, nil); err != nil && n.log != nil {
+			n.log.Warn("cluster map pull failed", "from", from.URL, "err", err)
 		}
 	}()
 }
 
-func (n *Node) pullMap(base string) error {
-	req, err := http.NewRequest(http.MethodGet, base+"/cluster/map", nil)
-	if err != nil {
-		return err
-	}
-	n.peerHeaders(req)
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("map pull answered HTTP %d", resp.StatusCode)
-	}
+// fetchMap runs an RPC whose answer is a cluster map (a pull, a join)
+// and installs it. An answer older than the installed map is not an
+// error: something newer arrived in the meantime.
+func (n *Node) fetchMap(from Member, rpc peerRPC, body io.Reader) error {
 	var m ClusterMap
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&m); err != nil {
+	if err := n.peerJSON(context.Background(), from, rpc, body, &m); err != nil {
 		return err
 	}
 	if err := n.installMap(&m); err != nil && !errors.Is(err, errStaleMap) {
@@ -406,54 +366,39 @@ func (n *Node) publishMap(m *ClusterMap) error {
 	if err := n.installMap(m); err != nil {
 		return err
 	}
-	targets := make(map[string]string)
+	targets := make(map[string]Member)
 	if old != nil {
 		for id, mem := range old.members {
-			targets[id] = mem.URL
+			targets[id] = mem
 		}
 	}
 	for _, mem := range m.Members {
-		targets[mem.ID] = mem.URL
+		targets[mem.ID] = mem
 	}
 	delete(targets, n.cfg.Self)
 	body, err := json.Marshal(m)
 	if err != nil {
 		return err
 	}
-	for id, u := range targets {
-		id, u := id, u
+	for _, to := range targets {
+		to := to
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			if err := n.pushMapTo(id, u, body); err != nil && n.log != nil {
-				n.log.Warn("cluster map push failed", "peer", id, "epoch", m.Epoch, "err", err)
+			if err := n.pushMapTo(to, body); err != nil && n.log != nil {
+				n.log.Warn("cluster map push failed", "peer", to.ID, "epoch", m.Epoch, "err", err)
 			}
 		}()
 	}
 	return nil
 }
 
-func (n *Node) pushMapTo(id, base string, body []byte) error {
-	if err := checkPeerFault(fault.PointClusterMapPush, id); err != nil {
-		return err
+func (n *Node) pushMapTo(to Member, body []byte) error {
+	err := n.peerJSON(context.Background(), to, rpcMapPush, bytes.NewReader(body), nil)
+	if peerStatus(err) == http.StatusConflict {
+		return nil // the peer is already at or past this epoch: fine
 	}
-	req, err := http.NewRequest(http.MethodPost, base+"/cluster/map", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	n.peerHeaders(req)
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	// 409 means the peer is already at or past this epoch: fine.
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusConflict {
-		return fmt.Errorf("map push answered HTTP %d", resp.StatusCode)
-	}
-	return nil
+	return err
 }
 
 // --- proposals (primary-only map mutations) ---
@@ -585,38 +530,30 @@ type ClusterMapResponse struct {
 	ElectedPrimary string `json:"elected_primary,omitempty"`
 }
 
-func (n *Node) handleMap(w http.ResponseWriter, r *http.Request) {
-	n.stampEpoch(w)
-	switch r.Method {
-	case http.MethodGet:
-		v := n.curView()
-		if v == nil {
-			writeError(w, http.StatusServiceUnavailable, "no cluster map installed")
-			return
-		}
-		writeJSON(w, http.StatusOK, ClusterMapResponse{ClusterMap: *v.cmap, ElectedPrimary: n.electedPrimary()})
-	case http.MethodPost:
-		if !n.authSecret(w, r) {
-			return
-		}
-		var m ClusterMap
-		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&m); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-			return
-		}
-		if err := n.installMap(&m); err != nil {
-			if errors.Is(err, errStaleMap) {
-				writeError(w, http.StatusConflict,
-					fmt.Sprintf("pushed epoch %d is older than installed epoch %d", m.Epoch, n.epoch()))
-			} else {
-				writeError(w, http.StatusBadRequest, err.Error())
-			}
-			return
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"epoch": m.Epoch})
-	default:
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
+func (n *Node) handleMapGet(w http.ResponseWriter, _ *http.Request) {
+	v := n.curView()
+	if v == nil {
+		writeError(w, http.StatusServiceUnavailable, "no cluster map installed")
+		return
 	}
+	writeJSON(w, http.StatusOK, ClusterMapResponse{ClusterMap: *v.cmap, ElectedPrimary: n.electedPrimary()})
+}
+
+func (n *Node) handleMapPost(w http.ResponseWriter, r *http.Request) {
+	var m ClusterMap
+	if !decodeBody(w, r, &m) {
+		return
+	}
+	if err := n.installMap(&m); err != nil {
+		if errors.Is(err, errStaleMap) {
+			writeError(w, http.StatusConflict,
+				fmt.Sprintf("pushed epoch %d is older than installed epoch %d", m.Epoch, n.epoch()))
+		} else {
+			writeError(w, http.StatusBadRequest, err.Error())
+		}
+		return
+	}
+	writeJSON(w, http.StatusOK, map[string]any{"epoch": m.Epoch})
 }
 
 // JoinRequest is POST /cluster/join: a new member asks to be admitted.
@@ -636,18 +573,8 @@ type DecommissionRequest struct {
 const hopHeader = "X-Smiler-Proxied"
 
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
-	n.stampEpoch(w)
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
-		return
-	}
-	if !n.authSecret(w, r) {
-		return
-	}
-	n.noteEpoch(r.Header, "")
 	var req JoinRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.ID == "" || req.URL == "" {
@@ -660,7 +587,7 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if prim != n.cfg.Self {
-		n.proxyToPrimary(w, r, prim, "/cluster/join", req)
+		n.proxyToPrimary(w, r, prim, rpcJoin, req)
 		return
 	}
 	m, err := n.proposeJoin(req.ID, req.URL)
@@ -672,17 +599,8 @@ func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *Node) handleDecommission(w http.ResponseWriter, r *http.Request) {
-	n.stampEpoch(w)
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
-		return
-	}
-	if !n.authSecret(w, r) {
-		return
-	}
-	n.noteEpoch(r.Header, "")
-	var req DecommissionRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+	var req DecommissionRequest // an empty body means "this node"
+	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
 		writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
 		return
 	}
@@ -695,7 +613,7 @@ func (n *Node) handleDecommission(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if prim != n.cfg.Self {
-		n.proxyToPrimary(w, r, prim, "/cluster/decommission", req)
+		n.proxyToPrimary(w, r, prim, rpcDecommission, req)
 		return
 	}
 	m, err := n.proposeDrain(req.Node)
@@ -708,7 +626,7 @@ func (n *Node) handleDecommission(w http.ResponseWriter, r *http.Request) {
 
 // proxyToPrimary forwards a membership request to the elected primary
 // (operators may poke any node). One hop only.
-func (n *Node) proxyToPrimary(w http.ResponseWriter, r *http.Request, prim, path string, body any) {
+func (n *Node) proxyToPrimary(w http.ResponseWriter, r *http.Request, prim string, rpc peerRPC, body any) {
 	if r.Header.Get(hopHeader) != "" {
 		writeError(w, http.StatusServiceUnavailable, "no stable primary; retry")
 		return
@@ -718,16 +636,7 @@ func (n *Node) proxyToPrimary(w http.ResponseWriter, r *http.Request, prim, path
 		writeError(w, http.StatusServiceUnavailable, "primary "+prim+" not in local map")
 		return
 	}
-	b, _ := json.Marshal(body)
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, mem.URL+path, bytes.NewReader(b))
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	n.peerHeaders(req)
-	req.Header.Set(hopHeader, "1")
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.hc.Do(req)
+	resp, err := n.peerCall(r.Context(), mem, rpc, jsonBody(body), hopHeader, "1")
 	if err != nil {
 		writeError(w, http.StatusBadGateway, "proxy to primary "+prim+" failed: "+err.Error())
 		return
@@ -735,20 +644,12 @@ func (n *Node) proxyToPrimary(w http.ResponseWriter, r *http.Request, prim, path
 	defer resp.Body.Close()
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, io.LimitReader(resp.Body, 1<<20))
+	io.Copy(w, io.LimitReader(resp.Body, rpc.cap))
 }
 
 // handleSensorList is GET /cluster/sensors: the sensor ids resident on
 // this node (owned or replicated) — the rebalancer's discovery input.
-func (n *Node) handleSensorList(w http.ResponseWriter, r *http.Request) {
-	n.stampEpoch(w)
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
-		return
-	}
-	if !n.authSecret(w, r) {
-		return
-	}
+func (n *Node) handleSensorList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"node": n.cfg.Self, "sensors": n.sys.Sensors()})
 }
 
@@ -759,10 +660,9 @@ func (n *Node) handleSensorList(w http.ResponseWriter, r *http.Request) {
 // rest of the cluster) is installed.
 func (n *Node) joinLoop() {
 	defer n.wg.Done()
-	body, _ := json.Marshal(JoinRequest{ID: n.cfg.Self, URL: n.selfURL})
-	base := strings.TrimSuffix(n.cfg.JoinURL, "/")
+	via := Member{URL: strings.TrimSuffix(n.cfg.JoinURL, "/")}
 	for {
-		if n.tryJoin(base, body) {
+		if n.tryJoin(via) {
 			return
 		}
 		select {
@@ -773,48 +673,25 @@ func (n *Node) joinLoop() {
 	}
 }
 
-func (n *Node) tryJoin(base string, body []byte) bool {
-	// A pushed map may have admitted us already.
-	if v := n.curView(); v != nil && v.inMap && len(v.members) > 1 {
-		return true
-	}
-	req, err := http.NewRequest(http.MethodPost, base+"/cluster/join", bytes.NewReader(body))
-	if err != nil {
-		return false
-	}
-	n.peerHeaders(req)
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		if n.log != nil {
-			n.log.Warn("cluster join attempt failed", "via", base, "err", err)
-		}
-		return false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		if n.log != nil {
-			n.log.Warn("cluster join refused", "via", base, "status", resp.StatusCode)
-		}
-		return false
-	}
-	var m ClusterMap
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&m); err != nil {
-		return false
-	}
-	if err := n.installMap(&m); err != nil && !errors.Is(err, errStaleMap) {
-		if n.log != nil {
-			n.log.Warn("cluster join map rejected", "err", err)
-		}
-		return false
-	}
+// joined reports whether the installed map holds self beside others.
+func (n *Node) joined() bool {
 	v := n.curView()
-	joined := v != nil && v.inMap && len(v.members) > 1
-	if joined && n.log != nil {
-		n.log.Info("joined cluster", "epoch", n.epoch(), "members", len(v.members))
+	return v != nil && v.inMap && len(v.members) > 1
+}
+
+func (n *Node) tryJoin(via Member) bool {
+	if n.joined() {
+		return true // a pushed map admitted us already
 	}
-	return joined
+	err := n.fetchMap(via, rpcJoin, jsonBody(JoinRequest{ID: n.cfg.Self, URL: n.selfURL}))
+	if n.log != nil {
+		if err != nil {
+			n.log.Warn("cluster join attempt failed", "via", via.URL, "err", err)
+		} else if n.joined() {
+			n.log.Info("joined cluster", "epoch", n.epoch(), "members", len(n.curView().members))
+		}
+	}
+	return err == nil && n.joined()
 }
 
 // Decommission asks the cluster to drain the named member (self when
@@ -836,23 +713,10 @@ func (n *Node) Decommission(id string) error {
 	if !ok {
 		return fmt.Errorf("cluster: primary %q not in local map", prim)
 	}
-	b, _ := json.Marshal(DecommissionRequest{Node: id})
-	req, err := http.NewRequest(http.MethodPost, mem.URL+"/cluster/decommission", bytes.NewReader(b))
+	err := n.peerJSON(context.Background(), mem, rpcDecommission,
+		jsonBody(DecommissionRequest{Node: id}), nil, hopHeader, "1")
 	if err != nil {
-		return err
-	}
-	n.peerHeaders(req)
-	req.Header.Set(hopHeader, "1")
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: decommission answered HTTP %d: %s",
-			resp.StatusCode, strings.TrimSpace(string(raw)))
+		return fmt.Errorf("cluster: %w", err)
 	}
 	return nil
 }

@@ -3,14 +3,12 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
-	"smiler/internal/fault"
 	"smiler/internal/ingest"
 	"smiler/internal/obs"
 	"smiler/internal/server"
@@ -55,8 +53,19 @@ func (n *Node) gate(w http.ResponseWriter, r *http.Request, next http.Handler) {
 		// A peer reached us directly: note its epoch, and stamp ours on
 		// the response, so stale views heal off the regular request path
 		// too (in both directions).
-		n.noteEpoch(r.Header, "")
+		n.noteEpoch(r.Header, Member{})
 		n.stampEpoch(w)
+	}
+	// A quiescing sensor takes no mutation on this node, whoever this
+	// node thinks owns it: the pause is held from snapshot through the
+	// cutover broadcast, and during the broadcast the override already
+	// points at the target, so a write forwarded here by a member that
+	// has not heard yet would land after the snapshot and be lost.
+	if n.isPaused(sensor) && r.Method != http.MethodGet {
+		w.Header().Set("Retry-After", "1")
+		writeError(w, http.StatusServiceUnavailable,
+			"sensor is quiescing for snapshot/migration; retry")
+		return
 	}
 	owner, promoted := n.route(sensor)
 	if owner.ID == "" {
@@ -90,12 +99,6 @@ func (n *Node) gate(w http.ResponseWriter, r *http.Request, next http.Handler) {
 	n.setOwnerHeaders(w, owner)
 	if promoted {
 		n.serveAsReplica(w, r, sensor, next)
-		return
-	}
-	if n.isPaused(sensor) && r.Method != http.MethodGet {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
-			"sensor is quiescing for snapshot/migration; retry")
 		return
 	}
 	if r.Method == http.MethodPost && r.URL.Path == "/sensors" {
@@ -193,34 +196,16 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner Member, bod
 	} else if r.Body != nil {
 		rd = r.Body
 	}
+	rpc := rpcForward
 	// EscapedPath, not Path: a percent-encoded sensor id ("a%20b",
 	// "a%2Fb") must reach the owner byte-identical, not re-decoded.
-	u := owner.URL + r.URL.EscapedPath()
+	rpc.method, rpc.path, rpc.ctype = r.Method, r.URL.EscapedPath(), r.Header.Get("Content-Type")
 	if r.URL.RawQuery != "" {
-		u += "?" + r.URL.RawQuery
+		rpc.path += "?" + r.URL.RawQuery
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, u, rd)
-	if err != nil {
-		n.m.forwardErrs.Inc()
-		writeError(w, http.StatusInternalServerError, "forward: "+err.Error())
-		return
-	}
-	if ct := r.Header.Get("Content-Type"); ct != "" {
-		req.Header.Set("Content-Type", ct)
-	}
-	if key := r.Header.Get(server.IdempotencyKeyHeader); key != "" {
-		req.Header.Set(server.IdempotencyKeyHeader, key)
-	}
-	req.Header.Set(forwardedHeader, "1")
-	n.peerHeaders(req)
-	tc, traced := obs.TraceFromContext(r.Context())
-	if traced {
-		req.Header.Set(obs.TraceHeader, tc.Next().HeaderValue())
-	}
-	var resp *http.Response
-	if err = checkPeerFault(fault.PointClusterForward, owner.ID); err == nil {
-		resp, err = n.hc.Do(req)
-	}
+	tc, _ := obs.TraceFromContext(r.Context())
+	resp, err := n.peerCall(r.Context(), owner, rpc, rd,
+		forwardedHeader, "1", server.IdempotencyKeyHeader, r.Header.Get(server.IdempotencyKeyHeader))
 	if err != nil {
 		n.m.forwardErrs.Inc()
 		n.recordForwardTrace(sensor, tc, owner, start, nil, err)
@@ -229,7 +214,6 @@ func (n *Node) forward(w http.ResponseWriter, r *http.Request, owner Member, bod
 		return
 	}
 	defer resp.Body.Close()
-	n.noteEpoch(resp.Header, owner.URL)
 	for _, h := range []string{"Content-Type", ownerHeader, server.OwnerURLHeader, server.IdempotentReplayHeader, "Retry-After", obs.SpanSummaryHeader} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
@@ -491,10 +475,7 @@ func (n *Node) applyLocalPartition(r *http.Request, obs []ingest.Observation, ke
 	if key == "" {
 		return n.srv.Pipeline().ObserveBulk(obs)
 	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, "/observations", nil)
-	if err != nil {
-		return n.srv.Pipeline().ObserveBulk(obs)
-	}
+	req := r.Clone(r.Context()) // the client's POST /observations, re-keyed
 	req.Header.Set(server.IdempotencyKeyHeader, key+"/"+n.cfg.Self)
 	var rec bufferedResponse
 	n.srv.ServeIdempotent(&rec, req, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -543,38 +524,14 @@ func (b *bufferedResponse) Write(p []byte) (int, error) {
 
 // forwardBulk ships one owner's partition of a bulk request.
 func (n *Node) forwardBulk(r *http.Request, owner Member, items []ingest.Observation, key string) (ingest.BulkResult, error) {
-	var res ingest.BulkResult
-	body, err := json.Marshal(server.BulkObserveRequest{Observations: items})
-	if err != nil {
-		return res, err
-	}
-	req, err := http.NewRequestWithContext(r.Context(), http.MethodPost, owner.URL+"/observations", bytes.NewReader(body))
-	if err != nil {
-		return res, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(forwardedHeader, "1")
-	n.peerHeaders(req)
-	if tc, ok := obs.TraceFromContext(r.Context()); ok {
-		req.Header.Set(obs.TraceHeader, tc.Next().HeaderValue())
-	}
 	if key != "" {
-		// Derived key: each partition dedupes independently on retry.
-		req.Header.Set(server.IdempotencyKeyHeader, key+"/"+owner.ID)
+		key += "/" + owner.ID // derived key: each partition dedupes independently on retry
 	}
-	if err := checkPeerFault(fault.PointClusterForward, owner.ID); err != nil {
-		return res, err
+	var res ingest.BulkResult
+	err := n.peerJSON(r.Context(), owner, rpcForwardBulk, jsonBody(server.BulkObserveRequest{Observations: items}), &res,
+		forwardedHeader, "1", server.IdempotencyKeyHeader, key)
+	if err == nil {
+		n.m.forwards(owner.ID).Inc()
 	}
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return res, err
-	}
-	defer resp.Body.Close()
-	n.noteEpoch(resp.Header, owner.URL)
-	if resp.StatusCode != http.StatusOK {
-		return res, errors.New("owner answered HTTP " + strconv.Itoa(resp.StatusCode))
-	}
-	n.m.forwards(owner.ID).Inc()
-	err = json.NewDecoder(resp.Body).Decode(&res)
 	return res, err
 }

@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -80,13 +82,12 @@ func newTestClusterSys(t *testing.T, size int, sysCfg smiler.Config, mutate func
 	}
 	for _, tn := range nodes {
 		cfg := cluster.Config{
-			Self:              tn.id,
-			Members:           members,
-			Replicas:          1,
-			ProbeInterval:     15 * time.Millisecond,
-			ProbeFailures:     2,
-			HeartbeatInterval: 10 * time.Millisecond,
-			HTTPClient:        &http.Client{Timeout: 2 * time.Second},
+			Self:          tn.id,
+			Members:       members,
+			Replicas:      1,
+			ProbeInterval: 15 * time.Millisecond,
+			ProbeFailures: 2,
+			HTTPClient:    &http.Client{Timeout: 2 * time.Second},
 		}
 		if mutate != nil {
 			mutate(&cfg)
@@ -108,6 +109,115 @@ func newTestClusterSys(t *testing.T, size int, sysCfg smiler.Config, mutate func
 		}
 	})
 	return nodes
+}
+
+// observeAttempt is one HTTP attempt of a keyed observe, as seen by
+// whoever sent it: the test's client or a forwarding node.
+type observeAttempt struct {
+	at      time.Time
+	from    string // "client" or the forwarding node's id
+	to      string // host:port the attempt was sent to
+	sensor  string
+	key     string
+	status  int    // 0 = transport error
+	served  string // X-Smiler-Owner on the answer: the node that executed it
+	replay  bool   // answered from an idempotency cache
+	failure string
+}
+
+// observeLog records every attempt of every keyed single-sensor
+// observe crossing a wire it is installed on, so a test can tell a
+// retry that re-executed from an observation applied twice.
+type observeLog struct {
+	mu       sync.Mutex
+	attempts []observeAttempt
+}
+
+type observeTap struct {
+	log  *observeLog
+	from string
+}
+
+// client returns an HTTP client whose observes are logged as sent by
+// from.
+func (l *observeLog) client(from string, timeout time.Duration) *http.Client {
+	return &http.Client{Timeout: timeout, Transport: observeTap{log: l, from: from}}
+}
+
+func (t observeTap) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	key := req.Header.Get(server.IdempotencyKeyHeader)
+	rest, isSensor := strings.CutPrefix(req.URL.EscapedPath(), "/sensors/")
+	sensor, isObserve := strings.CutSuffix(rest, "/observe")
+	if key == "" || !isSensor || !isObserve || req.Method != http.MethodPost {
+		return resp, err
+	}
+	a := observeAttempt{at: time.Now(), from: t.from, to: req.URL.Host, sensor: sensor, key: key}
+	if err != nil {
+		a.failure = err.Error()
+	} else {
+		a.status = resp.StatusCode
+		a.served = resp.Header.Get("X-Smiler-Owner")
+		a.replay = resp.Header.Get(server.IdempotentReplayHeader) != ""
+	}
+	t.log.mu.Lock()
+	t.log.attempts = append(t.log.attempts, a)
+	t.log.mu.Unlock()
+	return resp, err
+}
+
+// reexecutions reports how many of the sensor's observes may have run
+// more than once, and fails the test outright if one provably ran
+// twice on the same node. An execution is a 200 that was not an
+// idempotency replay, counted at the last hop (the attempt sent to the
+// very node that served it, so a forwarded execution is not counted
+// once per observer); an attempt that died in transport may have
+// executed unseen. idOf maps listener addresses to node ids.
+//
+// The idempotency cache is per node, so the contract is at most once
+// per key per node; a retry that follows its sensor across a migration
+// cutover may run again on the new owner (docs/CLUSTER.md, Forwarding).
+func (l *observeLog) reexecutions(t *testing.T, sensor string, idOf map[string]string) int {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ran := make(map[string]map[string]int) // key -> executing node -> times
+	unseen := make(map[string]int)         // key -> attempts lost in transport
+	for _, a := range l.attempts {
+		switch {
+		case a.sensor != sensor:
+		case a.status == 0:
+			unseen[a.key]++
+		case a.status == http.StatusOK && !a.replay && idOf[a.to] == a.served:
+			if ran[a.key] == nil {
+				ran[a.key] = make(map[string]int)
+			}
+			ran[a.key][a.served]++
+		}
+	}
+	extra := 0
+	for key, nodes := range ran {
+		for node, times := range nodes {
+			if times > 1 {
+				t.Errorf("sensor %s: key %s executed %d times on %s — the idempotency cache let a retry through", sensor, key, times, node)
+			}
+		}
+		extra += len(nodes) + unseen[key] - 1
+	}
+	return extra
+}
+
+// dump logs the sensor's attempts in send order.
+func (l *observeLog) dump(t *testing.T, sensor string) {
+	t.Helper()
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, a := range l.attempts {
+		if a.sensor == sensor {
+			t.Logf("  %s %s->%s key=%s status=%d served=%s replay=%v %s",
+				a.at.Format("15:04:05.000"), a.from, a.to, a.key, a.status, a.served, a.replay, a.failure)
+		}
+	}
 }
 
 // byID finds a node by member id.
@@ -226,14 +336,13 @@ func joinNode(t *testing.T, id string, seed *testNode, mutate func(*cluster.Conf
 	}
 	ts := httptest.NewServer(srv)
 	cfg := cluster.Config{
-		Self:              id,
-		Members:           []cluster.Member{{ID: id, URL: ts.URL}},
-		Replicas:          1,
-		ProbeInterval:     15 * time.Millisecond,
-		ProbeFailures:     2,
-		HeartbeatInterval: 10 * time.Millisecond,
-		HTTPClient:        &http.Client{Timeout: 2 * time.Second},
-		JoinURL:           seed.ts.URL,
+		Self:          id,
+		Members:       []cluster.Member{{ID: id, URL: ts.URL}},
+		Replicas:      1,
+		ProbeInterval: 15 * time.Millisecond,
+		ProbeFailures: 2,
+		HTTPClient:    &http.Client{Timeout: 2 * time.Second},
+		JoinURL:       seed.ts.URL,
 	}
 	if mutate != nil {
 		mutate(&cfg)

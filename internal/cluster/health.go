@@ -1,13 +1,13 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
-	"io"
+	"errors"
 	"net/http"
 	"sync"
 	"time"
 
-	"smiler/internal/fault"
 	"smiler/internal/obs"
 )
 
@@ -119,40 +119,21 @@ func (p *prober) probeAll() {
 // and still serving the sensors it has not yet handed off, so marking
 // it down would failover its entire share mid-drain.
 func (p *prober) probe(id string) error {
-	if err := checkPeerFault(fault.PointClusterProbe, id); err != nil {
-		return err
-	}
 	member, ok := p.n.member(id)
 	if !ok {
 		return nil
 	}
-	req, err := http.NewRequest(http.MethodGet, member.URL+"/readyz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := p.n.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusOK {
-		return nil
-	}
-	if resp.StatusCode == http.StatusServiceUnavailable {
+	err := p.n.peerJSON(context.Background(), member, rpcProbe, nil, nil)
+	var se *peerStatusError
+	if errors.As(err, &se) && se.status == http.StatusServiceUnavailable {
 		var body struct {
 			Status string `json:"status"`
 		}
-		if json.NewDecoder(io.LimitReader(resp.Body, 1024)).Decode(&body) == nil && body.Status == "draining" {
+		if json.Unmarshal(se.body, &body) == nil && body.Status == "draining" {
 			return nil
 		}
 	}
-	return &probeStatusError{status: resp.StatusCode}
-}
-
-type probeStatusError struct{ status int }
-
-func (e *probeStatusError) Error() string {
-	return "readyz answered HTTP " + http.StatusText(e.status)
+	return err
 }
 
 func (p *prober) record(id string, err error) {

@@ -2,9 +2,9 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 
@@ -49,18 +49,8 @@ type assignRequest struct {
 //     this node, whose override is authoritative for its view);
 //  5. resume — unpause; requests now forward to the new owner.
 func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
-		return
-	}
-	n.stampEpoch(w)
-	if !n.authSecret(w, r) {
-		return
-	}
-	n.noteEpoch(r.Header, "")
 	var req MigrateRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Sensor == "" || req.Target == "" {
@@ -96,41 +86,13 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	// start forwarding to the target.
 	n.pauseSensor(req.Sensor)
 	defer n.unpauseSensor(req.Sensor)
-	if err := n.srv.Pipeline().Drain(); err != nil {
-		writeError(w, http.StatusServiceUnavailable, "drain: "+err.Error())
-		return
-	}
-	seq := n.repl.seqOf(req.Sensor)
-	var snap bytes.Buffer
-	if err := n.sys.SaveSensorTo(&snap, req.Sensor); err != nil {
-		writeError(w, http.StatusInternalServerError, "snapshot: "+err.Error())
-		return
-	}
-
-	// Ship to the target.
-	post, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
-		target.URL+"/cluster/restore", bytes.NewReader(snap.Bytes()))
+	snap, seq, err := n.captureSensor(req.Sensor)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error())
+		writeError(w, http.StatusServiceUnavailable, "snapshot: "+err.Error())
 		return
 	}
-	n.peerHeaders(post)
-	post.Header.Set(replSeqHeader, strconv.FormatUint(seq, 10))
-	post.Header.Set("Content-Type", "application/octet-stream")
-	tc, _ := obs.TraceFromContext(r.Context())
-	if tc.Valid() {
-		post.Header.Set(obs.TraceHeader, tc.Next().HeaderValue())
-	}
-	resp, err := n.hc.Do(post)
-	if err != nil {
+	if err := n.shipSnapshot(r.Context(), target, snap, seq); err != nil {
 		writeError(w, http.StatusBadGateway, "shipping snapshot: "+err.Error())
-		return
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		writeError(w, http.StatusBadGateway,
-			fmt.Sprintf("target restore answered HTTP %d", resp.StatusCode))
 		return
 	}
 
@@ -139,6 +101,7 @@ func (n *Node) handleMigrate(w http.ResponseWriter, r *http.Request) {
 	n.setAssign(req.Sensor, req.Target)
 	n.broadcastAssign(req.Sensor, req.Target)
 	n.m.migrations.Inc()
+	tc, _ := obs.TraceFromContext(r.Context())
 	n.sys.Events().Record(obs.Event{
 		Type: "migration_cutover", Sensor: req.Sensor, TraceID: tc.ID,
 		Detail: "to " + req.Target + " at seq " + strconv.FormatUint(seq, 10),
@@ -163,38 +126,30 @@ func (n *Node) broadcastAssign(sensor, node string) {
 	body, _ := json.Marshal(assignRequest{Sensor: sensor, Node: node})
 	for _, id := range n.peerIDs() {
 		member, _ := n.member(id)
-		req, err := http.NewRequest(http.MethodPost, member.URL+"/cluster/assign", bytes.NewReader(body))
-		if err != nil {
-			continue
+		err := n.peerJSON(context.Background(), member, rpcAssign, bytes.NewReader(body), nil)
+		if err != nil && n.log != nil {
+			n.log.Warn("assign broadcast failed", "peer", id, "sensor", sensor, "err", err)
 		}
-		req.Header.Set("Content-Type", "application/json")
-		n.peerHeaders(req)
-		resp, err := n.hc.Do(req)
-		if err != nil {
-			if n.log != nil {
-				n.log.Warn("assign broadcast failed", "peer", id, "sensor", sensor, "err", err)
-			}
-			continue
-		}
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 1024))
-		resp.Body.Close()
 	}
+}
+
+// shipSnapshot is the one sender of POST /cluster/restore: a sensor's
+// checkpoint bytes, tagged with the replication sequence they cover,
+// for a migration target or a follower that asked to resync.
+func (n *Node) shipSnapshot(ctx context.Context, to Member, snap []byte, seq uint64) error {
+	err := n.peerJSON(ctx, to, rpcRestore, bytes.NewReader(snap), nil,
+		replSeqHeader, strconv.FormatUint(seq, 10))
+	if err != nil {
+		n.m.replErrs.Inc()
+	}
+	return err
 }
 
 // handleAssign installs an ownership override pushed by a migrating
 // owner.
 func (n *Node) handleAssign(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
-		return
-	}
-	n.stampEpoch(w)
-	if !n.authPeer(w, r) {
-		return
-	}
 	var req assignRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Sensor == "" || req.Node == "" {

@@ -18,15 +18,12 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"sort"
-	"strings"
 	"sync/atomic"
 	"time"
 )
@@ -189,7 +186,7 @@ func (rb *rebalancer) computePlan(v *memberView) (plan []moveOp, blocked int, er
 			reached++
 			continue
 		}
-		list, lerr := rb.fetchSensors(v.members[id].URL)
+		list, lerr := rb.fetchSensors(v.members[id])
 		if lerr != nil {
 			continue
 		}
@@ -224,27 +221,12 @@ func (rb *rebalancer) computePlan(v *memberView) (plan []moveOp, blocked int, er
 	return plan, blocked, nil
 }
 
-func (rb *rebalancer) fetchSensors(base string) ([]string, error) {
-	req, err := http.NewRequest(http.MethodGet, base+"/cluster/sensors", nil)
-	if err != nil {
-		return nil, err
-	}
-	rb.n.peerHeaders(req)
-	resp, err := rb.n.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
+func (rb *rebalancer) fetchSensors(from Member) ([]string, error) {
 	var out struct {
 		Sensors []string `json:"sensors"`
 	}
-	if err := readJSON(resp.Body, &out); err != nil {
-		return nil, err
-	}
-	return out.Sensors, nil
+	err := rb.n.peerJSON(context.Background(), from, rpcSensors, nil, &out)
+	return out.Sensors, err
 }
 
 // migrateOne drives one bit-exact move through the source's
@@ -257,58 +239,33 @@ func (rb *rebalancer) migrateOne(v *memberView, op moveOp) error {
 	if !ok {
 		return fmt.Errorf("source %q left the map", op.From)
 	}
-	body, _ := json.Marshal(MigrateRequest{Sensor: op.Sensor, Target: op.To})
-	req, err := http.NewRequest(http.MethodPost, src.URL+"/cluster/migrate", bytes.NewReader(body))
-	if err != nil {
+	err := n.peerJSON(context.Background(), src, rpcMigrate,
+		jsonBody(MigrateRequest{Sensor: op.Sensor, Target: op.To}), nil)
+	if peerStatus(err) != http.StatusConflict {
 		return err
 	}
-	n.peerHeaders(req)
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-	switch resp.StatusCode {
-	case http.StatusOK:
+	if owner, _ := n.route(op.Sensor); owner.ID == op.To {
 		return nil
-	case http.StatusConflict:
-		if owner, _ := n.route(op.Sensor); owner.ID == op.To {
-			return nil
-		}
-		// The source's view may know a cutover this node missed (a
-		// restarted primary that slept through the override broadcast):
-		// ask the source where it routes the sensor, and if that is the
-		// target, adopt the override and re-broadcast it.
-		var route SensorRoute
-		if rerr := rb.fetchRoute(src.URL, op.Sensor, &route); rerr == nil && route.Owner == op.To {
-			n.setAssign(op.Sensor, op.To)
-			n.broadcastAssign(op.Sensor, op.To)
-			return nil
-		}
-		return fmt.Errorf("source answered 409: %s", strings.TrimSpace(string(raw)))
-	default:
-		return fmt.Errorf("source answered HTTP %d: %s", resp.StatusCode, strings.TrimSpace(string(raw)))
 	}
+	// The source's view may know a cutover this node missed (a
+	// restarted primary that slept through the override broadcast):
+	// ask the source where it routes the sensor, and if that is the
+	// target, adopt the override and re-broadcast it.
+	if route, rerr := rb.fetchRoute(src, op.Sensor); rerr == nil && route.Owner == op.To {
+		n.setAssign(op.Sensor, op.To)
+		n.broadcastAssign(op.Sensor, op.To)
+		return nil
+	}
+	return err
 }
 
 // fetchRoute reads one sensor's placement as another member sees it.
-func (rb *rebalancer) fetchRoute(base, sensor string, out *SensorRoute) error {
-	req, err := http.NewRequest(http.MethodGet, base+"/cluster/ring?sensor="+url.QueryEscape(sensor), nil)
-	if err != nil {
-		return err
-	}
-	rb.n.peerHeaders(req)
-	resp, err := rb.n.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("HTTP %d", resp.StatusCode)
-	}
-	return readJSON(resp.Body, out)
+func (rb *rebalancer) fetchRoute(from Member, sensor string) (SensorRoute, error) {
+	rpc := rpcRoute
+	rpc.path += "?sensor=" + url.QueryEscape(sensor)
+	var out SensorRoute
+	err := rb.n.peerJSON(context.Background(), from, rpc, nil, &out)
+	return out, err
 }
 
 // RebalanceStatus is GET /cluster/rebalance: this node's rebalancer
@@ -322,12 +279,7 @@ type RebalanceStatus struct {
 	LastError string `json:"last_error,omitempty"`
 }
 
-func (n *Node) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	n.stampEpoch(w)
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
-		return
-	}
+func (n *Node) handleRebalance(w http.ResponseWriter, _ *http.Request) {
 	st := RebalanceStatus{
 		Primary: n.electedPrimary(),
 		Epoch:   n.epoch(),

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,22 +11,15 @@ import (
 	"sync/atomic"
 	"time"
 
-	"smiler/internal/fault"
 	"smiler/internal/memsys"
 	"smiler/internal/obs"
 	"smiler/internal/wal"
 )
 
-// Replication headers.
-const (
-	// fromHeader names the sending node on replication, restore and
-	// forwarded requests.
-	fromHeader = "X-Smiler-From"
-	// replSeqHeader carries the per-sensor replication sequence number
-	// a snapshot covers: the receiver drops frames at or below it and
-	// replays the tail above it.
-	replSeqHeader = "X-Smiler-Repl-Seq"
-)
+// replSeqHeader carries the per-sensor replication sequence number a
+// snapshot covers: the receiver drops frames at or below it and
+// replays the tail above it.
+const replSeqHeader = "X-Smiler-Repl-Seq"
 
 // replicator ships per-sensor WAL frames from the owner to its
 // follower nodes, asynchronously, and applies inbound frames on
@@ -71,10 +65,10 @@ type replicator struct {
 // drained by a single worker (one POST in flight per peer, so frames
 // arrive in emission order).
 type peerStream struct {
-	id, url string
-	frames  chan *sharedFrame
-	resync  chan string // sensor ids needing a snapshot push
-	stop    chan struct{}
+	to     Member
+	frames chan *sharedFrame
+	resync chan string // sensor ids needing a snapshot push
+	stop   chan struct{}
 }
 
 // sharedFrame is one encoded replication frame fanned out to several
@@ -116,24 +110,19 @@ func newReplicator(n *Node) *replicator {
 func (r *replicator) syncPeers(v *memberView) {
 	r.peersMu.Lock()
 	defer r.peersMu.Unlock()
-	want := make(map[string]string, len(v.peers))
-	for _, id := range v.peers {
-		want[id] = v.members[id].URL
-	}
 	for id, p := range r.peers {
-		if url, ok := want[id]; !ok || url != p.url {
+		if m, ok := v.members[id]; !ok || m.URL != p.to.URL {
 			close(p.stop)
 			delete(r.peers, id)
 		}
 	}
 	now := time.Now()
-	for id, url := range want {
+	for _, id := range v.peers {
 		if r.peers[id] != nil {
 			continue
 		}
 		p := &peerStream{
-			id:     id,
-			url:    url,
+			to:     v.members[id],
 			frames: make(chan *sharedFrame, peerQueueSize),
 			resync: make(chan string, resyncQueue),
 			stop:   make(chan struct{}),
@@ -297,7 +286,7 @@ func (r *replicator) emit(rec wal.Record) {
 // clock keeps ticking while there is nothing to replicate.
 func (r *replicator) peerLoop(p *peerStream) {
 	defer r.wg.Done()
-	hb := time.NewTicker(r.n.cfg.HeartbeatInterval)
+	hb := time.NewTicker(r.n.cfg.ProbeInterval)
 	defer hb.Stop()
 	var batch bytes.Buffer
 	for {
@@ -345,36 +334,13 @@ type replicateResponse struct {
 }
 
 // post ships one batch (possibly empty — a heartbeat) to the peer and
-// queues any requested snapshot resyncs.
+// queues any requested snapshot resyncs. The heartbeat mesh doubles as
+// epoch gossip, like every peerCall: a follower that moved to a newer
+// map stamps its epoch on the response and this sender pulls the map.
 func (r *replicator) post(p *peerStream, body []byte) {
-	if err := checkPeerFault(fault.PointClusterReplicateSend, p.id); err != nil {
-		r.n.m.replErrs.Inc()
-		return
-	}
-	req, err := http.NewRequest(http.MethodPost, p.url+"/cluster/replicate", bytes.NewReader(body))
-	if err != nil {
-		r.n.m.replErrs.Inc()
-		return
-	}
-	r.n.peerHeaders(req)
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := r.n.hc.Do(req)
-	if err != nil {
-		r.n.m.replErrs.Inc()
-		return
-	}
-	defer resp.Body.Close()
-	// The heartbeat mesh doubles as epoch gossip: a follower that moved
-	// to a newer map stamps its epoch on the response and this sender
-	// pulls the map.
-	r.n.noteEpoch(resp.Header, p.url)
-	if resp.StatusCode != http.StatusOK {
-		r.n.m.replErrs.Inc()
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return
-	}
 	var rr replicateResponse
-	if err := readJSON(resp.Body, &rr); err != nil {
+	if err := r.n.peerJSON(context.Background(), p.to, rpcReplicate, bytes.NewReader(body), &rr); err != nil {
+		r.n.m.replErrs.Inc()
 		return
 	}
 	for _, sensor := range rr.Resync {
@@ -402,36 +368,16 @@ func (r *replicator) pushSnapshot(p *peerStream, sensor string) {
 	tc := obs.TraceContext{ID: obs.NewTraceID(), Node: r.n.cfg.Self}
 	r.n.sys.Events().Record(obs.Event{
 		Type: "repl_resync", Severity: obs.SevWarn, Sensor: sensor, TraceID: tc.ID,
-		Detail: "snapshot push to " + p.id,
+		Detail: "snapshot push to " + p.to.ID,
 	})
-	body, seq, err := r.n.snapshotSensor(sensor)
-	if err != nil {
-		if r.n.log != nil {
-			r.n.log.Warn("cluster snapshot failed", "sensor", sensor, "peer", p.id, "err", err)
-		}
-		return
+	r.n.pauseSensor(sensor)
+	body, seq, err := r.n.captureSensor(sensor)
+	r.n.unpauseSensor(sensor)
+	if err == nil {
+		err = r.n.shipSnapshot(obs.ContextWithTrace(context.Background(), tc), p.to, body, seq)
 	}
-	if err := checkPeerFault(fault.PointClusterReplicateSend, p.id); err != nil {
-		r.n.m.replErrs.Inc()
-		return
-	}
-	req, err := http.NewRequest(http.MethodPost, p.url+"/cluster/restore", bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	r.n.peerHeaders(req)
-	req.Header.Set(obs.TraceHeader, tc.Next().HeaderValue())
-	req.Header.Set(replSeqHeader, strconv.FormatUint(seq, 10))
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := r.n.hc.Do(req)
-	if err != nil {
-		r.n.m.replErrs.Inc()
-		return
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	if resp.StatusCode != http.StatusOK {
-		r.n.m.replErrs.Inc()
+	if err != nil && r.n.log != nil {
+		r.n.log.Warn("cluster snapshot push failed", "sensor", sensor, "peer", p.to.ID, "err", err)
 	}
 }
 
@@ -441,18 +387,10 @@ func (r *replicator) pushSnapshot(p *peerStream, sensor string) {
 // from a primary. Frames apply in order; duplicates drop; a gap or an
 // unknown sensor asks for a resync instead of applying out of order.
 func (n *Node) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
-		return
-	}
-	n.stampEpoch(w)
-	if !n.authPeer(w, r) {
-		return
-	}
 	n.repl.touch(r.Header.Get(fromHeader))
 	var resp replicateResponse
 	needResync := map[string]bool{}
-	fr := wal.NewFrameReader(http.MaxBytesReader(w, r.Body, 256<<20))
+	fr := wal.NewFrameReader(r.Body)
 	for {
 		seq, rec, err := fr.Next()
 		if err == io.EOF {
@@ -527,14 +465,6 @@ func (n *Node) applyFrame(seq uint64, rec wal.Record, needResync map[string]bool
 // sequence number. Restore replaces local state bit-exactly; frames
 // above the tag then replay on top.
 func (n *Node) handleRestore(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
-		return
-	}
-	n.stampEpoch(w)
-	if !n.authPeer(w, r) {
-		return
-	}
 	n.repl.touch(r.Header.Get(fromHeader))
 	seq, err := strconv.ParseUint(r.Header.Get(replSeqHeader), 10, 64)
 	if err != nil {
@@ -542,7 +472,7 @@ func (n *Node) handleRestore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	start := time.Now()
-	ids, err := n.sys.RestoreSensorsFrom(http.MaxBytesReader(w, r.Body, 256<<20))
+	ids, err := n.sys.RestoreSensorsFrom(r.Body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "restore failed: "+err.Error())
 		return

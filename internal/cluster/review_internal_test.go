@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -40,13 +41,14 @@ func internalHist(n int) []float64 {
 	return out
 }
 
-// newInternalPair brings up a two-node cluster with direct access to
-// the Node structs.
-func newInternalPair(t *testing.T) [2]*internalNode {
+// newInternalCluster brings up one in-process node per id, with direct
+// access to the Node structs. mutate, when non-nil, adjusts each
+// node's cluster config before it starts.
+func newInternalCluster(t *testing.T, mutate func(*Config), ids ...string) []*internalNode {
 	t.Helper()
-	var nodes [2]*internalNode
-	members := make([]Member, len(nodes))
-	for i, id := range []string{"p1", "p2"} {
+	nodes := make([]*internalNode, len(ids))
+	members := make([]Member, len(ids))
+	for i, id := range ids {
 		sys, err := smiler.New(internalSysConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -63,15 +65,18 @@ func newInternalPair(t *testing.T) [2]*internalNode {
 		members[i] = Member{ID: id, URL: ts.URL}
 	}
 	for _, in := range nodes {
-		node, err := New(in.sys, in.srv, Config{
-			Self:              in.id,
-			Members:           members,
-			Replicas:          1,
-			ProbeInterval:     15 * time.Millisecond,
-			ProbeFailures:     2,
-			HeartbeatInterval: 10 * time.Millisecond,
-			HTTPClient:        &http.Client{Timeout: 2 * time.Second},
-		})
+		cfg := Config{
+			Self:          in.id,
+			Members:       members,
+			Replicas:      1,
+			ProbeInterval: 15 * time.Millisecond,
+			ProbeFailures: 2,
+			HTTPClient:    &http.Client{Timeout: 2 * time.Second},
+		}
+		if mutate != nil {
+			mutate(&cfg)
+		}
+		node, err := New(in.sys, in.srv, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,6 +91,13 @@ func newInternalPair(t *testing.T) [2]*internalNode {
 		}
 	})
 	return nodes
+}
+
+// newInternalPair is the two-node case.
+func newInternalPair(t *testing.T) [2]*internalNode {
+	t.Helper()
+	nodes := newInternalCluster(t, nil, "p1", "p2")
+	return [2]*internalNode{nodes[0], nodes[1]}
 }
 
 // TestBulkObserveRejectsPausedSensor: while a sensor is quiesced for
@@ -140,7 +152,7 @@ func TestBulkObserveRejectsPausedSensor(t *testing.T) {
 		t.Fatalf("bulk via non-owner: HTTP %d, want 200 with per-item failure", resp.StatusCode)
 	}
 	var res ingest.BulkResult
-	if err := readJSON(resp.Body, &res); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Accepted != 0 || len(res.Failed) != 1 {
@@ -152,7 +164,7 @@ func TestBulkObserveRejectsPausedSensor(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("bulk after unpause: HTTP %d, want 200", resp.StatusCode)
 	}
-	if err := readJSON(resp.Body, &res); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
 		t.Fatal(err)
 	}
 	if res.Accepted != 1 {
@@ -163,6 +175,49 @@ func TestBulkObserveRejectsPausedSensor(t *testing.T) {
 	}
 	if got, _ := owner.sys.HistoryLen(sensor); got != 401 {
 		t.Fatalf("owner history = %d, want 401 (exactly the post-unpause item)", got)
+	}
+}
+
+// TestForwardedObserveRejectedMidCutover: between a migration's
+// snapshot and the end of its cutover broadcast the old owner already
+// routes the sensor to the target but still holds the pause. A write
+// forwarded to it in that window by a member that has not heard of the
+// cutover yet must be refused, not applied to the copy that was just
+// snapshotted — that write would be acknowledged and lost.
+func TestForwardedObserveRejectedMidCutover(t *testing.T) {
+	nodes := newInternalPair(t)
+	const sensor = "cutover-window"
+	ownerMember, _ := nodes[0].node.route(sensor)
+	owner, other := nodes[0], nodes[1]
+	if owner.id != ownerMember.ID {
+		owner, other = other, owner
+	}
+	if err := owner.sys.AddSensor(sensor, internalHist(400)); err != nil {
+		t.Fatal(err)
+	}
+	owner.node.pauseSensor(sensor)
+	owner.node.setAssign(sensor, other.id)
+
+	req, err := http.NewRequest(http.MethodPost, owner.ts.URL+"/sensors/"+sensor+"/observe", strings.NewReader(`{"value":51}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(forwardedHeader, "1")
+	req.Header.Set(fromHeader, other.id)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("forwarded observe mid-cutover: HTTP %d (Retry-After %q), want 503 with a retry hint",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if err := owner.srv.Pipeline().Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := owner.sys.HistoryLen(sensor); got != 400 {
+		t.Fatalf("old owner's history = %d, want 400: the write landed after the snapshot", got)
 	}
 }
 
