@@ -20,7 +20,10 @@ race:
 
 # Ten seconds of fuzzing the banded-DTW verify kernel against the
 # modulus-indexed kernel it replaced (internal/dtw/kernel_oracle_test.go):
-# distances bit for bit, processed-column counts exactly.
+# distances bit for bit, processed-column counts exactly — with no
+# remaining-cost bound and with an all-zero one — and, with the LB_Keogh
+# suffix sums the verifier hands it, never abandoning a pair whose full
+# distance is within the cutoff.
 fuzz-smoke:
 	$(GO) test ./internal/dtw -run '^$$' -fuzz FuzzDistanceCompressedAbandon -fuzztime 10s
 

@@ -489,6 +489,10 @@ func BenchmarkAblationBootstrapUncertainty(b *testing.B) {
 // 1,1,3,3,6,6. It is the loop docs/PERF.md profiles ("Verify kernel"):
 //
 //	go test -run '^$' -bench ContinuousGPLoop -benchtime 300x -cpuprofile cpu.out .
+//
+// Beside the timings it reports the verification work per iteration —
+// candidates the DTW kernel ran on and band columns it processed — which
+// repeats exactly at a fixed -benchtime Nx.
 func BenchmarkContinuousGPLoop(b *testing.B) {
 	const sensors, history = 8, 2048
 	horizons := [...]int{1, 1, 3, 3, 6, 6}
@@ -511,6 +515,9 @@ func BenchmarkContinuousGPLoop(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	runs := sys.Metrics().Counter("smiler_knn_unfiltered_total", "")
+	cols := sys.Metrics().Counter("smiler_dtw_columns_total", "")
+	runs0, cols0 := runs.Value(), cols.Value()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -522,4 +529,6 @@ func BenchmarkContinuousGPLoop(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.ReportMetric(float64(runs.Value()-runs0)/float64(b.N), "dtw_runs/op")
+	b.ReportMetric(float64(cols.Value()-cols0)/float64(b.N), "dtw_cols/op")
 }

@@ -243,6 +243,9 @@ func (p *Pipeline) recordSearch(tr *obs.Trace, searchStart time.Time) {
 	tr.SetStat("knn_candidates", float64(st.Candidates))
 	tr.SetStat("knn_pruned", float64(st.Pruned()))
 	tr.SetStat("knn_unfiltered", float64(st.Unfiltered))
+	tr.SetStat("knn_sealed", float64(st.Sealed))
+	tr.SetStat("knn_cascade_pruned", float64(st.CascadePruned))
+	tr.SetStat("dtw_columns", float64(st.Columns))
 	tr.SetStat("gpu_sim_seconds", st.LowerBoundSimSeconds+st.VerifySimSeconds)
 }
 

@@ -1,6 +1,7 @@
 package dtw
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -110,5 +111,8 @@ func TestAbandonErrors(t *testing.T) {
 	}
 	if _, _, err := DistanceCompressedAbandon([]float64{1}, []float64{1}, -1, 1, nil); err == nil {
 		t.Fatal("negative rho should error")
+	}
+	if _, _, err := DistanceCompressedBounded([]float64{1, 2}, []float64{1, 2}, 1, 1, []float64{0, 0}, nil); !errors.Is(err, ErrLength) {
+		t.Fatalf("a remaining-cost bound shorter than d+1 should be a length error, got %v", err)
 	}
 }

@@ -83,8 +83,8 @@ func DistanceCompressed(q, c []float64, rho int, scratch []float64) (float64, er
 	return v, err
 }
 
-// DistanceCompressedAbandon is the banded-DTW kernel with an early-
-// abandoning cutoff: every warping path visits every column of the
+// DistanceCompressedAbandon is DistanceCompressedBounded without a
+// remaining-cost bound: every warping path visits every column of the
 // warping matrix and path costs only grow along a path, so once the
 // minimum over a column's band cells exceeds cutoff no path can finish
 // at or below it. The function then abandons, reporting (+Inf, cols,
@@ -93,6 +93,39 @@ func DistanceCompressed(q, c []float64, rho int, scratch []float64) (float64, er
 // fires only on a strictly greater column minimum, so candidates whose
 // true distance equals the cutoff are fully computed; cutoff = +Inf
 // never abandons.
+func DistanceCompressedAbandon(q, c []float64, rho int, cutoff float64, scratch []float64) (float64, int, error) {
+	return DistanceCompressedBounded(q, c, rho, cutoff, nil, scratch)
+}
+
+// boundSlack is the relative margin by which a lower bound must exceed
+// a cutoff before it may dismiss a candidate (see Slack). A banded-DTW
+// distance and a lower bound on it are both sums of at most 2d squared
+// differences, accumulated in different orders; each carries a relative
+// rounding error below 2d·2⁻⁵³, so a bound that is mathematically equal
+// to the distance — the band collapsed to the diagonal, a flat query —
+// can come out a few ulps above it. 1e-9 covers that for any d below
+// 10⁶ and gives away no pruning that could be measured.
+const boundSlack = 1e-9
+
+// Slack returns the value a lower bound of a banded-DTW distance has to
+// exceed to prove that the distance itself exceeds cutoff: the cutoff
+// widened by the rounding margin between two differently ordered sums.
+func Slack(cutoff float64) float64 { return cutoff + cutoff*boundSlack }
+
+// DistanceCompressedBounded is the banded-DTW kernel. Beside the cutoff
+// it takes an optional lower bound on what the columns still to come
+// must cost: rest[j], j = 1..d, bounds from below the cost any warping
+// path accumulates in columns j+1..d (rest[d] = 0; LBKeoghSuffix
+// produces it from the query envelope). Columns are positions of c, so
+// that cost is disjoint from the cost a path has accumulated up to
+// column j, and the kernel abandons at column j as soon as
+//
+//	colMin > cutoff   or   colMin + rest[j] > Slack(cutoff),
+//
+// reporting (+Inf, j, nil) — the second test stops a candidate columns
+// before its column minimum alone would. Either way a pair is abandoned
+// only when its full distance exceeds cutoff, and a pair that is not
+// abandoned gets the same bits with any rest. A nil rest is all zeros.
 //
 // The two live columns are addressed by band offset: cell γ(i,j) sits
 // at k = i−j+ρ ∈ [0, 2ρ] of its column, followed by one +Inf pad word.
@@ -101,7 +134,7 @@ func DistanceCompressed(q, c []float64, rho int, scratch []float64) (float64, er
 // column, so a column is one pass over three equal-length slices with no
 // index arithmetic. The pad is what γ(j+ρ, j−1), one row past the
 // previous column's band, reads as.
-func DistanceCompressedAbandon(q, c []float64, rho int, cutoff float64, scratch []float64) (float64, int, error) {
+func DistanceCompressedBounded(q, c []float64, rho int, cutoff float64, rest, scratch []float64) (float64, int, error) {
 	d := len(q)
 	if d == 0 || d != len(c) {
 		return 0, 0, fmt.Errorf("%w: |q|=%d |c|=%d", ErrLength, len(q), len(c))
@@ -109,12 +142,16 @@ func DistanceCompressedAbandon(q, c []float64, rho int, cutoff float64, scratch 
 	if rho < 0 {
 		return 0, 0, fmt.Errorf("dtw: negative warping width %d", rho)
 	}
+	if rest != nil && len(rest) <= d {
+		return 0, 0, fmt.Errorf("%w: remaining-cost bound %d for %d columns", ErrLength, len(rest), d)
+	}
 	m := 2*rho + 2
 	if len(scratch) < 2*m {
 		scratch = make([]float64, 2*m)
 	}
 	prev, cur := scratch[:m], scratch[m:2*m]
 	inf := math.Inf(1)
+	loose := Slack(cutoff)
 	// Column 0: γ(0,0) = 0, γ(i,0) = ∞ for i > 0 — and both pads.
 	for k := range prev {
 		prev[k] = inf
@@ -158,7 +195,8 @@ func DistanceCompressedAbandon(q, c []float64, rho int, cutoff float64, scratch 
 			out[k] = up
 			colMin = min(colMin, math.Float64bits(up))
 		}
-		if math.Float64frombits(colMin) > cutoff {
+		least := math.Float64frombits(colMin)
+		if least > cutoff || (rest != nil && least+rest[j] > loose) {
 			return inf, j, nil
 		}
 		prev, cur = cur, prev
@@ -244,11 +282,18 @@ type Envelope struct {
 }
 
 // NewEnvelope computes the envelope of values with warping width rho
-// by direct scan. O(n·ρ); fine for the short windows SMiLer indexes.
+// into freshly allocated rows (see EnvelopeInto).
 func NewEnvelope(values []float64, rho int) Envelope {
+	e := Envelope{Upper: make([]float64, len(values)), Lower: make([]float64, len(values))}
+	EnvelopeInto(values, rho, e.Upper, e.Lower)
+	return e
+}
+
+// EnvelopeInto writes the envelope of values with warping width rho into
+// upper and lower (each at least len(values) long) by direct scan.
+// O(n·ρ); fine for the short windows SMiLer indexes.
+func EnvelopeInto(values []float64, rho int, upper, lower []float64) {
 	n := len(values)
-	u := make([]float64, n)
-	l := make([]float64, n)
 	for i := 0; i < n; i++ {
 		lo, hi := i-rho, i+rho
 		if lo < 0 {
@@ -266,10 +311,9 @@ func NewEnvelope(values []float64, rho int) Envelope {
 				mn = values[j]
 			}
 		}
-		u[i] = mx
-		l[i] = mn
+		upper[i] = mx
+		lower[i] = mn
 	}
-	return Envelope{Upper: u, Lower: l}
 }
 
 // Len returns the envelope length.
@@ -291,6 +335,34 @@ func LBKeogh(e Envelope, x []float64) (float64, error) {
 		}
 	}
 	return s, nil
+}
+
+// LBKeoghSuffix is LBKeogh that keeps its partial sums: accumulating
+// right to left it writes rest[j] = Σ_{i≥j} of x_i's squared deviation
+// outside [L_i, U_i], j = 0..len(x), so rest[0] is LB_keogh(E, x) and
+// rest[len(x)] is 0. With E the query's envelope and x a candidate,
+// rest[j] bounds from below what any warping path pays in the candidate's
+// columns after the j-th: the form DistanceCompressedBounded takes. It
+// stops as soon as the running sum exceeds bar — the bound already
+// dismisses the candidate — and returns that sum with the index it
+// reached: rest[from:] is what it wrote, len(x)−from points what it read.
+// rest must hold len(x)+1 values, the envelope len(x).
+func LBKeoghSuffix(e Envelope, x, rest []float64, bar float64) (lb float64, from int) {
+	upper, lower := e.Upper[:len(x)], e.Lower[:len(x)]
+	rest = rest[:len(x)+1]
+	rest[len(x)] = 0
+	for i := len(x) - 1; i >= 0; i-- {
+		if v := x[i]; v > upper[i] {
+			lb += dist(v, upper[i])
+		} else if v < lower[i] {
+			lb += dist(v, lower[i])
+		}
+		rest[i] = lb
+		if lb > bar {
+			return lb, i
+		}
+	}
+	return lb, 0
 }
 
 // LBKim returns the O(1) first/last-point lower bound of banded DTW

@@ -96,28 +96,88 @@ func sameFloat(a, b float64) bool {
 
 // checkKernel runs the kernel and the oracle on one case — with a nil
 // scratch and with each garbage scratch — and requires equal distances
-// (sameFloat) and equal column counts. It returns the oracle's answer.
+// (sameFloat) and equal column counts, with no remaining-cost bound and
+// with an all-zero one. Then it runs the kernel with the bound it gets in
+// the verifier (checkBounded). It returns the oracle's answer.
 func checkKernel(t *testing.T, q, c []float64, rho int, cutoff float64) (float64, int) {
 	t.Helper()
 	want, wantCols, err := oracleCompressedAbandon(q, c, rho, cutoff, nil)
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}
+	zeros := make([]float64, len(q)+1)
 	for variant := -1; variant < 4; variant++ {
-		var scratch []float64
-		if variant >= 0 {
-			scratch = garbageScratch(rho, variant)
-		}
-		got, cols, err := DistanceCompressedAbandon(q, c, rho, cutoff, scratch)
-		if err != nil {
-			t.Fatalf("kernel: %v", err)
-		}
-		if !sameFloat(got, want) || cols != wantCols {
-			t.Fatalf("d=%d ρ=%d cutoff=%v scratch variant %d: kernel (%v [%#x], %d cols), oracle (%v [%#x], %d cols)\nq=%v\nc=%v",
-				len(q), rho, cutoff, variant, got, math.Float64bits(got), cols, want, math.Float64bits(want), wantCols, q, c)
+		for _, rest := range [][]float64{nil, zeros} {
+			var scratch []float64
+			if variant >= 0 {
+				scratch = garbageScratch(rho, variant)
+			}
+			got, cols, err := DistanceCompressedBounded(q, c, rho, cutoff, rest, scratch)
+			if err != nil {
+				t.Fatalf("kernel: %v", err)
+			}
+			if !sameFloat(got, want) || cols != wantCols {
+				t.Fatalf("d=%d ρ=%d cutoff=%v scratch variant %d zero bound %t: kernel (%v [%#x], %d cols), oracle (%v [%#x], %d cols)\nq=%v\nc=%v",
+					len(q), rho, cutoff, variant, rest != nil, got, math.Float64bits(got), cols, want, math.Float64bits(want), wantCols, q, c)
+			}
 		}
 	}
+	checkBounded(t, q, c, rho, cutoff, wantCols)
 	return want, wantCols
+}
+
+// checkBounded runs the kernel with the remaining-cost bound the verifier
+// hands it — the suffix sums of LB_Keogh against the query's envelope —
+// and with half of it, a looser bound that is just as valid, and holds it
+// to the bound's contract: the pair is abandoned only if its full
+// distance exceeds the cutoff, never later than the plain kernel abandons
+// it, and a pair that is not abandoned gets the full distance's bits. A
+// query holding a NaN has no envelope to speak of and is skipped; ±Inf
+// anywhere and NaN in the candidate are fair game.
+func checkBounded(t *testing.T, q, c []float64, rho int, cutoff float64, plainCols int) {
+	t.Helper()
+	for _, v := range q {
+		if math.IsNaN(v) {
+			return
+		}
+	}
+	full, _, err := oracleCompressedAbandon(q, c, rho, math.Inf(1), nil)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	rest := make([]float64, len(q)+1)
+	lb, from := LBKeoghSuffix(NewEnvelope(q, rho), c, rest, math.Inf(1))
+	if lb != rest[0] || from != 0 || rest[len(q)] != 0 {
+		t.Fatalf("LBKeoghSuffix returned (%v, %d) with rest[0]=%v rest[d]=%v", lb, from, rest[0], rest[len(q)])
+	}
+	for _, halve := range []bool{false, true} {
+		if halve {
+			for i := range rest {
+				rest[i] /= 2
+			}
+		}
+		checkBoundedRest(t, q, c, rho, cutoff, rest, full, plainCols)
+	}
+}
+
+func checkBoundedRest(t *testing.T, q, c []float64, rho int, cutoff float64, rest []float64, full float64, plainCols int) {
+	t.Helper()
+	got, cols, err := DistanceCompressedBounded(q, c, rho, cutoff, rest, nil)
+	if err != nil {
+		t.Fatalf("kernel: %v", err)
+	}
+	abandoned := cols < len(q) || (math.IsInf(got, 1) && !math.IsInf(full, 1))
+	switch {
+	case cols > plainCols:
+		t.Fatalf("d=%d ρ=%d cutoff=%v: the bounded kernel ran %d columns, the plain one %d", len(q), rho, cutoff, cols, plainCols)
+	case abandoned && full <= cutoff:
+		t.Fatalf("d=%d ρ=%d: abandoned at column %d under cutoff %v [%#x] a pair at distance %v [%#x]\nq=%v\nc=%v\nrest=%v",
+			len(q), rho, cols, cutoff, math.Float64bits(cutoff), full, math.Float64bits(full), q, c, rest)
+	case abandoned && !math.IsInf(got, 1):
+		t.Fatalf("d=%d ρ=%d cutoff=%v: abandoned at column %d but reported %v", len(q), rho, cutoff, cols, got)
+	case !abandoned && !sameFloat(got, full):
+		t.Fatalf("d=%d ρ=%d cutoff=%v: bounded kernel %v [%#x], full distance %v [%#x]", len(q), rho, cutoff, got, math.Float64bits(got), full, math.Float64bits(full))
+	}
 }
 
 // checkKernelCutoffs sweeps the cutoffs that matter around one pair's
@@ -160,7 +220,16 @@ func TestKernelMatchesOracle(t *testing.T) {
 		case 2:
 			d = 1 + rng.Intn(3)
 		}
-		checkKernelCutoffs(t, randWalkSeries(rng, d), randWalkSeries(rng, d), rho)
+		q, c := randWalkSeries(rng, d), randWalkSeries(rng, d)
+		switch trial % 10 {
+		case 3:
+			c = append([]float64(nil), q...) // distance 0: every cutoff is a tie at zero
+		case 4:
+			for i := range q {
+				q[i] = q[0] // a flat query: LB_Keogh equals the distance
+			}
+		}
+		checkKernelCutoffs(t, q, c, rho)
 	}
 }
 

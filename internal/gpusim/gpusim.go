@@ -405,12 +405,18 @@ func KSelectBlock(b *Block, dists []float64, k int) []KSelectResult {
 	b.ParallelCompute(len(dists), 2)
 	b.GlobalAccess(len(dists))
 
-	// Max-heap of size k over the candidates (value at root is largest).
+	// Max-heap of size k over the candidates, ordered by (value, index):
+	// the root is the largest value and, among equal values, the largest
+	// index, so when ties straddle the k-th place the smallest indices
+	// are the ones kept.
 	heap := make([]KSelectResult, 0, k)
+	above := func(a, b KSelectResult) bool {
+		return a.Value > b.Value || (a.Value == b.Value && a.Index > b.Index)
+	}
 	siftUp := func(i int) {
 		for i > 0 {
 			p := (i - 1) / 2
-			if heap[i].Value <= heap[p].Value {
+			if !above(heap[i], heap[p]) {
 				break
 			}
 			heap[i], heap[p] = heap[p], heap[i]
@@ -421,10 +427,10 @@ func KSelectBlock(b *Block, dists []float64, k int) []KSelectResult {
 		for {
 			l, r := 2*i+1, 2*i+2
 			big := i
-			if l < len(heap) && heap[l].Value > heap[big].Value {
+			if l < len(heap) && above(heap[l], heap[big]) {
 				big = l
 			}
-			if r < len(heap) && heap[r].Value > heap[big].Value {
+			if r < len(heap) && above(heap[r], heap[big]) {
 				big = r
 			}
 			if big == i {

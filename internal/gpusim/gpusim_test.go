@@ -249,7 +249,8 @@ func TestKSelectBlockDegenerate(t *testing.T) {
 }
 
 // Property: KSelectBlock returns exactly the k smallest values in
-// ascending order, agreeing with a full sort.
+// ascending order, agreeing with a full stable sort — among equal values
+// the smallest indices win, also when the tie straddles the k-th place.
 func TestQuickKSelectAgreesWithSort(t *testing.T) {
 	d := testDevice(t)
 	f := func(seed int64) bool {
@@ -258,7 +259,7 @@ func TestQuickKSelectAgreesWithSort(t *testing.T) {
 		k := 1 + rng.Intn(20)
 		dists := make([]float64, n)
 		for i := range dists {
-			dists[i] = math.Round(rng.Float64()*1000) / 10 // ties likely
+			dists[i] = math.Round(rng.Float64() * 10) // eleven levels: ties everywhere
 		}
 		var got []KSelectResult
 		if err := d.Launch(1, func(b *Block) error {
@@ -267,8 +268,11 @@ func TestQuickKSelectAgreesWithSort(t *testing.T) {
 		}); err != nil {
 			return false
 		}
-		sorted := append([]float64(nil), dists...)
-		sort.Float64s(sorted)
+		order := make([]int, n)
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return dists[order[a]] < dists[order[b]] })
 		want := k
 		if n < k {
 			want = n
@@ -277,13 +281,7 @@ func TestQuickKSelectAgreesWithSort(t *testing.T) {
 			return false
 		}
 		for i, r := range got {
-			if r.Value != sorted[i] {
-				return false
-			}
-			if dists[r.Index] != r.Value {
-				return false
-			}
-			if i > 0 && got[i-1].Value > r.Value {
+			if r.Index != order[i] || r.Value != dists[order[i]] {
 				return false
 			}
 		}

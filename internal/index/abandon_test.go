@@ -7,7 +7,8 @@ import (
 
 // TestEarlyAbandonAB runs the same randomized continuous-prediction
 // trace through two indexes that differ only in DisableEarlyAbandon and
-// requires bit-identical kNN sets at every step: the τ-cutoff is an
+// requires bit-identical kNN sets at every step: the cutoff — abandoning,
+// the cascade, tightening and sealing all hang off it — is an
 // exactness-preserving optimization, never a result change.
 func TestEarlyAbandonAB(t *testing.T) {
 	for seed := int64(0); seed < 4; seed++ {
@@ -54,10 +55,15 @@ func TestEarlyAbandonAB(t *testing.T) {
 					}
 				}
 			}
-			// Abandoning may only reduce simulated verification work.
-			if ixOn.Stats().Unfiltered != ixOff.Stats().Unfiltered {
-				t.Fatalf("seed %d step %d: unfiltered counts diverged (%d vs %d) — the filter must not change",
-					seed, step, ixOn.Stats().Unfiltered, ixOff.Stats().Unfiltered)
+			// Without a cutoff every filter survivor is verified; with one,
+			// the same survivors are verified, sealed or dismissed.
+			son, soff := ixOn.Stats(), ixOff.Stats()
+			if soff.Sealed != 0 || soff.CascadePruned != 0 {
+				t.Fatalf("seed %d step %d: DisableEarlyAbandon sealed %d and dismissed %d survivors", seed, step, soff.Sealed, soff.CascadePruned)
+			}
+			if son.Unfiltered > soff.Unfiltered || son.Unfiltered+son.Sealed+son.CascadePruned != soff.Unfiltered {
+				t.Fatalf("seed %d step %d: %d verified + %d sealed + %d dismissed with the cutoff, %d filter survivors without — the filter must not change",
+					seed, step, son.Unfiltered, son.Sealed, son.CascadePruned, soff.Unfiltered)
 			}
 			next := rng.NormFloat64() * 0.3
 			if err := ixOn.Advance(next); err != nil {

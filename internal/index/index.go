@@ -181,6 +181,8 @@ type Index struct {
 	unbooked int64 // appended-history bytes not yet reflected on the device
 	closed   bool
 
+	firstRound int // size of the first verification round (see verify)
+
 	stats SearchStats
 }
 
@@ -191,8 +193,20 @@ type SearchStats struct {
 	// was produced by the group level, summed over item queries.
 	Candidates int
 	// Unfiltered is the number of candidates that survived the lower
-	// bound filter and required DTW verification.
+	// bound filter and required DTW verification: the ones the banded
+	// kernel ran on, threshold seeds included.
 	Unfiltered int
+	// Sealed is the number of filter survivors a verification round's
+	// tightened cutoff ruled out before they were touched, and
+	// CascadePruned the number the verify block's O(d) LB_Keogh cascade
+	// dismissed instead of running the kernel (see verify). Filter
+	// survivors = Unfiltered + Sealed + CascadePruned.
+	Sealed        int
+	CascadePruned int
+	// Columns is the number of warping-matrix band columns the kernel
+	// processed, seeds and abandoned candidates included — the unit the
+	// cost model charges verification in.
+	Columns int
 	// VerifySimSeconds is the simulated GPU time spent in verification.
 	VerifySimSeconds float64
 	// LowerBoundSimSeconds is the simulated GPU time spent producing
@@ -216,12 +230,11 @@ type SearchStats struct {
 	// and, when a deadline stopped it, how good the best-so-far result
 	// is (see verify).
 	//
-	// Rounds is the number of verification rounds run: one for a
-	// deadline-free context, several under a deadline, zero when the
+	// Rounds is the number of verification rounds run, zero when the
 	// threshold seeds covered every survivor.
 	Rounds int
-	// VerifiedAtDeadline is the number of candidates verified when the
-	// deadline fired (0 when the result is exact).
+	// VerifiedAtDeadline is the number of candidates resolved — verified
+	// or dismissed — when the deadline fired (0 when the result is exact).
 	VerifiedAtDeadline int
 	// RoundWallSeconds holds per-round wall-clock durations, ordered.
 	RoundWallSeconds []float64
@@ -232,8 +245,8 @@ type SearchStats struct {
 	Progressive bool
 	// FracVerified, LBGap and ProbExact summarize a progressive result
 	// across item queries (worst case over items); an exact result
-	// reports 1, 0, 1. FracVerified is the fraction of filter-surviving
-	// candidates whose exact DTW distance was computed. LBGap is the
+	// reports 1, 0, 1. FracVerified is the fraction of the filter-surviving
+	// candidates not yet sealed that were resolved. LBGap is the
 	// relative gap between the smallest unverified lower bound and the
 	// k-th best-so-far distance, in [0,1]: 0 means the bound already
 	// seals the result, 1 means an unverified candidate could still be
@@ -261,13 +274,13 @@ type ItemStats struct {
 	// Candidates is the number of candidate segments with a finite
 	// lower bound.
 	Candidates int
-	// Unfiltered is the number of candidates that survived the filter
-	// and were DTW-verified.
+	// Unfiltered is the number of candidates the DTW kernel ran on.
 	Unfiltered int
 }
 
-// Pruned returns the number of candidates eliminated by the lower
-// bound filter without a DTW verification.
+// Pruned returns the number of candidates eliminated by a lower bound —
+// the filter, a sealed round or the cascade — without a DTW
+// verification.
 func (s SearchStats) Pruned() int {
 	p := s.Candidates - s.Unfiltered
 	if p < 0 {
@@ -297,6 +310,8 @@ func New(dev *gpusim.Device, history []float64, p Params) (*Index, error) {
 		nSW:    dmax - p.Omega + 1,
 		synced: len(history),
 		prevNN: make(map[int][]int),
+
+		firstRound: firstRound,
 	}
 	// Device residency: the history plus both posting-list planes. The
 	// posting lists grow with the history; reserve for the current size

@@ -300,7 +300,7 @@ func TestLBModesAllExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	hist := randwalk(rng, 400)
 	var base []ItemResult
-	unfiltered := map[LBMode]int{}
+	survivors := map[LBMode]int{}
 	for _, mode := range []LBMode{LBModeEn, LBModeEQ, LBModeEC} {
 		p := smallParams()
 		p.LB = mode
@@ -312,8 +312,9 @@ func TestLBModesAllExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		unfiltered[mode] = ix.Stats().Unfiltered
-		if ix.Stats().Candidates == 0 {
+		st := ix.Stats()
+		survivors[mode] = st.Unfiltered + st.Sealed + st.CascadePruned
+		if st.Candidates == 0 {
 			t.Fatal("stats should count candidates")
 		}
 		if base == nil {
@@ -330,9 +331,11 @@ func TestLBModesAllExact(t *testing.T) {
 		ix.Close()
 	}
 	// The enhanced bound dominates both single bounds pointwise, so
-	// with the same exact thresholds it can never verify more.
-	if unfiltered[LBModeEn] > unfiltered[LBModeEQ] || unfiltered[LBModeEn] > unfiltered[LBModeEC] {
-		t.Fatalf("LBen filtered worse than a single bound: %v", unfiltered)
+	// with the same exact thresholds it can never let more through the
+	// filter. (How many of those the kernel then runs on depends on the
+	// order the rounds meet them in, which differs between the modes.)
+	if survivors[LBModeEn] > survivors[LBModeEQ] || survivors[LBModeEn] > survivors[LBModeEC] {
+		t.Fatalf("LBen filtered worse than a single bound: %v", survivors)
 	}
 }
 
@@ -768,5 +771,47 @@ func TestConcurrentIndexesOnOneDevice(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// A horizon that rises between two forecasts — the benchmark's sensors
+// walk 1,1,3,3,6,6 — shortens the label mask, and the most recent of the
+// previous neighbours, the segments overlapping the query, fall outside
+// it. The threshold must keep the neighbours that are still valid and top
+// them up, not fall back to k candidates picked by lower bound alone:
+// those have far larger distances, τ is their maximum, and the filter
+// lets most of the history through. DisableEarlyAbandon makes Unfiltered
+// count every filter survivor, which is what τ decides.
+func TestThresholdKeepsSeedsWhenHorizonRises(t *testing.T) {
+	hist := randwalk(rand.New(rand.NewSource(1)), 1500)
+	p := DefaultParams()
+	p.DisableEarlyAbandon = true
+	const k = 32
+	survivors := func(hs ...int) int {
+		ix, err := New(testDevice(t), hist, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		for _, h := range hs {
+			res, err := ix.Search(k, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, d := range p.ELV {
+				if want := bruteNeighbors(t, hist, d, p.Rho, k, h, -1); !sameNeighbors(res[i].Neighbors, want) {
+					t.Fatalf("h=%d d=%d: search %v != brute force %v", h, d, res[i].Neighbors, want)
+				}
+			}
+		}
+		return ix.Stats().Unfiltered
+	}
+	unseeded := survivors(3)    // no previous neighbours: k seeds by lower bound
+	allValid := survivors(3, 3) // every previous neighbour is label-valid
+	risen := survivors(1, 3)    // the h=1 neighbours at n−d−1 and n−d−2 are not
+	// The two or so top-up seeds loosen τ a little against the all-valid
+	// case: a quarter more survivors is the slack, measured 8% here.
+	if risen >= unseeded || 4*risen > 5*allValid {
+		t.Fatalf("survivors after h 1→3: %d; with every seed valid %d, with none %d — the valid seeds were thrown away", risen, allValid, unseeded)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -236,7 +237,7 @@ func (ix *Index) search(ctx context.Context, h int,
 	var live []*verifyTask
 	defer func() {
 		for _, t := range live {
-			memsys.PutFloats(t.dists)
+			t.release()
 		}
 	}()
 	for i, d := range ix.p.ELV {
@@ -256,8 +257,11 @@ func (ix *Index) search(ctx context.Context, h int,
 	for i, d := range ix.p.ELV {
 		var dists []float64
 		if t := tasks[i]; t != nil {
-			ix.stats.Unfiltered += t.verified
-			ix.stats.PerItem[i].Unfiltered = t.verified
+			ix.stats.PerItem[i].Unfiltered = t.seeded + t.ran
+			ix.stats.Unfiltered += t.seeded + t.ran
+			ix.stats.CascadePruned += t.pruned
+			ix.stats.Sealed += t.sealed
+			ix.stats.Columns += t.columns
 			dists = t.dists
 		}
 		if err := pick(i, d, dists); err != nil {
@@ -414,24 +418,21 @@ type seedCand struct {
 // threshold derives the filter threshold τ for one item query. During
 // continuous prediction it reuses the previous step's kNN positions
 // (their DTW distances to the *current* query upper-bound the new k-th
-// NN distance); on the first query it verifies the k candidates with
-// the smallest lower bounds. Both variants are exact: at least k
-// candidates have true distance ≤ τ, so no true neighbour is filtered.
-// The returned seeds carry those exact distances (each ≤ τ, so the
-// τ-cutoff verification pass would reproduce them bit-identically).
+// NN distance); where those run short — the first query, or a horizon
+// longer than the previous one, whose label mask drops the most recent
+// neighbours — it tops them up to k with the candidates of smallest
+// lower bound. Either way at least k candidates have true distance ≤ τ,
+// so no true neighbour is filtered. The returned seeds carry those exact
+// distances (each ≤ τ, so the τ-cutoff verification pass would reproduce
+// them bit-identically).
 func (ix *Index) threshold(d int, query []float64, lbs []float64, k int) (float64, []seedCand, error) {
 	var seeds []int
-	if prev, ok := ix.prevNN[d]; ok {
-		for _, t := range prev {
-			if t <= len(lbs)-1 { // still label-valid
-				seeds = append(seeds, t)
-			}
+	for _, t := range ix.prevNN[d] {
+		if t < len(lbs) { // still label-valid
+			seeds = append(seeds, t)
 		}
 	}
 	if len(seeds) < k {
-		// Initial query (or too few reusable positions): take the k
-		// smallest lower bounds as seeds.
-		seeds = seeds[:0]
 		var sel []gpusim.KSelectResult
 		if err := ix.dev.Launch(1, func(blk *gpusim.Block) error {
 			sel = gpusim.KSelectBlock(blk, lbs, k)
@@ -440,7 +441,9 @@ func (ix *Index) threshold(d int, query []float64, lbs []float64, k int) (float6
 			return 0, nil, err
 		}
 		for _, s := range sel {
-			seeds = append(seeds, s.Index)
+			if len(seeds) < k && !slices.Contains(seeds, s.Index) {
+				seeds = append(seeds, s.Index)
+			}
 		}
 	}
 	if len(seeds) == 0 {
@@ -461,6 +464,7 @@ func (ix *Index) threshold(d int, query []float64, lbs []float64, k int) (float6
 				return err
 			}
 			out = append(out, seedCand{t: t, dist: dist})
+			ix.stats.Columns += d
 			if dist > tau {
 				tau = dist
 			}

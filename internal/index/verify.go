@@ -18,12 +18,21 @@ import (
 // block's lanes homogeneous).
 const verifyChunk = 256
 
-// maxRoundChunks caps one staged round at this many verify chunks per
-// item query. Staged rounds grow geometrically (one chunk, two, four,
-// ...) up to the cap: early rounds are fine-grained so a tight deadline
-// still completes a few, and the cap bounds deadline overshoot to one
-// round of in-flight chunks.
-const maxRoundChunks = 8
+// firstRound is the number of survivors per item query the first
+// verification round takes (Index.firstRound, a field so tests can force
+// other schedules), and maxRoundChunks caps a round at that many verify
+// chunks per item query. Rounds grow geometrically in between.
+// The first round is short because it is the one that runs with the
+// loosest cutoff — τ, before any survivor has been measured — and
+// everything after it runs against the k-th best distance found so far;
+// on the repository benchmark's traffic (BenchmarkContinuousGPLoop) 64
+// cost 56.5k band columns per search where 256 cost 63.3k, and 16 saved
+// 1.3k more for twice the launches. The cap bounds deadline overshoot to
+// one round of in-flight chunks.
+const (
+	firstRound     = 64
+	maxRoundChunks = 8
+)
 
 // horizonFilter is one horizon's slice of an item query's filter:
 // candidates at positions ≤ maxT (the horizon's label-validity mask)
@@ -35,14 +44,18 @@ type horizonFilter struct {
 
 // verifyTask describes one item query's share of the verification:
 // which candidates survive the filter, the early-abandon cutoff, and
-// the output distances (+Inf for filtered, abandoned or unverified
-// candidates).
+// the output distances (+Inf for filtered, dismissed, abandoned or
+// unverified candidates).
 type verifyTask struct {
 	d       int
 	query   []float64
 	lbs     []float64
 	filters []horizonFilter // a candidate survives when any entry keeps it
-	cutoff  float64         // early-abandon cutoff (+Inf disables)
+	// cutoff is the distance above which a candidate is of no use to any
+	// horizon: τ_max at first, the k-th best verified distance once that
+	// is smaller (see tighten). +Inf means every survivor's exact distance
+	// is wanted: no abandoning, no cascade, no tightening, no sealing.
+	cutoff float64
 	// seeds are the threshold candidates with their exact distances.
 	seeds []seedCand
 	// k is the selection size the quality tracker compares against; 0
@@ -51,14 +64,28 @@ type verifyTask struct {
 	k   int
 	eps float64
 
-	dists []float64 // out: exact DTW or +Inf (pooled; search releases it)
+	dists []float64 // out: exact DTW or +Inf (pooled; release returns it)
 
-	order    []int // unseeded survivors, (lower bound, position) ascending
-	next     int   // order[:next] is verified
-	top      topK  // running k best verified distances
-	verified int   // candidates with exact distances (seeds included)
-	flips    int   // verified at-risk candidates that entered the set
-	atRisk   int   // verified candidates that could have entered
+	order []int // unseeded survivors, (lower bound, position) ascending
+	next  int   // order[:next] is resolved: verified or dismissed
+	// tops[i] is the running k best verified distances among the
+	// candidates filters[i] admits (kNN tasks only). One set per horizon,
+	// because a horizon's k-th distance says nothing about a horizon with
+	// a shorter candidate range.
+	tops []topK
+	// queryEnv is the query's own envelope, built by the filter kernel
+	// for tasks that run the cascade and empty for the others (pooled,
+	// like the tops' storage).
+	queryEnv dtw.Envelope
+	pooled   [3][]float64 // dists, the tops' storage, the envelope
+
+	seeded  int // seeds with prefilled distances
+	ran     int // survivors the DTW kernel ran on
+	pruned  int // survivors the O(d) cascade dismissed
+	sealed  int // survivors dropped, untouched, by a tightened cutoff
+	columns int // band columns the kernel processed
+	flips   int // resolved at-risk candidates that entered a top-k set
+	atRisk  int // resolved candidates that could have entered one
 }
 
 // keep reports whether candidate position pos must be verified.
@@ -72,9 +99,27 @@ func (t *verifyTask) keep(pos int) bool {
 	return false
 }
 
-// topK tracks the running k smallest verified distances (ascending).
-// It only backs the quality estimate; the returned neighbours come from
-// the block k-selection.
+// bounded reports whether the task has a finite cutoff to prune against.
+func (t *verifyTask) bounded() bool { return !math.IsInf(t.cutoff, 1) }
+
+// pool takes n floats from memsys for the duration of the search.
+func (t *verifyTask) pool(slot, n int) []float64 {
+	t.pooled[slot] = memsys.GetFloats(n)
+	return t.pooled[slot]
+}
+
+// release returns the task's pooled storage.
+func (t *verifyTask) release() {
+	for i, s := range t.pooled {
+		memsys.PutFloats(s)
+		t.pooled[i] = nil
+	}
+	t.dists = nil
+}
+
+// topK tracks the running k smallest verified distances (ascending) over
+// storage the task lends it. It backs the cutoff and the quality
+// estimate; the returned neighbours come from the block k-selection.
 type topK struct {
 	k int
 	d []float64
@@ -91,7 +136,7 @@ func (t *topK) add(v float64) bool {
 	}
 	i := sort.SearchFloat64s(t.d, v)
 	if len(t.d) < t.k {
-		t.d = append(t.d, 0)
+		t.d = t.d[:len(t.d)+1]
 	}
 	copy(t.d[i+1:], t.d[i:])
 	t.d[i] = v
@@ -107,27 +152,59 @@ func (t *topK) kth() float64 {
 	return t.d[t.k-1]
 }
 
+// bar is the distance a candidate must not exceed to matter to a kNN
+// task: the largest, over the task's horizons, of the horizon's own k-th
+// best verified distance. A candidate beyond it has, in every horizon
+// that admits it, k verified candidates strictly closer.
+func (t *verifyTask) bar() float64 {
+	bar := math.Inf(-1)
+	for i := range t.tops {
+		bar = max(bar, t.tops[i].kth())
+	}
+	return bar
+}
+
+// record folds one verified distance into the top-k set of every horizon
+// that admits pos, reporting whether it entered any.
+func (t *verifyTask) record(pos int, dist float64) bool {
+	entered := false
+	for i := range t.tops {
+		if pos <= t.filters[i].maxT && t.tops[i].add(dist) {
+			entered = true
+		}
+	}
+	return entered
+}
+
 // filter is the first of the two phases (Section 4.4): one pass over
 // the item query's candidate positions that prefills the threshold
 // seeds — each has dist ≤ τ, so the τ-cutoff verification would compute
 // the identical value and skipping its slot changes nothing — and
 // collects the remaining survivors in (lower bound, position) order, a
-// strict total order that keeps rounds deterministic.
-func (t *verifyTask) filter(blk *gpusim.Block) {
+// strict total order that keeps rounds deterministic. With cascade set,
+// a task that has a cutoff to run it against also gets its query
+// envelope here, once.
+func (t *verifyTask) filter(blk *gpusim.Block, rho int, cascade bool) {
 	n := len(t.lbs)
 	blk.GlobalAccess(n) // every candidate's lower bound streams through the filter
-	t.dists = memsys.GetFloats(n)
+	t.dists = t.pool(0, n)
 	for i := range t.dists {
 		t.dists[i] = math.Inf(1)
 	}
-	t.top = topK{k: t.k, d: make([]float64, 0, t.k)}
+	if t.k > 0 {
+		store := t.pool(1, t.k*len(t.filters))
+		t.tops = make([]topK, len(t.filters))
+		for i := range t.tops {
+			t.tops[i] = topK{k: t.k, d: store[i*t.k : i*t.k : (i+1)*t.k]}
+		}
+	}
 	for _, s := range t.seeds {
 		if !t.keep(s.t) || !math.IsInf(t.dists[s.t], 1) {
 			continue
 		}
 		t.dists[s.t] = s.dist
-		t.verified++
-		t.top.add(s.dist)
+		t.seeded++
+		t.record(s.t, s.dist)
 	}
 	survives := func(pos int) bool { return t.keep(pos) && math.IsInf(t.dists[pos], 1) }
 	count := 0
@@ -145,26 +222,72 @@ func (t *verifyTask) filter(blk *gpusim.Block) {
 	slices.SortFunc(t.order, func(a, b int) int {
 		return cmp.Or(cmp.Compare(t.lbs[a], t.lbs[b]), a-b)
 	})
+	if cascade && t.bounded() {
+		env := t.pool(2, 2*t.d)
+		t.queryEnv = dtw.Envelope{Upper: env[:t.d], Lower: env[t.d:]}
+		dtw.EnvelopeInto(t.query, rho, t.queryEnv.Upper, t.queryEnv.Lower)
+		blk.ParallelCompute(t.d, 2*(2*rho+1))
+	}
+	t.tighten() // the seeds are round zero
+}
+
+// tighten is what makes a round pay for the next one. On a kNN task
+// with a finite cutoff it lowers the cutoff to the k-th best distance
+// verified so far (see bar), then seals: order is ascending in lower
+// bound, so the survivors whose bound exceeds the new cutoff are its
+// tail, and they are dropped without being touched. Both steps keep
+// ties — a candidate at exactly the k-th distance may still win its
+// place by position, so only a strictly greater distance, and only a
+// bound beyond dtw.Slack of the cutoff, rules a candidate out. Range
+// tasks keep their fixed radius.
+func (t *verifyTask) tighten() {
+	if t.k == 0 || !t.bounded() {
+		return
+	}
+	t.cutoff = min(t.cutoff, t.bar())
+	loose := dtw.Slack(t.cutoff)
+	rest := t.order[t.next:]
+	live := sort.Search(len(rest), func(i int) bool { return t.lbs[rest[i]] > loose })
+	t.sealed += len(rest) - live
+	t.order = t.order[:t.next+live]
+}
+
+// verifyBlock is one grid block of a verification round: a verifyChunk
+// of one task's survivors, and what became of them.
+type verifyBlock struct {
+	t                    *verifyTask
+	lo, hi               int // range within t.order
+	ran, pruned, columns int
 }
 
 // verify is the one DTW verifier behind every search. The filter kernel
 // (one block per item query) prefills the seeds and orders the
 // survivors cheapest lower bound first; the survivors are then verified
-// in rounds, one fused launch per round — each grid block verifies one
-// verifyChunk of one task's survivors, charging the cost model for the
-// columns its candidates actually processed — and the context is
-// checked between rounds. When it has expired the loop stops: each task
-// keeps its best-so-far distances and foldQuality reports how close to
-// exact they are. Device or DTW errors still abort.
+// in rounds, one fused launch per round — each grid block takes one
+// verifyChunk of one task's survivors — and between rounds each task
+// tightens its cutoff to the k-th best distance found so far and seals
+// the survivors that can no longer matter (see tighten), so "exact" is
+// the round at which the bound closes. Rounds start at firstRound
+// survivors per item query and double up to maxRoundChunks chunks.
 //
-// The round schedule follows from what the context can say. Without a
-// deadline nothing can interrupt verification, so a single round covers
-// every survivor and the search pays one verify launch. With a deadline
-// the rounds grow geometrically from one chunk per item query, so a
-// tight budget still completes a few and overshoot stays bounded. The
-// schedule never changes which candidates are verified or with what
-// cutoff, so a search that runs to completion returns bit-identical
-// distances — and neighbours — under any schedule.
+// Inside a block every candidate first pays an O(d) cascade against the
+// round's cutoff: LB_Keogh of the candidate against the query's envelope,
+// accumulated right to left so its partial sums bound the cost of the
+// columns still to come. A candidate the bound dismisses stays at +Inf
+// and costs no DTW column; the others run the banded kernel, which
+// abandons as soon as a column's minimum plus the bound's remainder
+// exceeds the cutoff. The cost model is charged for what ran: the
+// cascade's pass over each candidate, the columns the kernel processed.
+//
+// The context is checked between rounds, and that is all a deadline
+// changes: when it has expired the loop stops, each task keeps its
+// best-so-far distances and foldQuality reports how close to exact they
+// are. Device or DTW errors still abort. Cutoffs move only between
+// rounds, on the host, in a fixed order, so a search is deterministic
+// however its blocks are scheduled — and every cutoff it ever uses
+// admits each horizon's k nearest, so a search that runs to completion
+// returns the neighbours and distances of brute-force banded DTW bit for
+// bit under any round schedule.
 func (ix *Index) verify(ctx context.Context, tasks []*verifyTask) error {
 	if len(tasks) == 0 {
 		ix.foldQuality(tasks)
@@ -175,73 +298,47 @@ func (ix *Index) verify(ctx context.Context, tasks []*verifyTask) error {
 	before := ix.dev.SimSeconds()
 	defer func() { ix.stats.VerifySimSeconds += ix.dev.SimSeconds() - before }()
 
+	// The cascade's bound is the E(Q) half of LBen, so — like the filter's
+	// — it is off when Params.LB selects the other half alone.
+	rho, cascade := ix.p.Rho, ix.p.LB != LBModeEC
 	if err := ix.dev.Launch(len(tasks), func(blk *gpusim.Block) error {
-		tasks[blk.ID].filter(blk)
+		tasks[blk.ID].filter(blk, rho, cascade)
 		return nil
 	}); err != nil {
 		return err
 	}
 
-	roundSize := verifyChunk
-	if _, staged := ctx.Deadline(); !staged {
-		for _, t := range tasks {
-			roundSize = max(roundSize, len(t.order))
-		}
-	}
-	rho := ix.p.Rho
-	type chunkRef struct {
-		t      *verifyTask
-		lo, hi int // range within t.order
-	}
-	var refs []chunkRef
+	roundSize := ix.firstRound
+	var blocks []verifyBlock
 	for {
-		refs = refs[:0]
+		blocks = blocks[:0]
 		for _, t := range tasks {
 			hi := min(t.next+roundSize, len(t.order))
 			for lo := t.next; lo < hi; lo += verifyChunk {
-				refs = append(refs, chunkRef{t, lo, min(lo+verifyChunk, hi)})
+				blocks = append(blocks, verifyBlock{t: t, lo: lo, hi: min(lo+verifyChunk, hi)})
 			}
 		}
-		if len(refs) == 0 {
+		if len(blocks) == 0 {
 			break // every task fully verified
 		}
 		ix.stats.Rounds++
 		roundStart := time.Now()
-		err := ix.dev.Launch(len(refs), func(blk *gpusim.Block) error {
-			ref := refs[blk.ID]
-			t := ref.t
-			d := t.d
-			if err := blk.AllocShared(8 * d); err != nil { // query resident
-				return err
-			}
-			if err := blk.AllocShared(8 * dtw.CompressedScratchLen(rho)); err != nil {
-				return err
-			}
-			scratch := dtw.GetCompressedScratch(rho)
-			defer dtw.PutCompressedScratch(scratch)
-			totalCols, maxCols := 0, 0
-			for _, pos := range t.order[ref.lo:ref.hi] {
-				dist, cols, err := dtw.DistanceCompressedAbandon(t.query, ix.c[pos:pos+d], rho, t.cutoff, scratch)
-				if err != nil {
-					return err
-				}
-				t.dists[pos] = dist
-				totalCols += cols
-				maxCols = max(maxCols, cols)
-			}
-			// Honest abandon accounting: candidates stream only the columns
-			// that were processed, and each lane fills cols·(2ρ+1) band
-			// cells in lock-step waves bounded by the longest lane.
-			blk.GlobalAccess(totalCols)
-			blk.ParallelCompute(ref.hi-ref.lo, maxCols*(2*rho+1)*6)
-			return nil
+		err := ix.dev.Launch(len(blocks), func(blk *gpusim.Block) error {
+			return ix.verifyLanes(blk, &blocks[blk.ID])
 		})
 		ix.stats.RoundWallSeconds = append(ix.stats.RoundWallSeconds, time.Since(roundStart).Seconds())
 		if err != nil {
 			return err
 		}
-		// Deterministic host-side accounting, in cost order: the flip
-		// bookkeeping behind the ProS-style estimate.
+		// Deterministic host-side accounting, in cost order: the top-k
+		// sets behind the next cutoff and the flip bookkeeping behind the
+		// ProS-style estimate.
+		for i := range blocks {
+			b := &blocks[i]
+			b.t.ran += b.ran
+			b.t.pruned += b.pruned
+			b.t.columns += b.columns
+		}
 		for _, t := range tasks {
 			hi := min(t.next+roundSize, len(t.order))
 			for _, pos := range t.order[t.next:hi] {
@@ -251,24 +348,81 @@ func (ix *Index) verify(ctx context.Context, tasks []*verifyTask) error {
 					if dist <= t.eps {
 						t.flips++
 					}
-				} else if kth := t.top.kth(); t.lbs[pos] < kth || math.IsInf(kth, 1) {
+				} else if bar := t.bar(); t.lbs[pos] < bar || math.IsInf(bar, 1) {
 					t.atRisk++
-					if t.top.add(dist) {
+					if t.record(pos, dist) {
 						t.flips++
 					}
 				}
 			}
-			t.verified += hi - t.next
 			t.next = hi
+			t.tighten()
 		}
 		if ctx.Err() != nil {
 			break // deadline: keep the best-so-far distances
 		}
-		if roundSize < maxRoundChunks*verifyChunk {
-			roundSize *= 2
-		}
+		roundSize = min(2*roundSize, maxRoundChunks*verifyChunk)
 	}
 	ix.foldQuality(tasks)
+	return nil
+}
+
+// verifyLanes runs one verification block: cascade, then kernel, per
+// candidate (see verify).
+func (ix *Index) verifyLanes(blk *gpusim.Block, b *verifyBlock) error {
+	t, d, rho := b.t, b.t.d, ix.p.Rho
+	if err := blk.AllocShared(8 * d); err != nil { // query resident
+		return err
+	}
+	if err := blk.AllocShared(8 * dtw.CompressedScratchLen(rho)); err != nil {
+		return err
+	}
+	scratch := dtw.GetCompressedScratch(rho)
+	defer dtw.PutCompressedScratch(scratch)
+	// The cascade runs against the cutoff the round started with: the
+	// bound accumulates right to left and stops once it exceeds it; its
+	// partial sums are the kernel's remaining-cost bound.
+	var rest []float64
+	if t.queryEnv.Len() > 0 {
+		if err := blk.AllocShared(8 * 2 * d); err != nil { // query envelope resident
+			return err
+		}
+		rest = memsys.GetFloats(d + 1)
+		defer memsys.PutFloats(rest)
+	}
+	loose := dtw.Slack(t.cutoff)
+	read, maxCols := 0, 0 // points the bound read; longest kernel lane
+	for _, pos := range t.order[b.lo:b.hi] {
+		cand := ix.c[pos : pos+d]
+		if rest != nil {
+			lb, from := dtw.LBKeoghSuffix(t.queryEnv, cand, rest, loose)
+			read += d - from
+			if lb > loose {
+				b.pruned++
+				continue
+			}
+		}
+		dist, cols, err := dtw.DistanceCompressedBounded(t.query, cand, rho, t.cutoff, rest, scratch)
+		if err != nil {
+			return err
+		}
+		t.dists[pos] = dist
+		b.ran++
+		b.columns += cols
+		maxCols = max(maxCols, cols)
+	}
+	// Honest accounting. The bound streams the candidate as far as it
+	// read, at about three ops a point, lanes in lock step. Then the
+	// kernel: candidates stream only the columns that were processed, and
+	// each lane that reached it fills cols·(2ρ+1) band cells in lock-step
+	// waves bounded by the longest lane.
+	lanes := b.hi - b.lo
+	if rest != nil {
+		blk.GlobalAccess(read)
+		blk.ParallelCompute(lanes, 3*d)
+	}
+	blk.GlobalAccess(b.columns)
+	blk.ParallelCompute(b.ran, maxCols*(2*rho+1)*6)
 	return nil
 }
 
@@ -279,11 +433,11 @@ func (ix *Index) verify(ctx context.Context, tasks []*verifyTask) error {
 func (ix *Index) foldQuality(tasks []*verifyTask) {
 	st := &ix.stats
 	st.FracVerified, st.LBGap, st.ProbExact = 1, 0, 1
-	kept, verified := 0, 0
+	kept, resolved := 0, 0
 	for _, t := range tasks {
 		unverified := t.order[t.next:]
-		kept += t.verified + len(unverified)
-		verified += t.verified
+		kept += t.seeded + len(t.order)
+		resolved += t.seeded + t.next
 		if len(unverified) == 0 {
 			continue
 		}
@@ -291,7 +445,7 @@ func (ix *Index) foldQuality(tasks []*verifyTask) {
 		// of them can come (order is lower-bound ascending).
 		bar, minLB := t.eps, t.lbs[unverified[0]]
 		if t.k > 0 {
-			bar = t.top.kth()
+			bar = t.bar()
 		}
 		// Sealed early: every unverified lower bound already exceeds the
 		// k-th best-so-far distance, so the set is provably exact (up to
@@ -313,8 +467,8 @@ func (ix *Index) foldQuality(tasks []*verifyTask) {
 	if !st.Progressive {
 		return
 	}
-	st.FracVerified = float64(verified) / float64(kept)
-	st.VerifiedAtDeadline = verified
+	st.FracVerified = float64(resolved) / float64(kept)
+	st.VerifiedAtDeadline = resolved
 }
 
 // estimateProbExact is the ProS-style stopping estimate (Echihabi et

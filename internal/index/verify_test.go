@@ -3,7 +3,9 @@ package index
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -16,8 +18,7 @@ import (
 // context.DeadlineExceeded after it has been called n times. Deadline
 // checks in the search path are the only Err() callers, so the budget
 // deterministically stages "the deadline fires after the N-th check" —
-// no wall-clock flakiness. It reports a Deadline, so the verifier
-// stages geometric rounds for it as for any real deadline.
+// no wall-clock flakiness.
 type countdownCtx struct {
 	context.Context
 	left atomic.Int64
@@ -27,10 +28,6 @@ func newCountdown(n int64) *countdownCtx {
 	c := &countdownCtx{Context: context.Background()}
 	c.left.Store(n)
 	return c
-}
-
-func (c *countdownCtx) Deadline() (time.Time, bool) {
-	return time.Now().Add(time.Hour), true
 }
 
 func (c *countdownCtx) Err() error {
@@ -94,12 +91,33 @@ func bruteNeighbors(t *testing.T, hist []float64, d, rho, k, h int, within float
 	return all
 }
 
-// sameWork asserts the schedule-independent counters: they feed
-// index.verified_per_forecast and index.pruned_ratio.
+// tieHeavy returns point i of a history built to sit on every tie rule at
+// once: five integer levels, so every cost, bound and distance is an
+// exactly representable small integer, in a 16-point motif that repeats
+// with one point nudged by a level in two periods of every three. The
+// series is exactly periodic (48), so a query has many candidates at
+// distance 0 — more than k — and many more at the same few small
+// distances, with lower bounds that equal them.
+func tieHeavy(i int) float64 {
+	motif := [16]float64{0, 1, 2, 1, 0, -1, -2, -1, 0, 2, 0, -2, 1, 1, -1, -1}
+	v := motif[i%16]
+	switch {
+	case i%48 == 16+5:
+		v++
+	case i%48 == 32+11:
+		v--
+	}
+	return v
+}
+
+// sameWork asserts that two searches under one schedule did the same
+// counted work — the counters feed index.verified_per_forecast and
+// index.pruned_ratio — and both ran to an exact answer.
 func sameWork(t *testing.T, what string, a, b SearchStats) {
 	t.Helper()
-	if a.Candidates != b.Candidates || a.Unfiltered != b.Unfiltered || len(a.PerItem) != len(b.PerItem) {
-		t.Fatalf("%s: work differs across schedules: %d/%d vs %d/%d", what, a.Candidates, a.Unfiltered, b.Candidates, b.Unfiltered)
+	if a.Candidates != b.Candidates || a.Unfiltered != b.Unfiltered || a.Sealed != b.Sealed ||
+		a.CascadePruned != b.CascadePruned || a.Columns != b.Columns || a.Rounds != b.Rounds || len(a.PerItem) != len(b.PerItem) {
+		t.Fatalf("%s: work differs with and without a far deadline:\n%+v\n%+v", what, a, b)
 	}
 	for i := range a.PerItem {
 		if a.PerItem[i] != b.PerItem[i] {
@@ -113,18 +131,22 @@ func sameWork(t *testing.T, what string, a, b SearchStats) {
 	}
 }
 
-// The round schedule must not matter. For Search, SearchMulti and
-// SearchRange, with and without DisableEarlyAbandon and MinSeparation,
-// over a continuous stream: a deadline-free context (one round) and a
-// far-future real deadline (geometric rounds) return the same
-// neighbours and distances bit for bit and do the same counted work —
-// and both equal brute-force banded DTW. (MinSeparation selects
-// greedily among the unfiltered candidates only, by design, so there
-// the two schedules are compared with each other but not with the
-// oracle.) The fixtures include the one the former
-// TestSearchMultiMatchesSingle used — Search(k,h) is now
-// SearchMulti(k,[h])[h] by construction — and a white-noise history
-// whose survivors span several staged rounds.
+// The round schedule must not matter, and a deadline that never fires
+// must change nothing at all. For Search, SearchMulti and SearchRange,
+// over a continuous stream, with the default parameters, without early
+// abandoning, with MinSeparation and with the single-envelope filter:
+// the same index driven with no deadline and with a far-future one
+// returns the same neighbours and distances bit for bit from the same
+// rounds and the same counted work; so do indexes whose first round is
+// forced to 1, 7 and every survivor, where rounds tighten and seal at
+// different points; and all of them equal brute-force banded DTW.
+// (MinSeparation selects greedily among the unfiltered candidates only,
+// by design, so there the schedules are compared with each other but not
+// with the oracle.) The fixtures include the one the former
+// TestSearchMultiMatchesSingle used — Search(k,h) is SearchMulti(k,[h])[h]
+// by construction —, a white-noise history whose survivors span several
+// rounds, and the tie-heavy one, where many candidates sit exactly on the
+// k-th distance and many bounds equal it.
 func TestAnytimeNoDeadlineBitIdentical(t *testing.T) {
 	type fixture struct {
 		name  string
@@ -133,10 +155,15 @@ func TestAnytimeNoDeadlineBitIdentical(t *testing.T) {
 		hs    []int
 		steps int
 	}
+	ties := make([]float64, 500)
+	for i := range ties {
+		ties[i] = tieHeavy(i)
+	}
 	fixtures := []fixture{
 		{"randwalk", randwalk(rand.New(rand.NewSource(7)), 420), 5, []int{3, 5}, 12},
 		{"multi-single", randwalk(rand.New(rand.NewSource(20)), 400), 8, []int{1, 3, 7}, 1},
 		{"noise", noise(rand.New(rand.NewSource(11)), 900), 5, []int{3}, 2},
+		{"ties", ties, 5, []int{1, 3, 7}, 20},
 	}
 	variants := []struct {
 		name  string
@@ -145,7 +172,9 @@ func TestAnytimeNoDeadlineBitIdentical(t *testing.T) {
 		{"default", func(*Params) {}},
 		{"no-abandon", func(p *Params) { p.DisableEarlyAbandon = true }},
 		{"separated", func(p *Params) { p.MinSeparation = 10 }},
+		{"lbeq", func(p *Params) { p.LB = LBModeEQ }},
 	}
+	const everySurvivor = 1 << 30
 	for _, fx := range fixtures {
 		for _, v := range variants {
 			t.Run(fx.name+"/"+v.name, func(t *testing.T) {
@@ -153,99 +182,111 @@ func TestAnytimeNoDeadlineBitIdentical(t *testing.T) {
 				v.tweak(&p)
 				oracle := p.MinSeparation <= 1
 				hist := append([]float64(nil), fx.hist...)
-				one, err := New(testDevice(t), hist, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer one.Close()
-				staged, err := New(testDevice(t), hist, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer staged.Close()
 				free := context.Background()
 				far, cancel := context.WithDeadline(free, time.Now().Add(time.Hour))
 				defer cancel()
+				// ixs[0] is the reference; ixs[1] runs the same schedule under
+				// a far deadline; the rest force other first rounds.
+				ctxs := []context.Context{free, far, free, free, free}
+				ixs := make([]*Index, len(ctxs))
+				for i, first := range []int{firstRound, firstRound, 1, 7, everySurvivor} {
+					ix, err := New(testDevice(t), hist, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer ix.Close()
+					ix.firstRound = first
+					ixs[i] = ix
+				}
 				rng := rand.New(rand.NewSource(99))
-				h, maxRounds := fx.hs[0], 0
+				h, maxRounds, sealed, cascaded := fx.hs[0], 0, 0, 0
 				for step := 0; step < fx.steps; step++ {
-					ra, err := one.SearchCtx(free, fx.k, h)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sa := one.Stats()
-					rb, err := staged.SearchCtx(far, fx.k, h)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sb := staged.Stats()
-					sameWork(t, "Search", sa, sb)
-					if sa.Rounds > 1 {
-						t.Fatalf("step %d: deadline-free search ran %d rounds, want at most 1", step, sa.Rounds)
-					}
-					maxRounds = max(maxRounds, sb.Rounds)
-					for i, d := range p.ELV {
-						if !sameNeighbors(ra[i].Neighbors, rb[i].Neighbors) {
-							t.Fatalf("step %d d=%d: one round %v != staged %v", step, d, ra[i].Neighbors, rb[i].Neighbors)
+					// Every index answers the same three searches; each answer
+					// is compared with the reference's and the reference's with
+					// the oracle.
+					var eps float64
+					var ref [3]any
+					var refStats [3]SearchStats
+					for n, ix := range ixs {
+						single, err := ix.SearchCtx(ctxs[n], fx.k, h)
+						if err != nil {
+							t.Fatal(err)
 						}
-						if want := bruteNeighbors(t, hist, d, p.Rho, fx.k, h, -1); oracle && !sameNeighbors(ra[i].Neighbors, want) {
-							t.Fatalf("step %d d=%d: search %v != brute force %v", step, d, ra[i].Neighbors, want)
+						st0 := ix.Stats()
+						multi, err := ix.SearchMultiCtx(ctxs[n], fx.k, fx.hs)
+						if err != nil {
+							t.Fatal(err)
 						}
-					}
-
-					ma, err := one.SearchMultiCtx(free, fx.k, fx.hs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sa = one.Stats()
-					mb, err := staged.SearchMultiCtx(far, fx.k, fx.hs)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameWork(t, "SearchMulti", sa, staged.Stats())
-					for _, hh := range fx.hs {
+						st1 := ix.Stats()
+						if n == 0 {
+							eps = single[0].Neighbors[len(single[0].Neighbors)-1].Dist * 1.5
+						}
+						ranged, err := ix.SearchRangeCtx(ctxs[n], eps, h)
+						if err != nil {
+							t.Fatal(err)
+						}
+						st2 := ix.Stats()
+						if n == 0 {
+							ref, refStats = [3]any{single, multi, ranged}, [3]SearchStats{st0, st1, st2}
+							maxRounds = max(maxRounds, st0.Rounds)
+							sealed += st0.Sealed + st1.Sealed
+							cascaded += st0.CascadePruned + st1.CascadePruned + st2.CascadePruned
+							if st2.Sealed != 0 {
+								t.Fatalf("step %d: a range search sealed %d survivors; its radius is fixed", step, st2.Sealed)
+							}
+							for i, d := range p.ELV {
+								if want := bruteNeighbors(t, hist, d, p.Rho, fx.k, h, -1); oracle && !sameNeighbors(single[i].Neighbors, want) {
+									t.Fatalf("step %d d=%d: search %v != brute force %v", step, d, single[i].Neighbors, want)
+								}
+								for _, hh := range fx.hs {
+									if want := bruteNeighbors(t, hist, d, p.Rho, fx.k, hh, -1); oracle && !sameNeighbors(multi[hh][i].Neighbors, want) {
+										t.Fatalf("step %d h=%d d=%d: multi %v != brute force %v", step, hh, d, multi[hh][i].Neighbors, want)
+									}
+								}
+								// Range selection ignores MinSeparation: the oracle always applies.
+								if want := bruteNeighbors(t, hist, d, p.Rho, 0, h, eps); !sameNeighbors(ranged[i].Neighbors, want) {
+									t.Fatalf("step %d d=%d: range %v != brute force %v", step, d, ranged[i].Neighbors, want)
+								}
+							}
+							continue
+						}
+						if n == 1 {
+							sameWork(t, "Search", refStats[0], st0)
+							sameWork(t, "SearchMulti", refStats[1], st1)
+							sameWork(t, "SearchRange", refStats[2], st2)
+						}
 						for i, d := range p.ELV {
-							if !sameNeighbors(ma[hh][i].Neighbors, mb[hh][i].Neighbors) {
-								t.Fatalf("step %d h=%d d=%d: multi differs across schedules", step, hh, d)
+							if !sameNeighbors(ref[0].([]ItemResult)[i].Neighbors, single[i].Neighbors) {
+								t.Fatalf("step %d d=%d: schedule %d search %v != reference %v", step, d, n, single[i].Neighbors, ref[0].([]ItemResult)[i].Neighbors)
 							}
-							if want := bruteNeighbors(t, hist, d, p.Rho, fx.k, hh, -1); oracle && !sameNeighbors(ma[hh][i].Neighbors, want) {
-								t.Fatalf("step %d h=%d d=%d: multi %v != brute force %v", step, hh, d, ma[hh][i].Neighbors, want)
+							for _, hh := range fx.hs {
+								if !sameNeighbors(ref[1].(map[int][]ItemResult)[hh][i].Neighbors, multi[hh][i].Neighbors) {
+									t.Fatalf("step %d h=%d d=%d: schedule %d multi differs from the reference", step, hh, d, n)
+								}
 							}
-						}
-					}
-
-					eps := ra[0].Neighbors[len(ra[0].Neighbors)-1].Dist * 1.5
-					ga, err := one.SearchRangeCtx(free, eps, h)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sa = one.Stats()
-					gb, err := staged.SearchRangeCtx(far, eps, h)
-					if err != nil {
-						t.Fatal(err)
-					}
-					sameWork(t, "SearchRange", sa, staged.Stats())
-					for i, d := range p.ELV {
-						if !sameNeighbors(ga[i].Neighbors, gb[i].Neighbors) {
-							t.Fatalf("step %d d=%d: range differs across schedules", step, d)
-						}
-						// Range selection ignores MinSeparation: the oracle always applies.
-						if want := bruteNeighbors(t, hist, d, p.Rho, 0, h, eps); !sameNeighbors(ga[i].Neighbors, want) {
-							t.Fatalf("step %d d=%d: range %v != brute force %v", step, d, ga[i].Neighbors, want)
+							if !sameNeighbors(ref[2].([]ItemResult)[i].Neighbors, ranged[i].Neighbors) {
+								t.Fatalf("step %d d=%d: schedule %d range differs from the reference", step, d, n)
+							}
 						}
 					}
 
 					obs := hist[len(hist)-1] + rng.NormFloat64()*0.3
-					hist = append(hist, obs)
-					if err := one.Advance(obs); err != nil {
-						t.Fatal(err)
+					if fx.name == "ties" {
+						obs = tieHeavy(len(hist))
 					}
-					if err := staged.Advance(obs); err != nil {
-						t.Fatal(err)
+					hist = append(hist, obs)
+					for _, ix := range ixs {
+						if err := ix.Advance(obs); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 				if fx.name == "noise" && maxRounds < 2 {
-					t.Fatalf("staged schedule ran at most %d round(s) on the noise fixture: geometric rounds not exercised", maxRounds)
+					t.Fatalf("the noise fixture ran at most %d round(s): geometric rounds not exercised", maxRounds)
+				}
+				pruning := !p.DisableEarlyAbandon && p.MinSeparation <= 1
+				if pruning != (sealed+cascaded > 0) && fx.steps > 1 {
+					t.Fatalf("pruning=%t but %d survivors sealed and %d dismissed by the cascade", pruning, sealed, cascaded)
 				}
 			})
 		}
@@ -425,5 +466,207 @@ func TestEstimateProbExact(t *testing.T) {
 		if p < 0 || p > 1 {
 			t.Fatalf("estimate out of [0,1]: %v", p)
 		}
+	}
+}
+
+// tighten's tie rules on a hand-built task: the cutoff becomes the k-th
+// best distance itself, never less — a later candidate at exactly that
+// distance may still take the place by position —, per horizon it is the
+// horizon's own k-th distance and the largest of them rules, and the
+// survivors dropped are exactly those whose bound exceeds dtw.Slack of
+// the cutoff: a bound equal to the cutoff, or above it by no more than
+// rounding, stays.
+func TestTightenKeepsTies(t *testing.T) {
+	const kth = 4.0
+	lbs := []float64{0, 1, kth, kth, dtw.Slack(kth), math.Nextafter(dtw.Slack(kth), 9), 7, 9, 2, 3}
+	task := &verifyTask{
+		k:       2,
+		lbs:     lbs,
+		cutoff:  10,
+		filters: []horizonFilter{{maxT: 9, tau: 10}, {maxT: 7, tau: 10}},
+		order:   []int{0, 1, 2, 3, 4, 5, 6, 7},
+		next:    2,
+		tops:    []topK{{k: 2, d: make([]float64, 0, 2)}, {k: 2, d: make([]float64, 0, 2)}},
+	}
+	// Positions 8 and 9 are only in the first horizon's range: its k-th
+	// distance is 3, the second horizon's is 4, and 4 is the bar.
+	for pos, dist := range map[int]float64{0: 1, 1: kth, 8: 2, 9: 3} {
+		task.record(pos, dist)
+	}
+	if got := task.bar(); got != kth {
+		t.Fatalf("bar = %v, want the larger of the two horizons' k-th distances, %v", got, kth)
+	}
+	task.tighten()
+	if task.cutoff != kth {
+		t.Fatalf("cutoff = %v, want exactly %v", task.cutoff, kth)
+	}
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(task.order, want) || task.sealed != 3 {
+		t.Fatalf("after sealing order = %v (%d sealed), want %v (3 sealed)", task.order, task.sealed, want)
+	}
+	// Not enough verified distances in one horizon: nothing may tighten.
+	task.tops[1].d = task.tops[1].d[:1]
+	task.cutoff = 10
+	task.tighten()
+	if task.cutoff != 10 || task.sealed != 3 {
+		t.Fatalf("a horizon short of k distances tightened the cutoff to %v", task.cutoff)
+	}
+	// No cutoff, or a range task: tighten is a no-op.
+	for _, other := range []*verifyTask{
+		{k: 2, cutoff: math.Inf(1), lbs: lbs, order: []int{6, 7}, tops: task.tops[:1], filters: task.filters[:1]},
+		{k: 0, eps: 1, cutoff: 1, lbs: lbs, order: []int{6, 7}},
+	} {
+		cutoff := other.cutoff
+		other.tighten()
+		if other.cutoff != cutoff || len(other.order) != 2 || other.sealed != 0 {
+			t.Fatalf("tighten touched a task it must leave alone: %+v", other)
+		}
+	}
+}
+
+// What tightening does to a search under a deadline, against the same
+// search without it (DisableEarlyAbandon: τ throughout, nothing sealed,
+// nothing dismissed — the schedule every search ran before rounds could
+// tighten). Both verify the same survivors in the same order and rounds,
+// so for every budget: the tightened search has run no more rounds; when
+// both were stopped it returns the very same best-so-far neighbours —
+// what it abandons or dismisses was never going to be one — and has
+// resolved at least as large a share of what is left to resolve; it is
+// never progressive where the untightened one is exact; and "not
+// progressive" still means the exact answer, ProbExact still a
+// probability. Some budget must stop both searches mid-way, and some
+// must show the point of it: the tightened search done in fewer rounds
+// than the other needed.
+func TestDeadlineTightenedVersusUntightened(t *testing.T) {
+	// A noisy seasonal history: bounds loose enough that the survivors
+	// span several rounds, informative enough that a tightened cutoff
+	// seals a tail of them. Every budget starts from a fresh pair of
+	// indexes, so τ comes from the k smallest bounds and is loose.
+	rng := rand.New(rand.NewSource(11))
+	hist := make([]float64, 900)
+	for i := range hist {
+		hist[i] = rng.NormFloat64() + 2*math.Sin(2*math.Pi*float64(i)/177)
+	}
+	const k, h = 5, 3
+	loose := smallParams()
+	loose.DisableEarlyAbandon = true
+	fresh := func(p Params) *Index {
+		ix, err := New(testDevice(t), hist, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ix.Close() })
+		return ix
+	}
+	exact, err := fresh(smallParams()).Search(k, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bothStopped, doneSooner := 0, 0
+	for n := int64(0); n <= 24; n++ {
+		tight, plain := fresh(smallParams()), fresh(loose)
+		rt, errT := tight.SearchCtx(newCountdown(n), k, h)
+		rp, errP := plain.SearchCtx(newCountdown(n), k, h)
+		if (errT != nil) != (errP != nil) {
+			t.Fatalf("budget %d: tightened err %v, untightened err %v", n, errT, errP)
+		}
+		if errT != nil {
+			if !errors.Is(errT, context.DeadlineExceeded) {
+				t.Fatalf("budget %d: unexpected error %v", n, errT)
+			}
+			continue // the deadline fired during the lower-bound pass
+		}
+		st, sp := tight.Stats(), plain.Stats()
+		if st.Rounds > sp.Rounds {
+			t.Fatalf("budget %d: tightened ran %d rounds, untightened %d", n, st.Rounds, sp.Rounds)
+		}
+		if st.Progressive && !sp.Progressive {
+			t.Fatalf("budget %d: tightened search progressive where the untightened one is exact", n)
+		}
+		if st.ProbExact < 0 || st.ProbExact > 1 || (!st.Progressive && st.ProbExact != 1) {
+			t.Fatalf("budget %d: ProbExact %v, progressive %t", n, st.ProbExact, st.Progressive)
+		}
+		for i := range exact {
+			switch {
+			case !st.Progressive && !sameNeighbors(rt[i].Neighbors, exact[i].Neighbors):
+				t.Fatalf("budget %d item %d: a search that is not progressive returned %v, exact is %v", n, i, rt[i].Neighbors, exact[i].Neighbors)
+			case st.Progressive && sp.Progressive && !sameNeighbors(rt[i].Neighbors, rp[i].Neighbors):
+				t.Fatalf("budget %d item %d: stopped after %d rounds both, tightened %v != untightened %v", n, i, st.Rounds, rt[i].Neighbors, rp[i].Neighbors)
+			}
+		}
+		if st.Progressive && sp.Progressive {
+			bothStopped++
+			if st.FracVerified < sp.FracVerified {
+				t.Fatalf("budget %d: tightened resolved %v of its survivors, untightened %v", n, st.FracVerified, sp.FracVerified)
+			}
+		}
+		if !st.Progressive && st.Rounds < sp.Rounds {
+			doneSooner++
+		}
+	}
+	if bothStopped == 0 || doneSooner == 0 {
+		t.Fatalf("budgets with both searches stopped: %d; with the tightened one done in fewer rounds: %d — want both kinds", bothStopped, doneSooner)
+	}
+}
+
+// What the one schedule costs a search under a deadline, against the
+// schedule such a search ran before (commit 5ab4894: first round one
+// verifyChunk of 256 per item query, doubling, τ throughout — replayed
+// here by forcing the first round and switching tightening off). Round
+// for round the new schedule resolves a quarter of the old one's
+// survivors, 64·(2^r − 1) against 256·(2^r − 1): stopped after the same
+// number of rounds it is further from exact. What it guarantees instead
+// is that two rounds later — 192 survivors per item query, less than the
+// old first round — it has caught up: everything the old schedule had
+// verified after r rounds is, after r+2, verified, dismissed or sealed,
+// and a search the old schedule finished in r rounds is finished.
+func TestDeadlineCatchesUpWithSingleChunkSchedule(t *testing.T) {
+	hist := noise(rand.New(rand.NewSource(5)), 2600)
+	const k, h = 5, 2
+	old := smallParams()
+	old.DisableEarlyAbandon = true
+	// byRounds runs the search under every budget and keeps, per number of
+	// rounds completed, how much was settled when the deadline fired; done
+	// is the number of rounds an unhurried search takes.
+	byRounds := func(p Params, first int) (settled map[int]int, done int) {
+		settled = map[int]int{}
+		for n := int64(0); ; n++ {
+			ix, err := New(testDevice(t), hist, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix.firstRound = first
+			_, err = ix.SearchCtx(newCountdown(n), k, h)
+			st := ix.Stats()
+			ix.Close()
+			switch {
+			case errors.Is(err, context.DeadlineExceeded):
+				continue // fired during the lower-bound pass
+			case err != nil:
+				t.Fatal(err)
+			case !st.Progressive:
+				return settled, st.Rounds
+			}
+			settled[st.Rounds] = st.VerifiedAtDeadline + st.Sealed
+		}
+	}
+	was, wasDone := byRounds(old, verifyChunk)
+	now, nowDone := byRounds(smallParams(), firstRound)
+	if len(was) < 2 {
+		t.Fatalf("the old schedule was stopped at %d distinct rounds; the fixture must span several", len(was))
+	}
+	if nowDone > wasDone+2 {
+		t.Fatalf("exact after %d rounds, the old schedule after %d: more than two rounds behind", nowDone, wasDone)
+	}
+	behind := false
+	for r, n := range was {
+		if got, stopped := now[r+2]; stopped && got < n {
+			t.Fatalf("after %d rounds %d survivors settled; the old schedule had verified %d after %d", r+2, got, n, r)
+		}
+		if got, stopped := now[r]; stopped && got < n {
+			behind = true
+		}
+	}
+	if !behind {
+		t.Fatal("the new schedule was never behind the old one round for round: the fixture does not show the cost this test documents")
 	}
 }

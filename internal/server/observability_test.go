@@ -62,6 +62,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"smiler_knn_candidates_total",
 		"smiler_knn_pruned_total",
 		"smiler_knn_unfiltered_total",
+		"smiler_knn_sealed_total",
+		"smiler_knn_cascade_pruned_total",
+		"smiler_dtw_columns_total",
 		"smiler_sensors 1",
 		`smiler_ingest_processed_total{shard="0"}`,
 		"smiler_forecast_cache_hits_total",
@@ -157,7 +160,7 @@ func TestTraceEndpoint(t *testing.T) {
 	if !hasFit {
 		t.Errorf("trace missing a per-cell fit span (have %v)", tr.Spans)
 	}
-	for _, stat := range []string{"knn_candidates", "knn_pruned", "knn_unfiltered"} {
+	for _, stat := range []string{"knn_candidates", "knn_pruned", "knn_unfiltered", "knn_sealed", "knn_cascade_pruned", "dtw_columns"} {
 		if _, ok := tr.Stats[stat]; !ok {
 			t.Errorf("trace missing stat %q (have %v)", stat, tr.Stats)
 		}

@@ -46,6 +46,11 @@ type systemObs struct {
 	knnCandidates *obs.Counter
 	knnPruned     *obs.Counter
 	knnUnfiltered *obs.Counter
+	// What became of the filter's survivors that no kernel ran on, and
+	// what the kernel runs cost (see index.SearchStats).
+	knnSealed        *obs.Counter
+	knnCascadePruned *obs.Counter
+	dtwColumns       *obs.Counter
 
 	// Semi-lazy index maintenance, paid by forecasts: observations their
 	// searches folded into the index, and window levels built from
@@ -91,9 +96,15 @@ func newSystemObs() *systemObs {
 		knnCandidates: reg.Counter("smiler_knn_candidates_total",
 			"Candidate segments whose lower bound the group-level index produced."),
 		knnPruned: reg.Counter("smiler_knn_pruned_total",
-			"Candidates eliminated by the LBen filter without DTW verification."),
+			"Candidates eliminated by a lower bound (filter, sealed round or cascade) without DTW verification."),
 		knnUnfiltered: reg.Counter("smiler_knn_unfiltered_total",
-			"Candidates that survived the filter and required DTW verification."),
+			"Candidates that survived the filter and required DTW verification (the banded kernel ran on them)."),
+		knnSealed: reg.Counter("smiler_knn_sealed_total",
+			"Filter survivors a verification round's tightened cutoff ruled out untouched."),
+		knnCascadePruned: reg.Counter("smiler_knn_cascade_pruned_total",
+			"Filter survivors the verify block's O(d) LB_Keogh cascade dismissed instead of running DTW."),
+		dtwColumns: reg.Counter("smiler_dtw_columns_total",
+			"Warping-matrix band columns the DTW kernel processed."),
 		indexCatchupSteps: reg.Counter("smiler_index_catchup_steps_total",
 			"Observations that forecasts' searches caught the index up over (appended since the sensor's previous search)."),
 		indexBuilds: reg.Counter("smiler_index_builds_total",
@@ -249,6 +260,9 @@ func (so *systemObs) recordPredict(totalSec float64, timing core.PhaseTiming, st
 	so.knnCandidates.Add(st.Candidates)
 	so.knnPruned.Add(st.Pruned())
 	so.knnUnfiltered.Add(st.Unfiltered)
+	so.knnSealed.Add(st.Sealed)
+	so.knnCascadePruned.Add(st.CascadePruned)
+	so.dtwColumns.Add(st.Columns)
 	so.indexCatchupSteps.Add(st.CatchupSteps)
 	if st.Rebuilt {
 		so.indexBuilds.Inc()

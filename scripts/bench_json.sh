@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# bench_json.sh — run the prediction-path benchmarks (and the DTW verify
-# kernel beneath them) and emit
+# bench_json.sh — run the prediction-path benchmarks (the DTW verify
+# kernel beneath them, and the continuous_gp loop above them with its
+# dtw_runs/op and dtw_cols/op counts) and emit
 # BENCH_predict.json with ns/op, allocs and every custom metric
 # (predict-step-ns/op, cell-fit-ns/op, search-ns/op, ...), plus a
 # vs_baseline section with the B/op and allocs/op deltas against the
@@ -41,6 +42,13 @@ go test ./internal/dtw -run '^$' -bench 'BenchmarkDistanceCompressed(Abandon)?64
     -benchmem -benchtime "$BENCHTIME" >>"$raw"
 go test ./internal/ingest -run '^$' -bench 'BenchmarkIngestThroughput/direct' \
     -benchmem -benchtime "$INGEST_BENCHTIME" >>"$raw"
+# The repository benchmark's search-heavy traffic shape without the
+# transport (8 sensors × 2,048 ROAD points, observe then forecast).
+# Always the same 300 iterations, whatever BENCHTIME says: dtw_runs/op
+# and dtw_cols/op are counts, and they repeat exactly — commit to
+# commit, machine to machine — only at a fixed iteration count.
+go test . -run '^$' -bench 'BenchmarkContinuousGPLoop$' \
+    -benchmem -benchtime 300x >>"$raw"
 
 awk -v baseline="$base" '
 function field(line, key,    m) {

@@ -54,6 +54,9 @@ for family in \
     smiler_knn_candidates_total \
     smiler_knn_pruned_total \
     smiler_knn_unfiltered_total \
+    smiler_knn_sealed_total \
+    smiler_knn_cascade_pruned_total \
+    smiler_dtw_columns_total \
     smiler_ingest_processed_total \
     smiler_forecast_cache_misses_total \
     smiler_forecast_cache_hits_total \
