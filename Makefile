@@ -35,17 +35,20 @@ benchmark-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# Two short, fixed-work runs of the repository benchmark against a
+# Three short, fixed-work runs of the repository benchmark against a
 # freshly built smiler-server: 12 rounds of the write-heavy workload
-# (bulk ingest through the WAL with forecasts beside them), then 6 rounds
-# of the search-heavy one (2,048-point histories, every observation
-# followed by a forecast). The exit code is the verdict — counts
-# reconcile, no forecast read pre-observe state, and every oracle
-# sensor's served means and variances are bit-identical to an in-process
-# replay (~25 s).
+# (bulk ingest through the WAL with forecasts beside them), 6 rounds of
+# the search-heavy one (2,048-point histories, every observation
+# followed by a forecast), and 6 of the same traffic on three replicated
+# nodes — the only smoke whose requests take the forward hop and whose
+# followers register sensors through AddSensor. The exit code is the
+# verdict — counts reconcile, no forecast read pre-observe state, and
+# every oracle sensor's served means and variances are bit-identical to
+# an in-process replay (~30 s).
 benchmark-smoke:
 	bash benchmark/run.sh --workload ingest_durable --seed 1 -rounds 12 --trace 0
 	bash benchmark/run.sh --workload continuous_gp --seed 1 -rounds 6 --trace 0
+	bash benchmark/run.sh --workload cluster_replicated --seed 1 -rounds 6 --trace 0
 
 # Paper-shape benchmarks (Tables 3-4, Figs 7-13).
 bench:

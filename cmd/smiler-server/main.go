@@ -88,7 +88,6 @@ import (
 type options struct {
 	addr         string
 	predictor    string
-	devices      int
 	maxHistory   int
 	checkpoint   string
 	interval     time.Duration
@@ -98,7 +97,6 @@ type options struct {
 	backpressure string
 	logLevel     string
 	pprof        bool
-	workers      int
 
 	maxHotSensors int
 	spillDir      string
@@ -108,7 +106,6 @@ type options struct {
 	fsyncInterval   time.Duration
 	predictDeadline time.Duration
 	fallback        string
-	runtimeMetrics  time.Duration
 
 	nodeID            string
 	clusterPeers      string
@@ -131,44 +128,48 @@ type options struct {
 
 func main() {
 	var o options
-	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
-	flag.StringVar(&o.predictor, "predictor", "gp", "predictor: gp|ar")
-	flag.IntVar(&o.devices, "devices", 1, "number of simulated GPUs")
-	flag.IntVar(&o.maxHistory, "max-history", 0, "cap indexed history per sensor (0 = unlimited)")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file (load at start, save at shutdown)")
-	flag.DurationVar(&o.interval, "interval", 0, "fixed sample interval enabling POST /sensors/{id}/readings (0 = disabled)")
-	flag.IntVar(&o.shards, "shards", 0, "ingestion shard workers (0 = GOMAXPROCS)")
-	flag.IntVar(&o.queue, "queue", 0, "per-shard ingestion queue capacity (0 = default 256)")
-	flag.IntVar(&o.batch, "batch", 0, "ingestion micro-batch cap (0 = default 32)")
-	flag.StringVar(&o.backpressure, "backpressure", "block", "full-queue policy: block|drop-newest|error")
-	flag.StringVar(&o.logLevel, "log-level", "info", "log floor: debug|info|warn|error")
-	flag.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
-	flag.IntVar(&o.workers, "predict-workers", 0, "prediction-step cell-fit workers (0 = GOMAXPROCS, 1 = sequential)")
-	flag.IntVar(&o.maxHotSensors, "max-hot-sensors", 0, "cap on sensors kept hot in memory; the LRU excess spills to disk (0 = unlimited)")
-	flag.StringVar(&o.spillDir, "spill-dir", "", "directory for cold-sensor spill files (empty = temp dir; wiped at boot)")
-	flag.StringVar(&o.walDir, "wal-dir", "", "write-ahead-log directory (empty = no WAL)")
-	flag.StringVar(&o.fsync, "fsync", "always", "WAL fsync policy: always|interval|off")
-	flag.DurationVar(&o.fsyncInterval, "fsync-interval", 0, "fsync period for -fsync interval (0 = default 50ms)")
-	flag.DurationVar(&o.predictDeadline, "predict-deadline", 0, "per-prediction deadline: a mid-search expiry answers from the verified-so-far neighbor set, quality \"progressive\" (0 = none)")
-	flag.StringVar(&o.fallback, "degraded-fallback", "none", "degraded-mode predictor: none|persistence|ar1")
-	flag.DurationVar(&o.runtimeMetrics, "runtime-metrics-interval", 0, "runtime/GC telemetry sample period (0 = default 10s, negative = sample at scrape time only)")
-	flag.StringVar(&o.nodeID, "node-id", "", "this node's cluster member id (enables clustering with -cluster-peers)")
-	flag.StringVar(&o.clusterPeers, "cluster-peers", "", `static membership incl. self: "n1=http://host1:8080,n2=http://host2:8080"`)
-	flag.IntVar(&o.replicas, "replicas", 1, "follower copies per sensor")
-	flag.DurationVar(&o.probeInterval, "probe-interval", 0, "peer health probe period (0 = default 500ms)")
-	flag.IntVar(&o.probeFailures, "probe-failures", 0, "consecutive probe failures before failover (0 = default 3)")
-	flag.DurationVar(&o.maxStaleness, "max-staleness", 0, "staleness bound for promoted-replica reads (0 = default 5m)")
-	flag.StringVar(&o.clusterSecret, "cluster-secret", "", "shared secret required on state-changing /cluster/* endpoints (empty = membership-header check only)")
-	flag.StringVar(&o.clusterJoin, "cluster-join", "", "URL of an existing cluster member to join at startup (with -cluster-peers naming only this node)")
-	flag.IntVar(&o.rebalanceBatch, "rebalance-batch", 0, "sensors migrated per rebalance batch (0 = default 16)")
-	flag.DurationVar(&o.rebalanceInterval, "rebalance-interval", 0, "pause between rebalance batches (0 = default 200ms)")
-	flag.BoolVar(&o.drainOnTerm, "drain-on-term", false, "on SIGTERM, decommission from the cluster and drain owned sensors before exiting")
-	flag.DurationVar(&o.drainTimeout, "drain-timeout", 2*time.Minute, "bound on the -drain-on-term drain wait")
+	registerFlags(flag.CommandLine, &o)
 	flag.Parse()
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "smiler-server:", err)
 		os.Exit(1)
 	}
+}
+
+// registerFlags binds every command-line flag to o. It is the server's
+// whole flag surface, and TestFlagSurface pins it: a new flag has to
+// edit that test, and name the workload that needs it there.
+func registerFlags(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&o.predictor, "predictor", "gp", "predictor: gp|ar")
+	fs.IntVar(&o.maxHistory, "max-history", 0, "cap indexed history per sensor (0 = unlimited)")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file (load at start, save at shutdown)")
+	fs.DurationVar(&o.interval, "interval", 0, "fixed sample interval enabling POST /sensors/{id}/readings (0 = disabled)")
+	fs.IntVar(&o.shards, "shards", 0, "ingestion shard workers (0 = GOMAXPROCS)")
+	fs.IntVar(&o.queue, "queue", 0, "per-shard ingestion queue capacity (0 = default 256)")
+	fs.IntVar(&o.batch, "batch", 0, "ingestion micro-batch cap (0 = default 32)")
+	fs.StringVar(&o.backpressure, "backpressure", "block", "full-queue policy: block|drop-newest|error")
+	fs.StringVar(&o.logLevel, "log-level", "info", "log floor: debug|info|warn|error")
+	fs.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
+	fs.IntVar(&o.maxHotSensors, "max-hot-sensors", 0, "cap on sensors kept hot in memory; the LRU excess spills to disk (0 = unlimited)")
+	fs.StringVar(&o.spillDir, "spill-dir", "", "directory for cold-sensor spill files (empty = temp dir; wiped at boot)")
+	fs.StringVar(&o.walDir, "wal-dir", "", "write-ahead-log directory (empty = no WAL)")
+	fs.StringVar(&o.fsync, "fsync", "always", "WAL fsync policy: always|interval|off")
+	fs.DurationVar(&o.fsyncInterval, "fsync-interval", 0, "fsync period for -fsync interval (0 = default 50ms)")
+	fs.DurationVar(&o.predictDeadline, "predict-deadline", 0, "per-prediction deadline: a mid-search expiry answers from the verified-so-far neighbor set, quality \"progressive\" (0 = none)")
+	fs.StringVar(&o.fallback, "degraded-fallback", "none", "degraded-mode predictor: none|persistence|ar1")
+	fs.StringVar(&o.nodeID, "node-id", "", "this node's cluster member id (enables clustering with -cluster-peers)")
+	fs.StringVar(&o.clusterPeers, "cluster-peers", "", `static membership incl. self: "n1=http://host1:8080,n2=http://host2:8080"`)
+	fs.IntVar(&o.replicas, "replicas", 1, "follower copies per sensor")
+	fs.DurationVar(&o.probeInterval, "probe-interval", 0, "peer health probe period (0 = default 500ms)")
+	fs.IntVar(&o.probeFailures, "probe-failures", 0, "consecutive probe failures before failover (0 = default 3)")
+	fs.DurationVar(&o.maxStaleness, "max-staleness", 0, "staleness bound for promoted-replica reads (0 = default 5m)")
+	fs.StringVar(&o.clusterSecret, "cluster-secret", "", "shared secret required on state-changing /cluster/* endpoints (empty = membership-header check only)")
+	fs.StringVar(&o.clusterJoin, "cluster-join", "", "URL of an existing cluster member to join at startup (with -cluster-peers naming only this node)")
+	fs.IntVar(&o.rebalanceBatch, "rebalance-batch", 0, "sensors migrated per rebalance batch (0 = default 16)")
+	fs.DurationVar(&o.rebalanceInterval, "rebalance-interval", 0, "pause between rebalance batches (0 = default 200ms)")
+	fs.BoolVar(&o.drainOnTerm, "drain-on-term", false, "on SIGTERM, decommission from the cluster and drain owned sensors before exiting")
+	fs.DurationVar(&o.drainTimeout, "drain-timeout", 2*time.Minute, "bound on the -drain-on-term drain wait")
 }
 
 // parseLogLevel maps the -log-level flag onto a slog.Level. Empty
@@ -205,13 +206,10 @@ func run(o options) error {
 	default:
 		return fmt.Errorf("unknown predictor %q", o.predictor)
 	}
-	cfg.Devices = o.devices
 	cfg.MaxHistory = o.maxHistory
-	cfg.PredictWorkers = o.workers
 	cfg.MaxHotSensors = o.maxHotSensors
 	cfg.SpillDir = o.spillDir
 	cfg.PredictDeadline = o.predictDeadline
-	cfg.RuntimeMetricsInterval = o.runtimeMetrics
 	fb, err := smiler.ParseFallback(o.fallback)
 	if err != nil {
 		return err
@@ -317,7 +315,6 @@ func run(o options) error {
 		logger.Info("listening",
 			"addr", ln.Addr().String(),
 			"predictor", strings.ToLower(o.predictor),
-			"devices", o.devices,
 			"backpressure", policy.String(),
 			"pprof", o.pprof,
 		)

@@ -1,12 +1,14 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"log/slog"
 	"math"
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -88,14 +90,35 @@ func TestLoadOrNewCorruptCheckpoint(t *testing.T) {
 	}
 }
 
+// TestFlagSurface pins the server's flags. A knob earns its place with
+// a measured ablation or an operational need: a change that adds one
+// edits this list, and the review asks which workload needs it.
+func TestFlagSurface(t *testing.T) {
+	fs := flag.NewFlagSet("smiler-server", flag.ContinueOnError)
+	registerFlags(fs, &options{})
+	var got []string
+	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
+	want := []string{
+		"addr", "backpressure", "batch", "checkpoint", "cluster-join",
+		"cluster-peers", "cluster-secret", "degraded-fallback", "drain-on-term", "drain-timeout",
+		"fsync", "fsync-interval", "interval", "log-level", "max-history",
+		"max-hot-sensors", "max-staleness", "node-id", "pprof", "predict-deadline",
+		"predictor", "probe-failures", "probe-interval", "queue", "rebalance-batch",
+		"rebalance-interval", "replicas", "shards", "spill-dir", "wal-dir",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("smiler-server flags (%d):\n%v\nwant (%d):\n%v", len(got), got, len(want), want)
+	}
+}
+
 func TestRunRejectsBadPredictor(t *testing.T) {
-	if err := run(options{addr: ":0", predictor: "nope", devices: 1, backpressure: "block"}); err == nil {
+	if err := run(options{addr: ":0", predictor: "nope", backpressure: "block"}); err == nil {
 		t.Fatal("unknown predictor should fail")
 	}
 }
 
 func TestRunRejectsBadBackpressure(t *testing.T) {
-	if err := run(options{addr: ":0", predictor: "ar", devices: 1, backpressure: "nope"}); err == nil {
+	if err := run(options{addr: ":0", predictor: "ar", backpressure: "nope"}); err == nil {
 		t.Fatal("unknown backpressure policy should fail")
 	}
 }
@@ -114,7 +137,6 @@ func TestMetricsSmoke(t *testing.T) {
 		done <- run(options{
 			addr:         "127.0.0.1:0",
 			predictor:    "ar",
-			devices:      1,
 			shards:       2,
 			backpressure: "block",
 			logLevel:     "error",
@@ -213,7 +235,6 @@ func TestRunLifecycle(t *testing.T) {
 		done <- run(options{
 			addr:         "127.0.0.1:0",
 			predictor:    "ar",
-			devices:      1,
 			checkpoint:   path,
 			interval:     time.Minute,
 			shards:       2,

@@ -66,7 +66,6 @@ func TestRunWALLifecycle(t *testing.T) {
 	base := options{
 		addr:         "127.0.0.1:0",
 		predictor:    "ar",
-		devices:      1,
 		shards:       2,
 		backpressure: "block",
 		logLevel:     "error",

@@ -58,9 +58,11 @@ func DefaultPipelineConfig() PipelineConfig {
 
 // pendingUpdate remembers the per-cell predictions made for a future
 // time step so the self-adaptive reweighting can run once the truth
-// arrives.
+// arrives. There is at most one per (target, h): a repeated forecast of
+// the same horizon before the next observation scores nothing new.
 type pendingUpdate struct {
 	target int // history index the prediction refers to
+	h      int // the horizon it was made at
 	preds  []CellPrediction
 }
 
@@ -90,16 +92,6 @@ type QualityInfo struct {
 	// Estimate is the ProS-style probability that the progressive set
 	// already equals the exact answer (1 for exact predictions).
 	Estimate float64
-	// FracVerified is the fraction of filter-surviving candidates whose
-	// exact distance was computed before the deadline.
-	FracVerified float64
-	// LBGap is 1 − minUnverifiedLB/kthDist: how far the most promising
-	// unverified candidate is from provably not mattering (0 for exact).
-	LBGap float64
-	// Rounds is the number of verification rounds the Search Step ran
-	// (one without a deadline, several under one, 0 when the threshold
-	// seeds covered every survivor).
-	Rounds int
 }
 
 // LastQuality reports the quality of the most recent Predict call.
@@ -195,12 +187,9 @@ func (p *Pipeline) recordSearch(tr *obs.Trace, searchStart time.Time) {
 	st := p.ix.Stats()
 	p.timing.LowerBoundSec = st.LowerBoundWallSeconds
 	p.timing.VerifySec = st.VerifyWallSeconds
-	q := QualityInfo{Tag: "exact", Estimate: 1, FracVerified: 1, Rounds: st.Rounds}
+	q := QualityInfo{Tag: "exact", Estimate: 1}
 	if st.Progressive {
-		q.Tag = "progressive"
-		q.Estimate = st.ProbExact
-		q.FracVerified = st.FracVerified
-		q.LBGap = st.LBGap
+		q = QualityInfo{Tag: "progressive", Estimate: st.ProbExact}
 	}
 	p.quality = q
 	if tr == nil {
@@ -282,7 +271,9 @@ func (p *Pipeline) PredictMulti(hs []int) (map[int]Prediction, error) {
 // and one Prediction Step per horizon, in the order given, returning the
 // mixed posterior for each. The per-cell predictions are queued so that
 // when the observation for a predicted time step arrives via Observe,
-// the ensemble weights adapt.
+// the ensemble weights adapt — once per target and horizon: a repeated
+// forecast keeps the update its first one queued, so whether a read was
+// served again or computed again changes nothing later.
 //
 // When tr is non-nil, one span is recorded for the index search (with
 // nested catch-up, lower-bound and verify spans from the index's own
@@ -339,7 +330,7 @@ func (p *Pipeline) PredictMultiTracedCtx(ctx context.Context, hs []int, tr *obs.
 			return nil, err
 		}
 		out[h] = mixed
-		p.pending = append(p.pending, pendingUpdate{target: n - 1 + h, preds: preds})
+		p.queueUpdate(pendingUpdate{target: n - 1 + h, h: h, preds: preds})
 	}
 	p.timing.PredictSec = time.Since(predictStart).Seconds()
 	return out, nil
@@ -606,6 +597,17 @@ func (p *Pipeline) Observe(v float64) error {
 	p.pending = kept
 	p.obsTiming.ReweightSec = time.Since(reweightStart).Seconds()
 	return nil
+}
+
+// queueUpdate queues pu unless an update for its target and horizon is
+// already waiting.
+func (p *Pipeline) queueUpdate(pu pendingUpdate) {
+	for _, q := range p.pending {
+		if q.target == pu.target && q.h == pu.h {
+			return
+		}
+	}
+	p.pending = append(p.pending, pu)
 }
 
 // PendingUpdates reports how many predictions still await their truth.

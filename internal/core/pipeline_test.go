@@ -353,3 +353,51 @@ func TestTraceRecordsIndexCatchup(t *testing.T) {
 		t.Fatalf("forecast after 5 observations: catch-up span %q (found=%t)", d, ok)
 	}
 }
+
+// Reading a forecast again before the next observation must not score
+// it again: the pipeline queues one reweighting per (target, horizon),
+// so after every observation the ensemble's weights and sleep state are
+// bit for bit the same whether each step's forecast was read once, twice
+// or three times. AR cells over ten steps; GP cells over one, because a
+// repeated GP fit warm-starts from the first one's optimum and may move
+// the cell's later forecasts — the semi-lazy design, not a second score.
+func TestRepeatedReadReweightsOnce(t *testing.T) {
+	all := seasonal(rand.New(rand.NewSource(21)), 420)
+	for _, tc := range []struct {
+		name    string
+		factory PredictorFactory
+		steps   int
+	}{
+		{"AR", func() Predictor { return NewAR() }, 10},
+		{"GP", func() Predictor { return NewGP() }, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var want [][]CellState
+			for reads := 1; reads <= 3; reads++ {
+				pl := testPipeline(t, tc.factory, EnsembleConfig{}, all[:400])
+				for step := 0; step < tc.steps; step++ {
+					for r := 0; r < reads; r++ {
+						if _, err := pl.Predict(1); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := pl.Observe(all[400+step]); err != nil {
+						t.Fatal(err)
+					}
+					got := pl.Ensemble().ExportState()
+					if reads == 1 {
+						want = append(want, got)
+						continue
+					}
+					for i, c := range got {
+						w := want[step][i]
+						if math.Float64bits(c.Weight) != math.Float64bits(w.Weight) || c.Sleeping != w.Sleeping ||
+							c.SleepLeft != w.SleepLeft || c.SleepSpan != w.SleepSpan || c.WokeLately != w.WokeLately {
+							t.Fatalf("%d reads, step %d, cell %d×%d: %+v, read once: %+v", reads, step, c.K, c.D, c, w)
+						}
+					}
+				}
+			}
+		})
+	}
+}

@@ -16,19 +16,24 @@ import (
 // scripts are replayed and compared with recorded values:
 //
 //   - "mixed": a seeded 1,500-point random walk, twelve observe/search
-//     steps mixing single-horizon, multi-horizon and ε-range searches at
-//     the paper's default parameters. Its searches have few survivors and
-//     barely reach a second round.
+//     steps mixing single-horizon searches at h = 1 and h = 2 with
+//     multi-horizon ones at the paper's default parameters. Its searches
+//     have few survivors and barely reach a second round.
 //   - "road": the repository benchmark's traffic on one sensor — a
 //     2,048-point ROAD history, k = 32, then 24 observe/forecast steps
 //     whose horizons walk 1,1,3,3,6,6 — where rounds tighten, seal and
 //     dismiss in earnest.
 //
-// The values were recorded when the verifier got its tightening rounds
-// and LB_Keogh cascade (PR 22). The single-round verifier before it
-// (commit 5ab4894) read, on "mixed", ΣUnfiltered 3,112, 170 launches,
-// 1,215 blocks, 814,688 compute and 4,522,492 global cycles, and on
-// "road" ΣUnfiltered 109,692, 5,213,750 columns, 294 launches, 2,862
+// The "road" values were recorded when the verifier got its tightening
+// rounds and LB_Keogh cascade (PR 22). The "mixed" script's h = 2 steps
+// were ε-range searches until the range search was deleted; its values
+// were then measured by running this script, with Search(8, 2) in their
+// place, on the commit before the deletion (8695533), so they pin that
+// the deletion moved nothing a kNN search does. The single-round
+// verifier before PR 22 (commit 5ab4894) read, on the range-search
+// "mixed", ΣUnfiltered 3,112, 170 launches, 1,215 blocks, 814,688
+// compute and 4,522,492 global cycles, and on "road" ΣUnfiltered
+// 109,692, 5,213,750 columns, 294 launches, 2,862
 // blocks, 6,307,558 compute and 29,965,824 global cycles. The kernel now
 // runs on 1.8–2.4× fewer candidates and 2.4× fewer columns, searches pay
 // a verify launch per round, and on "road" global cycles rise 15% (all
@@ -65,7 +70,7 @@ func TestCostModelPinned(t *testing.T) {
 					case 1:
 						_, err = ix.SearchMulti(8, []int{1, 3, 6})
 					case 3:
-						_, err = ix.SearchRange(4, 2)
+						_, err = ix.Search(8, 2)
 					}
 					if err != nil {
 						t.Fatalf("step %d: %v", step, err)
@@ -74,13 +79,13 @@ func TestCostModelPinned(t *testing.T) {
 				}
 			},
 			wantProfile: gpusim.Profile{
-				ComputeCycles: 798362,
-				GlobalCycles:  4514200,
-				LaunchCycles:  875000,
-				Launches:      175,
-				Blocks:        1220,
+				ComputeCycles: 793256,
+				GlobalCycles:  4545092,
+				LaunchCycles:  920000,
+				Launches:      184,
+				Blocks:        1229,
 			},
-			want: work{unfiltered: 1294, sealed: 1053, cascadePruned: 726, columns: 69793},
+			want: work{unfiltered: 1377, sealed: 1035, cascadePruned: 885, columns: 73521},
 		},
 		{
 			name: "road",

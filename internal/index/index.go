@@ -80,15 +80,10 @@ type Params struct {
 	ELV []int
 	// LB selects the filtering lower bound (default LBModeEn).
 	LB LBMode
-	// MinSeparation, when > 1, keeps selected neighbours at least this
-	// many time steps apart, suppressing trivially-overlapping matches.
-	// 0 or 1 disables the constraint (the paper's behaviour).
-	MinSeparation int
-	// DisableEarlyAbandon turns off the τ-cutoff early abandonment
-	// inside DTW verification (an ablation/debug knob; the abandonment
-	// is exact, so results are identical either way). It is forced off
-	// automatically when MinSeparation > 1, where the separated
-	// selection wants exact distances for all unfiltered candidates.
+	// DisableEarlyAbandon verifies every filter survivor to its exact
+	// distance: the cutoff is +Inf, so nothing is abandoned, dismissed by
+	// the cascade or sealed by a tightened round. Results are identical
+	// either way; the tests use it as the verify-everything reference.
 	DisableEarlyAbandon bool
 }
 
@@ -115,9 +110,6 @@ func (p Params) Validate() error {
 	}
 	if p.LB < LBModeEn || p.LB > LBModeEC {
 		return fmt.Errorf("index: unknown LB mode %d", p.LB)
-	}
-	if p.MinSeparation < 0 {
-		return fmt.Errorf("index: negative MinSeparation %d", p.MinSeparation)
 	}
 	return nil
 }

@@ -44,7 +44,6 @@ func TestParamsValidate(t *testing.T) {
 		{Rho: 8, Omega: 16, ELV: []int{64, 32}},     // not ascending
 		{Rho: 8, Omega: 16, ELV: []int{32, 32}},     // not strict
 		{Rho: 8, Omega: 16, ELV: []int{32}, LB: 99}, // bad mode
-		{Rho: 8, Omega: 16, ELV: []int{32}, MinSeparation: -2},
 	}
 	for i, p := range cases {
 		if err := p.Validate(); err == nil {
@@ -339,32 +338,6 @@ func TestLBModesAllExact(t *testing.T) {
 	}
 }
 
-func TestMinSeparation(t *testing.T) {
-	dev := testDevice(t)
-	rng := rand.New(rand.NewSource(9))
-	p := smallParams()
-	p.MinSeparation = 10
-	ix, err := New(dev, randwalk(rng, 400), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	res, err := ix.Search(6, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, item := range res {
-		for a := 0; a < len(item.Neighbors); a++ {
-			for b := a + 1; b < len(item.Neighbors); b++ {
-				if abs(item.Neighbors[a].T-item.Neighbors[b].T) < p.MinSeparation {
-					t.Fatalf("d=%d: neighbours %d and %d too close", item.D,
-						item.Neighbors[a].T, item.Neighbors[b].T)
-				}
-			}
-		}
-	}
-}
-
 func TestMasterQueryAndAccessors(t *testing.T) {
 	dev := testDevice(t)
 	rng := rand.New(rand.NewSource(10))
@@ -592,93 +565,6 @@ func TestSearchStatsPopulated(t *testing.T) {
 	}
 }
 
-// Range search must return exactly the brute-force set of segments
-// within eps, sorted ascending.
-func TestSearchRangeMatchesBrute(t *testing.T) {
-	dev := testDevice(t)
-	rng := rand.New(rand.NewSource(40))
-	p := smallParams()
-	hist := randwalk(rng, 400)
-	ix, err := New(dev, hist, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	const h = 2
-	// Pick eps as twice the 5-NN distance so the sets are non-trivial.
-	ref, err := scan.BruteKNN(hist, hist[len(hist)-p.ELV[0]:], p.Rho, 5, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eps := ref[len(ref)-1].Dist * 2
-
-	res, err := ix.SearchRange(eps, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range p.ELV {
-		// Brute force: all candidates within eps.
-		all, err := scan.BruteKNN(hist, hist[len(hist)-d:], p.Rho, 1<<20, h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var want []scan.Result
-		for _, r := range all {
-			if r.Dist <= eps {
-				want = append(want, r)
-			}
-		}
-		got := res[i].Neighbors
-		if len(got) != len(want) {
-			t.Fatalf("d=%d: %d in range, want %d", d, len(got), len(want))
-		}
-		for j := range want {
-			if math.Abs(got[j].Dist-want[j].Dist) > 1e-9*(1+want[j].Dist) {
-				t.Fatalf("d=%d result %d: %v vs %v", d, j, got[j].Dist, want[j].Dist)
-			}
-			if j > 0 && got[j-1].Dist > got[j].Dist {
-				t.Fatalf("d=%d: results unsorted", d)
-			}
-		}
-	}
-
-	counts, err := ix.CountRange(eps, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range p.ELV {
-		if counts[d] != len(res[i].Neighbors) {
-			t.Fatalf("d=%d: count %d vs %d", d, counts[d], len(res[i].Neighbors))
-		}
-	}
-}
-
-func TestSearchRangeErrors(t *testing.T) {
-	dev := testDevice(t)
-	rng := rand.New(rand.NewSource(41))
-	ix, err := New(dev, randwalk(rng, 300), smallParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-	if _, err := ix.SearchRange(-1, 1); err == nil {
-		t.Fatal("negative eps should fail")
-	}
-	if _, err := ix.SearchRange(math.NaN(), 1); err == nil {
-		t.Fatal("NaN eps should fail")
-	}
-	if _, err := ix.SearchRange(1, 0); err == nil {
-		t.Fatal("h=0 should fail")
-	}
-	if _, err := ix.SearchRange(0, 1); err != nil {
-		t.Fatal("eps=0 should be legal (exact matches only)")
-	}
-	ix.Close()
-	if _, err := ix.SearchRange(1, 1); err == nil {
-		t.Fatal("closed index should fail")
-	}
-}
-
 func TestMemoryFootprintMatchesDeviceUsage(t *testing.T) {
 	dev := testDevice(t)
 	rng := rand.New(rand.NewSource(50))
@@ -799,7 +685,7 @@ func TestThresholdKeepsSeedsWhenHorizonRises(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i, d := range p.ELV {
-				if want := bruteNeighbors(t, hist, d, p.Rho, k, h, -1); !sameNeighbors(res[i].Neighbors, want) {
+				if want := bruteNeighbors(t, hist, d, p.Rho, k, h); !sameNeighbors(res[i].Neighbors, want) {
 					t.Fatalf("h=%d d=%d: search %v != brute force %v", h, d, res[i].Neighbors, want)
 				}
 			}

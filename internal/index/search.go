@@ -60,13 +60,19 @@ func (ix *Index) SearchMulti(k int, hs []int) (map[int][]ItemResult, error) {
 	return ix.SearchMultiCtx(context.Background(), k, hs)
 }
 
-// SearchMultiCtx is SearchMulti with a context. The deadline contract
-// is the quality ladder: a context that expires during the lower-bound
-// pass surfaces as ctx.Err() (no best-so-far set exists yet); one that
-// expires later stops the verification rounds and the call returns the
-// always-valid best-so-far kNN sets, with Stats() reporting whether
-// they are provably exact and, if not, how good they are estimated to
-// be (see verify).
+// SearchMultiCtx is SearchMulti with a context, and the one
+// filter → verify → select driver behind every search (paper
+// §4.3.3–4.4): reset the stats, catch the window level up with the
+// history, produce the group-level lower bounds under the label mask of
+// the smallest horizon, build one verify task per item query that has
+// candidates, verify them all together, fold the per-item counters, and
+// k-select each horizon's neighbours from the verified distances. The
+// deadline contract is the quality ladder: a context that expires during
+// the lower-bound pass surfaces as ctx.Err() (no best-so-far set exists
+// yet); one that expires later stops the verification rounds and the
+// call returns the always-valid best-so-far kNN sets, with Stats()
+// reporting whether they are provably exact and, if not, how good they
+// are estimated to be (see verify).
 func (ix *Index) SearchMultiCtx(ctx context.Context, k int, hs []int) (map[int][]ItemResult, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("index: k=%d must be positive", k)
@@ -80,155 +86,13 @@ func (ix *Index) SearchMultiCtx(ctx context.Context, k int, hs []int) (map[int][
 	if hMin <= 0 {
 		return nil, fmt.Errorf("index: horizon h=%d must be positive", hMin)
 	}
-	out := make(map[int][]ItemResult, len(sorted))
-	for _, h := range sorted {
-		out[h] = make([]ItemResult, len(ix.p.ELV))
-	}
-	n := len(ix.c)
-	// Per item query, the survivors are the union of the per-horizon
-	// filters, each threshold derived on its own candidate range. The
-	// early-abandon cutoff is the max threshold over horizons: τ_h ≤
-	// τ_max for every h, so a candidate abandoned at τ_max has true
-	// distance > τ_max ≥ τ_h and cannot be among any horizon's k nearest
-	// — the seeds backing each τ_h all have true distance ≤ τ_h and
-	// survive fully computed.
-	task := func(d int, query, lbs []float64) (*verifyTask, error) {
-		t := &verifyTask{d: d, query: query, lbs: lbs, k: k}
-		tauMax := math.Inf(-1)
-		for _, h := range sorted {
-			maxT := n - d - h
-			if maxT < 0 {
-				break // ascending horizons: no later one has a candidate either
-			}
-			tau, seeds, err := ix.threshold(d, query, lbs[:maxT+1], k)
-			if err != nil {
-				return nil, err
-			}
-			t.filters = append(t.filters, horizonFilter{maxT: maxT, tau: tau})
-			t.seeds = append(t.seeds, seeds...)
-			if tau > tauMax {
-				tauMax = tau
-			}
-		}
-		t.cutoff = ix.abandonCutoff(tauMax)
-		return t, nil
-	}
-	pick := func(i, d int, dists []float64) error {
-		for _, h := range sorted {
-			var neighbors []Neighbor
-			if maxT := n - d - h; maxT >= 0 {
-				var err error
-				if neighbors, err = ix.selectK(dists[:maxT+1], k); err != nil {
-					return err
-				}
-			}
-			out[h][i] = ItemResult{D: d, Neighbors: neighbors}
-			if h == hMin {
-				// Next step's threshold seeds (Section 4.3.3, Filtering).
-				prev := make([]int, len(neighbors))
-				for j, nb := range neighbors {
-					prev[j] = nb.T
-				}
-				ix.prevNN[d] = prev
-			}
-		}
-		return nil
-	}
-	if err := ix.search(ctx, hMin, task, pick); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SearchRange answers the ε-range variant of the Suffix search: for
-// every item query length in ELV it returns ALL historical segments
-// within DTW distance eps (squared-cost convention, like every
-// distance in this package), considering only candidates whose
-// h-step-ahead label exists. Range search is the classic DualMatch
-// workload; on the SMiLer Index it reuses the same group-level lower
-// bounds — the filter threshold is simply eps itself, no k-th-NN
-// bootstrap needed. Results are sorted ascending by distance.
-func (ix *Index) SearchRange(eps float64, h int) ([]ItemResult, error) {
-	return ix.SearchRangeCtx(context.Background(), eps, h)
-}
-
-// SearchRangeCtx is SearchRange with a context, with the same deadline
-// contract as SearchMultiCtx. A best-so-far range result is the subset
-// of in-range segments found before the deadline; Stats() reports the
-// fraction of candidates verified and the probability the subset is
-// already complete.
-func (ix *Index) SearchRangeCtx(ctx context.Context, eps float64, h int) ([]ItemResult, error) {
-	if eps < 0 || math.IsNaN(eps) {
-		return nil, fmt.Errorf("index: invalid range radius %v", eps)
-	}
-	if h <= 0 {
-		return nil, fmt.Errorf("index: horizon h=%d must be positive", h)
-	}
-	results := make([]ItemResult, len(ix.p.ELV))
-	// The filter threshold is eps itself, and eps is also an exact
-	// early-abandon cutoff: a candidate abandoned at eps has true
-	// distance > eps and is outside the range by definition.
-	task := func(d int, query, lbs []float64) (*verifyTask, error) {
-		return &verifyTask{d: d, query: query, lbs: lbs, eps: eps, cutoff: ix.abandonCutoff(eps),
-			filters: []horizonFilter{{maxT: len(lbs) - 1, tau: eps}}}, nil
-	}
-	pick := func(i, d int, dists []float64) error {
-		// Keep everything within eps: the k-selection kernel with k =
-		// candidate count sorts ascending, then trim at the radius.
-		sel, err := ix.kSelect(dists, len(dists))
-		if err != nil {
-			return err
-		}
-		for j, nb := range sel {
-			if nb.Dist > eps {
-				sel = sel[:j]
-				break
-			}
-		}
-		results[i] = ItemResult{D: d, Neighbors: sel}
-		return nil
-	}
-	if err := ix.search(ctx, h, task, pick); err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// CountRange reports, per ELV entry, how many historical segments lie
-// within DTW distance eps of the current suffix — a cheap density
-// probe (how much support would a semi-lazy model have right now?).
-func (ix *Index) CountRange(eps float64, h int) (map[int]int, error) {
-	res, err := ix.SearchRange(eps, h)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[int]int, len(res))
-	for _, r := range res {
-		out[r.D] = len(r.Neighbors)
-	}
-	return out, nil
-}
-
-// search is the one filter → verify → select skeleton behind every
-// public search (paper §4.3.3–4.4): reset the stats, catch the window
-// level up with the history, produce the group-level lower bounds under
-// the label mask of horizon h, build one verify task per item query
-// that has candidates, verify them all together, fold the per-item
-// counters, and hand each item query's verified distances (+Inf where
-// filtered, abandoned or unverified; nil when the item query has no
-// candidate) to pick. The searches differ only in task (which
-// candidates survive, with what cutoff) and pick (how distances become
-// results).
-func (ix *Index) search(ctx context.Context, h int,
-	task func(d int, query, lbs []float64) (*verifyTask, error),
-	pick func(i, d int, dists []float64) error) error {
 	ix.stats = SearchStats{}
 	if err := ix.Sync(); err != nil { // also refuses a closed index
-		return err
+		return nil, err
 	}
-	lbs, err := ix.groupLevelLowerBounds(ctx, h)
+	lbs, err := ix.groupLevelLowerBounds(ctx, hMin)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer releaseBounds(lbs)
 
@@ -244,18 +108,22 @@ func (ix *Index) search(ctx context.Context, h int,
 		if len(lbs[i]) == 0 {
 			continue
 		}
-		t, err := task(d, ix.c[n-d:], lbs[i])
+		t, err := ix.newTask(d, k, sorted, lbs[i])
 		if err != nil {
-			return err
+			return nil, err
 		}
 		tasks[i] = t
 		live = append(live, t)
 	}
 	if err := ix.verify(ctx, live); err != nil {
-		return err
+		return nil, err
+	}
+	out := make(map[int][]ItemResult, len(sorted))
+	for _, h := range sorted {
+		out[h] = make([]ItemResult, len(ix.p.ELV))
 	}
 	for i, d := range ix.p.ELV {
-		var dists []float64
+		var dists []float64 // exact DTW or +Inf; nil without candidates
 		if t := tasks[i]; t != nil {
 			ix.stats.PerItem[i].Unfiltered = t.seeded + t.ran
 			ix.stats.Unfiltered += t.seeded + t.ran
@@ -264,26 +132,62 @@ func (ix *Index) search(ctx context.Context, h int,
 			ix.stats.Columns += t.columns
 			dists = t.dists
 		}
-		if err := pick(i, d, dists); err != nil {
-			return err
+		for _, h := range sorted {
+			var neighbors []Neighbor
+			if maxT := n - d - h; maxT >= 0 {
+				if neighbors, err = ix.kSelect(dists[:maxT+1], k); err != nil {
+					return nil, err
+				}
+			}
+			out[h][i] = ItemResult{D: d, Neighbors: neighbors}
+			if h == hMin {
+				// Next step's threshold seeds (Section 4.3.3, Filtering).
+				prev := make([]int, len(neighbors))
+				for j, nb := range neighbors {
+					prev[j] = nb.T
+				}
+				ix.prevNN[d] = prev
+			}
 		}
 	}
-	return nil
+	return out, nil
 }
 
-// abandonCutoff returns the early-abandon cutoff threaded into DTW
-// verification: τ itself when the exactness argument holds — the
-// threshold construction guarantees at least k candidates with true
-// distance ≤ τ (when fewer exist, every candidate was a seed and τ
-// bounds them all), and ties at τ survive because abandonment fires
-// only on strictly greater column minima — and +Inf when the separated
-// selection needs exact distances for every unfiltered candidate or
-// the ablation knob disables it.
-func (ix *Index) abandonCutoff(tau float64) float64 {
-	if ix.p.MinSeparation > 1 || ix.p.DisableEarlyAbandon {
-		return math.Inf(1)
+// newTask builds the verify task of item query length d over its
+// candidates' lower bounds. The survivors are the union of the
+// per-horizon filters, each threshold derived on its own candidate
+// range. The early-abandon cutoff is the max threshold over horizons:
+// τ_h ≤ τ_max for every h, so a candidate abandoned at τ_max has true
+// distance > τ_max ≥ τ_h and cannot be among any horizon's k nearest —
+// the seeds backing each τ_h all have true distance ≤ τ_h and survive
+// fully computed. Ties at τ survive too, because abandonment fires only
+// on strictly greater column minima. DisableEarlyAbandon makes the
+// cutoff +Inf.
+func (ix *Index) newTask(d, k int, sorted []int, lbs []float64) (*verifyTask, error) {
+	n := len(ix.c)
+	query := ix.c[n-d:]
+	t := &verifyTask{d: d, query: query, lbs: lbs, k: k}
+	tauMax := math.Inf(-1)
+	for _, h := range sorted {
+		maxT := n - d - h
+		if maxT < 0 {
+			break // ascending horizons: no later one has a candidate either
+		}
+		tau, seeds, err := ix.threshold(d, query, lbs[:maxT+1], k)
+		if err != nil {
+			return nil, err
+		}
+		t.filters = append(t.filters, horizonFilter{maxT: maxT, tau: tau})
+		t.seeds = append(t.seeds, seeds...)
+		if tau > tauMax {
+			tauMax = tau
+		}
 	}
-	return tau
+	t.cutoff = tauMax
+	if ix.p.DisableEarlyAbandon {
+		t.cutoff = math.Inf(1)
+	}
+	return t, nil
 }
 
 // ComputeLowerBounds exposes the group-level lower-bound pass on its
@@ -325,7 +229,7 @@ func (ix *Index) groupLevelLowerBounds(ctx context.Context, h int) ([][]float64,
 			maxT[i] = -1
 		}
 		// History-length bound rows are the Search Step's biggest
-		// transient; search returns them to the pool when the results
+		// transient; SearchMultiCtx returns them to the pool when the results
 		// have been extracted.
 		lbs[i] = memsys.GetFloats(maxT[i] + 1)
 		for t := range lbs[i] {
@@ -506,17 +410,6 @@ func releaseBounds(lbs [][]float64) {
 	}
 }
 
-// selectK picks the k nearest verified candidates. With MinSeparation
-// ≤ 1 this is the exact GPU block k-selection; otherwise a greedy
-// sweep over the sorted candidates enforces the separation (best-effort
-// among unfiltered candidates — see Params.MinSeparation).
-func (ix *Index) selectK(dists []float64, k int) ([]Neighbor, error) {
-	if ix.p.MinSeparation > 1 {
-		return ix.selectSeparated(dists, k), nil
-	}
-	return ix.kSelect(dists, k)
-}
-
 // kSelect runs the block k-selection kernel: the k smallest finite
 // distances, ascending (ties by position).
 func (ix *Index) kSelect(dists []float64, k int) ([]Neighbor, error) {
@@ -535,50 +428,4 @@ func (ix *Index) kSelect(dists []float64, k int) ([]Neighbor, error) {
 		out[i] = Neighbor{T: s.Index, Dist: s.Value}
 	}
 	return out, nil
-}
-
-// selectSeparated greedily selects up to k nearest candidates keeping
-// starts at least MinSeparation apart.
-func (ix *Index) selectSeparated(dists []float64, k int) []Neighbor {
-	type cand struct {
-		t int
-		d float64
-	}
-	var cands []cand
-	for t, v := range dists {
-		if !math.IsInf(v, 1) && !math.IsNaN(v) {
-			cands = append(cands, cand{t, v})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
-		}
-		return cands[i].t < cands[j].t
-	})
-	sep := ix.p.MinSeparation
-	var out []Neighbor
-	for _, c := range cands {
-		ok := true
-		for _, nb := range out {
-			if abs(nb.T-c.t) < sep {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, Neighbor{T: c.t, Dist: c.d})
-			if len(out) == k {
-				break
-			}
-		}
-	}
-	return out
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

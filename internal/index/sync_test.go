@@ -74,7 +74,6 @@ func TestSyncBatchedMatchesStepwiseAndFresh(t *testing.T) {
 	variants := map[string]func(*Params){
 		"default":         func(*Params) {},
 		"no-abandon":      func(p *Params) { p.DisableEarlyAbandon = true },
-		"min-separation":  func(p *Params) { p.MinSeparation = 10 },
 		"single-envelope": func(p *Params) { p.LB = LBModeEQ },
 	}
 	const k = 6
@@ -133,16 +132,11 @@ func TestSyncBatchedMatchesStepwiseAndFresh(t *testing.T) {
 						t.Fatalf("%s: stepwise index was not in step: %+v", what, st)
 					}
 					sameResults(t, what+" batched vs stepwise", got, want)
-					// Separated selection is best-effort among the candidates
-					// the filter kept, so its answer moves with the threshold
-					// seeds; a fresh index compares only against unseeded ones.
-					if !primed || p.MinSeparation <= 1 {
-						fresh, err := open(all[:start+m]).SearchMulti(k, hs)
-						if err != nil {
-							t.Fatal(err)
-						}
-						sameResults(t, what+" batched vs fresh", got, fresh)
+					fresh, err := open(all[:start+m]).SearchMulti(k, hs)
+					if err != nil {
+						t.Fatal(err)
 					}
+					sameResults(t, what+" batched vs fresh", got, fresh)
 					checkLowerBounds(t, batched, hs[0])
 					checkLowerBounds(t, stepwise, hs[0])
 				}

@@ -58,20 +58,17 @@ type verifyTask struct {
 	cutoff float64
 	// seeds are the threshold candidates with their exact distances.
 	seeds []seedCand
-	// k is the selection size the quality tracker compares against; 0
-	// marks an ε-range task, which compares against the fixed radius eps
-	// instead of a running k-th distance.
-	k   int
-	eps float64
+	// k is the selection size: the tops track each horizon's k best.
+	k int
 
 	dists []float64 // out: exact DTW or +Inf (pooled; release returns it)
 
 	order []int // unseeded survivors, (lower bound, position) ascending
 	next  int   // order[:next] is resolved: verified or dismissed
 	// tops[i] is the running k best verified distances among the
-	// candidates filters[i] admits (kNN tasks only). One set per horizon,
-	// because a horizon's k-th distance says nothing about a horizon with
-	// a shorter candidate range.
+	// candidates filters[i] admits. One set per horizon, because a
+	// horizon's k-th distance says nothing about a horizon with a shorter
+	// candidate range.
 	tops []topK
 	// queryEnv is the query's own envelope, built by the filter kernel
 	// for tasks that run the cascade and empty for the others (pooled,
@@ -128,7 +125,7 @@ type topK struct {
 // add inserts a finite distance, reporting whether it entered the set
 // (displaced the current k-th or grew the set below k).
 func (t *topK) add(v float64) bool {
-	if t.k <= 0 || math.IsInf(v, 1) || math.IsNaN(v) {
+	if math.IsInf(v, 1) || math.IsNaN(v) {
 		return false
 	}
 	if len(t.d) == t.k && v >= t.d[t.k-1] {
@@ -152,7 +149,7 @@ func (t *topK) kth() float64 {
 	return t.d[t.k-1]
 }
 
-// bar is the distance a candidate must not exceed to matter to a kNN
+// bar is the distance a candidate must not exceed to matter to the
 // task: the largest, over the task's horizons, of the horizon's own k-th
 // best verified distance. A candidate beyond it has, in every horizon
 // that admits it, k verified candidates strictly closer.
@@ -191,12 +188,10 @@ func (t *verifyTask) filter(blk *gpusim.Block, rho int, cascade bool) {
 	for i := range t.dists {
 		t.dists[i] = math.Inf(1)
 	}
-	if t.k > 0 {
-		store := t.pool(1, t.k*len(t.filters))
-		t.tops = make([]topK, len(t.filters))
-		for i := range t.tops {
-			t.tops[i] = topK{k: t.k, d: store[i*t.k : i*t.k : (i+1)*t.k]}
-		}
+	store := t.pool(1, t.k*len(t.filters))
+	t.tops = make([]topK, len(t.filters))
+	for i := range t.tops {
+		t.tops[i] = topK{k: t.k, d: store[i*t.k : i*t.k : (i+1)*t.k]}
 	}
 	for _, s := range t.seeds {
 		if !t.keep(s.t) || !math.IsInf(t.dists[s.t], 1) {
@@ -231,17 +226,16 @@ func (t *verifyTask) filter(blk *gpusim.Block, rho int, cascade bool) {
 	t.tighten() // the seeds are round zero
 }
 
-// tighten is what makes a round pay for the next one. On a kNN task
-// with a finite cutoff it lowers the cutoff to the k-th best distance
+// tighten is what makes a round pay for the next one. On a task with a
+// finite cutoff it lowers the cutoff to the k-th best distance
 // verified so far (see bar), then seals: order is ascending in lower
 // bound, so the survivors whose bound exceeds the new cutoff are its
 // tail, and they are dropped without being touched. Both steps keep
 // ties — a candidate at exactly the k-th distance may still win its
 // place by position, so only a strictly greater distance, and only a
-// bound beyond dtw.Slack of the cutoff, rules a candidate out. Range
-// tasks keep their fixed radius.
+// bound beyond dtw.Slack of the cutoff, rules a candidate out.
 func (t *verifyTask) tighten() {
-	if t.k == 0 || !t.bounded() {
+	if !t.bounded() {
 		return
 	}
 	t.cutoff = min(t.cutoff, t.bar())
@@ -342,15 +336,9 @@ func (ix *Index) verify(ctx context.Context, tasks []*verifyTask) error {
 		for _, t := range tasks {
 			hi := min(t.next+roundSize, len(t.order))
 			for _, pos := range t.order[t.next:hi] {
-				dist := t.dists[pos]
-				if t.k == 0 {
+				if bar := t.bar(); t.lbs[pos] < bar || math.IsInf(bar, 1) {
 					t.atRisk++
-					if dist <= t.eps {
-						t.flips++
-					}
-				} else if bar := t.bar(); t.lbs[pos] < bar || math.IsInf(bar, 1) {
-					t.atRisk++
-					if t.record(pos, dist) {
+					if t.record(pos, t.dists[pos]) {
 						t.flips++
 					}
 				}
@@ -443,16 +431,11 @@ func (ix *Index) foldQuality(tasks []*verifyTask) {
 		}
 		// The bar an unverified candidate must beat, and the closest any
 		// of them can come (order is lower-bound ascending).
-		bar, minLB := t.eps, t.lbs[unverified[0]]
-		if t.k > 0 {
-			bar = t.bar()
-		}
-		// Sealed early: every unverified lower bound already exceeds the
+		bar, minLB := t.bar(), t.lbs[unverified[0]]
+		// Sealed early: every unverified lower bound already reaches the
 		// k-th best-so-far distance, so the set is provably exact (up to
-		// distance ties) even though verification stopped. Range tasks
-		// need the strict comparison — a candidate at lb == ε can still
-		// sit exactly on the radius.
-		if minLB > bar || (t.k > 0 && minLB >= bar) {
+		// distance ties) even though verification stopped.
+		if minLB >= bar {
 			continue
 		}
 		st.Progressive = true

@@ -62,10 +62,9 @@ func sameNeighbors(a, b []Neighbor) bool {
 
 // bruteNeighbors is the oracle: banded DTW (the verifier's own
 // compressed-matrix arithmetic, no filter, no abandoning) from the
-// d-suffix of hist to every candidate whose h-step label exists,
-// ascending by (distance, position). within < 0 keeps the k nearest;
-// otherwise everything at distance ≤ within.
-func bruteNeighbors(t *testing.T, hist []float64, d, rho, k, h int, within float64) []Neighbor {
+// d-suffix of hist to every candidate whose h-step label exists: the k
+// nearest, ascending by (distance, position).
+func bruteNeighbors(t *testing.T, hist []float64, d, rho, k, h int) []Neighbor {
 	t.Helper()
 	query := hist[len(hist)-d:]
 	scratch := dtw.NewCompressedScratch(rho)
@@ -75,9 +74,7 @@ func bruteNeighbors(t *testing.T, hist []float64, d, rho, k, h int, within float
 		if err != nil {
 			t.Fatal(err)
 		}
-		if within < 0 || dist <= within {
-			all = append(all, Neighbor{T: pos, Dist: dist})
-		}
+		all = append(all, Neighbor{T: pos, Dist: dist})
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].Dist != all[j].Dist {
@@ -85,7 +82,7 @@ func bruteNeighbors(t *testing.T, hist []float64, d, rho, k, h int, within float
 		}
 		return all[i].T < all[j].T
 	})
-	if within < 0 && len(all) > k {
+	if len(all) > k {
 		all = all[:k]
 	}
 	return all
@@ -132,17 +129,14 @@ func sameWork(t *testing.T, what string, a, b SearchStats) {
 }
 
 // The round schedule must not matter, and a deadline that never fires
-// must change nothing at all. For Search, SearchMulti and SearchRange,
-// over a continuous stream, with the default parameters, without early
-// abandoning, with MinSeparation and with the single-envelope filter:
-// the same index driven with no deadline and with a far-future one
-// returns the same neighbours and distances bit for bit from the same
-// rounds and the same counted work; so do indexes whose first round is
-// forced to 1, 7 and every survivor, where rounds tighten and seal at
-// different points; and all of them equal brute-force banded DTW.
-// (MinSeparation selects greedily among the unfiltered candidates only,
-// by design, so there the schedules are compared with each other but not
-// with the oracle.) The fixtures include the one the former
+// must change nothing at all. For Search and SearchMulti, over a
+// continuous stream, with the default parameters, without early
+// abandoning and with the single-envelope filter: the same index driven
+// with no deadline and with a far-future one returns the same neighbours
+// and distances bit for bit from the same rounds and the same counted
+// work; so do indexes whose first round is forced to 1, 7 and every
+// survivor, where rounds tighten and seal at different points; and all
+// of them equal brute-force banded DTW. The fixtures include the one the former
 // TestSearchMultiMatchesSingle used — Search(k,h) is SearchMulti(k,[h])[h]
 // by construction —, a white-noise history whose survivors span several
 // rounds, and the tie-heavy one, where many candidates sit exactly on the
@@ -171,7 +165,6 @@ func TestAnytimeNoDeadlineBitIdentical(t *testing.T) {
 	}{
 		{"default", func(*Params) {}},
 		{"no-abandon", func(p *Params) { p.DisableEarlyAbandon = true }},
-		{"separated", func(p *Params) { p.MinSeparation = 10 }},
 		{"lbeq", func(p *Params) { p.LB = LBModeEQ }},
 	}
 	const everySurvivor = 1 << 30
@@ -180,7 +173,6 @@ func TestAnytimeNoDeadlineBitIdentical(t *testing.T) {
 			t.Run(fx.name+"/"+v.name, func(t *testing.T) {
 				p := smallParams()
 				v.tweak(&p)
-				oracle := p.MinSeparation <= 1
 				hist := append([]float64(nil), fx.hist...)
 				free := context.Background()
 				far, cancel := context.WithDeadline(free, time.Now().Add(time.Hour))
@@ -201,12 +193,11 @@ func TestAnytimeNoDeadlineBitIdentical(t *testing.T) {
 				rng := rand.New(rand.NewSource(99))
 				h, maxRounds, sealed, cascaded := fx.hs[0], 0, 0, 0
 				for step := 0; step < fx.steps; step++ {
-					// Every index answers the same three searches; each answer
-					// is compared with the reference's and the reference's with
-					// the oracle.
-					var eps float64
-					var ref [3]any
-					var refStats [3]SearchStats
+					// Every index answers the same two searches; each answer is
+					// compared with the reference's and the reference's with the
+					// oracle.
+					var ref [2]any
+					var refStats [2]SearchStats
 					for n, ix := range ixs {
 						single, err := ix.SearchCtx(ctxs[n], fx.k, h)
 						if err != nil {
@@ -219,33 +210,18 @@ func TestAnytimeNoDeadlineBitIdentical(t *testing.T) {
 						}
 						st1 := ix.Stats()
 						if n == 0 {
-							eps = single[0].Neighbors[len(single[0].Neighbors)-1].Dist * 1.5
-						}
-						ranged, err := ix.SearchRangeCtx(ctxs[n], eps, h)
-						if err != nil {
-							t.Fatal(err)
-						}
-						st2 := ix.Stats()
-						if n == 0 {
-							ref, refStats = [3]any{single, multi, ranged}, [3]SearchStats{st0, st1, st2}
+							ref, refStats = [2]any{single, multi}, [2]SearchStats{st0, st1}
 							maxRounds = max(maxRounds, st0.Rounds)
 							sealed += st0.Sealed + st1.Sealed
-							cascaded += st0.CascadePruned + st1.CascadePruned + st2.CascadePruned
-							if st2.Sealed != 0 {
-								t.Fatalf("step %d: a range search sealed %d survivors; its radius is fixed", step, st2.Sealed)
-							}
+							cascaded += st0.CascadePruned + st1.CascadePruned
 							for i, d := range p.ELV {
-								if want := bruteNeighbors(t, hist, d, p.Rho, fx.k, h, -1); oracle && !sameNeighbors(single[i].Neighbors, want) {
+								if want := bruteNeighbors(t, hist, d, p.Rho, fx.k, h); !sameNeighbors(single[i].Neighbors, want) {
 									t.Fatalf("step %d d=%d: search %v != brute force %v", step, d, single[i].Neighbors, want)
 								}
 								for _, hh := range fx.hs {
-									if want := bruteNeighbors(t, hist, d, p.Rho, fx.k, hh, -1); oracle && !sameNeighbors(multi[hh][i].Neighbors, want) {
+									if want := bruteNeighbors(t, hist, d, p.Rho, fx.k, hh); !sameNeighbors(multi[hh][i].Neighbors, want) {
 										t.Fatalf("step %d h=%d d=%d: multi %v != brute force %v", step, hh, d, multi[hh][i].Neighbors, want)
 									}
-								}
-								// Range selection ignores MinSeparation: the oracle always applies.
-								if want := bruteNeighbors(t, hist, d, p.Rho, 0, h, eps); !sameNeighbors(ranged[i].Neighbors, want) {
-									t.Fatalf("step %d d=%d: range %v != brute force %v", step, d, ranged[i].Neighbors, want)
 								}
 							}
 							continue
@@ -253,7 +229,6 @@ func TestAnytimeNoDeadlineBitIdentical(t *testing.T) {
 						if n == 1 {
 							sameWork(t, "Search", refStats[0], st0)
 							sameWork(t, "SearchMulti", refStats[1], st1)
-							sameWork(t, "SearchRange", refStats[2], st2)
 						}
 						for i, d := range p.ELV {
 							if !sameNeighbors(ref[0].([]ItemResult)[i].Neighbors, single[i].Neighbors) {
@@ -263,9 +238,6 @@ func TestAnytimeNoDeadlineBitIdentical(t *testing.T) {
 								if !sameNeighbors(ref[1].(map[int][]ItemResult)[hh][i].Neighbors, multi[hh][i].Neighbors) {
 									t.Fatalf("step %d h=%d d=%d: schedule %d multi differs from the reference", step, hh, d, n)
 								}
-							}
-							if !sameNeighbors(ref[2].([]ItemResult)[i].Neighbors, ranged[i].Neighbors) {
-								t.Fatalf("step %d d=%d: schedule %d range differs from the reference", step, d, n)
 							}
 						}
 					}
@@ -284,8 +256,7 @@ func TestAnytimeNoDeadlineBitIdentical(t *testing.T) {
 				if fx.name == "noise" && maxRounds < 2 {
 					t.Fatalf("the noise fixture ran at most %d round(s): geometric rounds not exercised", maxRounds)
 				}
-				pruning := !p.DisableEarlyAbandon && p.MinSeparation <= 1
-				if pruning != (sealed+cascaded > 0) && fx.steps > 1 {
+				if pruning := !p.DisableEarlyAbandon; pruning != (sealed+cascaded > 0) && fx.steps > 1 {
 					t.Fatalf("pruning=%t but %d survivors sealed and %d dismissed by the cascade", pruning, sealed, cascaded)
 				}
 			})
@@ -388,60 +359,6 @@ func TestProgressiveStagedDeadlines(t *testing.T) {
 	}
 }
 
-// Progressive SearchRange under a staged deadline returns a subset of
-// the exact in-range set with bit-identical distances.
-func TestProgressiveRangeSubset(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	hist := randwalk(rng, 500)
-	p := smallParams()
-	exact, err := New(testDevice(t), hist, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	anyIx, err := New(testDevice(t), hist, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	const h = 3
-	re, err := exact.Search(5, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eps := re[0].Neighbors[len(re[0].Neighbors)-1].Dist * 2
-	ge, err := exact.SearchRange(eps, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := int64(0); n <= 16; n++ {
-		ga, err := anyIx.SearchRangeCtx(newCountdown(n), eps, h)
-		if err != nil {
-			if !errors.Is(err, context.DeadlineExceeded) {
-				t.Fatalf("budget %d: unexpected error %v", n, err)
-			}
-			continue
-		}
-		for i := range ge {
-			exactDist := make(map[int]float64, len(ge[i].Neighbors))
-			for _, nb := range ge[i].Neighbors {
-				exactDist[nb.T] = nb.Dist
-			}
-			for _, nb := range ga[i].Neighbors {
-				d, ok := exactDist[nb.T]
-				if !ok {
-					t.Fatalf("budget %d item %d: progressive returned T=%d outside exact range set", n, i, nb.T)
-				}
-				if d != nb.Dist {
-					t.Fatalf("budget %d item %d T=%d: dist %v != exact %v", n, i, nb.T, nb.Dist, d)
-				}
-			}
-			if !anyIx.Stats().Progressive && len(ga[i].Neighbors) != len(ge[i].Neighbors) {
-				t.Fatalf("budget %d item %d: non-progressive range result incomplete", n, i)
-			}
-		}
-	}
-}
-
 func TestEstimateProbExact(t *testing.T) {
 	if got := estimateProbExact(0, 0, 0); got != 1 {
 		t.Fatalf("no remaining risk must be certainty, got %v", got)
@@ -510,16 +427,11 @@ func TestTightenKeepsTies(t *testing.T) {
 	if task.cutoff != 10 || task.sealed != 3 {
 		t.Fatalf("a horizon short of k distances tightened the cutoff to %v", task.cutoff)
 	}
-	// No cutoff, or a range task: tighten is a no-op.
-	for _, other := range []*verifyTask{
-		{k: 2, cutoff: math.Inf(1), lbs: lbs, order: []int{6, 7}, tops: task.tops[:1], filters: task.filters[:1]},
-		{k: 0, eps: 1, cutoff: 1, lbs: lbs, order: []int{6, 7}},
-	} {
-		cutoff := other.cutoff
-		other.tighten()
-		if other.cutoff != cutoff || len(other.order) != 2 || other.sealed != 0 {
-			t.Fatalf("tighten touched a task it must leave alone: %+v", other)
-		}
+	// No cutoff: tighten is a no-op.
+	other := &verifyTask{k: 2, cutoff: math.Inf(1), lbs: lbs, order: []int{6, 7}, tops: task.tops[:1], filters: task.filters[:1]}
+	other.tighten()
+	if !math.IsInf(other.cutoff, 1) || len(other.order) != 2 || other.sealed != 0 {
+		t.Fatalf("tighten touched a task it must leave alone: %+v", other)
 	}
 }
 

@@ -37,6 +37,16 @@ type flight struct {
 // per-sensor forecast cache keyed (sensor, horizon), invalidated by that
 // sensor's next observation. A thundering herd of identical forecast
 // requests costs one kNN search + one model fit per horizon.
+//
+// A miss on a set that contains an already-computed horizon recomputes
+// it, and that is safe for the ensemble: the pipeline queues one
+// reweighting per (target, horizon), so the repeat leaves the update the
+// first computation queued, exactly as a cache hit would. What a repeat
+// does move is the sensor's GP cells: each fit warm-starts from the
+// previous optimum, so a second fit of the same neighbours can land on a
+// slightly different one and later forecasts differ in the last digits.
+// That is the semi-lazy design (a cell carries its hyperparameters from
+// one query to the next), not a second scoring of one truth.
 type coalescer struct {
 	sys System
 

@@ -437,7 +437,8 @@ func (c *Client) Forecasts(id string, hs []int) ([]ForecastResponse, error) {
 }
 
 // SendReadings posts raw timestamped readings for grid regularization
-// (requires a server built with NewWithInterval).
+// (requires a server built with Options.Interval, smiler-server's
+// -interval).
 func (c *Client) SendReadings(id string, readings []Reading) error {
 	return c.doSensor(context.Background(), id, http.MethodPost, "/sensors/"+url.PathEscape(id)+"/readings",
 		ReadingsRequest{Readings: readings}, nil)

@@ -11,7 +11,8 @@
 //	GET    /readyz                  readiness probe (503 while recovering
 //	                                from the WAL at startup or draining on
 //	                                SIGTERM)
-//	GET    /stats                   device memory + sensor count
+//	GET    /stats                   sensor count + the simulated GPU's
+//	                                memory in use and capacity
 //	GET    /metrics                 Prometheus text exposition (prediction
 //	                                phase histograms, kNN pruning counters,
 //	                                ingest/coalesce counters, HTTP metrics)
@@ -32,7 +33,8 @@
 //	                                order (one handler serves both)
 //	POST   /sensors/{id}/observe    {"value": 1.23}  (or {"values": [...]})
 //	POST   /sensors/{id}/readings   {"readings":[{"at":"RFC3339","value":x},...]}
-//	                                (requires NewWithInterval; irregular readings
+//	                                (requires Options.Interval, the -interval
+//	                                flag of smiler-server; irregular readings
 //	                                are regularized onto the fixed sample grid)
 //	GET    /sensors/{id}/ensemble   auto-tuning weights
 //
@@ -143,8 +145,11 @@ type SensorJournal interface {
 
 // Options configures optional server behaviour.
 type Options struct {
-	// Interval, when positive, enables POST /sensors/{id}/readings
-	// (see NewWithInterval).
+	// Interval, when positive, enables POST /sensors/{id}/readings:
+	// irregular timestamped readings are linearly re-interpolated onto a
+	// grid with this sample interval (the paper's fixed-sample-rate
+	// assumption, Section 3.1), and each finalized grid sample is fed to
+	// Observe.
 	Interval time.Duration
 	// Pipeline configures the ingestion pipeline (zero values take
 	// ingest defaults: GOMAXPROCS shards, queue 256, Block policy).
@@ -169,15 +174,6 @@ type Options struct {
 // Close); call Server.Close to drain the pipeline at shutdown.
 func New(sys *smiler.System) (*Server, error) {
 	return NewWithOptions(sys, Options{})
-}
-
-// NewWithInterval additionally enables POST /sensors/{id}/readings:
-// irregular timestamped readings are linearly re-interpolated onto a
-// grid with the given sample interval (the paper's fixed-sample-rate
-// assumption, Section 3.1), and each finalized grid sample is fed to
-// Observe.
-func NewWithInterval(sys *smiler.System, interval time.Duration) (*Server, error) {
-	return NewWithOptions(sys, Options{Interval: interval})
 }
 
 // NewWithOptions builds a server with explicit pipeline and readings
@@ -373,10 +369,9 @@ type ForecastResponse struct {
 
 // StatsResponse summarizes the system.
 type StatsResponse struct {
-	Sensors     int        `json:"sensors"`
-	DeviceUsed  int64      `json:"device_used_bytes"`
-	DeviceTotal int64      `json:"device_total_bytes"`
-	Devices     [][2]int64 `json:"devices"`
+	Sensors     int   `json:"sensors"`
+	DeviceUsed  int64 `json:"device_used_bytes"`
+	DeviceTotal int64 `json:"device_total_bytes"`
 }
 
 // EnsembleCell reports one auto-tuning cell.
@@ -452,7 +447,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Sensors:     len(s.sys.Sensors()),
 		DeviceUsed:  used,
 		DeviceTotal: total,
-		Devices:     s.sys.DeviceUsagePer(),
 	})
 }
 
@@ -728,7 +722,7 @@ type Reading struct {
 func (s *Server) readings(w http.ResponseWriter, r *http.Request, id string) {
 	if s.interval <= 0 {
 		writeError(w, http.StatusNotImplemented,
-			"timestamped readings need a server sample interval (NewWithInterval)")
+			"timestamped readings need a server sample interval (-interval)")
 		return
 	}
 	var req ReadingsRequest

@@ -222,16 +222,12 @@ func (so *systemObs) registerSystem(s *System) {
 	so.reg.GaugeFunc("smiler_sensors_cold",
 		"Sensors currently spilled to disk by the MaxHotSensors LRU.",
 		func() float64 { return float64(s.tier.coldCount()) })
-	for i, d := range s.devs {
-		dev := d
-		label := obs.L("device", strconv.Itoa(i))
-		so.reg.GaugeFunc("smiler_device_used_bytes",
-			"Simulated GPU memory in use.",
-			func() float64 { return float64(dev.UsedBytes()) }, label)
-		so.reg.GaugeFunc("smiler_device_total_bytes",
-			"Simulated GPU memory capacity.",
-			func() float64 { return float64(dev.TotalBytes()) }, label)
-	}
+	so.reg.GaugeFunc("smiler_device_used_bytes",
+		"Simulated GPU memory in use.",
+		func() float64 { return float64(s.dev.UsedBytes()) })
+	so.reg.GaugeFunc("smiler_device_total_bytes",
+		"Simulated GPU memory capacity.",
+		func() float64 { return float64(s.dev.TotalBytes()) })
 }
 
 // recordPredict folds one prediction's timing, search stats and

@@ -3,18 +3,20 @@ package smiler
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
 // TestCheckpointStableUnderPredictWorkers: the Prediction-Step worker
-// pool must not leak into persisted state — a system driven with
-// concurrent cell fits (multi-horizon predictions included) checkpoints
-// byte-identically to a sequentially driven twin.
+// pool, GOMAXPROCS wide, must not leak into persisted state — a system
+// driven with concurrent cell fits (multi-horizon predictions included)
+// checkpoints byte-identically to a twin driven at GOMAXPROCS 1, where
+// the pool is the sequential path.
 func TestCheckpointStableUnderPredictWorkers(t *testing.T) {
-	run := func(workers int) []byte {
+	run := func(procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		cfg := smallConfig()
 		cfg.Predictor = PredictorGP
-		cfg.PredictWorkers = workers
 		sys, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -42,6 +44,6 @@ func TestCheckpointStableUnderPredictWorkers(t *testing.T) {
 	seq := run(1)
 	par := run(4)
 	if !bytes.Equal(seq, par) {
-		t.Fatalf("checkpoints diverge with PredictWorkers (%d vs %d bytes)", len(seq), len(par))
+		t.Fatalf("checkpoints diverge between GOMAXPROCS 1 and 4 (%d vs %d bytes)", len(seq), len(par))
 	}
 }

@@ -138,26 +138,6 @@ type Config struct {
 	// sensor). Disable only if inputs are pre-normalized.
 	Normalize bool
 
-	// MinSeparation optionally keeps retrieved neighbours this many
-	// steps apart (0 = paper behaviour).
-	MinSeparation int
-
-	// Ablation switches (Fig. 11): SMiLerNE disables the ensemble
-	// (single FixedK×FixedD predictor), SMiLerNS disables the
-	// self-adaptive weights.
-	DisableEnsemble   bool
-	DisableAdaptation bool
-	DisableSleep      bool
-	// FixedK and FixedD configure the single predictor when the
-	// ensemble is disabled (paper uses k=32, d=64).
-	FixedK int
-	FixedD int
-
-	// Devices is the number of simulated GPUs; sensors are placed on
-	// the device with the most free memory (the paper's first scale-out
-	// option, Section 6.4.1). 0 or 1 means a single device.
-	Devices int
-
 	// MaxHistory caps the history indexed per sensor at AddSensor time:
 	// only the most recent MaxHistory points are kept — the paper's
 	// second scale-out option (reduce the per-sensor footprint M to fit
@@ -172,29 +152,6 @@ type Config struct {
 	// instrumentation-overhead benchmark and for embedders that scrape
 	// nothing.
 	DisableMetrics bool
-
-	// RuntimeMetricsInterval is the background sampling period of the
-	// runtime/GC telemetry (GC pauses, heap live/goal, mark-assist CPU,
-	// goroutines, scheduling latency). 0 takes the default (10s);
-	// negative disables the background loop — telemetry then refreshes
-	// only at scrape time. Ignored with DisableMetrics.
-	RuntimeMetricsInterval time.Duration
-
-	// EventRingSize caps the flight recorder: the bounded ring of
-	// structured operational events served at /debug/events. 0 takes
-	// the default (512). Ignored with DisableMetrics.
-	EventRingSize int
-
-	// PredictWorkers bounds the worker pool evaluating ensemble cells
-	// across item-query columns during the Prediction Step. 0 (default)
-	// uses GOMAXPROCS workers; 1 forces the sequential path. Results
-	// are bit-identical regardless of the setting.
-	PredictWorkers int
-
-	// DisableEarlyAbandon turns off the τ-cutoff early-abandoning DTW
-	// in the index verification step (an exactness-preserving
-	// optimization, on by default) for ablations and debugging.
-	DisableEarlyAbandon bool
 
 	// MaxHotSensors caps how many sensors keep a live pipeline and
 	// device-resident index at once. Beyond the cap the least recently
@@ -243,8 +200,6 @@ func DefaultConfig() Config {
 		Omega:     16,
 		Predictor: PredictorGP,
 		Normalize: true,
-		FixedK:    32,
-		FixedD:    64,
 	}
 }
 
@@ -292,9 +247,9 @@ func (f Forecast) Interval(z float64) (lo, hi float64) {
 // shared simulated GPU. All exported methods are safe for concurrent
 // use; operations on distinct sensors run in parallel.
 type System struct {
-	cfg  Config
-	devs []*gpusim.Device
-	obs  *systemObs
+	cfg Config
+	dev *gpusim.Device
+	obs *systemObs
 
 	mu      sync.RWMutex
 	sensors map[string]*sensorState
@@ -310,7 +265,6 @@ type sensorState struct {
 	norm *timeseries.Normalizer
 	pipe *core.Pipeline
 	ix   *index.Index
-	dev  *gpusim.Device
 	// gone marks a state spilled cold by the tier while a caller held a
 	// stale pointer: set under mu, it tells the caller to retry through
 	// the fault-in path instead of using the closed index.
@@ -319,22 +273,14 @@ type sensorState struct {
 
 // New builds a System.
 func New(cfg Config) (*System, error) {
-	n := cfg.Devices
-	if n <= 0 {
-		n = 1
-	}
-	devs := make([]*gpusim.Device, n)
-	for i := range devs {
-		dev, err := gpusim.NewDevice(cfg.Device)
-		if err != nil {
-			return nil, err
-		}
-		devs[i] = dev
+	dev, err := gpusim.NewDevice(cfg.Device)
+	if err != nil {
+		return nil, err
 	}
 	if _, err := cfg.indexParams(); err != nil {
 		return nil, err
 	}
-	if !cfg.DisableEnsemble && len(cfg.EKV) == 0 {
+	if len(cfg.EKV) == 0 {
 		return nil, errors.New("smiler: empty EKV")
 	}
 	if cfg.MaxHistory < 0 {
@@ -347,39 +293,18 @@ func New(cfg Config) (*System, error) {
 	so := &systemObs{} // disabled: nil instruments are no-ops
 	if !cfg.DisableMetrics {
 		so = newSystemObs()
-		so.events = obs.NewEventRing(cfg.EventRingSize, so.reg)
+		so.events = obs.NewEventRing(obs.DefaultEventCapacity, so.reg)
 		so.runtime = obs.NewRuntimeSampler(so.reg)
-		if cfg.RuntimeMetricsInterval >= 0 {
-			so.runtime.Start(cfg.RuntimeMetricsInterval)
-		}
+		so.runtime.Start(obs.DefaultRuntimeInterval)
 	}
-	s := &System{cfg: cfg, devs: devs, obs: so, sensors: make(map[string]*sensorState), tier: tier}
+	s := &System{cfg: cfg, dev: dev, obs: so, sensors: make(map[string]*sensorState), tier: tier}
 	so.registerSystem(s)
 	return s, nil
 }
 
-// pickDevice returns the device with the most free memory.
-func (s *System) pickDevice() *gpusim.Device {
-	best := s.devs[0]
-	bestFree := best.TotalBytes() - best.UsedBytes()
-	for _, d := range s.devs[1:] {
-		if free := d.TotalBytes() - d.UsedBytes(); free > bestFree {
-			best, bestFree = d, free
-		}
-	}
-	return best
-}
-
 // indexParams derives the per-sensor index parameters from the config.
 func (c Config) indexParams() (index.Params, error) {
-	elv := c.ELV
-	if c.DisableEnsemble {
-		if c.FixedD <= 0 {
-			return index.Params{}, errors.New("smiler: DisableEnsemble needs FixedD")
-		}
-		elv = []int{c.FixedD}
-	}
-	p := index.Params{Rho: c.Rho, Omega: c.Omega, ELV: elv, MinSeparation: c.MinSeparation, DisableEarlyAbandon: c.DisableEarlyAbandon}
+	p := index.Params{Rho: c.Rho, Omega: c.Omega, ELV: c.ELV}
 	if err := p.Validate(); err != nil {
 		return index.Params{}, err
 	}
@@ -449,46 +374,21 @@ func (s *System) installSensorLocked(id string, work []float64, norm *timeseries
 	if err != nil {
 		return err
 	}
-
-	// Place the sensor on the device with the most free memory; if the
-	// allocation fails there, try the remaining devices before giving
-	// up (the multi-GPU scale-out of Section 6.4.1).
-	dev := s.pickDevice()
-	ix, err := index.New(dev, work, params)
-	if errors.Is(err, gpusim.ErrOutOfMemory) {
-		for _, alt := range s.devs {
-			if alt == dev {
-				continue
-			}
-			if ix2, err2 := index.New(alt, work, params); err2 == nil {
-				ix, err, dev = ix2, nil, alt
-				break
-			}
-		}
-	}
+	ix, err := index.New(s.dev, work, params)
 	if err != nil {
 		return fmt.Errorf("smiler: sensor %q: %w", id, err)
 	}
-	ekv := s.cfg.EKV
-	if s.cfg.DisableEnsemble {
-		ekv = []int{s.cfg.FixedK}
-	}
 	pipe, err := core.NewPipeline(ix, core.PipelineConfig{
-		EKV:            ekv,
-		Index:          params,
-		Horizon:        1,
-		Factory:        s.cfg.predictorFactory(),
-		PredictWorkers: s.cfg.PredictWorkers,
-		Ensemble: core.EnsembleConfig{
-			DisableAdaptation: s.cfg.DisableAdaptation,
-			DisableSleep:      s.cfg.DisableSleep,
-		},
+		EKV:     s.cfg.EKV,
+		Index:   params,
+		Horizon: 1,
+		Factory: s.cfg.predictorFactory(),
 	})
 	if err != nil {
 		ix.Close()
 		return fmt.Errorf("smiler: sensor %q: %w", id, err)
 	}
-	s.sensors[id] = &sensorState{norm: norm, pipe: pipe, ix: ix, dev: dev}
+	s.sensors[id] = &sensorState{norm: norm, pipe: pipe, ix: ix}
 	return nil
 }
 
@@ -860,28 +760,10 @@ func (s *System) ObserveAll(values map[string]float64) error {
 	})
 }
 
-// DeviceUsage reports the simulated GPU memory consumption summed over
-// all devices.
+// DeviceUsage reports the simulated GPU's memory consumption.
 func (s *System) DeviceUsage() (used, total int64) {
-	for _, d := range s.devs {
-		used += d.UsedBytes()
-		total += d.TotalBytes()
-	}
-	return used, total
+	return s.dev.UsedBytes(), s.dev.TotalBytes()
 }
-
-// DeviceUsagePer reports per-device memory consumption, in device
-// order.
-func (s *System) DeviceUsagePer() [][2]int64 {
-	out := make([][2]int64, len(s.devs))
-	for i, d := range s.devs {
-		out[i] = [2]int64{d.UsedBytes(), d.TotalBytes()}
-	}
-	return out
-}
-
-// Device exposes the first simulated GPU (benchmarks read its timers).
-func (s *System) Device() *gpusim.Device { return s.devs[0] }
 
 // EnsembleWeights reports the current (k, d) → weight map of a
 // sensor's ensemble; sleeping cells report weight 0.

@@ -3,7 +3,13 @@ package smiler
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
+
+	"smiler/internal/core"
+	"smiler/internal/gpusim"
+	"smiler/internal/index"
 )
 
 // noisySeasonal builds a raw-unit (non-normalized) periodic signal.
@@ -52,11 +58,24 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(bad); err == nil {
 		t.Fatal("empty EKV should fail")
 	}
-	bad = DefaultConfig()
-	bad.DisableEnsemble = true
-	bad.FixedD = 0
-	if _, err := New(bad); err == nil {
-		t.Fatal("ensemble-disabled without FixedD should fail")
+}
+
+// TestConfigSurface pins the System's options. A knob earns its place
+// with a measured ablation or an operational need: a change that adds
+// one edits this list, and the review asks which workload needs it.
+func TestConfigSurface(t *testing.T) {
+	var got []string
+	typ := reflect.TypeFor[Config]()
+	for i := range typ.NumField() {
+		got = append(got, typ.Field(i).Name)
+	}
+	want := []string{
+		"Device", "EKV", "ELV", "Rho", "Omega", "Predictor", "Normalize",
+		"MaxHistory", "DisableMetrics", "MaxHotSensors", "SpillDir",
+		"PredictDeadline", "Fallback",
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("Config fields (%d):\n%v\nwant (%d):\n%v", len(got), got, len(want), want)
 	}
 }
 
@@ -185,61 +204,50 @@ func TestPredictAllParallel(t *testing.T) {
 	}
 }
 
+// The Fig. 11 ablations are built the way internal/bench builds them —
+// through core.PipelineConfig and its EnsembleConfig, not System options:
+// SMiLerNE is one k×d cell, SMiLerNS keeps its weights uniform.
 func TestAblationConfigs(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	hist := noisySeasonal(rng, 400, 1, 0)
-
-	ne := smallConfig()
-	ne.DisableEnsemble = true
-	ne.FixedK = 8
-	ne.FixedD = 24
-	sys, err := New(ne)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sys.Close()
-	if err := sys.AddSensor("s", hist); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Predict("s", 1); err != nil {
-		t.Fatal(err)
-	}
-	w, err := sys.EnsembleWeights("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(w) != 1 {
-		t.Fatalf("NE ablation should have exactly 1 cell, got %d", len(w))
-	}
-	if math.Abs(w[[2]int{8, 24}]-1) > 1e-9 {
-		t.Fatalf("single cell weight %v, want 1", w[[2]int{8, 24}])
+	cfg := smallConfig()
+	dev := gpusim.MustNewDevice(cfg.Device)
+	ablation := func(elv, ekv []int, ecfg core.EnsembleConfig) []*core.Cell {
+		t.Helper()
+		p := index.Params{Rho: cfg.Rho, Omega: cfg.Omega, ELV: elv}
+		ix, err := index.New(dev, hist[:399], p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		pipe, err := core.NewPipeline(ix, core.PipelineConfig{
+			EKV: ekv, Index: p, Horizon: 1, Factory: cfg.predictorFactory(), Ensemble: ecfg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pipe.Predict(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := pipe.Observe(hist[399]); err != nil {
+			t.Fatal(err)
+		}
+		return pipe.Ensemble().Cells()
 	}
 
-	ns := smallConfig()
-	ns.DisableAdaptation = true
-	ns.DisableSleep = true
-	sys2, err := New(ns)
-	if err != nil {
-		t.Fatal(err)
+	ne := ablation([]int{24}, []int{8}, core.EnsembleConfig{})
+	if len(ne) != 1 || ne[0].K != 8 || ne[0].D != 24 {
+		t.Fatalf("NE ablation should have exactly the 8×24 cell, got %d cells", len(ne))
 	}
-	defer sys2.Close()
-	if err := sys2.AddSensor("s", hist[:399]); err != nil {
-		t.Fatal(err)
+	if w := ne[0].Weight(); math.Abs(w-1) > 1e-9 {
+		t.Fatalf("single cell weight %v, want 1", w)
 	}
-	if _, err := sys2.Predict("s", 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := sys2.Observe("s", hist[399]); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := sys2.EnsembleWeights("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	uniform := 1.0 / float64(len(w2))
-	for kd, v := range w2 {
-		if math.Abs(v-uniform) > 1e-9 {
-			t.Fatalf("NS ablation weight %v for %v should stay uniform %v", v, kd, uniform)
+
+	ns := ablation(cfg.ELV, cfg.EKV, core.EnsembleConfig{DisableAdaptation: true, DisableSleep: true})
+	uniform := 1.0 / float64(len(ns))
+	for _, c := range ns {
+		if w := c.Weight(); math.Abs(w-uniform) > 1e-9 {
+			t.Fatalf("NS ablation weight %v for %d×%d should stay uniform %v", w, c.K, c.D, uniform)
 		}
 	}
 }

@@ -19,7 +19,6 @@ func TestSoakRandomOperations(t *testing.T) {
 		t.Skip("soak test")
 	}
 	cfg := smallConfig()
-	cfg.Devices = 2
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
