@@ -64,9 +64,12 @@ bench-obs:
 	$(GO) test ./internal/ingest -bench 'Throughput/direct' -run '^$$'
 
 # Machine-readable prediction-path benchmark numbers: predict,
-# predict-multi, observe and ingest ns/op + allocs into
-# BENCH_predict.json (scripts/bench_json.sh; BENCHTIME=2s for stable
-# local numbers, default 1x is the CI smoke).
+# predict-multi, observe, ingest, the GP column optimizer and the
+# continuous_gp loop — ns/op + allocs into BENCH_predict.json
+# (scripts/bench_json.sh; BENCHTIME=2s for stable local numbers,
+# default 1x is the CI smoke). Fails if the optimizer's evals/op and
+# gradients/op or the loop's dtw_runs/op and dtw_cols/op differ from
+# the committed rows at all.
 bench-json:
 	./scripts/bench_json.sh
 

@@ -113,9 +113,7 @@ func (c *Column) Optimize(k int, init Hyper, maxIter int) (OptimizeResult, error
 	if maxIter < 0 {
 		return OptimizeResult{}, fmt.Errorf("gp: negative maxIter %d", maxIter)
 	}
-	res, err := ascend(c.set(k), init, maxIter, looValueGrad)
-	statOptimizeEvals.Add(uint64(res.Evals))
-	return res, err
+	return ascend(c.set(k), init, maxIter, looObjective)
 }
 
 // OptimizeML is Column.Optimize for the marginal-likelihood objective.
@@ -129,7 +127,5 @@ func (c *Column) OptimizeML(k int, init Hyper, maxIter int) (OptimizeResult, err
 	if maxIter < 0 {
 		return OptimizeResult{}, fmt.Errorf("gp: negative maxIter %d", maxIter)
 	}
-	res, err := ascend(c.set(k), init, maxIter, mlValueGrad)
-	statOptimizeEvals.Add(uint64(res.Evals))
-	return res, err
+	return ascend(c.set(k), init, maxIter, mlObjective)
 }

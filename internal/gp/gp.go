@@ -290,9 +290,9 @@ func (m *Model) kinvMatrix() (*mat.Dense, error) {
 	}
 	n := m.chol.Size()
 	inv := mat.GetDense(n, n)
-	linv := mat.GetDense(n, n)
-	err := m.chol.InverseTo(inv, linv)
-	linv.Release()
+	u := mat.GetDense(n, n)
+	err := m.chol.InverseTo(inv, u)
+	u.Release()
 	if err != nil {
 		inv.Release()
 		return nil, fmt.Errorf("%w: %v", ErrCondition, err)
@@ -310,7 +310,11 @@ func (m *Model) LOO() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return looSum(m.y, m.alpha, kinv)
+	kdiag := make([]float64, len(m.y))
+	for i := range kdiag {
+		kdiag[i] = kinv.At(i, i)
+	}
+	return looSum(m.y, m.alpha, kdiag)
 }
 
 // LOOResiduals returns the per-point leave-one-out predictive means and

@@ -193,7 +193,7 @@ func TestLOOGradientFiniteDifference(t *testing.T) {
 	hp := Hyper{Signal: 0.9, Length: 1.1, Noise: 0.25}
 	scr := newEvalScratch(len(y))
 	defer scr.release()
-	_, grad, err := looValueGrad(directSet(x, y), hp, scr)
+	_, grad, err := valueGrad(looObjective, directSet(x, y), hp, scr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,11 +203,11 @@ func TestLOOGradientFiniteDifference(t *testing.T) {
 		up, dn := psi, psi
 		up[p] += eps
 		dn[p] -= eps
-		fu, _, err := looValueGrad(directSet(x, y), up.hyper(), scr)
+		fu, err := looValue(directSet(x, y), up.hyper(), scr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fd, _, err := looValueGrad(directSet(x, y), dn.hyper(), scr)
+		fd, err := looValue(directSet(x, y), dn.hyper(), scr)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,7 +26,7 @@ func TestMLGradientFiniteDifference(t *testing.T) {
 	hp := Hyper{Signal: 0.9, Length: 1.1, Noise: 0.25}
 	scr := newEvalScratch(len(y))
 	defer scr.release()
-	_, grad, err := mlValueGrad(directSet(x, y), hp, scr)
+	_, grad, err := valueGrad(mlObjective, directSet(x, y), hp, scr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,11 +36,11 @@ func TestMLGradientFiniteDifference(t *testing.T) {
 		up, dn := psi, psi
 		up[p] += eps
 		dn[p] -= eps
-		fu, _, err := mlValueGrad(directSet(x, y), up.hyper(), scr)
+		fu, err := mlValue(directSet(x, y), up.hyper(), scr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fd, _, err := mlValueGrad(directSet(x, y), dn.hyper(), scr)
+		fd, err := mlValue(directSet(x, y), dn.hyper(), scr)
 		if err != nil {
 			t.Fatal(err)
 		}

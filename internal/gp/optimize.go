@@ -19,7 +19,13 @@ const (
 type OptimizeResult struct {
 	Hyper Hyper   // optimized hyperparameters
 	LOO   float64 // leave-one-out log likelihood at Hyper
-	Evals int     // objective/gradient evaluations spent
+	// Evals counts objective values computed (one Fit each): the
+	// starting point plus every line-search probe.
+	Evals int
+	// Gradients counts the gradients computed on top of those values:
+	// the starting point's and each accepted probe's. A rejected probe
+	// needs only its value.
+	Gradients int
 }
 
 type logHyper [3]float64 // log θ₀, log θ₁, log θ₂
@@ -44,66 +50,63 @@ func (p logHyper) clamp() logHyper {
 	return p
 }
 
-// looValueGrad evaluates the LOO log likelihood and its gradient with
+// looValue is the value stage of the LOO objective (Eqn. 20): the fit,
+// (L⁻¹)ᵀ and diag C⁻¹ — about a third of a full evaluation, and all an
+// Armijo probe reads. It leaves s describing hp for looGrad.
+func looValue(ts trainSet, hp Hyper, s *evalScratch) (float64, error) {
+	if err := s.fit(ts, hp); err != nil {
+		return 0, err
+	}
+	if err := s.chol.InverseFactorTo(s.u); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrCondition, err)
+	}
+	if err := mat.InverseDiagTo(s.kdiag, s.u); err != nil {
+		return 0, err
+	}
+	return looSum(ts.y, s.alpha, s.kdiag)
+}
+
+// looGrad is the gradient stage of the LOO objective: the gradient with
 // respect to the log hyperparameters [Rasmussen & Williams 2006,
-// Eqn. 5.13]. The naive form needs one O(n³) product C⁻¹·∂C/∂ψ_j per
+// Eqn. 5.13], continuing from the scratch looValue left for the same
+// hp. The naive form needs one O(n³) product C⁻¹·∂C/∂ψ_j per
 // hyperparameter; both terms of the gradient are linear in ∂C, so with
 //
 //	v = C⁻¹·(α ⊘ diag C⁻¹),  c_i = ½(1+α_i²/[C⁻¹]_ii)/[C⁻¹]_ii,
-//	G = v·αᵀ − C⁻¹·diag(c)·C⁻¹,
+//	G = v·αᵀ − M,  M = C⁻¹·diag(c)·C⁻¹,
 //
 // every gradient collapses to ∂ll/∂ψ_j = Σ_ab G_ab·(∂C/∂ψ_j)_ab — a
 // single shared O(n³) product plus one O(n²) trace per hyperparameter,
 // with K_SE entries read back from the retained covariance instead of
-// re-exponentiating.
-// Every transient lives in the caller's evalScratch: one ascend()
-// acquires two memsys slabs and reuses them across all evaluations of
-// the line search, which removes ~10 heap allocations per evaluation
-// from the predict hot path.
-func looValueGrad(ts trainSet, hp Hyper, s *evalScratch) (float64, [3]float64, error) {
+// re-exponentiating. The trace reads M only as M_ab + M_ba, so M is
+// never stored: each pair's two entries are summed (mmQuad) right
+// before the trace consumes them.
+func looGrad(ts trainSet, hp Hyper, s *evalScratch) ([3]float64, error) {
 	var grad [3]float64
-	if err := s.fit(ts, hp); err != nil {
-		return 0, grad, err
+	if err := mat.InverseFromFactorTo(s.kinv, s.u); err != nil {
+		return grad, err
 	}
-	if err := s.chol.InverseTo(s.kinv, s.linv); err != nil {
-		return 0, grad, fmt.Errorf("%w: %v", ErrCondition, err)
-	}
-	kinv := s.kinv
+	kinv, b := s.kinv, s.b
 	n := len(ts.y)
 	alpha := s.alpha
 
-	ll, err := looSum(ts.y, alpha, kinv)
-	if err != nil {
-		return 0, grad, err
-	}
-
 	w := s.w         // α ⊘ diag C⁻¹
 	cdiag := s.cdiag // curvature weights c_i
-	for i := 0; i < n; i++ {
-		kii := kinv.At(i, i)
-		if kii <= 0 {
-			return 0, grad, fmt.Errorf("%w: nonpositive precision diagonal", ErrCondition)
-		}
+	// Every kii is positive: looSum checked it in the value stage.
+	for i, kii := range s.kdiag {
 		w[i] = alpha[i] / kii
 		cdiag[i] = 0.5 * (1 + alpha[i]*alpha[i]/kii) / kii
 	}
 	if err := mat.MulVecTo(s.v, kinv, w); err != nil { // C⁻¹ is symmetric
-		return 0, grad, err
+		return grad, err
 	}
 	v := s.v
-	// M = C⁻¹·diag(c)·C⁻¹ — the one shared O(n³) product.
-	b := s.b
 	for i := 0; i < n; i++ {
 		brow := b.Row(i)
-		krow := kinv.Row(i)
-		for j := 0; j < n; j++ {
-			brow[j] = krow[j] * cdiag[j]
+		for j, kij := range kinv.Row(i) {
+			brow[j] = kij * cdiag[j]
 		}
 	}
-	if err := mat.MulTo(s.mm, b, kinv); err != nil {
-		return 0, grad, err
-	}
-	mm := s.mm
 
 	// One pass over the upper triangle accumulates all three traces.
 	// ∂C/∂log θ₀ = 2·K_SE, ∂C/∂log θ₁ = K_SE ∘ (r²/θ₁²) (zero on the
@@ -112,24 +115,75 @@ func looValueGrad(ts trainSet, hp Hyper, s *evalScratch) (float64, [3]float64, e
 	sig2 := hp.Signal * hp.Signal
 	len2 := hp.Length * hp.Length
 	noise2 := hp.Noise * hp.Noise
-	cov := s.cov
 	var gSig, gLen, gNoise float64
+	pair := func(a, c int, mac, mca float64) {
+		g2 := v[a]*alpha[c] - mac + v[c]*alpha[a] - mca
+		kse := s.cov.At(a, c)
+		gSig += g2 * 2 * kse
+		gLen += g2 * kse * ts.r2(a, c) / len2
+	}
 	for a := 0; a < n; a++ {
-		covRow := cov.Row(a)
-		mmRow := mm.Row(a)
-		gaa := v[a]*alpha[a] - mmRow[a]
+		ka, ba := kinv.Row(a), b.Row(a)
+		gaa := v[a]*alpha[a] - mat.Dot(ba, ka) // M_aa
 		gSig += gaa * 2 * sig2
 		gNoise += gaa * 2 * noise2
-		for bb := a + 1; bb < n; bb++ {
-			g2 := v[a]*alpha[bb] - mmRow[bb] + v[bb]*alpha[a] - mm.At(bb, a)
-			kse := covRow[bb]
-			gSig += g2 * 2 * kse
-			gLen += g2 * kse * ts.r2(a, bb) / len2
+		c := a + 1
+		for ; c+4 <= n; c += 4 {
+			m, mt := mmQuad(ka, ba, kinv, b, c)
+			for j := 0; j < 4; j++ {
+				pair(a, c+j, m[j], mt[j])
+			}
+		}
+		for ; c < n; c++ {
+			pair(a, c, mat.Dot(ba, kinv.Row(c)), mat.Dot(b.Row(c), ka))
 		}
 	}
 	grad[0], grad[1], grad[2] = gSig, gLen, gNoise
-	return ll, grad, nil
+	return grad, nil
 }
+
+// mmQuad returns M_{a,c+j} and M_{c+j,a} for j < 4, where ka and ba are
+// row a of C⁻¹ and of B = C⁻¹·diag(c), so M = B·C⁻¹. C⁻¹ is exactly
+// symmetric, so M_{a,c} = Σ_k B_ak·C⁻¹_ck and M_{c,a} = Σ_k B_ck·C⁻¹_ak:
+// both are dot products of contiguous rows, each summed in ascending k
+// with the same operands as a row-times-matrix product, so the bits
+// match a stored M. (mat.MulTo skips zero multiplicands; that only ever
+// skips adding a signed zero, which cannot change a sum that starts at
+// +0.) Four pairs at a time read row a once for eight sums.
+func mmQuad(ka, ba []float64, kinv, b *mat.Dense, c int) (m, mt [4]float64) {
+	n := len(ka)
+	ba = ba[:n]
+	k0, k1, k2, k3 := kinv.Row(c)[:n], kinv.Row(c + 1)[:n], kinv.Row(c + 2)[:n], kinv.Row(c + 3)[:n]
+	b0, b1, b2, b3 := b.Row(c)[:n], b.Row(c + 1)[:n], b.Row(c + 2)[:n], b.Row(c + 3)[:n]
+	var m0, m1, m2, m3, t0, t1, t2, t3 float64
+	for k, x := range ka {
+		y := ba[k]
+		m0 += y * k0[k]
+		m1 += y * k1[k]
+		m2 += y * k2[k]
+		m3 += y * k3[k]
+		t0 += b0[k] * x
+		t1 += b1[k] * x
+		t2 += b2[k] * x
+		t3 += b3[k] * x
+	}
+	return [4]float64{m0, m1, m2, m3}, [4]float64{t0, t1, t2, t3}
+}
+
+// objective is a maximization target over log hyperparameters, in two
+// stages. value computes the objective at hp into the scratch; grad
+// computes its gradient, continuing from the scratch the immediately
+// preceding successful value call left for the same hp. The scratch is
+// owned by the surrounding ascend() and reused across evaluations.
+type objective struct {
+	value func(ts trainSet, hp Hyper, s *evalScratch) (float64, error)
+	grad  func(ts trainSet, hp Hyper, s *evalScratch) ([3]float64, error)
+}
+
+var (
+	looObjective = objective{looValue, looGrad}
+	mlObjective  = objective{mlValue, mlGrad}
+)
 
 // Optimize maximizes the LOO log likelihood starting from init, using
 // Polak–Ribière conjugate gradients with an Armijo backtracking line
@@ -144,7 +198,93 @@ func Optimize(x [][]float64, y []float64, init Hyper, maxIter int) (OptimizeResu
 	if maxIter < 0 {
 		return OptimizeResult{}, fmt.Errorf("gp: negative maxIter %d", maxIter)
 	}
-	res, err := ascend(directSet(x, y), init, maxIter, looValueGrad)
-	statOptimizeEvals.Add(uint64(res.Evals))
-	return res, err
+	return ascend(directSet(x, y), init, maxIter, looObjective)
+}
+
+// ascend is the shared CG maximizer behind Optimize, OptimizeML and
+// their Column variants. It acquires one evalScratch for the whole
+// optimization and releases it on return — the deterministic join
+// point for every buffer the line search touches. A line-search probe
+// runs only the value stage; the gradient stage runs for the starting
+// point and for the probe the Armijo test accepts, which is always the
+// last one evaluated, so its scratch is still in place.
+func ascend(ts trainSet, init Hyper, maxIter int, obj objective) (res OptimizeResult, err error) {
+	scr := newEvalScratch(len(ts.y))
+	defer scr.release()
+	defer func() {
+		statOptimizeEvals.Add(uint64(res.Evals))
+		statOptimizeGradients.Add(uint64(res.Gradients))
+	}()
+
+	psi := toLog(init).clamp()
+	res.Hyper = psi.hyper()
+
+	f, err := obj.value(ts, psi.hyper(), scr)
+	res.Evals++
+	if err != nil {
+		return res, err
+	}
+	g, err := obj.grad(ts, psi.hyper(), scr)
+	res.Gradients++
+	if err != nil {
+		return res, err
+	}
+	res.LOO = f
+
+	dir := g
+	prevG := g
+	for iter := 0; iter < maxIter; iter++ {
+		gnorm := math.Sqrt(g[0]*g[0] + g[1]*g[1] + g[2]*g[2])
+		if gnorm < 1e-7 {
+			break
+		}
+		slope := g[0]*dir[0] + g[1]*dir[1] + g[2]*dir[2]
+		if slope <= 0 {
+			dir = g
+			slope = gnorm * gnorm
+		}
+		step := 0.5
+		var (
+			fNew  float64
+			gNew  [3]float64
+			psNew logHyper
+			ok    bool
+		)
+		for tries := 0; tries < 14; tries++ {
+			cand := logHyper{psi[0] + step*dir[0], psi[1] + step*dir[1], psi[2] + step*dir[2]}.clamp()
+			fc, err := obj.value(ts, cand.hyper(), scr)
+			res.Evals++
+			if err == nil && !math.IsNaN(fc) && fc >= f+1e-4*step*slope {
+				gc, err := obj.grad(ts, cand.hyper(), scr)
+				res.Gradients++
+				if err == nil {
+					fNew, gNew, psNew, ok = fc, gc, cand, true
+					break
+				}
+			}
+			step *= 0.5
+		}
+		if !ok {
+			break
+		}
+		var num, den float64
+		for i := 0; i < 3; i++ {
+			num += gNew[i] * (gNew[i] - prevG[i])
+			den += prevG[i] * prevG[i]
+		}
+		beta := 0.0
+		if den > 0 {
+			beta = num / den
+			if beta < 0 {
+				beta = 0
+			}
+		}
+		for i := 0; i < 3; i++ {
+			dir[i] = gNew[i] + beta*dir[i]
+		}
+		psi, f, g, prevG = psNew, fNew, gNew, gNew
+		res.Hyper = psi.hyper()
+		res.LOO = f
+	}
+	return res, nil
 }

@@ -9,28 +9,32 @@ import (
 )
 
 // evalScratch bundles every transient one objective evaluation needs —
-// covariance, Cholesky factor, triangular/precision scratch, the shared
-// O(n³) gradient product, and four n-vectors — backed by two memsys
-// slabs acquired once per ascend() call and reused across all ~10–60
-// evaluations of that optimization. This is the single largest
-// allocation win on the predict path: the CG line search used to heap-
-// allocate ~10 matrices/vectors per evaluation.
+// covariance, Cholesky factor, (L⁻¹)ᵀ, precision matrix, C⁻¹·diag(c)
+// and five n-vectors — backed by two memsys slabs acquired once per
+// ascend() call and reused across all ~10–60 evaluations of that
+// optimization. This is the single largest allocation win on the
+// predict path: the CG line search used to heap-allocate ~10
+// matrices/vectors per evaluation.
+//
+// An objective's value stage fills cov, lfac, u, alpha and (for LOO)
+// kdiag for the Θ it evaluated; its gradient stage continues from
+// exactly that state and writes the rest, so nothing is refactored.
 //
 // n is fixed for the lifetime of a scratch (a training set never
 // changes size mid-optimization), so the Dense wrappers are built once.
 type evalScratch struct {
 	n       int
-	matSlab []float64 // 6 n×n blocks
-	vecSlab []float64 // 4 n vectors
+	matSlab []float64 // 5 n×n blocks
+	vecSlab []float64 // 5 n vectors
 
 	cov  *mat.Dense // C = K + θ₂²I (+jitter), the factored covariance
 	lfac *mat.Dense // Cholesky factor storage
-	linv *mat.Dense // triangular scratch for InverseTo
-	kinv *mat.Dense // C⁻¹
-	b    *mat.Dense // C⁻¹·diag(c)
-	mm   *mat.Dense // C⁻¹·diag(c)·C⁻¹
+	u    *mat.Dense // (L⁻¹)ᵀ by rows, upper triangle (mat.InverseFactorTo)
+	kinv *mat.Dense // C⁻¹ (gradient stage)
+	b    *mat.Dense // C⁻¹·diag(c) (LOO gradient stage)
 
 	alpha []float64 // C⁻¹·y
+	kdiag []float64 // diag C⁻¹ (LOO value stage)
 	w     []float64 // α ⊘ diag C⁻¹
 	cdiag []float64 // curvature weights
 	v     []float64 // C⁻¹·w
@@ -39,12 +43,12 @@ type evalScratch struct {
 }
 
 func newEvalScratch(n int) *evalScratch {
-	ms := memsys.GetFloats(6 * n * n)
-	vs := memsys.GetFloats(4 * n)
+	ms := memsys.GetFloats(5 * n * n)
+	vs := memsys.GetFloats(5 * n)
 	s := &evalScratch{n: n, matSlab: ms, vecSlab: vs}
 	blk := func(i int) *mat.Dense { return mat.NewDenseData(n, n, ms[i*n*n:(i+1)*n*n]) }
-	s.cov, s.lfac, s.linv, s.kinv, s.b, s.mm = blk(0), blk(1), blk(2), blk(3), blk(4), blk(5)
-	s.alpha, s.w, s.cdiag, s.v = vs[0:n], vs[n:2*n], vs[2*n:3*n], vs[3*n:4*n]
+	s.cov, s.lfac, s.u, s.kinv, s.b = blk(0), blk(1), blk(2), blk(3), blk(4)
+	s.alpha, s.kdiag, s.w, s.cdiag, s.v = vs[0:n], vs[n:2*n], vs[2*n:3*n], vs[3*n:4*n], vs[4*n:5*n]
 	return s
 }
 
@@ -84,11 +88,9 @@ func (s *evalScratch) fit(ts trainSet, hp Hyper) error {
 // looSum computes the LOO predictive log likelihood from the precision
 // matrix diagonal (Eqn. 20) — shared by Model.LOO and the scratch-based
 // optimizer so both paths are arithmetically identical.
-func looSum(y, alpha []float64, kinv *mat.Dense) (float64, error) {
-	n := len(y)
+func looSum(y, alpha, kdiag []float64) (float64, error) {
 	var ll float64
-	for i := 0; i < n; i++ {
-		kii := kinv.At(i, i)
+	for i, kii := range kdiag {
 		if kii <= 0 {
 			return 0, fmt.Errorf("%w: nonpositive precision diagonal", ErrCondition)
 		}

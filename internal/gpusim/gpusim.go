@@ -166,6 +166,32 @@ func (d *Device) Malloc(label string, bytes int64) (*Buffer, error) {
 	return &Buffer{dev: d, id: d.nextBufID, label: label, bytes: bytes}, nil
 }
 
+// Grow extends b by delta bytes under the same budget check as Malloc:
+// when the budget would be exceeded it fails with ErrOutOfMemory and
+// leaves b and the device's usage unchanged. A structure that grows for
+// its whole life books the growth against one buffer this way instead
+// of holding one Buffer per increment.
+func (d *Device) Grow(b *Buffer, delta int64) error {
+	if b == nil || b.dev != d {
+		return errors.New("gpusim: foreign buffer")
+	}
+	if delta < 0 {
+		return fmt.Errorf("gpusim: negative growth %d", delta)
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if b.freed {
+		return ErrFreed
+	}
+	if d.usedBytes+delta > d.cfg.GlobalMemBytes {
+		return fmt.Errorf("%w: want %d more, used %d of %d (%s)",
+			ErrOutOfMemory, delta, d.usedBytes, d.cfg.GlobalMemBytes, b.label)
+	}
+	d.usedBytes += delta
+	b.bytes += delta
+	return nil
+}
+
 // Free releases a buffer. Freeing twice returns ErrFreed.
 func (d *Device) Free(b *Buffer) error {
 	if b == nil || b.dev != d {

@@ -85,6 +85,47 @@ func TestMallocOutOfMemory(t *testing.T) {
 	}
 }
 
+func TestGrowBooksAgainstOneBuffer(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.GlobalMemBytes = 100
+	d := MustNewDevice(cfg)
+	b, err := d.Malloc("idx", 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Grow(b, 50); err != nil {
+		t.Fatal(err)
+	}
+	if d.UsedBytes() != 90 || b.Bytes() != 90 {
+		t.Fatalf("after Grow: used %d, buffer %d, want 90/90", d.UsedBytes(), b.Bytes())
+	}
+	// A refused grow changes nothing.
+	if err := d.Grow(b, 11); !errors.Is(err, ErrOutOfMemory) {
+		t.Fatalf("err = %v, want ErrOutOfMemory", err)
+	}
+	if d.UsedBytes() != 90 || b.Bytes() != 90 {
+		t.Fatalf("after refused Grow: used %d, buffer %d, want 90/90", d.UsedBytes(), b.Bytes())
+	}
+	if err := d.Grow(b, 10); err != nil { // exactly to the budget
+		t.Fatal(err)
+	}
+	if err := d.Grow(b, -1); err == nil {
+		t.Fatal("negative growth should error")
+	}
+	if err := MustNewDevice(cfg).Grow(b, 1); err == nil {
+		t.Fatal("growing a foreign buffer should error")
+	}
+	if err := d.Free(b); err != nil {
+		t.Fatal(err)
+	}
+	if d.UsedBytes() != 0 {
+		t.Fatalf("after Free: used %d, want 0", d.UsedBytes())
+	}
+	if err := d.Grow(b, 1); !errors.Is(err, ErrFreed) {
+		t.Fatalf("Grow after Free err = %v, want ErrFreed", err)
+	}
+}
+
 func TestLaunchRunsEveryBlockOnce(t *testing.T) {
 	d := testDevice(t)
 	const grid = 257

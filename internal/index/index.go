@@ -168,8 +168,9 @@ type Index struct {
 
 	// Device residency is booked eagerly — New and Advance reserve what
 	// the window level will occupy once built — so capacity errors
-	// surface at registration and ingest, not inside a forecast.
-	bufs     []*gpusim.Buffer
+	// surface at registration and ingest, not inside a forecast. All of
+	// it is booked against one buffer that Advance grows.
+	buf      *gpusim.Buffer
 	unbooked int64 // appended-history bytes not yet reflected on the device
 	closed   bool
 
@@ -312,7 +313,7 @@ func New(dev *gpusim.Device, history []float64, p Params) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix.bufs = append(ix.bufs, buf)
+	ix.buf = buf
 	return ix, nil
 }
 
@@ -322,14 +323,7 @@ func (ix *Index) Close() error {
 		return nil
 	}
 	ix.closed = true
-	var first error
-	for _, b := range ix.bufs {
-		if err := ix.dev.Free(b); err != nil && first == nil {
-			first = err
-		}
-	}
-	ix.bufs = nil
-	return first
+	return ix.dev.Free(ix.buf)
 }
 
 // Len returns the current history length |C|.
@@ -578,9 +572,9 @@ func (ix *Index) refreshPendingDWColumns() error {
 // Advance appends a new observation to the history. The window level
 // is not touched — the next search brings it up to date (see Sync) — but
 // the device memory the observation will occupy there is booked now,
-// one allocation per completed disjoint window, so an index that cannot
-// grow refuses the observation here. A refused observation leaves the
-// index unchanged.
+// one grow of the index's buffer per completed disjoint window, so an
+// index that cannot grow refuses the observation here. A refused
+// observation leaves the index unchanged.
 func (ix *Index) Advance(obs float64) error {
 	if ix.closed {
 		return errors.New("index: closed")
@@ -589,11 +583,9 @@ func (ix *Index) Advance(obs float64) error {
 	if omega := ix.p.Omega; (len(ix.c)+1)/omega > len(ix.c)/omega {
 		// Book the accumulated history bytes plus the new posting-plane
 		// column.
-		nb, err := ix.dev.Malloc("smiler-index-grow", unbooked+int64(8*2*ix.nSW))
-		if err != nil {
+		if err := ix.dev.Grow(ix.buf, unbooked+int64(8*2*ix.nSW)); err != nil {
 			return err
 		}
-		ix.bufs = append(ix.bufs, nb)
 		unbooked = 0
 	}
 	ix.unbooked = unbooked

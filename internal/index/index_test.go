@@ -541,6 +541,83 @@ func TestAdvanceSurfacesDeviceOOM(t *testing.T) {
 	}
 }
 
+// Advance books device memory against the index's one buffer: usage
+// after every step equals the sum of the per-window allocations it used
+// to make (the history bytes appended since the last booking plus one
+// posting-plane column, each time a disjoint window completes), a
+// refused grow leaves usage and the index unchanged, and Close returns
+// everything.
+func TestAdvanceBooksDeviceBytesStepForStep(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	p := smallParams()
+	hist := randwalk(rng, 300)
+	nSW := int64(p.ELV[len(p.ELV)-1] - p.Omega + 1)
+	footprint := 8*int64(len(hist)) + 16*nSW*int64(len(hist)/p.Omega)
+
+	dev := testDevice(t)
+	ix, err := New(dev, hist, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, unbooked, n := footprint, int64(0), len(hist)
+	if got := dev.UsedBytes(); got != want {
+		t.Fatalf("after New: used %d, want %d", got, want)
+	}
+	for step := 0; step < 5*p.Omega+3; step++ {
+		if err := ix.Advance(rng.NormFloat64()); err != nil {
+			t.Fatal(err)
+		}
+		unbooked += 8
+		if (n+1)/p.Omega > n/p.Omega {
+			want += unbooked + 16*nSW
+			unbooked = 0
+		}
+		n++
+		if got := dev.UsedBytes(); got != want {
+			t.Fatalf("step %d: used %d, want %d", step, got, want)
+		}
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := dev.UsedBytes(); got != 0 {
+		t.Fatalf("after Close: used %d, want 0", got)
+	}
+
+	cfg := gpusim.DefaultConfig()
+	cfg.GlobalMemBytes = footprint // no headroom: the first grow is refused
+	tight := gpusim.MustNewDevice(cfg)
+	ix, err = New(tight, hist, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var refused bool
+	for step := 0; step < p.Omega && !refused; step++ {
+		before := ix.Len()
+		err := ix.Advance(rng.NormFloat64())
+		switch {
+		case err == nil:
+		case errors.Is(err, gpusim.ErrOutOfMemory):
+			refused = true
+			if ix.Len() != before || tight.UsedBytes() != footprint {
+				t.Fatalf("refused grow moved state: len %d→%d, used %d, want %d",
+					before, ix.Len(), tight.UsedBytes(), footprint)
+			}
+		default:
+			t.Fatalf("err = %v, want ErrOutOfMemory", err)
+		}
+	}
+	if !refused {
+		t.Fatal("expected a refused grow within one window")
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tight.UsedBytes(); got != 0 {
+		t.Fatalf("after Close: used %d, want 0", got)
+	}
+}
+
 // Stats instrumentation must be populated by searches.
 func TestSearchStatsPopulated(t *testing.T) {
 	dev := testDevice(t)

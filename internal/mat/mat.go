@@ -7,6 +7,12 @@
 // operations the semi-lazy GP needs on k×k systems (k is the number of
 // nearest neighbours, typically 8–128) and favours clarity and numeric
 // robustness over asymptotic tricks. All matrices are row-major.
+//
+// SPD inversion comes in two halves so a caller can stop after the
+// first: InverseFactorTo leaves (L⁻¹)ᵀ by rows in InverseTo's scratch
+// (upper triangle), from which InverseDiagTo reads diag(A⁻¹) in O(n²)
+// and InverseFromFactorTo fills the whole of A⁻¹ with contiguous row
+// dot products. InverseTo is the two halves back to back.
 package mat
 
 import (
@@ -357,49 +363,97 @@ func (c *Cholesky) Solve(b *Dense) (*Dense, error) {
 // symmetric by construction.
 func (c *Cholesky) Inverse() (*Dense, error) {
 	inv := NewDense(c.n, c.n)
-	linv := NewDense(c.n, c.n)
-	if err := c.InverseTo(inv, linv); err != nil {
+	u := NewDense(c.n, c.n)
+	if err := c.InverseTo(inv, u); err != nil {
 		return nil, err
 	}
 	return inv, nil
 }
 
-// InverseTo computes A⁻¹ into inv using linv as triangular scratch;
-// both must be n×n and may be dirty (every entry consumed is written
-// first). inv, linv and the factor must all be distinct.
-func (c *Cholesky) InverseTo(inv, linv *Dense) error {
+// InverseTo computes A⁻¹ into inv using u as triangular scratch; both
+// must be n×n and may be dirty (every entry consumed is written first).
+// inv, u and the factor must all be distinct. On return u holds
+// (L⁻¹)ᵀ by rows, as InverseFactorTo leaves it: InverseTo is exactly
+// InverseFactorTo followed by InverseFromFactorTo.
+func (c *Cholesky) InverseTo(inv, u *Dense) error {
+	if err := c.InverseFactorTo(u); err != nil {
+		return err
+	}
+	return InverseFromFactorTo(inv, u)
+}
+
+// InverseFactorTo writes U = (L⁻¹)ᵀ into the upper triangle of u, by
+// rows: row j of U is column j of L⁻¹, so A⁻¹ = U·Uᵀ and every sum
+// below and in InverseFromFactorTo is a dot product of contiguous row
+// slices. Only the upper triangle is written, and only written entries
+// are read back, so u may be dirty.
+func (c *Cholesky) InverseFactorTo(u *Dense) error {
 	n := c.n
-	if inv.rows != n || inv.cols != n || linv.rows != n || linv.cols != n {
+	if u.rows != n || u.cols != n {
 		return ErrShape
 	}
-	// L⁻¹ by forward substitution down each column; lower triangular.
-	// Only the lower triangle of linv is written, and only written
-	// entries are read back, so no clear is needed.
+	// Forward substitution down column j of L⁻¹:
+	// L⁻¹_ij = −(Σ_{j ≤ k < i} L_ik·L⁻¹_kj) / L_ii.
 	for j := 0; j < n; j++ {
 		ljj := c.l.At(j, j)
 		if ljj == 0 {
 			return ErrNotSPD
 		}
-		linv.Set(j, j, 1/ljj)
+		urow := u.Row(j)
+		urow[j] = 1 / ljj
 		for i := j + 1; i < n; i++ {
 			lrow := c.l.Row(i)
+			ur := urow[j:i]
+			lr := lrow[j:i:i]
 			var s float64
-			for k := j; k < i; k++ {
-				s += lrow[k] * linv.At(k, j)
+			for k, uk := range ur {
+				s += lr[k] * uk
 			}
-			linv.Set(i, j, -s/lrow[i])
+			urow[i] = -s / lrow[i]
 		}
 	}
-	// (A⁻¹)_ij = Σ_{m ≥ max(i,j)} L⁻¹_mi · L⁻¹_mj.
+	return nil
+}
+
+// InverseFromFactorTo fills inv = U·Uᵀ = A⁻¹ from the U that
+// InverseFactorTo left in u: (A⁻¹)_ij = Σ_{m ≥ max(i,j)} U_im·U_jm,
+// summed in ascending m. The diagonal is bit-identical to
+// InverseDiagTo's.
+func InverseFromFactorTo(inv, u *Dense) error {
+	n := u.rows
+	if u.cols != n || inv.rows != n || inv.cols != n {
+		return ErrShape
+	}
 	for i := 0; i < n; i++ {
+		ui := u.Row(i)
 		for j := i; j < n; j++ {
+			uj := u.Row(j)[j:]
 			var s float64
-			for m := j; m < n; m++ {
-				s += linv.At(m, i) * linv.At(m, j)
+			for m, v := range ui[j:] {
+				s += v * uj[m]
 			}
-			inv.Set(i, j, s)
-			inv.Set(j, i, s)
+			inv.data[i*n+j] = s
+			inv.data[j*n+i] = s
 		}
+	}
+	return nil
+}
+
+// InverseDiagTo writes diag(A⁻¹) into d from the U that InverseFactorTo
+// left in u — the O(n²) part of InverseFromFactorTo, for callers that
+// need only the precisions.
+func InverseDiagTo(d []float64, u *Dense) error {
+	n := u.rows
+	if u.cols != n || len(d) != n {
+		return ErrShape
+	}
+	for i := range d {
+		ui := u.Row(i)[i:]
+		var s float64
+		for _, v := range ui {
+			s += v * v
+		}
+		d[i] = s
 	}
 	return nil
 }

@@ -330,6 +330,85 @@ func TestQuickLogDetDiagonal(t *testing.T) {
 	}
 }
 
+// refInverseTo is InverseTo before it was split in two: L⁻¹ stored by
+// columns in the lower triangle, read back through At.
+func refInverseTo(c *Cholesky, inv, linv *Dense) error {
+	n := c.n
+	for j := 0; j < n; j++ {
+		ljj := c.l.At(j, j)
+		if ljj == 0 {
+			return ErrNotSPD
+		}
+		linv.Set(j, j, 1/ljj)
+		for i := j + 1; i < n; i++ {
+			lrow := c.l.Row(i)
+			var s float64
+			for k := j; k < i; k++ {
+				s += lrow[k] * linv.At(k, j)
+			}
+			linv.Set(i, j, -s/lrow[i])
+		}
+	}
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			var s float64
+			for m := j; m < n; m++ {
+				s += linv.At(m, i) * linv.At(m, j)
+			}
+			inv.Set(i, j, s)
+			inv.Set(j, i, s)
+		}
+	}
+	return nil
+}
+
+// The split inverse (factor-inverse half, then fill or diagonal) is
+// bit-identical to the unsplit one, on dirty scratch.
+func TestInverseHalvesMatchUnsplitBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, n := range []int{1, 2, 3, 7, 16, 33} {
+		a := randomSPD(rng, n)
+		ch, err := NewCholesky(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantL := NewDense(n, n), NewDense(n, n)
+		if err := refInverseTo(ch, want, wantL); err != nil {
+			t.Fatal(err)
+		}
+		inv, u := NewDense(n, n), NewDense(n, n)
+		for i := range inv.data {
+			inv.data[i], u.data[i] = math.NaN(), math.NaN()
+		}
+		if err := ch.InverseTo(inv, u); err != nil {
+			t.Fatal(err)
+		}
+		d := make([]float64, n)
+		if err := InverseDiagTo(d, u); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			if math.Float64bits(d[i]) != math.Float64bits(want.At(i, i)) {
+				t.Fatalf("n=%d: diag[%d] %v != %v", n, i, d[i], want.At(i, i))
+			}
+			for j := 0; j < n; j++ {
+				if math.Float64bits(inv.At(i, j)) != math.Float64bits(want.At(i, j)) {
+					t.Fatalf("n=%d: inv[%d][%d] %v != %v", n, i, j, inv.At(i, j), want.At(i, j))
+				}
+				if j >= i && math.Float64bits(u.At(i, j)) != math.Float64bits(wantL.At(j, i)) {
+					t.Fatalf("n=%d: U[%d][%d] %v != L⁻¹[%d][%d] %v", n, i, j, u.At(i, j), j, i, wantL.At(j, i))
+				}
+			}
+		}
+	}
+	if err := InverseDiagTo(make([]float64, 2), NewDense(3, 3)); err != ErrShape {
+		t.Fatalf("InverseDiagTo shape err = %v", err)
+	}
+	if err := InverseFromFactorTo(NewDense(2, 2), NewDense(3, 3)); err != ErrShape {
+		t.Fatalf("InverseFromFactorTo shape err = %v", err)
+	}
+}
+
 func BenchmarkCholesky32(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	a := randomSPD(rng, 32)

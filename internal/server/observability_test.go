@@ -70,6 +70,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"smiler_forecast_cache_hits_total",
 		"smiler_forecast_cache_misses_total 1",
 		"smiler_gp_fits_total",
+		"# TYPE smiler_gp_optimizer_evals_total counter",
+		"# TYPE smiler_gp_optimizer_gradients_total counter",
 		`smiler_http_requests_total{route="/sensors",method="POST",status="201"} 1`,
 		"smiler_http_request_seconds_bucket",
 		`smiler_http_request_seconds_count{route="/sensors",code="201"} 1`,

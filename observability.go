@@ -148,8 +148,11 @@ func newSystemObs() *systemObs {
 		"Cholesky attempts that failed and walked up the jitter ladder.",
 		func() float64 { return float64(gp.SnapshotStats().JitterRetries) })
 	reg.CounterFunc("smiler_gp_optimizer_evals_total",
-		"Objective/gradient evaluations spent optimizing GP hyperparameters.",
+		"Objective values (one GP fit each) computed optimizing GP hyperparameters.",
 		func() float64 { return float64(gp.SnapshotStats().OptimizeEvals) })
+	reg.CounterFunc("smiler_gp_optimizer_gradients_total",
+		"Objective gradients computed optimizing GP hyperparameters (starting points and accepted steps).",
+		func() float64 { return float64(gp.SnapshotStats().Gradients) })
 	reg.CounterFunc("smiler_gp_columns_total",
 		"Shared per-column Gram bases materialized for the Prediction Step.",
 		func() float64 { return float64(gp.SnapshotStats().Columns) })

@@ -8,7 +8,7 @@
 # previously committed file. No dependencies beyond go and awk; CI and
 # `make bench-json` call this.
 #
-# Gates (both skippable with GATE=off for baseline regeneration):
+# Gates (all skippable with GATE=off for baseline regeneration):
 #   - sanity: the ingest metrics=off row must not be slower than
 #     metrics=on by >5% — that inversion means swapped labels or an
 #     unstable run (the pair runs with INGEST_BENCHTIME=2000x because
@@ -16,6 +16,12 @@
 #   - regression: predict-path allocs_per_op must not exceed the
 #     committed baseline by >10% (with a small absolute slack so the
 #     1x CI smoke's unamortized pool misses don't flake the gate).
+#   - work counts, zero tolerance: BenchmarkColumnOptimize's evals/op
+#     and gradients/op and BenchmarkContinuousGPLoop's dtw_runs/op and
+#     dtw_cols/op must equal the committed rows exactly. They are
+#     counts of work done at a fixed iteration count and repeat to the
+#     last digit; a change that means to move one regenerates the file
+#     with GATE=off in the same diff and says why.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -42,6 +48,12 @@ go test ./internal/dtw -run '^$' -bench 'BenchmarkDistanceCompressed(Abandon)?64
     -benchmem -benchtime "$BENCHTIME" >>"$raw"
 go test ./internal/ingest -run '^$' -bench 'BenchmarkIngestThroughput/direct' \
     -benchmem -benchtime "$INGEST_BENCHTIME" >>"$raw"
+# The GP hyperparameter optimizer on one shared column (k = 8, 16, 32;
+# 5 iterations each), the way a warm ensemble column runs it. Fixed at
+# 200 iterations like the loop below: its evals/op and gradients/op are
+# gated exactly.
+go test ./internal/gp -run '^$' -bench 'BenchmarkColumnOptimize$' \
+    -benchmem -benchtime 200x >>"$raw"
 # The repository benchmark's search-heavy traffic shape without the
 # transport (8 sensors × 2,048 ROAD points, observe then forecast).
 # Always the same 300 iterations, whatever BENCHTIME says: dtw_runs/op
@@ -182,4 +194,50 @@ BEGIN {
     }
 }
 END { exit fail }
+' "$OUT"
+
+# Work-count gate: exact equality with the committed rows. Skipped only
+# when there is no baseline file at all (a fresh OUT path).
+[ -s "$base" ] || { echo "bench-json: no baseline, work-count gate skipped"; exit 0; }
+awk -v baseline="$base" '
+function field(line, key,    m) {
+    if (match(line, "\"" key "\": [-0-9.e+]+")) {
+        m = substr(line, RSTART, RLENGTH); sub(".*: ", "", m); return m
+    }
+    return ""
+}
+function bname(line,    m) {
+    if (match(line, /"name": "[^"]*"/)) return substr(line, RSTART + 9, RLENGTH - 10)
+    return ""
+}
+BEGIN {
+    gated["BenchmarkColumnOptimize"] = "evals_per_op gradients_per_op"
+    gated["BenchmarkContinuousGPLoop"] = "dtw_runs_per_op dtw_cols_per_op"
+    while ((getline bl < baseline) > 0) {
+        bn = bname(bl)
+        if (bn in gated && field(bl, "iterations") != "") base[bn] = bl
+    }
+    close(baseline)
+    fail = 0
+}
+{
+    bn = bname($0)
+    if (!(bn in gated) || field($0, "iterations") == "") next
+    seen[bn] = 1
+    nk = split(gated[bn], keys, " ")
+    for (i = 1; i <= nk; i++) {
+        cur = field($0, keys[i])
+        want = (bn in base) ? field(base[bn], keys[i]) : ""
+        if (cur == "" || want == "" || cur + 0 != want + 0) {
+            printf "bench-json: WORK COUNT MOVED: %s %s = %s, committed %s (regenerate with GATE=off and say why)\n", bn, keys[i], cur, want
+            fail = 1
+        } else {
+            printf "bench-json: %s %s = %s, as committed\n", bn, keys[i], cur
+        }
+    }
+}
+END {
+    for (bn in gated) if (!(bn in seen)) { printf "bench-json: %s row missing\n", bn; fail = 1 }
+    exit fail
+}
 ' "$OUT"
