@@ -68,8 +68,8 @@ bench-obs:
 # continuous_gp loop — ns/op + allocs into BENCH_predict.json
 # (scripts/bench_json.sh; BENCHTIME=2s for stable local numbers,
 # default 1x is the CI smoke). Fails if the optimizer's evals/op and
-# gradients/op or the loop's dtw_runs/op and dtw_cols/op differ from
-# the committed rows at all.
+# gradients/op or the loop's dtw_runs/op, dtw_cols/op and gp_evals/op
+# differ from the committed rows at all.
 bench-json:
 	./scripts/bench_json.sh
 

@@ -1,6 +1,7 @@
 package smiler
 
 import (
+	"bytes"
 	"context"
 	"math"
 	"math/rand"
@@ -132,10 +133,13 @@ func TestAnytimeABBitIdentical(t *testing.T) {
 // deleted (testdata/checkpoint_learnedlb_pr10.ckpt, saved at commit
 // 946f425 with the LBModel gob field populated) still loads. Gob skips
 // the field the struct no longer has, the model is simply dropped, and
-// forecasts are bit-identical both to what that commit served after
-// restoring the same bytes and to a system that lived through the same
-// stream here. WAL replay, spill/fault-in and migration move sensors in
-// this same envelope.
+// forecasts are bit-identical to what that commit served after restoring
+// the same bytes. A system that lives through the fixture's stream under
+// today's code need not match the fixture — the fixture's hyperparameters
+// come from the cold-fit trajectory of its day — so that half of the
+// check is a save → load twin instead: the envelope a live system writes
+// now restores into one that serves the live system's bits. WAL replay,
+// spill/fault-in and migration move sensors in this same envelope.
 func TestCheckpointLBModelEnvelopeLoads(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Predictor = PredictorGP
@@ -150,7 +154,24 @@ func TestCheckpointLBModelEnvelopeLoads(t *testing.T) {
 	}
 	defer restored.Close()
 
-	// The stream the fixture's system lived through.
+	// Mean/variance bits the parent commit served for h=1 then h=3 after
+	// loading the same file.
+	parent := map[int][2]uint64{
+		1: {0xc00a1a89db46b767, 0x40249006051ae4e2},
+		3: {0x40187060d2eb47e4, 0x402cdae86298a571},
+	}
+	for _, h := range []int{1, 3} {
+		got, err := restored.Predict("a", h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bits := [2]uint64{math.Float64bits(got.Mean), math.Float64bits(got.Variance)}; bits != parent[h] {
+			t.Fatalf("h=%d: restored bits %#x, parent commit served %#x", h, bits, parent[h])
+		}
+	}
+
+	// The stream the fixture's system lived through, then a save → load
+	// twin of it.
 	live, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -168,15 +189,17 @@ func TestCheckpointLBModelEnvelopeLoads(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	// Mean/variance bits the parent commit served for h=1 then h=3 after
-	// loading the same file.
-	parent := map[int][2]uint64{
-		1: {0xc00a1a89db46b767, 0x40249006051ae4e2},
-		3: {0x40187060d2eb47e4, 0x402cdae86298a571},
+	var buf bytes.Buffer
+	if err := live.SaveTo(&buf); err != nil {
+		t.Fatal(err)
 	}
+	twin, err := Load(&buf, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
 	for _, h := range []int{1, 3} {
-		got, err := restored.Predict("a", h)
+		got, err := twin.Predict("a", h)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,11 +207,9 @@ func TestCheckpointLBModelEnvelopeLoads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Mean != want.Mean || got.Variance != want.Variance {
-			t.Fatalf("h=%d: restored %v/%v, live %v/%v", h, got.Mean, got.Variance, want.Mean, want.Variance)
-		}
-		if bits := [2]uint64{math.Float64bits(got.Mean), math.Float64bits(got.Variance)}; bits != parent[h] {
-			t.Fatalf("h=%d: restored bits %#x, parent commit served %#x", h, bits, parent[h])
+		if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) ||
+			math.Float64bits(got.Variance) != math.Float64bits(want.Variance) {
+			t.Fatalf("h=%d: twin %v/%v, live %v/%v", h, got.Mean, got.Variance, want.Mean, want.Variance)
 		}
 	}
 }

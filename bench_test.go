@@ -490,9 +490,10 @@ func BenchmarkAblationBootstrapUncertainty(b *testing.B) {
 //
 //	go test -run '^$' -bench ContinuousGPLoop -benchtime 300x -cpuprofile cpu.out .
 //
-// Beside the timings it reports the verification work per iteration —
-// candidates the DTW kernel ran on and band columns it processed — which
-// repeats exactly at a fixed -benchtime Nx.
+// Beside the timings it reports the work per iteration — candidates the
+// DTW kernel ran on, band columns it processed and GP objective values
+// the hyperparameter optimizer computed — which repeats exactly at a
+// fixed -benchtime Nx.
 func BenchmarkContinuousGPLoop(b *testing.B) {
 	const sensors, history = 8, 2048
 	horizons := [...]int{1, 1, 3, 3, 6, 6}
@@ -517,7 +518,7 @@ func BenchmarkContinuousGPLoop(b *testing.B) {
 	}
 	runs := sys.Metrics().Counter("smiler_knn_unfiltered_total", "")
 	cols := sys.Metrics().Counter("smiler_dtw_columns_total", "")
-	runs0, cols0 := runs.Value(), cols.Value()
+	runs0, cols0, evals0 := runs.Value(), cols.Value(), gp.SnapshotStats().OptimizeEvals
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
@@ -531,4 +532,5 @@ func BenchmarkContinuousGPLoop(b *testing.B) {
 	}
 	b.ReportMetric(float64(runs.Value()-runs0)/float64(b.N), "dtw_runs/op")
 	b.ReportMetric(float64(cols.Value()-cols0)/float64(b.N), "dtw_cols/op")
+	b.ReportMetric(float64(gp.SnapshotStats().OptimizeEvals-evals0)/float64(b.N), "gp_evals/op")
 }

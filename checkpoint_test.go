@@ -374,3 +374,58 @@ func TestSensorCheckpointRoundTrip(t *testing.T) {
 		t.Fatalf("restored history len %d, want 430", n)
 	}
 }
+
+// TestFirstTouchSensorCheckpointMatchesTwin: a GP sensor whose first
+// forecast seeded each column from one cold fit, moved through
+// SaveSensorTo → RestoreSensorsFrom, forecasts bit-identically to an
+// untouched twin that took the same first forecast.
+func TestFirstTouchSensorCheckpointMatchesTwin(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Predictor = PredictorGP
+	cfg.EKV = []int{8, 16, 32}
+	hist := noisySeasonal(rand.New(rand.NewSource(8)), 420, 10, 100)
+	twin, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	src, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	for _, s := range []*System{twin, src} {
+		if err := s.AddSensor("a", hist); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Predict("a", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := src.SaveSensorTo(&buf, "a"); err != nil {
+		t.Fatal(err)
+	}
+	dst, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dst.Close()
+	if _, err := dst.RestoreSensorsFrom(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range []int{1, 3, 1} {
+		got, err := dst.Predict("a", h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.Predict("a", h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) ||
+			math.Float64bits(got.Variance) != math.Float64bits(want.Variance) {
+			t.Fatalf("h=%d: restored %v/%v, twin %v/%v", h, got.Mean, got.Variance, want.Mean, want.Variance)
+		}
+	}
+}

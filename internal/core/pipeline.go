@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -537,7 +538,8 @@ func (p *Pipeline) predictColumn(pc *predColumn, h, n int, traced bool, results 
 		}
 	}
 
-	for ci, cell := range pc.cells {
+	fitCell := func(ci int) error {
+		cell := pc.cells[ci]
 		k := cell.K
 		if k > kmax {
 			k = kmax
@@ -561,13 +563,53 @@ func (p *Pipeline) predictColumn(pc *predColumn, h, n int, traced bool, results 
 			})
 		}
 		if err != nil {
-			out.err = fmt.Errorf("core: predictor (k=%d,d=%d) failed: %w", cell.K, cell.D, err)
-			return out
+			return fmt.Errorf("core: predictor (k=%d,d=%d) failed: %w", cell.K, cell.D, err)
 		}
 		results[pc.slots[ci]] = CellPrediction{Cell: cell, Pred: pr}
 		valid[pc.slots[ci]] = true
+		return nil
+	}
+	// A cold column pays for one fit: its median-k cold GP cell runs the
+	// full optimization first, and every other cold GP cell of the
+	// column starts from that fit with the online budget.
+	pivot := coldPivot(pc.cells)
+	if pivot >= 0 {
+		if out.err = fitCell(pivot); out.err != nil {
+			return out
+		}
+		fitted := pc.cells[pivot].Pred.(*GPPredictor).Hyper()
+		for _, c := range pc.cells {
+			if g, ok := c.Pred.(*GPPredictor); ok && g.cold() {
+				g.seed(fitted)
+			}
+		}
+	}
+	for ci := range pc.cells {
+		if ci == pivot {
+			continue
+		}
+		if out.err = fitCell(ci); out.err != nil {
+			return out
+		}
 	}
 	return out
+}
+
+// coldPivot returns the index in cells of the column's median-k cold GP
+// cell (the upper median of an even count), or -1 when fewer than two
+// GP cells are cold: a lone cold cell has no one to share its fit with.
+func coldPivot(cells []*Cell) int {
+	var cold []int
+	for i, c := range cells {
+		if g, ok := c.Pred.(*GPPredictor); ok && g.cold() {
+			cold = append(cold, i)
+		}
+	}
+	if len(cold) < 2 {
+		return -1
+	}
+	sort.SliceStable(cold, func(a, b int) bool { return cells[cold[a]].K < cells[cold[b]].K })
+	return cold[len(cold)/2]
 }
 
 // Observe feeds the next observation into the pipeline: it appends it

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"smiler/internal/fault"
 	"smiler/internal/gp"
@@ -107,7 +108,11 @@ const (
 // gradient optimization of the training objective from a data-driven
 // seed; subsequent queries warm-start from the previous
 // hyperparameters and take a fixed small number of CG steps — the
-// paper's "online training in continuous prediction".
+// paper's "online training in continuous prediction". Within one
+// Prediction Step the pipeline pays for one such first fit per ensemble
+// column: the column's other untrained cells are seeded with that
+// cell's fitted hyperparameters and take the online budget
+// (Pipeline.predictColumn).
 type GPPredictor struct {
 	// FullIterations is the CG budget of the initial optimization
 	// (default 20).
@@ -120,6 +125,7 @@ type GPPredictor struct {
 
 	hyper   gp.Hyper
 	trained bool
+	seeded  bool // hyper came from another cell and has not been optimized here yet
 }
 
 // NewGP returns a GP predictor with the paper's training budgets.
@@ -143,31 +149,80 @@ func (g *GPPredictor) SetHyper(h gp.Hyper) {
 	}
 }
 
-// Predict implements Predictor.
-func (g *GPPredictor) Predict(x0 []float64, x [][]float64, y []float64) (Prediction, error) {
-	if len(y) == 0 {
-		return Prediction{}, ErrNoNeighbors
+// cold reports whether the next query runs the full optimization from
+// the data-driven seed.
+func (g *GPPredictor) cold() bool { return !g.trained || g.hyper.Validate() != nil }
+
+// seed makes h, fitted by another cell, the warm start of the next
+// query, which then takes the online budget.
+func (g *GPPredictor) seed(h gp.Hyper) {
+	g.SetHyper(h)
+	g.seeded = g.trained
+}
+
+// How a GP hyperparameter optimization starts: cold (data-driven seed,
+// full budget), seeded (another cell's fit, online budget), warm (this
+// cell's previous fit, online budget) or fallback (a fresh data-driven
+// seed after the first attempt failed — a second optimization).
+const (
+	startCold = iota
+	startSeeded
+	startWarm
+	startFallback
+)
+
+var (
+	gpStartNames  = [...]string{"cold", "seeded", "warm", "fallback"}
+	gpStartCounts [len(gpStartNames)]atomic.Uint64
+)
+
+// GPOptimizations returns how many GP hyperparameter optimizations have
+// started each way, keyed "cold", "seeded", "warm" and "fallback".
+// Package-level, like the gp package's counters: a predictor carries no
+// registry handle.
+func GPOptimizations() map[string]uint64 {
+	m := make(map[string]uint64, len(gpStartNames))
+	for i, name := range gpStartNames {
+		m[name] = gpStartCounts[i].Load()
 	}
-	if err := fault.Check(fault.PointGPFit); err != nil {
-		return Prediction{}, fmt.Errorf("core: GP fit: %w", err)
+	return m
+}
+
+// optimize runs the training objective on (x, y) from init for at most
+// iters CG iterations — through col's shared Gram base when col is
+// non-nil, in which case (x, y) are its leading pairs.
+func (g *GPPredictor) optimize(col *gp.Column, x [][]float64, y []float64, init gp.Hyper, iters int) (gp.OptimizeResult, error) {
+	switch {
+	case col != nil && g.Objective == ObjectiveML:
+		return col.OptimizeML(len(y), init, iters)
+	case col != nil:
+		return col.Optimize(len(y), init, iters)
+	case g.Objective == ObjectiveML:
+		return gp.OptimizeML(x, y, init, iters)
 	}
-	iters := g.OnlineIterations
-	init := g.hyper
-	if !g.trained || init.Validate() != nil {
-		init = gp.HeuristicHyper(x, y)
-		iters = g.FullIterations
+	return gp.Optimize(x, y, init, iters)
+}
+
+// train optimizes the hyperparameters for one query on (x, y) — through
+// col when non-nil — and makes them the next query's warm start.
+func (g *GPPredictor) train(col *gp.Column, x0 []float64, x [][]float64, y []float64) (gp.Hyper, error) {
+	start, init, iters := startWarm, g.hyper, g.OnlineIterations
+	switch {
+	case g.cold():
+		start, init, iters = startCold, gp.HeuristicHyper(x, y), g.FullIterations
+	case g.seeded:
+		start = startSeeded
 	}
-	optimize := gp.Optimize
-	if g.Objective == ObjectiveML {
-		optimize = gp.OptimizeML
-	}
-	res, err := optimize(x, y, init, iters)
+	g.seeded = false
+	gpStartCounts[start].Add(1)
+	res, err := g.optimize(col, x, y, init, iters)
 	if err != nil {
 		// A broken warm start (e.g. the data regime shifted under the
 		// stored hyperparameters) falls back to a fresh seed once.
-		res, err = optimize(x, y, gp.HeuristicHyper(x, y), g.FullIterations)
+		gpStartCounts[startFallback].Add(1)
+		res, err = g.optimize(col, x, y, gp.HeuristicHyper(x, y), g.FullIterations)
 		if err != nil {
-			return Prediction{}, fmt.Errorf("core: GP training failed: %w", err)
+			return gp.Hyper{}, fmt.Errorf("core: GP training failed: %w", err)
 		}
 	}
 	hyper := res.Hyper
@@ -185,15 +240,34 @@ func (g *GPPredictor) Predict(x0 []float64, x [][]float64, y []float64) (Predict
 	}
 	g.hyper = hyper
 	g.trained = true
+	return hyper, nil
+}
 
+// Predict implements Predictor.
+func (g *GPPredictor) Predict(x0 []float64, x [][]float64, y []float64) (Prediction, error) {
+	if len(y) == 0 {
+		return Prediction{}, ErrNoNeighbors
+	}
+	if err := fault.Check(fault.PointGPFit); err != nil {
+		return Prediction{}, fmt.Errorf("core: GP fit: %w", err)
+	}
+	hyper, err := g.train(nil, x0, x, y)
+	if err != nil {
+		return Prediction{}, err
+	}
 	model, err := gp.Fit(x, y, hyper)
 	if err != nil {
 		return Prediction{}, fmt.Errorf("core: GP conditioning failed: %w", err)
 	}
-	// The model is query-transient: only the warm-start Hyper survives
-	// this call, so its pooled state goes straight back to memsys.
+	return posterior(model, x0, len(y))
+}
+
+// posterior evaluates a fitted model at x0 and releases it: the model is
+// query-transient, only the warm-start Hyper survives the call, so its
+// pooled state goes straight back to memsys.
+func posterior(model *gp.Model, x0 []float64, k int) (Prediction, error) {
 	defer model.Release()
-	scratch := memsys.GetFloats(2 * len(y))
+	scratch := memsys.GetFloats(2 * k)
 	defer memsys.PutFloats(scratch)
 	mean, variance, err := model.PredictBuf(x0, scratch)
 	if err != nil {
@@ -230,46 +304,15 @@ func (g *GPPredictor) PredictColumn(col *gp.Column, k int) (Prediction, error) {
 		return Prediction{}, fmt.Errorf("core: GP fit: %w", err)
 	}
 	x, y := col.XY(k)
-	x0 := col.X0()
-	iters := g.OnlineIterations
-	init := g.hyper
-	if !g.trained || init.Validate() != nil {
-		init = gp.HeuristicHyper(x, y)
-		iters = g.FullIterations
-	}
-	optimize := col.Optimize
-	if g.Objective == ObjectiveML {
-		optimize = col.OptimizeML
-	}
-	res, err := optimize(k, init, iters)
+	hyper, err := g.train(col, col.X0(), x, y)
 	if err != nil {
-		res, err = optimize(k, gp.HeuristicHyper(x, y), g.FullIterations)
-		if err != nil {
-			return Prediction{}, fmt.Errorf("core: GP training failed: %w", err)
-		}
+		return Prediction{}, err
 	}
-	hyper := res.Hyper
-	if !supported(x0, x, hyper) {
-		hyper = gp.HeuristicHyper(x, y)
-	}
-	g.hyper = hyper
-	g.trained = true
-
 	model, err := col.Fit(k, hyper)
 	if err != nil {
 		return Prediction{}, fmt.Errorf("core: GP conditioning failed: %w", err)
 	}
-	defer model.Release()
-	scratch := memsys.GetFloats(2 * k)
-	defer memsys.PutFloats(scratch)
-	mean, variance, err := model.PredictBuf(x0, scratch)
-	if err != nil {
-		return Prediction{}, fmt.Errorf("core: GP prediction failed: %w", err)
-	}
-	if variance < varianceFloor {
-		variance = varianceFloor
-	}
-	return Prediction{Mean: mean, Variance: variance}, nil
+	return posterior(model, col.X0(), k)
 }
 
 // supported reports whether the test input retains meaningful

@@ -23,7 +23,7 @@ type OptimizeResult struct {
 	// starting point plus every line-search probe.
 	Evals int
 	// Gradients counts the gradients computed on top of those values:
-	// the starting point's and each accepted probe's. A rejected probe
+	// the starting point's and each accepted probe's. Every other probe
 	// needs only its value.
 	Gradients int
 }
@@ -201,16 +201,32 @@ func Optimize(x [][]float64, y []float64, init Hyper, maxIter int) (OptimizeResu
 	return ascend(directSet(x, y), init, maxIter, looObjective)
 }
 
+// ladderRungs is the length of the Armijo step ladder: rung r probes
+// the step 0.5·2⁻ʳ.
+const ladderRungs = 14
+
 // ascend is the shared CG maximizer behind Optimize, OptimizeML and
-// their Column variants. It acquires one evalScratch for the whole
-// optimization and releases it on return — the deterministic join
-// point for every buffer the line search touches. A line-search probe
-// runs only the value stage; the gradient stage runs for the starting
-// point and for the probe the Armijo test accepts, which is always the
-// last one evaluated, so its scratch is still in place.
+// their Column variants. Each line search walks the step ladder
+// 0.5·2⁻ʳ, r < ladderRungs, and accepts the largest step that passes
+// the Armijo test — but it starts at the rung the previous iteration
+// accepted instead of at 0.5: if that rung passes, it probes one rung
+// higher and keeps walking up while probes pass; if it fails, it walks
+// down. Wherever Armijo acceptance is monotone along the ladder (every
+// step below the largest passing one passes too) this picks exactly the
+// step a walk down from 0.5 would, with fewer probes.
+//
+// A probe runs only the objective's value stage; the gradient stage runs
+// for the starting point and for the accepted probe, continuing from its
+// scratch. A walk up ends on a failed probe evaluated after the one it
+// accepts, so ascend holds two evalScratch buffers and swaps them after
+// every passing probe: the accepted probe's state is always in spare.
+// The pair is acquired once for the whole optimization and released on
+// return — the deterministic join point for every buffer the line
+// search touches.
 func ascend(ts trainSet, init Hyper, maxIter int, obj objective) (res OptimizeResult, err error) {
-	scr := newEvalScratch(len(ts.y))
+	scr, spare := newEvalScratchPair(len(ts.y))
 	defer scr.release()
+	defer spare.release()
 	defer func() {
 		statOptimizeEvals.Add(uint64(res.Evals))
 		statOptimizeGradients.Add(uint64(res.Gradients))
@@ -233,6 +249,7 @@ func ascend(ts trainSet, init Hyper, maxIter int, obj objective) (res OptimizeRe
 
 	dir := g
 	prevG := g
+	rung := 0 // where the next line search starts
 	for iter := 0; iter < maxIter; iter++ {
 		gnorm := math.Sqrt(g[0]*g[0] + g[1]*g[1] + g[2]*g[2])
 		if gnorm < 1e-7 {
@@ -243,30 +260,44 @@ func ascend(ts trainSet, init Hyper, maxIter int, obj objective) (res OptimizeRe
 			dir = g
 			slope = gnorm * gnorm
 		}
-		step := 0.5
 		var (
 			fNew  float64
 			gNew  [3]float64
 			psNew logHyper
 			ok    bool
 		)
-		for tries := 0; tries < 14; tries++ {
+		up, acc := true, -1 // walking up; the rung whose state is in spare
+		for r := rung; r >= 0 && r < ladderRungs; {
+			step := math.Ldexp(0.5, -r)
 			cand := logHyper{psi[0] + step*dir[0], psi[1] + step*dir[1], psi[2] + step*dir[2]}.clamp()
 			fc, err := obj.value(ts, cand.hyper(), scr)
 			res.Evals++
-			if err == nil && !math.IsNaN(fc) && fc >= f+1e-4*step*slope {
-				gc, err := obj.grad(ts, cand.hyper(), scr)
-				res.Gradients++
-				if err == nil {
-					fNew, gNew, psNew, ok = fc, gc, cand, true
-					break
+			pass := err == nil && !math.IsNaN(fc) && fc >= f+1e-4*step*slope
+			if pass {
+				scr, spare = spare, scr
+				acc, fNew, psNew = r, fc, cand
+				if up && r > 0 {
+					r--
+					continue
 				}
+			} else if acc < 0 {
+				up = false
+				r++
+				continue
 			}
-			step *= 0.5
+			gc, err := obj.grad(ts, psNew.hyper(), spare)
+			res.Gradients++
+			if err == nil {
+				gNew, ok = gc, true
+				break
+			}
+			// No gradient at the accepted step: walk down from below it.
+			up, r, acc = false, acc+1, -1
 		}
 		if !ok {
 			break
 		}
+		rung = acc
 		var num, den float64
 		for i := 0; i < 3; i++ {
 			num += gNew[i] * (gNew[i] - prevG[i])

@@ -19,13 +19,15 @@ import (
 // An objective's value stage fills cov, lfac, u, alpha and (for LOO)
 // kdiag for the Θ it evaluated; its gradient stage continues from
 // exactly that state and writes the rest, so nothing is refactored.
+// The rest — kinv, b, w, cdiag, v — never outlives one gradient call,
+// so the two scratches of a pair share it.
 //
 // n is fixed for the lifetime of a scratch (a training set never
 // changes size mid-optimization), so the Dense wrappers are built once.
 type evalScratch struct {
 	n       int
-	matSlab []float64 // 5 n×n blocks
-	vecSlab []float64 // 5 n vectors
+	matSlab []float64 // owned slabs; nil for the second of a pair
+	vecSlab []float64
 
 	cov  *mat.Dense // C = K + θ₂²I (+jitter), the factored covariance
 	lfac *mat.Dense // Cholesky factor storage
@@ -40,19 +42,55 @@ type evalScratch struct {
 	v     []float64 // C⁻¹·w
 
 	chol mat.Cholesky
+	mats [5]mat.Dense // storage behind the matrix fields
 }
 
+// newEvalScratch returns one scratch: 5 n×n blocks and 5 n-vectors.
 func newEvalScratch(n int) *evalScratch {
-	ms := memsys.GetFloats(5 * n * n)
-	vs := memsys.GetFloats(5 * n)
+	ms, vs := memsys.GetFloats(5*n*n), memsys.GetFloats(5*n)
 	s := &evalScratch{n: n, matSlab: ms, vecSlab: vs}
-	blk := func(i int) *mat.Dense { return mat.NewDenseData(n, n, ms[i*n*n:(i+1)*n*n]) }
-	s.cov, s.lfac, s.u, s.kinv, s.b = blk(0), blk(1), blk(2), blk(3), blk(4)
-	s.alpha, s.kdiag, s.w, s.cdiag, s.v = vs[0:n], vs[n:2*n], vs[2*n:3*n], vs[3*n:4*n], vs[4*n:5*n]
+	s.carveValue(ms, vs)
+	s.carveGrad(ms[3*n*n:], vs[2*n:])
 	return s
 }
 
-// release returns the slabs. The scratch must not be used afterwards.
+// newEvalScratchPair returns two scratches with their own value-stage
+// state and one shared set of gradient-stage buffers, on one pair of
+// slabs owned by the first: 8 n×n blocks and 7 n-vectors.
+func newEvalScratchPair(n int) (*evalScratch, *evalScratch) {
+	ms, vs := memsys.GetFloats(8*n*n), memsys.GetFloats(7*n)
+	pair := &[2]evalScratch{{n: n, matSlab: ms, vecSlab: vs}, {n: n}}
+	a, b := &pair[0], &pair[1]
+	a.carveValue(ms, vs)
+	b.carveValue(ms[3*n*n:], vs[2*n:])
+	a.carveGrad(ms[6*n*n:], vs[4*n:])
+	b.kinv, b.b, b.w, b.cdiag, b.v = a.kinv, a.b, a.w, a.cdiag, a.v
+	return a, b
+}
+
+// carveValue lays the value-stage state over the heads of ms (3 n×n
+// blocks) and vs (2 n-vectors).
+func (s *evalScratch) carveValue(ms, vs []float64) {
+	n := s.n
+	for i := 0; i < 3; i++ {
+		s.mats[i].SetData(n, n, ms[i*n*n:(i+1)*n*n])
+	}
+	s.cov, s.lfac, s.u = &s.mats[0], &s.mats[1], &s.mats[2]
+	s.alpha, s.kdiag = vs[0:n], vs[n:2*n]
+}
+
+// carveGrad lays the gradient-stage buffers over the heads of ms (2 n×n
+// blocks) and vs (3 n-vectors).
+func (s *evalScratch) carveGrad(ms, vs []float64) {
+	n := s.n
+	s.mats[3].SetData(n, n, ms[:n*n])
+	s.mats[4].SetData(n, n, ms[n*n:2*n*n])
+	s.kinv, s.b = &s.mats[3], &s.mats[4]
+	s.w, s.cdiag, s.v = vs[0:n], vs[n:2*n], vs[2*n:3*n]
+}
+
+// release returns the slabs the scratch owns (none, for the second of a
+// pair). The scratch must not be used afterwards.
 func (s *evalScratch) release() {
 	ms, vs := s.matSlab, s.vecSlab
 	s.matSlab, s.vecSlab = nil, nil

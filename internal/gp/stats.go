@@ -31,7 +31,8 @@ type Stats struct {
 	// Gradients counts the objective gradients computed on top of those
 	// values: one per starting point and one per accepted probe
 	// (OptimizeResult.Gradients, summed). OptimizeEvals − Gradients is
-	// the number of rejected probes, which pay for their value only.
+	// the number of probes the line search did not accept, which pay for
+	// their value only.
 	Gradients uint64
 	// Columns counts shared per-column Gram-base constructions (one per
 	// ensemble column per Prediction Step on the shared path).

@@ -71,10 +71,19 @@ func (m *Dense) Release() {
 
 // NewDenseData wraps data (length r*c, row-major) without copying.
 func NewDenseData(r, c int, data []float64) *Dense {
+	m := new(Dense)
+	m.SetData(r, c, data)
+	return m
+}
+
+// SetData makes m wrap data (length r*c, row-major) without copying:
+// NewDenseData for a Dense held by value, so a scratch struct can embed
+// its matrices instead of allocating one header each.
+func (m *Dense) SetData(r, c int, data []float64) {
 	if len(data) != r*c {
 		panic(fmt.Sprintf("mat: data length %d != %d×%d", len(data), r, c))
 	}
-	return &Dense{rows: r, cols: c, data: data}
+	*m = Dense{rows: r, cols: c, data: data}
 }
 
 // Dims returns the matrix dimensions.

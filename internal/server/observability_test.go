@@ -72,6 +72,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		"smiler_gp_fits_total",
 		"# TYPE smiler_gp_optimizer_evals_total counter",
 		"# TYPE smiler_gp_optimizer_gradients_total counter",
+		"# TYPE smiler_gp_optimizations_total counter",
+		`smiler_gp_optimizations_total{start="cold"}`,
+		`smiler_gp_optimizations_total{start="seeded"}`,
+		`smiler_gp_optimizations_total{start="warm"}`,
+		`smiler_gp_optimizations_total{start="fallback"}`,
 		`smiler_http_requests_total{route="/sensors",method="POST",status="201"} 1`,
 		"smiler_http_request_seconds_bucket",
 		`smiler_http_request_seconds_count{route="/sensors",code="201"} 1`,

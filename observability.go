@@ -140,7 +140,8 @@ func newSystemObs() *systemObs {
 			"Observation-apply latency by pipeline phase.", nil, obs.L("phase", ph))
 	}
 	// GP fitting keeps package-level counters (the innermost hot loop
-	// carries no registry handle); bridge them lazily at scrape time.
+	// carries no registry handle), and so do the GP predictor's start
+	// counts; bridge them lazily at scrape time.
 	reg.CounterFunc("smiler_gp_fits_total",
 		"GP conditioning runs (covariance build + Cholesky).",
 		func() float64 { return float64(gp.SnapshotStats().Fits) })
@@ -153,6 +154,11 @@ func newSystemObs() *systemObs {
 	reg.CounterFunc("smiler_gp_optimizer_gradients_total",
 		"Objective gradients computed optimizing GP hyperparameters (starting points and accepted steps).",
 		func() float64 { return float64(gp.SnapshotStats().Gradients) })
+	for _, start := range []string{"cold", "seeded", "warm", "fallback"} {
+		reg.CounterFunc("smiler_gp_optimizations_total",
+			"GP hyperparameter optimizations by how they started: cold (data-driven seed, full budget), seeded (another cell of the column's fit), warm (the cell's previous fit), fallback (a fresh seed after a failed attempt).",
+			func() float64 { return float64(core.GPOptimizations()[start]) }, obs.L("start", start))
+	}
 	reg.CounterFunc("smiler_gp_columns_total",
 		"Shared per-column Gram bases materialized for the Prediction Step.",
 		func() float64 { return float64(gp.SnapshotStats().Columns) })

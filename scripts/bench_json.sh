@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # bench_json.sh — run the prediction-path benchmarks (the DTW verify
 # kernel beneath them, and the continuous_gp loop above them with its
-# dtw_runs/op and dtw_cols/op counts) and emit
+# dtw_runs/op, dtw_cols/op and gp_evals/op counts) and emit
 # BENCH_predict.json with ns/op, allocs and every custom metric
 # (predict-step-ns/op, cell-fit-ns/op, search-ns/op, ...), plus a
 # vs_baseline section with the B/op and allocs/op deltas against the
@@ -17,11 +17,11 @@
 #     committed baseline by >10% (with a small absolute slack so the
 #     1x CI smoke's unamortized pool misses don't flake the gate).
 #   - work counts, zero tolerance: BenchmarkColumnOptimize's evals/op
-#     and gradients/op and BenchmarkContinuousGPLoop's dtw_runs/op and
-#     dtw_cols/op must equal the committed rows exactly. They are
-#     counts of work done at a fixed iteration count and repeat to the
-#     last digit; a change that means to move one regenerates the file
-#     with GATE=off in the same diff and says why.
+#     and gradients/op and BenchmarkContinuousGPLoop's dtw_runs/op,
+#     dtw_cols/op and gp_evals/op must equal the committed rows
+#     exactly. They are counts of work done at a fixed iteration count
+#     and repeat to the last digit; a change that means to move one
+#     regenerates the file with GATE=off in the same diff and says why.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,9 +56,9 @@ go test ./internal/gp -run '^$' -bench 'BenchmarkColumnOptimize$' \
     -benchmem -benchtime 200x >>"$raw"
 # The repository benchmark's search-heavy traffic shape without the
 # transport (8 sensors × 2,048 ROAD points, observe then forecast).
-# Always the same 300 iterations, whatever BENCHTIME says: dtw_runs/op
-# and dtw_cols/op are counts, and they repeat exactly — commit to
-# commit, machine to machine — only at a fixed iteration count.
+# Always the same 300 iterations, whatever BENCHTIME says: dtw_runs/op,
+# dtw_cols/op and gp_evals/op are counts, and they repeat exactly —
+# commit to commit, machine to machine — only at a fixed iteration count.
 go test . -run '^$' -bench 'BenchmarkContinuousGPLoop$' \
     -benchmem -benchtime 300x >>"$raw"
 
@@ -212,7 +212,7 @@ function bname(line,    m) {
 }
 BEGIN {
     gated["BenchmarkColumnOptimize"] = "evals_per_op gradients_per_op"
-    gated["BenchmarkContinuousGPLoop"] = "dtw_runs_per_op dtw_cols_per_op"
+    gated["BenchmarkContinuousGPLoop"] = "dtw_runs_per_op dtw_cols_per_op gp_evals_per_op"
     while ((getline bl < baseline) > 0) {
         bn = bname(bl)
         if (bn in gated && field(bl, "iterations") != "") base[bn] = bl

@@ -63,6 +63,7 @@ for family in \
     smiler_gp_fits_total \
     smiler_gp_optimizer_evals_total \
     smiler_gp_optimizer_gradients_total \
+    smiler_gp_optimizations_total \
     smiler_sensors \
     smiler_http_requests_total \
     smiler_http_request_seconds_bucket \
