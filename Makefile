@@ -23,9 +23,12 @@ race:
 # distances bit for bit, processed-column counts exactly — with no
 # remaining-cost bound and with an all-zero one — and, with the LB_Keogh
 # suffix sums the verifier hands it, never abandoning a pair whose full
-# distance is within the cutoff.
+# distance is within the cutoff. Then ten seconds of the spill-file
+# decoder (spill.go): arbitrary bytes never panic it, and any input it
+# accepts re-encodes to the same bytes.
 fuzz-smoke:
 	$(GO) test ./internal/dtw -run '^$$' -fuzz FuzzDistanceCompressedAbandon -fuzztime 10s
+	$(GO) test . -run '^$$' -fuzz FuzzDecodeSpill -fuzztime 10s
 
 # benchmark/ is its own module (replace smiler => ../), so `./...` above
 # never compiles it — yet it builds against index.SearchCtx,
@@ -68,8 +71,8 @@ bench-obs:
 # continuous_gp loop — ns/op + allocs into BENCH_predict.json
 # (scripts/bench_json.sh; BENCHTIME=2s for stable local numbers,
 # default 1x is the CI smoke). Fails if the optimizer's evals/op and
-# gradients/op or the loop's dtw_runs/op, dtw_cols/op and gp_evals/op
-# differ from the committed rows at all.
+# gradients/op, the loop's dtw_runs/op, dtw_cols/op and gp_evals/op or
+# the tier round trip's allocs/op differ from the committed rows at all.
 bench-json:
 	./scripts/bench_json.sh
 

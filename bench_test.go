@@ -534,3 +534,46 @@ func BenchmarkContinuousGPLoop(b *testing.B) {
 	b.ReportMetric(float64(cols.Value()-cols0)/float64(b.N), "dtw_cols/op")
 	b.ReportMetric(float64(gp.SnapshotStats().OptimizeEvals-evals0)/float64(b.N), "gp_evals/op")
 }
+
+// BenchmarkTierEvictFault prices one tier round trip: two 256-point GP
+// sensors (the tiered_zipf shape, hyperparameters warmed by a forecast
+// each) under MaxHotSensors 1, so every op faults the cold sensor in
+// from its spill file and evicts the other one to its own. allocs/op is
+// a count that repeats at a fixed -benchtime Nx, and scripts/bench_json.sh
+// gates it exactly.
+func BenchmarkTierEvictFault(b *testing.B) {
+	cfg := smiler.DefaultConfig()
+	cfg.MaxHotSensors = 1
+	sys, err := smiler.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	ids := []string{"s0", "s1"}
+	for i, id := range ids {
+		st, err := datasets.NewStream(datasets.Road, 11, i)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.AddSensor(id, st.Take(256)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.Predict(id, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	before := sys.Tiering()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		// s1 is hot after setup, so op n touches the cold s0, s1, s0, ...
+		if _, err := sys.HistoryLen(ids[n%2]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	after := sys.Tiering()
+	if f, e := after.Faults-before.Faults, after.Evictions-before.Evictions; f != uint64(b.N) || e != uint64(b.N) {
+		b.Fatalf("%d ops paid %d faults and %d evictions, want one of each per op", b.N, f, e)
+	}
+}

@@ -89,7 +89,7 @@ func (s *System) SaveToWithCover(w io.Writer, cover map[int]uint64) error {
 	for _, id := range s.sensorsLocked() {
 		cp.Sensors = append(cp.Sensors, snapshotSensor(id, s.sensors[id]))
 	}
-	// Cold sensors are folded in from their spill envelopes: a spilled
+	// Cold sensors are folded in from their spill files: a spilled
 	// sensor is a quiesced snapshot already, and s.mu (held read-side)
 	// blocks evictions and fault-ins, so the cold set and its files are
 	// stable for the duration of the save. The merged list is re-sorted
@@ -103,30 +103,6 @@ func (s *System) SaveToWithCover(w io.Writer, cover map[int]uint64) error {
 	}
 	sort.Slice(cp.Sensors, func(i, j int) bool { return cp.Sensors[i].ID < cp.Sensors[j].ID })
 	return writeCheckpoint(w, cp)
-}
-
-// readSpill loads one cold sensor's checkpoint entry from its spill
-// envelope — the one spill reader, behind fault-in and the saves that
-// fold cold sensors in. Callers hold s.mu (read side suffices).
-func (s *System) readSpill(id string) (sensorCheckpoint, error) {
-	f, err := os.Open(s.tier.spillPath(id))
-	if err != nil {
-		return sensorCheckpoint{}, fmt.Errorf("smiler: reading spill for %q: %w", id, err)
-	}
-	defer f.Close()
-	cp, err := decodeCheckpoint(f)
-	if err != nil {
-		return sensorCheckpoint{}, fmt.Errorf("smiler: reading spill for %q: %w", id, err)
-	}
-	if cp.Version != checkpointVersion {
-		return sensorCheckpoint{}, fmt.Errorf("smiler: reading spill for %q: spill version %d, want %d", id, cp.Version, checkpointVersion)
-	}
-	for _, sc := range cp.Sensors {
-		if sc.ID == id {
-			return sc, nil
-		}
-	}
-	return sensorCheckpoint{}, fmt.Errorf("smiler: spill for %q does not contain it", id)
 }
 
 // SaveSensorTo writes a checkpoint envelope — same format as SaveTo —
@@ -143,9 +119,10 @@ func (s *System) SaveSensorTo(w io.Writer, id string) error {
 	st, ok := s.sensors[id]
 	if !ok {
 		if s.tier.isCold(id) {
-			// A spill file IS a single-sensor checkpoint envelope — the
-			// exact bytes SaveSensorTo would produce — so a cold sensor
-			// streams to the migration/resync path without faulting in.
+			// A spill file holds the quiesced sensorCheckpoint a hot
+			// snapshot would take, so a cold sensor streams to the
+			// migration/resync path re-framed as the same envelope,
+			// without faulting in.
 			sc, err := s.readSpill(id)
 			if err != nil {
 				return err

@@ -17,11 +17,12 @@
 #     committed baseline by >10% (with a small absolute slack so the
 #     1x CI smoke's unamortized pool misses don't flake the gate).
 #   - work counts, zero tolerance: BenchmarkColumnOptimize's evals/op
-#     and gradients/op and BenchmarkContinuousGPLoop's dtw_runs/op,
-#     dtw_cols/op and gp_evals/op must equal the committed rows
-#     exactly. They are counts of work done at a fixed iteration count
-#     and repeat to the last digit; a change that means to move one
-#     regenerates the file with GATE=off in the same diff and says why.
+#     and gradients/op, BenchmarkContinuousGPLoop's dtw_runs/op,
+#     dtw_cols/op and gp_evals/op and BenchmarkTierEvictFault's
+#     allocs/op must equal the committed rows exactly. They are counts
+#     of work done at a fixed iteration count and repeat to the last
+#     digit; a change that means to move one regenerates the file with
+#     GATE=off in the same diff and says why.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,6 +62,11 @@ go test ./internal/gp -run '^$' -bench 'BenchmarkColumnOptimize$' \
 # commit to commit, machine to machine — only at a fixed iteration count.
 go test . -run '^$' -bench 'BenchmarkContinuousGPLoop$' \
     -benchmem -benchtime 300x >>"$raw"
+# One tier round trip per op — fault a 256-point GP sensor in from its
+# spill file, evict the other to its own — at a fixed 2,000 iterations:
+# its allocs/op is gated exactly.
+go test . -run '^$' -bench 'BenchmarkTierEvictFault$' \
+    -benchmem -benchtime 2000x >>"$raw"
 
 awk -v baseline="$base" '
 function field(line, key,    m) {
@@ -213,6 +219,7 @@ function bname(line,    m) {
 BEGIN {
     gated["BenchmarkColumnOptimize"] = "evals_per_op gradients_per_op"
     gated["BenchmarkContinuousGPLoop"] = "dtw_runs_per_op dtw_cols_per_op gp_evals_per_op"
+    gated["BenchmarkTierEvictFault"] = "allocs_per_op"
     while ((getline bl < baseline) > 0) {
         bn = bname(bl)
         if (bn in gated && field(bl, "iterations") != "") base[bn] = bl

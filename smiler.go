@@ -155,8 +155,8 @@ type Config struct {
 
 	// MaxHotSensors caps how many sensors keep a live pipeline and
 	// device-resident index at once. Beyond the cap the least recently
-	// used sensor is spilled to a single-sensor checkpoint envelope on
-	// disk ("cold") and faulted back in transparently on its next
+	// used sensor is spilled to a single-sensor spill file on disk
+	// ("cold") and faulted back in transparently on its next
 	// observe, predict or history read. 0 (default) means unlimited:
 	// every registered sensor stays hot.
 	MaxHotSensors int
@@ -458,7 +458,7 @@ func (s *System) HistoryLen(id string) (int, error) {
 		return 0, err
 	}
 	defer st.mu.Unlock()
-	return len(st.ix.History()), nil
+	return st.ix.Len(), nil
 }
 
 // History returns a copy of the sensor's indexed points in arrival

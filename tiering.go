@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,22 +13,22 @@ import (
 	"sync"
 
 	"smiler/internal/obs"
-	"smiler/internal/wal"
 )
 
 // Hot/cold sensor tiering (Config.MaxHotSensors). A node can be
 // registered for far more sensors than fit in memory: at most
 // MaxHotSensors keep a live pipeline + device-resident index ("hot");
-// the rest are spilled to single-sensor checkpoint envelopes on disk
+// the rest are spilled to single-sensor spill files on disk (spill.go)
 // ("cold") and faulted back in transparently on the next observe,
 // predict or history read, evicting the least recently used hot
 // sensor to make room.
 //
 // Spill files are a runtime cache, not a durability layer: the
 // directory is wiped at New (stale files from a previous run are
-// garbage) and durability still flows through checkpoints — SaveTo
-// embeds cold sensors by decoding their spill envelopes — and WAL
-// replay, which faults sensors in as records arrive.
+// garbage), so a spill is one plain write with no fsync, and
+// durability still flows through checkpoints — SaveTo embeds cold
+// sensors by decoding their spill files — and WAL replay, which faults
+// sensors in as records arrive.
 //
 // Concurrency protocol: the tier's own bookkeeping (LRU order, cold
 // set) lives behind tierState.mu, always acquired after s.mu (either
@@ -267,7 +266,7 @@ func (s *System) lookupHot(id string) (*sensorState, bool, error) {
 	return nil, false, fmt.Errorf("smiler: unknown sensor %q", id)
 }
 
-// faultIn restores a cold sensor from its spill envelope, makes it
+// faultIn restores a cold sensor from its spill file, makes it
 // hot, and evicts down to the cap. Idempotent under races: if another
 // goroutine faulted the sensor in first, it is a no-op.
 func (s *System) faultIn(id string) error {
@@ -331,14 +330,7 @@ func (s *System) evictLocked(id string) error {
 		return nil
 	}
 	st.mu.Lock()
-	cp := checkpoint{
-		Version: checkpointVersion,
-		Sensors: []sensorCheckpoint{snapshotSensorLocked(id, st)},
-	}
-	err := wal.WriteFileAtomic(s.tier.spillPath(id), func(w io.Writer) error {
-		return writeCheckpoint(w, cp)
-	})
-	if err != nil {
+	if err := writeSpill(s.tier.spillPath(id), snapshotSensorLocked(id, st)); err != nil {
 		st.mu.Unlock()
 		return fmt.Errorf("smiler: spilling sensor %q: %w", id, err)
 	}
@@ -348,6 +340,9 @@ func (s *System) evictLocked(id string) error {
 	delete(s.sensors, id)
 	s.tier.dropHot(id)
 	s.tier.markCold(id)
+	// A cold sensor keeps no traces, so the trace store is bounded by
+	// the hot cap rather than the population.
+	s.obs.traces.Remove(id)
 	s.obs.sensorEvictions.Inc()
 	s.obs.events.Record(obs.Event{Type: "sensor_evict", Severity: obs.SevInfo, Sensor: id})
 	return nil

@@ -6,10 +6,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
 	"smiler/internal/memsys"
+	"smiler/internal/obs"
 )
 
 // tieredConfig returns smallConfig with the hot-sensor cap set.
@@ -282,6 +284,93 @@ func TestTieringSaveSensorToCold(t *testing.T) {
 	}
 	if !sys.tier.isCold("t0") {
 		t.Fatal("t0 must stay cold after export")
+	}
+}
+
+// TestTieringEvictionDropsTraces: a sensor's trace ring goes with it
+// when it is evicted, so forecasting a population far above the hot cap
+// keeps at most cap × DefaultTraceCapacity traces, and a cold sensor
+// none.
+func TestTieringEvictionDropsTraces(t *testing.T) {
+	const hot, sensors = 2, 6
+	sys, err := New(tieredConfig(hot))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	addSeeded(t, sys, sensors)
+	for round := 0; round <= obs.DefaultTraceCapacity; round++ {
+		for i := 0; i < sensors; i++ {
+			if _, err := sys.Predict(fmt.Sprintf("t%d", i), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	total := 0
+	for _, id := range sys.Sensors() {
+		n := len(sys.obs.traces.Last(id, 0))
+		if n > 0 && sys.tier.isCold(id) {
+			t.Fatalf("cold sensor %s keeps %d traces", id, n)
+		}
+		total += n
+	}
+	if total == 0 || total > hot*obs.DefaultTraceCapacity {
+		t.Fatalf("%d traces stored for %d sensors at hot cap %d, want 1..%d",
+			total, sensors, hot, hot*obs.DefaultTraceCapacity)
+	}
+}
+
+// TestTieringDamagedSpillStaysCold: a truncated or bit-flipped spill
+// file fails the next access with an error naming the sensor, leaves
+// the sensor cold, and a retry succeeds once the file is good again.
+func TestTieringDamagedSpillStaysCold(t *testing.T) {
+	cfg := tieredConfig(1)
+	cfg.SpillDir = t.TempDir()
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	ref, err := New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	addSeeded(t, sys, 2) // t0 cold
+	addSeeded(t, ref, 2)
+
+	path := sys.tier.spillPath("t0")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x01
+	for name, bad := range map[string][]byte{"truncated": good[:len(good)-3], "bit-flipped": flipped} {
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := sys.Predict("t0", 1)
+		if err == nil || !strings.Contains(err.Error(), `"t0"`) {
+			t.Fatalf("%s spill: Predict error %v, want one naming \"t0\"", name, err)
+		}
+		if !sys.tier.isCold("t0") || sys.Tiering().Hot != 1 {
+			t.Fatalf("%s spill: t0 must stay cold, tier %+v", name, sys.Tiering())
+		}
+	}
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sys.Predict("t0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Predict("t0", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("retry after repair: %+v, reference %+v", got, want)
 	}
 }
 
