@@ -23,11 +23,15 @@ race:
 # distances bit for bit, processed-column counts exactly — with no
 # remaining-cost bound and with an all-zero one — and, with the LB_Keogh
 # suffix sums the verifier hands it, never abandoning a pair whose full
-# distance is within the cutoff. Then ten seconds of the spill-file
+# distance is within the cutoff. Then ten seconds of the lane kernel
+# against that kernel: four finite candidates in lock step, each lane's
+# distance bits and column count equal to a scalar call's, with and
+# without the bound. Then ten seconds of the spill-file
 # decoder (spill.go): arbitrary bytes never panic it, and any input it
 # accepts re-encodes to the same bytes.
 fuzz-smoke:
 	$(GO) test ./internal/dtw -run '^$$' -fuzz FuzzDistanceCompressedAbandon -fuzztime 10s
+	$(GO) test ./internal/dtw -run '^$$' -fuzz FuzzDistanceLanes -fuzztime 10s
 	$(GO) test . -run '^$$' -fuzz FuzzDecodeSpill -fuzztime 10s
 
 # benchmark/ is its own module (replace smiler => ../), so `./...` above

@@ -23,16 +23,20 @@ import (
 // ErrLength is returned when operand lengths are incompatible.
 var ErrLength = errors.New("dtw: length mismatch")
 
+// dist is the pointwise cost. The conversion rounds the square before any
+// caller adds to it: the Go spec lets a compiler fuse x*y + z into one
+// FMA, which would round once where the lane kernel (MULPD, then ADDPD)
+// rounds twice.
 func dist(a, b float64) float64 {
 	d := a - b
-	return d * d
+	return float64(d * d)
 }
 
 // Distance computes the DTW distance between equal-length series q and
 // c under a Sakoe-Chiba band of half-width rho, using a full (d+1)²
 // dynamic-programming matrix. It is the readable reference
-// implementation; DistanceCompressedAbandon is the memory-compressed
-// kernel the simulated GPU blocks run.
+// implementation; DistanceCompressedBounded is the memory-compressed
+// kernel, and DistanceLanes runs it on four candidates in lock step.
 func Distance(q, c []float64, rho int) (float64, error) {
 	d := len(q)
 	if d == 0 || d != len(c) {
@@ -151,14 +155,27 @@ func DistanceCompressedBounded(q, c []float64, rho int, cutoff float64, rest, sc
 	}
 	prev, cur := scratch[:m], scratch[m:2*m]
 	inf := math.Inf(1)
-	loose := Slack(cutoff)
 	// Column 0: γ(0,0) = 0, γ(i,0) = ∞ for i > 0 — and both pads.
 	for k := range prev {
 		prev[k] = inf
 	}
 	prev[rho] = 0
 	cur[m-1] = inf
-	for j := 1; j <= d; j++ {
+	dist, cols := columns(q, c, rho, cutoff, rest, prev, cur, 1)
+	return dist, cols, nil
+}
+
+// columns is the kernel's column loop from column `from` on, with the
+// inputs DistanceCompressedBounded has checked: prev holds column
+// from−1 — its band cells and the +Inf pad after them —, cur (also 2ρ+2
+// long) holds +Inf in its pad, and the result is the kernel's. It is the
+// one copy of the loop: DistanceCompressedBounded starts it at column 1
+// and DistanceLanes resumes its last running lane in it.
+func columns(q, c []float64, rho int, cutoff float64, rest, prev, cur []float64, from int) (float64, int) {
+	d := len(q)
+	inf := math.Inf(1)
+	loose := Slack(cutoff)
+	for j := from; j <= d; j++ {
 		ilo, ihi := max(1, j-rho), min(d, j+rho)
 		klo := ilo - j + rho
 		if klo > 0 {
@@ -197,11 +214,11 @@ func DistanceCompressedBounded(q, c []float64, rho int, cutoff float64, rest, sc
 		}
 		least := math.Float64frombits(colMin)
 		if least > cutoff || (rest != nil && least+rest[j] > loose) {
-			return inf, j, nil
+			return inf, j
 		}
 		prev, cur = cur, prev
 	}
-	return prev[rho], d, nil
+	return prev[rho], d
 }
 
 // CompressedScratchLen returns the scratch length DistanceCompressed

@@ -34,6 +34,8 @@ package index
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"smiler/internal/dtw"
@@ -131,6 +133,9 @@ type Index struct {
 	c    []float64 // full history of the sensor (normalized upstream)
 	dmax int       // master query length = max(ELV)
 	nSW  int       // number of sliding windows = dmax − ω + 1
+	// finite records that no value of c is NaN or ±Inf, the lane
+	// kernel's precondition (see lanes).
+	finite bool
 
 	// The window level (everything down to the master-query envelope)
 	// is a lazily maintained view of c[:synced]: Advance appends to c,
@@ -299,6 +304,7 @@ func New(dev *gpusim.Device, history []float64, p Params) (*Index, error) {
 		dev:    dev,
 		p:      p,
 		c:      append([]float64(nil), history...),
+		finite: !slices.ContainsFunc(history, nonFinite),
 		dmax:   dmax,
 		nSW:    dmax - p.Omega + 1,
 		synced: len(history),
@@ -596,8 +602,18 @@ func (ix *Index) Advance(obs float64) error {
 	n := len(ix.c)
 	ix.c = grow(ix.c, n+1, max(growHeadroom*ix.p.Omega, n/16))
 	ix.c[n] = obs
+	ix.finite = ix.finite && !nonFinite(obs)
 	return nil
 }
+
+func nonFinite(v float64) bool { return math.IsInf(v, 0) || math.IsNaN(v) }
+
+// lanes reports whether verification may run dtw.DistanceLanes: on
+// amd64, over a history with no NaN or ±Inf. The query and every
+// candidate are segments of the history, and on finite inputs the lane
+// kernel returns the scalar kernel's bits; anywhere else the scalar
+// kernel runs alone.
+func (ix *Index) lanes() bool { return dtw.LaneKernel && ix.finite }
 
 // Sync brings the window level up to the history. Every search calls it
 // first; it is exported so benchmarks can time index maintenance apart

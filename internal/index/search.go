@@ -360,17 +360,33 @@ func (ix *Index) threshold(d int, query []float64, lbs []float64, k int) (float6
 		if err := chargeVerifyBlock(blk, d, rho, len(seeds)); err != nil {
 			return err
 		}
-		scratch := dtw.GetCompressedScratch(rho)
-		defer dtw.PutCompressedScratch(scratch)
-		for _, t := range seeds {
-			dist, err := dtw.DistanceCompressed(query, ix.c[t:t+d], rho, scratch)
+		scratch := dtw.GetLaneScratch(rho)
+		defer dtw.PutLaneScratch(scratch)
+		// Seeds run uncut and unbounded, dtw.Lanes at a time where the
+		// index may (see verifyLanes); the rest one by one.
+		for len(out) < len(seeds) {
+			var dists [dtw.Lanes]float64
+			var cands [dtw.Lanes][]float64
+			group := seeds[len(out):min(len(out)+dtw.Lanes, len(seeds))]
+			var err error
+			if len(group) == dtw.Lanes && ix.lanes() {
+				for l, t := range group {
+					cands[l] = ix.c[t : t+d]
+				}
+				dists, _, err = dtw.DistanceLanes(query, cands, rho, math.Inf(1), [dtw.Lanes][]float64{}, scratch)
+			} else {
+				group = group[:1]
+				dists[0], err = dtw.DistanceCompressed(query, ix.c[group[0]:group[0]+d], rho, scratch)
+			}
 			if err != nil {
 				return err
 			}
-			out = append(out, seedCand{t: t, dist: dist})
-			ix.stats.Columns += d
-			if dist > tau {
-				tau = dist
+			for l, t := range group {
+				out = append(out, seedCand{t: t, dist: dists[l]})
+				ix.stats.Columns += d
+				if dists[l] > tau {
+					tau = dists[l]
+				}
 			}
 		}
 		return nil

@@ -356,7 +356,10 @@ func (ix *Index) verify(ctx context.Context, tasks []*verifyTask) error {
 }
 
 // verifyLanes runs one verification block: cascade, then kernel, per
-// candidate (see verify).
+// candidate (see verify). On an index whose history is all finite the
+// kernel takes the cascade's survivors dtw.Lanes at a time, in lock step
+// (dtw.DistanceLanes, the same bits as the scalar kernel); the last few
+// of a block, and every candidate of any other index, run alone.
 func (ix *Index) verifyLanes(blk *gpusim.Block, b *verifyBlock) error {
 	t, d, rho := b.t, b.t.d, ix.p.Rho
 	if err := blk.AllocShared(8 * d); err != nil { // query resident
@@ -365,39 +368,76 @@ func (ix *Index) verifyLanes(blk *gpusim.Block, b *verifyBlock) error {
 	if err := blk.AllocShared(8 * dtw.CompressedScratchLen(rho)); err != nil {
 		return err
 	}
-	scratch := dtw.GetCompressedScratch(rho)
-	defer dtw.PutCompressedScratch(scratch)
+	width := 1 // candidates per kernel call
+	if ix.lanes() {
+		width = dtw.Lanes
+	}
+	scratch := dtw.GetLaneScratch(rho)
+	defer dtw.PutLaneScratch(scratch)
 	// The cascade runs against the cutoff the round started with: the
 	// bound accumulates right to left and stops once it exceeds it; its
-	// partial sums are the kernel's remaining-cost bound.
-	var rest []float64
+	// partial sums are the kernel's remaining-cost bound, one row per lane.
+	var rests []float64
 	if t.queryEnv.Len() > 0 {
 		if err := blk.AllocShared(8 * 2 * d); err != nil { // query envelope resident
 			return err
 		}
-		rest = memsys.GetFloats(d + 1)
-		defer memsys.PutFloats(rest)
+		rests = memsys.GetFloats(width * (d + 1))
+		defer memsys.PutFloats(rests)
 	}
 	loose := dtw.Slack(t.cutoff)
 	read, maxCols := 0, 0 // points the bound read; longest kernel lane
+	// The cascade's survivors waiting for the kernel — group[:n], with
+	// their candidates and bound rows — and what it returned for them.
+	var (
+		group       [dtw.Lanes]int
+		cands, rest [dtw.Lanes][]float64
+		dists       [dtw.Lanes]float64
+		cols        [dtw.Lanes]int
+		n           int
+	)
+	// flush runs the kernel on group[:n]: in lock step when that is a full
+	// set of lanes, one candidate at a time otherwise.
+	flush := func() error {
+		var err error
+		if n == dtw.Lanes {
+			dists, cols, err = dtw.DistanceLanes(t.query, cands, rho, t.cutoff, rest, scratch)
+		} else {
+			for l := 0; l < n && err == nil; l++ {
+				dists[l], cols[l], err = dtw.DistanceCompressedBounded(t.query, cands[l], rho, t.cutoff, rest[l], scratch)
+			}
+		}
+		if err != nil {
+			return err
+		}
+		for l, pos := range group[:n] {
+			t.dists[pos] = dists[l]
+			b.ran++
+			b.columns += cols[l]
+			maxCols = max(maxCols, cols[l])
+		}
+		n = 0
+		return nil
+	}
 	for _, pos := range t.order[b.lo:b.hi] {
-		cand := ix.c[pos : pos+d]
-		if rest != nil {
-			lb, from := dtw.LBKeoghSuffix(t.queryEnv, cand, rest, loose)
+		group[n], cands[n], rest[n] = pos, ix.c[pos:pos+d], nil
+		if rests != nil {
+			rest[n] = rests[n*(d+1) : (n+1)*(d+1)]
+			lb, from := dtw.LBKeoghSuffix(t.queryEnv, cands[n], rest[n], loose)
 			read += d - from
 			if lb > loose {
 				b.pruned++
 				continue
 			}
 		}
-		dist, cols, err := dtw.DistanceCompressedBounded(t.query, cand, rho, t.cutoff, rest, scratch)
-		if err != nil {
-			return err
+		if n++; n == width {
+			if err := flush(); err != nil {
+				return err
+			}
 		}
-		t.dists[pos] = dist
-		b.ran++
-		b.columns += cols
-		maxCols = max(maxCols, cols)
+	}
+	if err := flush(); err != nil {
+		return err
 	}
 	// Honest accounting. The bound streams the candidate as far as it
 	// read, at about three ops a point, lanes in lock step. Then the
@@ -405,7 +445,7 @@ func (ix *Index) verifyLanes(blk *gpusim.Block, b *verifyBlock) error {
 	// each lane that reached it fills cols·(2ρ+1) band cells in lock-step
 	// waves bounded by the longest lane.
 	lanes := b.hi - b.lo
-	if rest != nil {
+	if rests != nil {
 		blk.GlobalAccess(read)
 		blk.ParallelCompute(lanes, 3*d)
 	}

@@ -582,3 +582,65 @@ func TestDeadlineCatchesUpWithSingleChunkSchedule(t *testing.T) {
 		t.Fatal("the new schedule was never behind the old one round for round: the fixture does not show the cost this test documents")
 	}
 }
+
+// The lane kernel's precondition is a finite history (see lanes): an
+// index whose history holds ±Inf — from New or from Advance — verifies on
+// the scalar kernel alone, and its answers still equal brute-force banded
+// DTW. The non-finite values sit behind the query, so candidates over
+// them are at distance +Inf and the k nearest are finite.
+func TestNonFiniteHistoryRoutesToScalarKernel(t *testing.T) {
+	p := smallParams()
+	const k, h = 5, 2
+	check := func(what string, ix *Index, hist []float64, lanes bool) {
+		t.Helper()
+		if got := ix.lanes(); got != (lanes && dtw.LaneKernel) {
+			t.Fatalf("%s: lanes() = %t", what, got)
+		}
+		res, err := ix.Search(k, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, d := range p.ELV {
+			if want := bruteNeighbors(t, hist, d, p.Rho, k, h); !sameNeighbors(res[i].Neighbors, want) {
+				t.Fatalf("%s d=%d: search %v != brute force %v", what, d, res[i].Neighbors, want)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(41))
+	hist := noise(rng, 600)
+	bad := slices.Clone(hist)
+	bad[100], bad[250] = math.Inf(1), math.Inf(-1)
+	for _, fx := range []struct {
+		name  string
+		hist  []float64
+		lanes bool
+	}{{"finite", hist, true}, {"±Inf from New", bad, false}} {
+		ix, err := New(testDevice(t), fx.hist, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ix.Close()
+		check(fx.name, ix, fx.hist, fx.lanes)
+	}
+
+	// From Advance: +Inf enters the finite index, then finite observations
+	// carry it out of the query.
+	ix, err := New(testDevice(t), hist, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	check("before Advance", ix, hist, true)
+	grown := slices.Clone(hist)
+	for step := 0; step < 2*p.ELV[len(p.ELV)-1]; step++ {
+		obs := rng.NormFloat64()
+		if step == 0 {
+			obs = math.Inf(1)
+		}
+		grown = append(grown, obs)
+		if err := ix.Advance(obs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("+Inf from Advance", ix, grown, false)
+}

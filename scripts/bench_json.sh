@@ -15,7 +15,9 @@
 #     at 1x a single ~7µs op is pure noise; see PR 8).
 #   - regression: predict-path allocs_per_op must not exceed the
 #     committed baseline by >10% (with a small absolute slack so the
-#     1x CI smoke's unamortized pool misses don't flake the gate).
+#     1x CI smoke's unamortized pool misses don't flake the gate), and
+#     BenchmarkContinuousGPLoop's, always run at 300 iterations, must not
+#     exceed the committed row at all.
 #   - work counts, zero tolerance: BenchmarkColumnOptimize's evals/op
 #     and gradients/op, BenchmarkContinuousGPLoop's dtw_runs/op,
 #     dtw_cols/op and gp_evals/op and BenchmarkTierEvictFault's
@@ -44,8 +46,10 @@ if [ -f "$BASELINE" ]; then cp "$BASELINE" "$base"; else : >"$base"; fi
 go test ./internal/core -run '^$' -bench 'Benchmark(Predict|PredictSequential|PredictMulti|Observe|ObserveThenSearch)$' \
     -benchmem -benchtime "$BENCHTIME" >>"$raw"
 # The verify kernel under every search above, at the serving shape
-# (d=64, ρ=8); the benchmarks themselves fail on a single allocation.
-go test ./internal/dtw -run '^$' -bench 'BenchmarkDistanceCompressed(Abandon)?64$' \
+# (d=64, ρ=8), alone and four candidates in lock step (one
+# BenchmarkDistanceLanes64 op verifies four); the benchmarks themselves
+# fail on a single allocation.
+go test ./internal/dtw -run '^$' -bench 'BenchmarkDistance(Compressed(Abandon)?|Lanes)64$' \
     -benchmem -benchtime "$BENCHTIME" >>"$raw"
 go test ./internal/ingest -run '^$' -bench 'BenchmarkIngestThroughput/direct' \
     -benchmem -benchtime "$INGEST_BENCHTIME" >>"$raw"
@@ -197,6 +201,17 @@ BEGIN {
         fail = 1
     } else {
         printf "bench-json: %s allocs ok (%s vs baseline %s)\n", bn, cur, baseA[bn]
+    }
+}
+/"name": "BenchmarkContinuousGPLoop"/ {
+    bn = bname($0)
+    cur = field($0, "allocs_per_op")
+    if (!(bn in baseA) || baseA[bn] == "" || cur == "") next
+    if (cur + 0 > baseA[bn] + 0) {
+        printf "bench-json: ALLOC REGRESSION: %s %s allocs/op vs baseline %s (ceiling)\n", bn, cur, baseA[bn]
+        fail = 1
+    } else {
+        printf "bench-json: %s allocs ok (%s, ceiling %s)\n", bn, cur, baseA[bn]
     }
 }
 END { exit fail }
