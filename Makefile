@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke benchmark-check benchmark-smoke bench bench-ingest bench-obs bench-json metrics-smoke events-smoke torture cluster-smoke cluster-smoke-procs loader-smoke memory-smoke membership-smoke anytime-smoke
+.PHONY: all build vet test race fuzz-smoke benchmark-check benchmark-smoke bench bench-ingest bench-obs bench-json metrics-smoke events-smoke torture cluster-smoke cluster-smoke-procs memory-smoke membership-smoke anytime-smoke
 
 all: vet build test
 
@@ -114,30 +114,26 @@ cluster-smoke:
 cluster-smoke-procs: build
 	./scripts/cluster_smoke.sh
 
-# smilerloader end to end: drive a real loopback 3-node cluster with
-# ~20s of SLO-gated Poisson load and assert zero violations plus a
-# well-formed report (scripts/loader_smoke.sh, docs/LOADER.md).
-loader-smoke: build
-	./scripts/loader_smoke.sh
-
-# Quality ladder end to end: a -predict-deadline sweep — moderate
-# deadline answers exactly with zero AR(1) fallbacks, aggressive
-# deadline answers progressively with zero errors, per-quality counters
-# live on /metrics (scripts/anytime_smoke.sh, docs/INDEX.md).
+# Quality ladder end to end: a -predict-deadline sweep under two curl
+# observe→forecast loops — moderate deadline answers exactly with zero
+# AR(1) fallbacks, aggressive deadline answers progressively with zero
+# errors, per-quality counters live on /metrics
+# (scripts/anytime_smoke.sh, docs/INDEX.md).
 anytime-smoke: build
 	./scripts/anytime_smoke.sh
 
 # Dynamic membership end to end: a real 3-process cluster under
-# sustained smilerloader traffic admits a fourth node (-cluster-join),
-# then decommissions n3 (POST /cluster/decommission → drain → clean
-# exit 0) — with zero request errors and zero SLO violations
+# sustained curl traffic (retried, idempotency-keyed) admits a fourth
+# node (-cluster-join), then decommissions n3 (POST /cluster/decommission
+# → drain → clean exit 0) — with zero request errors
 # (scripts/membership_smoke.sh, docs/CLUSTER.md).
 membership-smoke: build
 	./scripts/membership_smoke.sh
 
 # Hot/cold tiering end to end: a server capped at -max-hot-sensors 30
-# serves a 120-sensor population under load (spill/fault churn), is
-# killed -9, and its WAL replays into an untiered reference whose
-# forecasts must be byte-identical (scripts/memory_smoke.sh).
+# serves a 120-sensor population under curl observe/forecast traffic
+# (spill/fault churn), is killed -9, and its WAL replays into an
+# untiered reference whose forecasts must be byte-identical
+# (scripts/memory_smoke.sh).
 memory-smoke: build
 	./scripts/memory_smoke.sh

@@ -17,7 +17,7 @@ import (
 //
 // Streams are deterministic per (kind, seed, sensor index): the same
 // triple always yields the same value sequence, on any host, so a
-// loader and a verifier can regenerate identical traffic
+// load generator and a verifier can regenerate identical traffic
 // independently. The stream family is seeded differently from
 // Generate (which keeps the heavyweight math/rand source for
 // backwards-compatible corpora), so Stream values are not byte-equal
@@ -26,9 +26,7 @@ import (
 // A Stream is not safe for concurrent use; callers owning many
 // sensors guard each stream (or confine it to one goroutine).
 type Stream struct {
-	kind Kind
-	g    stepper
-	n    int
+	g stepper
 }
 
 // NewStream returns the lazy generator for sensor idx of the (kind,
@@ -46,7 +44,7 @@ func NewStream(kind Kind, seed int64, idx int) (*Stream, error) {
 	src := &splitmix64{state: uint64(seed) ^ uint64(idx)*0x9E3779B97F4A7C15 ^ uint64(kind)<<56}
 	src.nextState() // decorrelate adjacent sensor indices
 	rng := rand.New(src)
-	s := &Stream{kind: kind}
+	s := &Stream{}
 	switch kind {
 	case Road:
 		s.g = newRoadGen(rng)
@@ -58,17 +56,8 @@ func NewStream(kind Kind, seed int64, idx int) (*Stream, error) {
 	return s, nil
 }
 
-// Kind returns the corpus the stream draws from.
-func (s *Stream) Kind() Kind { return s.kind }
-
-// Pos returns how many values have been drawn so far.
-func (s *Stream) Pos() int { return s.n }
-
 // Next draws the next value of the series.
-func (s *Stream) Next() float64 {
-	s.n++
-	return s.g.next()
-}
+func (s *Stream) Next() float64 { return s.g.next() }
 
 // Take draws the next n values — the idiom for bootstrapping a
 // sensor's initial history before streaming the remainder one

@@ -20,9 +20,6 @@ func TestStreamDeterministicPerSensor(t *testing.T) {
 				t.Fatalf("%v: stream not deterministic at %d: %v vs %v", kind, i, av, bv)
 			}
 		}
-		if a.Pos() != 1000 {
-			t.Fatalf("Pos = %d, want 1000", a.Pos())
-		}
 	}
 }
 
@@ -50,7 +47,7 @@ func TestStreamDistinctSensorsDiffer(t *testing.T) {
 
 func TestStreamTakeThenNextContinues(t *testing.T) {
 	// Take(n) then Next must equal a fresh stream read linearly: the
-	// loader bootstraps history with Take and then streams observations
+	// benchmark bootstraps history with Take and then streams observations
 	// as a continuation of the same series.
 	a, _ := NewStream(Net, 9, 3)
 	b, _ := NewStream(Net, 9, 3)

@@ -7,6 +7,8 @@
 # `make cluster-smoke-procs`; `make cluster-smoke` runs the in-process
 # equivalent under the race detector.
 set -eu
+SMOKE=cluster-smoke
+. scripts/lib.sh
 
 BIN=$(mktemp -d)/smiler-server
 P1=19081
@@ -34,17 +36,7 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-for port in "$P1" "$P2" "$P3"; do
-    i=0
-    until curl -sf "http://127.0.0.1:$port/healthz" >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -gt 50 ]; then
-            echo "cluster-smoke: node on :$port did not come up" >&2
-            exit 1
-        fi
-        sleep 0.2
-    done
-done
+wait_up "http://127.0.0.1:$P1" "http://127.0.0.1:$P2" "http://127.0.0.1:$P3"
 
 # Who owns the sensor? Ask n1; every node answers identically.
 curl -sf "http://127.0.0.1:$P1/cluster/ring?sensor=$SENSOR" >"$OUT"

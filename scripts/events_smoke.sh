@@ -13,6 +13,8 @@
 #
 # Run via `make events-smoke`.
 set -eu
+SMOKE=events-smoke
+. scripts/lib.sh
 
 DIR=$(mktemp -d)
 BIN="$DIR/smiler-server"
@@ -25,15 +27,7 @@ start_server() {
     "$BIN" -addr "$ADDR" -predictor ar -log-level warn \
         -wal-dir "$DIR/wal" -checkpoint "$DIR/ckpt" 2>>"$LOG" &
     PID=$!
-    i=0
-    until curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -gt 50 ]; then
-            echo "events-smoke: server did not come up on $ADDR" >&2
-            exit 1
-        fi
-        sleep 0.2
-    done
+    wait_up "http://$ADDR"
 }
 
 cleanup() {

@@ -1,19 +1,19 @@
 #!/usr/bin/env sh
 # Dynamic-membership smoke test against real smiler-server processes:
-# boot a 3-node cluster, put it under sustained smilerloader traffic
-# through the two nodes that live the whole run, then — while the load
-# is flowing — join a fourth node with -cluster-join and decommission
-# n3 with POST /cluster/decommission. Asserts the epoch advanced past
-# the join and the drain, the final map holds exactly n1/n2/n4 all
-# active, the decommissioned process exited 0 on its own, rebalancing
-# went quiet, and the loader finished with zero errors and zero SLO
-# violations. Run via `make membership-smoke`.
+# boot a 3-node cluster, put it under sustained curl traffic through
+# the two nodes that live the whole run, then — while the traffic is
+# flowing — join a fourth node with -cluster-join and decommission n3
+# with POST /cluster/decommission. Asserts the epoch advanced past the
+# join and the drain, the final map holds exactly n1/n2/n4 all active,
+# the decommissioned process exited 0 on its own, rebalancing went
+# quiet, the flight recorder logged the churn, and every request of
+# the traffic succeeded. Run via `make membership-smoke`.
 set -eu
+SMOKE=membership-smoke
+. scripts/lib.sh
 
 DIR=$(mktemp -d)
 BIN="$DIR/smiler-server"
-LOADER="$DIR/smilerloader"
-REPORT="$DIR/report.json"
 P1=19101
 P2=19102
 P3=19103
@@ -23,7 +23,6 @@ COMMON="-predictor ar -log-level warn -probe-interval 100ms -probe-failures 2 \
 -rebalance-batch 8 -rebalance-interval 100ms"
 
 go build -o "$BIN" ./cmd/smiler-server
-go build -o "$LOADER" ./cmd/smilerloader
 
 # shellcheck disable=SC2086
 "$BIN" -addr "127.0.0.1:$P1" -node-id n1 -cluster-peers "$PEERS" $COMMON &
@@ -46,17 +45,7 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-for port in "$P1" "$P2" "$P3"; do
-    i=0
-    until curl -sf "http://127.0.0.1:$port/healthz" >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -gt 50 ]; then
-            echo "membership-smoke: node on :$port did not come up" >&2
-            exit 1
-        fi
-        sleep 0.2
-    done
-done
+wait_up "http://127.0.0.1:$P1" "http://127.0.0.1:$P2" "http://127.0.0.1:$P3"
 
 epoch_of() {
     curl -sf "http://127.0.0.1:$1/cluster/map" | sed -n 's/.*"epoch":\([0-9]*\).*/\1/p'
@@ -69,32 +58,26 @@ wait_epoch() {
         e=$(epoch_of "$1" || echo 0)
         [ "${e:-0}" -ge "$2" ] && return 0
         i=$((i + 1))
-        if [ "$i" -gt 150 ]; then
-            echo "membership-smoke: :$1 stuck at epoch ${e:-?}, want >= $2" >&2
-            return 1
-        fi
+        [ "$i" -le 150 ] || die ":$1 stuck at epoch ${e:-?}, want >= $2"
         sleep 0.2
     done
 }
 
-# The loader runs the whole time, targeting only n1 and n2 — the nodes
-# that live through every phase. Retries plus idempotency keys absorb
-# the ownership cutovers; the SLO gate requires a zero error rate.
-"$LOADER" \
-    -targets "http://127.0.0.1:$P1,http://127.0.0.1:$P2" \
-    -sensors 120 -history 128 -seed 7 -prefix member \
-    -mix 10:1 -horizons 1:1 \
-    -arrival poisson -rate 80 -concurrency 8 \
-    -ramp 3s -duration 22s -progress 5s -retries 5 \
-    -slo 'observe.p99<=10s,forecast.p99<=10s,error_rate<=0' \
-    -out "$REPORT" &
+# The traffic runs the whole time, through only n1 and n2 — the nodes
+# that live through every phase. Retries absorb the ownership
+# cutovers; the idempotency key every POST carries makes a retried
+# observation apply once. Any request that still fails fails the smoke.
+CURL="$CURL --retry 5 --retry-all-errors"
+road 120 128 2
+register "http://127.0.0.1:$P1" "http://127.0.0.1:$P2"
+drive m 22 10 "http://127.0.0.1:$P1" "http://127.0.0.1:$P2" >"$DIR/forecasts" &
 LOADPID=$!
 
-# Let the ramp seed the population before reshaping the cluster.
+# Let the traffic reach the whole population before reshaping the cluster.
 sleep 5
 
 # Phase 1: n4 joins via -cluster-join; its seed list names only itself.
-echo "membership-smoke: joining n4"
+echo "$SMOKE: joining n4"
 # shellcheck disable=SC2086
 "$BIN" -addr "127.0.0.1:$P4" -node-id n4 \
     -cluster-peers "n4=http://127.0.0.1:$P4" \
@@ -103,19 +86,16 @@ PID4=$!
 # The join bumps the epoch (>=2); the finalize after its rebalance
 # bumps it again (>=3).
 wait_epoch "$P1" 3
-echo "membership-smoke: join finalized at epoch $(epoch_of "$P1")"
+echo "$SMOKE: join finalized at epoch $(epoch_of "$P1")"
 
-# Phase 2: decommission n3 through its own endpoint while the load
+# Phase 2: decommission n3 through its own endpoint while the traffic
 # keeps flowing. The process must drain and exit 0 by itself.
-echo "membership-smoke: decommissioning n3"
+echo "$SMOKE: decommissioning n3"
 curl -sf -X POST "http://127.0.0.1:$P3/cluster/decommission" \
     -H 'Content-Type: application/json' -d '{}' >/dev/null
-if ! wait "$PID3"; then
-    echo "membership-smoke: decommissioned n3 exited nonzero" >&2
-    exit 1
-fi
+wait "$PID3" || die "decommissioned n3 exited nonzero"
 PID3="" # reaped; cleanup must not kill an unrelated pid
-echo "membership-smoke: n3 drained and exited 0"
+echo "$SMOKE: n3 drained and exited 0"
 
 # Phase 3: the survivors converge — same epoch, three active members,
 # n3 gone, no rebalance work pending.
@@ -124,56 +104,43 @@ status=0
 MAP=$(curl -sf "http://127.0.0.1:$P1/cluster/map")
 for id in n1 n2 n4; do
     if ! echo "$MAP" | grep -q "\"id\":\"$id\",\"url\":[^,]*,\"state\":\"active\""; then
-        echo "membership-smoke: member $id not active in final map: $MAP" >&2
+        echo "$SMOKE: member $id not active in final map: $MAP" >&2
         status=1
     fi
 done
 if echo "$MAP" | grep -q '"id":"n3"'; then
-    echo "membership-smoke: n3 still in final map: $MAP" >&2
+    echo "$SMOKE: n3 still in final map: $MAP" >&2
     status=1
 fi
 i=0
 until curl -sf "http://127.0.0.1:$P1/cluster/rebalance" | grep -q '"pending":0'; do
     i=$((i + 1))
     if [ "$i" -gt 50 ]; then
-        echo "membership-smoke: rebalance never went quiet" >&2
+        echo "$SMOKE: rebalance never went quiet" >&2
         status=1
         break
     fi
     sleep 0.2
 done
 
-# Phase 4: the loader must have sailed through all of it.
-if ! wait "$LOADPID"; then
-    echo "membership-smoke: smilerloader exited nonzero (errors or SLO violations)" >&2
-    cat "$REPORT" >&2 || true
-    exit 1
-fi
+# Phase 4: the traffic must have sailed through all of it.
+wait "$LOADPID" || die "a request of the traffic failed through the membership change"
 LOADPID=""
-if ! grep -q '"violations": 0' "$REPORT"; then
-    echo "membership-smoke: report shows SLO violations" >&2
-    status=1
-fi
-if ! grep -q '"distinct_sensors": 120' "$REPORT"; then
-    echo "membership-smoke: loader did not drive the whole population" >&2
-    status=1
-fi
+echo "$SMOKE: traffic: $(wc -l <"$DIR/forecasts") forecasts, ten observations before each, none failed"
 
 # The membership churn is on the survivors' flight recorders.
 EVENTS=$(curl -sf "http://127.0.0.1:$P1/debug/events")
 for ev in member_join epoch_change member_drain member_leave; do
     if ! echo "$EVENTS" | grep -q "\"$ev\""; then
-        echo "membership-smoke: flight recorder missing $ev" >&2
+        echo "$SMOKE: flight recorder missing $ev" >&2
         status=1
     fi
 done
 
 if [ "$status" -eq 0 ]; then
-    echo "membership-smoke: OK"
+    echo "$SMOKE: OK"
 else
     echo "--- final map ---" >&2
     echo "$MAP" >&2
-    echo "--- report ---" >&2
-    cat "$REPORT" >&2 || true
 fi
 exit $status

@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # Memory smoke test (PR 8): boot a tiered smiler-server whose
 # -max-hot-sensors cap is far below the sensor population, drive mixed
-# observe/forecast load through smilerloader (forcing eviction and
-# fault-in churn the whole run), then kill -9 the node and replay its
-# WAL into a fresh UNTIERED server. Asserts:
-#   - the loader finishes with zero errors (error_rate<=0 SLO),
+# observe/forecast traffic over the whole population with curl (forcing
+# eviction and fault-in churn the whole run), then kill -9 the node and
+# replay its WAL into a fresh UNTIERED server. Asserts:
+#   - every request of that traffic succeeds,
 #   - the tiered node actually churned (sensor fault/eviction
 #     counters > 0, cold population > 0),
 #   - every sensor's post-run forecast on the tiered node is
@@ -12,22 +12,20 @@
 #     same WAL — spill/fault cycles and crash recovery change nothing.
 # Run via `make memory-smoke`.
 set -eu
+SMOKE=memory-smoke
+. scripts/lib.sh
 
 DIR=$(mktemp -d)
 BIN="$DIR/smiler-server"
-LOADER="$DIR/smilerloader"
 WAL="$DIR/wal"
-PORT_A=19181
-PORT_B=19182
-A="http://127.0.0.1:$PORT_A"
-B="http://127.0.0.1:$PORT_B"
+A="http://127.0.0.1:19181"
+B="http://127.0.0.1:19182"
 SENSORS=120
 CAP=30
 
 go build -o "$BIN" ./cmd/smiler-server
-go build -o "$LOADER" ./cmd/smilerloader
 
-"$BIN" -addr "127.0.0.1:$PORT_A" -predictor ar -log-level warn \
+"$BIN" -addr "${A#http://}" -predictor ar -log-level warn \
     -wal-dir "$WAL" -max-hot-sensors "$CAP" -spill-dir "$DIR/spill" &
 PID_A=$!
 PID_B=""
@@ -38,106 +36,60 @@ cleanup() {
     rm -rf "$DIR"
 }
 trap cleanup EXIT INT TERM
-
-wait_up() {
-    i=0
-    until curl -sf "$1/healthz" >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -gt 100 ]; then
-            echo "memory-smoke: node $1 did not come up" >&2
-            exit 1
-        fi
-        sleep 0.2
-    done
-}
 wait_up "$A"
 
-# ~10s of mixed load over a population 4x the hot cap: every fourth op
-# lands on a cold sensor and pays a fault-in; the error_rate<=0 SLO
-# makes any failed op fail the smoke.
-if ! "$LOADER" \
-    -targets "$A" \
-    -sensors "$SENSORS" -history 128 -seed 7 -prefix smoke \
-    -mix 10:1 -horizons 1 \
-    -arrival poisson -rate 120 -concurrency 8 \
-    -ramp 2s -duration 8s -progress 5s -retries 1 \
-    -slo 'error_rate<=0' \
-    -out "$DIR/report.json"; then
-    echo "memory-smoke: smilerloader reported errors" >&2
-    exit 1
-fi
+# 128-point ROAD histories, then ~8s of observations (one forecast per
+# ten) walking a population 4x the hot cap round-robin: every op lands
+# on a sensor that was evicted since its last visit and pays a fault-in.
+road "$SENSORS" 128 2
+register "$A"
+drive m 8 10 "$A" >/dev/null
 
 # The tier must have churned under that load.
-metrics=$(curl -sf "$A/metrics")
-metric() {
-    printf '%s\n' "$metrics" | awk -v name="$1" '$1 == name { print $2; found = 1 } END { if (!found) print 0 }'
-}
-faults=$(metric smiler_sensor_faults_total)
-evicts=$(metric smiler_sensor_evictions_total)
-cold=$(metric smiler_sensors_cold)
-hot=$(metric smiler_sensors_hot)
-echo "memory-smoke: tier churn: faults=$faults evictions=$evicts hot=$hot cold=$cold"
-status=0
-awk -v f="$faults" -v e="$evicts" -v c="$cold" -v cap="$CAP" 'BEGIN {
-    if (f + 0 <= 0) { print "memory-smoke: no sensor faults recorded" > "/dev/stderr"; exit 1 }
-    if (e + 0 <= 0) { print "memory-smoke: no sensor evictions recorded" > "/dev/stderr"; exit 1 }
-    if (c + 0 <= 0) { print "memory-smoke: no cold sensors after the run" > "/dev/stderr"; exit 1 }
-}' || status=1
-awk -v h="$hot" -v cap="$CAP" 'BEGIN {
-    if (h + 0 > cap + 1) { printf "memory-smoke: hot population %s exceeds cap %s\n", h, cap > "/dev/stderr"; exit 1 }
-}' || status=1
-[ "$status" -eq 0 ] || exit "$status"
+faults=$(metric "$A" smiler_sensor_faults_total)
+evicts=$(metric "$A" smiler_sensor_evictions_total)
+cold=$(metric "$A" smiler_sensors_cold)
+hot=$(metric "$A" smiler_sensors_hot)
+echo "$SMOKE: tier churn: faults=$faults evictions=$evicts hot=$hot cold=$cold"
+[ "$faults" -gt 0 ] || die "no sensor faults recorded"
+[ "$evicts" -gt 0 ] || die "no sensor evictions recorded"
+[ "$cold" -gt 0 ] || die "no cold sensors after the run"
+[ "$hot" -le $((CAP + 1)) ] || die "hot population $hot exceeds cap $CAP"
 
 # Quiesce: wait until the applied-observation counter stops moving, so
 # the forecast sweep (and the WAL tail) reflect a settled state.
 prev=-1
 i=0
 while :; do
-    curr=$(curl -sf "$A/metrics" | awk '$1 == "smiler_observations_total" { print $2 }')
+    curr=$(metric "$A" smiler_observations_total)
     [ "$curr" = "$prev" ] && break
     prev=$curr
     i=$((i + 1))
-    if [ "$i" -gt 50 ]; then
-        echo "memory-smoke: ingest pipeline never quiesced" >&2
-        exit 1
-    fi
+    [ "$i" -le 50 ] || die "ingest pipeline never quiesced"
     sleep 0.3
 done
 
 # Forecast sweep on the tiered node (faulting every cold sensor in).
 mkdir -p "$DIR/fa" "$DIR/fb"
-n=0
-while [ "$n" -lt "$SENSORS" ]; do
-    id=$(printf 'smoke-%07d' "$n")
-    curl -sf "$A/sensors/$id/forecast?h=1" >"$DIR/fa/$id" || {
-        echo "memory-smoke: forecast $id failed on tiered node" >&2
-        exit 1
-    }
-    n=$((n + 1))
-done
+while read -r id; do
+    curl -sf "$A/sensors/$id/forecast?h=1" >"$DIR/fa/$id" || die "forecast $id failed on tiered node"
+done <"$DIR/ids"
 
 # Crash the tiered node the hard way and recover an untiered reference
 # from its WAL.
 kill -9 "$PID_A"
 wait "$PID_A" 2>/dev/null || true
-"$BIN" -addr "127.0.0.1:$PORT_B" -predictor ar -log-level warn -wal-dir "$WAL" &
+"$BIN" -addr "${B#http://}" -predictor ar -log-level warn -wal-dir "$WAL" &
 PID_B=$!
 wait_up "$B"
 
-n=0
-while [ "$n" -lt "$SENSORS" ]; do
-    id=$(printf 'smoke-%07d' "$n")
-    curl -sf "$B/sensors/$id/forecast?h=1" >"$DIR/fb/$id" || {
-        echo "memory-smoke: forecast $id failed on reference node" >&2
-        exit 1
-    }
+while read -r id; do
+    curl -sf "$B/sensors/$id/forecast?h=1" >"$DIR/fb/$id" || die "forecast $id failed on reference node"
     if ! cmp -s "$DIR/fa/$id" "$DIR/fb/$id"; then
-        echo "memory-smoke: forecast for $id diverged between tiered node and untiered WAL-recovered reference:" >&2
         echo "  tiered:    $(cat "$DIR/fa/$id")" >&2
         echo "  reference: $(cat "$DIR/fb/$id")" >&2
-        exit 1
+        die "forecast for $id diverged between tiered node and untiered WAL-recovered reference"
     fi
-    n=$((n + 1))
-done
+done <"$DIR/ids"
 
-echo "memory-smoke: OK ($SENSORS forecasts bit-identical across tiering + kill -9 recovery)"
+echo "$SMOKE: OK ($SENSORS forecasts bit-identical across tiering + kill -9 recovery)"

@@ -7,6 +7,8 @@
 # member count, rebalance counters) are served. Exits non-zero on any
 # missing family. Run via `make metrics-smoke`.
 set -eu
+SMOKE=metrics-smoke
+. scripts/lib.sh
 
 BIN=$(mktemp -d)/smiler-server
 ADDR=127.0.0.1:18080
@@ -27,16 +29,7 @@ cleanup() {
 }
 trap cleanup EXIT INT TERM
 
-# Wait for the listener.
-i=0
-until curl -sf "http://$ADDR/healthz" >/dev/null 2>&1; do
-    i=$((i + 1))
-    if [ "$i" -gt 50 ]; then
-        echo "metrics-smoke: server did not come up on $ADDR" >&2
-        exit 1
-    fi
-    sleep 0.2
-done
+wait_up "http://$ADDR"
 
 # One sensor, one prediction — enough traffic to populate every family.
 HIST=$(awk 'BEGIN{s="";for(i=0;i<300;i++){v=10+3*sin(2*3.14159265*i/24);s=s (i?",":"") v}print s}')
@@ -114,17 +107,7 @@ PIDC1=$!
 "$BIN" -addr "127.0.0.1:$PC2" -node-id c2 -cluster-peers "$CPEERS" \
     -predictor ar -log-level warn &
 PIDC2=$!
-for port in "$PC1" "$PC2"; do
-    i=0
-    until curl -sf "http://127.0.0.1:$port/healthz" >/dev/null 2>&1; do
-        i=$((i + 1))
-        if [ "$i" -gt 50 ]; then
-            echo "metrics-smoke: cluster node on :$port did not come up" >&2
-            exit 1
-        fi
-        sleep 0.2
-    done
-done
+wait_up "http://127.0.0.1:$PC1" "http://127.0.0.1:$PC2"
 
 curl -sf "http://127.0.0.1:$PC1/metrics" >"$LOG"
 for family in \
