@@ -28,11 +28,19 @@ race:
 # distance bits and column count equal to a scalar call's, with and
 # without the bound. Then ten seconds of the spill-file
 # decoder (spill.go): arbitrary bytes never panic it, and any input it
-# accepts re-encodes to the same bytes.
+# accepts re-encodes to the same bytes. Then the GP value stage: ten
+# seconds of the lock-step Cholesky, (L⁻¹)ᵀ, C⁻¹ and solve kernels
+# against the parent kernels kept in internal/mat/kernel_oracle_test.go
+# (L, the error, α, (L⁻¹)ᵀ and C⁻¹ bit for bit, shifts that fail at any
+# column included), and ten of the AVX2 covariance row against one
+# math.Exp per entry (NaN, −0, positive and below-−708 arguments
+# included).
 fuzz-smoke:
 	$(GO) test ./internal/dtw -run '^$$' -fuzz FuzzDistanceCompressedAbandon -fuzztime 10s
 	$(GO) test ./internal/dtw -run '^$$' -fuzz FuzzDistanceLanes -fuzztime 10s
 	$(GO) test . -run '^$$' -fuzz FuzzDecodeSpill -fuzztime 10s
+	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzCholeskyLanes -fuzztime 10s
+	$(GO) test ./internal/gp -run '^$$' -fuzz FuzzCovRowLanes -fuzztime 10s
 
 # benchmark/ is its own module (replace smiler => ../), so `./...` above
 # never compiles it — yet it builds against index.SearchCtx,
@@ -76,7 +84,8 @@ bench-obs:
 # (scripts/bench_json.sh; BENCHTIME=2s for stable local numbers,
 # default 1x is the CI smoke). Fails if the optimizer's evals/op and
 # gradients/op, the loop's dtw_runs/op, dtw_cols/op and gp_evals/op or
-# the tier round trip's allocs/op differ from the committed rows at all.
+# the optimizer's and the tier round trip's allocs/op differ from the
+# committed rows at all.
 bench-json:
 	./scripts/bench_json.sh
 

@@ -39,19 +39,8 @@ func NewColumn(x0 []float64, x [][]float64, y []float64) (*Column, error) {
 			return nil, fmt.Errorf("%w: row %d has %d features, want %d", ErrDims, i, len(xi), dim)
 		}
 	}
-	n := len(x)
-	// Pooled and zeroed on Get; only the off-diagonal entries are
-	// written below (the diagonal is implicitly zero, as before).
-	sq := mat.GetDense(n, n)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := sqDist(x[i], x[j])
-			sq.Set(i, j, v)
-			sq.Set(j, i, v)
-		}
-	}
 	statColumns.Add(1)
-	return &Column{x0: x0, x: x, y: y, sq: sq}, nil
+	return &Column{x0: x0, x: x, y: y, sq: gramBase(x)}, nil
 }
 
 // Release returns the column's pooled Gram base to memsys. Idempotent;
@@ -77,7 +66,7 @@ func (c *Column) XY(k int) ([][]float64, []float64) {
 // set wraps the leading k pairs as a trainSet backed by the shared
 // Gram base.
 func (c *Column) set(k int) trainSet {
-	return trainSet{x: c.x[:k], y: c.y[:k], r2: func(i, j int) float64 { return c.sq.At(i, j) }}
+	return trainSet{x: c.x[:k], y: c.y[:k], sq: c.sq}
 }
 
 // checkK validates a prefix size against the column.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"smiler/internal/mat"
 )
 
 // columnFixture builds a deterministic training set of n pairs in dim
@@ -29,9 +31,10 @@ func columnFixture(t *testing.T, n, dim int, seed int64) ([]float64, [][]float64
 	return x0, x, y
 }
 
-// TestColumnGramBaseBitIdentical checks the tentpole exactness claim:
-// the covariance matrix built from the column's precomputed Gram base
-// is bit-identical to the one built by recomputing squared distances
+// TestColumnGramBaseBitIdentical checks the Gram-base exactness claim:
+// the covariance matrix built from the column's shared Gram base is
+// bit-identical to the one built from a Gram base of the prefix's own
+// and to the parent builder's, which recomputed squared distances
 // directly, for every prefix k and arbitrary hyperparameters.
 func TestColumnGramBaseBitIdentical(t *testing.T) {
 	x0, x, y := columnFixture(t, 24, 8, 1)
@@ -44,13 +47,17 @@ func TestColumnGramBaseBitIdentical(t *testing.T) {
 		{Signal: 0.2, Length: 3.7, Noise: 0.01},
 	} {
 		for _, k := range []int{1, 7, 16, 24} {
-			direct := covMatrix(x[:k], hp, 0)
-			shared := covMatrixR2(k, col.set(k).r2, hp, 0)
+			ts := directSet(x[:k], y[:k])
+			direct, shared, ref := mat.NewDense(k, k), mat.NewDense(k, k), mat.NewDense(k, k)
+			covMatrixInto(direct, ts, hp, 0)
+			covMatrixInto(shared, col.set(k), hp, 0)
+			refCovMatrixInto(ref, k, refR2(ts), hp, 0)
+			ts.sq.Release()
 			for i := 0; i < k; i++ {
 				for j := 0; j < k; j++ {
-					if direct.At(i, j) != shared.At(i, j) {
-						t.Fatalf("k=%d hp=%+v: cov[%d][%d] direct %v != shared %v",
-							k, hp, i, j, direct.At(i, j), shared.At(i, j))
+					if !sameBits(direct.At(i, j), shared.At(i, j)) || !sameBits(direct.At(i, j), ref.At(i, j)) {
+						t.Fatalf("k=%d hp=%+v: cov[%d][%d] direct %v, shared %v, parent %v",
+							k, hp, i, j, direct.At(i, j), shared.At(i, j), ref.At(i, j))
 					}
 				}
 			}

@@ -65,34 +65,54 @@ func sqDist(a, b []float64) float64 {
 	return s
 }
 
-// covR2 evaluates the SE covariance for a precomputed squared distance
-// r² = ‖a−b‖². The hyperparameters only rescale r², which is what makes
-// the per-column Gram-base sharing of Column exact: the same r² values
-// serve every cell regardless of its Θ.
-func (h Hyper) covR2(r2 float64) float64 {
-	return h.Signal * h.Signal * math.Exp(-0.5*r2/(h.Length*h.Length))
-}
-
 // Cov evaluates the SE covariance between two (distinct) inputs,
-// without the noise term.
+// without the noise term. The hyperparameters only rescale r² = ‖a−b‖²,
+// which is what makes the per-column Gram-base sharing of Column exact:
+// the same r² values serve every cell regardless of its Θ. covRow is
+// the same expression over a row of precomputed r².
 func (h Hyper) Cov(a, b []float64) float64 {
-	return h.covR2(sqDist(a, b))
+	return h.Signal * h.Signal * math.Exp(-0.5*sqDist(a, b)/(h.Length*h.Length))
 }
 
-// trainSet couples training pairs with a squared-distance source: the
-// direct source recomputes ‖x_i−x_j‖² on demand, a Column's source
-// reads the Gram-base matrix computed once per column. Every fitting
+// trainSet couples training pairs with their Gram base: the matrix of
+// squared distances ‖x_i−x_j‖², computed once and read by rows. A
+// Column's set shares the column's base and reads its leading block;
+// directSet computes one for a single fit or optimization. Every fitting
 // and optimization internal evaluates through it, so the direct and
 // shared paths run the same code on bit-identical values.
 type trainSet struct {
 	x  [][]float64
 	y  []float64
-	r2 func(i, j int) float64
+	sq *mat.Dense // Gram base, at least len(y)×len(y)
 }
 
-// directSet wraps raw training pairs with the on-demand distance source.
+// r2Row returns ‖x_i−x_j‖² for j < len(ts.y): row i of the leading
+// block of the Gram base.
+func (ts trainSet) r2Row(i int) []float64 { return ts.sq.Row(i)[:len(ts.y)] }
+
+// gramBase returns the pooled n×n matrix of ‖x_i−x_j‖², computed once
+// per pair and mirrored. The diagonal stays zero.
+func gramBase(x [][]float64) *mat.Dense {
+	n := len(x)
+	if n == 0 {
+		return mat.NewDenseData(0, 0, nil)
+	}
+	sq := mat.GetDense(n, n) // zeroed on Get
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			v := sqDist(x[i], x[j])
+			sq.Set(i, j, v)
+			sq.Set(j, i, v)
+		}
+	}
+	return sq
+}
+
+// directSet wraps raw training pairs with a Gram base of their own; the
+// caller releases it (ts.sq.Release) when the fit or optimization is
+// done.
 func directSet(x [][]float64, y []float64) trainSet {
-	return trainSet{x: x, y: y, r2: func(i, j int) float64 { return sqDist(x[i], x[j]) }}
+	return trainSet{x: x, y: y, sq: gramBase(x)}
 }
 
 // validateTraining checks the invariants Fit documents.
@@ -136,7 +156,9 @@ func Fit(x [][]float64, y []float64, hp Hyper) (*Model, error) {
 	if err := validateTraining(x, y, hp); err != nil {
 		return nil, err
 	}
-	return fitSet(directSet(x, y), hp)
+	ts := directSet(x, y)
+	defer ts.sq.Release()
+	return fitSet(ts, hp)
 }
 
 // fitSet is the conditioning core behind Fit and Column.Fit; inputs are
@@ -144,35 +166,27 @@ func Fit(x [][]float64, y []float64, hp Hyper) (*Model, error) {
 func fitSet(ts trainSet, hp Hyper) (*Model, error) {
 	statFits.Add(1)
 	m := &Model{x: ts.x, y: ts.y, hyper: hp, dim: len(ts.x[0])}
-	if err := m.factorize(ts.r2); err != nil {
+	if err := m.factorize(ts); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// covMatrix builds C = K + θ₂²·I (+ extra diagonal jitter).
-func covMatrix(x [][]float64, hp Hyper, extraJitter float64) *mat.Dense {
-	return covMatrixR2(len(x), directSet(x, nil).r2, hp, extraJitter)
-}
-
-// covMatrixR2 builds the covariance from a squared-distance source.
-func covMatrixR2(n int, r2 func(i, j int) float64, hp Hyper, extraJitter float64) *mat.Dense {
-	c := mat.NewDense(n, n)
-	covMatrixR2Into(c, n, r2, hp, extraJitter)
-	return c
-}
-
-// covMatrixR2Into fills the caller-provided n×n matrix (every entry is
-// written, so dirty reused scratch is fine).
-func covMatrixR2Into(c *mat.Dense, n int, r2 func(i, j int) float64, hp Hyper, extraJitter float64) {
+// covMatrixInto fills the caller-provided n×n matrix c (n = len(ts.y))
+// with C = K + θ₂²·I (+ extraJitter): each row of the upper triangle is
+// one covRow call over the Gram base, mirrored below the diagonal.
+// Every entry is written, so dirty reused scratch is fine.
+func covMatrixInto(c *mat.Dense, ts trainSet, hp Hyper, extraJitter float64) {
+	n := len(ts.y)
+	sig2, len2 := hp.Signal*hp.Signal, hp.Length*hp.Length
+	diag := hp.Noise*hp.Noise + extraJitter
+	data := c.Data()
 	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := hp.covR2(r2(i, j))
-			if i == j {
-				v += hp.Noise*hp.Noise + extraJitter
-			}
-			c.Set(i, j, v)
-			c.Set(j, i, v)
+		row := data[i*n : (i+1)*n]
+		covRow(row[i:], ts.r2Row(i)[i:], sig2, len2)
+		row[i] += diag
+		for j := i + 1; j < n; j++ {
+			data[j*n+i] = row[j]
 		}
 	}
 }
@@ -183,12 +197,12 @@ func covMatrixR2Into(c *mat.Dense, n int, r2 func(i, j int) float64, hp Hyper, e
 // K_SE entries back without re-exponentiating. All state is memsys-
 // backed: Release returns it, and a model that is never released is
 // ordinary garbage.
-func (m *Model) factorize(r2 func(i, j int) float64) error {
+func (m *Model) factorize(ts trainSet) error {
 	var lastErr error
 	n := len(m.x)
 	c := mat.GetDense(n, n)
 	for _, j := range jitters {
-		covMatrixR2Into(c, n, r2, m.hyper, j)
+		covMatrixInto(c, ts, m.hyper, j)
 		ch, err := mat.GetCholesky(c)
 		if err != nil {
 			lastErr = err

@@ -32,8 +32,8 @@ func mlValue(ts trainSet, hp Hyper, s *evalScratch) (float64, error) {
 // ∂logZ/∂ψ_j = ½·tr((ααᵀ − C⁻¹)·∂C/∂ψ_j)   [R&W 2006, Eqn. 5.9].
 // K_SE entries are read back from the retained covariance (off-diagonal
 // entries are exactly K_SE; on the diagonal K_SE = θ₀²) and squared
-// distances come from the trainSet source, so one O(n²) pass serves all
-// three traces with no re-exponentiation.
+// distances from the Gram base, both by rows, so one O(n²) pass serves
+// all three traces with no re-exponentiation.
 func mlGrad(ts trainSet, hp Hyper, s *evalScratch) ([3]float64, error) {
 	var grad [3]float64
 	if err := s.chol.InverseTo(s.kinv, s.u); err != nil {
@@ -49,15 +49,16 @@ func mlGrad(ts trainSet, hp Hyper, s *evalScratch) ([3]float64, error) {
 	cov := s.cov
 	for i := 0; i < n; i++ {
 		kinvRow := kinv.Row(i)
-		covRow := cov.Row(i)
+		crow := cov.Row(i)
+		r2row := ts.r2Row(i)
 		wii := alpha[i]*alpha[i] - kinvRow[i]
 		grad[0] += 0.5 * wii * (2 * sig2)   // diagonal K_SE = θ₀², r² = 0
 		grad[2] += 0.5 * wii * (2 * noise2) // ∂C/∂log θ₂ lives on the diagonal
 		for j := i + 1; j < n; j++ {
 			w := 2 * (alpha[i]*alpha[j] - kinvRow[j]) // (i,j) and (j,i)
-			kse := covRow[j]
+			kse := crow[j]
 			grad[0] += 0.5 * w * (2 * kse)
-			grad[1] += 0.5 * w * (kse * ts.r2(i, j) / len2)
+			grad[1] += 0.5 * w * (kse * r2row[j] / len2)
 		}
 	}
 	return grad, nil
@@ -74,5 +75,7 @@ func OptimizeML(x [][]float64, y []float64, init Hyper, maxIter int) (OptimizeRe
 	if maxIter < 0 {
 		return OptimizeResult{}, fmt.Errorf("gp: negative maxIter %d", maxIter)
 	}
-	return ascend(directSet(x, y), init, maxIter, mlObjective)
+	ts := directSet(x, y)
+	defer ts.sq.Release()
+	return ascend(ts, init, maxIter, mlObjective)
 }

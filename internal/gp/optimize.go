@@ -116,14 +116,16 @@ func looGrad(ts trainSet, hp Hyper, s *evalScratch) ([3]float64, error) {
 	len2 := hp.Length * hp.Length
 	noise2 := hp.Noise * hp.Noise
 	var gSig, gLen, gNoise float64
+	var cova, r2a []float64 // row a of the covariance and of the Gram base
 	pair := func(a, c int, mac, mca float64) {
 		g2 := v[a]*alpha[c] - mac + v[c]*alpha[a] - mca
-		kse := s.cov.At(a, c)
+		kse := cova[c]
 		gSig += g2 * 2 * kse
-		gLen += g2 * kse * ts.r2(a, c) / len2
+		gLen += g2 * kse * r2a[c] / len2
 	}
 	for a := 0; a < n; a++ {
 		ka, ba := kinv.Row(a), b.Row(a)
+		cova, r2a = s.cov.Row(a), ts.r2Row(a)
 		gaa := v[a]*alpha[a] - mat.Dot(ba, ka) // M_aa
 		gSig += gaa * 2 * sig2
 		gNoise += gaa * 2 * noise2
@@ -198,7 +200,9 @@ func Optimize(x [][]float64, y []float64, init Hyper, maxIter int) (OptimizeResu
 	if maxIter < 0 {
 		return OptimizeResult{}, fmt.Errorf("gp: negative maxIter %d", maxIter)
 	}
-	return ascend(directSet(x, y), init, maxIter, looObjective)
+	ts := directSet(x, y)
+	defer ts.sq.Release()
+	return ascend(ts, init, maxIter, looObjective)
 }
 
 // ladderRungs is the length of the Armijo step ladder: rung r probes

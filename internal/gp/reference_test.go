@@ -13,9 +13,12 @@ import (
 // rejected line-search probe. The bodies below are kept verbatim on a
 // scratch of their own (the old layout, with the stored product M) and
 // with the unsplit inverse, so they share with production code only
-// what the split did not touch: the covariance builder, the Cholesky
-// factorization and solve, and the log-hyperparameter clamp. They are
-// the oracle the split objectives are held to bit for bit.
+// what the split did not touch: the Cholesky factorization and solve
+// (held to their own parent kernels in internal/mat) and the
+// log-hyperparameter clamp. The covariance comes from refCovMatrixInto
+// below, the builder as it stood before the Gram base was read by rows
+// and the exponentials ran four lanes wide. They are the oracle the
+// split objectives are held to bit for bit.
 
 type refScratch struct {
 	cov, lfac, linv, kinv, b, mm *mat.Dense
@@ -32,11 +35,37 @@ func newRefScratch(n int) *refScratch {
 	}
 }
 
+// refR2 is the squared-distance callback of the parent's directSet:
+// ‖x_i−x_j‖² recomputed on demand, never read from a Gram base.
+func refR2(ts trainSet) func(i, j int) float64 {
+	return func(i, j int) float64 { return sqDist(ts.x[i], ts.x[j]) }
+}
+
+// refCovR2 is the parent's Hyper.covR2.
+func refCovR2(h Hyper, r2 float64) float64 {
+	return h.Signal * h.Signal * math.Exp(-0.5*r2/(h.Length*h.Length))
+}
+
+// refCovMatrixInto is the parent's covMatrixR2Into: one math.Exp per
+// entry of the upper triangle, through the distance callback.
+func refCovMatrixInto(c *mat.Dense, n int, r2 func(i, j int) float64, hp Hyper, extraJitter float64) {
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			v := refCovR2(hp, r2(i, j))
+			if i == j {
+				v += hp.Noise*hp.Noise + extraJitter
+			}
+			c.Set(i, j, v)
+			c.Set(j, i, v)
+		}
+	}
+}
+
 func (s *refScratch) fit(ts trainSet, hp Hyper) error {
 	n := len(ts.y)
 	var lastErr error
 	for _, j := range jitters {
-		covMatrixR2Into(s.cov, n, ts.r2, hp, j)
+		refCovMatrixInto(s.cov, n, refR2(ts), hp, j)
 		if err := s.chol.FactorInto(s.lfac, s.cov); err != nil {
 			lastErr = err
 			continue
@@ -148,6 +177,7 @@ func refLooValueGrad(ts trainSet, hp Hyper, s *refScratch) (float64, [3]float64,
 	len2 := hp.Length * hp.Length
 	noise2 := hp.Noise * hp.Noise
 	cov := s.cov
+	r2 := refR2(ts)
 	var gSig, gLen, gNoise float64
 	for a := 0; a < n; a++ {
 		covRow := cov.Row(a)
@@ -159,7 +189,7 @@ func refLooValueGrad(ts trainSet, hp Hyper, s *refScratch) (float64, [3]float64,
 			g2 := v[a]*alpha[bb] - mmRow[bb] + v[bb]*alpha[a] - mm.At(bb, a)
 			kse := covRow[bb]
 			gSig += g2 * 2 * kse
-			gLen += g2 * kse * ts.r2(a, bb) / len2
+			gLen += g2 * kse * r2(a, bb) / len2
 		}
 	}
 	grad[0], grad[1], grad[2] = gSig, gLen, gNoise
@@ -183,6 +213,7 @@ func refMlValueGrad(ts trainSet, hp Hyper, s *refScratch) (float64, [3]float64, 
 	len2 := hp.Length * hp.Length
 	noise2 := hp.Noise * hp.Noise
 	cov := s.cov
+	r2 := refR2(ts)
 	for i := 0; i < n; i++ {
 		kinvRow := kinv.Row(i)
 		covRow := cov.Row(i)
@@ -193,7 +224,7 @@ func refMlValueGrad(ts trainSet, hp Hyper, s *refScratch) (float64, [3]float64, 
 			w := 2 * (alpha[i]*alpha[j] - kinvRow[j]) // (i,j) and (j,i)
 			kse := covRow[j]
 			grad[0] += 0.5 * w * (2 * kse)
-			grad[1] += 0.5 * w * (kse * ts.r2(i, j) / len2)
+			grad[1] += 0.5 * w * (kse * r2(i, j) / len2)
 		}
 	}
 	return lz, grad, nil

@@ -104,10 +104,9 @@ func (s *evalScratch) release() {
 // objective values are bit-identical to the model-allocating path.
 func (s *evalScratch) fit(ts trainSet, hp Hyper) error {
 	statFits.Add(1)
-	n := len(ts.y)
 	var lastErr error
 	for _, j := range jitters {
-		covMatrixR2Into(s.cov, n, ts.r2, hp, j)
+		covMatrixInto(s.cov, ts, hp, j)
 		if err := s.chol.FactorInto(s.lfac, s.cov); err != nil {
 			lastErr = err
 			statJitterRetries.Add(1)
@@ -123,6 +122,10 @@ func (s *evalScratch) fit(ts trainSet, hp Hyper) error {
 	return fmt.Errorf("%w: %v", ErrSingular, lastErr)
 }
 
+// halfLog2Pi is the constant term ½·log 2π of every LOO summand,
+// computed once instead of once per summand.
+var halfLog2Pi = 0.5 * math.Log(2*math.Pi)
+
 // looSum computes the LOO predictive log likelihood from the precision
 // matrix diagonal (Eqn. 20) — shared by Model.LOO and the scratch-based
 // optimizer so both paths are arithmetically identical.
@@ -135,7 +138,7 @@ func looSum(y, alpha, kdiag []float64) (float64, error) {
 		sigma2 := 1 / kii
 		mu := y[i] - alpha[i]/kii
 		d := y[i] - mu
-		ll += -0.5*math.Log(sigma2) - d*d/(2*sigma2) - 0.5*math.Log(2*math.Pi)
+		ll += -0.5*math.Log(sigma2) - d*d/(2*sigma2) - halfLog2Pi
 	}
 	return ll, nil
 }

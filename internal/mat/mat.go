@@ -13,6 +13,17 @@
 // (upper triangle), from which InverseDiagTo reads diag(A⁻¹) in O(n²)
 // and InverseFromFactorTo fills the whole of A⁻¹ with contiguous row
 // dot products. InverseTo is the two halves back to back.
+//
+// Summation order is the invariant. Every output of every kernel is one
+// sum over fixed operands in ascending index order, starting from the
+// entry it updates (or from +0), each step written as the same
+// s ± a·b. A rewrite that keeps each output's operands and order keeps
+// its bits on every platform, and with them the GP's forecasts. Speed
+// comes from running independent outputs side by side, never from
+// reordering one: FactorInto, InverseFactorTo and InverseFromFactorTo
+// each run four sums in lock step over a shared row.
+// kernel_oracle_test.go holds them to the one-sum-at-a-time kernels
+// they replaced.
 package mat
 
 import (
@@ -258,6 +269,14 @@ func GetCholesky(a *Dense) (*Cholesky, error) {
 // FactorInto factors the SPD matrix a, storing L in the caller-provided
 // n×n matrix l (cleared first, so reused scratch is fine) and pointing
 // c at it. On error c is left unusable and l holds garbage.
+//
+// Column j needs s_i = a_ij − Σ_{k<j} L_ik·L_jk for every row i ≥ j,
+// each summed in ascending k; then L_jj = √s_j and L_ij = s_i/L_jj.
+// The rows are independent, so four of them share one pass over row j
+// in lock step, the pivot row leading the first group. The last group
+// of a column repeats row n−1 in its spare lanes, which recompute the
+// same value; lane 0 is stored last, so a pivot repeated in a spare
+// lane cannot overwrite L_jj.
 func (c *Cholesky) FactorInto(l, a *Dense) error {
 	if a.rows != a.cols {
 		return ErrShape
@@ -267,24 +286,33 @@ func (c *Cholesky) FactorInto(l, a *Dense) error {
 		return ErrShape
 	}
 	clear(l.data)
+	ld, ad := l.data, a.data
 	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		lrowj := l.Row(j)
-		for k := 0; k < j; k++ {
-			d -= lrowj[k] * lrowj[k]
-		}
-		if d <= 0 || math.IsNaN(d) {
-			return ErrNotSPD
-		}
-		ljj := math.Sqrt(d)
-		lrowj[j] = ljj
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			lrowi := l.Row(i)
-			for k := 0; k < j; k++ {
-				s -= lrowi[k] * lrowj[k]
+		lj := ld[j*n:][:j]
+		var ljj float64
+		for i := j; i < n; i += 4 {
+			i1, i2, i3 := min(i+1, n-1), min(i+2, n-1), min(i+3, n-1)
+			r0, r1 := ld[i*n:][:j], ld[i1*n:][:j]
+			r2, r3 := ld[i2*n:][:j], ld[i3*n:][:j]
+			s0, s1, s2, s3 := ad[i*n+j], ad[i1*n+j], ad[i2*n+j], ad[i3*n+j]
+			for k, v := range lj {
+				s0 -= r0[k] * v
+				s1 -= r1[k] * v
+				s2 -= r2[k] * v
+				s3 -= r3[k] * v
 			}
-			lrowi[j] = s / ljj
+			if i == j {
+				if s0 <= 0 || math.IsNaN(s0) {
+					return ErrNotSPD
+				}
+				ljj = math.Sqrt(s0)
+			}
+			ld[i3*n+j], ld[i2*n+j], ld[i1*n+j] = s3/ljj, s2/ljj, s1/ljj
+			if i == j {
+				ld[i*n+j] = ljj
+			} else {
+				ld[i*n+j] = s0 / ljj
+			}
 		}
 	}
 	c.n = n
@@ -333,13 +361,14 @@ func (c *Cholesky) SolveVecTo(x, b []float64) error {
 		}
 		x[i] = s / row[i]
 	}
-	// Back substitution: Lᵀ·x = y.
-	for i := c.n - 1; i >= 0; i-- {
+	// Back substitution: Lᵀ·x = y, down column i of L.
+	n, ld := c.n, c.l.data
+	for i := n - 1; i >= 0; i-- {
 		s := x[i]
-		for k := i + 1; k < c.n; k++ {
-			s -= c.l.At(k, i) * x[k]
+		for k := i + 1; k < n; k++ {
+			s -= ld[k*n+i] * x[k]
 		}
-		x[i] = s / c.l.At(i, i)
+		x[i] = s / ld[i*n+i]
 	}
 	return nil
 }
@@ -396,29 +425,61 @@ func (c *Cholesky) InverseTo(inv, u *Dense) error {
 // below and in InverseFromFactorTo is a dot product of contiguous row
 // slices. Only the upper triangle is written, and only written entries
 // are read back, so u may be dirty.
+//
+// Forward substitution runs down column j of L⁻¹:
+// L⁻¹_ij = −(Σ_{j ≤ k < i} L_ik·L⁻¹_kj) / L_ii, summed in ascending k.
+// An entry needs the entries above it in its own column only, so four
+// columns j..j+3 run down the rows in lock step. Rows j+1..j+3 are the
+// triangle where the later columns have not started; each of those six
+// entries is its own sum. From row j+4 on, column j+c starts its sum
+// at k = j+c: the three earlier columns add their short prefix below
+// j+3 first, then all four share the loop from j+3 up.
 func (c *Cholesky) InverseFactorTo(u *Dense) error {
 	n := c.n
 	if u.rows != n || u.cols != n {
 		return ErrShape
 	}
-	// Forward substitution down column j of L⁻¹:
-	// L⁻¹_ij = −(Σ_{j ≤ k < i} L_ik·L⁻¹_kj) / L_ii.
-	for j := 0; j < n; j++ {
-		ljj := c.l.At(j, j)
-		if ljj == 0 {
-			return ErrNotSPD
-		}
-		urow := u.Row(j)
-		urow[j] = 1 / ljj
-		for i := j + 1; i < n; i++ {
-			lrow := c.l.Row(i)
-			ur := urow[j:i]
-			lr := lrow[j:i:i]
-			var s float64
-			for k, uk := range ur {
-				s += lr[k] * uk
+	ld, ud := c.l.data, u.data
+	for j := 0; j < n; j += 4 {
+		for q := j; q < min(j+4, n); q++ {
+			lqq := ld[q*n+q]
+			if lqq == 0 {
+				return ErrNotSPD
 			}
-			urow[i] = -s / lrow[i]
+			ud[q*n+q] = 1 / lqq
+		}
+		for i := j + 1; i < min(j+4, n); i++ {
+			lrow := ld[i*n:][:i]
+			for q := j; q < i; q++ {
+				uq := ud[q*n:][:i]
+				var s float64
+				for k := q; k < i; k++ {
+					s += lrow[k] * uq[k]
+				}
+				ud[q*n+i] = -s / ld[i*n+i]
+			}
+		}
+		for i := j + 4; i < n; i++ {
+			lrow := ld[i*n:][:i]
+			u0, u1 := ud[j*n:][:i], ud[(j+1)*n:][:i]
+			u2, u3 := ud[(j+2)*n:][:i], ud[(j+3)*n:][:i]
+			var s0, s1, s2, s3 float64
+			s0 += lrow[j] * u0[j]
+			s0 += lrow[j+1] * u0[j+1]
+			s1 += lrow[j+1] * u1[j+1]
+			s0 += lrow[j+2] * u0[j+2]
+			s1 += lrow[j+2] * u1[j+2]
+			s2 += lrow[j+2] * u2[j+2]
+			for k := j + 3; k < i; k++ {
+				v := lrow[k]
+				s0 += v * u0[k]
+				s1 += v * u1[k]
+				s2 += v * u2[k]
+				s3 += v * u3[k]
+			}
+			lii := ld[i*n+i]
+			ud[j*n+i], ud[(j+1)*n+i] = -s0/lii, -s1/lii
+			ud[(j+2)*n+i], ud[(j+3)*n+i] = -s2/lii, -s3/lii
 		}
 	}
 	return nil
@@ -428,21 +489,34 @@ func (c *Cholesky) InverseFactorTo(u *Dense) error {
 // InverseFactorTo left in u: (A⁻¹)_ij = Σ_{m ≥ max(i,j)} U_im·U_jm,
 // summed in ascending m. The diagonal is bit-identical to
 // InverseDiagTo's.
+//
+// Every row i ≤ j sums over the same range m ≥ j, so four rows
+// i..i+3 run against one row j in lock step. Where j < i+3 a lane whose
+// row is past j repeats row j, recomputing the diagonal entry.
 func InverseFromFactorTo(inv, u *Dense) error {
 	n := u.rows
 	if u.cols != n || inv.rows != n || inv.cols != n {
 		return ErrShape
 	}
-	for i := 0; i < n; i++ {
-		ui := u.Row(i)
+	ud, id := u.data, inv.data
+	for i := 0; i < n; i += 4 {
 		for j := i; j < n; j++ {
-			uj := u.Row(j)[j:]
-			var s float64
-			for m, v := range ui[j:] {
-				s += v * uj[m]
+			i1, i2, i3 := min(i+1, j), min(i+2, j), min(i+3, j)
+			m := n - j
+			uj := ud[j*n+j:][:m]
+			u0, u1 := ud[i*n+j:][:m], ud[i1*n+j:][:m]
+			u2, u3 := ud[i2*n+j:][:m], ud[i3*n+j:][:m]
+			var s0, s1, s2, s3 float64
+			for k, v := range uj {
+				s0 += u0[k] * v
+				s1 += u1[k] * v
+				s2 += u2[k] * v
+				s3 += u3[k] * v
 			}
-			inv.data[i*n+j] = s
-			inv.data[j*n+i] = s
+			id[i*n+j], id[j*n+i] = s0, s0
+			id[i1*n+j], id[j*n+i1] = s1, s1
+			id[i2*n+j], id[j*n+i2] = s2, s2
+			id[i3*n+j], id[j*n+i3] = s3, s3
 		}
 	}
 	return nil
