@@ -26,7 +26,10 @@ race:
 # distance is within the cutoff. Then ten seconds of the lane kernel
 # against that kernel: four finite candidates in lock step, each lane's
 # distance bits and column count equal to a scalar call's, with and
-# without the bound. Then ten seconds of the spill-file
+# without the bound. Then ten seconds of the lane cascade against
+# LBKeoghSuffix: four candidates' LB_Keogh suffix sums under one bar,
+# each lane's bound bits, stopping point and sums equal to a scalar
+# call's. Then ten seconds of the spill-file
 # decoder (spill.go): arbitrary bytes never panic it, and any input it
 # accepts re-encodes to the same bytes. Then the GP value stage: ten
 # seconds of the lock-step Cholesky, (L⁻¹)ᵀ, C⁻¹ and solve kernels
@@ -38,6 +41,7 @@ race:
 fuzz-smoke:
 	$(GO) test ./internal/dtw -run '^$$' -fuzz FuzzDistanceCompressedAbandon -fuzztime 10s
 	$(GO) test ./internal/dtw -run '^$$' -fuzz FuzzDistanceLanes -fuzztime 10s
+	$(GO) test ./internal/dtw -run '^$$' -fuzz FuzzLBKeoghSuffixLanes -fuzztime 10s
 	$(GO) test . -run '^$$' -fuzz FuzzDecodeSpill -fuzztime 10s
 	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzCholeskyLanes -fuzztime 10s
 	$(GO) test ./internal/gp -run '^$$' -fuzz FuzzCovRowLanes -fuzztime 10s

@@ -11,9 +11,10 @@ import (
 const Lanes = 4
 
 // LaneScratchLen returns the scratch length DistanceLanes needs for
-// warping width rho: both live columns of every lane, and one scalar
-// pair for the lane that finishes alone.
-func LaneScratchLen(rho int) int { return (Lanes + 1) * CompressedScratchLen(rho) }
+// warping width rho: three lane columns — the live one and the two a
+// pair of columns fills —, and one scalar pair for the lane that
+// finishes alone.
+func LaneScratchLen(rho int) int { return (3*Lanes + 2) * (2*rho + 2) }
 
 // GetLaneScratch is a DistanceLanes scratch backed by the memsys pool;
 // return it with PutLaneScratch.
@@ -36,12 +37,17 @@ func PutLaneScratch(s []float64) { memsys.PutFloats(s) }
 //
 // The lanes' band cells are interleaved per band slot — cell k of lane l
 // at k·Lanes+l of its column — so one column of every lane is one call of
-// laneColumn, which also returns each lane's column minimum. The band
-// bounds, the two +Inf pads and each lane's abandonment test stay here,
-// as DistanceCompressedBounded has them. A lane that abandons at column j
+// laneColumn, which also returns each lane's column minimum. A column
+// whose band lies inside the matrix (ρ < j ≤ d−ρ) has no pad to write,
+// and where column j+1 is such a column too, one call of laneColumn2
+// fills both: column j+1 one band slot behind column j, so that four
+// chains run where one column has two. The band bounds, the two +Inf
+// pads and each lane's abandonment test stay here, as
+// DistanceCompressedBounded has them, and column j+1 is tested only when
+// column j left two lanes running. A lane that abandons at column j
 // reports (+Inf, j) and its cells go on being filled, unread, as long as
-// two other lanes run; the last lane standing is handed, with its column,
-// to the scalar column loop and finishes there.
+// two other lanes run; the last lane standing is handed, with its last
+// tested column, to the scalar column loop and finishes there.
 func DistanceLanes(q []float64, c [Lanes][]float64, rho int, cutoff float64, rest [Lanes][]float64, scratch []float64) (dist [Lanes]float64, cols [Lanes]int, err error) {
 	d := len(q)
 	for l := range c {
@@ -59,21 +65,49 @@ func DistanceLanes(q []float64, c [Lanes][]float64, rho int, cutoff float64, res
 	if len(scratch) < LaneScratchLen(rho) {
 		scratch = make([]float64, LaneScratchLen(rho))
 	}
-	prev, cur := scratch[:Lanes*m], scratch[Lanes*m:2*Lanes*m]
+	prev, cur, spare := scratch[:Lanes*m], scratch[Lanes*m:2*Lanes*m], scratch[2*Lanes*m:3*Lanes*m]
 	inf := math.Inf(1)
-	// Column 0 and both pads, in every lane.
+	// Column 0 and the three pads, in every lane.
 	for k := range prev {
 		prev[k] = inf
 	}
 	for l := 0; l < Lanes; l++ {
 		prev[rho*Lanes+l] = 0
 		cur[(m-1)*Lanes+l] = inf
+		spare[(m-1)*Lanes+l] = inf
 	}
 	loose := Slack(cutoff)
 	running, live := [Lanes]bool{true, true, true, true}, Lanes
-	var cj, least [Lanes]float64
+	// stop applies the scalar kernel's abandonment test to column j of
+	// every running lane.
+	stop := func(j int, least *[Lanes]float64) {
+		for l, v := range least {
+			if running[l] && (v > cutoff || (rest[l] != nil && v+rest[l][j] > loose)) {
+				running[l], live = false, live-1
+				dist[l], cols[l] = inf, j
+			}
+		}
+	}
+	var cj [2][Lanes]float64
+	var least [2][Lanes]float64
+	full := (2*rho + 1) * Lanes // a full band column's cells
 	j := 1
-	for ; j <= d && live > 1; j++ {
+	for j <= d && live > 1 {
+		if rho < j && j+1+rho <= d { // columns j and j+1, both full bands
+			for l := range cj[0] {
+				cj[0][l], cj[1][l] = c[l][j-1], c[l][j]
+			}
+			laneColumn2(cur[:full], spare[:full], prev, q[j-rho-1:j+rho+1], &cj, &least)
+			if stop(j, &least[0]); live <= 1 {
+				prev, cur = cur, prev
+				j++
+				break
+			}
+			stop(j+1, &least[1])
+			prev, cur, spare = spare, prev, cur
+			j += 2
+			continue
+		}
 		ilo, ihi := max(1, j-rho), min(d, j+rho)
 		klo := ilo - j + rho
 		if klo > 0 {
@@ -82,18 +116,14 @@ func DistanceLanes(q []float64, c [Lanes][]float64, rho int, cutoff float64, res
 				pad[l] = inf
 			}
 		}
-		for l := range cj {
-			cj[l] = c[l][j-1]
+		for l := range cj[0] {
+			cj[0][l] = c[l][j-1]
 		}
 		n := (ihi - ilo + 1) * Lanes
-		laneColumn(cur[klo*Lanes:][:n], prev[klo*Lanes:][:n], prev[(klo+1)*Lanes:][:n], q[ilo-1:ihi], &cj, &least)
-		for l, v := range least {
-			if running[l] && (v > cutoff || (rest[l] != nil && v+rest[l][j] > loose)) {
-				running[l], live = false, live-1
-				dist[l], cols[l] = inf, j
-			}
-		}
+		laneColumn(cur[klo*Lanes:][:n], prev[klo*Lanes:][:n], prev[(klo+1)*Lanes:][:n], q[ilo-1:ihi], &cj[0], &least[0])
+		stop(j, &least[0])
 		prev, cur = cur, prev
+		j++
 	}
 	for l, on := range running {
 		switch {
@@ -101,7 +131,7 @@ func DistanceLanes(q []float64, c [Lanes][]float64, rho int, cutoff float64, res
 		case live > 1: // every column done
 			dist[l], cols[l] = prev[rho*Lanes+l], d
 		default: // the last lane: columns 1..j−1 done
-			sp, sc := scratch[2*Lanes*m:][:m], scratch[2*Lanes*m+m:][:m]
+			sp, sc := scratch[3*Lanes*m:][:m], scratch[3*Lanes*m+m:][:m]
 			for k := range sp {
 				sp[k] = prev[k*Lanes+l]
 			}
@@ -110,4 +140,41 @@ func DistanceLanes(q []float64, c [Lanes][]float64, rho int, cutoff float64, res
 		}
 	}
 	return dist, cols, nil
+}
+
+// LBKeoghSuffixLanes runs LBKeoghSuffix(e, x[l], rest[l], bar) on Lanes
+// candidates of one length against one envelope and returns, lane by
+// lane, what it returns — lb bit for bit, from, and rest[l][from:] —
+// provided the envelope and every x[l] are finite. Where LaneKernel is
+// false it panics. lbLanes writes the suffix sums of all four lanes right
+// to left until every one exceeds bar, so a lane may get sums further
+// left than the scalar loop writes; each lane's (lb, from) is then read
+// back from its own row, which only grows leftwards: from is the
+// rightmost point whose sum exceeds bar (0 if none does), and lb its sum.
+func LBKeoghSuffixLanes(e Envelope, x, rest [Lanes][]float64, bar float64) (lb [Lanes]float64, from [Lanes]int) {
+	n := len(x[0])
+	for l := range x {
+		if len(x[l]) != n {
+			panic(fmt.Sprintf("dtw: LBKeoghSuffixLanes candidates of lengths %d and %d", n, len(x[l])))
+		}
+		rest[l] = rest[l][:n+1]
+		rest[l][n] = 0
+	}
+	if n == 0 {
+		return lb, from
+	}
+	stop := lbLanes(e.Upper[:n], e.Lower[:n], &x, &rest, bar)
+	for l, row := range rest {
+		lo, hi := stop, n // the first point in [stop, n) not past bar
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); row[mid] > bar {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		from[l] = max(lo-1, 0)
+		lb[l] = row[from[l]]
+	}
+	return lb, from
 }

@@ -1,7 +1,6 @@
 package index
 
 import (
-	"cmp"
 	"context"
 	"math"
 	"slices"
@@ -63,8 +62,8 @@ type verifyTask struct {
 
 	dists []float64 // out: exact DTW or +Inf (pooled; release returns it)
 
-	order []int // unseeded survivors, (lower bound, position) ascending
-	next  int   // order[:next] is resolved: verified or dismissed
+	order []survivor // unseeded survivors, (lower bound, position) ascending
+	next  int        // order[:next] is resolved: verified or dismissed
 	// tops[i] is the running k best verified distances among the
 	// candidates filters[i] admits. One set per horizon, because a
 	// horizon's k-th distance says nothing about a horizon with a shorter
@@ -173,6 +172,14 @@ func (t *verifyTask) record(pos int, dist float64) bool {
 	return entered
 }
 
+// survivor is a candidate position that passed the filter, with its
+// lower bound beside it, so that sorting and sealing compare values they
+// hold.
+type survivor struct {
+	lb  float64
+	pos int
+}
+
 // filter is the first of the two phases (Section 4.4): one pass over
 // the item query's candidate positions that prefills the threshold
 // seeds — each has dist ≤ τ, so the τ-cutoff verification would compute
@@ -208,14 +215,22 @@ func (t *verifyTask) filter(blk *gpusim.Block, rho int, cascade bool) {
 			count++
 		}
 	}
-	t.order = make([]int, 0, count)
+	t.order = make([]survivor, 0, count)
 	for pos := 0; pos < n; pos++ {
 		if survives(pos) {
-			t.order = append(t.order, pos)
+			t.order = append(t.order, survivor{t.lbs[pos], pos})
 		}
 	}
-	slices.SortFunc(t.order, func(a, b int) int {
-		return cmp.Or(cmp.Compare(t.lbs[a], t.lbs[b]), a-b)
+	// No NaN bound survives (keep needs lb ≤ τ), so this is a strict total
+	// order: cmp.Compare of the bounds, then of the positions.
+	slices.SortFunc(t.order, func(a, b survivor) int {
+		switch {
+		case a.lb < b.lb:
+			return -1
+		case a.lb > b.lb:
+			return 1
+		}
+		return a.pos - b.pos
 	})
 	if cascade && t.bounded() {
 		env := t.pool(2, 2*t.d)
@@ -241,7 +256,7 @@ func (t *verifyTask) tighten() {
 	t.cutoff = min(t.cutoff, t.bar())
 	loose := dtw.Slack(t.cutoff)
 	rest := t.order[t.next:]
-	live := sort.Search(len(rest), func(i int) bool { return t.lbs[rest[i]] > loose })
+	live := sort.Search(len(rest), func(i int) bool { return rest[i].lb > loose })
 	t.sealed += len(rest) - live
 	t.order = t.order[:t.next+live]
 }
@@ -335,10 +350,10 @@ func (ix *Index) verify(ctx context.Context, tasks []*verifyTask) error {
 		}
 		for _, t := range tasks {
 			hi := min(t.next+roundSize, len(t.order))
-			for _, pos := range t.order[t.next:hi] {
-				if bar := t.bar(); t.lbs[pos] < bar || math.IsInf(bar, 1) {
+			for _, s := range t.order[t.next:hi] {
+				if bar := t.bar(); s.lb < bar || math.IsInf(bar, 1) {
 					t.atRisk++
-					if t.record(pos, t.dists[pos]) {
+					if t.record(s.pos, t.dists[s.pos]) {
 						t.flips++
 					}
 				}
@@ -356,10 +371,12 @@ func (ix *Index) verify(ctx context.Context, tasks []*verifyTask) error {
 }
 
 // verifyLanes runs one verification block: cascade, then kernel, per
-// candidate (see verify). On an index whose history is all finite the
-// kernel takes the cascade's survivors dtw.Lanes at a time, in lock step
-// (dtw.DistanceLanes, the same bits as the scalar kernel); the last few
-// of a block, and every candidate of any other index, run alone.
+// candidate (see verify). On an index whose history is all finite both
+// run dtw.Lanes candidates at a time, in lock step, with the scalar
+// kernels' bits: the cascade takes the block's survivors four by four in
+// order (dtw.LBKeoghSuffixLanes), and its survivors fill the kernel's
+// groups in that order (dtw.DistanceLanes). The last few of a block, and
+// every candidate of any other index, run alone.
 func (ix *Index) verifyLanes(blk *gpusim.Block, b *verifyBlock) error {
 	t, d, rho := b.t, b.t.d, ix.p.Rho
 	if err := blk.AllocShared(8 * d); err != nil { // query resident
@@ -368,25 +385,13 @@ func (ix *Index) verifyLanes(blk *gpusim.Block, b *verifyBlock) error {
 	if err := blk.AllocShared(8 * dtw.CompressedScratchLen(rho)); err != nil {
 		return err
 	}
+	lanes := ix.lanes()
 	width := 1 // candidates per kernel call
-	if ix.lanes() {
+	if lanes {
 		width = dtw.Lanes
 	}
 	scratch := dtw.GetLaneScratch(rho)
 	defer dtw.PutLaneScratch(scratch)
-	// The cascade runs against the cutoff the round started with: the
-	// bound accumulates right to left and stops once it exceeds it; its
-	// partial sums are the kernel's remaining-cost bound, one row per lane.
-	var rests []float64
-	if t.queryEnv.Len() > 0 {
-		if err := blk.AllocShared(8 * 2 * d); err != nil { // query envelope resident
-			return err
-		}
-		rests = memsys.GetFloats(width * (d + 1))
-		defer memsys.PutFloats(rests)
-	}
-	loose := dtw.Slack(t.cutoff)
-	read, maxCols := 0, 0 // points the bound read; longest kernel lane
 	// The cascade's survivors waiting for the kernel — group[:n], with
 	// their candidates and bound rows — and what it returned for them.
 	var (
@@ -396,6 +401,27 @@ func (ix *Index) verifyLanes(blk *gpusim.Block, b *verifyBlock) error {
 		cols        [dtw.Lanes]int
 		n           int
 	)
+	// The cascade runs against the cutoff the round started with: the
+	// bound accumulates right to left and stops once it exceeds it; its
+	// partial sums are the kernel's remaining-cost bound. There are two
+	// rows per lane: rest[l] for the group's slot l, and bound[l] for the
+	// cascade's lane l, whose row is swapped into the slot its candidate
+	// takes.
+	cascade := t.queryEnv.Len() > 0
+	var bound [dtw.Lanes][]float64
+	if cascade {
+		if err := blk.AllocShared(8 * 2 * d); err != nil { // query envelope resident
+			return err
+		}
+		rows := memsys.GetFloats(2 * dtw.Lanes * (d + 1))
+		defer memsys.PutFloats(rows)
+		for l := range rest {
+			rest[l] = rows[l*(d+1) : (l+1)*(d+1)]
+			bound[l] = rows[(dtw.Lanes+l)*(d+1) : (dtw.Lanes+l+1)*(d+1)]
+		}
+	}
+	loose := dtw.Slack(t.cutoff)
+	read, maxCols := 0, 0 // points the bound read; longest kernel lane
 	// flush runs the kernel on group[:n]: in lock step when that is a full
 	// set of lanes, one candidate at a time otherwise.
 	flush := func() error {
@@ -419,21 +445,47 @@ func (ix *Index) verifyLanes(blk *gpusim.Block, b *verifyBlock) error {
 		n = 0
 		return nil
 	}
-	for _, pos := range t.order[b.lo:b.hi] {
-		group[n], cands[n], rest[n] = pos, ix.c[pos:pos+d], nil
-		if rests != nil {
-			rest[n] = rests[n*(d+1) : (n+1)*(d+1)]
-			lb, from := dtw.LBKeoghSuffix(t.queryEnv, cands[n], rest[n], loose)
+	// admit gives pos the next group slot, whose bound row already holds
+	// its suffix sums, and runs a full group.
+	admit := func(pos int) error {
+		group[n], cands[n] = pos, ix.c[pos:pos+d]
+		if n++; n == width {
+			return flush()
+		}
+		return nil
+	}
+	order := t.order[b.lo:b.hi]
+	if lanes && cascade {
+		var x [dtw.Lanes][]float64
+		for ; len(order) >= dtw.Lanes; order = order[dtw.Lanes:] {
+			for l, s := range order[:dtw.Lanes] {
+				x[l] = ix.c[s.pos : s.pos+d]
+			}
+			lbs, from := dtw.LBKeoghSuffixLanes(t.queryEnv, x, bound, loose)
+			for l, s := range order[:dtw.Lanes] {
+				read += d - from[l]
+				if lbs[l] > loose {
+					b.pruned++
+					continue
+				}
+				rest[n], bound[l] = bound[l], rest[n]
+				if err := admit(s.pos); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	for _, s := range order {
+		if cascade {
+			lb, from := dtw.LBKeoghSuffix(t.queryEnv, ix.c[s.pos:s.pos+d], rest[n], loose)
 			read += d - from
 			if lb > loose {
 				b.pruned++
 				continue
 			}
 		}
-		if n++; n == width {
-			if err := flush(); err != nil {
-				return err
-			}
+		if err := admit(s.pos); err != nil {
+			return err
 		}
 	}
 	if err := flush(); err != nil {
@@ -444,10 +496,9 @@ func (ix *Index) verifyLanes(blk *gpusim.Block, b *verifyBlock) error {
 	// kernel: candidates stream only the columns that were processed, and
 	// each lane that reached it fills cols·(2ρ+1) band cells in lock-step
 	// waves bounded by the longest lane.
-	lanes := b.hi - b.lo
-	if rests != nil {
+	if cascade {
 		blk.GlobalAccess(read)
-		blk.ParallelCompute(lanes, 3*d)
+		blk.ParallelCompute(b.hi-b.lo, 3*d)
 	}
 	blk.GlobalAccess(b.columns)
 	blk.ParallelCompute(b.ran, maxCols*(2*rho+1)*6)
@@ -471,7 +522,7 @@ func (ix *Index) foldQuality(tasks []*verifyTask) {
 		}
 		// The bar an unverified candidate must beat, and the closest any
 		// of them can come (order is lower-bound ascending).
-		bar, minLB := t.bar(), t.lbs[unverified[0]]
+		bar, minLB := t.bar(), unverified[0].lb
 		// Sealed early: every unverified lower bound already reaches the
 		// k-th best-so-far distance, so the set is provably exact (up to
 		// distance ties) even though verification stopped.
@@ -484,7 +535,7 @@ func (ix *Index) foldQuality(tasks []*verifyTask) {
 			gap = min(max(1-minLB/bar, 0), 1)
 		}
 		st.LBGap = max(st.LBGap, gap)
-		remaining := sort.Search(len(unverified), func(i int) bool { return !(t.lbs[unverified[i]] < bar) })
+		remaining := sort.Search(len(unverified), func(i int) bool { return !(unverified[i].lb < bar) })
 		st.ProbExact = min(st.ProbExact, estimateProbExact(t.flips, t.atRisk, remaining))
 	}
 	if !st.Progressive {

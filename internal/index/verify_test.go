@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"math"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"smiler/internal/dtw"
+	"smiler/internal/gpusim"
 )
 
 // countdownCtx is a context whose Err() starts returning
@@ -401,7 +403,7 @@ func TestTightenKeepsTies(t *testing.T) {
 		lbs:     lbs,
 		cutoff:  10,
 		filters: []horizonFilter{{maxT: 9, tau: 10}, {maxT: 7, tau: 10}},
-		order:   []int{0, 1, 2, 3, 4, 5, 6, 7},
+		order:   survivorsAt(lbs, 0, 1, 2, 3, 4, 5, 6, 7),
 		next:    2,
 		tops:    []topK{{k: 2, d: make([]float64, 0, 2)}, {k: 2, d: make([]float64, 0, 2)}},
 	}
@@ -417,8 +419,8 @@ func TestTightenKeepsTies(t *testing.T) {
 	if task.cutoff != kth {
 		t.Fatalf("cutoff = %v, want exactly %v", task.cutoff, kth)
 	}
-	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(task.order, want) || task.sealed != 3 {
-		t.Fatalf("after sealing order = %v (%d sealed), want %v (3 sealed)", task.order, task.sealed, want)
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(positions(task.order), want) || task.sealed != 3 {
+		t.Fatalf("after sealing order = %v (%d sealed), want %v (3 sealed)", positions(task.order), task.sealed, want)
 	}
 	// Not enough verified distances in one horizon: nothing may tighten.
 	task.tops[1].d = task.tops[1].d[:1]
@@ -428,10 +430,86 @@ func TestTightenKeepsTies(t *testing.T) {
 		t.Fatalf("a horizon short of k distances tightened the cutoff to %v", task.cutoff)
 	}
 	// No cutoff: tighten is a no-op.
-	other := &verifyTask{k: 2, cutoff: math.Inf(1), lbs: lbs, order: []int{6, 7}, tops: task.tops[:1], filters: task.filters[:1]}
+	other := &verifyTask{k: 2, cutoff: math.Inf(1), lbs: lbs, order: survivorsAt(lbs, 6, 7), tops: task.tops[:1], filters: task.filters[:1]}
 	other.tighten()
 	if !math.IsInf(other.cutoff, 1) || len(other.order) != 2 || other.sealed != 0 {
 		t.Fatalf("tighten touched a task it must leave alone: %+v", other)
+	}
+}
+
+// survivorsAt is the survivor order filter would build for these
+// positions, in the order given.
+func survivorsAt(lbs []float64, pos ...int) []survivor {
+	order := make([]survivor, len(pos))
+	for i, p := range pos {
+		order[i] = survivor{lbs[p], p}
+	}
+	return order
+}
+
+// positions is the position sequence of a survivor order.
+func positions(order []survivor) []int {
+	pos := make([]int, len(order))
+	for i, s := range order {
+		pos[i] = s.pos
+	}
+	return pos
+}
+
+// parentOrder is the survivor sort filter ran before it sorted (bound,
+// position) pairs, kept verbatim: positions, compared through t.lbs.
+func parentOrder(t *verifyTask, order []int) []int {
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(t.lbs[a], t.lbs[b]), a-b)
+	})
+	return order
+}
+
+// filter's survivor order against parentOrder over the same survivors.
+// Bounds are drawn from a handful of values — −0 beside +0, repeats,
+// +Inf under an unbounded horizon — so most comparisons are ties that
+// the positions break, and seeds take some positions out.
+func TestSurvivorOrderMatchesParentComparator(t *testing.T) {
+	dev := testDevice(t)
+	rng := rand.New(rand.NewSource(34))
+	values := []float64{math.Copysign(0, -1), 0, 0.5, 1, 1, 2, 3, math.Inf(1)}
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(600)
+		lbs := make([]float64, n)
+		for i := range lbs {
+			lbs[i] = values[rng.Intn(len(values))]
+		}
+		task := &verifyTask{
+			lbs:     lbs,
+			k:       3,
+			cutoff:  math.Inf(1),
+			filters: []horizonFilter{{maxT: n - 1, tau: 2}, {maxT: n / 2, tau: math.Inf(1)}},
+		}
+		for range 5 {
+			task.seeds = append(task.seeds, seedCand{t: rng.Intn(n), dist: rng.Float64()})
+		}
+		if err := dev.Launch(1, func(blk *gpusim.Block) error {
+			task.filter(blk, 1, false)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var want []int
+		for pos := range n {
+			if task.keep(pos) && math.IsInf(task.dists[pos], 1) {
+				want = append(want, pos)
+			}
+		}
+		got := positions(task.order)
+		task.release()
+		if want = parentOrder(task, want); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: survivor order\n%v\nparent comparator\n%v", trial, got, want)
+		}
+		for i, s := range task.order {
+			if math.Float64bits(s.lb) != math.Float64bits(lbs[s.pos]) {
+				t.Fatalf("trial %d: survivor %d carries bound %v, position %d has %v", trial, i, s.lb, s.pos, lbs[s.pos])
+			}
+		}
 	}
 }
 

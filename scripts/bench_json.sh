@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # bench_json.sh — run the prediction-path benchmarks (the DTW verify
-# kernel beneath them, and the continuous_gp loop above them with its
-# dtw_runs/op, dtw_cols/op and gp_evals/op counts) and emit
+# kernel and the LB_Keogh cascade beneath them, and the continuous_gp
+# loop above them with its dtw_runs/op, dtw_cols/op and gp_evals/op
+# counts) and emit
 # BENCH_predict.json with ns/op, allocs and every custom metric
 # (predict-step-ns/op, cell-fit-ns/op, search-ns/op, ...), plus a
 # vs_baseline section with the B/op and allocs/op deltas against the
@@ -48,11 +49,12 @@ if [ -f "$BASELINE" ]; then cp "$BASELINE" "$base"; else : >"$base"; fi
 
 go test ./internal/core -run '^$' -bench 'Benchmark(Predict|PredictSequential|PredictMulti|Observe|ObserveThenSearch)$' \
     -benchmem -benchtime "$BENCHTIME" >>"$raw"
-# The verify kernel under every search above, at the serving shape
-# (d=64, ρ=8), alone and four candidates in lock step (one
-# BenchmarkDistanceLanes64 op verifies four); the benchmarks themselves
-# fail on a single allocation.
-go test ./internal/dtw -run '^$' -bench 'BenchmarkDistance(Compressed(Abandon)?|Lanes)64$' \
+# The verify kernel under every search above, and the LB_Keogh cascade
+# in front of it, at the serving shape (d=64, ρ=8), alone and four
+# candidates in lock step (one BenchmarkDistanceLanes64 or
+# BenchmarkLBKeoghSuffixLanes64 op handles four); the benchmarks
+# themselves fail on a single allocation.
+go test ./internal/dtw -run '^$' -bench 'Benchmark(Distance(Compressed(Abandon)?|Lanes)|LBKeoghSuffix(Lanes)?)64$' \
     -benchmem -benchtime "$BENCHTIME" >>"$raw"
 go test ./internal/ingest -run '^$' -bench 'BenchmarkIngestThroughput/direct' \
     -benchmem -benchtime "$INGEST_BENCHTIME" >>"$raw"
