@@ -28,13 +28,13 @@ func walShards(configured int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// walOptions maps the -fsync / -fsync-interval flags onto wal.Options.
+// walOptions maps the -fsync flag onto wal.Options.
 func walOptions(o options) (wal.Options, error) {
 	policy, err := wal.ParseSyncPolicy(o.fsync)
 	if err != nil {
 		return wal.Options{}, err
 	}
-	return wal.Options{Policy: policy, Interval: o.fsyncInterval}, nil
+	return wal.Options{Policy: policy}, nil
 }
 
 // recoverWAL replays every intact record under dir into the system,

@@ -8,7 +8,7 @@
 //
 //	smiler-server -addr :8080
 //	smiler-server -addr :8080 -predictor ar -checkpoint state.gob
-//	smiler-server -shards 8 -queue 1024 -backpressure drop-newest
+//	smiler-server -shards 8 -wal-dir wal/ -fsync interval
 //	smiler-server -addr :8080 -pprof -log-level debug
 //	smiler-server -checkpoint state.gob -wal-dir wal/ -fsync always
 //	smiler-server -predict-deadline 200ms -degraded-fallback ar1
@@ -86,24 +86,20 @@ import (
 
 // options carries every tunable of the server process.
 type options struct {
-	addr         string
-	predictor    string
-	maxHistory   int
-	checkpoint   string
-	interval     time.Duration
-	shards       int
-	queue        int
-	batch        int
-	backpressure string
-	logLevel     string
-	pprof        bool
+	addr       string
+	predictor  string
+	maxHistory int
+	checkpoint string
+	interval   time.Duration
+	shards     int
+	logLevel   string
+	pprof      bool
 
 	maxHotSensors int
 	spillDir      string
 
 	walDir          string
 	fsync           string
-	fsyncInterval   time.Duration
 	predictDeadline time.Duration
 	fallback        string
 
@@ -146,16 +142,12 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file (load at start, save at shutdown)")
 	fs.DurationVar(&o.interval, "interval", 0, "fixed sample interval enabling POST /sensors/{id}/readings (0 = disabled)")
 	fs.IntVar(&o.shards, "shards", 0, "ingestion shard workers (0 = GOMAXPROCS)")
-	fs.IntVar(&o.queue, "queue", 0, "per-shard ingestion queue capacity (0 = default 256)")
-	fs.IntVar(&o.batch, "batch", 0, "ingestion micro-batch cap (0 = default 32)")
-	fs.StringVar(&o.backpressure, "backpressure", "block", "full-queue policy: block|drop-newest|error")
 	fs.StringVar(&o.logLevel, "log-level", "info", "log floor: debug|info|warn|error")
 	fs.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
 	fs.IntVar(&o.maxHotSensors, "max-hot-sensors", 0, "cap on sensors kept hot in memory; the LRU excess spills to disk (0 = unlimited)")
 	fs.StringVar(&o.spillDir, "spill-dir", "", "directory for cold-sensor spill files (empty = temp dir; wiped at boot)")
 	fs.StringVar(&o.walDir, "wal-dir", "", "write-ahead-log directory (empty = no WAL)")
-	fs.StringVar(&o.fsync, "fsync", "always", "WAL fsync policy: always|interval|off")
-	fs.DurationVar(&o.fsyncInterval, "fsync-interval", 0, "fsync period for -fsync interval (0 = default 50ms)")
+	fs.StringVar(&o.fsync, "fsync", "always", "WAL fsync policy: always|interval (every 50ms)|off")
 	fs.DurationVar(&o.predictDeadline, "predict-deadline", 0, "per-prediction deadline: a mid-search expiry answers from the verified-so-far neighbor set, quality \"progressive\" (0 = none)")
 	fs.StringVar(&o.fallback, "degraded-fallback", "none", "degraded-mode predictor: none|persistence|ar1")
 	fs.StringVar(&o.nodeID, "node-id", "", "this node's cluster member id (enables clustering with -cluster-peers)")
@@ -216,11 +208,6 @@ func run(o options) error {
 	}
 	cfg.Fallback = fb
 
-	policy, err := ingest.ParseBackpressure(o.backpressure)
-	if err != nil {
-		return err
-	}
-
 	sys, cover, err := loadOrNew(cfg, o.checkpoint, logger)
 	if err != nil {
 		return err
@@ -241,10 +228,7 @@ func run(o options) error {
 		Logger:        logger,
 		StartNotReady: true,
 		Pipeline: ingest.Config{
-			Shards:       o.shards,
-			QueueSize:    o.queue,
-			MaxBatch:     o.batch,
-			Backpressure: policy,
+			Shards: o.shards,
 			OnError: func(obs ingest.Observation, err error) {
 				logger.Warn("observe failed", "sensor", obs.Sensor, "err", err)
 			},
@@ -315,7 +299,6 @@ func run(o options) error {
 		logger.Info("listening",
 			"addr", ln.Addr().String(),
 			"predictor", strings.ToLower(o.predictor),
-			"backpressure", policy.String(),
 			"pprof", o.pprof,
 		)
 		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
@@ -393,7 +376,6 @@ func run(o options) error {
 	st := handler.Pipeline().Stats()
 	logger.Info("pipeline drained",
 		"processed", st.Totals.Processed,
-		"dropped", st.Totals.Dropped,
 		"errors", st.Totals.Errors,
 	)
 	if err := shutdownDurability(sys, mgr, o, logger); err != nil {

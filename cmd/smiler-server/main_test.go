@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"syscall"
@@ -99,12 +100,12 @@ func TestFlagSurface(t *testing.T) {
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
-		"addr", "backpressure", "batch", "checkpoint", "cluster-join",
-		"cluster-peers", "cluster-secret", "degraded-fallback", "drain-on-term", "drain-timeout",
-		"fsync", "fsync-interval", "interval", "log-level", "max-history",
-		"max-hot-sensors", "max-staleness", "node-id", "pprof", "predict-deadline",
-		"predictor", "probe-failures", "probe-interval", "queue", "rebalance-batch",
-		"rebalance-interval", "replicas", "shards", "spill-dir", "wal-dir",
+		"addr", "checkpoint", "cluster-join", "cluster-peers", "cluster-secret",
+		"degraded-fallback", "drain-on-term", "drain-timeout", "fsync", "interval",
+		"log-level", "max-history", "max-hot-sensors", "max-staleness", "node-id",
+		"pprof", "predict-deadline", "predictor", "probe-failures", "probe-interval",
+		"rebalance-batch", "rebalance-interval", "replicas", "shards", "spill-dir",
+		"wal-dir",
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("smiler-server flags (%d):\n%v\nwant (%d):\n%v", len(got), got, len(want), want)
@@ -112,21 +113,34 @@ func TestFlagSurface(t *testing.T) {
 }
 
 func TestRunRejectsBadPredictor(t *testing.T) {
-	if err := run(options{addr: ":0", predictor: "nope", backpressure: "block"}); err == nil {
+	if err := run(options{addr: ":0", predictor: "nope"}); err == nil {
 		t.Fatal("unknown predictor should fail")
 	}
 }
 
+// TestRunRejectsBadBackpressure: the ingest path has one full-queue
+// policy, so a command line that still picks one, or sizes the queue
+// or the batch, fails at parse time instead of being silently ignored.
 func TestRunRejectsBadBackpressure(t *testing.T) {
-	if err := run(options{addr: ":0", predictor: "ar", backpressure: "nope"}); err == nil {
-		t.Fatal("unknown backpressure policy should fail")
+	for _, args := range [][]string{
+		{"-backpressure", "error"},
+		{"-queue", "1024"},
+		{"-batch", "64"},
+	} {
+		fs := flag.NewFlagSet("smiler-server", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		registerFlags(fs, &options{})
+		if err := fs.Parse(args); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%v: parse error %v, want an undefined flag", args, err)
+		}
 	}
 }
 
-// TestMetricsSmoke boots the real server loop with -pprof, drives one
-// prediction, and asserts that /metrics serves the required metric
-// families, /debug/trace/{sensor} serves spans, and the pprof index
-// responds.
+// TestMetricsSmoke boots the real server loop with -pprof, a WAL,
+// tiering and a degraded fallback, drives one prediction, and asserts
+// that /metrics serves the required metric families and exactly the
+// families docs/OBSERVABILITY.md documents, /debug/trace/{sensor}
+// serves spans, and the pprof index responds.
 func TestMetricsSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("signal-driven lifecycle test")
@@ -135,13 +149,16 @@ func TestMetricsSmoke(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run(options{
-			addr:         "127.0.0.1:0",
-			predictor:    "ar",
-			shards:       2,
-			backpressure: "block",
-			logLevel:     "error",
-			pprof:        true,
-			onReady:      func(addr string) { ready <- addr },
+			addr:          "127.0.0.1:0",
+			predictor:     "ar",
+			shards:        2,
+			logLevel:      "error",
+			pprof:         true,
+			walDir:        filepath.Join(t.TempDir(), "wal"),
+			fsync:         "always",
+			maxHotSensors: 8,
+			fallback:      "ar1",
+			onReady:       func(addr string) { ready <- addr },
 		})
 	}()
 	var addr string
@@ -198,6 +215,23 @@ func TestMetricsSmoke(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	emitted := map[string]bool{}
+	for _, line := range strings.Split(body, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" && strings.HasPrefix(f[2], "smiler_") {
+			emitted[f[2]] = true
+		}
+	}
+	documented := documentedFamilies(t)
+	for name := range emitted {
+		if !documented[name] {
+			t.Errorf("/metrics family %s is not documented in docs/OBSERVABILITY.md", name)
+		}
+	}
+	for name := range documented {
+		if !emitted[name] {
+			t.Errorf("docs/OBSERVABILITY.md documents %s, which the node does not emit", name)
+		}
+	}
 	if code, body = get("/debug/trace/s"); code != http.StatusOK || !strings.Contains(body, `"name":"search"`) {
 		t.Fatalf("/debug/trace/s = %d: %s", code, body)
 	}
@@ -219,6 +253,25 @@ func TestMetricsSmoke(t *testing.T) {
 	}
 }
 
+// documentedFamilies returns the metric families named in the first
+// column of docs/OBSERVABILITY.md's tables. Cluster families live in
+// docs/CLUSTER.md and a single node does not emit them.
+func documentedFamilies(t *testing.T) map[string]bool {
+	t.Helper()
+	doc, err := os.ReadFile(filepath.Join("..", "..", "docs", "OBSERVABILITY.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("^\\| `(smiler_[a-z0-9_]+)")
+	out := map[string]bool{}
+	for _, line := range strings.Split(string(doc), "\n") {
+		if m := row.FindStringSubmatch(line); m != nil {
+			out[m[1]] = true
+		}
+	}
+	return out
+}
+
 // TestRunLifecycle drives the real server loop end to end: start,
 // register a sensor and stream observations over HTTP, then SIGTERM —
 // and assert that the pipeline was drained before the checkpoint was
@@ -233,14 +286,12 @@ func TestRunLifecycle(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- run(options{
-			addr:         "127.0.0.1:0",
-			predictor:    "ar",
-			checkpoint:   path,
-			interval:     time.Minute,
-			shards:       2,
-			queue:        64,
-			backpressure: "block",
-			onReady:      func(addr string) { ready <- addr },
+			addr:       "127.0.0.1:0",
+			predictor:  "ar",
+			checkpoint: path,
+			interval:   time.Minute,
+			shards:     2,
+			onReady:    func(addr string) { ready <- addr },
 		})
 	}()
 	var addr string

@@ -64,14 +64,13 @@ func TestRunWALLifecycle(t *testing.T) {
 	walDir := filepath.Join(dir, "wal")
 	ckpt := filepath.Join(dir, "state.gob")
 	base := options{
-		addr:         "127.0.0.1:0",
-		predictor:    "ar",
-		shards:       2,
-		backpressure: "block",
-		logLevel:     "error",
-		walDir:       walDir,
-		fsync:        "always",
-		fallback:     "none",
+		addr:      "127.0.0.1:0",
+		predictor: "ar",
+		shards:    2,
+		logLevel:  "error",
+		walDir:    walDir,
+		fsync:     "always",
+		fallback:  "none",
 	}
 
 	// First lifetime: WAL only, no checkpoint.

@@ -453,7 +453,6 @@ func (n *Node) bulkObserve(w http.ResponseWriter, r *http.Request, body []byte) 
 			}
 		}
 		merged.Accepted += res.Accepted
-		merged.Dropped += res.Dropped
 		for _, f := range res.Failed {
 			// Remap the partition-local index back to the caller's.
 			if f.Index >= 0 && f.Index < len(p.indices) {

@@ -71,7 +71,7 @@ func newTestClusterSys(t *testing.T, size int, sysCfg smiler.Config, mutate func
 		}
 		srv, err := server.NewWithOptions(sys, server.Options{
 			NodeID:   id,
-			Pipeline: ingest.Config{Shards: 2, QueueSize: 256},
+			Pipeline: ingest.Config{Shards: 2},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -329,7 +329,7 @@ func joinNode(t *testing.T, id string, seed *testNode, mutate func(*cluster.Conf
 	}
 	srv, err := server.NewWithOptions(sys, server.Options{
 		NodeID:   id,
-		Pipeline: ingest.Config{Shards: 2, QueueSize: 256},
+		Pipeline: ingest.Config{Shards: 2},
 	})
 	if err != nil {
 		t.Fatal(err)

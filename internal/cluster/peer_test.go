@@ -143,7 +143,7 @@ func TestPeerPartitionIsTotal(t *testing.T) {
 	}
 	defer sys.Close()
 	srv, err := server.NewWithOptions(sys, server.Options{
-		NodeID: "n4", Pipeline: ingest.Config{Shards: 1, QueueSize: 16},
+		NodeID: "n4", Pipeline: ingest.Config{Shards: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

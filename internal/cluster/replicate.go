@@ -89,7 +89,7 @@ func (f *sharedFrame) release() {
 }
 
 const (
-	peerQueueSize  = 4096
+	peerQueueCap   = 4096
 	resyncQueue    = 256
 	maxBatchFrames = 256
 )
@@ -123,7 +123,7 @@ func (r *replicator) syncPeers(v *memberView) {
 		}
 		p := &peerStream{
 			to:     v.members[id],
-			frames: make(chan *sharedFrame, peerQueueSize),
+			frames: make(chan *sharedFrame, peerQueueCap),
 			resync: make(chan string, resyncQueue),
 			stop:   make(chan struct{}),
 		}

@@ -55,7 +55,7 @@ func newInternalCluster(t *testing.T, mutate func(*Config), ids ...string) []*in
 		}
 		srv, err := server.NewWithOptions(sys, server.Options{
 			NodeID:   id,
-			Pipeline: ingest.Config{Shards: 2, QueueSize: 64},
+			Pipeline: ingest.Config{Shards: 2},
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -232,7 +232,7 @@ func TestSinceContactSeededAtBoot(t *testing.T) {
 	}
 	defer sys.Close()
 	srv, err := server.NewWithOptions(sys, server.Options{
-		Pipeline: ingest.Config{Shards: 1, QueueSize: 16},
+		Pipeline: ingest.Config{Shards: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

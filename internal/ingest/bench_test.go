@@ -82,7 +82,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 	for _, shards := range []int{1, 4, 16} {
 		b.Run(fmt.Sprintf("pipeline/shards=%d", shards), func(b *testing.B) {
 			sys, ids := newBenchSystem(b, sensors)
-			p, err := New(sys, Config{Shards: shards, QueueSize: 1024, MaxBatch: 64})
+			p, err := New(sys, Config{Shards: shards})
 			if err != nil {
 				b.Fatal(err)
 			}

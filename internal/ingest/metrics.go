@@ -21,9 +21,6 @@ func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("smiler_ingest_shards",
 		"Shard workers in the ingestion pipeline.",
 		func() float64 { return float64(len(p.shards)) })
-	reg.GaugeFunc("smiler_ingest_queue_capacity",
-		"Per-shard bounded queue capacity.",
-		func() float64 { return float64(p.cfg.QueueSize) })
 	for _, sh := range p.shards {
 		sh := sh
 		label := obs.L("shard", strconv.Itoa(sh.id))
@@ -33,9 +30,6 @@ func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 		reg.CounterFunc("smiler_ingest_processed_total",
 			"Observations applied to the system.",
 			func() float64 { return float64(sh.processed.Load()) }, label)
-		reg.CounterFunc("smiler_ingest_dropped_total",
-			"Observations shed by the DropNewest backpressure policy.",
-			func() float64 { return float64(sh.dropped.Load()) }, label)
 		reg.CounterFunc("smiler_ingest_errors_total",
 			"Observations whose asynchronous apply failed.",
 			func() float64 { return float64(sh.errs.Load()) }, label)

@@ -9,12 +9,11 @@ import (
 )
 
 // TestRegisterMetricsExposition: the lazy bridge must surface the
-// shard counters, queue gauges and coalescer counters with live
-// values.
+// shard counters and coalescer counters with live values.
 func TestRegisterMetricsExposition(t *testing.T) {
 	sys := newFakeSystem()
 	sys.observeDelay = time.Millisecond // force measurable apply latency
-	p, err := New(sys, Config{Shards: 2, QueueSize: 16})
+	p, err := New(sys, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +47,6 @@ func TestRegisterMetricsExposition(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"smiler_ingest_shards 2",
-		"smiler_ingest_queue_capacity 16",
 		`smiler_ingest_enqueued_total{shard="0"}`,
 		`smiler_ingest_enqueued_total{shard="1"}`,
 		`smiler_ingest_processed_total{shard="0"}`,
@@ -59,6 +57,11 @@ func TestRegisterMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+	for _, gone := range []string{"smiler_ingest_queue_capacity", "smiler_ingest_dropped_total"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("exposition still has %q", gone)
 		}
 	}
 	if t.Failed() {
@@ -88,7 +91,7 @@ func TestRegisterMetricsNilRegistry(t *testing.T) {
 func TestPerShardLatencyPopulated(t *testing.T) {
 	sys := newFakeSystem()
 	sys.observeDelay = 2 * time.Millisecond
-	p, err := New(sys, Config{Shards: 2, QueueSize: 32})
+	p, err := New(sys, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

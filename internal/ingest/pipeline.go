@@ -11,9 +11,8 @@
 //     shard workers. A shard is a bounded queue drained by a single
 //     goroutine in micro-batches, so observations for one sensor are
 //     applied in arrival order while distinct shards proceed in
-//     parallel. When a queue fills, a configurable backpressure
-//     policy decides whether the producer blocks, the observation is
-//     dropped (with accounting), or the caller gets an error.
+//     parallel. When a queue fills, the producer waits for space;
+//     nothing is shed.
 //   - Read side: identical concurrent forecast requests for one
 //     (sensor, horizon set) are collapsed into a single kNN search +
 //     one fit per horizon (single-flight), and each horizon's result
@@ -45,49 +44,6 @@ type System interface {
 	HasSensor(id string) bool
 }
 
-// Backpressure selects what happens when a shard queue is full.
-type Backpressure int
-
-const (
-	// Block makes the producer wait for queue space (lossless, the
-	// default).
-	Block Backpressure = iota
-	// DropNewest rejects the incoming observation and counts it in
-	// the shard's Dropped stat (load shedding).
-	DropNewest
-	// Error returns ErrQueueFull to the producer, which can surface
-	// it as HTTP 503 and let the client retry.
-	Error
-)
-
-func (b Backpressure) String() string {
-	switch b {
-	case Block:
-		return "block"
-	case DropNewest:
-		return "drop-newest"
-	case Error:
-		return "error"
-	default:
-		return fmt.Sprintf("Backpressure(%d)", int(b))
-	}
-}
-
-// ParseBackpressure maps the flag spellings ("block", "drop-newest",
-// "error") to policies.
-func ParseBackpressure(s string) (Backpressure, error) {
-	switch s {
-	case "block":
-		return Block, nil
-	case "drop-newest":
-		return DropNewest, nil
-	case "error":
-		return Error, nil
-	default:
-		return 0, fmt.Errorf("ingest: unknown backpressure policy %q (want block, drop-newest or error)", s)
-	}
-}
-
 // Observation is one sensor reading entering the pipeline.
 type Observation struct {
 	Sensor string  `json:"id"`
@@ -98,13 +54,6 @@ type Observation struct {
 type Config struct {
 	// Shards is the number of shard workers (default GOMAXPROCS).
 	Shards int
-	// QueueSize is the per-shard queue capacity (default 256).
-	QueueSize int
-	// MaxBatch caps the micro-batch a worker drains per wakeup
-	// (default 32).
-	MaxBatch int
-	// Backpressure is the full-queue policy (default Block).
-	Backpressure Backpressure
 	// OnError, when set, is called from shard workers for every
 	// observation whose asynchronous apply failed (e.g. to log it).
 	OnError func(Observation, error)
@@ -126,25 +75,18 @@ type Config struct {
 	OnApplied func(Observation)
 }
 
-func (c *Config) applyDefaults() {
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 256
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
-}
-
-var (
-	// ErrClosed is returned by Observe/Drain after Close.
-	ErrClosed = errors.New("ingest: pipeline closed")
-	// ErrQueueFull is returned under the Error backpressure policy
-	// when the target shard's queue is full.
-	ErrQueueFull = errors.New("ingest: shard queue full")
+const (
+	// queueSize is each shard's queue capacity: room for eight full
+	// micro-batches, so a worker finds a batch waiting under load while
+	// a shard holds at most this many unapplied observations. A full
+	// queue makes Observe wait for space.
+	queueSize = 256
+	// maxBatch caps the micro-batch a worker drains per wakeup.
+	maxBatch = 32
 )
+
+// ErrClosed is returned by Observe/Drain after Close.
+var ErrClosed = errors.New("ingest: pipeline closed")
 
 // Pipeline is the sharded ingestion front-end. All methods are safe
 // for concurrent use.
@@ -172,12 +114,9 @@ func New(sys System, cfg Config) (*Pipeline, error) {
 	if sys == nil {
 		return nil, errors.New("ingest: nil system")
 	}
-	switch cfg.Backpressure {
-	case Block, DropNewest, Error:
-	default:
-		return nil, fmt.Errorf("ingest: invalid backpressure policy %d", int(cfg.Backpressure))
+	if cfg.Shards <= 0 {
+		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
-	cfg.applyDefaults()
 	p := &Pipeline{
 		cfg:    cfg,
 		sys:    sys,
@@ -189,7 +128,7 @@ func New(sys System, cfg Config) (*Pipeline, error) {
 		p.onApplied.Store(&cfg.OnApplied)
 	}
 	for i := range p.shards {
-		p.shards[i] = &shard{id: i, ch: make(chan item, cfg.QueueSize)}
+		p.shards[i] = &shard{id: i, ch: make(chan item, queueSize)}
 		p.wg.Add(1)
 		go p.worker(p.shards[i])
 	}
@@ -211,10 +150,10 @@ func (p *Pipeline) shardFor(id string) *shard {
 	return p.shards[ShardIndex(id, len(p.shards))]
 }
 
-// Observe enqueues one observation for asynchronous apply. It returns
-// (true, nil) when accepted, (false, nil) when the DropNewest policy
-// shed it, and (false, err) when rejected — ErrQueueFull under the
-// Error policy, ErrClosed after Close, or an unknown-sensor error.
+// Observe enqueues one observation for asynchronous apply, waiting for
+// space when the sensor's shard queue is full. It returns (true, nil)
+// when accepted and (false, err) when rejected: ErrClosed after Close,
+// or an unknown-sensor error.
 func (p *Pipeline) Observe(id string, v float64) (accepted bool, err error) {
 	if !p.sys.HasSensor(id) {
 		return false, fmt.Errorf("ingest: unknown sensor %q", id)
@@ -226,23 +165,10 @@ func (p *Pipeline) Observe(id string, v float64) (accepted bool, err error) {
 		return false, ErrClosed
 	}
 	sh := p.shardFor(id)
-	switch p.cfg.Backpressure {
-	case Block:
-		select {
-		case sh.ch <- it:
-		case <-p.done:
-			return false, ErrClosed
-		}
-	default: // DropNewest, Error
-		select {
-		case sh.ch <- it:
-		default:
-			if p.cfg.Backpressure == DropNewest {
-				sh.dropped.Add(1)
-				return false, nil
-			}
-			return false, ErrQueueFull
-		}
+	select {
+	case sh.ch <- it:
+	case <-p.done:
+		return false, ErrClosed
 	}
 	sh.enqueued.Add(1)
 	return true, nil
@@ -255,7 +181,8 @@ type BulkFailure struct {
 	Error string `json:"error"`
 }
 
-// BulkResult accounts for a bulk enqueue.
+// BulkResult accounts for a bulk enqueue. Dropped is always 0: the
+// pipeline sheds nothing. It stays in the reply for existing clients.
 type BulkResult struct {
 	Accepted int           `json:"accepted"`
 	Dropped  int           `json:"dropped"`
@@ -268,15 +195,11 @@ type BulkResult struct {
 func (p *Pipeline) ObserveBulk(obs []Observation) BulkResult {
 	var res BulkResult
 	for i, o := range obs {
-		accepted, err := p.Observe(o.Sensor, o.Value)
-		switch {
-		case accepted:
-			res.Accepted++
-		case err == nil:
-			res.Dropped++
-		default:
+		if _, err := p.Observe(o.Sensor, o.Value); err != nil {
 			res.Failed = append(res.Failed, BulkFailure{Index: i, ID: o.Sensor, Error: err.Error()})
+			continue
 		}
+		res.Accepted++
 	}
 	return res
 }
@@ -338,8 +261,6 @@ func (p *Pipeline) Drain() error {
 	tokens := make([]chan struct{}, len(p.shards))
 	for i, sh := range p.shards {
 		tokens[i] = make(chan struct{})
-		// Flush tokens always block for space: they are control flow,
-		// not load, and must never be shed.
 		select {
 		case sh.ch <- item{flush: tokens[i]}:
 		case <-p.done:

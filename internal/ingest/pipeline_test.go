@@ -23,6 +23,7 @@ type fakeSystem struct {
 	known map[string]bool // nil = every sensor exists
 
 	observeGate  chan struct{} // when non-nil, Observe blocks until it is closed
+	observeCalls atomic.Int64  // Observe calls entered, gated or not
 	observeDelay time.Duration
 	predictGate  chan struct{} // when non-nil, Predict blocks until it is closed
 	predictCalls atomic.Int64
@@ -36,6 +37,7 @@ func newFakeSystem() *fakeSystem {
 }
 
 func (f *fakeSystem) Observe(id string, v float64) error {
+	f.observeCalls.Add(1)
 	if f.observeGate != nil {
 		<-f.observeGate
 	}
@@ -115,35 +117,37 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {
 		t.Fatal("nil system should fail")
 	}
-	if _, err := New(newFakeSystem(), Config{Backpressure: Backpressure(42)}); err == nil {
-		t.Fatal("invalid backpressure should fail")
-	}
 	p, err := New(newFakeSystem(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := p.Stats()
-	if st.Shards < 1 || st.QueueSize != 256 || st.MaxBatch != 32 || st.Backpressure != "block" {
+	if st := p.Stats(); st.Shards < 1 || len(st.PerShard) != st.Shards {
 		t.Fatalf("defaults not applied: %+v", st)
 	}
 	p.Close()
 }
 
+// TestParseBackpressure pins the sizes of the one full-queue policy
+// left: every shard queue holds queueSize observations, and a worker
+// drains at most maxBatch of them per wakeup.
 func TestParseBackpressure(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Backpressure
-	}{{"block", Block}, {"drop-newest", DropNewest}, {"error", Error}} {
-		got, err := ParseBackpressure(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseBackpressure(%q) = %v, %v", tc.in, got, err)
-		}
-		if got.String() != tc.in {
-			t.Fatalf("String() = %q, want %q", got.String(), tc.in)
-		}
+	if queueSize != 256 || maxBatch != 32 {
+		t.Fatalf("queueSize=%d maxBatch=%d, want 256/32", queueSize, maxBatch)
 	}
-	if _, err := ParseBackpressure("nope"); err == nil {
-		t.Fatal("unknown policy should fail")
+	sys, p, release := gatedShard(t)
+	if c := cap(p.shards[0].ch); c != queueSize {
+		t.Fatalf("queue capacity %d, want %d", c, queueSize)
+	}
+	fillOneShard(t, sys, p)
+	release()
+	if err := p.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	// [0] on its own, the full queue in batches of maxBatch, then the
+	// Drain token on its own.
+	want := uint64(1 + queueSize/maxBatch + 1)
+	if st := p.Stats().Totals; st.Processed != queueSize+1 || st.Batches != want {
+		t.Fatalf("processed %d in %d batches, want %d in %d", st.Processed, st.Batches, queueSize+1, want)
 	}
 }
 
@@ -152,7 +156,7 @@ func TestParseBackpressure(t *testing.T) {
 // arrival order even though shards batch and interleave.
 func TestOrderingPerSensor(t *testing.T) {
 	sys := newFakeSystem()
-	p := mustPipeline(t, sys, Config{Shards: 4, QueueSize: 8, MaxBatch: 4})
+	p := mustPipeline(t, sys, Config{Shards: 4})
 
 	const sensors, perSensor = 9, 200
 	var wg sync.WaitGroup
@@ -194,39 +198,32 @@ func TestOrderingPerSensor(t *testing.T) {
 	}
 }
 
-func TestBackpressureBlockIsLossless(t *testing.T) {
+// gatedShard builds a one-shard pipeline whose worker blocks inside
+// the system's Observe until release is called. Cleanup releases it
+// too, so a failed test cannot leave Close waiting on the worker.
+func gatedShard(t *testing.T) (*fakeSystem, *Pipeline, func()) {
+	t.Helper()
 	sys := newFakeSystem()
-	sys.observeDelay = 200 * time.Microsecond
-	p := mustPipeline(t, sys, Config{Shards: 1, QueueSize: 2, MaxBatch: 2, Backpressure: Block})
-	const n = 100
-	for v := 0; v < n; v++ {
-		if ok, err := p.Observe("s", float64(v)); !ok || err != nil {
-			t.Fatalf("observe #%d: ok=%v err=%v", v, ok, err)
-		}
-	}
-	if err := p.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(sys.sequence("s")); got != n {
-		t.Fatalf("processed %d, want %d", got, n)
-	}
-	if st := p.Stats(); st.Totals.Dropped != 0 || st.Totals.Processed != n {
-		t.Fatalf("totals = %+v", st.Totals)
-	}
+	sys.observeGate = make(chan struct{})
+	p := mustPipeline(t, sys, Config{Shards: 1})
+	var once sync.Once
+	release := func() { once.Do(func() { close(sys.observeGate) }) }
+	t.Cleanup(release)
+	return sys, p, release
 }
 
 // fillOneShard stalls the single worker inside Observe and fills the
 // queue, returning once the pipeline is saturated: one observation in
-// flight, QueueSize more waiting.
-func fillOneShard(t *testing.T, sys *fakeSystem, p *Pipeline, queueSize int) {
+// flight, queueSize more waiting.
+func fillOneShard(t *testing.T, sys *fakeSystem, p *Pipeline) {
 	t.Helper()
 	if ok, err := p.Observe("s", 0); !ok || err != nil {
 		t.Fatalf("first observe: ok=%v err=%v", ok, err)
 	}
-	// The worker takes the first item off the queue and blocks in
-	// Observe on the gate; wait until the queue is empty again.
-	waitFor(t, "worker to pick up first item", func() bool {
-		return p.Stats().PerShard[0].QueueDepth == 0
+	// Once the worker is blocked in Observe it has closed its batch on
+	// the first item alone, so the whole queue is free again.
+	waitFor(t, "worker to block on the first item", func() bool {
+		return sys.observeCalls.Load() == 1
 	})
 	for v := 1; v <= queueSize; v++ {
 		if ok, err := p.Observe("s", float64(v)); !ok || err != nil {
@@ -235,58 +232,107 @@ func fillOneShard(t *testing.T, sys *fakeSystem, p *Pipeline, queueSize int) {
 	}
 }
 
-func TestBackpressureDropNewest(t *testing.T) {
-	sys := newFakeSystem()
-	sys.observeGate = make(chan struct{})
-	p := mustPipeline(t, sys, Config{Shards: 1, QueueSize: 2, MaxBatch: 1, Backpressure: DropNewest})
-	fillOneShard(t, sys, p, 2)
+// observeAsync runs Observe on its own goroutine and delivers its
+// outcome.
+func observeAsync(p *Pipeline, id string, v float64) <-chan error {
+	done := make(chan error, 1)
+	go func() {
+		ok, err := p.Observe(id, v)
+		if err == nil && !ok {
+			err = fmt.Errorf("observe %v not accepted", v)
+		}
+		done <- err
+	}()
+	return done
+}
 
-	// Queue full: the next observation is shed, not blocked.
-	ok, err := p.Observe("s", 99)
-	if ok || err != nil {
-		t.Fatalf("overflow observe: ok=%v err=%v, want shed", ok, err)
+// TestBackpressureBlockIsLossless: an observe that meets a full queue
+// waits for space, then lands in arrival order.
+func TestBackpressureBlockIsLossless(t *testing.T) {
+	sys, p, release := gatedShard(t)
+	fillOneShard(t, sys, p)
+
+	done := observeAsync(p, "s", 999)
+	select {
+	case err := <-done:
+		t.Fatalf("observe on a full queue returned (%v) instead of waiting", err)
+	case <-time.After(50 * time.Millisecond):
 	}
-	close(sys.observeGate)
+	if st := p.Stats().Totals; st.QueueDepth != queueSize || st.Enqueued != queueSize+1 {
+		t.Fatalf("while waiting: %+v", st)
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 	if err := p.Drain(); err != nil {
 		t.Fatal(err)
 	}
 	seq := sys.sequence("s")
-	if len(seq) != 3 { // 0 in flight + 2 queued; 99 dropped
-		t.Fatalf("processed %v, want [0 1 2]", seq)
+	if len(seq) != queueSize+2 || seq[queueSize] != queueSize || seq[queueSize+1] != 999 {
+		t.Fatalf("processed %d observations ending %v", len(seq), seq[max(0, len(seq)-2):])
 	}
-	for i, v := range seq {
-		if v != float64(i) {
-			t.Fatalf("processed %v, want [0 1 2]", seq)
-		}
-	}
-	st := p.Stats()
-	if st.Totals.Dropped != 1 || st.Totals.Processed != 3 {
-		t.Fatalf("totals = %+v", st.Totals)
+	if st := p.Stats().Totals; st.Dropped != 0 || st.Processed != queueSize+2 {
+		t.Fatalf("totals = %+v", st)
 	}
 }
 
-func TestBackpressureError(t *testing.T) {
-	sys := newFakeSystem()
-	sys.observeGate = make(chan struct{})
-	p := mustPipeline(t, sys, Config{Shards: 1, QueueSize: 1, MaxBatch: 1, Backpressure: Error})
-	fillOneShard(t, sys, p, 1)
+// TestBackpressureDropNewest: nothing is shed. A bulk request that
+// meets a full queue reports every item accepted, none dropped.
+func TestBackpressureDropNewest(t *testing.T) {
+	sys, p, release := gatedShard(t)
+	fillOneShard(t, sys, p)
 
-	if ok, err := p.Observe("s", 99); ok || err != ErrQueueFull {
-		t.Fatalf("overflow observe: ok=%v err=%v, want ErrQueueFull", ok, err)
+	done := make(chan BulkResult, 1)
+	go func() {
+		done <- p.ObserveBulk([]Observation{{"s", 997}, {"s", 998}, {"s", 999}})
+	}()
+	time.Sleep(20 * time.Millisecond) // let the bulk request meet the full queue
+	release()
+	if res := <-done; res.Accepted != 3 || res.Dropped != 0 || len(res.Failed) != 0 {
+		t.Fatalf("bulk over a full queue = %+v", res)
 	}
-	close(sys.observeGate)
 	if err := p.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(sys.sequence("s")); got != 2 {
-		t.Fatalf("processed %d, want 2", got)
+	if got := len(sys.sequence("s")); got != queueSize+4 {
+		t.Fatalf("processed %d, want %d", got, queueSize+4)
+	}
+	if st := p.Stats().Totals; st.Dropped != 0 {
+		t.Fatalf("totals = %+v", st)
+	}
+}
+
+// TestBackpressureError: a full queue is not an error. The only
+// refusals left are an unknown sensor and a closed pipeline.
+func TestBackpressureError(t *testing.T) {
+	sys, p, release := gatedShard(t)
+	sys.known = map[string]bool{"s": true}
+	fillOneShard(t, sys, p)
+
+	if ok, err := p.Observe("ghost", 1); ok || err == nil || !strings.Contains(err.Error(), "unknown sensor") {
+		t.Fatalf("unknown sensor on a full queue: ok=%v err=%v", ok, err)
+	}
+	done := observeAsync(p, "s", 999)
+	release()
+	if err := <-done; err != nil {
+		t.Fatalf("observe on a full queue: %v", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := p.Observe("s", 1000); ok || err != ErrClosed {
+		t.Fatalf("post-close observe: ok=%v err=%v, want ErrClosed", ok, err)
+	}
+	if got := len(sys.sequence("s")); got != queueSize+2 {
+		t.Fatalf("processed %d, want %d", got, queueSize+2)
 	}
 }
 
 func TestCloseDrainsAcceptedObservations(t *testing.T) {
 	sys := newFakeSystem()
 	sys.observeDelay = 100 * time.Microsecond
-	p, err := New(sys, Config{Shards: 3, QueueSize: 64, MaxBatch: 8})
+	p, err := New(sys, Config{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,7 +427,7 @@ func TestAsyncObserveErrorAccounted(t *testing.T) {
 
 func TestStatsShape(t *testing.T) {
 	sys := newFakeSystem()
-	p := mustPipeline(t, sys, Config{Shards: 3, QueueSize: 7, MaxBatch: 5, Backpressure: DropNewest})
+	p := mustPipeline(t, sys, Config{Shards: 3})
 	for i := 0; i < 20; i++ {
 		p.Observe(fmt.Sprintf("s%d", i), float64(i))
 	}
@@ -389,7 +435,7 @@ func TestStatsShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := p.Stats()
-	if st.Shards != 3 || st.QueueSize != 7 || st.MaxBatch != 5 || st.Backpressure != "drop-newest" {
+	if st.Shards != 3 {
 		t.Fatalf("config echo wrong: %+v", st)
 	}
 	if len(st.PerShard) != 3 || st.Totals.Shard != -1 {

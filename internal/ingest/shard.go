@@ -25,7 +25,6 @@ type shard struct {
 
 	enqueued    atomic.Uint64
 	processed   atomic.Uint64
-	dropped     atomic.Uint64
 	errs        atomic.Uint64
 	batches     atomic.Uint64
 	latencyNs   atomic.Int64
@@ -39,7 +38,6 @@ func (sh *shard) snapshot() ShardStats {
 		QueueDepth:    len(sh.ch),
 		Enqueued:      sh.enqueued.Load(),
 		Processed:     sh.processed.Load(),
-		Dropped:       sh.dropped.Load(),
 		Errors:        sh.errs.Load(),
 		Batches:       sh.batches.Load(),
 		JournalErrors: sh.journalErrs.Load(),
@@ -59,15 +57,15 @@ func (sh *shard) snapshot() ShardStats {
 // accepted before the close is applied first.
 func (p *Pipeline) worker(sh *shard) {
 	defer p.wg.Done()
-	batch := make([]item, 0, p.cfg.MaxBatch)
+	batch := make([]item, 0, maxBatch)
 	for first := range sh.ch {
 		batch = append(batch[:0], first)
 		// Opportunistically gather whatever else is already queued, up
-		// to MaxBatch, without blocking: micro-batching amortizes the
+		// to maxBatch, without blocking: micro-batching amortizes the
 		// scheduling cost per observation under load while adding no
 		// latency when traffic is light.
 	gather:
-		for len(batch) < p.cfg.MaxBatch {
+		for len(batch) < maxBatch {
 			select {
 			case it, ok := <-sh.ch:
 				if !ok {

@@ -13,7 +13,8 @@ type ShardStats struct {
 	Enqueued uint64 `json:"enqueued"`
 	// Processed counts observations applied to the system.
 	Processed uint64 `json:"processed"`
-	// Dropped counts observations rejected by the DropNewest policy.
+	// Dropped is always 0: a full queue makes Observe wait, it never
+	// sheds. It stays in the reply for existing clients.
 	Dropped uint64 `json:"dropped"`
 	// Errors counts observations whose asynchronous apply failed.
 	Errors uint64 `json:"errors"`
@@ -60,12 +61,6 @@ type CoalesceStats struct {
 type Stats struct {
 	// Shards is the number of shard workers.
 	Shards int `json:"shards"`
-	// QueueSize is the per-shard queue capacity.
-	QueueSize int `json:"queue_size"`
-	// MaxBatch is the micro-batch size cap.
-	MaxBatch int `json:"max_batch"`
-	// Backpressure names the overflow policy.
-	Backpressure string `json:"backpressure"`
 	// PerShard holds one row per shard worker.
 	PerShard []ShardStats `json:"per_shard"`
 	// Totals aggregates PerShard (Shard = -1).
@@ -79,12 +74,9 @@ type Stats struct {
 // transaction (counters advance while it is taken).
 func (p *Pipeline) Stats() Stats {
 	st := Stats{
-		Shards:       len(p.shards),
-		QueueSize:    p.cfg.QueueSize,
-		MaxBatch:     p.cfg.MaxBatch,
-		Backpressure: p.cfg.Backpressure.String(),
-		PerShard:     make([]ShardStats, len(p.shards)),
-		Totals:       ShardStats{Shard: -1},
+		Shards:   len(p.shards),
+		PerShard: make([]ShardStats, len(p.shards)),
+		Totals:   ShardStats{Shard: -1},
 	}
 	var totalLatencyNs int64
 	for i, sh := range p.shards {
@@ -94,7 +86,6 @@ func (p *Pipeline) Stats() Stats {
 		t.QueueDepth += s.QueueDepth
 		t.Enqueued += s.Enqueued
 		t.Processed += s.Processed
-		t.Dropped += s.Dropped
 		t.Errors += s.Errors
 		t.Batches += s.Batches
 		t.JournalErrors += s.JournalErrors

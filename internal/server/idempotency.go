@@ -133,9 +133,11 @@ func (c *idemCache) run(w http.ResponseWriter, r *http.Request, next http.Handle
 		rec.status = http.StatusOK
 	}
 	c.mu.Lock()
-	// Transient failures (5xx) are not remembered: the mutation did not
-	// take effect (overload shed, shutdown), so the retry must
-	// re-execute rather than replay the failure forever.
+	// Transient failures (5xx: a node not ready or shutting down, a
+	// failed forward hop) are not remembered, so the retry re-executes
+	// rather than replays the failure forever. A multi-value observe
+	// cut off by shutdown keeps the values it enqueued before the
+	// pipeline closed.
 	if rec.status >= 500 || rec.over {
 		delete(c.entries, key)
 	} else {

@@ -16,17 +16,19 @@ import (
 
 // TestControlPlaneResponsiveUnderSaturatedIngest is the regression
 // guard for a failure mode load testing exposed the risk of: when the
-// ingest pipeline is saturated under Block backpressure, observe
-// handlers park in ServeHTTP waiting for queue space — and the
+// ingest pipeline is saturated, observe handlers park in ServeHTTP
+// waiting for queue space — and the
 // control-plane routes (/metrics, /readyz, /pipeline/stats) must NOT
 // be dragged down with them, or operators lose exactly the telemetry
 // that explains the overload.
 //
-// Saturation is manufactured deterministically: one shard, a
-// two-deep queue, and a Journal hook that blocks the shard worker
-// until released, so queued observations cannot drain.
+// Saturation is manufactured deterministically: one shard, a Journal
+// hook that blocks the shard worker until released, and one request
+// that fills the shard's queue, so queued observations cannot drain.
 func TestControlPlaneResponsiveUnderSaturatedIngest(t *testing.T) {
+	const queueCap = 256 // internal/ingest's per-shard queue capacity
 	release := make(chan struct{})
+	parked := make(chan struct{}, 1)
 	sys, err := smiler.New(testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -34,11 +36,12 @@ func TestControlPlaneResponsiveUnderSaturatedIngest(t *testing.T) {
 	t.Cleanup(func() { sys.Close() })
 	srv, err := NewWithOptions(sys, Options{
 		Pipeline: ingest.Config{
-			Shards:       1,
-			QueueSize:    2,
-			MaxBatch:     1,
-			Backpressure: ingest.Block,
+			Shards: 1,
 			Journal: func(shard int, id string, v float64) error {
+				select {
+				case parked <- struct{}{}:
+				default:
+				}
 				<-release // stall the single shard worker
 				return nil
 			},
@@ -66,9 +69,21 @@ func TestControlPlaneResponsiveUnderSaturatedIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Saturate: the worker parks on the first observation's journal
-	// call, the queue (cap 2) fills, and the rest of these block inside
-	// their observe handlers under Block backpressure.
+	// Saturate: the worker takes the first observation off the queue
+	// on its own and parks on its journal call, one request fills the
+	// queue, and every writer after it blocks inside its observe
+	// handler, waiting for space.
+	if err := cl.Observe("sat", -1); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-parked: // the worker closed its batch on the first observation alone
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker never picked up the first observation")
+	}
+	if err := cl.ObserveBatch("sat", make([]float64, queueCap)); err != nil {
+		t.Fatal(err)
+	}
 	const writers = 6
 	done := make(chan error, writers)
 	for i := 0; i < writers; i++ {
@@ -82,18 +97,8 @@ func TestControlPlaneResponsiveUnderSaturatedIngest(t *testing.T) {
 			done <- err
 		}()
 	}
-	// Wait until the pipeline is provably wedged: enqueued ops neither
-	// complete nor fail, and at least the queue capacity is occupied.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		st := srv.Pipeline().Stats()
-		if st.Totals.Enqueued >= 3 && st.Totals.Processed == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("pipeline never saturated: %+v", st)
-		}
-		time.Sleep(5 * time.Millisecond)
+	if st := srv.Pipeline().Stats().Totals; st.Enqueued != 1+queueCap || st.QueueDepth != queueCap || st.Processed != 0 {
+		t.Fatalf("pipeline not saturated: %+v", st)
 	}
 
 	// The control plane must answer promptly while data-plane handlers
@@ -116,33 +121,21 @@ func TestControlPlaneResponsiveUnderSaturatedIngest(t *testing.T) {
 		}
 	}
 
-	// The observe handler answers 202 on enqueue, so the writers that
-	// won queue slots (one consumed by the parked worker + QueueSize in
-	// the queue) complete; every other writer must stay parked in its
-	// handler — blocked, not dropped and not errored.
-	completed := 0
-	for drained := false; !drained; {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("observe failed while the pipeline was wedged: %v", err)
-			}
-			completed++
-		case <-time.After(300 * time.Millisecond):
-			drained = true
-		}
+	// Every writer must stay parked in its handler: blocked, not
+	// dropped and not errored.
+	select {
+	case err := <-done:
+		t.Fatalf("an observe returned (%v) while the queue was full", err)
+	case <-time.After(300 * time.Millisecond):
 	}
-	if completed > 3 {
-		t.Fatalf("%d observes completed while wedged; Block backpressure admitted past the queue", completed)
-	}
-	if st := srv.Pipeline().Stats(); st.Totals.Dropped != 0 || st.Totals.Errors != 0 || st.Totals.Enqueued > 3 {
+	if st := srv.Pipeline().Stats(); st.Totals.Dropped != 0 || st.Totals.Errors != 0 || st.Totals.Enqueued != 1+queueCap {
 		t.Fatalf("wedged pipeline leaked ops: %+v", st.Totals)
 	}
 
 	// Release the worker: every parked observe must now complete
 	// successfully — blocked, not lost.
 	unblock()
-	for i := completed; i < writers; i++ {
+	for i := 0; i < writers; i++ {
 		select {
 		case err := <-done:
 			if err != nil {
@@ -155,7 +148,7 @@ func TestControlPlaneResponsiveUnderSaturatedIngest(t *testing.T) {
 	if err := srv.Pipeline().Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if st := srv.Pipeline().Stats(); st.Totals.Processed != writers {
-		t.Fatalf("processed %d, want %d", st.Totals.Processed, writers)
+	if st := srv.Pipeline().Stats(); st.Totals.Processed != 1+queueCap+writers {
+		t.Fatalf("processed %d, want %d", st.Totals.Processed, 1+queueCap+writers)
 	}
 }

@@ -19,8 +19,8 @@
 //	GET    /debug/trace/{sensor}    last-N prediction traces (per-phase
 //	                                spans + kNN stats) as JSON; ?n=k
 //	GET    /pipeline/stats          ingestion pipeline counters (per-shard
-//	                                queue depth / processed / dropped /
-//	                                batching, forecast-coalescing hits)
+//	                                queue depth / processed / batching,
+//	                                forecast-coalescing hits)
 //	POST   /observations            {"observations":[{"id":"...","value":x},...]}
 //	                                multi-sensor bulk ingest with per-item
 //	                                outcomes
@@ -39,10 +39,9 @@
 //	GET    /sensors/{id}/ensemble   auto-tuning weights
 //
 // Observations accepted by the pipeline are applied asynchronously
-// (in per-sensor order); a full queue surfaces as HTTP 503 under the
-// Error backpressure policy, or as a "dropped" count under
-// DropNewest. All bodies and responses are JSON. Errors are
-// {"error": "..."} with an appropriate status code.
+// (in per-sensor order); a full queue makes the handler wait for
+// space, so a write is never shed. All bodies and responses are JSON.
+// Errors are {"error": "..."} with an appropriate status code.
 package server
 
 import (
@@ -121,7 +120,7 @@ type Server struct {
 	// (timeseries.Regularizer).
 	interval time.Duration
 	regMu    sync.Mutex
-	regs     map[string]*timeseries.Regularizer
+	regs     map[string]*sensorReadings
 
 	// ready/draining drive GET /readyz: a server replaying its WAL at
 	// startup is alive (healthz 200) but not ready (readyz 503), and a
@@ -214,7 +213,7 @@ func NewWithOptions(sys *smiler.System, opts Options) (*Server, error) {
 		log:       opts.Logger,
 		reqPrefix: strconv.FormatInt(time.Now().UnixNano(), 36),
 		interval:  opts.Interval,
-		regs:      make(map[string]*timeseries.Regularizer),
+		regs:      make(map[string]*sensorReadings),
 		journal:   opts.SensorJournal,
 		idem:      newIdemCache(),
 		nodeID:    opts.NodeID,
@@ -690,20 +689,13 @@ func (s *Server) observe(w http.ResponseWriter, r *http.Request, id string) {
 	}
 	// Enqueue into the sharded pipeline: the observations are applied
 	// asynchronously, in order, by the sensor's shard worker.
-	accepted, dropped := 0, 0
 	for i, v := range values {
-		ok, err := s.pipe.Observe(id, v)
-		switch {
-		case ok:
-			accepted++
-		case err == nil: // DropNewest shed it
-			dropped++
-		default:
+		if _, err := s.pipe.Observe(id, v); err != nil {
 			writeError(w, statusFor(err), fmt.Sprintf("value %d: %s", i, err))
 			return
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]int{"observed": accepted, "dropped": dropped})
+	writeJSON(w, http.StatusOK, map[string]int{"observed": len(values)})
 }
 
 // ReadingsRequest carries raw timestamped readings.
@@ -734,44 +726,52 @@ func (s *Server) readings(w http.ResponseWriter, r *http.Request, id string) {
 		return
 	}
 	s.regMu.Lock()
-	reg, ok := s.regs[id]
+	sr, ok := s.regs[id]
 	if !ok {
-		var err error
-		reg, err = timeseries.NewRegularizer(req.Readings[0].At, s.interval)
+		reg, err := timeseries.NewRegularizer(req.Readings[0].At, s.interval)
 		if err != nil {
 			s.regMu.Unlock()
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
-		s.regs[id] = reg
+		sr = &sensorReadings{reg: reg}
+		s.regs[id] = sr
 	}
 	s.regMu.Unlock()
 
+	// Finalized grid samples enter through the pipeline like every
+	// other observation. The sensor's lock spans each Add and the
+	// enqueue of the samples it finalizes, so concurrent requests for
+	// one sensor enqueue them in grid order. Observe may wait for queue
+	// space under it; that stalls only this sensor's readings.
+	sr.mu.Lock()
+	defer sr.mu.Unlock()
 	observed := 0
 	for i, rd := range req.Readings {
-		samples, err := reg.Add(rd.At, rd.Value)
+		samples, err := sr.reg.Add(rd.At, rd.Value)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("reading %d: %s", i, err))
 			return
 		}
 		for _, v := range samples {
-			// Finalized grid samples enter through the pipeline like
-			// every other observation (ordering per sensor holds: the
-			// regularizer emits them in grid order here).
-			ok, err := s.pipe.Observe(id, v)
-			if err != nil {
+			if _, err := s.pipe.Observe(id, v); err != nil {
 				writeError(w, statusFor(err), err.Error())
 				return
 			}
-			if ok {
-				observed++
-			}
+			observed++
 		}
 	}
 	writeJSON(w, http.StatusOK, map[string]int{
 		"observed": observed,
-		"pending":  reg.Pending(),
+		"pending":  sr.reg.Pending(),
 	})
+}
+
+// sensorReadings is one sensor's regularizer and the lock that orders
+// its readings requests.
+type sensorReadings struct {
+	mu  sync.Mutex
+	reg *timeseries.Regularizer
 }
 
 func (s *Server) ensemble(w http.ResponseWriter, id string) {
@@ -804,8 +804,8 @@ func less(a, b EnsembleCell) bool {
 
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, ingest.ErrQueueFull), errors.Is(err, ingest.ErrClosed):
-		// Transient overload / shutdown: the client should retry.
+	case errors.Is(err, ingest.ErrClosed):
+		// Shutdown: the client should retry.
 		return http.StatusServiceUnavailable
 	case strings.Contains(err.Error(), "unknown sensor"):
 		return http.StatusNotFound

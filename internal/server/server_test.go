@@ -8,11 +8,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"smiler"
 	"smiler/internal/ingest"
+	"smiler/internal/timeseries"
 )
 
 func testConfig() smiler.Config {
@@ -385,6 +387,76 @@ func TestReadingsEndpoint(t *testing.T) {
 	}
 }
 
+// TestConcurrentReadingsOneSensor posts readings batches for one
+// sensor from several clients at once. The readings lie on a linear
+// ramp, so every grid sample equals the ramp at its instant however
+// the requests interleave: the samples that reach the history must
+// climb one grid step at a time. A request whose reading another
+// request already finalized past is refused as stale; nothing else may
+// fail.
+func TestConcurrentReadingsOneSensor(t *testing.T) {
+	sys, err := smiler.New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	srv, err := NewWithOptions(sys, Options{Interval: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	cl, err := NewClient(ts.URL, ts.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const histLen = 400
+	if err := cl.AddSensor("r", seasonal(rand.New(rand.NewSource(13)), histLen)); err != nil {
+		t.Fatal(err)
+	}
+	base := time.Date(2026, 7, 5, 12, 0, 0, 0, time.UTC)
+	// ramp rises one unit per grid minute.
+	ramp := func(at time.Time) float64 { return 1000 + at.Sub(base).Minutes() }
+
+	const clients, requests, perRequest = 8, 25, 4
+	var next atomic.Int64 // reading k lies at base + 37k seconds
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := 0; r < requests; r++ {
+				batch := make([]Reading, perRequest)
+				for i := range batch {
+					at := base.Add(time.Duration(next.Add(1)) * 37 * time.Second)
+					batch[i] = Reading{At: at, Value: ramp(at)}
+				}
+				if err := cl.SendReadings("r", batch); err != nil && !strings.Contains(err.Error(), timeseries.ErrStale.Error()) {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := srv.Pipeline().Drain(); err != nil {
+		t.Fatal(err)
+	}
+	hist, err := sys.History("r")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := hist[histLen:]
+	if len(tail) < 2 {
+		t.Fatalf("only %d grid samples reached the history", len(tail))
+	}
+	for i := 1; i < len(tail); i++ {
+		if !(tail[i] > tail[i-1]) || math.Abs(tail[i]-tail[i-1]-1) > 1e-9 {
+			t.Fatalf("grid samples %d,%d = %v, %v: out of grid order", i-1, i, tail[i-1], tail[i])
+		}
+	}
+}
+
 func TestReadingsDisabledWithoutInterval(t *testing.T) {
 	_, cl, _ := newTestServer(t) // plain New: no interval
 	rng := rand.New(rand.NewSource(12))
@@ -466,7 +538,7 @@ func TestPipelineStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Shards < 1 || len(st.PerShard) != st.Shards || st.QueueSize <= 0 {
+	if st.Shards < 1 || len(st.PerShard) != st.Shards {
 		t.Fatalf("pipeline stats = %+v", st)
 	}
 	if st.Totals.Enqueued != 3 {
@@ -475,7 +547,21 @@ func TestPipelineStatsEndpoint(t *testing.T) {
 	if st.Coalesce.CacheHits+st.Coalesce.CoalescedWaits < 1 || st.Coalesce.Misses < 1 {
 		t.Fatalf("coalesce stats = %+v", st.Coalesce)
 	}
-	resp, err := ts.Client().Post(ts.URL+"/pipeline/stats", "application/json", strings.NewReader("{}"))
+	resp, err := ts.Client().Get(ts.URL + "/pipeline/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{`"queue_size"`, `"max_batch"`, `"backpressure"`} {
+		if strings.Contains(string(raw), gone) {
+			t.Fatalf("/pipeline/stats still reports %s: %s", gone, raw)
+		}
+	}
+	resp, err = ts.Client().Post(ts.URL+"/pipeline/stats", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +580,7 @@ func TestServerCloseDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	srv, err := NewWithOptions(sys, Options{Pipeline: ingest.Config{Shards: 2, QueueSize: 64}})
+	srv, err := NewWithOptions(sys, Options{Pipeline: ingest.Config{Shards: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,7 +18,7 @@
 //
 // Fsync policy. SyncAlways fsyncs after every append (no synced
 // record is ever lost, slowest), SyncInterval fsyncs at most every
-// Options.Interval (bounded loss window), SyncOff leaves syncing to
+// syncInterval, 50 ms (bounded loss window), SyncOff leaves syncing to
 // the OS (fastest; a machine crash can lose everything since the last
 // rotation). Every policy flushes the user-space buffer per append,
 // so a process crash (panic) without an OS crash loses nothing.
@@ -53,7 +53,7 @@ type SyncPolicy int
 const (
 	// SyncAlways fsyncs after every append.
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs when Options.Interval has elapsed since the
+	// SyncInterval fsyncs when syncInterval has elapsed since the
 	// last sync (checked on append; Close and rotation always sync).
 	SyncInterval
 	// SyncOff never fsyncs explicitly (rotation and Close still do, so
@@ -93,16 +93,14 @@ type Options struct {
 	SegmentBytes int64
 	// Policy is the fsync policy (default SyncAlways).
 	Policy SyncPolicy
-	// Interval is the SyncInterval fsync period (default 50ms).
-	Interval time.Duration
 }
+
+// syncInterval is the SyncInterval fsync period.
+const syncInterval = 50 * time.Millisecond
 
 func (o *Options) applyDefaults() {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = 16 << 20
-	}
-	if o.Interval <= 0 {
-		o.Interval = 50 * time.Millisecond
 	}
 }
 
@@ -300,7 +298,7 @@ func (l *Log) Append(r Record) (uint64, error) {
 			return 0, err
 		}
 	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opts.Interval {
+		if time.Since(l.lastSync) >= syncInterval {
 			if err := l.syncLocked(); err != nil {
 				return 0, err
 			}

