@@ -29,9 +29,14 @@ race:
 # without the bound. Then ten seconds of the lane cascade against
 # LBKeoghSuffix: four candidates' LB_Keogh suffix sums under one bar,
 # each lane's bound bits, stopping point and sums equal to a scalar
-# call's. Then ten seconds of the spill-file
-# decoder (spill.go): arbitrary bytes never panic it, and any input it
-# accepts re-encodes to the same bytes. Then the GP value stage: ten
+# call's. Then ten seconds of the checkpoint/spill
+# decoder (checkpoint.go, the one decoder of checkpoint files, migration
+# frames and spill files): arbitrary bytes never panic it, legacy
+# SMLRCKP1 headers included, and any SMLRCKP2 input it accepts
+# re-encodes to the same bytes (each new corpus entry is minimized for
+# at most 1 s: the default 60 s minimizer, quadratic in the input,
+# otherwise spends most of the ten seconds shrinking the first few
+# entries instead of fuzzing). Then the GP value stage: ten
 # seconds of the lock-step Cholesky, (L⁻¹)ᵀ, C⁻¹ and solve kernels
 # against the parent kernels kept in internal/mat/kernel_oracle_test.go
 # (L, the error, α, (L⁻¹)ᵀ and C⁻¹ bit for bit, shifts that fail at any
@@ -42,7 +47,7 @@ fuzz-smoke:
 	$(GO) test ./internal/dtw -run '^$$' -fuzz FuzzDistanceCompressedAbandon -fuzztime 10s
 	$(GO) test ./internal/dtw -run '^$$' -fuzz FuzzDistanceLanes -fuzztime 10s
 	$(GO) test ./internal/dtw -run '^$$' -fuzz FuzzLBKeoghSuffixLanes -fuzztime 10s
-	$(GO) test . -run '^$$' -fuzz FuzzDecodeSpill -fuzztime 10s
+	$(GO) test . -run '^$$' -fuzz FuzzDecodeSpill -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/mat -run '^$$' -fuzz FuzzCholeskyLanes -fuzztime 10s
 	$(GO) test ./internal/gp -run '^$$' -fuzz FuzzCovRowLanes -fuzztime 10s
 

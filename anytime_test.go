@@ -138,8 +138,9 @@ func TestAnytimeABBitIdentical(t *testing.T) {
 // today's code need not match the fixture — the fixture's hyperparameters
 // come from the cold-fit trajectory of its day — so that half of the
 // check is a save → load twin instead: the envelope a live system writes
-// now restores into one that serves the live system's bits. WAL replay,
-// spill/fault-in and migration move sensors in this same envelope.
+// now restores into one that serves the live system's bits. The fixture
+// is an SMLRCKP1 file, read by the legacy gob path; the twin's save is
+// SMLRCKP2, the one encoding spill/fault-in and migration also use.
 func TestCheckpointLBModelEnvelopeLoads(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Predictor = PredictorGP

@@ -11,6 +11,7 @@
 package smiler_test
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -575,5 +576,47 @@ func BenchmarkTierEvictFault(b *testing.B) {
 	after := sys.Tiering()
 	if f, e := after.Faults-before.Faults, after.Evictions-before.Evictions; f != uint64(b.N) || e != uint64(b.N) {
 		b.Fatalf("%d ops paid %d faults and %d evictions, want one of each per op", b.N, f, e)
+	}
+}
+
+// BenchmarkSensorMigrateRoundTrip prices one migration/resync hop of
+// a sensor's state: SaveSensorTo on the owner, RestoreSensorsFrom on
+// the target, for a 256-point GP sensor whose hyperparameters a
+// forecast warmed. The target already holds the sensor after the first
+// op, so every op also pays the replace. allocs/op is a count that
+// repeats at a fixed -benchtime Nx, and scripts/bench_json.sh gates it
+// exactly.
+func BenchmarkSensorMigrateRoundTrip(b *testing.B) {
+	src, err := smiler.New(smiler.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	dst, err := smiler.New(smiler.DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer dst.Close()
+	st, err := datasets.NewStream(datasets.Road, 11, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := src.AddSensor("s0", st.Take(256)); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := src.Predict("s0", 1); err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		buf.Reset()
+		if err := src.SaveSensorTo(&buf, "s0"); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := dst.RestoreSensorsFrom(&buf); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sort"
 
@@ -18,16 +19,48 @@ import (
 	"smiler/internal/wal"
 )
 
-// checkpointVersion guards the on-disk format.
-const checkpointVersion = 1
+// A sensor's learned state has one encoding, shared by checkpoint files
+// (SaveTo/SaveFile), migration and resync frames (SaveSensorTo/
+// RestoreSensorsFrom) and spill files (tiering.go: a one-sensor
+// checkpoint with no cover). The layout is flat little-endian:
+//
+//	magic       [8]byte  "SMLRCKP2"
+//	crc         uint32   CRC32C of every byte after it
+//	cover       uint32 count, then per WAL shard, shards ascending:
+//	              int64 shard, uint64 next sequence number
+//	sensors     uint32 count, then per sensor:
+//	  id          uint32 length, then the bytes
+//	  normalized  uint8 (0 or 1)
+//	  norm        float64 Mean, float64 Std
+//	  history     uint32 count, then count × float64
+//	  cells       uint32 count, then per cell:
+//	                int64 K, int64 D, float64 Weight, uint8 Sleeping,
+//	                int64 SleepLeft, int64 SleepSpan, uint8 WokeLately,
+//	                float64 Signal, Length, Noise (gp.Hyper)
+//
+// The magic carries the version. Floats travel as their IEEE bits (NaN
+// payloads and −0 included) and the cover in shard order, so a round
+// trip is bit-exact and one state has one encoding. The CRC turns a
+// torn or bit-rotted file into a clean load error. Files from before
+// this layout ("SMLRCKP1": the same frame around a gob-encoded
+// legacyCheckpoint) are still read, never written.
+var (
+	checkpointMagic        = [8]byte{'S', 'M', 'L', 'R', 'C', 'K', 'P', '2'}
+	legacyCheckpointMagic  = [8]byte{'S', 'M', 'L', 'R', 'C', 'K', 'P', '1'}
+	checkpointCRCTable     = crc32.MakeTable(crc32.Castagnoli)
+	errCheckpointTruncated = errors.New("checkpoint truncated")
+)
 
-// checkpointMagic opens the framed checkpoint envelope: magic, then a
-// CRC32C of the gob payload, then the payload. The checksum is what
-// turns a truncated or bit-rotted checkpoint into a clean load error
-// instead of a decode panic or silently partial state.
-var checkpointMagic = [8]byte{'S', 'M', 'L', 'R', 'C', 'K', 'P', '1'}
-
-var checkpointCRCTable = crc32.MakeTable(crc32.Castagnoli)
+const (
+	checkpointHeaderLen = len(checkpointMagic) + 4 // magic, CRC32C
+	coverPairLen        = 8 + 8                    // shard, sequence number
+	// minSensorLen is the smallest sensor record: an empty id, the flag,
+	// the two norm statistics and two zero counts.
+	minSensorLen = 4 + 1 + 2*8 + 4 + 4
+	// cellLen is one cell's fixed record: five 8-byte words of
+	// CellState, two flag bytes, three 8-byte hyperparameters.
+	cellLen = 5*8 + 2 + 3*8
+)
 
 // cellCheckpoint serializes one ensemble cell's auto-tuning state plus
 // its GP warm-start hyperparameters (zero for AR cells or untrained
@@ -49,9 +82,8 @@ type sensorCheckpoint struct {
 	Cells      []cellCheckpoint
 }
 
-// checkpoint is the gob payload.
+// checkpoint is what one encoding holds.
 type checkpoint struct {
-	Version int
 	Sensors []sensorCheckpoint
 	// WALCover records, per write-ahead-log shard, the sequence number
 	// that shard's next append would have received when this checkpoint
@@ -60,8 +92,15 @@ type checkpoint struct {
 	// Saved atomically with the state it covers, it closes the crash
 	// window between a checkpoint save and the WAL reset it covers —
 	// without it those records would be applied twice. Nil when no WAL
-	// was in use (and in checkpoints written before the field existed;
-	// gob decodes the missing field as nil).
+	// was in use (and in legacy checkpoints written before the field
+	// existed).
+	WALCover map[int]uint64
+}
+
+// legacyCheckpoint is the gob payload of an SMLRCKP1 file (read only).
+type legacyCheckpoint struct {
+	Version  int
+	Sensors  []sensorCheckpoint
 	WALCover map[int]uint64
 }
 
@@ -85,73 +124,64 @@ func (s *System) SaveToWithCover(w io.Writer, cover map[int]uint64) error {
 	if s.closed {
 		return errors.New("smiler: system closed")
 	}
-	cp := checkpoint{Version: checkpointVersion, WALCover: cover}
-	for _, id := range s.sensorsLocked() {
-		cp.Sensors = append(cp.Sensors, snapshotSensor(id, s.sensors[id]))
+	cp := checkpoint{WALCover: cover}
+	for id, st := range s.sensors {
+		cp.Sensors = append(cp.Sensors, snapshotSensor(id, st))
 	}
 	// Cold sensors are folded in from their spill files: a spilled
 	// sensor is a quiesced snapshot already, and s.mu (held read-side)
 	// blocks evictions and fault-ins, so the cold set and its files are
-	// stable for the duration of the save. The merged list is re-sorted
-	// so the payload is byte-identical to an untiered node's.
+	// stable for the duration of the save. The merged list is sorted by
+	// id so the bytes are identical to an untiered node's.
 	for _, id := range s.tier.coldIDs() {
-		sc, err := s.readSpill(id)
+		sc, _, err := s.readSpill(id)
 		if err != nil {
 			return err
 		}
 		cp.Sensors = append(cp.Sensors, sc)
 	}
 	sort.Slice(cp.Sensors, func(i, j int) bool { return cp.Sensors[i].ID < cp.Sensors[j].ID })
-	return writeCheckpoint(w, cp)
+	_, err := w.Write(encodeCheckpoint(cp))
+	return err
 }
 
-// SaveSensorTo writes a checkpoint envelope — same format as SaveTo —
-// containing exactly one sensor. This is the unit the cluster layer
-// streams over HTTP when a sensor migrates between nodes or a stale
-// replica resyncs: restoring it via RestoreSensorsFrom is bit-exact,
-// like any checkpoint restore.
+// SaveSensorTo writes a checkpoint — same format as SaveTo — containing
+// exactly one sensor and no WAL cover. This is the unit the cluster
+// layer streams over HTTP when a sensor migrates between nodes or a
+// stale replica resyncs: restoring it via RestoreSensorsFrom is
+// bit-exact, like any checkpoint restore.
 func (s *System) SaveSensorTo(w io.Writer, id string) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
 		return errors.New("smiler: system closed")
 	}
-	st, ok := s.sensors[id]
-	if !ok {
-		if s.tier.isCold(id) {
-			// A spill file holds the quiesced sensorCheckpoint a hot
-			// snapshot would take, so a cold sensor streams to the
-			// migration/resync path re-framed as the same envelope,
-			// without faulting in.
-			sc, err := s.readSpill(id)
-			if err != nil {
-				return err
-			}
-			return writeCheckpoint(w, checkpoint{
-				Version: checkpointVersion,
-				Sensors: []sensorCheckpoint{sc},
-			})
+	var b []byte
+	if st, ok := s.sensors[id]; ok {
+		b = encodeCheckpoint(checkpoint{Sensors: []sensorCheckpoint{snapshotSensor(id, st)}})
+	} else if s.tier.isCold(id) {
+		// A spill file is the one-sensor checkpoint a hot snapshot would
+		// encode to, so a cold sensor streams its validated file bytes
+		// as they are, without faulting in.
+		var err error
+		if _, b, err = s.readSpill(id); err != nil {
+			return err
 		}
+	} else {
 		return fmt.Errorf("smiler: unknown sensor %q", id)
 	}
-	return writeCheckpoint(w, checkpoint{
-		Version: checkpointVersion,
-		Sensors: []sensorCheckpoint{snapshotSensor(id, st)},
-	})
+	_, err := w.Write(b)
+	return err
 }
 
-// RestoreSensorsFrom reads a checkpoint envelope and merges every
-// sensor it holds into the live system, replacing any existing sensor
-// with the same id (a migration target replaces its async-replicated
-// copy with the owner's authoritative snapshot). It returns the ids
-// restored.
+// RestoreSensorsFrom reads a checkpoint and merges every sensor it
+// holds into the live system, replacing any existing sensor with the
+// same id (a migration target replaces its async-replicated copy with
+// the owner's authoritative snapshot). It returns the ids restored.
 func (s *System) RestoreSensorsFrom(r io.Reader) ([]string, error) {
-	cp, err := decodeCheckpoint(r)
+	cp, err := readCheckpoint(r)
 	if err != nil {
 		return nil, err
-	}
-	if cp.Version != checkpointVersion {
-		return nil, fmt.Errorf("smiler: checkpoint version %d, want %d", cp.Version, checkpointVersion)
 	}
 	ids := make([]string, 0, len(cp.Sensors))
 	for _, sc := range cp.Sensors {
@@ -192,32 +222,14 @@ func snapshotSensorLocked(id string, st *sensorState) sensorCheckpoint {
 	}
 	states := st.pipe.Ensemble().ExportState()
 	cells := st.pipe.Ensemble().Cells()
+	sc.Cells = make([]cellCheckpoint, len(states))
 	for i, state := range states {
-		cc := cellCheckpoint{State: state}
+		sc.Cells[i].State = state
 		if gpp, ok := cells[i].Pred.(*core.GPPredictor); ok {
-			cc.Hyper = gpp.Hyper()
+			sc.Cells[i].Hyper = gpp.Hyper()
 		}
-		sc.Cells = append(sc.Cells, cc)
 	}
 	return sc
-}
-
-// writeCheckpoint frames the gob payload: magic, CRC32C, payload.
-func writeCheckpoint(w io.Writer, cp checkpoint) error {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(cp); err != nil {
-		return fmt.Errorf("smiler: encoding checkpoint: %w", err)
-	}
-	if _, err := w.Write(checkpointMagic[:]); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(payload.Bytes(), checkpointCRCTable))
-	if _, err := w.Write(crc[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload.Bytes())
-	return err
 }
 
 // SaveFile writes a checkpoint crash-atomically: the bytes land in a
@@ -259,16 +271,6 @@ func LoadFileWithCover(path string, cfg Config) (*System, map[int]uint64, error)
 	return loadWithCover(f, cfg)
 }
 
-// sensorsLocked returns sorted ids; callers hold s.mu.
-func (s *System) sensorsLocked() []string {
-	out := make([]string, 0, len(s.sensors))
-	for id := range s.sensors {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Load reconstructs a System from a checkpoint written by SaveTo,
 // using cfg for everything structural (device shape, ensemble
 // dimensions, predictor kind). The checkpoint must have been produced
@@ -281,12 +283,9 @@ func Load(r io.Reader, cfg Config) (*System, error) {
 }
 
 func loadWithCover(r io.Reader, cfg Config) (*System, map[int]uint64, error) {
-	cp, err := decodeCheckpoint(r)
+	cp, err := readCheckpoint(r)
 	if err != nil {
 		return nil, nil, err
-	}
-	if cp.Version != checkpointVersion {
-		return nil, nil, fmt.Errorf("smiler: checkpoint version %d, want %d", cp.Version, checkpointVersion)
 	}
 	sys, err := New(cfg)
 	if err != nil {
@@ -299,41 +298,6 @@ func loadWithCover(r io.Reader, cfg Config) (*System, map[int]uint64, error) {
 		}
 	}
 	return sys, cp.WALCover, nil
-}
-
-// decodeCheckpoint reads the framed envelope: magic, CRC32C, gob
-// payload. Truncated or corrupt bytes — including gob decoder panics
-// on hostile input — come back as descriptive errors, never partial
-// state: the payload is checksummed before a single byte is decoded.
-func decodeCheckpoint(r io.Reader) (cp checkpoint, err error) {
-	var magic [8]byte
-	if _, rerr := io.ReadFull(r, magic[:]); rerr != nil {
-		return cp, fmt.Errorf("smiler: checkpoint truncated reading header: %w", rerr)
-	}
-	if magic != checkpointMagic {
-		return cp, fmt.Errorf("smiler: not a checkpoint (bad magic %q)", magic[:])
-	}
-	var crcBuf [4]byte
-	if _, rerr := io.ReadFull(r, crcBuf[:]); rerr != nil {
-		return cp, fmt.Errorf("smiler: checkpoint truncated reading checksum: %w", rerr)
-	}
-	payload, rerr := io.ReadAll(r)
-	if rerr != nil {
-		return cp, fmt.Errorf("smiler: reading checkpoint payload: %w", rerr)
-	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
-	if got := crc32.Checksum(payload, checkpointCRCTable); got != want {
-		return cp, fmt.Errorf("smiler: checkpoint corrupt: CRC %08x, want %08x (truncated write or bit rot)", got, want)
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			err = fmt.Errorf("smiler: decoding checkpoint: %v", rec)
-		}
-	}()
-	if derr := gob.NewDecoder(bytes.NewReader(payload)).Decode(&cp); derr != nil {
-		return cp, fmt.Errorf("smiler: decoding checkpoint: %w", derr)
-	}
-	return cp, nil
 }
 
 // restoreSensor re-adds one sensor from its checkpoint, then enforces
@@ -371,18 +335,244 @@ func (s *System) restoreSensorLocked(sc sensorCheckpoint) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	states := make([]core.CellState, 0, len(sc.Cells))
-	hyperByKD := make(map[[2]int]gp.Hyper, len(sc.Cells))
 	for _, cc := range sc.Cells {
 		states = append(states, cc.State)
-		hyperByKD[[2]int{cc.State.K, cc.State.D}] = cc.Hyper
 	}
 	if err := st.pipe.Ensemble().ImportState(states); err != nil {
 		return err
 	}
+	// Hyperparameters go by (k, d) too, the last entry winning.
 	for _, c := range st.pipe.Ensemble().Cells() {
-		if gpp, ok := c.Pred.(*core.GPPredictor); ok {
-			gpp.SetHyper(hyperByKD[[2]int{c.K, c.D}])
+		gpp, ok := c.Pred.(*core.GPPredictor)
+		for i := len(sc.Cells) - 1; ok && i >= 0; i-- {
+			if cc := sc.Cells[i]; cc.State.K == c.K && cc.State.D == c.D {
+				gpp.SetHyper(cc.Hyper)
+				break
+			}
 		}
 	}
 	return nil
+}
+
+// encodeCheckpoint lays cp out in one buffer of exactly its encoded
+// size: the one writer of sensor state.
+func encodeCheckpoint(cp checkpoint) []byte {
+	n := checkpointHeaderLen + 4 + coverPairLen*len(cp.WALCover) + 4
+	for i := range cp.Sensors {
+		sc := &cp.Sensors[i]
+		n += minSensorLen + len(sc.ID) + 8*len(sc.History) + cellLen*len(sc.Cells)
+	}
+	b := make([]byte, checkpointHeaderLen, n)
+	copy(b, checkpointMagic[:])
+	le := binary.LittleEndian
+	shards := make([]int, 0, len(cp.WALCover))
+	for shard := range cp.WALCover {
+		shards = append(shards, shard)
+	}
+	sort.Ints(shards)
+	b = le.AppendUint32(b, uint32(len(shards)))
+	for _, shard := range shards {
+		b = le.AppendUint64(b, uint64(int64(shard)))
+		b = le.AppendUint64(b, cp.WALCover[shard])
+	}
+	b = le.AppendUint32(b, uint32(len(cp.Sensors)))
+	for i := range cp.Sensors {
+		b = appendSensor(b, &cp.Sensors[i])
+	}
+	le.PutUint32(b[len(checkpointMagic):], crc32.Checksum(b[checkpointHeaderLen:], checkpointCRCTable))
+	return b
+}
+
+func appendSensor(b []byte, sc *sensorCheckpoint) []byte {
+	le := binary.LittleEndian
+	b = le.AppendUint32(b, uint32(len(sc.ID)))
+	b = append(b, sc.ID...)
+	b = appendFlag(b, sc.Normalized)
+	b = le.AppendUint64(b, math.Float64bits(sc.Norm.Mean))
+	b = le.AppendUint64(b, math.Float64bits(sc.Norm.Std))
+	b = le.AppendUint32(b, uint32(len(sc.History)))
+	for _, v := range sc.History {
+		b = le.AppendUint64(b, math.Float64bits(v))
+	}
+	b = le.AppendUint32(b, uint32(len(sc.Cells)))
+	for _, c := range sc.Cells {
+		st := c.State
+		b = le.AppendUint64(b, uint64(int64(st.K)))
+		b = le.AppendUint64(b, uint64(int64(st.D)))
+		b = le.AppendUint64(b, math.Float64bits(st.Weight))
+		b = appendFlag(b, st.Sleeping)
+		b = le.AppendUint64(b, uint64(int64(st.SleepLeft)))
+		b = le.AppendUint64(b, uint64(int64(st.SleepSpan)))
+		b = appendFlag(b, st.WokeLately)
+		b = le.AppendUint64(b, math.Float64bits(c.Hyper.Signal))
+		b = le.AppendUint64(b, math.Float64bits(c.Hyper.Length))
+		b = le.AppendUint64(b, math.Float64bits(c.Hyper.Noise))
+	}
+	return b
+}
+
+func appendFlag(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// readCheckpoint reads a whole checkpoint from r and decodes it.
+func readCheckpoint(r io.Reader) (cp checkpoint, err error) {
+	b, err := io.ReadAll(r)
+	if err == nil {
+		cp, err = decodeCheckpoint(b)
+	}
+	if err != nil {
+		return cp, fmt.Errorf("smiler: reading checkpoint: %w", err)
+	}
+	return cp, nil
+}
+
+// decodeCheckpoint parses one encoding, dispatching on the magic. The
+// checksum is verified before a field is read, and the parse is strict
+// — flags are 0 or 1, counts fit the bytes left, cover shards ascend,
+// nothing trails the last sensor — so every accepted SMLRCKP2 input
+// re-encodes to exactly its own bytes. Empty slices and an empty cover
+// decode as nil.
+func decodeCheckpoint(b []byte) (cp checkpoint, err error) {
+	if len(b) < checkpointHeaderLen {
+		return cp, errCheckpointTruncated
+	}
+	magic := [8]byte(b[:len(checkpointMagic)])
+	if magic != checkpointMagic && magic != legacyCheckpointMagic {
+		return cp, fmt.Errorf("not a checkpoint (bad magic %q)", magic[:])
+	}
+	want := binary.LittleEndian.Uint32(b[len(checkpointMagic):])
+	if got := crc32.Checksum(b[checkpointHeaderLen:], checkpointCRCTable); got != want {
+		return cp, fmt.Errorf("checkpoint corrupt: CRC %08x, want %08x (truncated write or bit rot)", got, want)
+	}
+	if magic == legacyCheckpointMagic {
+		// Gob decoder panics on hostile input come back as errors.
+		defer func() {
+			if rec := recover(); rec != nil {
+				cp, err = checkpoint{}, fmt.Errorf("decoding checkpoint: %v", rec)
+			}
+		}()
+		var lc legacyCheckpoint
+		if err := gob.NewDecoder(bytes.NewReader(b[checkpointHeaderLen:])).Decode(&lc); err != nil {
+			return cp, fmt.Errorf("decoding checkpoint: %w", err)
+		}
+		if lc.Version != 1 {
+			return cp, fmt.Errorf("checkpoint version %d, want 1", lc.Version)
+		}
+		return checkpoint{Sensors: lc.Sensors, WALCover: lc.WALCover}, nil
+	}
+	r := checkpointReader{b: b[checkpointHeaderLen:]}
+	if n := r.count(coverPairLen); n > 0 {
+		cp.WALCover = make(map[int]uint64, n)
+		for i, prev := 0, 0; i < n; i++ {
+			shard := r.i64()
+			if i > 0 && shard <= prev && r.err == nil {
+				r.err = fmt.Errorf("checkpoint cover shard %d after %d", shard, prev)
+			}
+			prev = shard
+			cp.WALCover[shard] = r.u64()
+		}
+	}
+	if n := r.count(minSensorLen); n > 0 {
+		cp.Sensors = make([]sensorCheckpoint, n)
+		for i := range cp.Sensors {
+			r.sensor(&cp.Sensors[i])
+		}
+	}
+	if r.err == nil && len(r.b) != 0 {
+		r.err = fmt.Errorf("checkpoint has %d trailing bytes", len(r.b))
+	}
+	if r.err != nil {
+		return checkpoint{}, r.err
+	}
+	return cp, nil
+}
+
+// checkpointReader consumes an SMLRCKP2 body front to back; the first
+// failure sticks and every later read returns zero.
+type checkpointReader struct {
+	b   []byte
+	err error
+}
+
+func (r *checkpointReader) next(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > len(r.b) {
+		r.err = errCheckpointTruncated
+		return nil
+	}
+	p := r.b[:n]
+	r.b = r.b[n:]
+	return p
+}
+
+func (r *checkpointReader) u64() uint64 {
+	if p := r.next(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
+	}
+	return 0
+}
+
+func (r *checkpointReader) f64() float64 { return math.Float64frombits(r.u64()) }
+
+func (r *checkpointReader) i64() int { return int(int64(r.u64())) }
+
+func (r *checkpointReader) flag() bool {
+	p := r.next(1)
+	if p == nil {
+		return false
+	}
+	if p[0] > 1 {
+		r.err = fmt.Errorf("checkpoint flag byte %d", p[0])
+	}
+	return p[0] == 1
+}
+
+// count reads a uint32 element count and rejects one whose elements of
+// at least size bytes each cannot fit in what is left.
+func (r *checkpointReader) count(size int) int {
+	p := r.next(4)
+	if p == nil {
+		return 0
+	}
+	n := binary.LittleEndian.Uint32(p)
+	if uint64(n)*uint64(size) > uint64(len(r.b)) {
+		r.err = errCheckpointTruncated
+		return 0
+	}
+	return int(n)
+}
+
+func (r *checkpointReader) sensor(sc *sensorCheckpoint) {
+	sc.ID = string(r.next(r.count(1)))
+	sc.Normalized = r.flag()
+	sc.Norm.Mean = r.f64()
+	sc.Norm.Std = r.f64()
+	if n := r.count(8); n > 0 {
+		sc.History = make([]float64, n)
+		for i := range sc.History {
+			sc.History[i] = r.f64()
+		}
+	}
+	if n := r.count(cellLen); n > 0 {
+		sc.Cells = make([]cellCheckpoint, n)
+		for i := range sc.Cells {
+			c := &sc.Cells[i]
+			c.State.K = r.i64()
+			c.State.D = r.i64()
+			c.State.Weight = r.f64()
+			c.State.Sleeping = r.flag()
+			c.State.SleepLeft = r.i64()
+			c.State.SleepSpan = r.i64()
+			c.State.WokeLately = r.flag()
+			c.Hyper.Signal = r.f64()
+			c.Hyper.Length = r.f64()
+			c.Hyper.Noise = r.f64()
+		}
+	}
 }

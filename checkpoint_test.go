@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 )
 
@@ -85,9 +86,10 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointWALCoverRoundTrip: the cover saved with a checkpoint
-// must come back on load, and plain SaveFile must yield a nil cover
-// (as must checkpoints written before the field existed — gob decodes
-// the absent field as nil).
+// must come back on load, plain SaveFile must yield a nil cover (as
+// must legacy checkpoints written before the field existed — gob
+// decodes the absent field as nil), and saving the same state with the
+// same multi-shard cover must give the same bytes every time.
 func TestCheckpointWALCoverRoundTrip(t *testing.T) {
 	cfg := smallConfig()
 	sys, err := New(cfg)
@@ -130,6 +132,21 @@ func TestCheckpointWALCoverRoundTrip(t *testing.T) {
 	defer restored2.Close()
 	if got2 != nil {
 		t.Fatalf("plain SaveFile produced cover %v, want nil", got2)
+	}
+
+	cover4 := map[int]uint64{0: 5, 1: 9, 2: 0, 3: 1 << 40}
+	var first bytes.Buffer
+	if err := sys.SaveToWithCover(&first, cover4); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		var again bytes.Buffer
+		if err := sys.SaveToWithCover(&again, cover4); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(again.Bytes(), first.Bytes()) {
+			t.Fatalf("save %d with the same cover gave different bytes", i+2)
+		}
 	}
 }
 
@@ -215,7 +232,8 @@ func TestCheckpointErrors(t *testing.T) {
 // TestCheckpointTruncatedAndCorrupt is the regression test for the
 // load path: truncated bytes at every prefix length and a flipped byte
 // anywhere must produce a clean, descriptive error — never a panic and
-// never a silently partial system.
+// never a silently partial system. It runs on a checkpoint saved now
+// and, through the legacy gob read path, on the SMLRCKP1 fixture.
 func TestCheckpointTruncatedAndCorrupt(t *testing.T) {
 	cfg := smallConfig()
 	sys, err := New(cfg)
@@ -231,34 +249,57 @@ func TestCheckpointTruncatedAndCorrupt(t *testing.T) {
 	if err := sys.SaveTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-
-	// Every truncation point fails cleanly (sampled stride to keep the
-	// test fast, plus the boundary cases around the 12-byte envelope).
-	cuts := []int{0, 1, 7, 8, 11, 12, 13, len(full) - 1}
-	for n := 16; n < len(full); n += 97 {
-		cuts = append(cuts, n)
-	}
-	for _, n := range cuts {
-		_, err := Load(bytes.NewReader(full[:n]), cfg)
-		if err == nil {
-			t.Fatalf("truncation at %d/%d loaded successfully", n, len(full))
-		}
-	}
-	// Every corrupted byte position fails cleanly too.
-	for pos := 0; pos < len(full); pos += 131 {
-		bad := append([]byte(nil), full...)
-		bad[pos] ^= 0x5a
-		if _, err := Load(bytes.NewReader(bad), cfg); err == nil {
-			t.Fatalf("flipped byte at %d loaded successfully", pos)
-		}
-	}
-	// And the pristine bytes still load.
-	restored, err := Load(bytes.NewReader(full), cfg)
+	fixture, err := os.ReadFile("testdata/checkpoint_learnedlb_pr10.ckpt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored.Close()
+	gpCfg := cfg
+	gpCfg.Predictor = PredictorGP
+	for _, in := range []struct {
+		name string
+		full []byte
+		cfg  Config
+		// The strides sample positions to keep the test fast; the
+		// fixture is small enough to try every one.
+		cutStride, flipStride int
+	}{
+		{"SMLRCKP2", buf.Bytes(), cfg, 97, 131},
+		{"SMLRCKP1 fixture", fixture, gpCfg, 1, 1},
+	} {
+		full := in.full
+		load := func(b []byte) error {
+			restored, err := Load(bytes.NewReader(b), in.cfg)
+			if err == nil {
+				restored.Close()
+			} else if restored != nil {
+				t.Fatalf("%s: a failed load returned a system", in.name)
+			}
+			return err
+		}
+		// Every truncation point fails cleanly, plus the boundary cases
+		// around the 12-byte header.
+		cuts := []int{0, 1, 7, 8, 11, 12, 13, len(full) - 1}
+		for n := 16; n < len(full); n += in.cutStride {
+			cuts = append(cuts, n)
+		}
+		for _, n := range cuts {
+			if load(full[:n]) == nil {
+				t.Fatalf("%s: truncation at %d/%d loaded successfully", in.name, n, len(full))
+			}
+		}
+		// Every corrupted byte position fails cleanly too.
+		for pos := 0; pos < len(full); pos += in.flipStride {
+			bad := append([]byte(nil), full...)
+			bad[pos] ^= 0x5a
+			if load(bad) == nil {
+				t.Fatalf("%s: flipped byte at %d loaded successfully", in.name, pos)
+			}
+		}
+		// And the pristine bytes still load.
+		if err := load(full); err != nil {
+			t.Fatalf("%s: %v", in.name, err)
+		}
+	}
 }
 
 // TestSaveFileAtomic exercises the crash-atomic file checkpoint: a

@@ -7,10 +7,10 @@
 // Usage:
 //
 //	smiler-server -addr :8080
-//	smiler-server -addr :8080 -predictor ar -checkpoint state.gob
+//	smiler-server -addr :8080 -predictor ar -checkpoint state.ckpt
 //	smiler-server -shards 8 -wal-dir wal/ -fsync interval
 //	smiler-server -addr :8080 -pprof -log-level debug
-//	smiler-server -checkpoint state.gob -wal-dir wal/ -fsync always
+//	smiler-server -checkpoint state.ckpt -wal-dir wal/ -fsync always
 //	smiler-server -predict-deadline 200ms -degraded-fallback ar1
 //	smiler-server -node-id n1 -cluster-peers n1=http://h1:8080,n2=http://h2:8080,n3=http://h3:8080
 //	smiler-server -node-id n4 -cluster-peers n4=http://h4:8080 -cluster-join http://h1:8080 -drain-on-term

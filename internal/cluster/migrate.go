@@ -40,8 +40,8 @@ type assignRequest struct {
 //  2. snapshot — the sensor's checkpoint bytes plus the replication
 //     sequence they cover, captured atomically under the quiesce;
 //  3. ship — POST the snapshot to the target's /cluster/restore; the
-//     restore is bit-exact (same envelope, CRC, gob state as the
-//     durability layer), and the target's replication cursor starts
+//     restore is bit-exact (the same checkpoint encoding and CRC as
+//     the durability layer), and the target's replication cursor starts
 //     at the covered sequence, so any later WAL-tail frames replay
 //     exactly once;
 //  4. cutover — install the ownership override locally, then on every

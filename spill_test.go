@@ -9,14 +9,18 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"smiler/internal/core"
+	"smiler/internal/timeseries"
 )
 
 // fillSeeded sets every field reachable from v to a seeded non-zero
-// value: strings and slices non-empty, bools true, floats drawn from a
-// mix that includes NaNs with payloads and infinities (not −0, which
-// gob sends as an omitted zero and decodes as +0). A kind the
-// spill codec has no encoding for fails the test, so a field added to
-// sensorCheckpoint cannot slip past TestSpillCodecMatchesGob.
+// value: strings, slices and maps non-empty, bools true, floats drawn
+// from a mix that includes NaNs with payloads and infinities (not −0,
+// which gob sends as an omitted zero and decodes as +0). A kind the
+// checkpoint codec has no encoding for fails the test, so a field
+// added to checkpoint or sensorCheckpoint cannot slip past
+// TestSpillCodecMatchesGob.
 func fillSeeded(tb testing.TB, v reflect.Value, rng *rand.Rand) {
 	switch v.Kind() {
 	case reflect.String:
@@ -31,6 +35,8 @@ func fillSeeded(tb testing.TB, v reflect.Value, rng *rand.Rand) {
 			n = 1
 		}
 		v.SetInt(n)
+	case reflect.Uint64:
+		v.SetUint(rng.Uint64() | 1)
 	case reflect.Float64:
 		var f float64
 		switch rng.Intn(4) {
@@ -51,17 +57,28 @@ func fillSeeded(tb testing.TB, v reflect.Value, rng *rand.Rand) {
 		for i := 0; i < n; i++ {
 			fillSeeded(tb, v.Index(i), rng)
 		}
+	case reflect.Map:
+		n := 1 + rng.Intn(5)
+		v.Set(reflect.MakeMapWithSize(v.Type(), n))
+		for i := 0; i < n; i++ {
+			k := reflect.New(v.Type().Key()).Elem()
+			e := reflect.New(v.Type().Elem()).Elem()
+			fillSeeded(tb, k, rng)
+			fillSeeded(tb, e, rng)
+			v.SetMapIndex(k, e)
+		}
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			fillSeeded(tb, v.Field(i), rng)
 		}
 	default:
-		tb.Fatalf("fillSeeded: no seeded value for kind %s (%s): teach fillSeeded and encodeSpill/decodeSpill the new field", v.Kind(), v.Type())
+		tb.Fatalf("fillSeeded: no seeded value for kind %s (%s): teach fillSeeded and encodeCheckpoint/decodeCheckpoint the new field", v.Kind(), v.Type())
 	}
 }
 
 // bitsEqual is reflect.DeepEqual with floats compared by their IEEE
-// bits, so NaN payloads and −0 count.
+// bits, so NaN payloads and −0 count, and maps by their entries, so an
+// empty map equals a nil one.
 func bitsEqual(a, b reflect.Value) bool {
 	switch a.Kind() {
 	case reflect.Float64:
@@ -72,6 +89,16 @@ func bitsEqual(a, b reflect.Value) bool {
 		}
 		for i := 0; i < a.Len(); i++ {
 			if !bitsEqual(a.Index(i), b.Index(i)) {
+				return false
+			}
+		}
+		return true
+	case reflect.Map:
+		if a.Len() != b.Len() {
+			return false
+		}
+		for _, k := range a.MapKeys() {
+			if bv := b.MapIndex(k); !bv.IsValid() || !bitsEqual(a.MapIndex(k), bv) {
 				return false
 			}
 		}
@@ -88,97 +115,156 @@ func bitsEqual(a, b reflect.Value) bool {
 	}
 }
 
-func gobRoundTrip(t *testing.T, sc sensorCheckpoint) sensorCheckpoint {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(sc); err != nil {
-		t.Fatal(err)
-	}
-	var out sensorCheckpoint
-	if err := gob.NewDecoder(&buf).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	return out
+// frame wraps body in a checkpoint header: magic, then the CRC32C of
+// body.
+func frame(magic [8]byte, body []byte) []byte {
+	b := make([]byte, checkpointHeaderLen, checkpointHeaderLen+len(body))
+	copy(b, magic[:])
+	binary.LittleEndian.PutUint32(b[len(magic):], crc32.Checksum(body, checkpointCRCTable))
+	return append(b, body...)
 }
 
-// TestSpillCodecMatchesGob: the spill codec carries every field of
-// sensorCheckpoint bit for bit — whatever a gob round trip (the
-// checkpoint envelope) carries, a spill round trip carries too.
+// legacyEnvelope writes cp the way SMLRCKP1 files were written: the
+// header around a gob-encoded legacyCheckpoint of the given version.
+// Nothing in the package writes gob any more; old files are read only.
+func legacyEnvelope(tb testing.TB, cp checkpoint, version int) []byte {
+	tb.Helper()
+	var payload bytes.Buffer
+	lc := legacyCheckpoint{Version: version, Sensors: cp.Sensors, WALCover: cp.WALCover}
+	if err := gob.NewEncoder(&payload).Encode(lc); err != nil {
+		tb.Fatal(err)
+	}
+	return frame(legacyCheckpointMagic, payload.Bytes())
+}
+
+func decodeOrFatal(t *testing.T, what string, b []byte) checkpoint {
+	t.Helper()
+	cp, err := decodeCheckpoint(b)
+	if err != nil {
+		t.Fatalf("%s: %v", what, err)
+	}
+	return cp
+}
+
+// seededCheckpoint fills a whole checkpoint (sensors and WAL cover)
+// from seed.
+func seededCheckpoint(tb testing.TB, seed int64) checkpoint {
+	var cp checkpoint
+	fillSeeded(tb, reflect.ValueOf(&cp).Elem(), rand.New(rand.NewSource(seed)))
+	return cp
+}
+
+// TestSpillCodecMatchesGob: the one codec carries every field of a
+// checkpoint bit for bit, and the legacy SMLRCKP1 reader decodes the
+// same state to the same bits — so an old file loads exactly as the
+// state it was saved from re-encoded today would.
 func TestSpillCodecMatchesGob(t *testing.T) {
 	for seed := int64(1); seed <= 64; seed++ {
-		var sc sensorCheckpoint
-		fillSeeded(t, reflect.ValueOf(&sc).Elem(), rand.New(rand.NewSource(seed)))
-		got, err := decodeSpill(encodeSpill(sc))
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
+		cp := seededCheckpoint(t, seed)
+		flat := decodeOrFatal(t, "flat", encodeCheckpoint(cp))
+		legacy := decodeOrFatal(t, "legacy", legacyEnvelope(t, cp, 1))
+		if !bitsEqual(reflect.ValueOf(flat), reflect.ValueOf(cp)) {
+			t.Fatalf("seed %d: flat round trip\n%+v\ndiffers from the filled value\n%+v", seed, flat, cp)
 		}
-		want := gobRoundTrip(t, sc)
-		if !bitsEqual(reflect.ValueOf(want), reflect.ValueOf(sc)) {
-			t.Fatalf("seed %d: gob does not round-trip the filled value; fix fillSeeded", seed)
-		}
-		if !bitsEqual(reflect.ValueOf(got), reflect.ValueOf(want)) {
-			t.Fatalf("seed %d: spill round trip\n%+v\ndiffers from gob round trip\n%+v", seed, got, want)
+		if !bitsEqual(reflect.ValueOf(legacy), reflect.ValueOf(flat)) {
+			t.Fatalf("seed %d: legacy decode\n%+v\ndiffers from flat round trip\n%+v", seed, legacy, flat)
 		}
 	}
-	// The zero value too: empty slices come back nil, as through gob.
-	got, err := decodeSpill(encodeSpill(sensorCheckpoint{History: []float64{}}))
-	if err != nil {
-		t.Fatal(err)
+	// The zero values too: empty slices come back nil, as through gob,
+	// and so does an empty cover (gob gives an empty map).
+	empty := checkpoint{Sensors: []sensorCheckpoint{{History: []float64{}}}, WALCover: map[int]uint64{}}
+	flat := decodeOrFatal(t, "flat", encodeCheckpoint(empty))
+	if legacy := decodeOrFatal(t, "legacy", legacyEnvelope(t, empty, 1)); !bitsEqual(reflect.ValueOf(flat), reflect.ValueOf(legacy)) {
+		t.Fatalf("zero value: flat %#v, legacy %#v", flat, legacy)
 	}
-	if want := gobRoundTrip(t, sensorCheckpoint{}); !reflect.DeepEqual(got, want) {
-		t.Fatalf("zero value: spill %+v, gob %+v", got, want)
+	if flat.WALCover != nil || flat.Sensors[0].History != nil {
+		t.Fatalf("zero value: flat %+v, want nil cover and history", flat)
 	}
-	// Where gob loses a bit the spill keeps it: −0 stays −0, so a
-	// faulted-in sensor holds exactly the values it was evicted with.
+	if got := decodeOrFatal(t, "flat", encodeCheckpoint(checkpoint{})); !reflect.DeepEqual(got, checkpoint{}) {
+		t.Fatalf("empty checkpoint decodes to %+v", got)
+	}
+	// Where gob loses a bit the one codec keeps it: −0 stays −0, so a
+	// faulted-in or migrated sensor holds exactly the values it left
+	// with.
 	negZero := math.Copysign(0, -1)
-	got, err = decodeSpill(encodeSpill(sensorCheckpoint{History: []float64{negZero}}))
-	if err != nil || math.Float64bits(got.History[0]) != math.Float64bits(negZero) {
-		t.Fatalf("−0 round trip: %v, %v", got.History, err)
+	got := decodeOrFatal(t, "flat", encodeCheckpoint(checkpoint{Sensors: []sensorCheckpoint{{History: []float64{negZero}}}}))
+	if math.Float64bits(got.Sensors[0].History[0]) != math.Float64bits(negZero) {
+		t.Fatalf("−0 round trip: %v", got.Sensors[0].History)
+	}
+	// The legacy reader keeps its version check.
+	if _, err := decodeCheckpoint(legacyEnvelope(t, seededCheckpoint(t, 1), 2)); err == nil {
+		t.Fatal("SMLRCKP1 file with version 2 decoded")
 	}
 }
 
 // TestDecodeSpillRejectsDamage: every truncation and every flipped
-// byte of a spill file is an error, never a panic or a partial value.
+// byte of an encoding — a multi-sensor checkpoint with a cover, and a
+// one-sensor spill file — is an error, never a panic or a partial
+// value.
 func TestDecodeSpillRejectsDamage(t *testing.T) {
-	var sc sensorCheckpoint
-	fillSeeded(t, reflect.ValueOf(&sc).Elem(), rand.New(rand.NewSource(9)))
-	full := encodeSpill(sc)
-	for n := 0; n < len(full); n++ {
-		if _, err := decodeSpill(full[:n]); err == nil {
-			t.Fatalf("truncation at %d/%d decoded", n, len(full))
+	cp := seededCheckpoint(t, 9)
+	spill := checkpoint{Sensors: cp.Sensors[:1]}
+	for _, full := range [][]byte{encodeCheckpoint(cp), encodeCheckpoint(spill)} {
+		for n := 0; n < len(full); n++ {
+			if _, err := decodeCheckpoint(full[:n]); err == nil {
+				t.Fatalf("truncation at %d/%d decoded", n, len(full))
+			}
+		}
+		for pos := range full {
+			bad := append([]byte(nil), full...)
+			bad[pos] ^= 0x10
+			if _, err := decodeCheckpoint(bad); err == nil {
+				t.Fatalf("flipped byte %d decoded", pos)
+			}
 		}
 	}
-	for pos := range full {
-		bad := append([]byte(nil), full...)
-		bad[pos] ^= 0x10
-		if _, err := decodeSpill(bad); err == nil {
-			t.Fatalf("flipped byte %d decoded", pos)
+	// Shards out of order or repeated are damage too, CRC or not: a
+	// re-encode would not give the same bytes back.
+	for _, shards := range [][2]uint64{{2, 1}, {3, 3}} {
+		body := binary.LittleEndian.AppendUint32(nil, 2)
+		for _, sh := range shards {
+			body = binary.LittleEndian.AppendUint64(body, sh)
+			body = binary.LittleEndian.AppendUint64(body, 7)
+		}
+		body = binary.LittleEndian.AppendUint32(body, 0)
+		if _, err := decodeCheckpoint(frame(checkpointMagic, body)); err == nil {
+			t.Fatalf("cover shards %v decoded", shards)
 		}
 	}
 }
 
-// FuzzDecodeSpill: arbitrary bytes never panic the decoder, and any
-// input it accepts re-encodes to exactly the same bytes. Each input is
-// tried as a whole file and, behind a valid magic and checksum, as a
-// payload, so the fuzzer reaches the field parser past the CRC.
+// FuzzDecodeSpill: arbitrary bytes never panic the one decoder, and
+// any SMLRCKP2 input it accepts re-encodes to exactly the same bytes.
+// Each input is tried as a whole file and, behind a valid SMLRCKP2
+// header, as a body, so the fuzzer reaches the field parser past the
+// CRC. Legacy SMLRCKP1 bodies are not framed that way: gob sizes a map
+// by the count its input claims (a 547-byte body claiming 65,536 cover
+// entries allocates 2.4 MB before it fails), so a fuzzed body behind a
+// valid CRC could exhaust memory. TestSpillCodecMatchesGob and
+// TestCheckpointTruncatedAndCorrupt hold the legacy branch instead.
 func FuzzDecodeSpill(f *testing.F) {
-	var sc sensorCheckpoint
-	fillSeeded(f, reflect.ValueOf(&sc).Elem(), rand.New(rand.NewSource(3)))
-	f.Add(encodeSpill(sc))
-	f.Add(encodeSpill(sensorCheckpoint{}))
-	f.Add(encodeSpill(sc)[spillHeaderLen:])
-	f.Add([]byte("SMLRSPL1"))
+	// Small seeds: a one-sensor spill file, and a two-sensor checkpoint
+	// with a cover. The fuzzer minimizes every new input it keeps, at a
+	// cost quadratic in its length, so large seeds leave it minimizing
+	// instead of mutating.
+	a := sensorCheckpoint{ID: "a", History: []float64{1, -0.5}, Normalized: true, Norm: timeseries.Stats{Mean: 2, Std: 3},
+		Cells: []cellCheckpoint{{State: core.CellState{K: 4, D: 16, Weight: 1, SleepSpan: 1}}}}
+	spill := encodeCheckpoint(checkpoint{Sensors: []sensorCheckpoint{a}})
+	multi := encodeCheckpoint(checkpoint{
+		Sensors:  []sensorCheckpoint{a, {ID: "b", History: []float64{math.NaN()}}},
+		WALCover: map[int]uint64{0: 3, 2: 9},
+	})
+	for _, seed := range [][]byte{spill, spill[checkpointHeaderLen:], multi, multi[checkpointHeaderLen:],
+		encodeCheckpoint(checkpoint{}), []byte("SMLRCKP1")} {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		framed := make([]byte, spillHeaderLen, spillHeaderLen+len(b))
-		copy(framed, spillMagic[:])
-		binary.LittleEndian.PutUint32(framed[len(spillMagic):], crc32.Checksum(b, checkpointCRCTable))
-		framed = append(framed, b...)
-		for _, in := range [][]byte{b, framed} {
-			sc, err := decodeSpill(in)
-			if err != nil {
+		for _, in := range [][]byte{b, frame(checkpointMagic, b)} {
+			cp, err := decodeCheckpoint(in)
+			if err != nil || [8]byte(in[:8]) != checkpointMagic {
 				continue
 			}
-			if out := encodeSpill(sc); !bytes.Equal(out, in) {
+			if out := encodeCheckpoint(cp); !bytes.Equal(out, in) {
 				t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(in), len(out))
 			}
 		}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 
@@ -18,10 +17,11 @@ import (
 // Hot/cold sensor tiering (Config.MaxHotSensors). A node can be
 // registered for far more sensors than fit in memory: at most
 // MaxHotSensors keep a live pipeline + device-resident index ("hot");
-// the rest are spilled to single-sensor spill files on disk (spill.go)
-// ("cold") and faulted back in transparently on the next observe,
-// predict or history read, evicting the least recently used hot
-// sensor to make room.
+// the rest are spilled to disk ("cold") and faulted back in
+// transparently on the next observe, predict or history read, evicting
+// the least recently used hot sensor to make room. A spill file is a
+// one-sensor checkpoint with no WAL cover (checkpoint.go): the bytes
+// SaveSensorTo writes for the sensor while it is hot.
 //
 // Spill files are a runtime cache, not a durability layer: the
 // directory is wiped at New (stale files from a previous run are
@@ -99,6 +99,30 @@ func (t *tierState) spillPath(id string) string {
 	return filepath.Join(t.dir, hex.EncodeToString(sum[:16])+spillSuffix)
 }
 
+// writeSpill writes one sensor's spill file.
+func writeSpill(path string, sc sensorCheckpoint) error {
+	return os.WriteFile(path, encodeCheckpoint(checkpoint{Sensors: []sensorCheckpoint{sc}}), 0o644)
+}
+
+// readSpill loads one cold sensor's checkpoint entry from its spill
+// file — the one spill reader, behind fault-in, the saves that fold
+// cold sensors in and the cold SaveSensorTo, which sends the returned
+// file bytes as they are. Callers hold s.mu (read side suffices).
+func (s *System) readSpill(id string) (sensorCheckpoint, []byte, error) {
+	b, err := os.ReadFile(s.tier.spillPath(id))
+	var cp checkpoint
+	if err == nil {
+		cp, err = decodeCheckpoint(b)
+	}
+	if err == nil && (len(cp.Sensors) != 1 || cp.Sensors[0].ID != id || cp.WALCover != nil) {
+		err = errors.New("not a one-sensor checkpoint of this sensor")
+	}
+	if err != nil {
+		return sensorCheckpoint{}, nil, fmt.Errorf("smiler: reading spill for %q: %w", id, err)
+	}
+	return cp.Sensors[0], b, nil
+}
+
 // touch marks a hot sensor as most recently used.
 func (t *tierState) touch(id string) {
 	if t == nil {
@@ -171,7 +195,7 @@ func (t *tierState) isCold(id string) bool {
 	return ok
 }
 
-// coldIDs returns the spilled sensor ids, sorted.
+// coldIDs returns the spilled sensor ids, in no particular order.
 func (t *tierState) coldIDs() []string {
 	if t == nil {
 		return nil
@@ -182,7 +206,6 @@ func (t *tierState) coldIDs() []string {
 		out = append(out, id)
 	}
 	t.mu.Unlock()
-	sort.Strings(out)
 	return out
 }
 
@@ -281,7 +304,7 @@ func (s *System) faultIn(id string) error {
 	if !s.tier.isCold(id) {
 		return fmt.Errorf("smiler: unknown sensor %q", id)
 	}
-	sc, err := s.readSpill(id)
+	sc, _, err := s.readSpill(id)
 	if err != nil {
 		return err
 	}
