@@ -31,9 +31,11 @@ race:
 # each lane's bound bits, stopping point and sums equal to a scalar
 # call's. Then ten seconds of the checkpoint/spill
 # decoder (checkpoint.go, the one decoder of checkpoint files, migration
-# frames and spill files): arbitrary bytes never panic it, legacy
-# SMLRCKP1 headers included, and any SMLRCKP2 input it accepts
-# re-encodes to the same bytes (each new corpus entry is minimized for
+# frames and spill files): arbitrary bytes never panic it, every input
+# it accepts starts with SMLRCKP2 (an SMLRCKP1 header is refused at the
+# magic: a build reads its own layout and, after a layout change, the
+# one before it, a window that starts at SMLRCKP2) and re-encodes to
+# the same bytes (each new corpus entry is minimized for
 # at most 1 s: the default 60 s minimizer, quadratic in the input,
 # otherwise spends most of the ten seconds shrinking the first few
 # entries instead of fuzzing). Then the GP value stage: ten

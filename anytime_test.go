@@ -128,19 +128,20 @@ func TestAnytimeABBitIdentical(t *testing.T) {
 	}
 }
 
-// TestCheckpointLBModelEnvelopeLoads: an envelope written by a
-// `-anytime -learned-lb` system before the learned lower-bound layer was
-// deleted (testdata/checkpoint_learnedlb_pr10.ckpt, saved at commit
-// 946f425 with the LBModel gob field populated) still loads. Gob skips
-// the field the struct no longer has, the model is simply dropped, and
-// forecasts are bit-identical to what that commit served after restoring
-// the same bytes. A system that lives through the fixture's stream under
-// today's code need not match the fixture — the fixture's hyperparameters
-// come from the cold-fit trajectory of its day — so that half of the
-// check is a save → load twin instead: the envelope a live system writes
-// now restores into one that serves the live system's bits. The fixture
-// is an SMLRCKP1 file, read by the legacy gob path; the twin's save is
-// SMLRCKP2, the one encoding spill/fault-in and migration also use.
+// TestCheckpointLBModelEnvelopeLoads: the state of a `-anytime
+// -learned-lb` system saved before the learned lower-bound layer was
+// deleted (testdata/checkpoint_learnedlb_pr10.ckpt) still loads, and
+// forecasts are bit-identical to what that commit served after
+// restoring it. The fixture was saved at commit 946f425 as an SMLRCKP1
+// gob envelope whose LBModel field was populated; gob dropped the
+// field the struct no longer had, and the state it decoded was
+// re-encoded once, unchanged, as SMLRCKP2 when the SMLRCKP1 reader was
+// retired. A system that lives through the fixture's stream under
+// today's code need not match the fixture — the fixture's
+// hyperparameters come from the cold-fit trajectory of its day — so
+// that half of the check is a save → load twin instead: the state a
+// live system saves now restores into one that serves the live
+// system's bits.
 func TestCheckpointLBModelEnvelopeLoads(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Predictor = PredictorGP

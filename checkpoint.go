@@ -1,9 +1,7 @@
 package smiler
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -41,12 +39,13 @@ import (
 // The magic carries the version. Floats travel as their IEEE bits (NaN
 // payloads and −0 included) and the cover in shard order, so a round
 // trip is bit-exact and one state has one encoding. The CRC turns a
-// torn or bit-rotted file into a clean load error. Files from before
-// this layout ("SMLRCKP1": the same frame around a gob-encoded
-// legacyCheckpoint) are still read, never written.
+// torn or bit-rotted file into a clean load error. A layout change
+// keeps the reader for the layout before it, and no older one; the
+// window starts here, so "SMLRCKP1" (a gob payload behind the same
+// frame, whose reader trusted the sizes its input claimed) fails at the
+// magic.
 var (
 	checkpointMagic        = [8]byte{'S', 'M', 'L', 'R', 'C', 'K', 'P', '2'}
-	legacyCheckpointMagic  = [8]byte{'S', 'M', 'L', 'R', 'C', 'K', 'P', '1'}
 	checkpointCRCTable     = crc32.MakeTable(crc32.Castagnoli)
 	errCheckpointTruncated = errors.New("checkpoint truncated")
 )
@@ -92,15 +91,7 @@ type checkpoint struct {
 	// Saved atomically with the state it covers, it closes the crash
 	// window between a checkpoint save and the WAL reset it covers —
 	// without it those records would be applied twice. Nil when no WAL
-	// was in use (and in legacy checkpoints written before the field
-	// existed).
-	WALCover map[int]uint64
-}
-
-// legacyCheckpoint is the gob payload of an SMLRCKP1 file (read only).
-type legacyCheckpoint struct {
-	Version  int
-	Sensors  []sensorCheckpoint
+	// was in use.
 	WALCover map[int]uint64
 }
 
@@ -430,40 +421,23 @@ func readCheckpoint(r io.Reader) (cp checkpoint, err error) {
 	return cp, nil
 }
 
-// decodeCheckpoint parses one encoding, dispatching on the magic. The
-// checksum is verified before a field is read, and the parse is strict
-// — flags are 0 or 1, counts fit the bytes left, cover shards ascend,
-// nothing trails the last sensor — so every accepted SMLRCKP2 input
-// re-encodes to exactly its own bytes. Empty slices and an empty cover
-// decode as nil.
-func decodeCheckpoint(b []byte) (cp checkpoint, err error) {
+// decodeCheckpoint parses one encoding. The checksum is verified
+// before a field is read, and the parse is strict — flags are 0 or 1,
+// counts fit the bytes left, cover shards ascend, nothing trails the
+// last sensor — so every accepted input re-encodes to exactly its own
+// bytes. Empty slices and an empty cover decode as nil.
+func decodeCheckpoint(b []byte) (checkpoint, error) {
 	if len(b) < checkpointHeaderLen {
-		return cp, errCheckpointTruncated
+		return checkpoint{}, errCheckpointTruncated
 	}
-	magic := [8]byte(b[:len(checkpointMagic)])
-	if magic != checkpointMagic && magic != legacyCheckpointMagic {
-		return cp, fmt.Errorf("not a checkpoint (bad magic %q)", magic[:])
+	if magic := [8]byte(b[:len(checkpointMagic)]); magic != checkpointMagic {
+		return checkpoint{}, fmt.Errorf("not a checkpoint (bad magic %q)", magic[:])
 	}
 	want := binary.LittleEndian.Uint32(b[len(checkpointMagic):])
 	if got := crc32.Checksum(b[checkpointHeaderLen:], checkpointCRCTable); got != want {
-		return cp, fmt.Errorf("checkpoint corrupt: CRC %08x, want %08x (truncated write or bit rot)", got, want)
+		return checkpoint{}, fmt.Errorf("checkpoint corrupt: CRC %08x, want %08x (truncated write or bit rot)", got, want)
 	}
-	if magic == legacyCheckpointMagic {
-		// Gob decoder panics on hostile input come back as errors.
-		defer func() {
-			if rec := recover(); rec != nil {
-				cp, err = checkpoint{}, fmt.Errorf("decoding checkpoint: %v", rec)
-			}
-		}()
-		var lc legacyCheckpoint
-		if err := gob.NewDecoder(bytes.NewReader(b[checkpointHeaderLen:])).Decode(&lc); err != nil {
-			return cp, fmt.Errorf("decoding checkpoint: %w", err)
-		}
-		if lc.Version != 1 {
-			return cp, fmt.Errorf("checkpoint version %d, want 1", lc.Version)
-		}
-		return checkpoint{Sensors: lc.Sensors, WALCover: lc.WALCover}, nil
-	}
+	var cp checkpoint
 	r := checkpointReader{b: b[checkpointHeaderLen:]}
 	if n := r.count(coverPairLen); n > 0 {
 		cp.WALCover = make(map[int]uint64, n)

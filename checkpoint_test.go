@@ -2,9 +2,13 @@ package smiler
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"os"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -86,10 +90,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 }
 
 // TestCheckpointWALCoverRoundTrip: the cover saved with a checkpoint
-// must come back on load, plain SaveFile must yield a nil cover (as
-// must legacy checkpoints written before the field existed — gob
-// decodes the absent field as nil), and saving the same state with the
-// same multi-shard cover must give the same bytes every time.
+// must come back on load, plain SaveFile must yield a nil cover, and
+// saving the same state with the same multi-shard cover must give the
+// same bytes every time.
 func TestCheckpointWALCoverRoundTrip(t *testing.T) {
 	cfg := smallConfig()
 	sys, err := New(cfg)
@@ -102,7 +105,7 @@ func TestCheckpointWALCoverRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	withCover := dir + "/cover.gob"
+	withCover := dir + "/cover.ckpt"
 	cover := map[int]uint64{0: 17, 1: 0, 2: 131}
 	if err := sys.SaveFileWithCover(withCover, cover); err != nil {
 		t.Fatal(err)
@@ -121,7 +124,7 @@ func TestCheckpointWALCoverRoundTrip(t *testing.T) {
 		}
 	}
 
-	plain := dir + "/plain.gob"
+	plain := dir + "/plain.ckpt"
 	if err := sys.SaveFile(plain); err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +236,7 @@ func TestCheckpointErrors(t *testing.T) {
 // load path: truncated bytes at every prefix length and a flipped byte
 // anywhere must produce a clean, descriptive error — never a panic and
 // never a silently partial system. It runs on a checkpoint saved now
-// and, through the legacy gob read path, on the SMLRCKP1 fixture.
+// and on the learned-LB fixture, a GP sensor's state.
 func TestCheckpointTruncatedAndCorrupt(t *testing.T) {
 	cfg := smallConfig()
 	sys, err := New(cfg)
@@ -264,7 +267,7 @@ func TestCheckpointTruncatedAndCorrupt(t *testing.T) {
 		cutStride, flipStride int
 	}{
 		{"SMLRCKP2", buf.Bytes(), cfg, 97, 131},
-		{"SMLRCKP1 fixture", fixture, gpCfg, 1, 1},
+		{"learned-LB fixture", fixture, gpCfg, 1, 1},
 	} {
 		full := in.full
 		load := func(b []byte) error {
@@ -299,6 +302,50 @@ func TestCheckpointTruncatedAndCorrupt(t *testing.T) {
 		if err := load(full); err != nil {
 			t.Fatalf("%s: %v", in.name, err)
 		}
+	}
+}
+
+// TestCheckpointV1RejectedAtMagic: an SMLRCKP1 file (a gob payload
+// behind the same frame) is refused at the magic, before its body is
+// read, by the decoder every load shares and by the migration/resync
+// restore. The fixture is CRC-valid: a 547-byte gob body that claims
+// 65,536 WAL cover entries, which a gob reader sizes a map for (about
+// 2.4 MB) before it fails.
+func TestCheckpointV1RejectedAtMagic(t *testing.T) {
+	in, err := os.ReadFile("testdata/checkpoint_v1_forged_cover.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := in[checkpointHeaderLen:]
+	if string(in[:8]) != "SMLRCKP1" || len(body) != 547 ||
+		binary.LittleEndian.Uint32(in[8:]) != crc32.Checksum(body, checkpointCRCTable) {
+		t.Fatalf("fixture is not a CRC-valid 547-byte SMLRCKP1 body (%d bytes, magic %q)", len(body), in[:8])
+	}
+	sys, err := New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	for _, c := range []struct {
+		name   string
+		decode func() error
+	}{
+		{"decodeCheckpoint", func() error { _, err := decodeCheckpoint(in); return err }},
+		{"RestoreSensorsFrom", func() error { _, err := sys.RestoreSensorsFrom(bytes.NewReader(in)); return err }},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.decode()
+		runtime.ReadMemStats(&after)
+		if err == nil || !strings.Contains(err.Error(), "bad magic") {
+			t.Fatalf("%s: err = %v, want a bad-magic error", c.name, err)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= 64<<10 {
+			t.Fatalf("%s: allocated %d bytes refusing a %d-byte file", c.name, n, len(in))
+		}
+	}
+	if got := sys.Sensors(); len(got) != 0 {
+		t.Fatalf("sensors after a refused restore: %v", got)
 	}
 }
 

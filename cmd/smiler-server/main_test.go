@@ -39,7 +39,7 @@ func TestLoadOrNewFreshAndMissingFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Close()
-	sys, _, err = loadOrNew(smallCfg(), filepath.Join(t.TempDir(), "missing.gob"), quiet)
+	sys, _, err = loadOrNew(smallCfg(), filepath.Join(t.TempDir(), "missing.ckpt"), quiet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSaveAndReloadCheckpoint(t *testing.T) {
 	if err := sys.AddSensor("s", hist); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "state.gob")
+	path := filepath.Join(t.TempDir(), "state.ckpt")
 	if err := saveCheckpoint(sys, path, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSaveAndReloadCheckpoint(t *testing.T) {
 }
 
 func TestLoadOrNewCorruptCheckpoint(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.gob")
+	path := filepath.Join(t.TempDir(), "bad.ckpt")
 	if err := os.WriteFile(path, []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestRunLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("signal-driven lifecycle test")
 	}
-	path := filepath.Join(t.TempDir(), "state.gob")
+	path := filepath.Join(t.TempDir(), "state.ckpt")
 	ready := make(chan string, 1)
 	done := make(chan error, 1)
 	go func() {

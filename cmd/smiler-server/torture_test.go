@@ -453,7 +453,7 @@ func TestTortureCheckpointResetWindow(t *testing.T) {
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
-	ckpt := filepath.Join(t.TempDir(), "state.gob")
+	ckpt := filepath.Join(t.TempDir(), "state.ckpt")
 	if err := ref.SaveFileWithCover(ckpt, cover); err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +486,7 @@ func TestTortureCheckpointResetWindow(t *testing.T) {
 	// sequence numbers preserved) and keep the state intact.
 	crash := filepath.Join(t.TempDir(), "crash-prod")
 	cloneWAL(t, base, crash)
-	ckpt2 := filepath.Join(t.TempDir(), "state2.gob")
+	ckpt2 := filepath.Join(t.TempDir(), "state2.ckpt")
 	b, err := os.ReadFile(ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -542,7 +542,7 @@ func TestTortureStaleCoverRewritten(t *testing.T) {
 	}
 	defer ref.Close()
 	applyOps(t, ref, tortureWorkload(5, 6))
-	ckpt := filepath.Join(t.TempDir(), "state.gob")
+	ckpt := filepath.Join(t.TempDir(), "state.ckpt")
 	stale := map[int]uint64{0: 50, 1: 40, 2: 30}
 	if err := ref.SaveFileWithCover(ckpt, stale); err != nil {
 		t.Fatal(err)

@@ -62,7 +62,7 @@ func TestRunWALLifecycle(t *testing.T) {
 	}
 	dir := t.TempDir()
 	walDir := filepath.Join(dir, "wal")
-	ckpt := filepath.Join(dir, "state.gob")
+	ckpt := filepath.Join(dir, "state.ckpt")
 	base := options{
 		addr:      "127.0.0.1:0",
 		predictor: "ar",

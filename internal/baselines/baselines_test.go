@@ -387,3 +387,53 @@ func TestQuickRegressorsWellFormed(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestLazyKNNBootstrap(t *testing.T) {
+	n := 1500
+	series := make([]float64, n)
+	for i := range series {
+		series[i] = math.Sin(2*math.Pi*float64(i)/48) + 0.05*math.Cos(float64(i)*1.7)
+	}
+	b := &LazyKNNBootstrap{K: 8, D: 32, Rho: 4, B: 50, Seed: 3}
+	if b.Name() != "LazyKNN-Bootstrap" {
+		t.Fatal("name wrong")
+	}
+	p, err := b.Predict(series[:n-1], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(p.Mean-series[n-1]) > 0.15 {
+		t.Fatalf("predicted %v, truth %v", p.Mean, series[n-1])
+	}
+	if p.Variance <= 0 {
+		t.Fatal("variance must be positive")
+	}
+	// The bootstrap mean should agree with the plain LazyKNN mean
+	// (same neighbour pool), while the variance construction differs.
+	plain := &LazyKNN{K: 8, D: 32, Rho: 4}
+	pp, err := plain.Predict(series[:n-1], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(p.Mean-pp.Mean) > 0.1 {
+		t.Fatalf("bootstrap mean %v far from plain %v", p.Mean, pp.Mean)
+	}
+	// Determinism under a fixed seed.
+	p2, err := b.Predict(series[:n-1], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Mean != p2.Mean || p.Variance != p2.Variance {
+		t.Fatal("bootstrap should be deterministic under a fixed seed")
+	}
+	// Error paths.
+	if _, err := b.Predict(series[:10], 1); err == nil {
+		t.Fatal("short history should fail")
+	}
+	if _, err := b.Predict(series, 0); err == nil {
+		t.Fatal("h=0 should fail")
+	}
+	if _, err := (&LazyKNNBootstrap{}).Predict(series, 1); err == nil {
+		t.Fatal("zero config should fail")
+	}
+}

@@ -27,12 +27,6 @@ type LazyKNNBootstrap struct {
 	Seed int64
 }
 
-// NewLazyKNNBootstrap builds the baseline with the paper-era defaults
-// (k=32, d=64, ρ=8) and 100 resamples.
-func NewLazyKNNBootstrap() *LazyKNNBootstrap {
-	return &LazyKNNBootstrap{K: 32, D: 64, Rho: 8, B: 100, Seed: 1}
-}
-
 // Name identifies the method.
 func (*LazyKNNBootstrap) Name() string { return "LazyKNN-Bootstrap" }
 

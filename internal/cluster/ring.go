@@ -59,9 +59,6 @@ func NewRing(members []string, vnodes int) *Ring {
 	return r
 }
 
-// Nodes returns the member ids (sorted).
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }
-
 // Owner returns the member owning the sensor ("" on an empty ring).
 func (r *Ring) Owner(sensor string) string {
 	p := r.Preference(sensor, 1)

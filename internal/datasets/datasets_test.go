@@ -157,7 +157,14 @@ func TestNetPositiveAndDiurnal(t *testing.T) {
 	}
 	// Autocorrelation at one day lag should be clearly positive for a
 	// diurnal signal.
-	z := timeseries.ZNormalize(s.Values())
+	norm, err := timeseries.NewNormalizer(s.Values())
+	if err != nil {
+		t.Fatal(err)
+	}
+	z := make([]float64, s.Len())
+	for j := range z {
+		z[j] = norm.Apply(s.At(j))
+	}
 	lag := Net.SamplesPerDay()
 	var acf float64
 	n := 0

@@ -119,15 +119,6 @@ func (m *Dense) Clone() *Dense {
 	return &Dense{rows: m.rows, cols: m.cols, data: d}
 }
 
-// CopyFrom copies src into m. The shapes must match.
-func (m *Dense) CopyFrom(src *Dense) error {
-	if m.rows != src.rows || m.cols != src.cols {
-		return ErrShape
-	}
-	copy(m.data, src.data)
-	return nil
-}
-
 // T returns the transpose of m as a new matrix.
 func (m *Dense) T() *Dense {
 	t := NewDense(m.cols, m.rows)

@@ -18,9 +18,7 @@ package scan
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"smiler/internal/dtw"
 	"smiler/internal/gpusim"
@@ -344,74 +342,4 @@ func DirLBen(dev *gpusim.Device, c []float64, elv []int, rho, h int) ([][]float6
 	}
 	st.SimSeconds = dev.SimSeconds() - before
 	return out, st, nil
-}
-
-// ParallelCPUScan runs the FastCPUScan cascade across `workers`
-// goroutines, each owning a contiguous shard of the candidate range,
-// then merges the per-shard top-k sets. The paper notes SMiLer's CPU
-// paths "can be further reduced by multithreading on multi-core
-// architecture" — this is that variant for the scan baseline. Results
-// are identical to FastCPUScan's (each shard keeps its own running
-// threshold, so pruning is weaker but correctness is unchanged).
-func ParallelCPUScan(c, query []float64, rho, k, h, workers int) ([]Result, error) {
-	if err := validateArgs(c, query, k, h); err != nil {
-		return nil, err
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	d := len(query)
-	mt := maxStart(len(c), d, h)
-	if mt < 0 {
-		return nil, nil
-	}
-	n := mt + 1
-	if workers > n {
-		workers = n
-	}
-	type shardOut struct {
-		res []Result
-		err error
-	}
-	outs := make([]shardOut, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			// Each shard scans its candidate window; the slice passed
-			// to FastCPUScan is extended so segments starting near the
-			// shard end remain addressable, with the start range
-			// enforced through the label horizon arithmetic.
-			end := hi - 1 + d + h
-			if end > len(c) {
-				end = len(c)
-			}
-			sub := c[lo:end]
-			res, _, err := FastCPUScan(sub, query, rho, k, h)
-			if err != nil {
-				outs[w].err = err
-				return
-			}
-			for i := range res {
-				res[i].T += lo
-			}
-			outs[w].res = res
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	var all []Result
-	for _, o := range outs {
-		if o.err != nil {
-			return nil, o.err
-		}
-		all = append(all, o.res...)
-	}
-	sortResults(all)
-	if len(all) > k {
-		all = all[:k]
-	}
-	return all, nil
 }

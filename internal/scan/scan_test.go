@@ -276,59 +276,3 @@ func BenchmarkFastGPUScan(b *testing.B) {
 		}
 	}
 }
-
-func TestParallelCPUScanMatchesBrute(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	c := randwalk(rng, 900)
-	q := c[len(c)-48:]
-	want, err := BruteKNN(c, q, 6, 10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 1, 3, 7} {
-		got, err := ParallelCPUScan(c, q, 6, 10, 2, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		distsEqual(t, got, want)
-	}
-	if _, err := ParallelCPUScan(nil, q, 6, 10, 2, 2); err == nil {
-		t.Fatal("empty series should fail")
-	}
-	// No candidates.
-	res, err := ParallelCPUScan([]float64{1, 2, 3}, []float64{1, 2, 3}, 1, 2, 9, 2)
-	if err != nil || res != nil {
-		t.Fatalf("expected empty result, got %v err=%v", res, err)
-	}
-}
-
-// Property: sharded and single-threaded scans agree on random inputs.
-func TestQuickParallelScanAgrees(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 150 + rng.Intn(300)
-		d := 8 + rng.Intn(30)
-		c := randwalk(rng, n)
-		q := c[len(c)-d:]
-		k := 1 + rng.Intn(8)
-		h := 1 + rng.Intn(4)
-		workers := 1 + rng.Intn(6)
-		want, _, err := FastCPUScan(c, q, 4, k, h)
-		if err != nil {
-			return false
-		}
-		got, err := ParallelCPUScan(c, q, 4, k, h, workers)
-		if err != nil || len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if math.Abs(got[i].Dist-want[i].Dist) > 1e-9*(1+want[i].Dist) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}

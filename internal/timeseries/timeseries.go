@@ -1,7 +1,7 @@
 // Package timeseries provides the basic time series substrate used by
 // every layer of SMiLer: fixed-rate series of sensor observations,
-// segment views, z-normalization, linear re-interpolation and a
-// bounded append-only history buffer.
+// segment views, z-normalization and a bounded append-only history
+// buffer.
 //
 // Terminology follows the paper (Section 3.1): a time series C of a
 // sensor is a sequence of observations c_0, c_1, ...; a d-length
@@ -109,24 +109,6 @@ func Summarize(values []float64) (Stats, error) {
 	return Stats{Mean: mean, Std: math.Sqrt(ss / float64(len(values)))}, nil
 }
 
-// ZNormalize returns a z-normalized copy of values: zero mean, unit
-// standard deviation. A constant input normalizes to all zeros (the
-// paper z-normalizes every sensor's series before indexing).
-func ZNormalize(values []float64) []float64 {
-	out := make([]float64, len(values))
-	st, err := Summarize(values)
-	if err != nil {
-		return out
-	}
-	if st.Std == 0 {
-		return out
-	}
-	for i, v := range values {
-		out[i] = (v - st.Mean) / st.Std
-	}
-	return out
-}
-
 // Normalizer z-normalizes with frozen statistics so streaming points
 // can be mapped into the same normalized space as the history.
 type Normalizer struct {
@@ -170,80 +152,4 @@ func (n *Normalizer) Invert(z float64) float64 {
 // raw space (variance scales by Std²).
 func (n *Normalizer) InvertVariance(v float64) float64 {
 	return v * n.stats.Std * n.stats.Std
-}
-
-// Resample linearly re-interpolates values onto n evenly spaced points
-// spanning the same interval. The paper assumes a fixed sample rate and
-// notes users can re-interpolate when the rate changes; this is that
-// operation.
-func Resample(values []float64, n int) ([]float64, error) {
-	if len(values) == 0 {
-		return nil, ErrEmpty
-	}
-	if n <= 0 {
-		return nil, fmt.Errorf("timeseries: resample target %d must be positive", n)
-	}
-	out := make([]float64, n)
-	if n == 1 || len(values) == 1 {
-		for i := range out {
-			out[i] = values[0]
-		}
-		return out, nil
-	}
-	scale := float64(len(values)-1) / float64(n-1)
-	for i := 0; i < n; i++ {
-		pos := float64(i) * scale
-		lo := int(pos)
-		if lo >= len(values)-1 {
-			out[i] = values[len(values)-1]
-			continue
-		}
-		frac := pos - float64(lo)
-		out[i] = values[lo]*(1-frac) + values[lo+1]*frac
-	}
-	return out, nil
-}
-
-// FillMissing replaces NaN observations by linear interpolation between
-// the nearest finite neighbours (edges are held at the nearest finite
-// value). It returns the number of points filled, or an error if there
-// is no finite point at all.
-func FillMissing(values []float64) (int, error) {
-	n := len(values)
-	if n == 0 {
-		return 0, ErrEmpty
-	}
-	firstFinite := -1
-	for i, v := range values {
-		if !math.IsNaN(v) {
-			firstFinite = i
-			break
-		}
-	}
-	if firstFinite == -1 {
-		return 0, errors.New("timeseries: all values are missing")
-	}
-	filled := 0
-	for i := 0; i < firstFinite; i++ {
-		values[i] = values[firstFinite]
-		filled++
-	}
-	lastFinite := firstFinite
-	for i := firstFinite + 1; i < n; i++ {
-		if !math.IsNaN(values[i]) {
-			if gap := i - lastFinite; gap > 1 {
-				step := (values[i] - values[lastFinite]) / float64(gap)
-				for j := lastFinite + 1; j < i; j++ {
-					values[j] = values[lastFinite] + step*float64(j-lastFinite)
-					filled++
-				}
-			}
-			lastFinite = i
-		}
-	}
-	for i := lastFinite + 1; i < n; i++ {
-		values[i] = values[lastFinite]
-		filled++
-	}
-	return filled, nil
 }

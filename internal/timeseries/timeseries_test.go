@@ -3,9 +3,7 @@ package timeseries
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestNewCopiesInput(t *testing.T) {
@@ -89,43 +87,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestZNormalize(t *testing.T) {
-	z := ZNormalize([]float64{1, 2, 3})
-	st, _ := Summarize(z)
-	if math.Abs(st.Mean) > 1e-12 || math.Abs(st.Std-1) > 1e-12 {
-		t.Fatalf("z-normalized stats = %+v", st)
-	}
-	zc := ZNormalize([]float64{5, 5, 5})
-	for _, v := range zc {
-		if v != 0 {
-			t.Fatal("constant series should normalize to zeros")
-		}
-	}
-	if len(ZNormalize(nil)) != 0 {
-		t.Fatal("empty input should yield empty output")
-	}
-}
-
-func TestQuickZNormalizeStats(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(100)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = rng.NormFloat64()*10 + 3
-		}
-		z := ZNormalize(v)
-		st, err := Summarize(z)
-		if err != nil {
-			return false
-		}
-		return math.Abs(st.Mean) < 1e-9 && math.Abs(st.Std-1) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestNormalizerRoundTrip(t *testing.T) {
 	n, err := NewNormalizer([]float64{10, 20, 30})
 	if err != nil {
@@ -148,95 +109,5 @@ func TestNormalizerRoundTrip(t *testing.T) {
 	cn, _ := NewNormalizer([]float64{4, 4})
 	if cn.Apply(7) != 0 {
 		t.Fatal("constant normalizer should map to 0")
-	}
-}
-
-func TestResample(t *testing.T) {
-	up, err := Resample([]float64{0, 2}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 0.5, 1, 1.5, 2}
-	for i := range want {
-		if math.Abs(up[i]-want[i]) > 1e-12 {
-			t.Fatalf("Resample up = %v", up)
-		}
-	}
-	down, err := Resample([]float64{0, 1, 2, 3, 4}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if down[0] != 0 || down[1] != 2 || down[2] != 4 {
-		t.Fatalf("Resample down = %v", down)
-	}
-	one, err := Resample([]float64{3, 9}, 1)
-	if err != nil || one[0] != 3 {
-		t.Fatalf("Resample to 1 = %v err=%v", one, err)
-	}
-	if _, err := Resample(nil, 3); !errors.Is(err, ErrEmpty) {
-		t.Fatal("expected ErrEmpty")
-	}
-	if _, err := Resample([]float64{1}, 0); err == nil {
-		t.Fatal("expected error for n=0")
-	}
-}
-
-// Property: resampling preserves endpoints and stays within range.
-func TestQuickResampleEndpoints(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(50)
-		m := 2 + rng.Intn(50)
-		v := make([]float64, n)
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for i := range v {
-			v[i] = rng.NormFloat64()
-			lo = math.Min(lo, v[i])
-			hi = math.Max(hi, v[i])
-		}
-		out, err := Resample(v, m)
-		if err != nil {
-			return false
-		}
-		if math.Abs(out[0]-v[0]) > 1e-12 || math.Abs(out[m-1]-v[n-1]) > 1e-9 {
-			return false
-		}
-		for _, o := range out {
-			if o < lo-1e-12 || o > hi+1e-12 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestFillMissing(t *testing.T) {
-	nan := math.NaN()
-	v := []float64{nan, 1, nan, nan, 4, nan}
-	n, err := FillMissing(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Fatalf("filled %d, want 4", n)
-	}
-	want := []float64{1, 1, 2, 3, 4, 4}
-	for i := range want {
-		if math.Abs(v[i]-want[i]) > 1e-12 {
-			t.Fatalf("FillMissing = %v, want %v", v, want)
-		}
-	}
-	if _, err := FillMissing([]float64{nan, nan}); err == nil {
-		t.Fatal("expected error for all-missing input")
-	}
-	if _, err := FillMissing(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatal("expected ErrEmpty")
-	}
-	clean := []float64{1, 2}
-	if n, err := FillMissing(clean); err != nil || n != 0 {
-		t.Fatal("clean input should fill nothing")
 	}
 }

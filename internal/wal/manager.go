@@ -31,7 +31,7 @@ func shardDir(dir string, i int) string {
 // the shard count, so reopening existing logs under a different count
 // would route a sensor's new appends to a different log than its old
 // records and scramble per-sensor replay order. The pinned count wins
-// over the configured one until the directory is cleared (RemoveDir).
+// over the configured one until the directory is cleared.
 const metaName = "wal.meta"
 
 // readMeta returns the pinned shard count, or 0 when no meta file
@@ -263,33 +263,4 @@ func ReplayDir(dir string, fn func(shard int, seq uint64, r Record) error) (Repl
 		}
 	}
 	return st, nil
-}
-
-// RemoveDir deletes a sharded WAL directory tree entirely — shard
-// logs, sequence numbers and the pinned shard count all reset. The
-// directory itself is kept (recreated empty) so a configured -wal-dir
-// stays valid. Note that a checkpoint whose cover refers to the
-// removed logs becomes stale; prefer Manager.Reset, which preserves
-// sequence numbers, when a checkpoint covers the log.
-func RemoveDir(dir string) error {
-	entries, err := os.ReadDir(dir)
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() && strings.HasPrefix(e.Name(), "shard-") {
-			if err := os.RemoveAll(filepath.Join(dir, e.Name())); err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-		}
-		if !e.IsDir() && e.Name() == metaName {
-			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-				return fmt.Errorf("wal: %w", err)
-			}
-		}
-	}
-	return nil
 }

@@ -13,8 +13,7 @@
 // so a torn tail (crash mid-write) is detected by a short read or a
 // checksum mismatch and recovery stops cleanly at the last intact
 // record. Segments rotate at Options.SegmentBytes; a checkpoint that
-// covers a sequence number lets TruncateThrough delete every segment
-// whose records are all covered.
+// covers the whole log lets Reset delete every segment.
 //
 // Fsync policy. SyncAlways fsyncs after every append (no synced
 // record is ever lost, slowest), SyncInterval fsyncs at most every
@@ -353,38 +352,6 @@ func (l *Log) NextSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.seq
-}
-
-// TruncateThrough deletes every sealed segment whose records all have
-// sequence numbers below seq — i.e. segments fully covered by a
-// checkpoint that captured state through seq-1. The active segment is
-// never deleted.
-func (l *Log) TruncateThrough(seq uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	segs, err := listSegments(l.dir)
-	if err != nil {
-		return err
-	}
-	for i, start := range segs {
-		if start == l.segStart {
-			break // active segment
-		}
-		// Segment i spans [start, next start).
-		var end uint64
-		if i+1 < len(segs) {
-			end = segs[i+1]
-		} else {
-			end = l.segStart
-		}
-		if end > seq {
-			break
-		}
-		if err := os.Remove(filepath.Join(l.dir, segName(start))); err != nil {
-			return fmt.Errorf("wal: %w", err)
-		}
-	}
-	return nil
 }
 
 // Reset atomically discards every record: all segments are deleted and

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"smiler/internal/fault"
@@ -213,31 +212,20 @@ func TestSegmentRotationAndTruncate(t *testing.T) {
 	if len(got) != n {
 		t.Fatalf("replayed %d records across segments, want %d", len(got), n)
 	}
-	// A checkpoint covering the first half lets the covered sealed
-	// segments go.
-	if err := l.TruncateThrough(uint64(n / 2)); err != nil {
+	// A checkpoint covering the whole log lets every segment go, the
+	// sealed ones included; numbering carries on from n.
+	if err := l.Reset(); err != nil {
 		t.Fatal(err)
 	}
 	after, err := listSegments(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(after) >= len(segs) {
-		t.Fatalf("truncate removed nothing: %d -> %d segments", len(segs), len(after))
+	if len(after) != 1 || after[0] != n {
+		t.Fatalf("segments after reset = %v, want one starting at %d", after, n)
 	}
-	// Replay still works from the first surviving segment onward.
-	var vals []float64
-	if _, err := Replay(dir, func(seq uint64, r Record) error {
-		if seq < uint64(after[0]) {
-			t.Fatalf("replayed seq %d below first segment %d", seq, after[0])
-		}
-		vals = append(vals, r.Value)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(vals) == 0 || vals[len(vals)-1] != n-1 {
-		t.Fatalf("surviving records end with %v", vals)
+	if got, _ := collect(t, dir); len(got) != 0 {
+		t.Fatalf("replayed %d records after reset", len(got))
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -375,16 +363,19 @@ func TestManagerResetAndRemoveDir(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := RemoveDir(dir); err != nil {
+	// Removing the directory removes the logs and their numbering: a
+	// reopen starts from sequence 0.
+	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
+	m, err = OpenManager(dir, 2, Options{Policy: SyncOff}, shardFor)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if strings.HasPrefix(e.Name(), "shard-") {
-			t.Fatalf("shard dir %s survived RemoveDir", e.Name())
+	defer m.Close()
+	for shard, seq := range m.NextSeqs() {
+		if seq != 0 {
+			t.Fatalf("shard %d starts at %d after removal, want 0", shard, seq)
 		}
 	}
 }
@@ -439,8 +430,9 @@ func TestManagerPinsShardCount(t *testing.T) {
 		t.Fatalf("replay = %+v, want add,1,2 in order", got)
 	}
 
-	// RemoveDir clears the pin with the logs; a fresh open may remap.
-	if err := RemoveDir(dir); err != nil {
+	// Clearing the directory clears the pin with the logs; a fresh
+	// open may remap.
+	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}
 	m, err = OpenManager(dir, 4, Options{Policy: SyncOff}, ShardByLen)

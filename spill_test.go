@@ -3,7 +3,6 @@ package smiler
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -16,11 +15,10 @@ import (
 
 // fillSeeded sets every field reachable from v to a seeded non-zero
 // value: strings, slices and maps non-empty, bools true, floats drawn
-// from a mix that includes NaNs with payloads and infinities (not −0,
-// which gob sends as an omitted zero and decodes as +0). A kind the
-// checkpoint codec has no encoding for fails the test, so a field
-// added to checkpoint or sensorCheckpoint cannot slip past
-// TestSpillCodecMatchesGob.
+// from a mix that includes NaNs with payloads and infinities (−0 has
+// its own check). A kind the checkpoint codec has no encoding for fails
+// the test, so a field added to checkpoint or sensorCheckpoint cannot
+// slip past TestCheckpointCodecRoundTrip.
 func fillSeeded(tb testing.TB, v reflect.Value, rng *rand.Rand) {
 	switch v.Kind() {
 	case reflect.String:
@@ -124,19 +122,6 @@ func frame(magic [8]byte, body []byte) []byte {
 	return append(b, body...)
 }
 
-// legacyEnvelope writes cp the way SMLRCKP1 files were written: the
-// header around a gob-encoded legacyCheckpoint of the given version.
-// Nothing in the package writes gob any more; old files are read only.
-func legacyEnvelope(tb testing.TB, cp checkpoint, version int) []byte {
-	tb.Helper()
-	var payload bytes.Buffer
-	lc := legacyCheckpoint{Version: version, Sensors: cp.Sensors, WALCover: cp.WALCover}
-	if err := gob.NewEncoder(&payload).Encode(lc); err != nil {
-		tb.Fatal(err)
-	}
-	return frame(legacyCheckpointMagic, payload.Bytes())
-}
-
 func decodeOrFatal(t *testing.T, what string, b []byte) checkpoint {
 	t.Helper()
 	cp, err := decodeCheckpoint(b)
@@ -154,46 +139,30 @@ func seededCheckpoint(tb testing.TB, seed int64) checkpoint {
 	return cp
 }
 
-// TestSpillCodecMatchesGob: the one codec carries every field of a
-// checkpoint bit for bit, and the legacy SMLRCKP1 reader decodes the
-// same state to the same bits — so an old file loads exactly as the
-// state it was saved from re-encoded today would.
-func TestSpillCodecMatchesGob(t *testing.T) {
+// TestCheckpointCodecRoundTrip: the one codec carries every field of a
+// checkpoint bit for bit, NaN payloads and −0 included, so a
+// faulted-in or migrated sensor holds exactly the values it left with.
+func TestCheckpointCodecRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 64; seed++ {
 		cp := seededCheckpoint(t, seed)
-		flat := decodeOrFatal(t, "flat", encodeCheckpoint(cp))
-		legacy := decodeOrFatal(t, "legacy", legacyEnvelope(t, cp, 1))
-		if !bitsEqual(reflect.ValueOf(flat), reflect.ValueOf(cp)) {
+		if flat := decodeOrFatal(t, "flat", encodeCheckpoint(cp)); !bitsEqual(reflect.ValueOf(flat), reflect.ValueOf(cp)) {
 			t.Fatalf("seed %d: flat round trip\n%+v\ndiffers from the filled value\n%+v", seed, flat, cp)
 		}
-		if !bitsEqual(reflect.ValueOf(legacy), reflect.ValueOf(flat)) {
-			t.Fatalf("seed %d: legacy decode\n%+v\ndiffers from flat round trip\n%+v", seed, legacy, flat)
-		}
 	}
-	// The zero values too: empty slices come back nil, as through gob,
-	// and so does an empty cover (gob gives an empty map).
+	// The zero values too: empty slices and an empty cover come back
+	// nil.
 	empty := checkpoint{Sensors: []sensorCheckpoint{{History: []float64{}}}, WALCover: map[int]uint64{}}
 	flat := decodeOrFatal(t, "flat", encodeCheckpoint(empty))
-	if legacy := decodeOrFatal(t, "legacy", legacyEnvelope(t, empty, 1)); !bitsEqual(reflect.ValueOf(flat), reflect.ValueOf(legacy)) {
-		t.Fatalf("zero value: flat %#v, legacy %#v", flat, legacy)
-	}
 	if flat.WALCover != nil || flat.Sensors[0].History != nil {
 		t.Fatalf("zero value: flat %+v, want nil cover and history", flat)
 	}
 	if got := decodeOrFatal(t, "flat", encodeCheckpoint(checkpoint{})); !reflect.DeepEqual(got, checkpoint{}) {
 		t.Fatalf("empty checkpoint decodes to %+v", got)
 	}
-	// Where gob loses a bit the one codec keeps it: −0 stays −0, so a
-	// faulted-in or migrated sensor holds exactly the values it left
-	// with.
 	negZero := math.Copysign(0, -1)
 	got := decodeOrFatal(t, "flat", encodeCheckpoint(checkpoint{Sensors: []sensorCheckpoint{{History: []float64{negZero}}}}))
 	if math.Float64bits(got.Sensors[0].History[0]) != math.Float64bits(negZero) {
 		t.Fatalf("−0 round trip: %v", got.Sensors[0].History)
-	}
-	// The legacy reader keeps its version check.
-	if _, err := decodeCheckpoint(legacyEnvelope(t, seededCheckpoint(t, 1), 2)); err == nil {
-		t.Fatal("SMLRCKP1 file with version 2 decoded")
 	}
 }
 
@@ -233,15 +202,11 @@ func TestDecodeSpillRejectsDamage(t *testing.T) {
 	}
 }
 
-// FuzzDecodeSpill: arbitrary bytes never panic the one decoder, and
-// any SMLRCKP2 input it accepts re-encodes to exactly the same bytes.
-// Each input is tried as a whole file and, behind a valid SMLRCKP2
-// header, as a body, so the fuzzer reaches the field parser past the
-// CRC. Legacy SMLRCKP1 bodies are not framed that way: gob sizes a map
-// by the count its input claims (a 547-byte body claiming 65,536 cover
-// entries allocates 2.4 MB before it fails), so a fuzzed body behind a
-// valid CRC could exhaust memory. TestSpillCodecMatchesGob and
-// TestCheckpointTruncatedAndCorrupt hold the legacy branch instead.
+// FuzzDecodeSpill: arbitrary bytes never panic the one decoder, every
+// input it accepts starts with SMLRCKP2, and re-encodes to exactly the
+// same bytes. Each input is tried as a whole file and, behind a valid
+// SMLRCKP2 header, as a body, so the fuzzer reaches the field parser
+// past the CRC.
 func FuzzDecodeSpill(f *testing.F) {
 	// Small seeds: a one-sensor spill file, and a two-sensor checkpoint
 	// with a cover. The fuzzer minimizes every new input it keeps, at a
@@ -261,8 +226,11 @@ func FuzzDecodeSpill(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		for _, in := range [][]byte{b, frame(checkpointMagic, b)} {
 			cp, err := decodeCheckpoint(in)
-			if err != nil || [8]byte(in[:8]) != checkpointMagic {
+			if err != nil {
 				continue
+			}
+			if magic := [8]byte(in[:8]); magic != checkpointMagic {
+				t.Fatalf("accepted an input with magic %q", magic[:])
 			}
 			if out := encodeCheckpoint(cp); !bytes.Equal(out, in) {
 				t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(in), len(out))
