@@ -579,6 +579,55 @@ func BenchmarkTierEvictFault(b *testing.B) {
 	}
 }
 
+// BenchmarkTierColdObserve prices one observation of a cold sensor:
+// the BenchmarkTierEvictFault setup (two warmed 256-point GP sensors
+// under MaxHotSensors 1), then an observe of s0 that spills s1, so
+// both are cold and s0 alone is on the LRU list. Op n observes the
+// sensor op n-1 did not: one tail append, and the other sensor leaves
+// the list without a spill. No op faults or evicts. allocs/op is a
+// count that repeats at a fixed -benchtime Nx, and
+// scripts/bench_json.sh gates it exactly.
+func BenchmarkTierColdObserve(b *testing.B) {
+	cfg := smiler.DefaultConfig()
+	cfg.MaxHotSensors = 1
+	sys, err := smiler.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	ids := []string{"s0", "s1"}
+	streams := make([]*datasets.Stream, len(ids))
+	for i, id := range ids {
+		if streams[i], err = datasets.NewStream(datasets.Road, 11, i); err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.AddSensor(id, streams[i].Take(256)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.Predict(id, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := sys.Observe("s0", streams[0].Next()); err != nil {
+		b.Fatal(err)
+	}
+	before := sys.Tiering()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		i := (n + 1) % 2
+		if err := sys.Observe(ids[i], streams[i].Next()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	after := sys.Tiering()
+	if f, e, a := after.Faults-before.Faults, after.Evictions-before.Evictions, after.TailAppends-before.TailAppends; f != 0 || e != 0 || a != uint64(b.N) || after.Hot != 0 {
+		b.Fatalf("%d ops paid %d faults, %d evictions and %d tail appends (%d hot), want only one append per op",
+			b.N, f, e, a, after.Hot)
+	}
+}
+
 // BenchmarkSensorMigrateRoundTrip prices one migration/resync hop of
 // a sensor's state: SaveSensorTo on the owner, RestoreSensorsFrom on
 // the target, for a 256-point GP sensor whose hyperparameters a

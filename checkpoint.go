@@ -119,13 +119,14 @@ func (s *System) SaveToWithCover(w io.Writer, cover map[int]uint64) error {
 	for id, st := range s.sensors {
 		cp.Sensors = append(cp.Sensors, snapshotSensor(id, st))
 	}
-	// Cold sensors are folded in from their spill files: a spilled
-	// sensor is a quiesced snapshot already, and s.mu (held read-side)
-	// blocks evictions and fault-ins, so the cold set and its files are
-	// stable for the duration of the save. The merged list is sorted by
-	// id so the bytes are identical to an untiered node's.
+	// Cold sensors are folded in from their spill and tail files: a
+	// spilled sensor is a quiesced snapshot already, and s.mu (held
+	// read-side) blocks evictions, fault-ins and tail appends, so the
+	// cold set and its files are stable for the duration of the save.
+	// The merged list is sorted by id so the bytes are identical to an
+	// untiered node's.
 	for _, id := range s.tier.coldIDs() {
-		sc, _, err := s.readSpill(id)
+		sc, err := s.readSpill(id)
 		if err != nil {
 			return err
 		}
@@ -147,21 +148,20 @@ func (s *System) SaveSensorTo(w io.Writer, id string) error {
 	if s.closed {
 		return errors.New("smiler: system closed")
 	}
-	var b []byte
+	var sc sensorCheckpoint
 	if st, ok := s.sensors[id]; ok {
-		b = encodeCheckpoint(checkpoint{Sensors: []sensorCheckpoint{snapshotSensor(id, st)}})
+		sc = snapshotSensor(id, st)
 	} else if s.tier.isCold(id) {
-		// A spill file is the one-sensor checkpoint a hot snapshot would
-		// encode to, so a cold sensor streams its validated file bytes
-		// as they are, without faulting in.
+		// A cold sensor is exported from its spill and tail files,
+		// without faulting in.
 		var err error
-		if _, b, err = s.readSpill(id); err != nil {
+		if sc, err = s.readSpill(id); err != nil {
 			return err
 		}
 	} else {
 		return fmt.Errorf("smiler: unknown sensor %q", id)
 	}
-	_, err := w.Write(b)
+	_, err := w.Write(encodeCheckpoint(checkpoint{Sensors: []sensorCheckpoint{sc}}))
 	return err
 }
 

@@ -145,7 +145,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.StringVar(&o.logLevel, "log-level", "info", "log floor: debug|info|warn|error")
 	fs.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
 	fs.IntVar(&o.maxHotSensors, "max-hot-sensors", 0, "cap on sensors kept hot in memory; the LRU excess spills to disk (0 = unlimited)")
-	fs.StringVar(&o.spillDir, "spill-dir", "", "directory for cold-sensor spill files (empty = temp dir; wiped at boot)")
+	fs.StringVar(&o.spillDir, "spill-dir", "", "directory for cold-sensor spill and tail files (empty = temp dir; wiped at boot)")
 	fs.StringVar(&o.walDir, "wal-dir", "", "write-ahead-log directory (empty = no WAL)")
 	fs.StringVar(&o.fsync, "fsync", "always", "WAL fsync policy: always|interval (every 50ms)|off")
 	fs.DurationVar(&o.predictDeadline, "predict-deadline", 0, "per-prediction deadline: a mid-search expiry answers from the verified-so-far neighbor set, quality \"progressive\" (0 = none)")

@@ -637,10 +637,11 @@ func TestRecoveredHistoryPrefixProperty(t *testing.T) {
 }
 
 // TestTortureRecoveryTiered runs WAL recovery with a hot-sensor cap
-// below the population: replay must fault sensors through the spill
-// tier (evicting and restoring mid-replay) and still recover
-// bit-identical histories and forecasts. This is the crash-recovery
-// harness with tiering enabled.
+// below the population: replay must churn the spill tier (evicting
+// mid-replay, the observations of cold sensors landing in their tail
+// files) and still recover bit-identical histories and forecasts, the
+// forecasts faulting the sensors back in from spill + tail. This is the
+// crash-recovery harness with tiering enabled.
 func TestTortureRecoveryTiered(t *testing.T) {
 	ops := tortureWorkload(11, 90)
 	base := filepath.Join(t.TempDir(), "wal")
@@ -663,10 +664,11 @@ func TestTortureRecoveryTiered(t *testing.T) {
 	defer reference.Close()
 	applyOps(t, reference, ops)
 
-	if st := recovered.Tiering(); st.Evictions == 0 || st.Faults == 0 {
-		t.Fatalf("replay over 3 sensors at cap 1 must churn the tier: %+v", st)
+	if st := recovered.Tiering(); st.Evictions == 0 || st.TailAppends == 0 {
+		t.Fatalf("replay over 3 sensors at cap 1 must evict and append to tails: %+v", st)
 	}
 	assertSameHistories(t, recovered, reference)
+	faults := recovered.Tiering().Faults
 	for _, id := range reference.Sensors() {
 		fr, err := reference.Predict(id, 1)
 		if err != nil {
@@ -680,5 +682,8 @@ func TestTortureRecoveryTiered(t *testing.T) {
 			t.Fatalf("sensor %s: tiered recovery forecast (%v, %v) != reference (%v, %v)",
 				id, fg.Mean, fg.Variance, fr.Mean, fr.Variance)
 		}
+	}
+	if st := recovered.Tiering(); st.Faults == faults {
+		t.Fatalf("the forecast sweep over 3 sensors at cap 1 must fault sensors in: %+v", st)
 	}
 }

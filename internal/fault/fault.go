@@ -240,6 +240,9 @@ const (
 	// PointCheckpointWrite fires in the atomic checkpoint writer
 	// before the temp file is renamed into place.
 	PointCheckpointWrite = "checkpoint.write"
+	// PointTierTailAppend fires after a cold sensor's observation is
+	// written to its tail file, before the file is closed.
+	PointTierTailAppend = "tier.tail_append"
 	// PointGPUSimLaunch fires at the top of gpusim.Device.Launch.
 	PointGPUSimLaunch = "gpusim.launch"
 	// PointGPFit fires at the top of every GP predictor fit.

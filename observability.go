@@ -65,10 +65,12 @@ type systemObs struct {
 	degraded        map[string]*obs.Counter
 	panicsRecovered *obs.Counter
 
-	// Tiering instruments: cold sensors faulted back in, and hot
-	// sensors evicted (spilled) to disk.
+	// Tiering instruments: cold sensors faulted back in, hot sensors
+	// evicted (spilled) to disk, and observations appended to a cold
+	// sensor's tail file.
 	sensorFaults    *obs.Counter
 	sensorEvictions *obs.Counter
+	tailAppends     *obs.Counter
 }
 
 // degradeReasons are the label values of the degraded-predictions
@@ -116,6 +118,8 @@ func newSystemObs() *systemObs {
 		"Cold sensors faulted back in from their spill files.")
 	so.sensorEvictions = reg.Counter("smiler_sensor_evictions_total",
 		"Hot sensors spilled cold by the MaxHotSensors LRU.")
+	so.tailAppends = reg.Counter("smiler_sensor_tail_appends_total",
+		"Observations of cold sensors appended to their tail files instead of faulting them in.")
 	so.predictions = make(map[string]*obs.Counter, len(qualityTags))
 	for _, q := range qualityTags {
 		so.predictions[q] = reg.Counter("smiler_predictions_total",
@@ -285,6 +289,13 @@ func (so *systemObs) recordObserve(totalSec float64, timing core.ObserveTiming, 
 	so.observePhase["total"].Observe(totalSec)
 	so.observePhase["reweight"].Observe(timing.ReweightSec)
 	so.observePhase["advance"].Observe(timing.AdvanceSec)
+}
+
+// recordTailAppend counts one observation a cold sensor took as a
+// tail append; it has no reweight or advance phase.
+func (so *systemObs) recordTailAppend(totalSec float64) {
+	so.observed.Inc()
+	so.observePhase["total"].Observe(totalSec)
 }
 
 // recordDegraded counts one fallback answer by failure reason, flags

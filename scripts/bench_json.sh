@@ -22,8 +22,9 @@
 #   - work counts, zero tolerance: BenchmarkColumnOptimize's evals/op,
 #     gradients/op and allocs/op, BenchmarkContinuousGPLoop's
 #     dtw_runs/op, dtw_cols/op and gp_evals/op and
-#     BenchmarkTierEvictFault's and BenchmarkSensorMigrateRoundTrip's
-#     allocs/op must equal the committed rows
+#     BenchmarkTierEvictFault's, BenchmarkTierColdObserve's and
+#     BenchmarkSensorMigrateRoundTrip's allocs/op must equal the
+#     committed rows
 #     exactly. (The optimizer's allocations are per optimization, never
 #     per objective evaluation: a kernel that allocates per evaluation
 #     moves its count.) They are counts
@@ -73,10 +74,11 @@ go test ./internal/gp -run '^$' -bench 'BenchmarkColumnOptimize$' \
 go test . -run '^$' -bench 'BenchmarkContinuousGPLoop$' \
     -benchmem -benchtime 300x >>"$raw"
 # One tier round trip per op — fault a 256-point GP sensor in from its
-# spill file, evict the other to its own — and one migration hop per op
-# — SaveSensorTo, then RestoreSensorsFrom on a second system — each at
-# a fixed 2,000 iterations: their allocs/op are gated exactly.
-go test . -run '^$' -bench 'Benchmark(TierEvictFault|SensorMigrateRoundTrip)$' \
+# spill file, evict the other to its own — one cold observe per op — a
+# tail append, no fault — and one migration hop per op — SaveSensorTo,
+# then RestoreSensorsFrom on a second system — each at a fixed 2,000
+# iterations: their allocs/op are gated exactly.
+go test . -run '^$' -bench 'Benchmark(TierEvictFault|TierColdObserve|SensorMigrateRoundTrip)$' \
     -benchmem -benchtime 2000x >>"$raw"
 
 awk -v baseline="$base" '
@@ -242,6 +244,7 @@ BEGIN {
     gated["BenchmarkColumnOptimize"] = "evals_per_op gradients_per_op allocs_per_op"
     gated["BenchmarkContinuousGPLoop"] = "dtw_runs_per_op dtw_cols_per_op gp_evals_per_op"
     gated["BenchmarkTierEvictFault"] = "allocs_per_op"
+    gated["BenchmarkTierColdObserve"] = "allocs_per_op"
     gated["BenchmarkSensorMigrateRoundTrip"] = "allocs_per_op"
     while ((getline bl < baseline) > 0) {
         bn = bname(bl)

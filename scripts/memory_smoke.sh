@@ -5,8 +5,8 @@
 # eviction and fault-in churn the whole run), then kill -9 the node and
 # replay its WAL into a fresh UNTIERED server. Asserts:
 #   - every request of that traffic succeeds,
-#   - the tiered node actually churned (sensor fault/eviction
-#     counters > 0, cold population > 0),
+#   - the tiered node actually churned (sensor fault, eviction and
+#     tail-append counters > 0, cold population > 0),
 #   - every sensor's post-run forecast on the tiered node is
 #     byte-identical to the untiered reference node recovered from the
 #     same WAL — spill/fault cycles and crash recovery change nothing.
@@ -40,7 +40,9 @@ wait_up "$A"
 
 # 128-point ROAD histories, then ~8s of observations (one forecast per
 # ten) walking a population 4x the hot cap round-robin: every op lands
-# on a sensor that was evicted since its last visit and pays a fault-in.
+# on a sensor that was evicted since its last visit. An observation
+# appends to the cold sensor's tail file; a forecast faults it in,
+# folding the tail into its history.
 road "$SENSORS" 128 2
 register "$A"
 drive m 8 10 "$A" >/dev/null
@@ -48,11 +50,13 @@ drive m 8 10 "$A" >/dev/null
 # The tier must have churned under that load.
 faults=$(metric "$A" smiler_sensor_faults_total)
 evicts=$(metric "$A" smiler_sensor_evictions_total)
+tails=$(metric "$A" smiler_sensor_tail_appends_total)
 cold=$(metric "$A" smiler_sensors_cold)
 hot=$(metric "$A" smiler_sensors_hot)
-echo "$SMOKE: tier churn: faults=$faults evictions=$evicts hot=$hot cold=$cold"
+echo "$SMOKE: tier churn: faults=$faults evictions=$evicts tail_appends=$tails hot=$hot cold=$cold"
 [ "$faults" -gt 0 ] || die "no sensor faults recorded"
 [ "$evicts" -gt 0 ] || die "no sensor evictions recorded"
+[ "$tails" -gt 0 ] || die "no cold observations appended to tails"
 [ "$cold" -gt 0 ] || die "no cold sensors after the run"
 [ "$hot" -le $((CAP + 1)) ] || die "hot population $hot exceeds cap $CAP"
 

@@ -32,7 +32,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -156,9 +155,10 @@ type Config struct {
 	// MaxHotSensors caps how many sensors keep a live pipeline and
 	// device-resident index at once. Beyond the cap the least recently
 	// used sensor is spilled to a single-sensor spill file on disk
-	// ("cold") and faulted back in transparently on its next
-	// observe, predict or history read. 0 (default) means unlimited:
-	// every registered sensor stays hot.
+	// ("cold") and faulted back in transparently on its next predict,
+	// history read or NaN observe. Any other observe of a cold sensor
+	// appends the value to the sensor's tail file and leaves it cold.
+	// 0 (default) means unlimited: every registered sensor stays hot.
 	MaxHotSensors int
 
 	// SpillDir is where cold sensors spill when MaxHotSensors is set.
@@ -402,17 +402,18 @@ func (s *System) RemoveSensor(id string) error {
 	st, ok := s.sensors[id]
 	if !ok {
 		if s.tier.isCold(id) {
-			// A cold sensor has no live state: dropping the spill file and
-			// the cold entry is the whole removal.
-			s.tier.dropCold(id)
-			_ = os.Remove(s.tier.spillPath(id))
+			// A cold sensor has no live state: dropping its files, its
+			// cold entry and its place on the LRU list is the whole
+			// removal.
+			s.tier.removeFiles(id, s.tier.dropCold(id))
+			s.tier.unlist(id)
 			s.obs.traces.Remove(id)
 			return nil
 		}
 		return fmt.Errorf("smiler: unknown sensor %q", id)
 	}
 	delete(s.sensors, id)
-	s.tier.dropHot(id)
+	s.tier.unlist(id)
 	s.obs.traces.Remove(id)
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -647,19 +648,26 @@ func (s *System) fallbackLocked(st *sensorState, hs []int, reason string) map[in
 // it appends it to the index's history — the sensor's next forecast
 // catches the index up, so an observation nobody forecasts after costs
 // an append — and closes the auto-tuning loop for matured predictions.
+// An observation of a cold sensor (Config.MaxHotSensors) is appended to
+// its tail file without faulting it in; its next fault-in folds it in.
 // A NaN observation marks a missing reading:
 // the gap is filled with the system's own one-step-ahead prediction so
 // the fixed sample rate (Section 3.1) is preserved; the auto-tuning
 // update for that step is skipped (there is no truth to score
 // against).
 func (s *System) Observe(id string, v float64) error {
-	st, _, err := s.acquire(id)
+	start := time.Now()
+	st, _, err := s.acquireFor(id, v)
 	if err != nil {
 		s.obs.observeErrs.Inc()
 		return err
 	}
+	if st == nil { // a cold sensor took v as a tail append
+		s.obs.recordTailAppend(time.Since(start).Seconds())
+		return nil
+	}
 	defer st.mu.Unlock()
-	start := time.Now()
+	start = time.Now()
 	if math.IsNaN(v) {
 		pred, err := st.pipe.Predict(1)
 		if err != nil {

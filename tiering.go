@@ -3,53 +3,83 @@ package smiler
 import (
 	"container/list"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 
+	"smiler/internal/fault"
 	"smiler/internal/obs"
+	"smiler/internal/timeseries"
 )
 
 // Hot/cold sensor tiering (Config.MaxHotSensors). A node can be
 // registered for far more sensors than fit in memory: at most
 // MaxHotSensors keep a live pipeline + device-resident index ("hot");
-// the rest are spilled to disk ("cold") and faulted back in
-// transparently on the next observe, predict or history read, evicting
-// the least recently used hot sensor to make room. A spill file is a
-// one-sensor checkpoint with no WAL cover (checkpoint.go): the bytes
-// SaveSensorTo writes for the sensor while it is hot.
+// the rest are spilled to disk ("cold"). A spill file is a one-sensor
+// checkpoint with no WAL cover (checkpoint.go): the bytes SaveSensorTo
+// writes for the sensor while it is hot. A predict, a history read or a
+// NaN observe (imputing it needs a forecast) faults a cold sensor back
+// in transparently. Any other observe does not: it appends the raw
+// value to the sensor's tail file — little-endian float64s beside the
+// spill file — and returns. readSpill, the one spill reader, folds the
+// tail into the history through the frozen normaliser, so fault-in,
+// checkpoints and single-sensor exports all see the folded state.
 //
-// Spill files are a runtime cache, not a durability layer: the
-// directory is wiped at New (stale files from a previous run are
-// garbage), so a spill is one plain write with no fsync, and
+// The fold is exact. A restored pipeline has no pending auto-tuning
+// updates, so an observe right after a fault-in changes only the index
+// history, and the index is not built until the next search either
+// way: spill + tail restores the state that a fault-in followed by the
+// same observes reaches.
+//
+// Recency: the LRU list holds the MaxHotSensors most recently used
+// sensors, hot or cold. A cold observe moves its sensor to the front
+// and leaves it cold; a sensor pushed off the back is spilled if it is
+// hot and only forgotten if it is cold (its state is on disk already).
+// Every hot sensor is on the list, so each sensor goes through the
+// state changes it would if every observe faulted it in, only
+// materialised later, and fewer sensors are resident.
+//
+// Spill and tail files are a runtime cache, not a durability layer:
+// the directory is wiped at New (stale files from a previous run are
+// garbage), so a spill or append is one plain write with no fsync, and
 // durability still flows through checkpoints — SaveTo embeds cold
-// sensors by decoding their spill files — and WAL replay, which faults
-// sensors in as records arrive.
+// sensors by reading their files — and WAL replay.
 //
 // Concurrency protocol: the tier's own bookkeeping (LRU order, cold
-// set) lives behind tierState.mu, always acquired after s.mu (either
-// mode) and never held while taking any other lock. Eviction and
-// fault-in run under s.mu write-locked; an evicted sensorState is
-// marked gone under its st.mu, so an accessor that looked the sensor
-// up before the eviction re-checks after locking and retries through
-// the fault-in path instead of surfacing a closed-index error.
+// set, tail lengths) lives behind tierState.mu, always acquired after
+// s.mu (either mode) and never held while taking any other lock.
+// Eviction, fault-in and tail appends run under s.mu write-locked, so
+// with s.mu read-held the cold set and its files are stable. An evicted
+// sensorState is marked gone under its st.mu, so an accessor that
+// looked the sensor up before the eviction re-checks after locking and
+// retries through the cold path instead of surfacing a closed-index
+// error.
 type tierState struct {
 	mu     sync.Mutex
 	max    int
 	dir    string
 	ownDir bool // dir was created by New → removed by Close
 
-	lru  *list.List               // hot ids, front = most recently used
-	pos  map[string]*list.Element // hot id → lru element
-	cold map[string]struct{}      // spilled ids
+	// lru holds every hot id and the cold ids observed since they
+	// spilled, front = most recently used; enforceCapLocked trims it to
+	// max.
+	lru *list.List
+	pos map[string]*list.Element // listed id → lru element
+	// cold maps each spilled id to the number of values in its tail
+	// file; a sensor with none has no tail file.
+	cold map[string]int
 }
 
 // newTierState validates the tiering configuration and prepares the
-// spill directory (wiping stale spill files from a previous run).
+// spill directory (wiping stale spill and tail files from a previous
+// run).
 func newTierState(cfg Config) (*tierState, error) {
 	if cfg.MaxHotSensors < 0 {
 		return nil, fmt.Errorf("smiler: negative MaxHotSensors %d", cfg.MaxHotSensors)
@@ -61,22 +91,22 @@ func newTierState(cfg Config) (*tierState, error) {
 		max:  cfg.MaxHotSensors,
 		lru:  list.New(),
 		pos:  make(map[string]*list.Element),
-		cold: make(map[string]struct{}),
+		cold: make(map[string]int),
 	}
 	if cfg.SpillDir != "" {
 		if err := os.MkdirAll(cfg.SpillDir, 0o755); err != nil {
 			return nil, fmt.Errorf("smiler: spill dir: %w", err)
 		}
 		t.dir = cfg.SpillDir
-		// Spill files are a cache keyed to this process's tier state;
-		// leftovers from a previous run are unreachable garbage.
+		// Spill and tail files are a cache keyed to this process's tier
+		// state; leftovers from a previous run are unreachable garbage.
 		entries, err := os.ReadDir(t.dir)
 		if err != nil {
 			return nil, fmt.Errorf("smiler: spill dir: %w", err)
 		}
 		for _, e := range entries {
-			if !e.IsDir() && strings.HasSuffix(e.Name(), spillSuffix) {
-				_ = os.Remove(filepath.Join(t.dir, e.Name()))
+			if name := e.Name(); !e.IsDir() && (strings.HasSuffix(name, spillSuffix) || strings.HasSuffix(name, tailSuffix)) {
+				_ = os.Remove(filepath.Join(t.dir, name))
 			}
 		}
 	} else {
@@ -90,13 +120,25 @@ func newTierState(cfg Config) (*tierState, error) {
 	return t, nil
 }
 
-const spillSuffix = ".spill"
+const (
+	spillSuffix = ".spill"
+	tailSuffix  = ".tail"
+)
 
 // spillPath maps a sensor id (arbitrary bytes) onto a filesystem-safe
 // spill file name.
 func (t *tierState) spillPath(id string) string {
+	return t.path(id, spillSuffix)
+}
+
+// tailPath names the file a cold sensor's observations are appended to.
+func (t *tierState) tailPath(id string) string {
+	return t.path(id, tailSuffix)
+}
+
+func (t *tierState) path(id, suffix string) string {
 	sum := sha256.Sum256([]byte(id))
-	return filepath.Join(t.dir, hex.EncodeToString(sum[:16])+spillSuffix)
+	return filepath.Join(t.dir, hex.EncodeToString(sum[:16])+suffix)
 }
 
 // writeSpill writes one sensor's spill file.
@@ -105,10 +147,12 @@ func writeSpill(path string, sc sensorCheckpoint) error {
 }
 
 // readSpill loads one cold sensor's checkpoint entry from its spill
-// file — the one spill reader, behind fault-in, the saves that fold
-// cold sensors in and the cold SaveSensorTo, which sends the returned
-// file bytes as they are. Callers hold s.mu (read side suffices).
-func (s *System) readSpill(id string) (sensorCheckpoint, []byte, error) {
+// file and folds its tail in: each appended raw value goes through the
+// frozen normaliser the spill stores, exactly as Observe would have
+// applied it, and lands at the end of the history. It is the one spill
+// reader, behind fault-in, the saves that fold cold sensors in and the
+// cold SaveSensorTo. Callers hold s.mu (read side suffices).
+func (s *System) readSpill(id string) (sensorCheckpoint, error) {
 	b, err := os.ReadFile(s.tier.spillPath(id))
 	var cp checkpoint
 	if err == nil {
@@ -117,13 +161,68 @@ func (s *System) readSpill(id string) (sensorCheckpoint, []byte, error) {
 	if err == nil && (len(cp.Sensors) != 1 || cp.Sensors[0].ID != id || cp.WALCover != nil) {
 		err = errors.New("not a one-sensor checkpoint of this sensor")
 	}
-	if err != nil {
-		return sensorCheckpoint{}, nil, fmt.Errorf("smiler: reading spill for %q: %w", id, err)
+	if err == nil {
+		err = s.foldTail(&cp.Sensors[0])
 	}
-	return cp.Sensors[0], b, nil
+	if err != nil {
+		return sensorCheckpoint{}, fmt.Errorf("smiler: reading spill for %q: %w", id, err)
+	}
+	return cp.Sensors[0], nil
 }
 
-// touch marks a hot sensor as most recently used.
+// foldTail appends the sensor's tail values to sc.History. A sensor
+// with no recorded tail touches no file.
+func (s *System) foldTail(sc *sensorCheckpoint) error {
+	n, _ := s.tier.tailLen(sc.ID)
+	if n == 0 {
+		return nil
+	}
+	b, err := os.ReadFile(s.tier.tailPath(sc.ID))
+	if err != nil {
+		return err
+	}
+	if len(b) != 8*n {
+		return fmt.Errorf("tail holds %d bytes, want %d values", len(b), n)
+	}
+	var norm *timeseries.Normalizer
+	if sc.Normalized {
+		norm = timeseries.NewNormalizerFromStats(sc.Norm)
+	}
+	sc.History = slices.Grow(sc.History, n)
+	for i := 0; i < n; i++ {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		if norm != nil {
+			v = norm.Apply(v)
+		}
+		sc.History = append(sc.History, v)
+	}
+	return nil
+}
+
+// appendTail writes v as value n of a tail file. A failed append
+// truncates the file back to its n values, so the recorded length
+// stays the file's.
+func appendTail(path string, n int, v float64) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE, 0o644)
+	if err != nil {
+		return err
+	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+	_, err = f.WriteAt(b[:], int64(8*n))
+	if err == nil {
+		err = fault.Check(fault.PointTierTailAppend)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = os.Truncate(path, int64(8*n))
+	}
+	return err
+}
+
+// touch moves a listed sensor to the front of the LRU list.
 func (t *tierState) touch(id string) {
 	if t == nil {
 		return
@@ -135,6 +234,16 @@ func (t *tierState) touch(id string) {
 	t.mu.Unlock()
 }
 
+// toFrontLocked makes id the most recently used listed sensor. Callers
+// hold t.mu.
+func (t *tierState) toFrontLocked(id string) {
+	if e, ok := t.pos[id]; ok {
+		t.lru.MoveToFront(e)
+	} else {
+		t.pos[id] = t.lru.PushFront(id)
+	}
+}
+
 // markHot registers a (newly added or faulted-in) sensor as hot and
 // most recently used.
 func (t *tierState) markHot(id string) {
@@ -143,16 +252,22 @@ func (t *tierState) markHot(id string) {
 	}
 	t.mu.Lock()
 	delete(t.cold, id)
-	if e, ok := t.pos[id]; ok {
-		t.lru.MoveToFront(e)
-	} else {
-		t.pos[id] = t.lru.PushFront(id)
-	}
+	t.toFrontLocked(id)
 	t.mu.Unlock()
 }
 
-// dropHot forgets a hot sensor (removed or about to go cold).
-func (t *tierState) dropHot(id string) {
+// appended records a cold sensor's tail of n values after an append
+// and makes it the most recently used listed sensor.
+func (t *tierState) appended(id string, n int) {
+	t.mu.Lock()
+	t.cold[id] = n
+	t.toFrontLocked(id)
+	t.mu.Unlock()
+}
+
+// unlist takes a sensor off the LRU list (removed, or trimmed off its
+// back).
+func (t *tierState) unlist(id string) {
 	if t == nil {
 		return
 	}
@@ -164,24 +279,30 @@ func (t *tierState) dropHot(id string) {
 	t.mu.Unlock()
 }
 
-// markCold records a spilled sensor.
-func (t *tierState) markCold(id string) {
-	if t == nil {
-		return
-	}
+// markCold records a spilled sensor whose tail file holds n values.
+func (t *tierState) markCold(id string, n int) {
 	t.mu.Lock()
-	t.cold[id] = struct{}{}
+	t.cold[id] = n
 	t.mu.Unlock()
 }
 
-// dropCold forgets a cold sensor (faulted in or removed).
-func (t *tierState) dropCold(id string) {
-	if t == nil {
-		return
-	}
+// dropCold forgets a cold sensor (faulted in or removed) and returns
+// the length of its tail.
+func (t *tierState) dropCold(id string) int {
 	t.mu.Lock()
+	n := t.cold[id]
 	delete(t.cold, id)
 	t.mu.Unlock()
+	return n
+}
+
+// removeFiles deletes a sensor's spill file and, when it has n > 0
+// tail values, its tail file.
+func (t *tierState) removeFiles(id string, n int) {
+	_ = os.Remove(t.spillPath(id))
+	if n > 0 {
+		_ = os.Remove(t.tailPath(id))
+	}
 }
 
 // isCold reports whether the sensor is currently spilled.
@@ -193,6 +314,15 @@ func (t *tierState) isCold(id string) bool {
 	_, ok := t.cold[id]
 	t.mu.Unlock()
 	return ok
+}
+
+// tailLen reports how many values a cold sensor's tail file holds, and
+// whether the sensor is cold at all.
+func (t *tierState) tailLen(id string) (int, bool) {
+	t.mu.Lock()
+	n, ok := t.cold[id]
+	t.mu.Unlock()
+	return n, ok
 }
 
 // coldIDs returns the spilled sensor ids, in no particular order.
@@ -220,11 +350,14 @@ func (t *tierState) coldCount() int {
 	return n
 }
 
-// victim returns the least recently used hot sensor other than keep,
-// or "" when none qualifies.
-func (t *tierState) victim(keep string) string {
+// overflow returns the least recently used listed sensor other than
+// keep while the LRU list is longer than the cap, and "" once it fits.
+func (t *tierState) overflow(keep string) string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.lru.Len() <= t.max {
+		return ""
+	}
 	for e := t.lru.Back(); e != nil; e = e.Prev() {
 		if id := e.Value.(string); id != keep {
 			return id
@@ -249,10 +382,23 @@ func (t *tierState) close() {
 // eviction races the lookup. faulted reports whether this call paid a
 // tier fault (for trace tagging).
 func (s *System) acquire(id string) (st *sensorState, faulted bool, err error) {
+	return s.acquireFor(id, math.NaN())
+}
+
+// acquireFor is acquire on behalf of an observation v: when the sensor
+// is cold and v is not NaN, v goes to the sensor's tail instead of a
+// fault-in, and acquireFor returns a nil state.
+func (s *System) acquireFor(id string, v float64) (st *sensorState, faulted bool, err error) {
 	for {
 		st, cold, err := s.lookupHot(id)
 		if err != nil {
 			return nil, faulted, err
+		}
+		if cold && !math.IsNaN(v) {
+			if appended, err := s.observeCold(id, v); appended || err != nil {
+				return nil, faulted, err
+			}
+			continue // faulted in meanwhile: use the hot state
 		}
 		if cold {
 			if err := s.faultIn(id); err != nil {
@@ -265,8 +411,8 @@ func (s *System) acquire(id string) (st *sensorState, faulted bool, err error) {
 		if !st.gone {
 			return st, faulted, nil
 		}
-		// Evicted between the map lookup and the lock: go around and
-		// fault it back in.
+		// Evicted between the map lookup and the lock: go around through
+		// the cold path.
 		st.mu.Unlock()
 	}
 }
@@ -289,9 +435,9 @@ func (s *System) lookupHot(id string) (*sensorState, bool, error) {
 	return nil, false, fmt.Errorf("smiler: unknown sensor %q", id)
 }
 
-// faultIn restores a cold sensor from its spill file, makes it
-// hot, and evicts down to the cap. Idempotent under races: if another
-// goroutine faulted the sensor in first, it is a no-op.
+// faultIn restores a cold sensor from its spill and tail files, makes
+// it hot, and trims the LRU list to the cap. Idempotent under races: if
+// another goroutine faulted the sensor in first, it is a no-op.
 func (s *System) faultIn(id string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -304,43 +450,70 @@ func (s *System) faultIn(id string) error {
 	if !s.tier.isCold(id) {
 		return fmt.Errorf("smiler: unknown sensor %q", id)
 	}
-	sc, _, err := s.readSpill(id)
+	sc, err := s.readSpill(id)
 	if err != nil {
 		return err
 	}
 	// The id leaves the cold set before the restore (installSensorLocked
 	// treats cold ids as duplicates); a failed restore puts it back so
 	// the sensor stays reachable for a retry.
-	s.tier.dropCold(id)
+	tail := s.tier.dropCold(id)
 	if err := s.restoreSensorLocked(sc); err != nil {
-		s.tier.markCold(id)
+		s.tier.markCold(id, tail)
 		return fmt.Errorf("smiler: faulting in sensor %q: %w", id, err)
 	}
 	s.tier.markHot(id)
-	_ = os.Remove(s.tier.spillPath(id))
+	s.tier.removeFiles(id, tail)
 	s.obs.sensorFaults.Inc()
 	s.obs.events.Record(obs.Event{Type: "sensor_fault_in", Severity: obs.SevInfo, Sensor: id})
 	return s.enforceCapLocked(id)
 }
 
-// enforceCapLocked evicts least-recently-used hot sensors until the
-// hot population fits MaxHotSensors, never evicting keep (the sensor
-// the caller is about to use). Callers hold s.mu write-locked.
+// observeCold appends an observation of a cold sensor to its tail file
+// and makes the sensor the most recently used, trimming the LRU list to
+// the cap. It reports false with no error when the sensor is hot by the
+// time s.mu is held: the caller then observes it the hot way.
+func (s *System) observeCold(id string, v float64) (bool, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false, errors.New("smiler: system closed")
+	}
+	if _, ok := s.sensors[id]; ok {
+		return false, nil
+	}
+	n, cold := s.tier.tailLen(id)
+	if !cold {
+		return false, fmt.Errorf("smiler: unknown sensor %q", id)
+	}
+	if err := appendTail(s.tier.tailPath(id), n, v); err != nil {
+		return false, fmt.Errorf("smiler: appending to the tail of sensor %q: %w", id, err)
+	}
+	s.tier.appended(id, n+1)
+	s.obs.tailAppends.Inc()
+	return true, s.enforceCapLocked(id)
+}
+
+// enforceCapLocked trims the LRU list to MaxHotSensors, never dropping
+// keep (the sensor the caller is about to use): a hot sensor trimmed
+// off the back is spilled, a cold one only leaves the list. Callers
+// hold s.mu write-locked.
 func (s *System) enforceCapLocked(keep string) error {
 	t := s.tier
 	if t == nil {
 		return nil
 	}
-	for len(s.sensors) > t.max {
-		victim := t.victim(keep)
-		if victim == "" {
-			return nil // only keep is hot; allow the transient overshoot
+	for {
+		id := t.overflow(keep)
+		if id == "" {
+			return nil
 		}
-		if err := s.evictLocked(victim); err != nil {
+		if _, hot := s.sensors[id]; !hot {
+			t.unlist(id)
+		} else if err := s.evictLocked(id); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 // evictLocked spills one hot sensor to disk and releases its pipeline
@@ -361,8 +534,8 @@ func (s *System) evictLocked(id string) error {
 	_ = st.ix.Close()
 	st.mu.Unlock()
 	delete(s.sensors, id)
-	s.tier.dropHot(id)
-	s.tier.markCold(id)
+	s.tier.unlist(id)
+	s.tier.markCold(id, 0)
 	// A cold sensor keeps no traces, so the trace store is bounded by
 	// the hot cap rather than the population.
 	s.obs.traces.Remove(id)
@@ -371,25 +544,29 @@ func (s *System) evictLocked(id string) error {
 	return nil
 }
 
-// TierStats reports the hot/cold split (zero Cold and Faults when
-// tiering is off).
+// TierStats reports the hot/cold split (zero Cold, Faults and
+// TailAppends when tiering is off).
 type TierStats struct {
 	Hot       int
 	Cold      int
 	Faults    uint64
 	Evictions uint64
+	// TailAppends counts observations a cold sensor took as a tail
+	// append instead of a fault-in.
+	TailAppends uint64
 }
 
 // Tiering reports the current hot/cold sensor split and the lifetime
-// fault/eviction counts.
+// fault, eviction and tail-append counts.
 func (s *System) Tiering() TierStats {
 	s.mu.RLock()
 	hot := len(s.sensors)
 	s.mu.RUnlock()
 	return TierStats{
-		Hot:       hot,
-		Cold:      s.tier.coldCount(),
-		Faults:    s.obs.sensorFaults.Value(),
-		Evictions: s.obs.sensorEvictions.Value(),
+		Hot:         hot,
+		Cold:        s.tier.coldCount(),
+		Faults:      s.obs.sensorFaults.Value(),
+		Evictions:   s.obs.sensorEvictions.Value(),
+		TailAppends: s.obs.tailAppends.Value(),
 	}
 }

@@ -3,6 +3,7 @@ package smiler
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -10,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"smiler/internal/fault"
 	"smiler/internal/memsys"
 	"smiler/internal/obs"
 )
@@ -125,8 +127,126 @@ func TestTieringSpillFaultRoundTrip(t *testing.T) {
 	}
 }
 
+// TestTieringLazyMatchesEager is the oracle for cold observes. A
+// tiered system whose cold observes append to tail files must be bit
+// for bit the twin that faults every observed sensor in at once
+// (HistoryLen after each observe, which is what every observe did
+// before tails): in every forecast, every single-sensor export and the
+// final checkpoint, over a seeded schedule of finite and NaN observes,
+// forecasts at mixed horizons, saves, and removes with re-adds. The
+// lazy system is never more resident than the twin.
+func TestTieringLazyMatchesEager(t *testing.T) {
+	for _, kind := range []PredictorKind{PredictorAR, PredictorGP} {
+		t.Run(kind.String(), func(t *testing.T) {
+			cfg := tieredConfig(3)
+			cfg.Predictor = kind
+			steps := 600
+			if kind == PredictorGP {
+				steps = 150
+			}
+			if testing.Short() {
+				steps /= 3
+			}
+			lazy, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lazy.Close()
+			eager, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer eager.Close()
+			const sensors = 7
+			addSeeded(t, lazy, sensors)
+			addSeeded(t, eager, sensors)
+			both := func(op func(sys *System) error) {
+				t.Helper()
+				for _, sys := range []*System{lazy, eager} {
+					if err := op(sys); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			saved := func(save func(sys *System, w *bytes.Buffer) error) {
+				t.Helper()
+				var a, b bytes.Buffer
+				both(func(sys *System) error {
+					if sys == lazy {
+						return save(sys, &a)
+					}
+					return save(sys, &b)
+				})
+				if !bytes.Equal(a.Bytes(), b.Bytes()) {
+					t.Fatalf("lazy bytes (%d) differ from eager (%d)", a.Len(), b.Len())
+				}
+			}
+
+			rng := rand.New(rand.NewSource(43))
+			for step := 0; step < steps; step++ {
+				id := fmt.Sprintf("t%d", rng.Intn(sensors))
+				switch r := rng.Intn(20); {
+				case r < 11, r == 11: // finite observe; one in twelve is NaN
+					v := 50 + 5*rng.NormFloat64()
+					if r == 11 {
+						v = math.NaN()
+					}
+					both(func(sys *System) error { return sys.Observe(id, v) })
+					if _, err := eager.HistoryLen(id); err != nil {
+						t.Fatal(err)
+					}
+				case r < 17: // forecast at a random non-empty set of horizons
+					var hs []int
+					for h := 1; h <= 3; h++ {
+						if rng.Intn(2) == 0 || (h == 3 && hs == nil) {
+							hs = append(hs, h)
+						}
+					}
+					got, err := lazy.PredictHorizons(id, hs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := eager.PredictHorizons(id, hs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, h := range hs {
+						g, w := got[h], want[h]
+						if math.Float64bits(g.Mean) != math.Float64bits(w.Mean) ||
+							math.Float64bits(g.Variance) != math.Float64bits(w.Variance) {
+							t.Fatalf("step %d %s h=%d: lazy %+v, eager %+v", step, id, h, g, w)
+						}
+					}
+				case r == 17:
+					saved(func(sys *System, w *bytes.Buffer) error { return sys.SaveSensorTo(w, id) })
+				case r == 18:
+					saved(func(sys *System, w *bytes.Buffer) error { return sys.SaveTo(w) })
+				default: // remove, then register afresh
+					both(func(sys *System) error { return sys.RemoveSensor(id) })
+					for _, path := range []string{lazy.tier.spillPath(id), lazy.tier.tailPath(id)} {
+						if _, err := os.Stat(path); !os.IsNotExist(err) {
+							t.Fatalf("step %d: %s outlived RemoveSensor(%s)", step, filepath.Base(path), id)
+						}
+					}
+					hist := noisySeasonal(rand.New(rand.NewSource(int64(step))), 400, 4, 50)
+					both(func(sys *System) error { return sys.AddSensor(id, hist) })
+				}
+				if l, e := lazy.Tiering().Hot, eager.Tiering().Hot; l > e {
+					t.Fatalf("step %d: lazy holds %d sensors hot, eager %d", step, l, e)
+				}
+			}
+			saved(func(sys *System, w *bytes.Buffer) error { return sys.SaveTo(w) })
+			ls, es := lazy.Tiering(), eager.Tiering()
+			if ls.TailAppends == 0 || ls.Faults >= es.Faults {
+				t.Fatalf("the schedule must take tail appends in place of faults: lazy %+v, eager %+v", ls, es)
+			}
+		})
+	}
+}
+
 // TestTieringLRUOrder: the least recently used sensor is the one
-// spilled; touching a sensor protects it.
+// spilled; touching a sensor protects it, and observing a cold one
+// counts as a touch without faulting it in.
 func TestTieringLRUOrder(t *testing.T) {
 	sys, err := New(tieredConfig(2))
 	if err != nil {
@@ -149,12 +269,20 @@ func TestTieringLRUOrder(t *testing.T) {
 		t.Fatalf("LRU must evict t1 (t0 was touched): %+v cold=%v", sys.Tiering(), sys.tier.coldIDs())
 	}
 
-	// Observing t1 faults it in and evicts the now-LRU t0.
+	// Observing t1 appends to its tail, so t1 stays cold, yet it is now
+	// among the two most recently used: the LRU t0 is evicted exactly as
+	// a fault-in of t1 would have evicted it.
 	if err := sys.Observe("t1", 51); err != nil {
 		t.Fatal(err)
 	}
-	if !sys.tier.isCold("t0") || sys.tier.isCold("t1") {
-		t.Fatalf("fault-in of t1 must evict t0: cold=%v", sys.tier.coldIDs())
+	if !sys.tier.isCold("t1") {
+		t.Fatalf("observing cold t1 must leave it cold: %+v", sys.Tiering())
+	}
+	if !sys.tier.isCold("t0") {
+		t.Fatalf("observing t1 must evict the LRU t0: cold=%v", sys.tier.coldIDs())
+	}
+	if st := sys.Tiering(); st.TailAppends != 1 || st.Hot != 1 {
+		t.Fatalf("one cold observe: %+v, want 1 tail append and t2 alone hot", st)
 	}
 }
 
@@ -252,7 +380,7 @@ func TestTieringCheckpointByteIdentity(t *testing.T) {
 }
 
 // TestTieringSaveSensorToCold: single-sensor export (the migration
-// path) serves cold sensors straight from their spill envelope without
+// path) serves cold sensors from their spill and tail files without
 // faulting them in.
 func TestTieringSaveSensorToCold(t *testing.T) {
 	sys, err := New(tieredConfig(1))
@@ -284,6 +412,34 @@ func TestTieringSaveSensorToCold(t *testing.T) {
 	}
 	if !sys.tier.isCold("t0") {
 		t.Fatal("t0 must stay cold after export")
+	}
+
+	// Observations of the cold t0 go to its tail; the export folds them
+	// in and still equals the untiered export, without a fault-in.
+	for _, v := range []float64{51, 47.5, 53.25} {
+		if err := sys.Observe("t0", v); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Observe("t0", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n, _ := sys.tier.tailLen("t0"); n != 3 {
+		t.Fatalf("t0 tail holds %d values, want 3", n)
+	}
+	a.Reset()
+	b.Reset()
+	if err := sys.SaveSensorTo(&a, "t0"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.SaveSensorTo(&b, "t0"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Fatal("export of a cold sensor with a tail differs from untiered export")
+	}
+	if st := sys.Tiering(); st.Faults != before || st.TailAppends != 3 || !sys.tier.isCold("t0") {
+		t.Fatalf("observing and exporting cold t0 must not fault it in: %+v", st)
 	}
 }
 
@@ -372,15 +528,124 @@ func TestTieringDamagedSpillStaysCold(t *testing.T) {
 	if got != want {
 		t.Fatalf("retry after repair: %+v, reference %+v", got, want)
 	}
+
+	// A tail whose length is not 8 bytes × its recorded count fails the
+	// fault-in the same way and leaves the sensor cold.
+	for _, v := range []float64{49, 52} {
+		if err := sys.Observe("t1", v); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Observe("t1", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail := sys.tier.tailPath("t1")
+	good, err = os.ReadFile(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(good) != 16 {
+		t.Fatalf("tail of two observations holds %d bytes", len(good))
+	}
+	for name, bad := range map[string][]byte{"short": good[:13], "long": append(good[:16:16], good[:8]...)} {
+		if err := os.WriteFile(tail, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := sys.Predict("t1", 1)
+		if err == nil || !strings.Contains(err.Error(), `"t1"`) {
+			t.Fatalf("%s tail: Predict error %v, want one naming \"t1\"", name, err)
+		}
+		if !sys.tier.isCold("t1") {
+			t.Fatalf("%s tail: t1 must stay cold, tier %+v", name, sys.Tiering())
+		}
+	}
+	if err := os.WriteFile(tail, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err = sys.Predict("t1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err = ref.Predict("t1", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("tail retry after repair: %+v, reference %+v", got, want)
+	}
 }
 
-// TestTieringSpillDirWipedAtBoot: stale spill files from a previous
-// run are unreachable garbage and must be removed by New.
+// TestTieringTailAppendFailure: an append that fails after writing
+// restores the tail's previous length and returns the error, so the
+// sensor's next fault-in sees only the observations that succeeded.
+func TestTieringTailAppendFailure(t *testing.T) {
+	sys, err := New(tieredConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	ref, err := New(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	addSeeded(t, sys, 2) // t0 cold
+	addSeeded(t, ref, 2)
+	observe := func(v float64) error {
+		if err := ref.Observe("t0", v); err != nil {
+			t.Fatal(err)
+		}
+		return sys.Observe("t0", v)
+	}
+	if err := observe(48); err != nil {
+		t.Fatal(err)
+	}
+
+	in := fault.NewInjector(1)
+	in.Set(fault.PointTierTailAppend, fault.Rule{Kind: fault.KindError, After: 1, Once: true})
+	fault.Arm(in)
+	t.Cleanup(fault.Disarm)
+	if err := sys.Observe("t0", 99); err == nil || !strings.Contains(err.Error(), `"t0"`) {
+		t.Fatalf("failed append: error %v, want one naming \"t0\"", err)
+	}
+	fault.Disarm()
+	if fi, err := os.Stat(sys.tier.tailPath("t0")); err != nil || fi.Size() != 8 {
+		t.Fatalf("after a failed append the tail must hold its one value again: %v, %v", fi, err)
+	}
+	if n, cold := sys.tier.tailLen("t0"); n != 1 || !cold {
+		t.Fatalf("failed append: tail length %d, cold %v; want 1, true", n, cold)
+	}
+
+	if err := observe(51); err != nil {
+		t.Fatal(err)
+	}
+	got, err := sys.History("t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.History("t0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("history %d points, reference %d", len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("point %d: %v, reference %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestTieringSpillDirWipedAtBoot: stale spill and tail files from a
+// previous run are unreachable garbage and must be removed by New.
 func TestTieringSpillDirWipedAtBoot(t *testing.T) {
 	dir := t.TempDir()
-	stale := filepath.Join(dir, "deadbeef.spill")
-	if err := os.WriteFile(stale, []byte("stale"), 0o644); err != nil {
-		t.Fatal(err)
+	stale := []string{filepath.Join(dir, "deadbeef.spill"), filepath.Join(dir, "deadbeef.tail")}
+	for _, path := range stale {
+		if err := os.WriteFile(path, []byte("stale"), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cfg := tieredConfig(1)
 	cfg.SpillDir = dir
@@ -389,8 +654,10 @@ func TestTieringSpillDirWipedAtBoot(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	if _, err := os.Stat(stale); !os.IsNotExist(err) {
-		t.Fatal("stale spill file survived boot")
+	for _, path := range stale {
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Fatalf("stale %s survived boot", filepath.Base(path))
+		}
 	}
 }
 
