@@ -11,8 +11,6 @@ import (
 	"smiler/internal/tsdist"
 )
 
-func defaultDeviceBytes() int64 { return gpusim.DefaultConfig().GlobalMemBytes }
-
 // DistanceRow is one row of the distance-measure ablation: kNN
 // prediction accuracy under one similarity measure.
 type DistanceRow struct {
@@ -168,14 +166,13 @@ func RunDownsampleTradeoff(c *Corpus, fractions []float64, steps int) ([]Downsam
 		if err != nil {
 			return nil, err
 		}
-		n := len(sub.Series[0])
-		nSW := dmax - p.Omega + 1
-		nDW := n / p.Omega
-		per := int64(8 * (n + 2*nSW*nDW))
-		dev := defaultDeviceBytes()
+		per, maxSensors, err := Fig12Capacity(sub, gpusim.DefaultConfig())
+		if err != nil {
+			return nil, err
+		}
 		rows = append(rows, DownsampleRow{
 			Dataset: c.Spec.Name, Fraction: frac,
-			PerSensorBytes: per, MaxSensors: dev / per, MAE: mae,
+			PerSensorBytes: per, MaxSensors: maxSensors, MAE: mae,
 		})
 	}
 	return rows, nil

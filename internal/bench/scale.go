@@ -65,8 +65,8 @@ func RunFig12Time(c *Corpus, steps int) ([]Fig12Row, error) {
 
 // Fig12Capacity answers Fig. 12(c): how many sensors of this corpus'
 // per-sensor footprint fit in the device's memory. The footprint is
-// read off a real index over the first sensor (history plus the two
-// posting-list planes).
+// read off a real index over the first sensor (the history plus the
+// window level, Index.MemoryFootprint).
 func Fig12Capacity(c *Corpus, devCfg gpusim.Config) (perSensorBytes int64, maxSensors int64, err error) {
 	if len(c.Series) == 0 {
 		return 0, 0, fmt.Errorf("bench: empty corpus")

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -201,7 +202,7 @@ func (p *Pipeline) recordSearch(tr *obs.Trace, searchStart time.Time) {
 	tr.AddSpan("search", "", sinceTraceStart(tr, base), searchDur)
 	if st.CatchupSteps > 0 || st.Rebuilt {
 		dur := time.Duration(st.CatchupWallSeconds * float64(time.Second))
-		tr.AddSpan("index_catchup", fmt.Sprintf("steps=%d rebuilt=%t", st.CatchupSteps, st.Rebuilt),
+		tr.AddSpan("index_catchup", "steps="+strconv.Itoa(st.CatchupSteps)+" rebuilt="+strconv.FormatBool(st.Rebuilt),
 			sinceTraceStart(tr, base), dur)
 		base = base.Add(dur)
 	}
@@ -219,11 +220,11 @@ func (p *Pipeline) recordSearch(tr *obs.Trace, searchStart time.Time) {
 				for _, s := range st.RoundWallSeconds[i:] {
 					rest += s
 				}
-				tr.AddSpan("verify_round", fmt.Sprintf("rounds %d..%d", i+1, len(st.RoundWallSeconds)),
+				tr.AddSpan("verify_round", "rounds "+strconv.Itoa(i+1)+".."+strconv.Itoa(len(st.RoundWallSeconds)),
 					sinceTraceStart(tr, at), time.Duration(rest*float64(time.Second)))
 				break
 			}
-			tr.AddSpan("verify_round", fmt.Sprintf("round %d", i+1), sinceTraceStart(tr, at), dur)
+			tr.AddSpan("verify_round", "round "+strconv.Itoa(i+1), sinceTraceStart(tr, at), dur)
 			at = at.Add(dur)
 		}
 		tr.SetStat("progressive_rounds", float64(st.Rounds))
@@ -555,9 +556,14 @@ func (p *Pipeline) predictColumn(pc *predColumn, h, n int, traced bool, results 
 		dur := time.Since(fitStart)
 		out.fitSec += dur.Seconds()
 		if traced {
+			// Span details are concatenated, not fmt.Sprintf'd, here and in
+			// recordSearch: fmt takes its printer from a sync.Pool that
+			// every GC empties, so a forecast's allocation count would
+			// depend on where the GCs fell, and BenchmarkContinuousGPLoop's
+			// allocs/op is a gated count.
 			out.spans = append(out.spans, spanRec{
 				name:   strings.ToLower(cell.Pred.Name()) + "_fit",
-				detail: fmt.Sprintf("k=%d d=%d h=%d", cell.K, cell.D, h),
+				detail: "k=" + strconv.Itoa(cell.K) + " d=" + strconv.Itoa(cell.D) + " h=" + strconv.Itoa(h),
 				start:  fitStart,
 				dur:    dur,
 			})

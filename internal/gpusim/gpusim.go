@@ -302,7 +302,10 @@ func (b *Block) SharedUsed() int { return b.sharedBytes }
 // on a worker pool; the per-block simulated cycles are accumulated into
 // the device counter when each block retires. The first kernel error
 // (if any) aborts accounting for nothing — all blocks still run — and
-// is returned.
+// is returned. A grid that gets one worker (one block, or one CPU) runs
+// its blocks in order on the caller's goroutine: no goroutine is
+// started and the caller never parks, so such a launch makes the same
+// allocations however the scheduler and the GC happen to interleave.
 func (d *Device) Launch(grid int, kernel func(b *Block) error) error {
 	if grid <= 0 {
 		return fmt.Errorf("gpusim: invalid grid size %d", grid)
@@ -322,6 +325,15 @@ func (d *Device) Launch(grid int, kernel func(b *Block) error) error {
 	if workers > grid {
 		workers = grid
 	}
+	if workers == 1 {
+		var firstErr error
+		for id := 0; id < grid; id++ {
+			if err := d.runBlock(id, kernel); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
+		return firstErr
+	}
 	var (
 		next     atomic.Int64
 		wg       sync.WaitGroup
@@ -337,20 +349,26 @@ func (d *Device) Launch(grid int, kernel func(b *Block) error) error {
 				if id >= grid {
 					return
 				}
-				blk := &Block{ID: id, dev: d}
-				if err := kernel(blk); err != nil {
+				if err := d.runBlock(id, kernel); err != nil {
 					errOnce.Do(func() { firstErr = err })
 				}
-				d.cycles.Add(int64(blk.cycles * cycleFix))
-				d.computeCycles.Add(int64(blk.compute * cycleFix))
-				d.globalCycles.Add(int64(blk.global * cycleFix))
-				d.sharedCycles.Add(int64(blk.shared * cycleFix))
-				d.divergeCycles.Add(int64(blk.diverge * cycleFix))
 			}
 		}()
 	}
 	wg.Wait()
 	return firstErr
+}
+
+// runBlock runs block id of a launch and retires its simulated cycles.
+func (d *Device) runBlock(id int, kernel func(b *Block) error) error {
+	blk := &Block{ID: id, dev: d}
+	err := kernel(blk)
+	d.cycles.Add(int64(blk.cycles * cycleFix))
+	d.computeCycles.Add(int64(blk.compute * cycleFix))
+	d.globalCycles.Add(int64(blk.global * cycleFix))
+	d.sharedCycles.Add(int64(blk.shared * cycleFix))
+	d.divergeCycles.Add(int64(blk.diverge * cycleFix))
+	return err
 }
 
 // SimSeconds returns the simulated elapsed time of all work since the

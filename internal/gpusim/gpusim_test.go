@@ -2,6 +2,7 @@ package gpusim
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -148,6 +149,35 @@ func TestLaunchRunsEveryBlockOnce(t *testing.T) {
 	}
 	if d.SimSeconds() <= 0 {
 		t.Fatal("simulated time should be positive")
+	}
+}
+
+// A one-block launch runs on the caller's goroutine and allocates only
+// its Block: no goroutine, WaitGroup or closure, whose allocations would
+// depend on how the scheduler and the GC interleave with the launch.
+func TestOneBlockLaunchRunsInline(t *testing.T) {
+	d := testDevice(t)
+	kernel := func(b *Block) error { b.Compute(1); return nil }
+	if allocs := testing.AllocsPerRun(100, func() { _ = d.Launch(1, kernel) }); allocs > 1 {
+		t.Fatalf("a one-block launch made %v allocations, want at most its Block", allocs)
+	}
+	// One CPU: the whole grid runs inline, in order, and every block runs
+	// even after one fails.
+	d.workers = 1
+	sentinel := errors.New("kernel boom")
+	ran := 0
+	err := d.Launch(4, func(b *Block) error {
+		if b.ID != ran {
+			t.Errorf("block %d ran after %d blocks: a one-worker grid runs in order", b.ID, ran)
+		}
+		ran++
+		if b.ID == 1 || b.ID == 2 {
+			return fmt.Errorf("block %d: %w", b.ID, sentinel)
+		}
+		return nil
+	})
+	if ran != 4 || err == nil || err.Error() != "block 1: kernel boom" {
+		t.Fatalf("ran %d blocks, err %v; want all 4 and the first error", ran, err)
 	}
 }
 

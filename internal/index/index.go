@@ -146,22 +146,26 @@ type Index struct {
 	synced int
 	built  bool
 
-	// Disjoint windows. dwEnvU/dwEnvL[r] hold the envelope of DW_r
-	// computed with full-series context (a superset envelope, so the
+	// Disjoint windows. dwEnvU/dwEnvL[rω : (r+1)ω] hold the envelope of
+	// DW_r computed with full-series context (a superset envelope, so the
 	// bounds stay valid; see Theorem 4.3's proof which drops boundary
-	// terms). The final column's context is refreshed as points arrive
-	// until ρ points of right context exist.
+	// terms), rounded outward to float32 (up32, down32), so each stored
+	// envelope contains the exact one. The final column's context is
+	// refreshed as points arrive until ρ points of right context exist.
 	nDW          int
-	dwEnvU       [][]float64
-	dwEnvL       [][]float64
+	dwEnvU       []float32
+	dwEnvL       []float32
 	dwCtxPending []int // DW indices whose right context is incomplete
 
 	// Window-level posting lists in a ring of physical rows; logical
 	// sliding window b (offset from the right end of MQ) lives at
 	// physical slot (cursor+b) mod nSW. postEQ[slot][r] = LBEQ(SW_b,
-	// DW_r), postEC likewise.
-	postEQ [][]float64
-	postEC [][]float64
+	// DW_r), postEC likewise, each rounded down to float32 (see sum32):
+	// the index reads them only as lower bounds ahead of an exact DTW
+	// check, so a smaller stored value keeps every answer and halves the
+	// planes.
+	postEQ [][]float32
+	postEC [][]float32
 	cursor int
 
 	// Master-query envelope, refreshed by every Sync (length dmax).
@@ -312,9 +316,9 @@ func New(dev *gpusim.Device, history []float64, p Params) (*Index, error) {
 
 		firstRound: firstRound,
 	}
-	// Device residency: the history plus both posting-list planes. The
-	// posting lists grow with the history; reserve for the current size
-	// and extend on demand in Advance.
+	// Device residency: the history plus the window level. The window
+	// level grows with the history; reserve for the current size and
+	// extend on demand in Advance.
 	buf, err := dev.Malloc("smiler-index", ix.MemoryFootprint().Total())
 	if err != nil {
 		return nil, err
@@ -346,25 +350,76 @@ func (ix *Index) Stats() SearchStats { return ix.stats }
 
 // Footprint describes the index's device-memory consumption.
 type Footprint struct {
-	// HistoryBytes holds the raw series residing on the device.
+	// HistoryBytes holds the raw series residing on the device, 8 B a
+	// point.
 	HistoryBytes int64
 	// PostingBytes holds the two window-level posting planes
-	// (LBEQ and LBEC, nSW×nDW entries each).
+	// (LBEQ and LBEC, nSW×nDW float32 entries each).
 	PostingBytes int64
+	// EnvelopeBytes holds the disjoint windows' upper and lower
+	// envelopes (ω float32 entries each per window).
+	EnvelopeBytes int64
 }
 
 // Total returns the full per-sensor footprint in bytes.
-func (f Footprint) Total() int64 { return f.HistoryBytes + f.PostingBytes }
+func (f Footprint) Total() int64 { return f.HistoryBytes + f.PostingBytes + f.EnvelopeBytes }
 
 // MemoryFootprint reports the index's device residency — the quantity
 // Fig. 12(c)'s sensors-per-GPU capacity is derived from. It is a
 // function of the history length alone, whether or not the window level
 // has been built yet.
 func (ix *Index) MemoryFootprint() Footprint {
+	nDW := int64(len(ix.c) / ix.p.Omega)
 	return Footprint{
-		HistoryBytes: int64(8 * len(ix.c)),
-		PostingBytes: int64(8 * 2 * ix.nSW * (len(ix.c) / ix.p.Omega)),
+		HistoryBytes:  int64(8 * len(ix.c)),
+		PostingBytes:  2 * levelEntryBytes * int64(ix.nSW) * nDW,
+		EnvelopeBytes: 2 * levelEntryBytes * int64(ix.p.Omega) * nDW,
 	}
+}
+
+// levelEntryBytes is the size of one stored window-level value: a
+// posting-list entry or an envelope point, both float32.
+const levelEntryBytes = 4
+
+// sum32 returns the largest float32 that is ≤ x, for a sum of squares
+// x ≥ 0 (or NaN, which stays NaN): the rounding of every stored
+// posting-list entry. float32(x) rounds to nearest; where that lands
+// above x it is positive, so the float32 one below it is one less in
+// its bits (+Inf, for an x above float32 range, steps to MaxFloat32).
+// A float64 sum of values no larger than the exact terms is no larger
+// than the exact sum, so a group-level bound shift-summed from these
+// entries never exceeds the one summed from float64 entries. It runs
+// once per posting entry, so it is written to inline and to compile
+// without a branch.
+func sum32(x float64) float32 {
+	b := math.Float32bits(float32(x))
+	if float64(math.Float32frombits(b)) > x {
+		b--
+	}
+	return math.Float32frombits(b)
+}
+
+// down32 returns the largest float32 that is ≤ x, of any sign, the
+// rounding of a disjoint window's lower envelope: float32(x) rounds to
+// nearest, so where that lands above x it steps one ulp down. NaN stays
+// NaN.
+func down32(x float64) float32 {
+	f := float32(x)
+	if float64(f) > x {
+		f = math.Nextafter32(f, float32(math.Inf(-1)))
+	}
+	return f
+}
+
+// up32 returns the smallest float32 that is ≥ x, the rounding of a
+// disjoint window's upper envelope. An envelope widened either way can
+// only shrink each LBEC term. NaN stays NaN.
+func up32(x float64) float32 {
+	f := float32(x)
+	if float64(f) < x {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
 }
 
 // History returns a copy of the full indexed history.
@@ -394,8 +449,8 @@ func (ix *Index) swStart(b int) int {
 func (ix *Index) computeDWEnvelope(r int) {
 	omega, rho := ix.p.Omega, ix.p.Rho
 	start := r * omega
-	u := make([]float64, omega)
-	l := make([]float64, omega)
+	u := ix.dwEnvU[start : start+omega]
+	l := ix.dwEnvL[start : start+omega]
 	for i := 0; i < omega; i++ {
 		lo, hi := start+i-rho, start+i+rho
 		if lo < 0 {
@@ -413,11 +468,9 @@ func (ix *Index) computeDWEnvelope(r int) {
 				mn = ix.c[j]
 			}
 		}
-		u[i] = mx
-		l[i] = mn
+		u[i] = up32(mx)
+		l[i] = down32(mn)
 	}
-	ix.dwEnvU[r] = u
-	ix.dwEnvL[r] = l
 	if (r+1)*omega+rho > len(ix.c) {
 		// Right context incomplete: remember to refresh later.
 		for _, p := range ix.dwCtxPending {
@@ -451,6 +504,7 @@ func (ix *Index) swEnvelope(b int) (u, l []float64) {
 // logical offset b against disjoint windows [rLo, rHi) into its
 // physical slot, charging blk for the work. When eqOnly is true only
 // the LBEQ half is recomputed (the envelope-refresh path of Remark 1).
+// The sums run in float64 and are stored rounded down (sum32).
 func (ix *Index) fillPostingRow(blk *gpusim.Block, b, rLo, rHi int, eqOnly bool) {
 	omega := ix.p.Omega
 	s := ix.slot(b)
@@ -462,6 +516,7 @@ func (ix *Index) fillPostingRow(blk *gpusim.Block, b, rLo, rHi int, eqOnly bool)
 	for r := rLo; r < rHi; r++ {
 		dwLo := r * omega
 		dw := ix.c[dwLo : dwLo+omega]
+		envU, envL := ix.dwEnvU[dwLo:dwLo+omega], ix.dwEnvL[dwLo:dwLo+omega]
 		var sumEQ, sumEC float64
 		for i := 0; i < omega; i++ {
 			// LBEQ: data point vs query envelope.
@@ -474,18 +529,18 @@ func (ix *Index) fillPostingRow(blk *gpusim.Block, b, rLo, rHi int, eqOnly bool)
 			}
 			if !eqOnly {
 				// LBEC: query point vs data envelope.
-				if q := sw[i]; q > ix.dwEnvU[r][i] {
-					d := q - ix.dwEnvU[r][i]
+				if q, u := sw[i], float64(envU[i]); q > u {
+					d := q - u
 					sumEC += d * d
-				} else if q < ix.dwEnvL[r][i] {
-					d := q - ix.dwEnvL[r][i]
+				} else if l := float64(envL[i]); q < l {
+					d := q - l
 					sumEC += d * d
 				}
 			}
 		}
-		eq[r] = sumEQ
+		eq[r] = sum32(sumEQ)
 		if !eqOnly {
-			ec[r] = sumEC
+			ec[r] = sum32(sumEC)
 		}
 	}
 	// Cost model: each (SW,DW) pair touches 2ω global words and does
@@ -534,12 +589,32 @@ func grow[T any](s []T, n, spare int) []T {
 // ring on first use) with slots for newly completed disjoint windows.
 func (ix *Index) growPostingRows() {
 	if ix.postEQ == nil {
-		ix.postEQ = make([][]float64, ix.nSW)
-		ix.postEC = make([][]float64, ix.nSW)
+		ix.postEQ = make([][]float32, ix.nSW)
+		ix.postEC = make([][]float32, ix.nSW)
 	}
-	for s := 0; s < ix.nSW; s++ {
-		ix.postEQ[s] = grow(ix.postEQ[s], ix.nDW, growHeadroom)
-		ix.postEC[s] = grow(ix.postEC[s], ix.nDW, growHeadroom)
+	growPlane(ix.postEQ, ix.nDW)
+	growPlane(ix.postEC, ix.nDW)
+}
+
+// growPlane extends every row of a posting plane to n entries. The rows
+// all have the same length, so they share one backing array, row s at
+// s·stride, and a plane is one allocation: the heap it takes is the
+// bytes MemoryFootprint counts, where nSW separate rows would each be
+// rounded up to an allocator size class (18% more at 16,384 points).
+// When the rows outgrow the stride, the plane is reallocated with
+// growHeadroom spare windows per row, as grow does.
+func growPlane(rows [][]float32, n int) {
+	if n <= cap(rows[0]) {
+		for s := range rows {
+			rows[s] = rows[s][:n]
+		}
+		return
+	}
+	stride := n + growHeadroom
+	backing := make([]float32, len(rows)*stride)
+	for s, old := range rows {
+		rows[s] = backing[s*stride : s*stride+n : (s+1)*stride]
+		copy(rows[s], old)
 	}
 }
 
@@ -587,9 +662,9 @@ func (ix *Index) Advance(obs float64) error {
 	}
 	unbooked := ix.unbooked + 8 // the appended observation itself
 	if omega := ix.p.Omega; (len(ix.c)+1)/omega > len(ix.c)/omega {
-		// Book the accumulated history bytes plus the new posting-plane
-		// column.
-		if err := ix.dev.Grow(ix.buf, unbooked+int64(8*2*ix.nSW)); err != nil {
+		// Book the accumulated history bytes plus the new window's
+		// posting-plane column and envelopes.
+		if err := ix.dev.Grow(ix.buf, unbooked+2*levelEntryBytes*int64(ix.nSW+omega)); err != nil {
 			return err
 		}
 		unbooked = 0
@@ -654,9 +729,10 @@ func (ix *Index) Sync() error {
 		oldNDW = 0
 		ix.dwCtxPending = nil
 	}
-	ix.nDW = len(ix.c) / ix.p.Omega
-	ix.dwEnvU = grow(ix.dwEnvU, ix.nDW, growHeadroom)
-	ix.dwEnvL = grow(ix.dwEnvL, ix.nDW, growHeadroom)
+	omega := ix.p.Omega
+	ix.nDW = len(ix.c) / omega
+	ix.dwEnvU = grow(ix.dwEnvU, ix.nDW*omega, growHeadroom*omega)
+	ix.dwEnvL = grow(ix.dwEnvL, ix.nDW*omega, growHeadroom*omega)
 	for r := oldNDW; r < ix.nDW; r++ {
 		ix.computeDWEnvelope(r)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -544,15 +545,16 @@ func TestAdvanceSurfacesDeviceOOM(t *testing.T) {
 // Advance books device memory against the index's one buffer: usage
 // after every step equals the sum of the per-window allocations it used
 // to make (the history bytes appended since the last booking plus one
-// posting-plane column, each time a disjoint window completes), a
-// refused grow leaves usage and the index unchanged, and Close returns
-// everything.
+// float32 posting-plane column and the window's two float32 envelopes,
+// each time a disjoint window completes), a refused grow leaves usage
+// and the index unchanged, and Close returns everything.
 func TestAdvanceBooksDeviceBytesStepForStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	p := smallParams()
 	hist := randwalk(rng, 300)
 	nSW := int64(p.ELV[len(p.ELV)-1] - p.Omega + 1)
-	footprint := 8*int64(len(hist)) + 16*nSW*int64(len(hist)/p.Omega)
+	perWindow := 2*4*nSW + 2*4*int64(p.Omega)
+	footprint := 8*int64(len(hist)) + perWindow*int64(len(hist)/p.Omega)
 
 	dev := testDevice(t)
 	ix, err := New(dev, hist, p)
@@ -569,7 +571,7 @@ func TestAdvanceBooksDeviceBytesStepForStep(t *testing.T) {
 		}
 		unbooked += 8
 		if (n+1)/p.Omega > n/p.Omega {
-			want += unbooked + 16*nSW
+			want += unbooked + perWindow
 			unbooked = 0
 		}
 		n++
@@ -650,19 +652,18 @@ func TestMemoryFootprintMatchesDeviceUsage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
+	p := ix.Params()
+	nSW, nDW := int64(p.ELV[len(p.ELV)-1]-p.Omega+1), int64(400/p.Omega)
+	want := Footprint{HistoryBytes: 8 * 400, PostingBytes: 2 * 4 * nSW * nDW, EnvelopeBytes: 2 * 4 * int64(p.Omega) * nDW}
 	fp := ix.MemoryFootprint()
-	if fp.HistoryBytes != 8*400 {
-		t.Fatalf("history bytes %d", fp.HistoryBytes)
-	}
-	if fp.PostingBytes <= 0 || fp.Total() != fp.HistoryBytes+fp.PostingBytes {
-		t.Fatalf("footprint %+v inconsistent", fp)
+	if fp != want || fp.Total() != fp.HistoryBytes+fp.PostingBytes+fp.EnvelopeBytes {
+		t.Fatalf("footprint %+v, want %+v", fp, want)
 	}
 	if used := dev.UsedBytes(); used != fp.Total() {
 		t.Fatalf("device reports %d, footprint says %d", used, fp.Total())
 	}
 	// Growth keeps them in step, up to the ≤ω points booked lazily at
 	// the next disjoint-window completion.
-	p := ix.Params()
 	for i := 0; i < 20; i++ {
 		if err := ix.Advance(rng.NormFloat64()); err != nil {
 			t.Fatal(err)
@@ -672,6 +673,58 @@ func TestMemoryFootprintMatchesDeviceUsage(t *testing.T) {
 	if used := dev.UsedBytes(); used < ix.MemoryFootprint().Total()-slack {
 		t.Fatalf("device usage %d fell behind footprint %d", used, ix.MemoryFootprint().Total())
 	}
+	// Once built, the host tables hold exactly what the footprint counts.
+	if err := ix.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fp = ix.MemoryFootprint()
+	if held := hostPostingLen(ix) * 4; held != fp.PostingBytes {
+		t.Fatalf("posting planes hold %d bytes, footprint counts %d", held, fp.PostingBytes)
+	}
+	if held := int64(len(ix.dwEnvU)+len(ix.dwEnvL)) * 4; held != fp.EnvelopeBytes {
+		t.Fatalf("envelopes hold %d bytes, footprint counts %d", held, fp.EnvelopeBytes)
+	}
+}
+
+// hostPostingLen is the number of entries the two posting planes hold.
+func hostPostingLen(ix *Index) int64 {
+	n := 0
+	for s := range ix.postEQ {
+		n += len(ix.postEQ[s]) + len(ix.postEC[s])
+	}
+	return int64(n)
+}
+
+// MemoryFootprint is what Fig. 12(c)'s sensors-per-device capacity is
+// derived from, so it must be what a built index costs the host heap:
+// within 10% for a 16,384-point index, where the window level is most
+// of it. The measured heap covers New's history copy and the first
+// Sync. Two GCs before the first reading empty the sync.Pool victim
+// caches, which would otherwise be freed in between.
+func TestMemoryFootprintMatchesHeap(t *testing.T) {
+	hist := randwalk(rand.New(rand.NewSource(66)), 16384)
+	dev := testDevice(t)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	ix, err := New(dev, hist, DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	fp := ix.MemoryFootprint().Total()
+	runtime.KeepAlive(ix)
+	runtime.KeepAlive(hist)
+	if diff := heap - fp; 10*diff > fp || -10*diff > fp {
+		t.Fatalf("building a 16,384-point index added %d heap bytes; its footprint says %d", heap, fp)
+	}
+	t.Logf("heap %d bytes, footprint %d bytes", heap, fp)
 }
 
 // Multiple indexes share one device concurrently (the paper's

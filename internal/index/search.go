@@ -262,8 +262,8 @@ func (ix *Index) groupLevelLowerBounds(ctx context.Context, h int) ([][]float64,
 			}
 			for j := 0; j <= jHi; j++ {
 				s := ix.slot(b + j*omega)
-				sumEQ += ix.postEQ[s][r-j]
-				sumEC += ix.postEC[s][r-j]
+				sumEQ += float64(ix.postEQ[s][r-j])
+				sumEC += float64(ix.postEC[s][r-j])
 				blk.GlobalAccess(2)
 				blk.Compute(2)
 				for i := range ix.p.ELV {

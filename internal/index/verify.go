@@ -84,11 +84,15 @@ type verifyTask struct {
 	atRisk  int // resolved candidates that could have entered one
 }
 
-// keep reports whether candidate position pos must be verified.
+// keep reports whether candidate position pos must be verified: its
+// bound does not exceed τ by more than the rounding margin a bound may
+// carry above the distance it bounds (dtw.Slack), the margin the
+// cascade and the kernel dismiss by too. Without it, a bound that came
+// out a few ulps above a tied neighbour's exact distance would drop it.
 func (t *verifyTask) keep(pos int) bool {
 	lb := t.lbs[pos]
 	for _, f := range t.filters {
-		if pos <= f.maxT && lb <= f.tau {
+		if pos <= f.maxT && lb <= dtw.Slack(f.tau) {
 			return true
 		}
 	}
@@ -221,8 +225,9 @@ func (t *verifyTask) filter(blk *gpusim.Block, rho int, cascade bool) {
 			t.order = append(t.order, survivor{t.lbs[pos], pos})
 		}
 	}
-	// No NaN bound survives (keep needs lb ≤ τ), so this is a strict total
-	// order: cmp.Compare of the bounds, then of the positions.
+	// No NaN bound survives (keep needs lb ≤ Slack(τ)), so this is a
+	// strict total order: cmp.Compare of the bounds, then of the
+	// positions.
 	slices.SortFunc(t.order, func(a, b survivor) int {
 		switch {
 		case a.lb < b.lb:

@@ -388,6 +388,20 @@ func TestEstimateProbExact(t *testing.T) {
 	}
 }
 
+// The filter keeps the cascade's tie rule: a bound equal to τ, or above
+// it by no more than rounding (dtw.Slack), survives; one beyond that, or
+// outside every horizon's range, does not.
+func TestKeepAllowsSlack(t *testing.T) {
+	const tau = 4.0
+	lbs := []float64{tau, dtw.Slack(tau), math.Nextafter(dtw.Slack(tau), 9), 1, math.NaN()}
+	task := &verifyTask{lbs: lbs, filters: []horizonFilter{{maxT: 2, tau: tau}, {maxT: 4, tau: 0.5}}}
+	for pos, want := range []bool{true, true, false, false, false} {
+		if got := task.keep(pos); got != want {
+			t.Errorf("keep(%d) with bound %v and τ %v = %v, want %v", pos, lbs[pos], tau, got, want)
+		}
+	}
+}
+
 // tighten's tie rules on a hand-built task: the cutoff becomes the k-th
 // best distance itself, never less — a later candidate at exactly that
 // distance may still take the place by position —, per horizon it is the

@@ -162,8 +162,10 @@ func TestDeviceUsageBookedEagerly(t *testing.T) {
 		t.Fatal(err)
 	}
 	nSW := cfg.ELV[len(cfg.ELV)-1] - cfg.Omega + 1
+	// 8 B a history point; per disjoint window, float32 posting-plane
+	// columns and envelopes.
 	booked := func(historyPoints, length int) int64 {
-		return int64(8 * (historyPoints + 2*nSW*(length/cfg.Omega)))
+		return int64(8*historyPoints + 4*2*(nSW+cfg.Omega)*(length/cfg.Omega))
 	}
 	if used, _ := sys.DeviceUsage(); used != booked(n, n) {
 		t.Fatalf("after AddSensor: %d bytes booked, want %d", used, booked(n, n))

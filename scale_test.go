@@ -53,7 +53,7 @@ func TestMaxHistoryCapsFootprint(t *testing.T) {
 // and the sensor fits once another is removed.
 func TestMultiDeviceOverflowFallback(t *testing.T) {
 	cfg := smallConfig()
-	cfg.Device.GlobalMemBytes = 40_000 // fits one small index
+	cfg.Device.GlobalMemBytes = 30_000 // fits one small index (19,600 B), not two
 	sys, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

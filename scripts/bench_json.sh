@@ -20,8 +20,9 @@
 #     BenchmarkContinuousGPLoop's, always run at 300 iterations, must not
 #     exceed the committed row at all.
 #   - work counts, zero tolerance: BenchmarkColumnOptimize's evals/op,
-#     gradients/op and allocs/op, BenchmarkContinuousGPLoop's
-#     dtw_runs/op, dtw_cols/op and gp_evals/op and
+#     gradients/op and allocs/op, BenchmarkContinuousGPLoop's and
+#     BenchmarkContinuousGPLoopLong's dtw_runs/op, dtw_cols/op and
+#     gp_evals/op and
 #     BenchmarkTierEvictFault's, BenchmarkTierColdObserve's and
 #     BenchmarkSensorMigrateRoundTrip's allocs/op must equal the
 #     committed rows
@@ -71,8 +72,19 @@ go test ./internal/gp -run '^$' -bench 'BenchmarkColumnOptimize$' \
 # Always the same 300 iterations, whatever BENCHTIME says: dtw_runs/op,
 # dtw_cols/op and gp_evals/op are counts, and they repeat exactly —
 # commit to commit, machine to machine — only at a fixed iteration count.
+# Always -cpu 2 too: the simulated device starts a goroutine per worker
+# per launch, GOMAXPROCS workers, so the loop's allocs/op depends on the
+# CPU count (368 at 1, 417 at 2, 429 at 4) and the committed ceiling is
+# a 2-CPU figure.
 go test . -run '^$' -bench 'BenchmarkContinuousGPLoop$' \
-    -benchmem -benchtime 300x >>"$raw"
+    -benchmem -benchtime 300x -cpu 2 >>"$raw"
+# The same loop at the paper's history length (2 sensors × 65,536
+# points), where the index search is the forecast; a fixed 100
+# iterations (about 5 s) for the same reason. Its heap_B/sensor — the
+# live heap a registered, forecast sensor holds — is reported, not
+# gated.
+go test . -run '^$' -bench 'BenchmarkContinuousGPLoopLong$' \
+    -benchmem -benchtime 100x -cpu 2 >>"$raw"
 # One tier round trip per op — fault a 256-point GP sensor in from its
 # spill file, evict the other to its own — one cold observe per op — a
 # tail append, no fault — and one migration hop per op — SaveSensorTo,
@@ -243,6 +255,7 @@ function bname(line,    m) {
 BEGIN {
     gated["BenchmarkColumnOptimize"] = "evals_per_op gradients_per_op allocs_per_op"
     gated["BenchmarkContinuousGPLoop"] = "dtw_runs_per_op dtw_cols_per_op gp_evals_per_op"
+    gated["BenchmarkContinuousGPLoopLong"] = "dtw_runs_per_op dtw_cols_per_op gp_evals_per_op"
     gated["BenchmarkTierEvictFault"] = "allocs_per_op"
     gated["BenchmarkTierColdObserve"] = "allocs_per_op"
     gated["BenchmarkSensorMigrateRoundTrip"] = "allocs_per_op"
