@@ -32,10 +32,10 @@ race:
 # call's. Then ten seconds of the checkpoint/spill
 # decoder (checkpoint.go, the one decoder of checkpoint files, migration
 # frames and spill files): arbitrary bytes never panic it, every input
-# it accepts starts with SMLRCKP2 (an SMLRCKP1 header is refused at the
-# magic: a build reads its own layout and, after a layout change, the
-# one before it, a window that starts at SMLRCKP2) and re-encodes to
-# the same bytes (each new corpus entry is minimized for
+# it accepts starts with SMLRCKP3 or SMLRCKP2 (an SMLRCKP1 header is
+# refused at the magic: a build reads its own layout and, after a layout
+# change, the one before it, a window that starts at SMLRCKP2), and an
+# SMLRCKP3 input re-encodes to the same bytes (each new corpus entry is minimized for
 # at most 1 s: the default 60 s minimizer, quadratic in the input,
 # otherwise spends most of the ten seconds shrinking the first few
 # entries instead of fuzzing). Then the GP value stage: ten
@@ -63,20 +63,24 @@ benchmark-check:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test ./...
 
-# Three short, fixed-work runs of the repository benchmark against a
+# Four short, fixed-work runs of the repository benchmark against a
 # freshly built smiler-server: 12 rounds of the write-heavy workload
 # (bulk ingest through the WAL with forecasts beside them), 6 rounds of
 # the search-heavy one (2,048-point histories, every observation
-# followed by a forecast), and 6 of the same traffic on three replicated
+# followed by a forecast), 6 of the same traffic on three replicated
 # nodes — the only smoke whose requests take the forward hop and whose
-# followers register sensors through AddSensor. The exit code is the
-# verdict — counts reconcile, no forecast read pre-observe state, and
-# every oracle sensor's served means and variances are bit-identical to
-# an in-process replay (~30 s).
+# followers register sensors through AddSensor — and 12 rounds of the
+# tiered one, the only workload whose reads fault sensors in, so its
+# no-stale-read and count checks cover reuse across spill and fault-in
+# (its MAE is not pinned: no oracle). The exit code is the verdict —
+# counts reconcile, no forecast read pre-observe state, and every
+# oracle sensor's served means and variances are bit-identical to an
+# in-process replay (~35 s).
 benchmark-smoke:
 	bash benchmark/run.sh --workload ingest_durable --seed 1 -rounds 12 --trace 0
 	bash benchmark/run.sh --workload continuous_gp --seed 1 -rounds 6 --trace 0
 	bash benchmark/run.sh --workload cluster_replicated --seed 1 -rounds 6 --trace 0
+	bash benchmark/run.sh --workload tiered_zipf --seed 1 -rounds 12 --trace 0
 
 # Paper-shape benchmarks (Tables 3-4, Figs 7-13).
 bench:

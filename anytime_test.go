@@ -312,13 +312,16 @@ func TestAnytimeDeadlineLadderMAE(t *testing.T) {
 }
 
 // TestDeadlineContract pins the quality ladder at the public API. With
-// a fallback configured: a prediction no deadline interrupts is
-// exact/1; a deadline that fires after the lower-bound pass (budget 9:
-// one entry check, Omega=8 lower-bound blocks, then the first round
-// runs and the check after it trips) completes on the best-so-far sets
-// — never degraded, "progressive" with an estimate below 1 unless the
-// first round already sealed the answer; one that fires before the
+// a fallback configured, each step's deadlined probes run first: a
+// deadline that fires after the lower-bound pass (budget 9: one entry
+// check, Omega=8 lower-bound blocks, then the first round runs and the
+// check after it trips) completes on the best-so-far sets — never
+// degraded, "progressive" with an estimate below 1 unless the first
+// round already sealed the answer; one that fires before the
 // lower-bound pass ends is the degraded fallback with reason "deadline".
+// Neither is reused: the step's undeadlined read that follows computes
+// an exact/1 answer. Once it has, every later read of the step gets
+// that answer, marked Reused, whatever its budget.
 func TestDeadlineContract(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Fallback = FallbackAR1
@@ -333,14 +336,7 @@ func TestDeadlineContract(t *testing.T) {
 	}
 	progressive := 0
 	for _, v := range all[900:] {
-		f, err := sys.PredictCtx(context.Background(), "s", 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if f.Degraded || f.Quality != "exact" || f.QualityEstimate != 1 {
-			t.Fatalf("undeadlined forecast: %+v, want exact/1", f)
-		}
-		f, err = sys.PredictCtx(newCountdown(9), "s", 1)
+		f, err := sys.PredictCtx(newCountdown(9), "s", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,6 +348,9 @@ func TestDeadlineContract(t *testing.T) {
 		case f.Quality != "exact" || f.QualityEstimate != 1:
 			t.Fatalf("deadline after the lower-bound pass: %+v, want progressive/<1 or exact/1", f)
 		}
+		if f.Reused {
+			t.Fatalf("first read of the step reused %+v", f)
+		}
 		for _, b := range []int64{0, 1, 8} {
 			f, err = sys.PredictCtx(newCountdown(b), "s", 1)
 			if err != nil {
@@ -359,6 +358,24 @@ func TestDeadlineContract(t *testing.T) {
 			}
 			if !f.Degraded || f.DegradedReason != "deadline" || f.Quality != "fallback" {
 				t.Fatalf("budget %d (deadline inside the lower-bound pass): %+v, want the deadline fallback", b, f)
+			}
+		}
+		exact, err := sys.PredictCtx(context.Background(), "s", 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if exact.Degraded || exact.Quality != "exact" || exact.QualityEstimate != 1 || exact.Reused {
+			t.Fatalf("undeadlined forecast: %+v, want a computed exact/1", exact)
+		}
+		for _, b := range []int64{0, 9} {
+			f, err = sys.PredictCtx(newCountdown(b), "s", 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !f.Reused || f.Degraded || f.Quality != "exact" || f.QualityEstimate != 1 ||
+				math.Float64bits(f.Mean) != math.Float64bits(exact.Mean) ||
+				math.Float64bits(f.Variance) != math.Float64bits(exact.Variance) {
+				t.Fatalf("budget %d after the exact read: %+v, want the exact answer %+v reused", b, f, exact)
 			}
 		}
 		if err := sys.Observe("s", v); err != nil {

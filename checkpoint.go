@@ -22,7 +22,7 @@ import (
 // RestoreSensorsFrom) and spill files (tiering.go: a one-sensor
 // checkpoint with no cover). The layout is flat little-endian:
 //
-//	magic       [8]byte  "SMLRCKP2"
+//	magic       [8]byte  "SMLRCKP3"
 //	crc         uint32   CRC32C of every byte after it
 //	cover       uint32 count, then per WAL shard, shards ascending:
 //	              int64 shard, uint64 next sequence number
@@ -35,17 +35,23 @@ import (
 //	                int64 K, int64 D, float64 Weight, uint8 Sleeping,
 //	                int64 SleepLeft, int64 SleepSpan, uint8 WokeLately,
 //	                float64 Signal, Length, Noise (gp.Hyper)
+//	  pending     uint32 count, then per queued answer, in queue order:
+//	                int64 Target, int64 H, uint8 Exact,
+//	                float64 Mean, Variance (the mixed answer),
+//	                uint32 count, then per cell prediction:
+//	                  int64 K, int64 D, float64 Mean, Variance
 //
 // The magic carries the version. Floats travel as their IEEE bits (NaN
 // payloads and −0 included) and the cover in shard order, so a round
 // trip is bit-exact and one state has one encoding. The CRC turns a
 // torn or bit-rotted file into a clean load error. A layout change
-// keeps the reader for the layout before it, and no older one; the
-// window starts here, so "SMLRCKP1" (a gob payload behind the same
-// frame, whose reader trusted the sizes its input claimed) fails at the
-// magic.
+// keeps the reader for the layout before it, and no older one:
+// "SMLRCKP2" (the same layout without the pending set) reads with no
+// pending answers, and "SMLRCKP1" (a gob payload behind the same frame,
+// whose reader trusted the sizes its input claimed) fails at the magic.
 var (
-	checkpointMagic        = [8]byte{'S', 'M', 'L', 'R', 'C', 'K', 'P', '2'}
+	checkpointMagic        = [8]byte{'S', 'M', 'L', 'R', 'C', 'K', 'P', '3'}
+	checkpointMagicV2      = [8]byte{'S', 'M', 'L', 'R', 'C', 'K', 'P', '2'}
 	checkpointCRCTable     = crc32.MakeTable(crc32.Castagnoli)
 	errCheckpointTruncated = errors.New("checkpoint truncated")
 )
@@ -54,11 +60,16 @@ const (
 	checkpointHeaderLen = len(checkpointMagic) + 4 // magic, CRC32C
 	coverPairLen        = 8 + 8                    // shard, sequence number
 	// minSensorLen is the smallest sensor record: an empty id, the flag,
-	// the two norm statistics and two zero counts.
-	minSensorLen = 4 + 1 + 2*8 + 4 + 4
+	// the two norm statistics and three zero counts (two in SMLRCKP2).
+	minSensorLen = 4 + 1 + 2*8 + 4 + 4 + 4
 	// cellLen is one cell's fixed record: five 8-byte words of
 	// CellState, two flag bytes, three 8-byte hyperparameters.
 	cellLen = 5*8 + 2 + 3*8
+	// minPendingLen is the smallest pending record: target, horizon,
+	// the flag, the mixed answer and a zero count; pendingCellLen is one
+	// cell prediction.
+	minPendingLen  = 2*8 + 1 + 2*8 + 4
+	pendingCellLen = 4 * 8
 )
 
 // cellCheckpoint serializes one ensemble cell's auto-tuning state plus
@@ -79,6 +90,9 @@ type sensorCheckpoint struct {
 	Normalized bool
 	Norm       timeseries.Stats
 	Cells      []cellCheckpoint
+	// Pending is the pipeline's queued answers: the auto-tuning updates
+	// awaiting their truth, the exact ones also the step's forecast memo.
+	Pending []core.PendingState
 }
 
 // checkpoint is what one encoding holds.
@@ -96,10 +110,12 @@ type checkpoint struct {
 }
 
 // SaveTo writes a checkpoint of the system — per-sensor histories,
-// normalization statistics, ensemble auto-tuning state and GP
-// warm-start hyperparameters — to w. Predictions still awaiting their
-// truth (pending auto-tuning updates) are not persisted; after a
-// restore, the first few updates are simply skipped.
+// normalization statistics, ensemble auto-tuning state, GP warm-start
+// hyperparameters and the answers still awaiting their truth — to w. A
+// restored sensor serves the same answers as the one saved: a horizon
+// its step already answered is served that answer again, and the
+// auto-tuning updates queued before the save run when their truth
+// arrives.
 func (s *System) SaveTo(w io.Writer) error {
 	return s.SaveToWithCover(w, nil)
 }
@@ -220,6 +236,7 @@ func snapshotSensorLocked(id string, st *sensorState) sensorCheckpoint {
 			sc.Cells[i].Hyper = gpp.Hyper()
 		}
 	}
+	sc.Pending = st.pipe.ExportPending()
 	return sc
 }
 
@@ -342,6 +359,7 @@ func (s *System) restoreSensorLocked(sc sensorCheckpoint) error {
 			}
 		}
 	}
+	st.pipe.ImportPending(sc.Pending)
 	return nil
 }
 
@@ -352,6 +370,9 @@ func encodeCheckpoint(cp checkpoint) []byte {
 	for i := range cp.Sensors {
 		sc := &cp.Sensors[i]
 		n += minSensorLen + len(sc.ID) + 8*len(sc.History) + cellLen*len(sc.Cells)
+		for _, ps := range sc.Pending {
+			n += minPendingLen + pendingCellLen*len(ps.Cells)
+		}
 	}
 	b := make([]byte, checkpointHeaderLen, n)
 	copy(b, checkpointMagic[:])
@@ -399,6 +420,21 @@ func appendSensor(b []byte, sc *sensorCheckpoint) []byte {
 		b = le.AppendUint64(b, math.Float64bits(c.Hyper.Length))
 		b = le.AppendUint64(b, math.Float64bits(c.Hyper.Noise))
 	}
+	b = le.AppendUint32(b, uint32(len(sc.Pending)))
+	for _, ps := range sc.Pending {
+		b = le.AppendUint64(b, uint64(int64(ps.Target)))
+		b = le.AppendUint64(b, uint64(int64(ps.H)))
+		b = appendFlag(b, ps.Exact)
+		b = le.AppendUint64(b, math.Float64bits(ps.Mixed.Mean))
+		b = le.AppendUint64(b, math.Float64bits(ps.Mixed.Variance))
+		b = le.AppendUint32(b, uint32(len(ps.Cells)))
+		for _, pc := range ps.Cells {
+			b = le.AppendUint64(b, uint64(int64(pc.K)))
+			b = le.AppendUint64(b, uint64(int64(pc.D)))
+			b = le.AppendUint64(b, math.Float64bits(pc.Pred.Mean))
+			b = le.AppendUint64(b, math.Float64bits(pc.Pred.Variance))
+		}
+	}
 	return b
 }
 
@@ -421,16 +457,19 @@ func readCheckpoint(r io.Reader) (cp checkpoint, err error) {
 	return cp, nil
 }
 
-// decodeCheckpoint parses one encoding. The checksum is verified
-// before a field is read, and the parse is strict — flags are 0 or 1,
-// counts fit the bytes left, cover shards ascend, nothing trails the
-// last sensor — so every accepted input re-encodes to exactly its own
-// bytes. Empty slices and an empty cover decode as nil.
+// decodeCheckpoint parses one encoding, SMLRCKP3 or the SMLRCKP2 before
+// it. The checksum is verified before a field is read, and the parse is
+// strict — flags are 0 or 1, counts fit the bytes left, cover shards
+// ascend, nothing trails the last sensor — so every accepted SMLRCKP3
+// input re-encodes to exactly its own bytes (an SMLRCKP2 one to the
+// SMLRCKP3 encoding of the same state). Empty slices and an empty cover
+// decode as nil.
 func decodeCheckpoint(b []byte) (checkpoint, error) {
 	if len(b) < checkpointHeaderLen {
 		return checkpoint{}, errCheckpointTruncated
 	}
-	if magic := [8]byte(b[:len(checkpointMagic)]); magic != checkpointMagic {
+	magic := [8]byte(b[:len(checkpointMagic)])
+	if magic != checkpointMagic && magic != checkpointMagicV2 {
 		return checkpoint{}, fmt.Errorf("not a checkpoint (bad magic %q)", magic[:])
 	}
 	want := binary.LittleEndian.Uint32(b[len(checkpointMagic):])
@@ -438,7 +477,7 @@ func decodeCheckpoint(b []byte) (checkpoint, error) {
 		return checkpoint{}, fmt.Errorf("checkpoint corrupt: CRC %08x, want %08x (truncated write or bit rot)", got, want)
 	}
 	var cp checkpoint
-	r := checkpointReader{b: b[checkpointHeaderLen:]}
+	r := checkpointReader{b: b[checkpointHeaderLen:], v2: magic == checkpointMagicV2}
 	if n := r.count(coverPairLen); n > 0 {
 		cp.WALCover = make(map[int]uint64, n)
 		for i, prev := 0, 0; i < n; i++ {
@@ -450,7 +489,11 @@ func decodeCheckpoint(b []byte) (checkpoint, error) {
 			cp.WALCover[shard] = r.u64()
 		}
 	}
-	if n := r.count(minSensorLen); n > 0 {
+	minSensor := minSensorLen
+	if r.v2 {
+		minSensor -= 4
+	}
+	if n := r.count(minSensor); n > 0 {
 		cp.Sensors = make([]sensorCheckpoint, n)
 		for i := range cp.Sensors {
 			r.sensor(&cp.Sensors[i])
@@ -465,11 +508,13 @@ func decodeCheckpoint(b []byte) (checkpoint, error) {
 	return cp, nil
 }
 
-// checkpointReader consumes an SMLRCKP2 body front to back; the first
-// failure sticks and every later read returns zero.
+// checkpointReader consumes an SMLRCKP3 body (an SMLRCKP2 one when v2)
+// front to back; the first failure sticks and every later read returns
+// zero.
 type checkpointReader struct {
 	b   []byte
 	err error
+	v2  bool // no pending set
 }
 
 func (r *checkpointReader) next(n int) []byte {
@@ -547,6 +592,30 @@ func (r *checkpointReader) sensor(sc *sensorCheckpoint) {
 			c.Hyper.Signal = r.f64()
 			c.Hyper.Length = r.f64()
 			c.Hyper.Noise = r.f64()
+		}
+	}
+	if r.v2 {
+		return
+	}
+	if n := r.count(minPendingLen); n > 0 {
+		sc.Pending = make([]core.PendingState, n)
+		for i := range sc.Pending {
+			ps := &sc.Pending[i]
+			ps.Target = r.i64()
+			ps.H = r.i64()
+			ps.Exact = r.flag()
+			ps.Mixed.Mean = r.f64()
+			ps.Mixed.Variance = r.f64()
+			if m := r.count(pendingCellLen); m > 0 {
+				ps.Cells = make([]core.PendingCell, m)
+				for j := range ps.Cells {
+					pc := &ps.Cells[j]
+					pc.K = r.i64()
+					pc.D = r.i64()
+					pc.Pred.Mean = r.f64()
+					pc.Pred.Variance = r.f64()
+				}
+			}
 		}
 	}
 }

@@ -466,7 +466,8 @@ func TestSensorCheckpointRoundTrip(t *testing.T) {
 // TestFirstTouchSensorCheckpointMatchesTwin: a GP sensor whose first
 // forecast seeded each column from one cold fit, moved through
 // SaveSensorTo → RestoreSensorsFrom, forecasts bit-identically to an
-// untouched twin that took the same first forecast.
+// untouched twin that took the same first forecast: the step's h=1
+// answer travels with the sensor and is served again on both sides.
 func TestFirstTouchSensorCheckpointMatchesTwin(t *testing.T) {
 	cfg := smallConfig()
 	cfg.Predictor = PredictorGP
@@ -514,6 +515,9 @@ func TestFirstTouchSensorCheckpointMatchesTwin(t *testing.T) {
 		if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) ||
 			math.Float64bits(got.Variance) != math.Float64bits(want.Variance) {
 			t.Fatalf("h=%d: restored %v/%v, twin %v/%v", h, got.Mean, got.Variance, want.Mean, want.Variance)
+		}
+		if got.Reused != want.Reused {
+			t.Fatalf("h=%d: restored reused=%t, twin reused=%t", h, got.Reused, want.Reused)
 		}
 	}
 }

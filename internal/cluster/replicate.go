@@ -426,13 +426,11 @@ func (n *Node) applyFrame(seq uint64, rec wal.Record, needResync map[string]bool
 			return
 		}
 		n.repl.setSeq(sensor, seq)
-		n.srv.Pipeline().Invalidate(sensor)
 		n.m.replApplied.Inc()
 		resp.Applied++
 	case wal.RecRemoveSensor:
 		_ = n.sys.RemoveSensor(sensor) // unknown is fine: already gone
 		n.repl.setSeq(sensor, seq)
-		n.srv.Pipeline().Invalidate(sensor)
 		n.m.replApplied.Inc()
 		resp.Applied++
 	case wal.RecObserve:
@@ -447,7 +445,6 @@ func (n *Node) applyFrame(seq uint64, rec wal.Record, needResync map[string]bool
 				return
 			}
 			n.repl.setSeq(sensor, seq)
-			n.srv.Pipeline().Invalidate(sensor)
 			n.m.replApplied.Inc()
 			resp.Applied++
 		default:
@@ -480,7 +477,6 @@ func (n *Node) handleRestore(w http.ResponseWriter, r *http.Request) {
 	tc, traced := obs.TraceFromContext(r.Context())
 	for _, id := range ids {
 		n.repl.setSeq(id, seq)
-		n.srv.Pipeline().Invalidate(id)
 		// Record the receiving side of the snapshot push under the
 		// sender's trace id, as a "replicate" hop span.
 		if store := n.sys.Traces(); store != nil && traced && tc.Valid() {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,14 +59,18 @@ func DefaultPipelineConfig() PipelineConfig {
 	}
 }
 
-// pendingUpdate remembers the per-cell predictions made for a future
-// time step so the self-adaptive reweighting can run once the truth
-// arrives. There is at most one per (target, h): a repeated forecast of
-// the same horizon before the next observation scores nothing new.
+// pendingUpdate is one (target, h) answer of the current step: the
+// per-cell predictions the self-adaptive reweighting scores once the
+// truth arrives, and the mixed prediction the read was served. There is
+// at most one per (target, h). An exact entry is also the step's memo:
+// every later read of h before the next observation is served from it,
+// so reads do not move the ensemble or the GP cells.
 type pendingUpdate struct {
 	target int // history index the prediction refers to
 	h      int // the horizon it was made at
 	preds  []CellPrediction
+	mixed  Prediction
+	exact  bool // false: a progressive answer, scored but never served again
 }
 
 // Pipeline is the per-sensor SMiLer engine: the Search Step (Suffix
@@ -96,7 +101,8 @@ type QualityInfo struct {
 	Estimate float64
 }
 
-// LastQuality reports the quality of the most recent Predict call.
+// LastQuality reports the quality of the horizons the most recent
+// Predict call computed (exact when it computed none).
 func (p *Pipeline) LastQuality() QualityInfo { return p.quality }
 
 // PhaseTiming reports where the last Predict call spent its time.
@@ -267,15 +273,19 @@ func (p *Pipeline) PredictMulti(hs []int) (map[int]Prediction, error) {
 	return p.PredictMultiTracedCtx(context.Background(), hs, nil)
 }
 
-// PredictMultiTracedCtx is the pipeline's one forecast path: one Search
-// Step shared across the horizons (the index verifies each candidate
-// segment at most once; the horizon only moves the label-validity mask)
-// and one Prediction Step per horizon, in the order given, returning the
-// mixed posterior for each. The per-cell predictions are queued so that
-// when the observation for a predicted time step arrives via Observe,
-// the ensemble weights adapt — once per target and horizon: a repeated
-// forecast keeps the update its first one queued, so whether a read was
-// served again or computed again changes nothing later.
+// PredictMultiTracedCtx is the pipeline's one forecast path. A horizon
+// whose exact answer this step already computed is served from the
+// pending set: no search, no fit and no deadline check, so a read is
+// idempotent between two observations. The other horizons share one
+// Search Step (the index verifies each candidate segment at most once;
+// the horizon only moves the label-validity mask) and get one
+// Prediction Step each, in ascending order whatever the order given (a
+// GP cell warm-starts each fit from its previous one, so the order is
+// part of the answer). Each computed horizon's per-cell predictions are
+// queued so that when the observation for its time step arrives via
+// Observe, the ensemble weights adapt once per target and horizon: an
+// exact computation replaces a progressive entry, and otherwise the
+// first entry stays.
 //
 // When tr is non-nil, one span is recorded for the index search (with
 // nested catch-up, lower-bound and verify spans from the index's own
@@ -292,7 +302,8 @@ func (p *Pipeline) PredictMulti(hs []int) (map[int]Prediction, error) {
 // fits on at most MaxK neighbours, the mix) are bounded and always run
 // to completion — otherwise a deadline generous enough for a
 // progressive search would still void its result one phase later.
-// LastQuality reports the rung.
+// LastQuality reports the rung of the computed horizons (exact when
+// every horizon was served from the pending set).
 func (p *Pipeline) PredictMultiTracedCtx(ctx context.Context, hs []int, tr *obs.Trace) (map[int]Prediction, error) {
 	if len(hs) == 0 {
 		return nil, errors.New("core: empty horizon list")
@@ -303,12 +314,36 @@ func (p *Pipeline) PredictMultiTracedCtx(ctx context.Context, hs []int, tr *obs.
 		}
 	}
 	p.timing = PhaseTiming{}
+	p.quality = QualityInfo{Tag: "exact", Estimate: 1}
+	out := make(map[int]Prediction, len(hs))
+	for _, h := range hs {
+		if pred, ok := p.Exact(h); ok {
+			out[h] = pred
+		}
+	}
+	// The horizons to compute, ascending and distinct: hs itself when it
+	// already is and nothing was reused, so the common read allocates
+	// nothing here.
+	miss := hs
+	if len(out) > 0 || !ascending(hs) {
+		miss = nil
+		for _, h := range hs {
+			if _, ok := out[h]; !ok {
+				miss = append(miss, h)
+			}
+		}
+		slices.Sort(miss)
+		miss = slices.Compact(miss)
+	}
+	if len(miss) == 0 {
+		return out, nil
+	}
 	p.quality = QualityInfo{}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	searchStart := time.Now()
-	resultsByH, err := p.ix.SearchMultiCtx(ctx, p.ens.MaxK(), hs)
+	resultsByH, err := p.ix.SearchMultiCtx(ctx, p.ens.MaxK(), miss)
 	if err != nil {
 		return nil, fmt.Errorf("core: search step failed: %w", err)
 	}
@@ -317,8 +352,7 @@ func (p *Pipeline) PredictMultiTracedCtx(ctx context.Context, hs []int, tr *obs.
 	predictStart := time.Now()
 
 	n := p.ix.Len()
-	out := make(map[int]Prediction, len(hs))
-	for _, h := range hs {
+	for _, h := range miss {
 		byD := make(map[int]index.ItemResult, len(resultsByH[h]))
 		for _, r := range resultsByH[h] {
 			byD[r.D] = r
@@ -332,10 +366,20 @@ func (p *Pipeline) PredictMultiTracedCtx(ctx context.Context, hs []int, tr *obs.
 			return nil, err
 		}
 		out[h] = mixed
-		p.queueUpdate(pendingUpdate{target: n - 1 + h, h: h, preds: preds})
+		p.queueUpdate(pendingUpdate{target: n - 1 + h, h: h, preds: preds, mixed: mixed, exact: p.quality.Tag == "exact"})
 	}
 	p.timing.PredictSec = time.Since(predictStart).Seconds()
 	return out, nil
+}
+
+// ascending reports whether hs is strictly increasing.
+func ascending(hs []int) bool {
+	for i := 1; i < len(hs); i++ {
+		if hs[i-1] >= hs[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // predColumn groups the awake cells of one ELV column (same item-query
@@ -648,18 +692,89 @@ func (p *Pipeline) Observe(v float64) error {
 }
 
 // queueUpdate queues pu unless an update for its target and horizon is
-// already waiting.
+// already waiting; an exact pu replaces a waiting one (which can only
+// be progressive: an exact entry is served, never recomputed).
 func (p *Pipeline) queueUpdate(pu pendingUpdate) {
-	for _, q := range p.pending {
+	for i, q := range p.pending {
 		if q.target == pu.target && q.h == pu.h {
+			if pu.exact {
+				p.pending[i] = pu
+			}
 			return
 		}
 	}
 	p.pending = append(p.pending, pu)
 }
 
+// Exact returns the exact answer at horizon h that a read computed
+// since the last observation, if there is one.
+func (p *Pipeline) Exact(h int) (Prediction, bool) {
+	target := p.ix.Len() - 1 + h
+	for _, pu := range p.pending {
+		if pu.target == target && pu.h == h && pu.exact {
+			return pu.mixed, true
+		}
+	}
+	return Prediction{}, false
+}
+
 // PendingUpdates reports how many predictions still await their truth.
 func (p *Pipeline) PendingUpdates() int { return len(p.pending) }
+
+// PendingState is one queued answer as a checkpoint carries it, its
+// cells named by (K, D).
+type PendingState struct {
+	Target, H int
+	Exact     bool // false: progressive
+	Mixed     Prediction
+	Cells     []PendingCell
+}
+
+// PendingCell is one cell's prediction in a PendingState.
+type PendingCell struct {
+	K, D int
+	Pred Prediction
+}
+
+// ExportPending captures the pending set in queue order.
+func (p *Pipeline) ExportPending() []PendingState {
+	if len(p.pending) == 0 {
+		return nil
+	}
+	out := make([]PendingState, len(p.pending))
+	for i, pu := range p.pending {
+		out[i] = PendingState{Target: pu.target, H: pu.h, Exact: pu.exact, Mixed: pu.mixed}
+		if len(pu.preds) > 0 {
+			out[i].Cells = make([]PendingCell, len(pu.preds))
+			for j, cp := range pu.preds {
+				out[i].Cells[j] = PendingCell{K: cp.Cell.K, D: cp.Cell.D, Pred: cp.Pred}
+			}
+		}
+	}
+	return out
+}
+
+// ImportPending replaces the pending set with one ExportPending
+// captured. Cell predictions are matched to cells by (K, D); one that
+// names no cell is dropped, as ImportState drops an unknown state.
+func (p *Pipeline) ImportPending(states []PendingState) {
+	p.pending = p.pending[:0]
+	for _, ps := range states {
+		pu := pendingUpdate{target: ps.Target, h: ps.H, mixed: ps.Mixed, exact: ps.Exact}
+		if len(ps.Cells) > 0 {
+			pu.preds = make([]CellPrediction, 0, len(ps.Cells))
+		}
+		for _, pc := range ps.Cells {
+			for _, c := range p.ens.cells {
+				if c.K == pc.K && c.D == pc.D {
+					pu.preds = append(pu.preds, CellPrediction{Cell: c, Pred: pc.Pred})
+					break
+				}
+			}
+		}
+		p.queueUpdate(pu)
+	}
+}
 
 // DropPendingFor discards any queued auto-tuning update whose target
 // is the given history index — used when the observation for that step

@@ -354,31 +354,37 @@ func TestTraceRecordsIndexCatchup(t *testing.T) {
 	}
 }
 
-// Reading a forecast again before the next observation must not score
-// it again: the pipeline queues one reweighting per (target, horizon),
-// so after every observation the ensemble's weights and sleep state are
-// bit for bit the same whether each step's forecast was read once, twice
-// or three times. AR cells over ten steps; GP cells over one, because a
-// repeated GP fit warm-starts from the first one's optimum and may move
-// the cell's later forecasts — the semi-lazy design, not a second score.
+// Reading a forecast again before the next observation neither scores
+// it again nor refits it: the second and third reads of a step are
+// served the first one's answer from the pending set, so every forecast
+// and, after every observation, the ensemble's weights and sleep state
+// are bit for bit the same whether each step's forecast was read once,
+// twice or three times — for AR cells and for GP cells, whose fits
+// warm-start from their previous optimum.
 func TestRepeatedReadReweightsOnce(t *testing.T) {
 	all := seasonal(rand.New(rand.NewSource(21)), 420)
 	for _, tc := range []struct {
 		name    string
 		factory PredictorFactory
-		steps   int
 	}{
-		{"AR", func() Predictor { return NewAR() }, 10},
-		{"GP", func() Predictor { return NewGP() }, 1},
+		{"AR", func() Predictor { return NewAR() }},
+		{"GP", func() Predictor { return NewGP() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var want [][]CellState
+			var wantStates [][]CellState
+			var wantPreds []Prediction
 			for reads := 1; reads <= 3; reads++ {
 				pl := testPipeline(t, tc.factory, EnsembleConfig{}, all[:400])
-				for step := 0; step < tc.steps; step++ {
+				for step := 0; step < 10; step++ {
 					for r := 0; r < reads; r++ {
-						if _, err := pl.Predict(1); err != nil {
+						pred, err := pl.Predict(1)
+						if err != nil {
 							t.Fatal(err)
+						}
+						if reads == 1 {
+							wantPreds = append(wantPreds, pred)
+						} else if w := wantPreds[step]; !samePrediction(pred, w) {
+							t.Fatalf("%d reads, step %d, read %d: %+v, read once: %+v", reads, step, r, pred, w)
 						}
 					}
 					if err := pl.Observe(all[400+step]); err != nil {
@@ -386,11 +392,11 @@ func TestRepeatedReadReweightsOnce(t *testing.T) {
 					}
 					got := pl.Ensemble().ExportState()
 					if reads == 1 {
-						want = append(want, got)
+						wantStates = append(wantStates, got)
 						continue
 					}
 					for i, c := range got {
-						w := want[step][i]
+						w := wantStates[step][i]
 						if math.Float64bits(c.Weight) != math.Float64bits(w.Weight) || c.Sleeping != w.Sleeping ||
 							c.SleepLeft != w.SleepLeft || c.SleepSpan != w.SleepSpan || c.WokeLately != w.WokeLately {
 							t.Fatalf("%d reads, step %d, cell %d×%d: %+v, read once: %+v", reads, step, c.K, c.D, c, w)
@@ -400,4 +406,9 @@ func TestRepeatedReadReweightsOnce(t *testing.T) {
 			}
 		})
 	}
+}
+
+func samePrediction(a, b Prediction) bool {
+	return math.Float64bits(a.Mean) == math.Float64bits(b.Mean) &&
+		math.Float64bits(a.Variance) == math.Float64bits(b.Variance)
 }

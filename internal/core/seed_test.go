@@ -67,8 +67,10 @@ func TestFirstTouchFitsOneColdCellPerColumn(t *testing.T) {
 		}
 	}
 
+	// A second Step (another horizon: h=1 is now served from the
+	// step's pending answer) is warm throughout.
 	before = GPOptimizations()
-	if _, err := pl.Predict(1); err != nil {
+	if _, err := pl.Predict(2); err != nil {
 		t.Fatal(err)
 	}
 	want = map[string]uint64{"cold": 0, "seeded": 0, "warm": 9, "fallback": 0}

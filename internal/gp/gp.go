@@ -331,27 +331,6 @@ func (m *Model) LOO() (float64, error) {
 	return looSum(m.y, m.alpha, kdiag)
 }
 
-// LOOResiduals returns the per-point leave-one-out predictive means and
-// variances; exposed for diagnostics and tests.
-func (m *Model) LOOResiduals() (means, variances []float64, err error) {
-	kinv, err := m.kinvMatrix()
-	if err != nil {
-		return nil, nil, err
-	}
-	n := len(m.y)
-	means = make([]float64, n)
-	variances = make([]float64, n)
-	for i := 0; i < n; i++ {
-		kii := kinv.At(i, i)
-		if kii <= 0 {
-			return nil, nil, fmt.Errorf("%w: nonpositive precision diagonal", ErrCondition)
-		}
-		variances[i] = 1 / kii
-		means[i] = m.y[i] - m.alpha[i]/kii
-	}
-	return means, variances, nil
-}
-
 // HeuristicHyper derives a data-driven starting point for optimization:
 // signal = std(y), length = median pairwise input distance, noise =
 // a tenth of the signal — the usual GP folklore initialization.

@@ -381,9 +381,6 @@ func (d *Device) SimSeconds() float64 {
 // Launches returns the number of kernel launches since ResetTimer.
 func (d *Device) Launches() int64 { return d.launches.Load() }
 
-// BlocksRun returns the number of blocks executed since ResetTimer.
-func (d *Device) BlocksRun() int64 { return d.blocks.Load() }
-
 // ResetTimer zeroes the cycle and launch counters (memory usage is
 // preserved).
 func (d *Device) ResetTimer() {

@@ -144,7 +144,7 @@ func TestLaunchRunsEveryBlockOnce(t *testing.T) {
 			t.Fatalf("block %d ran %d times", i, seen[i].Load())
 		}
 	}
-	if d.BlocksRun() != grid || d.Launches() != 1 {
+	if d.Profile().Blocks != grid || d.Launches() != 1 {
 		t.Fatal("launch counters wrong")
 	}
 	if d.SimSeconds() <= 0 {
@@ -219,7 +219,7 @@ func TestCostModelAccumulation(t *testing.T) {
 		t.Fatalf("SimSeconds = %v, want %v", got, want)
 	}
 	d.ResetTimer()
-	if d.SimSeconds() != 0 || d.Launches() != 0 || d.BlocksRun() != 0 {
+	if d.SimSeconds() != 0 || d.Launches() != 0 || d.Profile().Blocks != 0 {
 		t.Fatal("ResetTimer incomplete")
 	}
 }

@@ -43,20 +43,10 @@ func (p *Pipeline) RegisterMetrics(reg *obs.Registry) {
 			"Observations waiting in the shard queue.",
 			func() float64 { return float64(len(sh.ch)) }, label)
 	}
-	co := p.co
 	reg.CounterFunc("smiler_forecast_cache_hits_total",
-		"Forecasts served from the per-sensor cache.",
-		func() float64 { return float64(co.hits.Load()) })
+		"Forecast requests whose every horizon was an exact answer reused from earlier in the step.",
+		func() float64 { return float64(p.hits.Load()) })
 	reg.CounterFunc("smiler_forecast_cache_misses_total",
-		"Forecasts that ran a kNN search + model fit.",
-		func() float64 { return float64(co.misses.Load()) })
-	reg.CounterFunc("smiler_forecast_coalesced_waits_total",
-		"Forecast requests that piggybacked on an in-flight identical computation.",
-		func() float64 { return float64(co.waits.Load()) })
-	reg.CounterFunc("smiler_forecast_cache_invalidations_total",
-		"Per-sensor forecast cache flushes.",
-		func() float64 { return float64(co.invalidations.Load()) })
-	reg.GaugeFunc("smiler_forecast_cache_size",
-		"(sensor, horizon) forecasts cached right now.",
-		func() float64 { return float64(co.stats().CacheSize) })
+		"Forecast requests that ran a kNN search + model fit, or failed.",
+		func() float64 { return float64(p.misses.Load()) })
 }

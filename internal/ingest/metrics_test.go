@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -9,7 +10,7 @@ import (
 )
 
 // TestRegisterMetricsExposition: the lazy bridge must surface the
-// shard counters and coalescer counters with live values.
+// shard counters and forecast counters with live values.
 func TestRegisterMetricsExposition(t *testing.T) {
 	sys := newFakeSystem()
 	sys.observeDelay = time.Millisecond // force measurable apply latency
@@ -33,10 +34,11 @@ func TestRegisterMetricsExposition(t *testing.T) {
 	if err := p.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Forecast("a", 1); err != nil { // miss
+	if _, err := p.ForecastsCtx(context.Background(), "a", []int{1}); err != nil { // miss
 		t.Fatal(err)
 	}
-	if _, err := p.Forecast("a", 1); err != nil { // hit
+	sys.reused.Store(true)
+	if _, err := p.ForecastsCtx(context.Background(), "a", []int{1}); err != nil { // hit
 		t.Fatal(err)
 	}
 
@@ -53,13 +55,13 @@ func TestRegisterMetricsExposition(t *testing.T) {
 		`smiler_ingest_apply_latency_seconds_total{shard="0"}`,
 		"smiler_forecast_cache_hits_total 1",
 		"smiler_forecast_cache_misses_total 1",
-		"smiler_forecast_cache_size 1",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-	for _, gone := range []string{"smiler_ingest_queue_capacity", "smiler_ingest_dropped_total"} {
+	for _, gone := range []string{"smiler_ingest_queue_capacity", "smiler_ingest_dropped_total",
+		"smiler_forecast_coalesced_waits_total", "smiler_forecast_cache_invalidations_total", "smiler_forecast_cache_size"} {
 		if strings.Contains(out, gone) {
 			t.Errorf("exposition still has %q", gone)
 		}

@@ -1,6 +1,6 @@
-// Package ingest is a sharded streaming ingestion and
-// forecast-coalescing pipeline that sits between the transport layer
-// (internal/server) and the prediction system (smiler.System).
+// Package ingest is a sharded streaming ingestion pipeline that sits
+// between the transport layer (internal/server) and the prediction
+// system (smiler.System).
 //
 // The paper frames SMiLer as a continuous-query system over many
 // concurrent sensor streams (§3; §6.4.1 scales it out across GPUs).
@@ -13,10 +13,14 @@
 //     applied in arrival order while distinct shards proceed in
 //     parallel. When a queue fills, the producer waits for space;
 //     nothing is shed.
-//   - Read side: identical concurrent forecast requests for one
-//     (sensor, horizon set) are collapsed into a single kNN search +
-//     one fit per horizon (single-flight), and each horizon's result
-//     is cached until that sensor's next observation invalidates it.
+//   - Read side: a forecast goes straight to the system, under a panic
+//     guard. Reuse lives in the sensor: between two observations every
+//     read of a horizon gets the first exact answer computed for it
+//     (smiler.Forecast.Reused), so a herd of identical requests costs
+//     one kNN search + one fit per horizon, and an observation, a
+//     removal or a restore, which replace that state, leave nothing
+//     stale to invalidate. The pipeline counts the requests reuse
+//     answered whole (hits) and the others (misses).
 //
 // Close drains: every observation accepted before Close returns is
 // applied to the system, which is what lets the server drain the
@@ -66,8 +70,8 @@ type Config struct {
 	// for the window until the next successful sync.
 	Journal func(shard int, id string, v float64) error
 	// OnApplied, when set, is called from the shard worker after each
-	// observation has been successfully applied to the system and
-	// before the forecast cache is invalidated — the replication hook.
+	// observation has been successfully applied to the system — the
+	// replication hook.
 	// Per-sensor call order equals apply order (single worker per
 	// shard); failed applies never reach it. It can also be installed
 	// after construction with SetOnApplied (the cluster layer is built
@@ -94,7 +98,10 @@ type Pipeline struct {
 	cfg    Config
 	sys    System
 	shards []*shard
-	co     *coalescer
+
+	// Forecast counters: requests whose every horizon was a reused
+	// answer, the others, and panics recovered inside a forecast.
+	hits, misses, panics atomic.Uint64
 
 	// onApplied is the live post-apply hook (Config.OnApplied or a
 	// later SetOnApplied), read atomically by shard workers.
@@ -121,7 +128,6 @@ func New(sys System, cfg Config) (*Pipeline, error) {
 		cfg:    cfg,
 		sys:    sys,
 		shards: make([]*shard, cfg.Shards),
-		co:     newCoalescer(sys),
 		done:   make(chan struct{}),
 	}
 	if cfg.OnApplied != nil {
@@ -204,33 +210,51 @@ func (p *Pipeline) ObserveBulk(obs []Observation) BulkResult {
 	return res
 }
 
-// Forecast is ForecastCtx with a background context.
-func (p *Pipeline) Forecast(id string, h int) (smiler.Forecast, error) {
-	return p.ForecastCtx(context.Background(), id, h)
-}
-
 // ForecastCtx returns the sensor's h-step-ahead forecast: the
 // one-horizon case of ForecastsCtx.
 func (p *Pipeline) ForecastCtx(ctx context.Context, id string, h int) (smiler.Forecast, error) {
-	fs, err := p.co.forecasts(ctx, id, []int{h})
+	fs, err := p.ForecastsCtx(ctx, id, []int{h})
 	if err != nil {
 		return smiler.Forecast{}, err
 	}
 	return fs[0], nil
 }
 
-// ForecastsCtx returns the sensor's forecast at every horizon in hs,
-// in that order, through the coalescing layer: served from the cache
-// until the sensor's next observation when every horizon is cached, and
-// otherwise computed — the whole set from one shared kNN search — at
-// most once across concurrent identical requests. ctx's values (notably the
-// distributed trace context) reach the prediction when this call starts
-// the computation. Cancellation semantics are the caller's choice — a
-// coalesced flight outlives any single follower, so pass a context whose
-// cancellation you are willing to share. The returned slice may be
-// shared with other callers and must not be modified.
-func (p *Pipeline) ForecastsCtx(ctx context.Context, id string, hs []int) ([]smiler.Forecast, error) {
-	return p.co.forecasts(ctx, id, hs)
+// ForecastsCtx returns the sensor's forecast at every horizon in hs, in
+// that order. ctx's values (notably the distributed trace context) and
+// its deadline reach the prediction. A panic inside the prediction comes
+// back as an error instead of killing the process.
+func (p *Pipeline) ForecastsCtx(ctx context.Context, id string, hs []int) (fs []smiler.Forecast, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.panics.Add(1)
+			fs, err = nil, fmt.Errorf("ingest: recovered panic in forecast: %v", r)
+		}
+		if err == nil && reusedAll(fs) {
+			p.hits.Add(1)
+		} else {
+			p.misses.Add(1)
+		}
+	}()
+	byH, err := p.sys.PredictHorizonsCtx(ctx, id, hs)
+	if err != nil {
+		return nil, err
+	}
+	fs = make([]smiler.Forecast, len(hs))
+	for i, h := range hs {
+		fs[i] = byH[h]
+	}
+	return fs, nil
+}
+
+// reusedAll reports whether every forecast was a reused answer.
+func reusedAll(fs []smiler.Forecast) bool {
+	for _, f := range fs {
+		if !f.Reused {
+			return false
+		}
+	}
+	return len(fs) > 0
 }
 
 // SetOnApplied installs (or clears, with nil) the post-apply hook at
@@ -243,11 +267,6 @@ func (p *Pipeline) SetOnApplied(fn func(Observation)) {
 	}
 	p.onApplied.Store(&fn)
 }
-
-// Invalidate flushes any cached forecasts for the sensor. Shard
-// workers invalidate automatically after each applied observation;
-// this is for out-of-band state changes (sensor removal).
-func (p *Pipeline) Invalidate(id string) { p.co.invalidate(id) }
 
 // Drain blocks until every observation enqueued before the call has
 // been applied to the system. Observations enqueued concurrently with
@@ -277,7 +296,7 @@ func (p *Pipeline) Drain() error {
 
 // Close drains and stops the pipeline: every accepted observation is
 // applied before Close returns, after which Observe and Drain return
-// ErrClosed. Forecast keeps working (reads do not need the workers).
+// ErrClosed. ForecastsCtx keeps working (reads do not need the workers).
 // Close is idempotent.
 func (p *Pipeline) Close() error {
 	p.closeMu.Lock()

@@ -13,9 +13,8 @@ import (
 )
 
 // fakeSystem is an instrumented System: it records per-sensor
-// observation order, can block Observe/Predict on gates, and serves a
-// Predict whose mean is the number of observations applied so far —
-// which makes cache staleness visible.
+// observation order, can block Observe on a gate, and serves a Predict
+// whose mean is the number of observations applied so far.
 type fakeSystem struct {
 	mu   sync.Mutex
 	seen map[string][]float64
@@ -25,11 +24,9 @@ type fakeSystem struct {
 	observeGate  chan struct{} // when non-nil, Observe blocks until it is closed
 	observeCalls atomic.Int64  // Observe calls entered, gated or not
 	observeDelay time.Duration
-	predictGate  chan struct{} // when non-nil, Predict blocks until it is closed
-	predictCalls atomic.Int64
 	applied      atomic.Int64
 
-	quality atomic.Value // string; when set, stamped on every Forecast
+	reused atomic.Bool // when set, every Forecast is marked Reused
 }
 
 func newFakeSystem() *fakeSystem {
@@ -55,17 +52,12 @@ func (f *fakeSystem) Observe(id string, v float64) error {
 }
 
 func (f *fakeSystem) PredictHorizonsCtx(_ context.Context, id string, hs []int) (map[int]smiler.Forecast, error) {
-	f.predictCalls.Add(1)
-	if f.predictGate != nil {
-		<-f.predictGate
-	}
 	if !f.HasSensor(id) {
 		return nil, fmt.Errorf("unknown sensor %q", id)
 	}
-	q, _ := f.quality.Load().(string)
 	out := make(map[int]smiler.Forecast, len(hs))
 	for _, h := range hs {
-		out[h] = smiler.Forecast{Mean: float64(f.applied.Load()), Variance: 1, Horizon: h, Quality: q}
+		out[h] = smiler.Forecast{Mean: float64(f.applied.Load()), Variance: 1, Horizon: h, Reused: f.reused.Load()}
 	}
 	return out, nil
 }
@@ -356,7 +348,7 @@ func TestCloseDrainsAcceptedObservations(t *testing.T) {
 	if err := p.Drain(); err != ErrClosed {
 		t.Fatalf("post-close drain: %v, want ErrClosed", err)
 	}
-	if _, err := p.Forecast("s0", 1); err != nil {
+	if _, err := p.ForecastsCtx(context.Background(), "s0", []int{1}); err != nil {
 		t.Fatalf("post-close forecast should still work: %v", err)
 	}
 	if err := p.Close(); err != nil {

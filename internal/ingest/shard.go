@@ -83,9 +83,6 @@ func (p *Pipeline) worker(sh *shard) {
 				continue
 			}
 			p.applyItem(sh, it)
-			// The sensor's state changed (or at least may have): any
-			// cached forecast for it is stale.
-			p.co.invalidate(it.obs.Sensor)
 			sh.processed.Add(1)
 			sh.latencyNs.Add(time.Since(it.at).Nanoseconds())
 		}

@@ -34,25 +34,18 @@ type ShardStats struct {
 	Panics uint64 `json:"panics"`
 }
 
-// CoalesceStats snapshots the forecast-coalescing layer.
+// CoalesceStats counts forecast requests by how the sensor answered
+// them.
 type CoalesceStats struct {
-	// CacheHits counts forecasts served straight from the per-sensor
-	// cache.
+	// CacheHits counts requests whose every horizon was a reused answer
+	// (smiler.Forecast.Reused): an exact answer an earlier read computed
+	// since the sensor's last observation.
 	CacheHits uint64 `json:"cache_hits"`
-	// CoalescedWaits counts forecast requests that piggybacked on an
-	// identical in-flight computation (thundering-herd followers).
-	CoalescedWaits uint64 `json:"coalesced_waits"`
-	// Misses counts forecasts that actually ran a kNN search + GP fit.
+	// Misses counts the other requests: those that ran a kNN search and
+	// model fits for at least one horizon, and those that failed.
 	Misses uint64 `json:"misses"`
-	// Invalidations counts per-sensor cache flushes triggered by a new
-	// observation (or an explicit Invalidate).
-	Invalidations uint64 `json:"invalidations"`
-	// CacheSize is the number of (sensor, horizon) forecasts cached
-	// right now.
-	CacheSize int `json:"cache_size"`
-	// Panics counts panics recovered inside forecast flights — each one
-	// surfaced as an error to the callers of that flight instead of a
-	// crashed process.
+	// Panics counts panics recovered inside forecasts — each one
+	// surfaced as an error to its caller instead of a crashed process.
 	Panics uint64 `json:"panics"`
 }
 
@@ -65,7 +58,7 @@ type Stats struct {
 	PerShard []ShardStats `json:"per_shard"`
 	// Totals aggregates PerShard (Shard = -1).
 	Totals ShardStats `json:"totals"`
-	// Coalesce snapshots the forecast cache / single-flight layer.
+	// Coalesce counts forecast requests.
 	Coalesce CoalesceStats `json:"coalesce"`
 }
 
@@ -98,6 +91,6 @@ func (p *Pipeline) Stats() Stats {
 	if st.Totals.Processed > 0 {
 		st.Totals.AvgLatencyMicros = float64(totalLatencyNs) / 1e3 / float64(st.Totals.Processed)
 	}
-	st.Coalesce = p.co.stats()
+	st.Coalesce = CoalesceStats{CacheHits: p.hits.Load(), Misses: p.misses.Load(), Panics: p.panics.Load()}
 	return st
 }

@@ -286,7 +286,7 @@ func FuzzCholeskyLanes(f *testing.F) {
 		for i := range b.data {
 			b.data[i] = rng.NormFloat64()
 		}
-		a, _ := Mul(b, b.T())
+		a := mul(b, b.T())
 		_ = AddDiagonal(a, shift)
 		rhs := make([]float64, size)
 		for i := range rhs {

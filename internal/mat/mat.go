@@ -130,18 +130,6 @@ func (m *Dense) T() *Dense {
 	return t
 }
 
-// Mul returns a*b.
-func Mul(a, b *Dense) (*Dense, error) {
-	if a.cols != b.rows {
-		return nil, ErrShape
-	}
-	out := NewDense(a.rows, b.cols)
-	if err := MulTo(out, a, b); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // MulTo computes a*b into out, which must be a.rows×b.cols and may be
 // dirty (it is cleared first). out must not alias a or b.
 func MulTo(out, a, b *Dense) error {
@@ -163,18 +151,6 @@ func MulTo(out, a, b *Dense) error {
 		}
 	}
 	return nil
-}
-
-// MulVec returns a·x as a new vector.
-func MulVec(a *Dense, x []float64) ([]float64, error) {
-	if a.cols != len(x) {
-		return nil, ErrShape
-	}
-	out := make([]float64, a.rows)
-	if err := MulVecTo(out, a, x); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // MulVecTo computes a·x into out (length a.rows). out must not alias x.
@@ -539,15 +515,6 @@ func (c *Cholesky) LogDet() float64 {
 		s += math.Log(c.l.At(i, i))
 	}
 	return 2 * s
-}
-
-// SolveSPDVec factors a and solves a·x = b in one call.
-func SolveSPDVec(a *Dense, b []float64) ([]float64, error) {
-	ch, err := NewCholesky(a)
-	if err != nil {
-		return nil, err
-	}
-	return ch.SolveVec(b)
 }
 
 // AddDiagonal adds v to every diagonal element of the square matrix a in

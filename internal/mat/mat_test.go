@@ -19,7 +19,7 @@ func randomSPD(rng *rand.Rand, n int) *Dense {
 			b.Set(i, j, rng.NormFloat64())
 		}
 	}
-	a, _ := Mul(b, b.T())
+	a := mul(b, b.T())
 	_ = AddDiagonal(a, float64(n))
 	return a
 }
@@ -91,10 +91,7 @@ func TestMulIdentity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		eye.Set(i, i, 1)
 	}
-	p, err := Mul(a, eye)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := mul(a, eye)
 	if d, _ := MaxAbsDiff(a, p); d != 0 {
 		t.Fatalf("A·I != A (max diff %g)", d)
 	}
@@ -102,25 +99,49 @@ func TestMulIdentity(t *testing.T) {
 
 func TestMulShapeError(t *testing.T) {
 	a := NewDense(2, 3)
-	b := NewDense(2, 3)
-	if _, err := Mul(a, b); err != ErrShape {
-		t.Fatalf("Mul shape error = %v, want ErrShape", err)
+	if err := MulTo(NewDense(2, 3), a, NewDense(2, 3)); err != ErrShape {
+		t.Fatalf("MulTo shape error = %v, want ErrShape", err)
+	}
+	if err := MulVecTo(make([]float64, 2), a, []float64{1}); err != ErrShape {
+		t.Fatalf("MulVecTo with a short x = %v, want ErrShape", err)
+	}
+	if err := MulVecTo(make([]float64, 3), a, []float64{1, 1, 1}); err != ErrShape {
+		t.Fatalf("MulVecTo with a long out = %v, want ErrShape", err)
 	}
 }
 
 func TestMulVec(t *testing.T) {
 	a := NewDenseData(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	x := []float64{1, 1, 1}
-	y, err := MulVec(a, x)
+	if y := mulVec(a, []float64{1, 1, 1}); y[0] != 6 || y[1] != 15 {
+		t.Fatalf("MulVecTo = %v, want [6 15]", y)
+	}
+}
+
+// mulVec returns a·x.
+func mulVec(a *Dense, x []float64) []float64 {
+	out := make([]float64, a.rows)
+	if err := MulVecTo(out, a, x); err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// mul returns a·b.
+func mul(a, b *Dense) *Dense {
+	out := NewDense(a.rows, b.cols)
+	if err := MulTo(out, a, b); err != nil {
+		panic(err)
+	}
+	return out
+}
+
+// solveSPDVec factors a and solves a·x = b.
+func solveSPDVec(a *Dense, b []float64) ([]float64, error) {
+	ch, err := NewCholesky(a)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	if y[0] != 6 || y[1] != 15 {
-		t.Fatalf("MulVec = %v, want [6 15]", y)
-	}
-	if _, err := MulVec(a, []float64{1}); err != ErrShape {
-		t.Fatal("expected ErrShape for bad vector length")
-	}
+	return ch.SolveVec(b)
 }
 
 func TestDotNorm(t *testing.T) {
@@ -152,7 +173,7 @@ func TestCholeskyReconstruct(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
-		llt, _ := Mul(ch.L(), ch.L().T())
+		llt := mul(ch.L(), ch.L().T())
 		d, _ := MaxAbsDiff(a, llt)
 		if d > 1e-9*float64(n) {
 			t.Fatalf("n=%d: L·Lᵀ differs from A by %g", n, d)
@@ -178,7 +199,7 @@ func TestCholeskySolveVec(t *testing.T) {
 	for i := range xTrue {
 		xTrue[i] = rng.NormFloat64()
 	}
-	b, _ := MulVec(a, xTrue)
+	b := mulVec(a, xTrue)
 	ch, err := NewCholesky(a)
 	if err != nil {
 		t.Fatal(err)
@@ -205,7 +226,7 @@ func TestCholeskySolveMatrixAndInverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod, _ := Mul(a, inv)
+	prod := mul(a, inv)
 	eye := NewDense(6, 6)
 	for i := 0; i < 6; i++ {
 		eye.Set(i, i, 1)
@@ -225,7 +246,7 @@ func TestCholeskySolveMatrixAndInverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ax, _ := Mul(a, x)
+	ax := mul(a, x)
 	d, _ = MaxAbsDiff(ax, b)
 	if d > 1e-8 {
 		t.Fatalf("A·X differs from B by %g", d)
@@ -246,7 +267,7 @@ func TestCholeskyLogDet(t *testing.T) {
 
 func TestSolveSPDVec(t *testing.T) {
 	a := NewDenseData(2, 2, []float64{4, 0, 0, 9})
-	x, err := SolveSPDVec(a, []float64{8, 27})
+	x, err := solveSPDVec(a, []float64{8, 27})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,11 +310,11 @@ func TestQuickCholeskyRoundTrip(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x, err := SolveSPDVec(a, b)
+		x, err := solveSPDVec(a, b)
 		if err != nil {
 			return false
 		}
-		ax, _ := MulVec(a, x)
+		ax := mulVec(a, x)
 		for i := range b {
 			if !almostEqual(ax[i], b[i], 1e-7*float64(n)) {
 				return false

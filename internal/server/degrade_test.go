@@ -84,11 +84,10 @@ func TestSurviveThousandPanics(t *testing.T) {
 	fault.Arm(in)
 	t.Cleanup(fault.Disarm)
 
-	// Concurrent identical (sensor, horizon) requests coalesce into one
-	// flight (one panic for several responses), so each worker owns a
-	// horizon, and the workers hammer until the recovered-panic counter
-	// itself crosses the bar — bounded by wall clock, not by a request
-	// count. Every response along the way must be a degraded 200.
+	// Each worker owns a horizon, and the workers hammer until the
+	// recovered-panic counter itself crosses the bar — bounded by wall
+	// clock, not by a request count. Every response along the way must
+	// be a degraded 200 (a failed answer is never reused).
 	const total, workers = 1000, 8
 	giveUp := time.Now().Add(time.Minute)
 	errs := make(chan error, workers)

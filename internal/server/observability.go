@@ -203,8 +203,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // setSpanSummary attaches the just-recorded trace's compact span
 // summary to the response of a forwarded request (hop > 0), so the
 // entry node can inline this node's phase spans into its hop trace.
-// The trace is matched by distributed trace id: a coalesced or cached
-// answer that did not run this request's pipeline simply sets nothing.
+// The trace is matched by distributed trace id: a reused answer, which
+// did not run this request's pipeline, simply sets nothing.
 func (s *Server) setSpanSummary(w http.ResponseWriter, r *http.Request, id string) {
 	tc, ok := obs.TraceFromContext(r.Context())
 	if !ok || tc.Hop == 0 {

@@ -2,8 +2,8 @@
 // the deployment shape the paper targets (many sensors streaming
 // observations, applications pulling forecasts in real time). Writes
 // and forecasts are routed through internal/ingest: a sharded,
-// micro-batching ingestion pipeline with per-sensor ordering and
-// single-flight forecast coalescing.
+// micro-batching ingestion pipeline with per-sensor ordering; a
+// forecast read is idempotent between two observations of its sensor.
 //
 // Routes:
 //
@@ -15,12 +15,12 @@
 //	                                memory in use and capacity
 //	GET    /metrics                 Prometheus text exposition (prediction
 //	                                phase histograms, kNN pruning counters,
-//	                                ingest/coalesce counters, HTTP metrics)
+//	                                ingest/forecast counters, HTTP metrics)
 //	GET    /debug/trace/{sensor}    last-N prediction traces (per-phase
 //	                                spans + kNN stats) as JSON; ?n=k
 //	GET    /pipeline/stats          ingestion pipeline counters (per-shard
 //	                                queue depth / processed / batching,
-//	                                forecast-coalescing hits)
+//	                                forecast reuse hits)
 //	POST   /observations            {"observations":[{"id":"...","value":x},...]}
 //	                                multi-sensor bulk ingest with per-item
 //	                                outcomes
@@ -590,7 +590,6 @@ func (s *Server) deleteSensor(w http.ResponseWriter, id string) {
 		writeError(w, http.StatusNotFound, err.Error())
 		return
 	}
-	s.pipe.Invalidate(id) // drop any cached forecasts for the dead sensor
 	s.regMu.Lock()
 	delete(s.regs, id)
 	s.regMu.Unlock()
@@ -638,11 +637,11 @@ func (s *Server) ServeForecast(w http.ResponseWriter, r *http.Request, id string
 		}
 		z = parsed
 	}
-	// Every forecast goes through the coalescing layer: a thundering
-	// herd of identical requests costs one kNN+GP run. WithoutCancel
-	// keeps the flight's lifetime decoupled from this request (coalesced
-	// followers must not die with the leader) while still carrying the
-	// trace context into the prediction.
+	// WithoutCancel carries the trace context into the prediction but
+	// not this request's cancellation: a client that hangs up does not
+	// cut the search short, so the exact answer it started still lands
+	// in the sensor's pending set, where every later read of that
+	// horizon before the next observation is served it.
 	fs, err := s.pipe.ForecastsCtx(context.WithoutCancel(r.Context()), id, hs)
 	out := make([]ForecastResponse, len(fs))
 	for i, f := range fs {

@@ -527,7 +527,7 @@ func TestPipelineStatsEndpoint(t *testing.T) {
 	if err := cl.ObserveBatch("p", []float64{50, 51, 52}); err != nil {
 		t.Fatal(err)
 	}
-	// Identical forecasts: the second must be a coalescing-cache hit.
+	// Identical forecasts: the second is served the first's answer.
 	if _, err := cl.Forecast("p", 1); err != nil {
 		t.Fatal(err)
 	}
@@ -544,7 +544,7 @@ func TestPipelineStatsEndpoint(t *testing.T) {
 	if st.Totals.Enqueued != 3 {
 		t.Fatalf("enqueued %d, want 3", st.Totals.Enqueued)
 	}
-	if st.Coalesce.CacheHits+st.Coalesce.CoalescedWaits < 1 || st.Coalesce.Misses < 1 {
+	if st.Coalesce.CacheHits < 1 || st.Coalesce.Misses < 1 {
 		t.Fatalf("coalesce stats = %+v", st.Coalesce)
 	}
 	resp, err := ts.Client().Get(ts.URL + "/pipeline/stats")
@@ -556,7 +556,8 @@ func TestPipelineStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, gone := range []string{`"queue_size"`, `"max_batch"`, `"backpressure"`} {
+	for _, gone := range []string{`"queue_size"`, `"max_batch"`, `"backpressure"`,
+		`"coalesced_waits"`, `"invalidations"`, `"cache_size"`} {
 		if strings.Contains(string(raw), gone) {
 			t.Fatalf("/pipeline/stats still reports %s: %s", gone, raw)
 		}
@@ -623,16 +624,33 @@ func TestNewWithIntervalValidation(t *testing.T) {
 	}
 }
 
-// A forecast the coalescer computes twice — /forecast?h=1 caches h=1,
-// then /forecasts?hs=1,3 misses on h=3 and recomputes both — must score
-// the ensemble once when the truth arrives: the ensemble after one
-// observation is byte-for-byte the one a server that only served
-// /forecasts?hs=1,3 ends up with.
+// A horizon read twice in one step — /forecast?h=1, then
+// /forecasts?hs=1,3 — is computed once: the second read is served the
+// first's h=1 answer and computes only h=3. So the ensemble after one
+// observation, and the next step's forecasts, are byte for byte those
+// of a server that only served /forecasts?hs=1,3. GP cells, whose fits
+// warm-start from their previous optimum, so a second fit would show.
 func TestRepeatedForecastReweightsOnce(t *testing.T) {
 	hist := seasonal(rand.New(rand.NewSource(24)), 401)
-	ensembleAfter := func(paths ...string) string {
+	afterStep := func(paths ...string) (ensemble, next string) {
 		t.Helper()
-		ts, cl, _ := newTestServer(t)
+		cfg := testConfig()
+		cfg.Predictor = smiler.PredictorGP
+		sys, err := smiler.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sys.Close() })
+		srv, err := New(sys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		t.Cleanup(ts.Close)
+		cl, err := NewClient(ts.URL, ts.Client())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if err := cl.AddSensor("e", hist[:400]); err != nil {
 			t.Fatal(err)
 		}
@@ -658,14 +676,17 @@ func TestRepeatedForecastReweightsOnce(t *testing.T) {
 		if err := cl.Observe("e", hist[400]); err != nil {
 			t.Fatal(err)
 		}
-		srv := ts.Config.Handler.(*Server)
 		if err := srv.Pipeline().Drain(); err != nil {
 			t.Fatal(err)
 		}
-		return get("ensemble")
+		return get("ensemble"), get("forecasts?hs=1,3")
 	}
-	want := ensembleAfter("forecasts?hs=1,3")
-	if got := ensembleAfter("forecast?h=1", "forecasts?hs=1,3"); got != want {
-		t.Fatalf("ensemble after a repeated h=1 read:\n%s\nafter one read:\n%s", got, want)
+	wantEns, wantNext := afterStep("forecasts?hs=1,3")
+	gotEns, gotNext := afterStep("forecast?h=1", "forecasts?hs=1,3")
+	if gotEns != wantEns {
+		t.Fatalf("ensemble after a repeated h=1 read:\n%s\nafter one read:\n%s", gotEns, wantEns)
+	}
+	if gotNext != wantNext {
+		t.Fatalf("next step's forecasts after a repeated h=1 read:\n%s\nafter one read:\n%s", gotNext, wantNext)
 	}
 }

@@ -113,7 +113,7 @@ func newSystemObs() *systemObs {
 			"Searches that built the index's window level from scratch instead of advancing it."),
 	}
 	so.panicsRecovered = reg.Counter("smiler_panics_recovered_total",
-		"Panics recovered into errors (predict workers, ingest shards, coalescer flights).")
+		"Panics recovered into errors inside predictions (predict workers).")
 	so.sensorFaults = reg.Counter("smiler_sensor_faults_total",
 		"Cold sensors faulted back in from their spill files.")
 	so.sensorEvictions = reg.Counter("smiler_sensor_evictions_total",

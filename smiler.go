@@ -31,6 +31,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"sort"
@@ -231,6 +232,11 @@ type Forecast struct {
 	// neighbour sets equal the exact ones: 1 for exact forecasts, in
 	// (0, 1] for progressive ones, 0 for fallbacks.
 	QualityEstimate float64
+	// Reused marks an exact answer an earlier read of the same horizon
+	// computed since the sensor's last observation, served again as it
+	// was: between two observations every read of a horizon gets the
+	// first exact answer computed for it, whatever its deadline.
+	Reused bool
 }
 
 // StdDev returns the predictive standard deviation.
@@ -503,15 +509,18 @@ func (s *System) PredictHorizons(id string, hs []int) (map[int]Forecast, error) 
 // index verifies each candidate at most once), so a ladder of lead
 // times costs little more than one. With metrics enabled, the
 // prediction's per-phase latencies and kNN effectiveness land in the
-// registry and a trace of its spans in the trace store.
+// registry and a trace of its spans in the trace store. A read is
+// idempotent between two observations: a horizon some earlier read
+// answered exactly is served that answer again (Forecast.Reused), and
+// only the other horizons are computed, in ascending order.
 //
 // The context is a deadline on the quality ladder (see
 // Config.PredictDeadline). With Config.Fallback set, any operational
 // failure — deadline exceeded, a predictor panic, a GP or index error —
 // comes back as a degraded answer from the cheap baseline for every
-// requested horizon instead of an error. Validation failures (unknown
-// sensor, empty horizon list, non-positive horizon) always surface as
-// errors; there is nothing to degrade to.
+// requested horizon without a reused answer, instead of an error.
+// Validation failures (unknown sensor, empty horizon list, non-positive
+// horizon) always surface as errors; there is nothing to degrade to.
 func (s *System) PredictHorizonsCtx(ctx context.Context, id string, hs []int) (map[int]Forecast, error) {
 	if err := validHorizons(hs); err != nil {
 		s.obs.predictErrs.Inc()
@@ -522,13 +531,37 @@ func (s *System) PredictHorizonsCtx(ctx context.Context, id string, hs []int) (m
 		s.obs.predictErrs.Inc()
 		return nil, err
 	}
+	// A horizon whose exact answer this step already computed is served
+	// as it was, and only the others go to the pipeline; a read that
+	// needs nothing else returns here, before the deadline, the trace and
+	// the phase metrics.
+	out := make(map[int]Forecast, len(hs))
+	for _, h := range hs {
+		if pred, ok := st.pipe.Exact(h); ok {
+			out[h] = st.rawUnits(Forecast{Mean: pred.Mean, Variance: pred.Variance, Horizon: h,
+				Quality: "exact", QualityEstimate: 1, Reused: true})
+		}
+	}
+	miss := hs // the common read reuses nothing and allocates nothing here
+	if len(out) > 0 {
+		miss = nil
+		for _, h := range hs {
+			if _, ok := out[h]; !ok {
+				miss = append(miss, h)
+			}
+		}
+		if len(miss) == 0 {
+			st.mu.Unlock()
+			return out, nil
+		}
+	}
 	// st.mu is held from here until the pipeline's state has been read
 	// out; metrics, the trace store and de-normalisation run without it.
 	ctx, cancel := s.predictContext(ctx)
 	defer cancel()
 	var tr *obs.Trace
 	if s.obs.traces != nil {
-		tr = obs.NewTrace(id, hs...)
+		tr = obs.NewTrace(id, miss...)
 		if tc, ok := obs.TraceFromContext(ctx); ok {
 			tr.SetContext(tc)
 		}
@@ -537,7 +570,7 @@ func (s *System) PredictHorizonsCtx(ctx context.Context, id string, hs []int) (m
 		}
 	}
 	start := time.Now()
-	preds, err := st.pipe.PredictMultiTracedCtx(ctx, hs, tr)
+	preds, err := st.pipe.PredictMultiTracedCtx(ctx, miss, tr)
 	timing := st.pipe.Timing()
 	searchStats := st.ix.Stats()
 	qual := st.pipe.LastQuality()
@@ -545,7 +578,7 @@ func (s *System) PredictHorizonsCtx(ctx context.Context, id string, hs []int) (m
 	var reason string
 	if err != nil && s.cfg.Fallback != FallbackNone {
 		reason = degradeReason(err)
-		degraded = s.fallbackLocked(st, hs, reason)
+		degraded = s.fallbackLocked(st, miss, reason)
 	}
 	st.mu.Unlock()
 	if degraded != nil {
@@ -553,7 +586,8 @@ func (s *System) PredictHorizonsCtx(ctx context.Context, id string, hs []int) (m
 		tr.SetStat("degraded", 1)
 		tr.Finish(nil)
 		s.obs.traces.Add(tr)
-		return degraded, nil
+		maps.Copy(out, degraded)
+		return out, nil
 	}
 	s.obs.recordPredict(time.Since(start).Seconds(), timing, searchStats, qual, err)
 	tr.Finish(err)
@@ -562,7 +596,6 @@ func (s *System) PredictHorizonsCtx(ctx context.Context, id string, hs []int) (m
 		s.obs.countPanic(err)
 		return nil, err
 	}
-	out := make(map[int]Forecast, len(preds))
 	for h, pred := range preds {
 		out[h] = st.rawUnits(Forecast{Mean: pred.Mean, Variance: pred.Variance, Horizon: h,
 			Quality: qual.Tag, QualityEstimate: qual.Estimate})

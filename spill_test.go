@@ -203,38 +203,74 @@ func TestDecodeSpillRejectsDamage(t *testing.T) {
 }
 
 // FuzzDecodeSpill: arbitrary bytes never panic the one decoder, every
-// input it accepts starts with SMLRCKP2, and re-encodes to exactly the
-// same bytes. Each input is tried as a whole file and, behind a valid
-// SMLRCKP2 header, as a body, so the fuzzer reaches the field parser
-// past the CRC.
+// input it accepts starts with SMLRCKP3 or SMLRCKP2, an SMLRCKP3 one
+// re-encodes to exactly the same bytes, and an SMLRCKP2 one holds no
+// pending set and re-encodes to the same state. Each input is tried as
+// a whole file and, behind a valid header of either version, as a body,
+// so the fuzzer reaches the field parser past the CRC.
 func FuzzDecodeSpill(f *testing.F) {
 	// Small seeds: a one-sensor spill file, and a two-sensor checkpoint
 	// with a cover. The fuzzer minimizes every new input it keeps, at a
 	// cost quadratic in its length, so large seeds leave it minimizing
 	// instead of mutating.
 	a := sensorCheckpoint{ID: "a", History: []float64{1, -0.5}, Normalized: true, Norm: timeseries.Stats{Mean: 2, Std: 3},
-		Cells: []cellCheckpoint{{State: core.CellState{K: 4, D: 16, Weight: 1, SleepSpan: 1}}}}
+		Cells: []cellCheckpoint{{State: core.CellState{K: 4, D: 16, Weight: 1, SleepSpan: 1}}},
+		Pending: []core.PendingState{{Target: 2, H: 1, Exact: true, Mixed: core.Prediction{Mean: 1, Variance: 2},
+			Cells: []core.PendingCell{{K: 4, D: 16, Pred: core.Prediction{Mean: 1, Variance: 2}}}}}}
 	spill := encodeCheckpoint(checkpoint{Sensors: []sensorCheckpoint{a}})
 	multi := encodeCheckpoint(checkpoint{
 		Sensors:  []sensorCheckpoint{a, {ID: "b", History: []float64{math.NaN()}}},
 		WALCover: map[int]uint64{0: 3, 2: 9},
 	})
+	a.Pending = nil
+	v2 := encodeCheckpoint(checkpoint{Sensors: []sensorCheckpoint{a}})
+	v2 = v2[checkpointHeaderLen : len(v2)-4] // no pending count
 	for _, seed := range [][]byte{spill, spill[checkpointHeaderLen:], multi, multi[checkpointHeaderLen:],
-		encodeCheckpoint(checkpoint{}), []byte("SMLRCKP1")} {
+		encodeCheckpoint(checkpoint{}), frame(checkpointMagicV2, v2), v2, []byte("SMLRCKP1")} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		for _, in := range [][]byte{b, frame(checkpointMagic, b)} {
+		for _, in := range [][]byte{b, frame(checkpointMagic, b), frame(checkpointMagicV2, b)} {
 			cp, err := decodeCheckpoint(in)
 			if err != nil {
 				continue
 			}
-			if magic := [8]byte(in[:8]); magic != checkpointMagic {
+			switch magic := [8]byte(in[:8]); magic {
+			case checkpointMagic:
+				if out := encodeCheckpoint(cp); !bytes.Equal(out, in) {
+					t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(in), len(out))
+				}
+			case checkpointMagicV2:
+				for _, sc := range cp.Sensors {
+					if sc.Pending != nil {
+						t.Fatalf("an SMLRCKP2 input decoded a pending set")
+					}
+				}
+				if again, err := decodeCheckpoint(encodeCheckpoint(cp)); err != nil || !bitsEqual(reflect.ValueOf(again), reflect.ValueOf(cp)) {
+					t.Fatalf("an SMLRCKP2 input does not re-encode to its state: %v", err)
+				}
+			default:
 				t.Fatalf("accepted an input with magic %q", magic[:])
-			}
-			if out := encodeCheckpoint(cp); !bytes.Equal(out, in) {
-				t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(in), len(out))
 			}
 		}
 	})
+}
+
+// TestCheckpointV2ReadsWithNoPending: the layout before the pending set
+// still loads, every other field bit for bit, with no queued answers;
+// an SMLRCKP3 body behind the SMLRCKP2 magic is refused.
+func TestCheckpointV2ReadsWithNoPending(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		cp := seededCheckpoint(t, seed)
+		cp.Sensors = cp.Sensors[:1]
+		cp.Sensors[0].Pending = nil
+		b := encodeCheckpoint(cp)
+		got := decodeOrFatal(t, "SMLRCKP2", frame(checkpointMagicV2, b[checkpointHeaderLen:len(b)-4]))
+		if !bitsEqual(reflect.ValueOf(got), reflect.ValueOf(cp)) {
+			t.Fatalf("seed %d: SMLRCKP2 read\n%+v\ndiffers from\n%+v", seed, got, cp)
+		}
+		if _, err := decodeCheckpoint(frame(checkpointMagicV2, b[checkpointHeaderLen:])); err == nil {
+			t.Fatalf("seed %d: an SMLRCKP3 body decoded behind the SMLRCKP2 magic", seed)
+		}
+	}
 }

@@ -32,11 +32,15 @@ import (
 // tail into the history through the frozen normaliser, so fault-in,
 // checkpoints and single-sensor exports all see the folded state.
 //
-// The fold is exact. A restored pipeline has no pending auto-tuning
-// updates, so an observe right after a fault-in changes only the index
+// A spill file carries the sensor's queued answers (the step's
+// forecast memo and the auto-tuning updates awaiting their truth), so a
+// sensor read, spilled, faulted in and read again in one step serves
+// its first answer, as a sensor that stayed hot does. A tail ends the
+// step: folding it drops the queued answers unscored, the one thing a
+// spill still loses against a sensor that stayed hot (ROADMAP item 2).
+// Otherwise the fold is exact: the observes only grow the index
 // history, and the index is not built until the next search either
-// way: spill + tail restores the state that a fault-in followed by the
-// same observes reaches.
+// way.
 //
 // Recency: the LRU list holds the MaxHotSensors most recently used
 // sensors, hot or cold. A cold observe moves its sensor to the front
@@ -170,13 +174,17 @@ func (s *System) readSpill(id string) (sensorCheckpoint, error) {
 	return cp.Sensors[0], nil
 }
 
-// foldTail appends the sensor's tail values to sc.History. A sensor
-// with no recorded tail touches no file.
+// foldTail appends the sensor's tail values to sc.History and drops
+// its pending set: the step those answers belong to is over, and the
+// auto-tuning updates its observations would have run are not replayed
+// (so folding the tail in gives the state of a sensor faulted in for
+// each observation). A sensor with no recorded tail touches no file.
 func (s *System) foldTail(sc *sensorCheckpoint) error {
 	n, _ := s.tier.tailLen(sc.ID)
 	if n == 0 {
 		return nil
 	}
+	sc.Pending = nil
 	b, err := os.ReadFile(s.tier.tailPath(sc.ID))
 	if err != nil {
 		return err

@@ -446,7 +446,8 @@ func TestTieringSaveSensorToCold(t *testing.T) {
 // TestTieringEvictionDropsTraces: a sensor's trace ring goes with it
 // when it is evicted, so forecasting a population far above the hot cap
 // keeps at most cap × DefaultTraceCapacity traces, and a cold sensor
-// none.
+// none. Each round observes every sensor first, so every read computes
+// (a repeated read in one step is served without a trace).
 func TestTieringEvictionDropsTraces(t *testing.T) {
 	const hot, sensors = 2, 6
 	sys, err := New(tieredConfig(hot))
@@ -456,6 +457,11 @@ func TestTieringEvictionDropsTraces(t *testing.T) {
 	defer sys.Close()
 	addSeeded(t, sys, sensors)
 	for round := 0; round <= obs.DefaultTraceCapacity; round++ {
+		for i := 0; i < sensors; i++ {
+			if err := sys.Observe(fmt.Sprintf("t%d", i), 50); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for i := 0; i < sensors; i++ {
 			if _, err := sys.Predict(fmt.Sprintf("t%d", i), 1); err != nil {
 				t.Fatal(err)
@@ -709,7 +715,9 @@ func TestTieringConcurrentChurn(t *testing.T) {
 					errCh <- fmt.Errorf("%s: %w", id, err)
 					return
 				}
-				if f != want[id] {
+				// A read of a sensor that stayed hot since its last one is
+				// served that answer again, marked Reused.
+				if f.Reused = false; f != want[id] {
 					errCh <- fmt.Errorf("%s: forecast %+v != reference %+v", id, f, want[id])
 					return
 				}
