@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race fuzz-smoke benchmark-check benchmark-smoke bench bench-ingest bench-obs bench-json metrics-smoke events-smoke torture cluster-smoke cluster-smoke-procs memory-smoke membership-smoke anytime-smoke
+.PHONY: all build vet test race fuzz-smoke benchmark-check benchmark-smoke bench bench-ingest bench-obs bench-json metrics-smoke events-smoke torture cluster-smoke cluster-smoke-procs memory-smoke anytime-smoke
 
 all: vet build test
 
@@ -30,7 +30,7 @@ race:
 # LBKeoghSuffix: four candidates' LB_Keogh suffix sums under one bar,
 # each lane's bound bits, stopping point and sums equal to a scalar
 # call's. Then ten seconds of the checkpoint/spill
-# decoder (checkpoint.go, the one decoder of checkpoint files, migration
+# decoder (checkpoint.go, the one decoder of checkpoint files, resync
 # frames and spill files): arbitrary bytes never panic it, every input
 # it accepts starts with SMLRCKP3 or SMLRCKP2 (an SMLRCKP1 header is
 # refused at the magic: a build reads its own layout and, after a layout
@@ -125,13 +125,13 @@ events-smoke: build
 # behaviour, and the 1k-injected-panic survival test. All seeds are
 # fixed — failures reproduce deterministically.
 torture:
-	$(GO) test -race -run 'Torture|RecoveredHistory|WALLifecycle|Degrade|Panic' ./cmd/smiler-server ./internal/server .
-	$(GO) test -race ./internal/wal ./internal/fault ./internal/baselines
+	$(GO) test -race -run 'Torture|RecoveredHistory|WALLifecycle|Degrade|Panic|Fallback' ./cmd/smiler-server ./internal/server .
+	$(GO) test -race ./internal/wal ./internal/fault
 
 # Cluster suite under the race detector: 3-node in-process harness —
-# forwarding, async replication + gap resync, owner-death failover to
-# a degraded replica, bit-exact migration, idempotent retry dedupe
-# through the proxy (docs/CLUSTER.md).
+# forwarding, async replication + bit-exact gap resync, owner-death
+# failover to a degraded replica, idempotent retry dedupe through the
+# proxy (docs/CLUSTER.md).
 cluster-smoke:
 	$(GO) test -race -count=3 -run 'TestCluster|TestPeer' ./internal/cluster
 
@@ -147,14 +147,6 @@ cluster-smoke-procs: build
 # (scripts/anytime_smoke.sh, docs/INDEX.md).
 anytime-smoke: build
 	./scripts/anytime_smoke.sh
-
-# Dynamic membership end to end: a real 3-process cluster under
-# sustained curl traffic (retried, idempotency-keyed) admits a fourth
-# node (-cluster-join), then decommissions n3 (POST /cluster/decommission
-# → drain → clean exit 0) — with zero request errors
-# (scripts/membership_smoke.sh, docs/CLUSTER.md).
-membership-smoke: build
-	./scripts/membership_smoke.sh
 
 # Hot/cold tiering end to end: a server capped at -max-hot-sensors 30
 # serves a 120-sensor population under curl observe/forecast traffic

@@ -18,7 +18,7 @@ import (
 )
 
 // A sensor's learned state has one encoding, shared by checkpoint files
-// (SaveTo/SaveFile), migration and resync frames (SaveSensorTo/
+// (SaveTo/SaveFile), replication resync frames (SaveSensorTo/
 // RestoreSensorsFrom) and spill files (tiering.go: a one-sensor
 // checkpoint with no cover). The layout is flat little-endian:
 //
@@ -155,8 +155,8 @@ func (s *System) SaveToWithCover(w io.Writer, cover map[int]uint64) error {
 
 // SaveSensorTo writes a checkpoint — same format as SaveTo — containing
 // exactly one sensor and no WAL cover. This is the unit the cluster
-// layer streams over HTTP when a sensor migrates between nodes or a
-// stale replica resyncs: restoring it via RestoreSensorsFrom is
+// layer streams over HTTP when a stale replica resyncs: restoring it
+// via RestoreSensorsFrom is
 // bit-exact, like any checkpoint restore.
 func (s *System) SaveSensorTo(w io.Writer, id string) error {
 	s.mu.RLock()
@@ -183,7 +183,7 @@ func (s *System) SaveSensorTo(w io.Writer, id string) error {
 
 // RestoreSensorsFrom reads a checkpoint and merges every sensor it
 // holds into the live system, replacing any existing sensor with the
-// same id (a migration target replaces its async-replicated copy with
+// same id (a resyncing follower replaces its async-replicated copy with
 // the owner's authoritative snapshot). It returns the ids restored.
 func (s *System) RestoreSensorsFrom(r io.Reader) ([]string, error) {
 	cp, err := readCheckpoint(r)

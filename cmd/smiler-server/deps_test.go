@@ -7,9 +7,10 @@ import (
 )
 
 // TestServerLinksNoDevTooling pins what the server binary links: the
-// benchmark harness, the distance-measure zoo, the accuracy metrics,
-// the synthetic corpora and the other commands are dev tooling and stay
-// out of the production binary.
+// benchmark harness, the competitor baselines, the brute-force scan,
+// the distance-measure zoo, the accuracy metrics, the synthetic corpora
+// and the other commands are dev tooling and stay out of the production
+// binary.
 func TestServerLinksNoDevTooling(t *testing.T) {
 	goBin, err := exec.LookPath("go")
 	if err != nil {
@@ -20,10 +21,12 @@ func TestServerLinksNoDevTooling(t *testing.T) {
 		t.Fatalf("go list -deps: %v", err)
 	}
 	banned := map[string]bool{
-		"smiler/internal/bench":    true,
-		"smiler/internal/tsdist":   true,
-		"smiler/internal/metrics":  true,
-		"smiler/internal/datasets": true,
+		"smiler/internal/bench":     true,
+		"smiler/internal/baselines": true,
+		"smiler/internal/scan":      true,
+		"smiler/internal/tsdist":    true,
+		"smiler/internal/metrics":   true,
+		"smiler/internal/datasets":  true,
 	}
 	for _, pkg := range strings.Fields(string(out)) {
 		cmd := strings.HasPrefix(pkg, "smiler/cmd/") && pkg != "smiler/cmd/smiler-server"

@@ -13,7 +13,6 @@
 //	smiler-server -checkpoint state.ckpt -wal-dir wal/ -fsync always
 //	smiler-server -predict-deadline 200ms -degraded-fallback ar1
 //	smiler-server -node-id n1 -cluster-peers n1=http://h1:8080,n2=http://h2:8080,n3=http://h3:8080
-//	smiler-server -node-id n4 -cluster-peers n4=http://h4:8080 -cluster-join http://h1:8080 -drain-on-term
 //
 // With -checkpoint, state is loaded at startup (if the file exists)
 // and saved on clean shutdown (SIGINT/SIGTERM). Shutdown first stops
@@ -38,19 +37,15 @@
 // predictor (persistence or AR(1)) and tagged "degraded" in the
 // response instead of erroring.
 //
-// With -cluster-peers (and a matching -node-id), the process joins a
-// cluster: a consistent-hash ring assigns each sensor a primary plus
-// -replicas async followers, any node accepts any request and forwards
-// it to the owner, and when a primary stops answering /readyz for
-// -probe-failures consecutive probes its replica serves forecasts
-// tagged degraded_reason "replica" (writes are refused with 503 until
-// the primary returns). POST /cluster/migrate moves a sensor between
-// nodes bit-exactly. Membership is dynamic: -cluster-join bootstraps
-// a new node into a running cluster (the seed peers list names only
-// this node; the elected primary admits it and rebalances sensors
-// onto it in bounded batches), POST /cluster/decommission — or
-// SIGTERM with -drain-on-term — drains a node's sensors to the rest
-// of the cluster and exits it cleanly. See docs/CLUSTER.md.
+// With -cluster-peers (and a matching -node-id), the process is one
+// member of a cluster: a consistent-hash ring assigns each sensor a
+// primary plus -replicas async followers, any node accepts any request
+// and forwards it to the owner, and when a primary stops answering
+// /readyz for -probe-failures consecutive probes its replica serves
+// forecasts tagged degraded_reason "replica" (writes are refused with
+// 503 until the primary returns). Every member boots with the same
+// -cluster-peers list, and the ring is fixed for the cluster's life.
+// See docs/CLUSTER.md.
 //
 // Observability: GET /metrics serves Prometheus text exposition and
 // GET /debug/trace/{sensor} the recent prediction traces (see
@@ -103,18 +98,13 @@ type options struct {
 	predictDeadline time.Duration
 	fallback        string
 
-	nodeID            string
-	clusterPeers      string
-	replicas          int
-	probeInterval     time.Duration
-	probeFailures     int
-	maxStaleness      time.Duration
-	clusterSecret     string
-	clusterJoin       string
-	rebalanceBatch    int
-	rebalanceInterval time.Duration
-	drainOnTerm       bool
-	drainTimeout      time.Duration
+	nodeID        string
+	clusterPeers  string
+	replicas      int
+	probeInterval time.Duration
+	probeFailures int
+	maxStaleness  time.Duration
+	clusterSecret string
 
 	// onReady, when set, is called with the bound listen address once
 	// the listener is accepting (tests use it to find an ephemeral
@@ -156,12 +146,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.DurationVar(&o.probeInterval, "probe-interval", 0, "peer health probe period (0 = default 500ms)")
 	fs.IntVar(&o.probeFailures, "probe-failures", 0, "consecutive probe failures before failover (0 = default 3)")
 	fs.DurationVar(&o.maxStaleness, "max-staleness", 0, "staleness bound for promoted-replica reads (0 = default 5m)")
-	fs.StringVar(&o.clusterSecret, "cluster-secret", "", "shared secret required on state-changing /cluster/* endpoints (empty = membership-header check only)")
-	fs.StringVar(&o.clusterJoin, "cluster-join", "", "URL of an existing cluster member to join at startup (with -cluster-peers naming only this node)")
-	fs.IntVar(&o.rebalanceBatch, "rebalance-batch", 0, "sensors migrated per rebalance batch (0 = default 16)")
-	fs.DurationVar(&o.rebalanceInterval, "rebalance-interval", 0, "pause between rebalance batches (0 = default 200ms)")
-	fs.BoolVar(&o.drainOnTerm, "drain-on-term", false, "on SIGTERM, decommission from the cluster and drain owned sensors before exiting")
-	fs.DurationVar(&o.drainTimeout, "drain-timeout", 2*time.Minute, "bound on the -drain-on-term drain wait")
+	fs.StringVar(&o.clusterSecret, "cluster-secret", "", "shared secret required on the peer /cluster/* endpoints (empty = membership-header check only)")
 }
 
 // parseLogLevel maps the -log-level flag onto a slog.Level. Empty
@@ -215,7 +200,7 @@ func run(o options) error {
 	defer sys.Close()
 	// The flight recorder is a black box: whatever it retained gets
 	// dumped to stderr if the process dies on a panic, so the last
-	// failovers/migrations/WAL events survive in the crash log.
+	// failovers/WAL events survive in the crash log.
 	defer func() {
 		if r := recover(); r != nil {
 			dumpEvents(sys, fmt.Sprintf("panic: %v", r))
@@ -257,24 +242,20 @@ func run(o options) error {
 		}
 		return err
 	}
-	var node *cluster.Node
 	if o.clusterPeers != "" {
 		members, err := parseClusterPeers(o.clusterPeers)
 		if err != nil {
 			return err
 		}
-		node, err = cluster.New(sys, handler, cluster.Config{
-			Self:              o.nodeID,
-			Members:           members,
-			Replicas:          o.replicas,
-			ProbeInterval:     o.probeInterval,
-			ProbeFailures:     o.probeFailures,
-			MaxStaleness:      o.maxStaleness,
-			Secret:            o.clusterSecret,
-			JoinURL:           o.clusterJoin,
-			RebalanceBatch:    o.rebalanceBatch,
-			RebalanceInterval: o.rebalanceInterval,
-			Logger:            logger,
+		node, err := cluster.New(sys, handler, cluster.Config{
+			Self:          o.nodeID,
+			Members:       members,
+			Replicas:      o.replicas,
+			ProbeInterval: o.probeInterval,
+			ProbeFailures: o.probeFailures,
+			MaxStaleness:  o.maxStaleness,
+			Secret:        o.clusterSecret,
+			Logger:        logger,
 		})
 		if err != nil {
 			return fmt.Errorf("cluster: %w", err)
@@ -324,40 +305,11 @@ func run(o options) error {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	// A decommissioned cluster node (POST /cluster/decommission, or
-	// -drain-on-term below) finishes draining its sensors and then exits
-	// cleanly through the same shutdown path a signal takes.
-	var drainedCh <-chan struct{}
-	if node != nil {
-		drainedCh = node.Drained()
-	}
 	select {
 	case err := <-errCh:
 		return err
-	case <-drainedCh:
-		logger.Info("decommission drain complete; shutting down")
 	case s := <-sig:
 		logger.Info("shutting down", "signal", s.String())
-		if o.drainOnTerm && node != nil && s == syscall.SIGTERM {
-			// Drain-then-exit: leave the cluster map first so peers stop
-			// routing here and the primary migrates our sensors away,
-			// bounded by -drain-timeout. A second signal aborts the wait.
-			logger.Info("draining before exit", "timeout", o.drainTimeout)
-			if err := node.Decommission(""); err != nil {
-				logger.Warn("decommission failed; exiting without drain", "err", err)
-			} else {
-				drainT := time.NewTimer(o.drainTimeout)
-				select {
-				case <-node.Drained():
-					logger.Info("drained; exiting")
-				case <-drainT.C:
-					logger.Warn("drain timed out; exiting with sensors still owned")
-				case s2 := <-sig:
-					logger.Warn("second signal; aborting drain", "signal", s2.String())
-				}
-				drainT.Stop()
-			}
-		}
 	}
 
 	// Flip /readyz to 503 first so load balancers stop routing, then
@@ -401,8 +353,7 @@ func dumpEvents(sys *smiler.System, reason string) {
 }
 
 // parseClusterPeers parses "-cluster-peers n1=http://a:1,n2=http://b:2"
-// into the seed membership list (which must include this node; with
-// -cluster-join it may name only this node).
+// into the membership list (which must include this node).
 func parseClusterPeers(s string) ([]cluster.Member, error) {
 	var members []cluster.Member
 	for _, part := range strings.Split(s, ",") {

@@ -93,18 +93,19 @@ func TestLoadOrNewCorruptCheckpoint(t *testing.T) {
 
 // TestFlagSurface pins the server's flags. A knob earns its place with
 // a measured ablation or an operational need: a change that adds one
-// edits this list, and the review asks which workload needs it.
+// edits this list, and the review asks which workload needs it. The
+// cluster's flags are the static ring's: membership, replicas, probes,
+// staleness and the secret.
 func TestFlagSurface(t *testing.T) {
 	fs := flag.NewFlagSet("smiler-server", flag.ContinueOnError)
 	registerFlags(fs, &options{})
 	var got []string
 	fs.VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	want := []string{
-		"addr", "checkpoint", "cluster-join", "cluster-peers", "cluster-secret",
-		"degraded-fallback", "drain-on-term", "drain-timeout", "fsync", "interval",
-		"log-level", "max-history", "max-hot-sensors", "max-staleness", "node-id",
-		"pprof", "predict-deadline", "predictor", "probe-failures", "probe-interval",
-		"rebalance-batch", "rebalance-interval", "replicas", "shards", "spill-dir",
+		"addr", "checkpoint", "cluster-peers", "cluster-secret", "degraded-fallback",
+		"fsync", "interval", "log-level", "max-history", "max-hot-sensors",
+		"max-staleness", "node-id", "pprof", "predict-deadline", "predictor",
+		"probe-failures", "probe-interval", "replicas", "shards", "spill-dir",
 		"wal-dir",
 	}
 	if !slices.Equal(got, want) {
@@ -126,6 +127,27 @@ func TestRunRejectsBadBackpressure(t *testing.T) {
 		{"-backpressure", "error"},
 		{"-queue", "1024"},
 		{"-batch", "64"},
+	} {
+		fs := flag.NewFlagSet("smiler-server", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		registerFlags(fs, &options{})
+		if err := fs.Parse(args); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%v: parse error %v, want an undefined flag", args, err)
+		}
+	}
+}
+
+// TestRunRejectsMembershipFlags: the ring is fixed for a cluster's
+// life, so the flags that joined, drained or reshaped a running
+// cluster are gone, and a command line that still sets one fails at
+// parse time.
+func TestRunRejectsMembershipFlags(t *testing.T) {
+	for _, args := range [][]string{
+		{"-cluster-join", "http://h1:8080"},
+		{"-rebalance-batch", "16"},
+		{"-rebalance-interval", "200ms"},
+		{"-drain-on-term"},
+		{"-drain-timeout", "2m"},
 	} {
 		fs := flag.NewFlagSet("smiler-server", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"smiler"
+	"smiler/internal/fault"
 	"smiler/internal/server"
 )
 
@@ -128,11 +130,12 @@ func TestClusterReplication(t *testing.T) {
 	}
 }
 
-// TestClusterGapResync: frames lost in transit (here: seeded by a
-// follower restartlike seq reset via direct observation loss) heal
-// through the snapshot path. We simulate a gap by removing the sensor
-// on the follower; the next frame is then unanswerable and must
-// trigger a resync that restores the full state.
+// TestClusterGapResync: a follower that lost its copy heals through the
+// snapshot path, bit-exactly. We simulate the loss by removing the
+// sensor on the follower; the next frame is then unanswerable and must
+// trigger a resync that restores the full state — after which the
+// follower forecasts the same bits as the owner and as a standalone
+// system fed the same sequence.
 func TestClusterGapResync(t *testing.T) {
 	nodes := newTestCluster(t, 3, nil)
 	const sensor = "gap-sensor"
@@ -168,13 +171,41 @@ func TestClusterGapResync(t *testing.T) {
 		got, _ := follower.sys.HistoryLen(sensor)
 		return got == 410
 	})
+
+	ref, err := smiler.New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ref.Close()
+	if err := ref.AddSensor(sensor, hist[:400]); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range hist[400:410] {
+		if err := ref.Observe(sensor, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := ref.Predict(sensor, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tn := range []*testNode{follower, owner} {
+		got, err := tn.sys.Predict(sensor, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) ||
+			math.Float64bits(got.Variance) != math.Float64bits(want.Variance) {
+			t.Fatalf("%s forecast (%.17g, %.17g) != standalone (%.17g, %.17g)",
+				tn.id, got.Mean, got.Variance, want.Mean, want.Variance)
+		}
+	}
 }
 
 // TestClusterIdempotentRetryThroughForwarding: the same keyed mutation
 // sent twice through a non-owner applies exactly once on the owner —
 // the forwarder propagates the key and the owner's idempotency layer
-// dedupes — but at most once per node, not per cluster: a retry that
-// follows its sensor across a migration cutover executes again.
+// dedupes.
 func TestClusterIdempotentRetryThroughForwarding(t *testing.T) {
 	nodes := newTestCluster(t, 3, nil)
 	const sensor = "idem-sensor"
@@ -222,29 +253,6 @@ func TestClusterIdempotentRetryThroughForwarding(t *testing.T) {
 		t.Fatalf("owner history = %d, want 401 (duplicate must not double-apply)", got)
 	}
 
-	// The dedupe window lives on the node that executed the request and
-	// does not travel with a migrating sensor: once the sensor has moved,
-	// the same key runs again on the new owner. This is the at-least-once
-	// window docs/CLUSTER.md states; the snapshot already holds the first
-	// application, so the retry is a duplicate observation.
-	resp, err := http.Post(owner.ts.URL+"/cluster/migrate", "application/json",
-		strings.NewReader(`{"sensor":"`+sensor+`","target":"`+entry.id+`"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("migrate: HTTP %d", resp.StatusCode)
-	}
-	third := send()
-	if third.StatusCode != http.StatusOK || third.Header.Get(server.IdempotentReplayHeader) != "" {
-		t.Fatalf("retry after cutover: HTTP %d, replay %q; want a fresh execution on the new owner",
-			third.StatusCode, third.Header.Get(server.IdempotentReplayHeader))
-	}
-	drainAll(t, nodes)
-	if got, _ := entry.sys.HistoryLen(sensor); got != 402 {
-		t.Fatalf("new owner history = %d, want 402 (snapshot's 401 + the re-executed retry)", got)
-	}
 }
 
 // TestClusterBulkPartitioning: one bulk POST spanning sensors owned by
@@ -312,94 +320,40 @@ func TestClusterBulkPartitioning(t *testing.T) {
 	}
 }
 
-// TestClusterMigration: migrating a sensor moves ownership and the
-// post-migration forecast is bit-identical to a single-node system
-// fed the same data — the snapshot + cutover loses nothing.
-func TestClusterMigration(t *testing.T) {
+// TestClusterForwardFault: an injected forward failure surfaces as a
+// retryable 5xx and the client's retry completes the request.
+func TestClusterForwardFault(t *testing.T) {
 	nodes := newTestCluster(t, 3, nil)
-	const sensor = "mig-sensor"
-	hist := seasonal(rand.New(rand.NewSource(6)), 440)
-
-	// Reference: a standalone system fed the identical sequence.
-	ref, err := smiler.New(testConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ref.Close()
-	if err := ref.AddSensor(sensor, hist[:400]); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range hist[400:420] {
-		if err := ref.Observe(sensor, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-
+	const sensor = "fwd-fault-sensor"
+	hist := seasonal(rand.New(rand.NewSource(9)), 320)
 	owner := ownerOf(t, nodes, sensor)
-	cl, err := server.NewClient(owner.ts.URL, nil)
+	ownerCl, err := server.NewClient(owner.ts.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.AddSensor(sensor, hist[:400]); err != nil {
+	if err := ownerCl.AddSensor(sensor, hist); err != nil {
 		t.Fatal(err)
 	}
-	if err := cl.ObserveBatch(sensor, hist[400:420]); err != nil {
-		t.Fatal(err)
-	}
-	drainAll(t, nodes)
-
-	// Pick a migration target that is not the owner.
-	target := nonOwnerOf(t, nodes, sensor)
-	resp, err := http.Post(owner.ts.URL+"/cluster/migrate", "application/json",
-		strings.NewReader(`{"sensor":"`+sensor+`","target":"`+target.id+`"}`))
+	entry := nonOwnerOf(t, nodes, sensor)
+	cl, err := server.NewClient(entry.ts.URL, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("migrate: HTTP %d: %s", resp.StatusCode, b)
-	}
 
-	// Ownership moved everywhere.
-	for _, tn := range nodes {
-		var route struct {
-			Owner string `json:"owner"`
-		}
-		getJSON(t, tn.ts.URL+"/cluster/ring?sensor="+sensor, &route)
-		if route.Owner != target.id {
-			t.Fatalf("node %s still routes %s to %s, want %s", tn.id, sensor, route.Owner, target.id)
-		}
-	}
-	if got, _ := target.sys.HistoryLen(sensor); got != 420 {
-		t.Fatalf("target history = %d, want 420", got)
-	}
+	in := fault.NewInjector(3)
+	in.Set(fault.PointClusterForward, fault.Rule{Kind: fault.KindError, After: 1, Once: true})
+	fault.Arm(in)
+	t.Cleanup(fault.Disarm)
 
-	// The migrated forecast — served through any entry node, computed on
-	// the target — must be bit-identical to the reference system's.
-	want, err := ref.Predict(sensor, 1)
+	fc, err := cl.Forecast(sensor, 1)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("forecast through faulted forward: %v", err)
 	}
-	got, err := cl.Forecast(sensor, 1)
-	if err != nil {
-		t.Fatal(err)
+	if fc.Degraded {
+		t.Fatalf("forecast degraded: %+v", fc)
 	}
-	if got.Mean != want.Mean || got.Variance != want.Variance {
-		t.Fatalf("post-migration forecast (%.17g, %.17g) != reference (%.17g, %.17g)",
-			got.Mean, got.Variance, want.Mean, want.Variance)
-	}
-	if got.Degraded {
-		t.Fatalf("post-migration forecast must not be degraded: %+v", got)
-	}
-
-	// New observations now apply on the target.
-	if err := cl.Observe(sensor, hist[420]); err != nil {
-		t.Fatal(err)
-	}
-	drainAll(t, nodes)
-	if got, _ := target.sys.HistoryLen(sensor); got != 421 {
-		t.Fatalf("post-migration observe landed wrong: target history = %d, want 421", got)
+	if got := in.Fired(fault.PointClusterForward); got != 1 {
+		t.Fatalf("forward fault fired %d times, want 1", got)
 	}
 }
 

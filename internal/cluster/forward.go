@@ -49,52 +49,29 @@ func (n *Node) gate(w http.ResponseWriter, r *http.Request, next http.Handler) {
 		next.ServeHTTP(w, r) // not sensor-scoped: always local
 		return
 	}
-	if r.Header.Get(forwardedHeader) != "" {
-		// A peer reached us directly: note its epoch, and stamp ours on
-		// the response, so stale views heal off the regular request path
-		// too (in both directions).
-		n.noteEpoch(r.Header, Member{})
-		n.stampEpoch(w)
-	}
-	// A quiescing sensor takes no mutation on this node, whoever this
-	// node thinks owns it: the pause is held from snapshot through the
-	// cutover broadcast, and during the broadcast the override already
-	// points at the target, so a write forwarded here by a member that
-	// has not heard yet would land after the snapshot and be lost.
+	// A sensor being snapshotted for a follower's resync takes no
+	// mutation: the snapshot must cover exactly the frames up to the
+	// sequence number it is tagged with.
 	if n.isPaused(sensor) && r.Method != http.MethodGet {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable,
-			"sensor is quiescing for snapshot/migration; retry")
+			"sensor is quiescing for a resync snapshot; retry")
 		return
 	}
 	owner, promoted := n.route(sensor)
-	if owner.ID == "" {
-		next.ServeHTTP(w, r) // no installed placement (mid-leave): local
-		return
-	}
 	if owner.ID != n.cfg.Self {
 		if r.Header.Get(forwardedHeader) != "" {
-			// View skew: the sender thought we own this sensor. Serve
-			// locally rather than bounce; our state is at worst a lagging
-			// replica of the truth.
+			// Health-view skew: the sender believes every node ahead of us
+			// in the sensor's preference list is down; we see one up, so we
+			// are not the primary. Answer as a promoted replica does —
+			// never bounce the request back, and never apply a write to a
+			// copy the primary will not see.
 			n.setOwnerHeaders(w, Member{ID: n.cfg.Self, URL: n.selfURL})
-			next.ServeHTTP(w, r)
+			n.serveAsReplica(w, r, sensor, next)
 			return
 		}
 		n.forward(w, r, owner, bodyCopy, sensor)
 		return
-	}
-	// We are the effective owner. A draining node takes no NEW sensors:
-	// ring-mapped registrations for sensors it does not hold go straight
-	// to their target-ring owner, with an ownership override broadcast
-	// so the cluster routes the fresh sensor to its real home at once.
-	if !promoted && r.Method == http.MethodPost && r.URL.Path == "/sensors" &&
-		r.Header.Get(forwardedHeader) == "" && !n.sys.HasSensor(sensor) {
-		if v := n.curView(); v != nil && v.inMap && v.self == StateDraining {
-			if n.redirectNewSensor(w, r, sensor, bodyCopy) {
-				return
-			}
-		}
 	}
 	n.setOwnerHeaders(w, owner)
 	if promoted {
@@ -115,35 +92,6 @@ func (n *Node) gate(w http.ResponseWriter, r *http.Request, next http.Handler) {
 func (n *Node) setOwnerHeaders(w http.ResponseWriter, owner Member) {
 	w.Header().Set(ownerHeader, owner.ID)
 	w.Header().Set(server.OwnerURLHeader, owner.URL)
-}
-
-// redirectNewSensor forwards a new-sensor registration from a
-// draining node to the first live target-ring candidate and, on
-// success, installs + broadcasts the ownership override. Returns
-// false when no live candidate exists — the registration then
-// proceeds locally rather than failing (the rebalancer will move it).
-func (n *Node) redirectNewSensor(w http.ResponseWriter, r *http.Request, sensor string, body []byte) bool {
-	v := n.curView()
-	if v == nil {
-		return false
-	}
-	for _, id := range v.target.Preference(sensor, len(v.members)) {
-		if id == n.cfg.Self || !n.health.isUp(id) {
-			continue
-		}
-		tgt, ok := n.member(id)
-		if !ok {
-			continue
-		}
-		rec := &statusRecorder{ResponseWriter: w}
-		n.forward(rec, r, tgt, body, sensor)
-		if rec.status >= 200 && rec.status < 300 {
-			n.setAssign(sensor, id)
-			n.broadcastAssign(sensor, id)
-		}
-		return true
-	}
-	return false
 }
 
 // extractSensor pulls the target sensor id out of the request: the
@@ -307,8 +255,7 @@ func (n *Node) serveRemoveSensor(w http.ResponseWriter, r *http.Request, sensor 
 // this node's replica state. Forecast reads are served tagged
 // Degraded: "replica" while the staleness bound holds; everything
 // else (mutations, and reads once too stale) answers 503 — writes
-// wait for the primary (or an operator migration), so a returning
-// primary has not missed any.
+// wait for the primary, so a returning primary has not missed any.
 func (n *Node) serveAsReplica(w http.ResponseWriter, r *http.Request, sensor string, next http.Handler) {
 	pref := n.preference(sensor)
 	primary := pref[0]
@@ -379,7 +326,9 @@ func (n *Node) recordFailoverTrace(r *http.Request, sensor string, start time.Ti
 // local partition goes through the pipeline, remote partitions are
 // POSTed to their owners (with derived idempotency keys so each
 // partition dedupes independently on retry), and per-item outcomes
-// are merged back under the caller's original indices.
+// are merged back under the caller's original indices. Only a sensor's
+// primary applies its items: one this node would apply as a replica
+// fails, like a single observe does.
 func (n *Node) bulkObserve(w http.ResponseWriter, r *http.Request, body []byte) {
 	var req server.BulkObserveRequest
 	if err := json.Unmarshal(body, &req); err != nil {
@@ -395,9 +344,25 @@ func (n *Node) bulkObserve(w http.ResponseWriter, r *http.Request, body []byte) 
 		obs     []ingest.Observation
 		indices []int
 	}
+	key := r.Header.Get(server.IdempotencyKeyHeader)
+	forwarded := r.Header.Get(forwardedHeader) != ""
 	parts := make(map[string]*part)
+	var merged ingest.BulkResult
 	for i, o := range req.Observations {
-		owner, _ := n.route(o.Sensor)
+		owner, promoted := n.route(o.Sensor)
+		local := owner.ID == n.cfg.Self
+		if (forwarded || local) && (!local || promoted) {
+			// This node would apply the item but is not its sensor's
+			// primary (promoted, or a sender's health view disagrees with
+			// ours): a replica takes no writes, as in serveAsReplica.
+			n.m.writeRejects.Inc()
+			merged.Failed = append(merged.Failed, ingest.BulkFailure{
+				Index: i, ID: o.Sensor,
+				Error: "sensor " + o.Sensor + ": this node is a replica of primary " +
+					n.preference(o.Sensor)[0] + "; mutations are rejected on replicas, retry",
+			})
+			continue
+		}
 		p := parts[owner.ID]
 		if p == nil {
 			p = &part{owner: owner}
@@ -406,14 +371,12 @@ func (n *Node) bulkObserve(w http.ResponseWriter, r *http.Request, body []byte) 
 		p.obs = append(p.obs, o)
 		p.indices = append(p.indices, i)
 	}
-	key := r.Header.Get(server.IdempotencyKeyHeader)
-	forwarded := r.Header.Get(forwardedHeader) != ""
 	// Quiesce check before anything applies or forwards, mirroring the
-	// sensor-scoped gate: an item applied on the old owner while its
-	// sensor is paused for snapshot/migration would miss the shipped
-	// snapshot and be silently lost at cutover, so the whole batch
-	// answers 503 instead (5xx responses are never idempotency-cached,
-	// so a retry re-executes once the pause lifts).
+	// sensor-scoped gate: an item applied while its sensor is paused for
+	// a resync snapshot would land between the snapshot's sequence
+	// number and its state, so the whole batch answers 503 instead (5xx
+	// responses are never idempotency-cached, so a retry re-executes
+	// once the pause lifts).
 	for id, p := range parts {
 		if id != n.cfg.Self && !forwarded {
 			continue // remote partition: its owner runs this check
@@ -422,12 +385,11 @@ func (n *Node) bulkObserve(w http.ResponseWriter, r *http.Request, body []byte) 
 			if n.isPaused(o.Sensor) {
 				w.Header().Set("Retry-After", "1")
 				writeError(w, http.StatusServiceUnavailable,
-					"sensor "+o.Sensor+" is quiescing for snapshot/migration; retry")
+					"sensor "+o.Sensor+" is quiescing for a resync snapshot; retry")
 				return
 			}
 		}
 	}
-	var merged ingest.BulkResult
 	for id, p := range parts {
 		var res ingest.BulkResult
 		switch {

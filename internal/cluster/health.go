@@ -2,9 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
-	"net/http"
 	"sync"
 	"time"
 
@@ -44,35 +41,18 @@ type PeerHealth struct {
 	LastErr  string    `json:"last_error,omitempty"`
 }
 
+// newProber starts every peer up: boot must not make the cluster look
+// failed before the first probe round.
 func newProber(n *Node) *prober {
 	p := &prober{
 		n:     n,
-		state: make(map[string]*peerHealth),
+		state: make(map[string]*peerHealth, len(n.view.peers)),
 		stop:  make(chan struct{}),
 	}
+	for _, id := range n.view.peers {
+		p.state[id] = &peerHealth{up: true}
+	}
 	return p
-}
-
-// syncPeers reconciles the probe table with a new membership view.
-// New peers start up — a map install must not make the cluster look
-// failed before the first probe round — and removed peers drop out.
-func (p *prober) syncPeers(ids []string) {
-	want := make(map[string]bool, len(ids))
-	for _, id := range ids {
-		want[id] = true
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for id := range p.state {
-		if !want[id] {
-			delete(p.state, id)
-		}
-	}
-	for id := range want {
-		if p.state[id] == nil {
-			p.state[id] = &peerHealth{up: true}
-		}
-	}
 }
 
 func (p *prober) start() {
@@ -101,7 +81,7 @@ func (p *prober) loop() {
 
 func (p *prober) probeAll() {
 	var wg sync.WaitGroup
-	for _, id := range p.n.peerIDs() {
+	for _, id := range p.n.view.peers {
 		id := id
 		wg.Add(1)
 		go func() {
@@ -113,27 +93,10 @@ func (p *prober) probeAll() {
 }
 
 // probe hits the peer's readiness endpoint once. Any transport error
-// or non-200 (a recovering node answers 503) counts as a failure:
-// not-ready nodes must not own sensors. The one exception is a
-// draining peer — it answers 503 {"status":"draining"} but is alive
-// and still serving the sensors it has not yet handed off, so marking
-// it down would failover its entire share mid-drain.
+// or non-200 (a recovering or shutting-down node answers 503) counts
+// as a failure: not-ready nodes must not own sensors.
 func (p *prober) probe(id string) error {
-	member, ok := p.n.member(id)
-	if !ok {
-		return nil
-	}
-	err := p.n.peerJSON(context.Background(), member, rpcProbe, nil, nil)
-	var se *peerStatusError
-	if errors.As(err, &se) && se.status == http.StatusServiceUnavailable {
-		var body struct {
-			Status string `json:"status"`
-		}
-		if json.Unmarshal(se.body, &body) == nil && body.Status == "draining" {
-			return nil
-		}
-	}
-	return err
+	return p.n.peerJSON(context.Background(), p.n.view.members[id], rpcProbe, nil, nil)
 }
 
 func (p *prober) record(id string, err error) {
@@ -190,14 +153,13 @@ func (p *prober) snapshot() []PeerHealth {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	out := make([]PeerHealth, 0, len(p.state))
-	for _, id := range p.n.peerIDs() {
+	for _, id := range p.n.view.peers {
 		st := p.state[id]
 		if st == nil {
 			continue
 		}
-		member, _ := p.n.member(id)
 		out = append(out, PeerHealth{
-			Peer: id, URL: member.URL, Up: st.up,
+			Peer: id, URL: p.n.view.members[id].URL, Up: st.up,
 			Failures: st.failures, LastOK: st.lastOK, LastErr: st.lastErr,
 		})
 	}

@@ -7,9 +7,6 @@ import "smiler/internal/obs"
 // cluster behaviour next to the prediction and ingest metrics. All
 // fields tolerate a nil registry (they become no-ops).
 type metrics struct {
-	reg  *obs.Registry
-	node *Node
-
 	forwards      func(target string) *obs.Counter
 	forwardErrs   *obs.Counter
 	forwardSec    *obs.Histogram
@@ -23,11 +20,10 @@ type metrics struct {
 	promotedServe *obs.Counter // degraded forecasts served as a promoted replica
 	staleRejects  *obs.Counter // promoted reads refused: staleness bound exceeded
 	writeRejects  *obs.Counter // mutations refused while promoted
-	migrations    *obs.Counter
 }
 
 func newMetrics(reg *obs.Registry, node *Node) *metrics {
-	m := &metrics{reg: reg, node: node}
+	m := &metrics{}
 	m.forwards = func(target string) *obs.Counter {
 		return reg.Counter("smiler_cluster_forwards_total",
 			"Requests forwarded to their owning node.", obs.L("target", target))
@@ -56,66 +52,19 @@ func newMetrics(reg *obs.Registry, node *Node) *metrics {
 		"Promoted reads refused because the staleness bound was exceeded.")
 	m.writeRejects = reg.Counter("smiler_cluster_write_rejects_total",
 		"Mutations refused while serving as a promoted replica.")
-	m.migrations = reg.Counter("smiler_cluster_migrations_total",
-		"Sensors migrated onto or away from this node.")
 	// Replication lag: frames queued toward peers but not yet shipped.
 	reg.GaugeFunc("smiler_cluster_replication_lag_frames",
 		"Frames buffered for followers, not yet shipped.",
-		func() float64 {
-			if node.repl == nil {
-				return 0
-			}
-			return float64(node.repl.queuedFrames())
-		})
-	// Membership: the installed map's epoch and size, and the local
-	// rebalancer's progress counters.
-	reg.GaugeFunc("smiler_cluster_map_epoch",
-		"Epoch of the installed cluster map.",
-		func() float64 { return float64(node.epoch()) })
-	reg.GaugeFunc("smiler_cluster_members",
-		"Members in the installed cluster map (any state).",
-		func() float64 {
-			if v := node.curView(); v != nil {
-				return float64(len(v.members))
-			}
-			return 0
-		})
-	reg.GaugeFunc("smiler_rebalance_moved_sensors",
-		"Sensors this node's rebalancer has migrated (cumulative).",
-		func() float64 {
-			if node.reb == nil {
-				return 0
-			}
-			return float64(node.reb.moved.Load())
-		})
-	reg.GaugeFunc("smiler_rebalance_pending_sensors",
-		"Misplaced sensors remaining in the current rebalance plan.",
-		func() float64 {
-			if node.reb == nil {
-				return 0
-			}
-			return float64(node.reb.pending.Load())
-		})
-	return m
-}
-
-// syncPeers (re)registers the per-peer up/down gauge for the current
-// peer set. The registry dedupes by name+label, so re-registering a
-// known peer is a no-op; a peer that has left the map keeps its
-// registered series but reads 0 (the closure checks membership).
-func (m *metrics) syncPeers(ids []string) {
-	for _, p := range ids {
-		p := p
-		m.reg.GaugeFunc("smiler_cluster_peer_up",
-			"1 when the peer's readiness probe passes, 0 when it is down or gone.",
+		func() float64 { return float64(node.repl.queuedFrames()) })
+	for _, p := range node.view.peers {
+		reg.GaugeFunc("smiler_cluster_peer_up",
+			"1 when the peer's readiness probe passes, 0 when it is down.",
 			func() float64 {
-				if _, ok := m.node.member(p); !ok {
-					return 0
-				}
-				if m.node.health.isUp(p) {
+				if node.health.isUp(p) {
 					return 1
 				}
 				return 0
 			}, obs.L("peer", p))
 	}
+	return m
 }

@@ -1,15 +1,12 @@
 package cluster_test
 
 import (
-	"bytes"
-	"encoding/json"
 	"math/rand"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
-	"smiler/internal/cluster"
 	"smiler/internal/obs"
 	"smiler/internal/server"
 )
@@ -160,61 +157,15 @@ func hasEvent(evs []obs.Event, typ string, match func(obs.Event) bool) bool {
 	return false
 }
 
-// TestClusterEventsMigrationAndFailover: the flight recorder captures
-// the cluster's control-plane incidents — a migration cutover on the
-// old owner, the ownership override on its peers, and a failover when
-// a member dies.
-func TestClusterEventsMigrationAndFailover(t *testing.T) {
+// TestClusterEventsFailover: the flight recorder captures the
+// cluster's control-plane incidents — when a member dies, the
+// survivors record the failover at error severity.
+func TestClusterEventsFailover(t *testing.T) {
 	nodes := newTestCluster(t, 3, nil)
-	const sensor = "events-sensor"
-	hist := seasonal(rand.New(rand.NewSource(22)), 420)
-
-	owner := ownerOf(t, nodes, sensor)
-	target := nonOwnerOf(t, nodes, sensor)
-	cl, err := server.NewClient(owner.ts.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.AddSensor(sensor, hist[:400]); err != nil {
-		t.Fatal(err)
-	}
-
-	// Migrate the sensor; the cutover must land in the old owner's ring.
-	body, err := json.Marshal(cluster.MigrateRequest{Sensor: sensor, Target: target.id})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(owner.ts.URL+"/cluster/migrate", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("migrate: HTTP %d", resp.StatusCode)
-	}
-	evs := eventsOf(t, owner.ts.URL)
-	if !hasEvent(evs, "migration_cutover", func(ev obs.Event) bool {
-		return ev.Sensor == sensor && strings.Contains(ev.Detail, target.id)
-	}) {
-		t.Fatalf("old owner has no migration_cutover event: %+v", evs)
-	}
-	waitFor(t, 5*time.Second, "migration_assign on the new owner", func() bool {
-		return hasEvent(eventsOf(t, target.ts.URL), "migration_assign", func(ev obs.Event) bool {
-			return ev.Sensor == sensor
-		})
-	})
-
-	// Kill a member; within the probe window the survivors record the
-	// failover at error severity.
-	var victim *testNode
-	for _, tn := range nodes {
-		if tn != owner && tn != target {
-			victim = tn
-		}
-	}
+	victim, survivor := nodes[2], nodes[0]
 	victim.ts.Close()
 	waitFor(t, 5*time.Second, "failover event on a survivor", func() bool {
-		return hasEvent(eventsOf(t, owner.ts.URL), "failover", func(ev obs.Event) bool {
+		return hasEvent(eventsOf(t, survivor.ts.URL), "failover", func(ev obs.Event) bool {
 			return strings.Contains(ev.Detail, victim.id) && ev.Severity == obs.SevError
 		})
 	})

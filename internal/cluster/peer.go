@@ -16,26 +16,18 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"smiler/internal/fault"
 	"smiler/internal/obs"
 )
 
-// Headers every peer request carries (peerHeaders) and every peer
-// response may carry (stampEpoch).
+// Headers every peer request carries (peerHeaders).
 const (
 	// fromHeader names the sending node.
 	fromHeader = "X-Smiler-From"
-	// fromURLHeader carries the sender's base URL so even a
-	// not-yet-known sender can be pulled from.
-	fromURLHeader = "X-Smiler-From-Url"
-	// epochHeader carries the sender's installed map epoch.
-	epochHeader = "X-Smiler-Epoch"
 	// secretHeader carries the shared cluster secret when Config.Secret
 	// is set.
 	secretHeader = "X-Smiler-Cluster-Secret"
@@ -46,13 +38,9 @@ const (
 const (
 	// capAck fits every small acknowledgement and error body.
 	capAck = 4 << 10
-	// capMap fits a cluster map (and the small JSON commands that share
-	// its endpoints): a member is ~100 bytes, so 1 MiB is ~10k members.
-	capMap = 1 << 20
-	// capSensorList bounds GET /cluster/sensors, which lists every
-	// sensor id resident on a node: at ~32 bytes per id 64 MiB covers
-	// two million sensors, more than one node's memory holds.
-	capSensorList = 64 << 20
+	// capReplicateAck fits a follower's answer to a replication batch,
+	// which names at most maxBatchFrames sensors to resync.
+	capReplicateAck = 1 << 20
 	// capBulk bounds whole-state and whole-batch bodies: a snapshot
 	// POSTed to /cluster/restore is one sensor's full checkpoint
 	// envelope (8 bytes per history point plus index and model state),
@@ -84,26 +72,15 @@ const (
 // The client half of the protocol. rpcForward's method, path and
 // content type are the relayed client request's own.
 var (
-	rpcMapPull      = peerRPC{"map-pull", http.MethodGet, "/cluster/map", "", "", capMap, "any node that saw a newer epoch"}
-	rpcMapPush      = peerRPC{"map-push", http.MethodPost, "/cluster/map", ctJSON, fault.PointClusterMapPush, capAck, "primary, on publish"}
-	rpcJoin         = peerRPC{"join", http.MethodPost, "/cluster/join", ctJSON, "", capMap, "joining node; any member proxying to the primary"}
-	rpcDecommission = peerRPC{"decommission", http.MethodPost, "/cluster/decommission", ctJSON, "", capMap, "Decommission(); any member proxying to the primary"}
-	rpcSensors      = peerRPC{"sensors", http.MethodGet, "/cluster/sensors", "", "", capSensorList, "rebalancer, planning"}
-	rpcRoute        = peerRPC{"route", http.MethodGet, "/cluster/ring", "", "", capMap, "rebalancer, after a 409"}
-	rpcMigrate      = peerRPC{"migrate", http.MethodPost, "/cluster/migrate", ctJSON, "", capAck, "rebalancer, per move"}
-	rpcAssign       = peerRPC{"assign", http.MethodPost, "/cluster/assign", ctJSON, "", capAck, "old owner, at cutover"}
-	rpcRestore      = peerRPC{"restore", http.MethodPost, "/cluster/restore", ctBytes, fault.PointClusterReplicateSend, capAck, "shipSnapshot: migration and resync"}
-	rpcReplicate    = peerRPC{"replicate", http.MethodPost, "/cluster/replicate", ctBytes, fault.PointClusterReplicateSend, capMap, "owner, per batch and heartbeat"}
-	rpcForward      = peerRPC{"forward", "", "", "", fault.PointClusterForward, 0, "gate, for a sensor owned elsewhere"}
-	rpcForwardBulk  = peerRPC{"forward-bulk", http.MethodPost, "/observations", ctJSON, fault.PointClusterForward, capBulk, "gate, per remote bulk partition"}
-	rpcProbe        = peerRPC{"probe", http.MethodGet, "/readyz", "", fault.PointClusterProbe, capAck, "prober, every ProbeInterval"}
+	rpcRestore     = peerRPC{"restore", http.MethodPost, "/cluster/restore", ctBytes, fault.PointClusterReplicateSend, capAck, "shipSnapshot: resync"}
+	rpcReplicate   = peerRPC{"replicate", http.MethodPost, "/cluster/replicate", ctBytes, fault.PointClusterReplicateSend, capReplicateAck, "owner, per batch and heartbeat"}
+	rpcForward     = peerRPC{"forward", "", "", "", fault.PointClusterForward, 0, "gate, for a sensor owned elsewhere"}
+	rpcForwardBulk = peerRPC{"forward-bulk", http.MethodPost, "/observations", ctJSON, fault.PointClusterForward, capBulk, "gate, per remote bulk partition"}
+	rpcProbe       = peerRPC{"probe", http.MethodGet, "/readyz", "", fault.PointClusterProbe, capAck, "prober, every ProbeInterval"}
 )
 
 // peerRPCs lists every call kind, for the docs and partition tests.
-var peerRPCs = []peerRPC{
-	rpcMapPull, rpcMapPush, rpcJoin, rpcDecommission, rpcSensors, rpcRoute, rpcMigrate,
-	rpcAssign, rpcRestore, rpcReplicate, rpcForward, rpcForwardBulk, rpcProbe,
-}
+var peerRPCs = []peerRPC{rpcRestore, rpcReplicate, rpcForward, rpcForwardBulk, rpcProbe}
 
 // checkPeerFault consults a cluster fault point twice: once bare and
 // once suffixed ":<peer>", so tests can fail the path toward a single
@@ -116,12 +93,9 @@ func checkPeerFault(point, peer string) error {
 }
 
 // peerHeaders stamps an outbound intra-cluster request with this
-// node's identity, base URL, installed map epoch and, when
-// configured, the shared secret.
+// node's identity and, when configured, the shared secret.
 func (n *Node) peerHeaders(req *http.Request) {
 	req.Header.Set(fromHeader, n.cfg.Self)
-	req.Header.Set(fromURLHeader, n.selfURL)
-	req.Header.Set(epochHeader, strconv.FormatUint(n.epoch(), 10))
 	if n.cfg.Secret != "" {
 		req.Header.Set(secretHeader, n.cfg.Secret)
 	}
@@ -132,7 +106,7 @@ func (n *Node) peerHeaders(req *http.Request) {
 // things in the same order: the RPC's named fault point, the per-peer
 // partition point, peer headers, trace-context propagation (one hop
 // deeper), the caller's extra headers (key, value pairs; empty values
-// are skipped), the round trip, and epoch gossip off the response.
+// are skipped), and the round trip.
 func (n *Node) peerCall(ctx context.Context, to Member, rpc peerRPC, body io.Reader, kv ...string) (*http.Response, error) {
 	if rpc.point != "" {
 		if err := checkPeerFault(rpc.point, to.ID); err != nil {
@@ -158,12 +132,7 @@ func (n *Node) peerCall(ctx context.Context, to Member, rpc peerRPC, body io.Rea
 			req.Header.Set(kv[i], kv[i+1])
 		}
 	}
-	resp, err := n.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	n.noteEpoch(resp.Header, to)
-	return resp, nil
+	return n.hc.Do(req)
 }
 
 // peerStatusError is a peer's non-200 answer.
@@ -175,16 +144,6 @@ type peerStatusError struct {
 
 func (e *peerStatusError) Error() string {
 	return fmt.Sprintf("%s answered HTTP %d: %s", e.rpc, e.status, bytes.TrimSpace(e.body))
-}
-
-// peerStatus is the HTTP status inside err, or 0 when err is not a
-// peer's answer (nil, transport failure, injected fault).
-func peerStatus(err error) int {
-	var se *peerStatusError
-	if errors.As(err, &se) {
-		return se.status
-	}
-	return 0
 }
 
 // peerJSON is peerCall for callers that want the whole answer: the
@@ -230,22 +189,19 @@ func jsonBody(v any) io.Reader {
 type authClass int
 
 const (
-	// authOpen routes are client-facing reads: they stamp this node's
-	// epoch on the answer and trust nothing the caller sent.
+	// authOpen routes are client-facing reads: they trust nothing the
+	// caller sent.
 	authOpen authClass = iota
-	// authSecret routes require the shared secret when one is
-	// configured. Operators use them too, so no member id is required.
-	authSecret
-	// authPeer routes additionally require X-Smiler-From to name
-	// another member of the installed map. Without a secret that only
-	// stops stray API clients from overwriting sensor state or flipping
-	// ownership — any sender can claim a member id — so the secret, or
-	// keeping the port off the client network, is the real boundary
-	// (docs/CLUSTER.md, Security).
+	// authPeer routes require the shared secret when one is configured,
+	// and X-Smiler-From naming another member. Without a secret that
+	// only stops stray API clients from overwriting sensor state — any
+	// sender can claim a member id — so the secret, or keeping the port
+	// off the client network, is the real boundary (docs/CLUSTER.md,
+	// Security).
 	authPeer
 )
 
-func (a authClass) String() string { return [...]string{"open", "secret", "peer"}[a] }
+func (a authClass) String() string { return [...]string{"open", "peer"}[a] }
 
 // peerRoute is one mounted (path, method).
 type peerRoute struct {
@@ -260,56 +216,33 @@ type peerRoute struct {
 var peerRoutes = []peerRoute{
 	{"/cluster/ring", http.MethodGet, authOpen, 0, (*Node).handleRing},
 	{"/cluster/health", http.MethodGet, authOpen, 0, (*Node).handleHealth},
-	{"/cluster/rebalance", http.MethodGet, authOpen, 0, (*Node).handleRebalance},
-	{"/cluster/map", http.MethodGet, authOpen, 0, (*Node).handleMapGet},
-	{"/cluster/map", http.MethodPost, authSecret, capMap, (*Node).handleMapPost},
-	{"/cluster/join", http.MethodPost, authSecret, capMap, (*Node).handleJoin},
-	{"/cluster/decommission", http.MethodPost, authSecret, capMap, (*Node).handleDecommission},
-	{"/cluster/migrate", http.MethodPost, authSecret, capMap, (*Node).handleMigrate},
-	{"/cluster/sensors", http.MethodGet, authSecret, 0, (*Node).handleSensorList},
-	{"/cluster/assign", http.MethodPost, authPeer, capMap, (*Node).handleAssign},
 	{"/cluster/replicate", http.MethodPost, authPeer, capBulk, (*Node).handleReplicate},
 	{"/cluster/restore", http.MethodPost, authPeer, capBulk, (*Node).handleRestore},
 }
 
-// mountPeerRoutes mounts every path of peerRoutes behind servePeer (a
-// path with two methods is mounted twice; remounting replaces).
+// mountPeerRoutes mounts every path of peerRoutes behind servePeer.
 func (n *Node) mountPeerRoutes() {
 	for _, rt := range peerRoutes {
-		path := rt.path
-		n.srv.Handle(path, func(w http.ResponseWriter, r *http.Request) { n.servePeer(path, w, r) })
+		n.srv.Handle(rt.path, func(w http.ResponseWriter, r *http.Request) { n.servePeer(&rt, w, r) })
 	}
 }
 
 // servePeer is the one prologue of every /cluster/* request, in one
-// fixed order: method, epoch stamp, shared secret, epoch gossip,
-// membership, body cap — then the route's own logic. The sender's
-// epoch is noted once the secret checks out but before the membership
-// test, so a node that fell off a newer map learns about it from the
-// very request it is about to reject as coming from a stranger.
-func (n *Node) servePeer(path string, w http.ResponseWriter, r *http.Request) {
-	var rt *peerRoute
-	for i := range peerRoutes {
-		if peerRoutes[i].path == path && peerRoutes[i].method == r.Method {
-			rt = &peerRoutes[i]
-		}
-	}
-	if rt == nil {
+// fixed order: method, shared secret, membership, body cap — then the
+// route's own logic.
+func (n *Node) servePeer(rt *peerRoute, w http.ResponseWriter, r *http.Request) {
+	if r.Method != rt.method {
 		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
-	n.stampEpoch(w)
-	if rt.auth != authOpen {
+	if rt.auth == authPeer {
 		if n.cfg.Secret != "" &&
 			subtle.ConstantTimeCompare([]byte(r.Header.Get(secretHeader)), []byte(n.cfg.Secret)) != 1 {
 			writeError(w, http.StatusForbidden, "missing or wrong "+secretHeader+" header")
 			return
 		}
-		n.noteEpoch(r.Header, Member{})
-	}
-	if rt.auth == authPeer {
 		from := r.Header.Get(fromHeader)
-		if _, ok := n.member(from); !ok || from == n.cfg.Self {
+		if _, ok := n.view.members[from]; !ok || from == n.cfg.Self {
 			writeError(w, http.StatusForbidden,
 				"cluster endpoint requires a known peer "+fromHeader+" header")
 			return
@@ -319,39 +252,6 @@ func (n *Node) servePeer(path string, w http.ResponseWriter, r *http.Request) {
 		r.Body = http.MaxBytesReader(w, r.Body, rt.bodyCap)
 	}
 	rt.handle(n, w, r)
-}
-
-func (n *Node) stampEpoch(w http.ResponseWriter) {
-	w.Header().Set(epochHeader, strconv.FormatUint(n.epoch(), 10))
-}
-
-// noteEpoch inspects peer-sent headers for a newer epoch and, when the
-// sender is ahead, pulls its map asynchronously. Requests name their
-// sender in the headers; src is who answered, for responses, which
-// carry only the epoch.
-func (n *Node) noteEpoch(h http.Header, src Member) {
-	e, err := strconv.ParseUint(h.Get(epochHeader), 10, 64)
-	if err != nil || e <= n.epoch() {
-		return
-	}
-	if u := h.Get(fromURLHeader); u != "" {
-		src = Member{ID: h.Get(fromHeader), URL: u}
-	} else if m, ok := n.member(h.Get(fromHeader)); ok {
-		src = m
-	}
-	if src.URL != "" {
-		n.pullMapAsync(src)
-	}
-}
-
-// decodeBody reads the request's JSON body into v, answering 400 on
-// failure.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
-		writeError(w, http.StatusBadRequest, "invalid JSON body: "+err.Error())
-		return false
-	}
-	return true
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -34,50 +33,14 @@ func eventually(t *testing.T, d time.Duration, what string, cond func() bool) {
 	}
 }
 
-// TestPeerEpochLearnedFromAnyResponse: docs/CLUSTER.md promises that a
-// node which missed a map push notices the newer epoch on any
-// intra-cluster response. n3 misses the push, heartbeats are cut
-// everywhere, and the only traffic n3 then drives is an assign
-// broadcast — whose answers must be enough to make it pull the map.
-func TestPeerEpochLearnedFromAnyResponse(t *testing.T) {
-	nodes := newInternalCluster(t, nil, "n1", "n2", "n3")
-	in := fault.NewInjector(1)
-	in.Set(fault.PointClusterMapPush+":n3", fault.Rule{Kind: fault.KindError, After: 1})
-	in.Set(fault.PointClusterReplicateSend, fault.Rule{Kind: fault.KindError, After: 1})
-	fault.Arm(in)
-	t.Cleanup(fault.Disarm)
-
-	n1, n2, n3 := nodes[0].node, nodes[1].node, nodes[2].node
-	m := n1.curView().cmap.clone()
-	m.Epoch++
-	m.Primary = "n1"
-	m.Sig = signMap(m, "")
-	if err := n1.publishMap(m); err != nil {
-		t.Fatal(err)
-	}
-	eventually(t, 5*time.Second, "n2 to receive the pushed map", func() bool { return n2.epoch() == m.Epoch })
-	time.Sleep(100 * time.Millisecond) // several probe rounds: they must not gossip
-	if got := n3.epoch(); got != m.Epoch-1 {
-		t.Fatalf("n3 at epoch %d before driving any RPC, want %d (push blocked, heartbeats cut)", got, m.Epoch-1)
-	}
-	if in.Fired(fault.PointClusterMapPush+":n3") == 0 {
-		t.Fatal("map-push fault never fired")
-	}
-
-	n3.broadcastAssign("no-such-sensor", "n1")
-	eventually(t, 5*time.Second, "n3 to pull the map it saw on an assign response", func() bool {
-		return n3.epoch() == m.Epoch
-	})
-}
-
-// TestPeerOversizedResponseRejected: a peer answer over its RPC's cap
-// is an error, not a decode of however much the peer cares to stream.
+// TestPeerOversizedResponseRejected: an answer past the RPC's cap is
+// an error, never a partial decode.
 func TestPeerOversizedResponseRejected(t *testing.T) {
 	nodes := newInternalPair(t)
 	big := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, `{"sensor":"x","owner":"p2","preference":["`)
+		fmt.Fprint(w, `{"applied":1,"resync":["`)
 		chunk := strings.Repeat("a", 64<<10)
-		for sent := int64(0); sent <= 2*rpcRoute.cap; sent += int64(len(chunk)) {
+		for sent := int64(0); sent <= 2*rpcReplicate.cap; sent += int64(len(chunk)) {
 			if _, err := fmt.Fprint(w, chunk); err != nil {
 				return // the reader hung up at its cap
 			}
@@ -86,12 +49,13 @@ func TestPeerOversizedResponseRejected(t *testing.T) {
 	}))
 	defer big.Close()
 
-	route, err := nodes[0].node.reb.fetchRoute(Member{ID: "big", URL: big.URL}, "x")
+	var rr replicateResponse
+	err := nodes[0].node.peerJSON(context.Background(), Member{ID: "big", URL: big.URL}, rpcReplicate, nil, &rr)
 	if err == nil || !strings.Contains(err.Error(), "exceeds") {
-		t.Fatalf("fetchRoute of a %d-byte answer: err = %v, want a cap error", 2*rpcRoute.cap, err)
+		t.Fatalf("replicate answer of %d bytes: err = %v, want a cap error", 2*rpcReplicate.cap, err)
 	}
-	if route.Owner != "" {
-		t.Fatalf("oversized answer was decoded anyway: %+v", route)
+	if rr.Applied != 0 || len(rr.Resync) != 0 {
+		t.Fatalf("oversized answer was decoded anyway: %+v", rr)
 	}
 }
 
@@ -179,23 +143,6 @@ func TestPeerPartitionIsTotal(t *testing.T) {
 	if err := sys.AddSensor(sensor, internalHist(200)); err != nil {
 		t.Fatal(err)
 	}
-	stream := func(id string) *peerStream {
-		n.repl.peersMu.Lock()
-		defer n.repl.peersMu.Unlock()
-		return n.repl.peers[id]
-	}
-	// electPrimary makes id the lowest-id member the prober believes in.
-	electPrimary := func(id string) {
-		for _, other := range []string{"n2", "n3"} {
-			var perr error
-			if other < id {
-				perr = errors.New("held down by the test")
-			}
-			for i := 0; i < n.cfg.ProbeFailures; i++ {
-				n.health.record(other, perr)
-			}
-		}
-	}
 	apiReq := func(method, target string) *http.Request {
 		return httptest.NewRequest(method, target, strings.NewReader("{}"))
 	}
@@ -207,41 +154,9 @@ func TestPeerPartitionIsTotal(t *testing.T) {
 		key  string // what the target's listener sees ("" = rpc's method and path)
 		call func(to Member)
 	}{
-		{rpcMapPull, "fetchMap", "", func(to Member) { n.fetchMap(to, rpcMapPull, nil) }},
-		{rpcMapPush, "pushMapTo", "", func(to Member) { n.pushMapTo(to, []byte("{}")) }},
-		{rpcJoin, "fetchMap (tryJoin)", "", func(to Member) {
-			n.fetchMap(to, rpcJoin, jsonBody(JoinRequest{ID: "n4", URL: ts.URL}))
-		}},
-		{rpcJoin, "proxyToPrimary", "", func(to Member) {
-			n.proxyToPrimary(httptest.NewRecorder(), apiReq("POST", "/cluster/join"), to.ID, rpcJoin, JoinRequest{ID: "n9", URL: "http://n9"})
-		}},
-		{rpcDecommission, "proxyToPrimary", "", func(to Member) {
-			n.proxyToPrimary(httptest.NewRecorder(), apiReq("POST", "/cluster/decommission"), to.ID, rpcDecommission, DecommissionRequest{Node: "n4"})
-		}},
-		{rpcDecommission, "Decommission", "", func(to Member) {
-			electPrimary(to.ID)
-			defer electPrimary("n2")
-			n.Decommission("n4")
-		}},
-		{rpcSensors, "fetchSensors", "", func(to Member) { n.reb.fetchSensors(to) }},
-		{rpcRoute, "fetchRoute", "", func(to Member) { n.reb.fetchRoute(to, sensor) }},
-		{rpcMigrate, "migrateOne", "", func(to Member) {
-			n.reb.migrateOne(n.curView(), moveOp{Sensor: sensor, From: to.ID, To: "n4"})
-		}},
-		{rpcAssign, "broadcastAssign", "", func(Member) { n.broadcastAssign(sensor, "n4") }},
 		{rpcRestore, "shipSnapshot", "", func(to Member) { n.shipSnapshot(bg, to, []byte("snap"), 1) }},
-		{rpcRestore, "pushSnapshot (resync)", "", func(to Member) { n.repl.pushSnapshot(stream(to.ID), sensor) }},
-		{rpcRestore, "handleMigrate", "", func(to Member) {
-			resp, err := http.Post(ts.URL+"/cluster/migrate", ctJSON,
-				strings.NewReader(fmt.Sprintf(`{"sensor":%q,"target":%q}`, sensor, to.ID)))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			resp.Body.Close()
-			n.setAssign(sensor, "n4") // undo a successful cutover for the next case
-		}},
-		{rpcReplicate, "replicator.post", "", func(to Member) { n.repl.post(stream(to.ID), nil) }},
+		{rpcRestore, "pushSnapshot (resync)", "", func(to Member) { n.repl.pushSnapshot(n.repl.peers[to.ID], sensor) }},
+		{rpcReplicate, "replicator.post", "", func(to Member) { n.repl.post(n.repl.peers[to.ID], nil) }},
 		{rpcForward, "forward", "GET /sensors/x/forecast", func(to Member) {
 			n.forward(httptest.NewRecorder(), apiReq("GET", "/sensors/x/forecast?h=1"), to, nil, "x")
 		}},

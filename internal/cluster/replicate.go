@@ -46,11 +46,8 @@ type replicator struct {
 	mu  sync.Mutex
 	seq map[string]uint64
 
-	// peersMu guards peers and started: the membership view swaps
-	// streams in and out as members join and leave.
-	peersMu sync.Mutex
-	peers   map[string]*peerStream
-	started bool
+	// peers holds one outbound stream per peer, fixed at construction.
+	peers map[string]*peerStream
 
 	// contact tracks when each peer last reached this node (frames,
 	// heartbeats, snapshots). A promoted replica uses the failed
@@ -94,73 +91,41 @@ const (
 	maxBatchFrames = 256
 )
 
+// newReplicator opens one stream per peer. Every peer's contact time
+// is seeded with the construction time: a primary that is already down
+// when this node boots must accrue staleness from now, not read as
+// freshly contacted forever.
 func newReplicator(n *Node) *replicator {
-	return &replicator{
+	r := &replicator{
 		n:           n,
 		seq:         make(map[string]uint64),
 		peers:       make(map[string]*peerStream),
 		lastContact: make(map[string]time.Time),
 	}
-}
-
-// syncPeers reconciles the outbound streams with a new membership
-// view: streams appear for new peers (started immediately once the
-// replicator is running), disappear for removed peers, and are
-// recreated when a member's URL changed.
-func (r *replicator) syncPeers(v *memberView) {
-	r.peersMu.Lock()
-	defer r.peersMu.Unlock()
-	for id, p := range r.peers {
-		if m, ok := v.members[id]; !ok || m.URL != p.to.URL {
-			close(p.stop)
-			delete(r.peers, id)
-		}
-	}
 	now := time.Now()
-	for _, id := range v.peers {
-		if r.peers[id] != nil {
-			continue
-		}
-		p := &peerStream{
-			to:     v.members[id],
+	for _, id := range n.view.peers {
+		r.peers[id] = &peerStream{
+			to:     n.view.members[id],
 			frames: make(chan *sharedFrame, peerQueueCap),
 			resync: make(chan string, resyncQueue),
 			stop:   make(chan struct{}),
 		}
-		r.peers[id] = p
-		// Seed the peer's contact time on first sight: a primary that is
-		// already down when this node learns about it must accrue
-		// staleness from now, not read as freshly contacted forever.
-		r.contactMu.Lock()
-		if _, ok := r.lastContact[id]; !ok {
-			r.lastContact[id] = now
-		}
-		r.contactMu.Unlock()
-		if r.started {
-			r.wg.Add(1)
-			go r.peerLoop(p)
-		}
+		r.lastContact[id] = now
 	}
+	return r
 }
 
 func (r *replicator) start() {
-	r.peersMu.Lock()
-	r.started = true
 	for _, p := range r.peers {
 		r.wg.Add(1)
 		go r.peerLoop(p)
 	}
-	r.peersMu.Unlock()
 }
 
 func (r *replicator) close() {
-	r.peersMu.Lock()
-	r.started = false
-	for id, p := range r.peers {
+	for _, p := range r.peers {
 		close(p.stop)
-		delete(r.peers, id)
 	}
-	r.peersMu.Unlock()
 	r.wg.Wait()
 }
 
@@ -194,8 +159,6 @@ func (r *replicator) dropSeq(sensor string) {
 // queuedFrames reports the total outbound backlog (replication lag in
 // frames) across peers.
 func (r *replicator) queuedFrames() int {
-	r.peersMu.Lock()
-	defer r.peersMu.Unlock()
 	total := 0
 	for _, p := range r.peers {
 		total += len(p.frames)
@@ -254,20 +217,9 @@ func (r *replicator) emit(rec wal.Record) {
 		return // unencodable record: nothing a follower could do either
 	}
 	sf := &sharedFrame{buf: frame}
-	r.peersMu.Lock()
-	streams := make([]*peerStream, 0, len(targets))
+	sf.refs.Store(int32(len(targets)))
 	for _, id := range targets {
-		if p := r.peers[id]; p != nil {
-			streams = append(streams, p)
-		}
-	}
-	r.peersMu.Unlock()
-	if len(streams) == 0 {
-		memsys.PutBytes(frame)
-		return
-	}
-	sf.refs.Store(int32(len(streams)))
-	for _, p := range streams {
+		p := r.peers[id]
 		select {
 		case p.frames <- sf:
 			r.n.m.replFrames.Inc()
@@ -334,9 +286,7 @@ type replicateResponse struct {
 }
 
 // post ships one batch (possibly empty — a heartbeat) to the peer and
-// queues any requested snapshot resyncs. The heartbeat mesh doubles as
-// epoch gossip, like every peerCall: a follower that moved to a newer
-// map stamps its epoch on the response and this sender pulls the map.
+// queues any requested snapshot resyncs.
 func (r *replicator) post(p *peerStream, body []byte) {
 	var rr replicateResponse
 	if err := r.n.peerJSON(context.Background(), p.to, rpcReplicate, bytes.NewReader(body), &rr); err != nil {
@@ -379,6 +329,18 @@ func (r *replicator) pushSnapshot(p *peerStream, sensor string) {
 	if err != nil && r.n.log != nil {
 		r.n.log.Warn("cluster snapshot push failed", "sensor", sensor, "peer", p.to.ID, "err", err)
 	}
+}
+
+// shipSnapshot is the one sender of POST /cluster/restore: a sensor's
+// checkpoint bytes, tagged with the replication sequence they cover,
+// for a follower that asked to resync.
+func (n *Node) shipSnapshot(ctx context.Context, to Member, snap []byte, seq uint64) error {
+	err := n.peerJSON(ctx, to, rpcRestore, bytes.NewReader(snap), nil,
+		replSeqHeader, strconv.FormatUint(seq, 10))
+	if err != nil {
+		n.m.replErrs.Inc()
+	}
+	return err
 }
 
 // --- inbound: follower side ---

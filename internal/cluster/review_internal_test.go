@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -100,12 +102,12 @@ func newInternalPair(t *testing.T) [2]*internalNode {
 	return [2]*internalNode{nodes[0], nodes[1]}
 }
 
-// TestBulkObserveRejectsPausedSensor: while a sensor is quiesced for
-// snapshot/migration, a bulk batch containing it must not apply on
-// this node — directly (503 to the caller) or via a forwarded
-// partition (the owner rejects, the entry reports the item failed).
-// An observation applied under the pause would miss the migration
-// snapshot and be lost at cutover.
+// TestBulkObserveRejectsPausedSensor: while a sensor is quiesced for a
+// resync snapshot, a bulk batch containing it must not apply on this
+// node — directly (503 to the caller) or via a forwarded partition
+// (the owner rejects, the entry reports the item failed). An
+// observation applied under the pause would land between the
+// snapshot's sequence tag and its state.
 func TestBulkObserveRejectsPausedSensor(t *testing.T) {
 	nodes := newInternalPair(t)
 	const sensor = "pause-bulk"
@@ -178,12 +180,11 @@ func TestBulkObserveRejectsPausedSensor(t *testing.T) {
 	}
 }
 
-// TestForwardedObserveRejectedMidCutover: between a migration's
-// snapshot and the end of its cutover broadcast the old owner already
-// routes the sensor to the target but still holds the pause. A write
-// forwarded to it in that window by a member that has not heard of the
-// cutover yet must be refused, not applied to the copy that was just
-// snapshotted — that write would be acknowledged and lost.
+// TestForwardedObserveRejectedMidCutover: while the owner holds a
+// sensor's pause to capture a resync snapshot, a write forwarded to it
+// by another member must be refused with a retry hint, not applied
+// under the snapshot — the gate checks the pause before it routes, for
+// forwarded and direct writes alike.
 func TestForwardedObserveRejectedMidCutover(t *testing.T) {
 	nodes := newInternalPair(t)
 	const sensor = "cutover-window"
@@ -196,28 +197,42 @@ func TestForwardedObserveRejectedMidCutover(t *testing.T) {
 		t.Fatal(err)
 	}
 	owner.node.pauseSensor(sensor)
-	owner.node.setAssign(sensor, other.id)
 
-	req, err := http.NewRequest(http.MethodPost, owner.ts.URL+"/sensors/"+sensor+"/observe", strings.NewReader(`{"value":51}`))
-	if err != nil {
-		t.Fatal(err)
+	send := func() *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, owner.ts.URL+"/sensors/"+sensor+"/observe", strings.NewReader(`{"value":51}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(forwardedHeader, "1")
+		req.Header.Set(fromHeader, other.id)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
 	}
-	req.Header.Set(forwardedHeader, "1")
-	req.Header.Set(fromHeader, other.id)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	resp := send()
 	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("forwarded observe mid-cutover: HTTP %d (Retry-After %q), want 503 with a retry hint",
+		t.Fatalf("forwarded observe during a snapshot: HTTP %d (Retry-After %q), want 503 with a retry hint",
 			resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 	if err := owner.srv.Pipeline().Drain(); err != nil {
 		t.Fatal(err)
 	}
 	if got, _ := owner.sys.HistoryLen(sensor); got != 400 {
-		t.Fatalf("old owner's history = %d, want 400: the write landed after the snapshot", got)
+		t.Fatalf("owner's history = %d, want 400: the write applied under the pause", got)
+	}
+	owner.node.unpauseSensor(sensor)
+	if resp := send(); resp.StatusCode != http.StatusOK {
+		t.Fatalf("forwarded observe after the pause: HTTP %d, want 200", resp.StatusCode)
+	}
+	if err := owner.srv.Pipeline().Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := owner.sys.HistoryLen(sensor); got != 401 {
+		t.Fatalf("owner's history = %d, want 401 after the pause lifts", got)
 	}
 }
 
@@ -261,5 +276,122 @@ func TestSinceContactSeededAtBoot(t *testing.T) {
 	// Ids outside the membership are not routable and stay at zero.
 	if got := node.repl.sinceContact("not-a-member"); got != 0 {
 		t.Fatalf("sinceContact for a non-member = %v, want 0", got)
+	}
+}
+
+// sensorLedBy returns a sensor whose preference list starts first,
+// second.
+func sensorLedBy(t *testing.T, n *Node, first, second string) string {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		s := fmt.Sprintf("led-%d", i)
+		if p := n.preference(s); p[0] == first && p[1] == second {
+			return s
+		}
+	}
+	t.Fatalf("no sensor led by %s, %s", first, second)
+	return ""
+}
+
+// registerAndReplicate adds a 400-point sensor on its owner and waits
+// for the follower's copy.
+func registerAndReplicate(t *testing.T, owner, follower *internalNode, sensor string) {
+	t.Helper()
+	body := fmt.Sprintf(`{"id":%q,"history":%s}`, sensor, strings.ReplaceAll(fmt.Sprint(internalHist(400)), " ", ","))
+	resp, err := http.Post(owner.ts.URL+"/sensors", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register %s: HTTP %d", sensor, resp.StatusCode)
+	}
+	eventually(t, 5*time.Second, "the follower's copy", func() bool { return follower.sys.HasSensor(sensor) })
+}
+
+// postBulk sends one observation of sensor as a bulk batch to base.
+func postBulk(t *testing.T, base, sensor string) ingest.BulkResult {
+	t.Helper()
+	resp, err := http.Post(base+"/observations", "application/json",
+		strings.NewReader(`{"observations":[{"id":"`+sensor+`","value":51}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("bulk via %s: HTTP %d", base, resp.StatusCode)
+	}
+	var res ingest.BulkResult
+	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestForwardedWriteUnderHealthSkewRefused: n1 alone believes the
+// primary n2 is down and forwards the sensor's requests to the follower
+// n3, which sees n2 up. n3 is not the primary, so it answers as a
+// replica: the write is refused (single and bulk), never applied to a
+// copy n2 will not see, and the read is tagged degraded.
+func TestForwardedWriteUnderHealthSkewRefused(t *testing.T) {
+	nodes := newInternalCluster(t, func(c *Config) { c.ProbeInterval = time.Hour }, "n1", "n2", "n3")
+	entry, owner, follower := nodes[0], nodes[1], nodes[2]
+	sensor := sensorLedBy(t, entry.node, "n2", "n3")
+	registerAndReplicate(t, owner, follower, sensor)
+	for i := 0; i < entry.node.cfg.ProbeFailures; i++ {
+		entry.node.health.record("n2", errors.New("held down by the test"))
+	}
+
+	resp, err := http.Post(entry.ts.URL+"/sensors/"+sensor+"/observe", "application/json", strings.NewReader(`{"value":51}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
+		t.Fatalf("observe forwarded to a non-primary: HTTP %d (Retry-After %q), want 503 with a retry hint",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if res := postBulk(t, entry.ts.URL, sensor); res.Accepted != 0 || len(res.Failed) != 1 {
+		t.Fatalf("bulk forwarded to a non-primary: %+v, want the item failed", res)
+	}
+	var fc server.ForecastResponse
+	resp, err = http.Get(entry.ts.URL + "/sensors/" + sensor + "/forecast?h=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&fc)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || !fc.Degraded || fc.DegradedReason != "replica" {
+		t.Fatalf("read forwarded to a non-primary: HTTP %d %+v (%v), want a degraded replica answer", resp.StatusCode, fc, err)
+	}
+	for _, in := range []*internalNode{owner, follower} {
+		if err := in.srv.Pipeline().Drain(); err != nil {
+			t.Fatal(err)
+		}
+		if got, _ := in.sys.HistoryLen(sensor); got != 400 {
+			t.Fatalf("%s history = %d, want 400: a write applied off the primary", in.id, got)
+		}
+	}
+}
+
+// TestBulkObserveRefusedOnPromotedReplica: with the primary down, a
+// bulk item for its sensor fails on the promoted replica, as a single
+// observe does, instead of forking the replica's history.
+func TestBulkObserveRefusedOnPromotedReplica(t *testing.T) {
+	nodes := newInternalCluster(t, nil, "n1", "n2", "n3")
+	owner, follower := nodes[1], nodes[2]
+	sensor := sensorLedBy(t, follower.node, "n2", "n3")
+	registerAndReplicate(t, owner, follower, sensor)
+	owner.ts.Close()
+	eventually(t, 5*time.Second, "n3 to see n2 down", func() bool { return !follower.node.health.isUp("n2") })
+
+	if res := postBulk(t, follower.ts.URL, sensor); res.Accepted != 0 || len(res.Failed) != 1 {
+		t.Fatalf("bulk on the promoted replica: %+v, want the item failed", res)
+	}
+	if err := follower.srv.Pipeline().Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := follower.sys.HistoryLen(sensor); got != 400 {
+		t.Fatalf("promoted replica history = %d, want 400", got)
 	}
 }

@@ -107,7 +107,7 @@ func TestClusterBulkIdempotentRetry(t *testing.T) {
 // refuse requests that do not name another cluster member as sender.
 func TestClusterPeerEndpointsRequireMembership(t *testing.T) {
 	nodes := newTestCluster(t, 3, nil)
-	for _, ep := range []string{"/cluster/replicate", "/cluster/restore", "/cluster/assign"} {
+	for _, ep := range []string{"/cluster/replicate", "/cluster/restore"} {
 		resp, err := http.Post(nodes[0].ts.URL+ep, "application/json", strings.NewReader("{}"))
 		if err != nil {
 			t.Fatal(err)
@@ -119,7 +119,7 @@ func TestClusterPeerEndpointsRequireMembership(t *testing.T) {
 	}
 
 	// A sender claiming to be the receiving node itself is rejected too.
-	req, err := http.NewRequest(http.MethodPost, nodes[0].ts.URL+"/cluster/assign", strings.NewReader("{}"))
+	req, err := http.NewRequest(http.MethodPost, nodes[0].ts.URL+"/cluster/restore", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,8 +134,8 @@ func TestClusterPeerEndpointsRequireMembership(t *testing.T) {
 	}
 
 	// A known peer id clears the membership gate (and then fails
-	// validation, not authentication).
-	req, err = http.NewRequest(http.MethodPost, nodes[0].ts.URL+"/cluster/assign", strings.NewReader("{}"))
+	// validation, not authentication: no sequence header).
+	req, err = http.NewRequest(http.MethodPost, nodes[0].ts.URL+"/cluster/restore", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,27 +150,61 @@ func TestClusterPeerEndpointsRequireMembership(t *testing.T) {
 	}
 }
 
-// TestClusterSharedSecret: with Config.Secret set, state-changing
-// /cluster/* endpoints demand the secret (operator migrate included),
-// and the cluster's own traffic — which attaches it — keeps working.
+// TestClusterRemovedRoutesRefused: the ring is fixed for the cluster's
+// life, so the routes that changed membership or moved sensors are gone.
+// A live node answers each of them 404, whatever the method.
+func TestClusterRemovedRoutesRefused(t *testing.T) {
+	nodes := newTestCluster(t, 2, nil)
+	for _, path := range []string{
+		"/cluster/map", "/cluster/join", "/cluster/decommission", "/cluster/migrate",
+		"/cluster/assign", "/cluster/sensors", "/cluster/rebalance",
+	} {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			req, err := http.NewRequest(method, nodes[0].ts.URL+path, strings.NewReader("{}"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("X-Smiler-From", nodes[1].id)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s: HTTP %d, want 404", method, path, resp.StatusCode)
+			}
+		}
+	}
+}
+
+// TestClusterSharedSecret: with Config.Secret set, the peer /cluster/*
+// endpoints demand the secret, and the cluster's own traffic — which
+// attaches it — keeps working.
 func TestClusterSharedSecret(t *testing.T) {
 	nodes := newTestCluster(t, 3, func(c *cluster.Config) { c.Secret = "s3cret" })
 
-	// Operator migrate without the secret: rejected before any parsing.
-	resp, err := http.Post(nodes[0].ts.URL+"/cluster/migrate", "application/json", strings.NewReader("{}"))
+	// A peer-named sender without the secret: rejected before any
+	// parsing.
+	req, err := http.NewRequest(http.MethodPost, nodes[0].ts.URL+"/cluster/restore", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("X-Smiler-From", nodes[1].id)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusForbidden {
-		t.Fatalf("migrate without secret: HTTP %d, want 403", resp.StatusCode)
+		t.Fatalf("restore without secret: HTTP %d, want 403", resp.StatusCode)
 	}
 
-	// With the secret it reaches validation (400: empty request).
-	req, err := http.NewRequest(http.MethodPost, nodes[0].ts.URL+"/cluster/migrate", strings.NewReader("{}"))
+	// With the secret it reaches validation (400: no sequence header).
+	req, err = http.NewRequest(http.MethodPost, nodes[0].ts.URL+"/cluster/restore", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	req.Header.Set("X-Smiler-From", nodes[1].id)
 	req.Header.Set(clusterSecretHeader, "s3cret")
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
@@ -178,7 +212,7 @@ func TestClusterSharedSecret(t *testing.T) {
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("migrate with secret and empty body: HTTP %d, want 400", resp.StatusCode)
+		t.Fatalf("restore with secret and no sequence header: HTTP %d, want 400", resp.StatusCode)
 	}
 
 	// A peer-named sender with the wrong secret is still rejected.

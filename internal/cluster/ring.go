@@ -12,10 +12,8 @@ import (
 // encountered walking clockwise from that point. The first entry is
 // the sensor's owner, the next R are its replicas.
 //
-// Virtual nodes smooth the load split (with a handful of members and
-// one hash each, a single unlucky cut can own most of the key space)
-// and bound the churn when membership changes: a member's removal
-// reassigns only the arcs it owned.
+// Virtual nodes smooth the load split: with a handful of members and
+// one hash each, a single unlucky cut can own most of the key space.
 //
 // A Ring is immutable after construction and safe for concurrent use.
 type Ring struct {
@@ -25,7 +23,7 @@ type Ring struct {
 }
 
 // NewRing places each member id on the ring vnodes times. Membership
-// is static for the life of the ring; build a new Ring to change it.
+// is static for the life of the ring.
 func NewRing(members []string, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = 64

@@ -257,11 +257,8 @@ const (
 	// sensor's owning node.
 	PointClusterForward = "cluster.forward"
 	// PointClusterReplicateSend fires before a replication frame batch,
-	// heartbeat or sensor snapshot (resync or migration) is POSTed to a
-	// peer.
+	// heartbeat or resync snapshot is POSTed to a peer.
 	PointClusterReplicateSend = "cluster.replicate.send"
-	// PointClusterMapPush fires before a cluster-map push to a member.
-	PointClusterMapPush = "cluster.map.push"
 	// PointClusterProbe fires before a peer readiness probe.
 	PointClusterProbe = "cluster.probe"
 	// PointClusterPeer fires before every node-to-node request of any

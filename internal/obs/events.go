@@ -17,7 +17,7 @@ const (
 )
 
 // Event is one structured flight-recorder entry: an operationally
-// interesting state transition (failover, migration cutover, WAL
+// interesting state transition (failover, replication resync, WAL
 // reset/replay, recovered panic, degraded prediction, peer up/down,
 // checkpoint) stamped with a sequence number, wall time, the node that
 // recorded it and — when the triggering request carried one — the

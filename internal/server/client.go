@@ -28,8 +28,8 @@ const OwnerURLHeader = "X-Smiler-Owner-Url"
 // RetryPolicy bounds the client's automatic retries. Retries fire on
 // transport errors, HTTP 5xx and HTTP 429, with jittered exponential
 // backoff — except when the response carries a Retry-After header
-// (cluster nodes send one on every deliberate 503: migration quiesce,
-// draining, replica write rejection), in which case the client sleeps
+// (cluster nodes send one on every deliberate 503: resync quiesce,
+// replica write rejection), in which case the client sleeps
 // what the server asked for (capped at MaxDelay, plus up to 10%
 // jitter) instead of its own schedule. GETs are idempotent and always
 // eligible; POST/DELETE are retried too because every mutation
@@ -118,7 +118,7 @@ type Client struct {
 
 // NewClient targets a service at base (e.g. "http://localhost:8080").
 // httpClient may be nil for http.DefaultClient. The client retries
-// requests per DefaultRetryPolicy; see SetRetryPolicy.
+// requests per DefaultRetryPolicy.
 func NewClient(base string, httpClient *http.Client) (*Client, error) {
 	u, err := url.Parse(base)
 	if err != nil {
@@ -139,10 +139,6 @@ func NewClient(base string, httpClient *http.Client) (*Client, error) {
 		owners: make(map[string]string),
 	}, nil
 }
-
-// SetRetryPolicy replaces the retry policy ({MaxAttempts: 1} disables
-// retries). Not safe to call concurrently with requests.
-func (c *Client) SetRetryPolicy(p RetryPolicy) { c.retry = p }
 
 func (c *Client) do(method, path string, body, out any) error {
 	return c.doSensor(context.Background(), "", method, path, body, out)
@@ -212,7 +208,7 @@ func (c *Client) doSensor(ctx context.Context, sensor, method, path string, body
 		if attempt > 0 {
 			// A Retry-After hint from the previous response overrides the
 			// exponential schedule: the server knows when it will be ready
-			// (migration cutover, drain window, primary recovery).
+			// (resync quiesce, primary recovery).
 			var hint time.Duration
 			var he *HTTPError
 			if errors.As(lastErr, &he) {
@@ -242,7 +238,7 @@ func (c *Client) doSensor(ctx context.Context, sensor, method, path string, body
 			switch {
 			case ownerHint != "":
 				// The failed response itself named an owner (a 503 from a
-				// draining node, say): re-learn rather than forget.
+				// promoted replica, say): re-learn rather than forget.
 				c.setOwner(sensor, ownerHint)
 			case usedHint && evictOwner(err):
 				// The hinted owner is unreachable or in server-side
@@ -262,7 +258,7 @@ func (c *Client) doSensor(ctx context.Context, sensor, method, path string, body
 
 // evictOwner reports whether a failure against a hinted owner should
 // drop the cached hint: transport errors (the node is gone) and 5xx
-// (the node is up but refusing — draining, overloaded, mid-migration).
+// (the node is up but refusing — draining, overloaded, promoted).
 // 4xx responses are authoritative answers about the request, not the
 // routing, so the hint stays.
 func evictOwner(err error) bool {

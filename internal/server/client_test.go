@@ -45,7 +45,7 @@ func TestClientRetriesFlakyGET(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetRetryPolicy(fastRetry(3))
+	c.retry = fastRetry(3)
 
 	ids, err := c.Sensors()
 	if err != nil {
@@ -62,8 +62,8 @@ func TestClientRetriesFlakyGET(t *testing.T) {
 // TestClientConcurrentRetries hammers one shared Client from many
 // goroutines against a server that fails every other request, so most
 // GETs go through the backoff path concurrently. A shared Client must
-// be safe for concurrent use (only SetRetryPolicy is exempt); the
-// jitter source in particular must not race — run under -race.
+// be safe for concurrent use; the jitter source in particular must not
+// race — run under -race.
 func TestClientConcurrentRetries(t *testing.T) {
 	var calls atomic.Int32
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -80,7 +80,7 @@ func TestClientConcurrentRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetRetryPolicy(fastRetry(4))
+	c.retry = fastRetry(4)
 
 	// With requests from 8 goroutines interleaving on the shared
 	// counter, one GET can draw the failing parity on all its attempts
@@ -115,7 +115,7 @@ func TestClientRetryBudgetExhausted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetRetryPolicy(fastRetry(3))
+	c.retry = fastRetry(3)
 
 	if _, err := c.Sensors(); err == nil {
 		t.Fatal("want error after retry budget exhausted")
@@ -136,7 +136,7 @@ func TestClientNoRetryOn4xx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetRetryPolicy(fastRetry(5))
+	c.retry = fastRetry(5)
 
 	if _, err := c.Sensors(); err == nil {
 		t.Fatal("want error on 404")
@@ -166,7 +166,7 @@ func TestClientRetryOnPOST(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetRetryPolicy(fastRetry(5))
+	c.retry = fastRetry(5)
 
 	err = c.Observe("s", 1.0)
 	if err == nil {
@@ -209,7 +209,7 @@ func TestClientRetryTransportError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetRetryPolicy(fastRetry(3))
+	c.retry = fastRetry(3)
 
 	start := time.Now()
 	if _, err := c.Sensors(); err == nil {
@@ -230,7 +230,7 @@ func TestClientRetryRespectsContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 50, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second})
+	c.retry = RetryPolicy{MaxAttempts: 50, BaseDelay: 50 * time.Millisecond, MaxDelay: time.Second}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Millisecond)
 	defer cancel()
@@ -291,7 +291,7 @@ func TestClientHonorsRetryAfter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Second})
+	c.retry = RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Second}
 
 	start := time.Now()
 	if _, err := c.Sensors(); err != nil {
@@ -323,7 +323,7 @@ func TestClientRetryAfterCappedAtMaxDelay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond})
+	c.retry = RetryPolicy{MaxAttempts: 2, BaseDelay: time.Millisecond, MaxDelay: 50 * time.Millisecond}
 
 	start := time.Now()
 	if _, err := c.Sensors(); err != nil {
@@ -392,7 +392,7 @@ func TestClientOwnerEviction(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.SetRetryPolicy(RetryPolicy{MaxAttempts: 1})
+		c.retry = RetryPolicy{MaxAttempts: 1}
 		c.setOwner("s", owner.URL)
 		return c, owner, &primaryCalls, &ownerCalls
 	}

@@ -39,7 +39,7 @@ func degradeServer(t *testing.T) (*Client, *smiler.System) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.SetRetryPolicy(RetryPolicy{MaxAttempts: 1})
+	cl.retry = RetryPolicy{MaxAttempts: 1}
 	return cl, sys
 }
 

@@ -244,7 +244,7 @@ func TestEventsEndpoint(t *testing.T) {
 		t.Fatal("system has no event ring")
 	}
 	ring.Record(obs.Event{Type: "failover", Severity: obs.SevError, Detail: "peer n2 down"})
-	ring.Record(obs.Event{Type: "migration_cutover", Sensor: "s1", TraceID: "abc"})
+	ring.Record(obs.Event{Type: "repl_resync", Sensor: "s1", TraceID: "abc"})
 
 	resp, body := get(t, ts, "/debug/events")
 	if resp.StatusCode != http.StatusOK {
@@ -260,7 +260,7 @@ func TestEventsEndpoint(t *testing.T) {
 	if er.Events[0].Type != "failover" || er.Events[0].Severity != obs.SevError {
 		t.Fatalf("first event = %+v", er.Events[0])
 	}
-	if er.Events[1].Type != "migration_cutover" || er.Events[1].TraceID != "abc" {
+	if er.Events[1].Type != "repl_resync" || er.Events[1].TraceID != "abc" {
 		t.Fatalf("second event = %+v", er.Events[1])
 	}
 
@@ -273,7 +273,7 @@ func TestEventsEndpoint(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &er); err != nil {
 		t.Fatal(err)
 	}
-	if len(er.Events) != 1 || er.Events[0].Type != "migration_cutover" {
+	if len(er.Events) != 1 || er.Events[0].Type != "repl_resync" {
 		t.Fatalf("since=1 events = %+v", er.Events)
 	}
 

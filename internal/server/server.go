@@ -106,14 +106,6 @@ type Server struct {
 	// surface as clean 409s rather than interleaved errors.
 	addMu sync.Mutex
 
-	// routes holds the handlers mounted via Handle, behind one level of
-	// indirection: the mux maps each pattern to a dispatcher that reads
-	// this table, so remounting a pattern (a cluster node restarting on
-	// the same Server) swaps the entry instead of panicking the mux on
-	// a duplicate registration.
-	routesMu sync.RWMutex
-	routes   map[string]http.HandlerFunc
-
 	// interval, when positive, enables the timestamped-readings
 	// endpoint: raw (time, value) readings are regularized onto a
 	// fixed grid of this period before entering the system
@@ -217,7 +209,6 @@ func NewWithOptions(sys *smiler.System, opts Options) (*Server, error) {
 		journal:   opts.SensorJournal,
 		idem:      newIdemCache(),
 		nodeID:    opts.NodeID,
-		routes:    make(map[string]http.HandlerFunc),
 	}
 	s.ready.Store(!opts.StartNotReady)
 	// Flight-recorder events carry the node identity once it is known.
@@ -283,27 +274,9 @@ func (s *Server) SetGate(g GateFunc) {
 
 // Handle mounts an extra route on the server's mux — the cluster layer
 // adds its /cluster/* endpoints here so they flow through the same
-// observability middleware as the API. Remounting a pattern replaces
-// the previous handler (a cluster node restarting on the same Server
-// re-registers its routes).
+// observability middleware as the API. A pattern mounts once.
 func (s *Server) Handle(pattern string, h http.HandlerFunc) {
-	s.routesMu.Lock()
-	_, mounted := s.routes[pattern]
-	s.routes[pattern] = h
-	s.routesMu.Unlock()
-	if mounted {
-		return
-	}
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		s.routesMu.RLock()
-		cur := s.routes[pattern]
-		s.routesMu.RUnlock()
-		if cur == nil {
-			http.NotFound(w, r)
-			return
-		}
-		cur(w, r)
-	})
+	s.mux.HandleFunc(pattern, h)
 }
 
 // Close drains the ingestion pipeline: every accepted observation is

@@ -9,7 +9,7 @@ import (
 	"io"
 )
 
-// Streaming frames. The cluster replication and migration layers ship
+// Streaming frames. The cluster replication layer ships
 // WAL records between nodes over HTTP using the exact on-disk envelope
 // — uint32 LE length | payload | uint32 LE CRC32C(payload) — so a
 // truncated or bit-flipped stream is detected the same way a torn

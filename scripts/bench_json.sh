@@ -87,7 +87,7 @@ go test . -run '^$' -bench 'BenchmarkContinuousGPLoopLong$' \
     -benchmem -benchtime 100x -cpu 2 >>"$raw"
 # One tier round trip per op — fault a 256-point GP sensor in from its
 # spill file, evict the other to its own — one cold observe per op — a
-# tail append, no fault — and one migration hop per op — SaveSensorTo,
+# tail append, no fault — and one resync hop per op — SaveSensorTo,
 # then RestoreSensorsFrom on a second system — each at a fixed 2,000
 # iterations: their allocs/op are gated exactly.
 go test . -run '^$' -bench 'Benchmark(TierEvictFault|TierColdObserve|SensorMigrateRoundTrip)$' \

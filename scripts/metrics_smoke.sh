@@ -3,9 +3,11 @@
 # ephemeral port, register a sensor, run one prediction, then assert
 # that /metrics serves every required metric family and that
 # /debug/trace/{sensor} returns per-phase spans. A second phase boots
-# a two-node cluster and asserts the membership gauges (map epoch,
-# member count, rebalance counters) are served. Exits non-zero on any
-# missing family. Run via `make metrics-smoke`.
+# a two-node cluster, registers and observes a sensor through the node
+# that does not own it, and asserts the cluster families move: peer
+# liveness, forwards on the entry node, replicated frames on the
+# owner. Exits non-zero on any missing family. Run via
+# `make metrics-smoke`.
 set -eu
 SMOKE=metrics-smoke
 . scripts/lib.sh
@@ -95,38 +97,65 @@ if [ "$status" -ne 0 ]; then
 fi
 echo "metrics-smoke: standalone OK ($(grep -c '^smiler_' "$LOG") smiler_* samples)"
 
-# Phase 2: a two-node cluster must additionally serve the membership
-# gauges — map epoch (nonzero), member count, per-peer liveness, and
-# the rebalance counters.
+# Phase 2: a two-node cluster. A sensor owned by c2, registered and
+# observed through c1, takes a forward hop on c1 and replicates from c2
+# back to c1.
 PC1=18081
 PC2=18082
-CPEERS="c1=http://127.0.0.1:$PC1,c2=http://127.0.0.1:$PC2"
+C1="http://127.0.0.1:$PC1"
+C2="http://127.0.0.1:$PC2"
+CPEERS="c1=$C1,c2=$C2"
 "$BIN" -addr "127.0.0.1:$PC1" -node-id c1 -cluster-peers "$CPEERS" \
     -predictor ar -log-level warn &
 PIDC1=$!
 "$BIN" -addr "127.0.0.1:$PC2" -node-id c2 -cluster-peers "$CPEERS" \
     -predictor ar -log-level warn &
 PIDC2=$!
-wait_up "http://127.0.0.1:$PC1" "http://127.0.0.1:$PC2"
+wait_up "$C1" "$C2"
 
-curl -sf "http://127.0.0.1:$PC1/metrics" >"$LOG"
+SENSOR=""
+for i in $(seq 0 63); do
+    if curl -sf "$C1/cluster/ring?sensor=m$i" | grep -q '"owner":"c2"'; then
+        SENSOR=m$i
+        break
+    fi
+done
+[ -n "$SENSOR" ] || die "no sensor among m0..m63 is owned by c2"
+curl -sf -X POST "$C1/sensors" -H 'Content-Type: application/json' \
+    -d "{\"id\":\"$SENSOR\",\"history\":[$HIST]}" >/dev/null || die "register $SENSOR via c1 failed"
+curl -sf -X POST "$C1/sensors/$SENSOR/observe" -H 'Content-Type: application/json' \
+    -d '{"value":11.5}' >/dev/null || die "observe $SENSOR via c1 failed"
+curl -sf "$C1/sensors/$SENSOR/forecast?h=1" >/dev/null || die "forecast $SENSOR via c1 failed"
+
+[ "$(metric "$C1" 'smiler_cluster_peer_up{peer="c2"}')" = 1 ] || {
+    echo "metrics-smoke: c1 does not report c2 up" >&2
+    status=1
+}
+[ "$(metric "$C1" 'smiler_cluster_forwards_total{target="c2"}')" -ge 3 ] || {
+    echo "metrics-smoke: c1 forwarded fewer than 3 requests to c2" >&2
+    status=1
+}
+[ "$(metric "$C2" smiler_cluster_replicated_frames_total)" -ge 2 ] || {
+    echo "metrics-smoke: c2 shipped fewer than 2 replication frames" >&2
+    status=1
+}
+curl -sf "$C1/metrics" >"$LOG"
 for family in \
-    smiler_cluster_map_epoch \
-    smiler_cluster_members \
-    smiler_cluster_peer_up \
-    smiler_rebalance_moved_sensors \
-    smiler_rebalance_pending_sensors \
+    smiler_cluster_replication_lag_frames \
+    smiler_cluster_forward_seconds_bucket \
+    smiler_cluster_applied_frames_total \
     ; do
     if ! grep -q "^$family" "$LOG"; then
         echo "metrics-smoke: MISSING cluster family $family" >&2
         status=1
     fi
 done
-# The seed map is epoch 1; the gauge must never read 0 on a live node.
-if grep -q '^smiler_cluster_map_epoch 0$' "$LOG"; then
-    echo "metrics-smoke: smiler_cluster_map_epoch reads 0" >&2
-    status=1
-fi
+for gone in smiler_cluster_map_epoch smiler_cluster_members smiler_rebalance_ smiler_cluster_migrations_total; do
+    if grep -q "^$gone" "$LOG"; then
+        echo "metrics-smoke: removed family $gone is still served" >&2
+        status=1
+    fi
+done
 
 if [ "$status" -eq 0 ]; then
     echo "metrics-smoke: OK ($(grep -c '^smiler_' "$LOG") smiler_* samples on c1)"

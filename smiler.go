@@ -40,7 +40,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"smiler/internal/baselines"
 	"smiler/internal/core"
 	"smiler/internal/gpusim"
 	"smiler/internal/index"
@@ -650,31 +649,6 @@ func degradeReason(err error) string {
 	default:
 		return "error"
 	}
-}
-
-// fallbackLocked computes the degraded forecast for every horizon from
-// the sensor's surviving history (normalized space when normalization is
-// on, then inverted like the normal path), or nil when the baseline
-// cannot answer one of them. Callers hold st.mu.
-func (s *System) fallbackLocked(st *sensorState, hs []int, reason string) map[int]Forecast {
-	hist := st.ix.History()
-	out := make(map[int]Forecast, len(hs))
-	for _, h := range hs {
-		var pred baselines.Prediction
-		var err error
-		switch s.cfg.Fallback {
-		case FallbackAR1:
-			pred, err = baselines.AR1Fallback(hist, h)
-		default:
-			pred, err = baselines.PersistenceFallback(hist, h)
-		}
-		if err != nil {
-			return nil
-		}
-		out[h] = st.rawUnits(Forecast{Mean: pred.Mean, Variance: pred.Variance, Horizon: h,
-			Degraded: true, DegradedReason: reason, Quality: "fallback"})
-	}
-	return out
 }
 
 // Observe streams the next observation of the sensor into the system:

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"smiler"
+	"smiler/internal/cluster"
 	"smiler/internal/ingest"
 	"smiler/internal/wal"
 )
@@ -46,4 +47,14 @@ func TestIngestConfigSurface(t *testing.T) {
 // interval policy's fsync period is fixed.
 func TestWALOptionsSurface(t *testing.T) {
 	pinFields[wal.Options](t, "SegmentBytes", "Policy")
+}
+
+// TestClusterConfigSurface pins a cluster node's options: the fixed
+// membership, the replica count, the prober's three knobs, the shared
+// secret and two plumbing hooks. Membership never changes after New.
+func TestClusterConfigSurface(t *testing.T) {
+	pinFields[cluster.Config](t,
+		"Self", "Members", "Replicas", "ProbeInterval", "ProbeFailures",
+		"MaxStaleness", "Secret", "HTTPClient", "Logger",
+	)
 }
