@@ -32,10 +32,10 @@ race:
 # call's. Then ten seconds of the checkpoint/spill
 # decoder (checkpoint.go, the one decoder of checkpoint files, resync
 # frames and spill files): arbitrary bytes never panic it, every input
-# it accepts starts with SMLRCKP3 or SMLRCKP2 (an SMLRCKP1 header is
-# refused at the magic: a build reads its own layout and, after a layout
-# change, the one before it, a window that starts at SMLRCKP2), and an
-# SMLRCKP3 input re-encodes to the same bytes (each new corpus entry is minimized for
+# it accepts starts with SMLRCKP4 or SMLRCKP3 (SMLRCKP2 and SMLRCKP1
+# headers are refused at the magic: a build reads its own layout and the
+# one before it), an SMLRCKP3 input holds no window level, and an
+# SMLRCKP4 input re-encodes to the same bytes (each new corpus entry is minimized for
 # at most 1 s: the default 60 s minimizer, quadratic in the input,
 # otherwise spends most of the ten seconds shrinking the first few
 # entries instead of fuzzing). Then the GP value stage: ten

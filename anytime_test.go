@@ -135,8 +135,9 @@ func TestAnytimeABBitIdentical(t *testing.T) {
 // restoring it. The fixture was saved at commit 946f425 as an SMLRCKP1
 // gob envelope whose LBModel field was populated; gob dropped the
 // field the struct no longer had, and the state it decoded was
-// re-encoded once, unchanged, as SMLRCKP2 when the SMLRCKP1 reader was
-// retired. A system that lives through the fixture's stream under
+// re-encoded, unchanged, as SMLRCKP2 when the SMLRCKP1 reader was
+// retired, and as SMLRCKP3 (no pending answers) when the SMLRCKP2 one
+// was. A system that lives through the fixture's stream under
 // today's code need not match the fixture — the fixture's
 // hyperparameters come from the cold-fit trajectory of its day — so
 // that half of the check is a save → load twin instead: the state a

@@ -608,6 +608,64 @@ func BenchmarkTierEvictFault(b *testing.B) {
 	}
 }
 
+// BenchmarkTierFaultForecast prices a forecast of a cold sensor: two
+// 2,048-point ROAD sensors (seed 11), hyperparameters warmed by a
+// forecast each, under MaxHotSensors 1; op n observes the cold sensor —
+// a tail append that evicts the other — and forecasts it at h=1, which
+// faults it in. The spill file carries the index's window level and
+// threshold seeds, so the search resumes: builds/op is 0, and
+// dtw_runs/op and dtw_cols/op are those of sensors that never spill.
+// The three counts repeat exactly at a fixed -benchtime Nx, and
+// scripts/bench_json.sh gates them.
+func BenchmarkTierFaultForecast(b *testing.B) {
+	cfg := smiler.DefaultConfig()
+	cfg.MaxHotSensors = 1
+	sys, err := smiler.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	ids := []string{"s0", "s1"}
+	streams := make([]*datasets.Stream, len(ids))
+	for i, id := range ids {
+		if streams[i], err = datasets.NewStream(datasets.Road, 11, i); err != nil {
+			b.Fatal(err)
+		}
+		if err := sys.AddSensor(id, streams[i].Take(2048)); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.Predict(id, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m := sys.Metrics()
+	builds := m.Counter("smiler_index_builds_total", "")
+	runs := m.Counter("smiler_knn_unfiltered_total", "")
+	cols := m.Counter("smiler_dtw_columns_total", "")
+	builds0, runs0, cols0 := builds.Value(), runs.Value(), cols.Value()
+	before := sys.Tiering()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		// s1 is hot after setup, so op n touches the cold s0, s1, s0, ...
+		i := n % 2
+		if err := sys.Observe(ids[i], streams[i].Next()); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := sys.Predict(ids[i], 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	after := sys.Tiering()
+	if f, e := after.Faults-before.Faults, after.Evictions-before.Evictions; f != uint64(b.N) || e != uint64(b.N) {
+		b.Fatalf("%d ops paid %d faults and %d evictions, want one of each per op", b.N, f, e)
+	}
+	b.ReportMetric(float64(builds.Value()-builds0)/float64(b.N), "builds/op")
+	b.ReportMetric(float64(runs.Value()-runs0)/float64(b.N), "dtw_runs/op")
+	b.ReportMetric(float64(cols.Value()-cols0)/float64(b.N), "dtw_cols/op")
+}
+
 // BenchmarkTierColdObserve prices one observation of a cold sensor:
 // the BenchmarkTierEvictFault setup (two warmed 256-point GP sensors
 // under MaxHotSensors 1), then an observe of s0 that spills s1, so

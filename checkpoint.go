@@ -8,11 +8,13 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"smiler/internal/core"
 	"smiler/internal/fault"
 	"smiler/internal/gp"
+	"smiler/internal/index"
 	"smiler/internal/timeseries"
 	"smiler/internal/wal"
 )
@@ -22,7 +24,7 @@ import (
 // RestoreSensorsFrom) and spill files (tiering.go: a one-sensor
 // checkpoint with no cover). The layout is flat little-endian:
 //
-//	magic       [8]byte  "SMLRCKP3"
+//	magic       [8]byte  "SMLRCKP4"
 //	crc         uint32   CRC32C of every byte after it
 //	cover       uint32 count, then per WAL shard, shards ascending:
 //	              int64 shard, uint64 next sequence number
@@ -40,18 +42,31 @@ import (
 //	                float64 Mean, Variance (the mixed answer),
 //	                uint32 count, then per cell prediction:
 //	                  int64 K, int64 D, float64 Mean, Variance
+//	  level       uint8 (1 when the index's window level is built), then:
+//	                int64 ω, ρ, d_max (the shape it was built under),
+//	                int64 synced (the history length it covers),
+//	                EQ, EC: uint32 count, then count × float32, each
+//	                  nSW × ⌊synced/ω⌋ entries in logical row order,
+//	                envelopes U, L: uint32 count, then count × float32,
+//	                  each ω × ⌊synced/ω⌋ points,
+//	                seeds: uint32 count, then per item query length,
+//	                  ascending: int64 d, uint32 count, then count ×
+//	                  int64 position (the previous step's kNN set)
 //
 // The magic carries the version. Floats travel as their IEEE bits (NaN
 // payloads and −0 included) and the cover in shard order, so a round
 // trip is bit-exact and one state has one encoding. The CRC turns a
-// torn or bit-rotted file into a clean load error. A layout change
-// keeps the reader for the layout before it, and no older one:
-// "SMLRCKP2" (the same layout without the pending set) reads with no
-// pending answers, and "SMLRCKP1" (a gob payload behind the same frame,
-// whose reader trusted the sizes its input claimed) fails at the magic.
+// torn or bit-rotted file into a clean load error. The level section is
+// index.Level: a restore installs it, so the sensor's next search
+// resumes the window level and the threshold seeds instead of building
+// them (a level built under another ω, ρ or d_max, or seeded for a
+// length the ELV does not hold, is dropped, and the index builds). A
+// layout change keeps the reader for the layout before it, and no older
+// one: "SMLRCKP3" (the same layout without the level section) reads with
+// no level, and "SMLRCKP2" and "SMLRCKP1" fail at the magic.
 var (
-	checkpointMagic        = [8]byte{'S', 'M', 'L', 'R', 'C', 'K', 'P', '3'}
-	checkpointMagicV2      = [8]byte{'S', 'M', 'L', 'R', 'C', 'K', 'P', '2'}
+	checkpointMagic        = [8]byte{'S', 'M', 'L', 'R', 'C', 'K', 'P', '4'}
+	checkpointMagicV3      = [8]byte{'S', 'M', 'L', 'R', 'C', 'K', 'P', '3'}
 	checkpointCRCTable     = crc32.MakeTable(crc32.Castagnoli)
 	errCheckpointTruncated = errors.New("checkpoint truncated")
 )
@@ -60,8 +75,9 @@ const (
 	checkpointHeaderLen = len(checkpointMagic) + 4 // magic, CRC32C
 	coverPairLen        = 8 + 8                    // shard, sequence number
 	// minSensorLen is the smallest sensor record: an empty id, the flag,
-	// the two norm statistics and three zero counts (two in SMLRCKP2).
-	minSensorLen = 4 + 1 + 2*8 + 4 + 4 + 4
+	// the two norm statistics, three zero counts and no level (no level
+	// flag in SMLRCKP3).
+	minSensorLen = 4 + 1 + 2*8 + 4 + 4 + 4 + 1
 	// cellLen is one cell's fixed record: five 8-byte words of
 	// CellState, two flag bytes, three 8-byte hyperparameters.
 	cellLen = 5*8 + 2 + 3*8
@@ -70,6 +86,11 @@ const (
 	// cell prediction.
 	minPendingLen  = 2*8 + 1 + 2*8 + 4
 	pendingCellLen = 4 * 8
+	// minLevelLen is the smallest level section after its flag: the shape,
+	// synced and five zero counts; minSeedsLen is one seed set with no
+	// positions.
+	minLevelLen = 4*8 + 5*4
+	minSeedsLen = 8 + 4
 )
 
 // cellCheckpoint serializes one ensemble cell's auto-tuning state plus
@@ -93,6 +114,9 @@ type sensorCheckpoint struct {
 	// Pending is the pipeline's queued answers: the auto-tuning updates
 	// awaiting their truth, the exact ones also the step's forecast memo.
 	Pending []core.PendingState
+	// Level is the index's window level and threshold seeds, nil when the
+	// window level is not built.
+	Level *index.Level
 }
 
 // checkpoint is what one encoding holds.
@@ -131,25 +155,33 @@ func (s *System) SaveToWithCover(w io.Writer, cover map[int]uint64) error {
 	if s.closed {
 		return errors.New("smiler: system closed")
 	}
-	cp := checkpoint{WALCover: cover}
-	for id, st := range s.sensors {
-		cp.Sensors = append(cp.Sensors, snapshotSensor(id, st))
-	}
 	// Cold sensors are folded in from their spill and tail files: a
 	// spilled sensor is a quiesced snapshot already, and s.mu (held
 	// read-side) blocks evictions, fault-ins and tail appends, so the
 	// cold set and its files are stable for the duration of the save.
-	// The merged list is sorted by id so the bytes are identical to an
-	// untiered node's.
-	for _, id := range s.tier.coldIDs() {
-		sc, err := s.readSpill(id)
+	// The records go in id order, so the bytes are identical to an
+	// untiered node's; a hot one is encoded under its sensor's lock.
+	ids := s.tier.coldIDs()
+	for id := range s.sensors {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	b := appendCheckpointHead(nil, cover, len(ids))
+	for _, id := range ids {
+		if st, ok := s.sensors[id]; ok {
+			st.mu.Lock()
+			sc := snapshotSensorLocked(id, st)
+			b = appendSensor(b, &sc)
+			st.mu.Unlock()
+			continue
+		}
+		sc, err := s.readSpill(id, nil)
 		if err != nil {
 			return err
 		}
-		cp.Sensors = append(cp.Sensors, sc)
+		b = appendSensor(b, &sc)
 	}
-	sort.Slice(cp.Sensors, func(i, j int) bool { return cp.Sensors[i].ID < cp.Sensors[j].ID })
-	_, err := w.Write(encodeCheckpoint(cp))
+	_, err := w.Write(sealCheckpoint(b))
 	return err
 }
 
@@ -164,20 +196,23 @@ func (s *System) SaveSensorTo(w io.Writer, id string) error {
 	if s.closed {
 		return errors.New("smiler: system closed")
 	}
-	var sc sensorCheckpoint
+	var b []byte
 	if st, ok := s.sensors[id]; ok {
-		sc = snapshotSensor(id, st)
+		st.mu.Lock()
+		b = encodeCheckpoint(checkpoint{Sensors: []sensorCheckpoint{snapshotSensorLocked(id, st)}})
+		st.mu.Unlock()
 	} else if s.tier.isCold(id) {
 		// A cold sensor is exported from its spill and tail files,
 		// without faulting in.
-		var err error
-		if sc, err = s.readSpill(id); err != nil {
+		sc, err := s.readSpill(id, nil)
+		if err != nil {
 			return err
 		}
+		b = encodeCheckpoint(checkpoint{Sensors: []sensorCheckpoint{sc}})
 	} else {
 		return fmt.Errorf("smiler: unknown sensor %q", id)
 	}
-	_, err := w.Write(encodeCheckpoint(checkpoint{Sensors: []sensorCheckpoint{sc}}))
+	_, err := w.Write(b)
 	return err
 }
 
@@ -205,23 +240,16 @@ func (s *System) RestoreSensorsFrom(r io.Reader) ([]string, error) {
 	return ids, nil
 }
 
-// snapshotSensor captures one sensor's checkpoint state (history,
+// snapshotSensorLocked captures one sensor's checkpoint state: history,
 // normalizer statistics, ensemble auto-tuning state, GP warm-start
-// hyperparameters). Callers hold s.mu (read side is enough; the
-// per-sensor lock serializes against concurrent predictions).
-func snapshotSensor(id string, st *sensorState) sensorCheckpoint {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return snapshotSensorLocked(id, st)
-}
-
-// snapshotSensorLocked is snapshotSensor for callers that already hold
-// st.mu (the tier's eviction path snapshots under the lock it must
-// keep until the state is marked gone).
+// hyperparameters, pending answers and the index's window level. The
+// history and the level are the index's own slices, not copies, so the
+// record is valid only while the caller holds st.mu (and s.mu, read
+// side at least): callers encode it before they unlock.
 func snapshotSensorLocked(id string, st *sensorState) sensorCheckpoint {
 	sc := sensorCheckpoint{
 		ID:      id,
-		History: st.ix.History(),
+		History: st.ix.HistoryView(),
 	}
 	if st.norm != nil {
 		sc.Normalized = true
@@ -237,6 +265,7 @@ func snapshotSensorLocked(id string, st *sensorState) sensorCheckpoint {
 		}
 	}
 	sc.Pending = st.pipe.ExportPending()
+	sc.Level = st.ix.Level()
 	return sc
 }
 
@@ -360,12 +389,23 @@ func (s *System) restoreSensorLocked(sc sensorCheckpoint) error {
 		}
 	}
 	st.pipe.ImportPending(sc.Pending)
+	if sc.Level != nil {
+		// A level this configuration could not have built is dropped, and
+		// the first search builds the index from the history instead.
+		_ = st.ix.InstallLevel(sc.Level)
+	}
 	return nil
 }
 
 // encodeCheckpoint lays cp out in one buffer of exactly its encoded
-// size: the one writer of sensor state.
+// size: the one writer of sensor state, with appendCheckpointHead,
+// appendSensor and sealCheckpoint, which it is made of.
 func encodeCheckpoint(cp checkpoint) []byte {
+	return appendCheckpoint(make([]byte, 0, checkpointLen(cp)), cp)
+}
+
+// checkpointLen returns the encoded size of cp.
+func checkpointLen(cp checkpoint) int {
 	n := checkpointHeaderLen + 4 + coverPairLen*len(cp.WALCover) + 4
 	for i := range cp.Sensors {
 		sc := &cp.Sensors[i]
@@ -373,25 +413,50 @@ func encodeCheckpoint(cp checkpoint) []byte {
 		for _, ps := range sc.Pending {
 			n += minPendingLen + pendingCellLen*len(ps.Cells)
 		}
+		if l := sc.Level; l != nil {
+			n += minLevelLen + 4*(planeLen(l.EQ)+planeLen(l.EC)+len(l.EnvU)+len(l.EnvL))
+			for _, sd := range l.Seeds {
+				n += minSeedsLen + 8*len(sd.T)
+			}
+		}
 	}
-	b := make([]byte, checkpointHeaderLen, n)
-	copy(b, checkpointMagic[:])
+	return n
+}
+
+// appendCheckpoint appends the encoding of cp to b, which must be
+// empty.
+func appendCheckpoint(b []byte, cp checkpoint) []byte {
+	b = appendCheckpointHead(b, cp.WALCover, len(cp.Sensors))
+	for i := range cp.Sensors {
+		b = appendSensor(b, &cp.Sensors[i])
+	}
+	return sealCheckpoint(b)
+}
+
+// appendCheckpointHead appends to the empty b the magic, room for the
+// CRC, the cover in shard order and the count of the sensor records
+// that must follow.
+func appendCheckpointHead(b []byte, cover map[int]uint64, sensors int) []byte {
+	b = append(b, checkpointMagic[:]...)
+	b = append(b, 0, 0, 0, 0)
 	le := binary.LittleEndian
-	shards := make([]int, 0, len(cp.WALCover))
-	for shard := range cp.WALCover {
+	shards := make([]int, 0, len(cover))
+	for shard := range cover {
 		shards = append(shards, shard)
 	}
 	sort.Ints(shards)
 	b = le.AppendUint32(b, uint32(len(shards)))
 	for _, shard := range shards {
 		b = le.AppendUint64(b, uint64(int64(shard)))
-		b = le.AppendUint64(b, cp.WALCover[shard])
+		b = le.AppendUint64(b, cover[shard])
 	}
-	b = le.AppendUint32(b, uint32(len(cp.Sensors)))
-	for i := range cp.Sensors {
-		b = appendSensor(b, &cp.Sensors[i])
-	}
-	le.PutUint32(b[len(checkpointMagic):], crc32.Checksum(b[checkpointHeaderLen:], checkpointCRCTable))
+	return le.AppendUint32(b, uint32(sensors))
+}
+
+// sealCheckpoint writes the CRC of everything after the header into
+// the header of the encoding b, and returns b.
+func sealCheckpoint(b []byte) []byte {
+	binary.LittleEndian.PutUint32(b[len(checkpointMagic):], crc32.Checksum(b[checkpointHeaderLen:], checkpointCRCTable))
 	return b
 }
 
@@ -435,6 +500,51 @@ func appendSensor(b []byte, sc *sensorCheckpoint) []byte {
 			b = le.AppendUint64(b, math.Float64bits(pc.Pred.Variance))
 		}
 	}
+	l := sc.Level
+	b = appendFlag(b, l != nil)
+	if l == nil {
+		return b
+	}
+	for _, v := range [...]int{l.Omega, l.Rho, l.DMax, l.Synced} {
+		b = le.AppendUint64(b, uint64(int64(v)))
+	}
+	for _, plane := range [...][][]float32{l.EQ, l.EC} {
+		b = le.AppendUint32(b, uint32(planeLen(plane)))
+		for _, row := range plane {
+			b = appendFloat32s(b, row)
+		}
+	}
+	for _, env := range [...][]float32{l.EnvU, l.EnvL} {
+		b = le.AppendUint32(b, uint32(len(env)))
+		b = appendFloat32s(b, env)
+	}
+	b = le.AppendUint32(b, uint32(len(l.Seeds)))
+	for _, sd := range l.Seeds {
+		b = le.AppendUint64(b, uint64(int64(sd.D)))
+		b = le.AppendUint32(b, uint32(len(sd.T)))
+		for _, t := range sd.T {
+			b = le.AppendUint64(b, uint64(int64(t)))
+		}
+	}
+	return b
+}
+
+// planeLen returns the number of entries in a posting plane.
+func planeLen(plane [][]float32) int {
+	n := 0
+	for _, row := range plane {
+		n += len(row)
+	}
+	return n
+}
+
+// appendFloat32s appends the bits of vs, one little-endian uint32 each.
+func appendFloat32s(b []byte, vs []float32) []byte {
+	n := len(b)
+	b = slices.Grow(b, 4*len(vs))[:n+4*len(vs)]
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(b[n+4*i:], math.Float32bits(v))
+	}
 	return b
 }
 
@@ -457,19 +567,20 @@ func readCheckpoint(r io.Reader) (cp checkpoint, err error) {
 	return cp, nil
 }
 
-// decodeCheckpoint parses one encoding, SMLRCKP3 or the SMLRCKP2 before
+// decodeCheckpoint parses one encoding, SMLRCKP4 or the SMLRCKP3 before
 // it. The checksum is verified before a field is read, and the parse is
 // strict — flags are 0 or 1, counts fit the bytes left, cover shards
-// ascend, nothing trails the last sensor — so every accepted SMLRCKP3
-// input re-encodes to exactly its own bytes (an SMLRCKP2 one to the
-// SMLRCKP3 encoding of the same state). Empty slices and an empty cover
-// decode as nil.
+// ascend, a level section is one its own record's history could hold
+// (index.Level.Validate), nothing trails the last sensor — so every
+// accepted SMLRCKP4 input re-encodes to exactly its own bytes (an
+// SMLRCKP3 one to the SMLRCKP4 encoding of the same state). Empty slices
+// and an empty cover decode as nil.
 func decodeCheckpoint(b []byte) (checkpoint, error) {
 	if len(b) < checkpointHeaderLen {
 		return checkpoint{}, errCheckpointTruncated
 	}
 	magic := [8]byte(b[:len(checkpointMagic)])
-	if magic != checkpointMagic && magic != checkpointMagicV2 {
+	if magic != checkpointMagic && magic != checkpointMagicV3 {
 		return checkpoint{}, fmt.Errorf("not a checkpoint (bad magic %q)", magic[:])
 	}
 	want := binary.LittleEndian.Uint32(b[len(checkpointMagic):])
@@ -477,7 +588,7 @@ func decodeCheckpoint(b []byte) (checkpoint, error) {
 		return checkpoint{}, fmt.Errorf("checkpoint corrupt: CRC %08x, want %08x (truncated write or bit rot)", got, want)
 	}
 	var cp checkpoint
-	r := checkpointReader{b: b[checkpointHeaderLen:], v2: magic == checkpointMagicV2}
+	r := checkpointReader{b: b[checkpointHeaderLen:], v3: magic == checkpointMagicV3}
 	if n := r.count(coverPairLen); n > 0 {
 		cp.WALCover = make(map[int]uint64, n)
 		for i, prev := 0, 0; i < n; i++ {
@@ -490,8 +601,8 @@ func decodeCheckpoint(b []byte) (checkpoint, error) {
 		}
 	}
 	minSensor := minSensorLen
-	if r.v2 {
-		minSensor -= 4
+	if r.v3 {
+		minSensor--
 	}
 	if n := r.count(minSensor); n > 0 {
 		cp.Sensors = make([]sensorCheckpoint, n)
@@ -508,13 +619,13 @@ func decodeCheckpoint(b []byte) (checkpoint, error) {
 	return cp, nil
 }
 
-// checkpointReader consumes an SMLRCKP3 body (an SMLRCKP2 one when v2)
+// checkpointReader consumes an SMLRCKP4 body (an SMLRCKP3 one when v3)
 // front to back; the first failure sticks and every later read returns
 // zero.
 type checkpointReader struct {
 	b   []byte
 	err error
-	v2  bool // no pending set
+	v3  bool // no level section
 }
 
 func (r *checkpointReader) next(n int) []byte {
@@ -540,6 +651,47 @@ func (r *checkpointReader) u64() uint64 {
 func (r *checkpointReader) f64() float64 { return math.Float64frombits(r.u64()) }
 
 func (r *checkpointReader) i64() int { return int(int64(r.u64())) }
+
+// f32s reads a uint32 count, then that many float32s.
+func (r *checkpointReader) f32s() []float32 {
+	n := r.count(4)
+	if n == 0 {
+		return nil
+	}
+	out := make([]float32, n)
+	r.f32sInto(out)
+	return out
+}
+
+// plane reads a uint32 count, then that many float32s as a posting
+// plane of rows rows (index.NewPlane's layout), refusing a count that
+// does not split into rows non-empty rows.
+func (r *checkpointReader) plane(rows int) [][]float32 {
+	n := r.count(4)
+	if r.err != nil {
+		return nil
+	}
+	if rows < 1 || n < rows || n%rows != 0 {
+		r.err = fmt.Errorf("checkpoint posting plane of %d entries in %d rows", n, rows)
+		return nil
+	}
+	plane := index.NewPlane(rows, n/rows)
+	for _, row := range plane {
+		r.f32sInto(row)
+	}
+	return plane
+}
+
+// f32sInto fills out from the next 4·len(out) bytes.
+func (r *checkpointReader) f32sInto(out []float32) {
+	p := r.next(4 * len(out))
+	if p == nil {
+		return
+	}
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
+	}
+}
 
 func (r *checkpointReader) flag() bool {
 	p := r.next(1)
@@ -594,9 +746,6 @@ func (r *checkpointReader) sensor(sc *sensorCheckpoint) {
 			c.Hyper.Noise = r.f64()
 		}
 	}
-	if r.v2 {
-		return
-	}
 	if n := r.count(minPendingLen); n > 0 {
 		sc.Pending = make([]core.PendingState, n)
 		for i := range sc.Pending {
@@ -618,4 +767,33 @@ func (r *checkpointReader) sensor(sc *sensorCheckpoint) {
 			}
 		}
 	}
+	if !r.v3 && r.flag() {
+		sc.Level = r.level(len(sc.History))
+	}
+}
+
+// level reads a level section and refuses one that contradicts its
+// record: a history of n points could not hold it.
+func (r *checkpointReader) level(n int) *index.Level {
+	l := &index.Level{Omega: r.i64(), Rho: r.i64(), DMax: r.i64(), Synced: r.i64()}
+	nSW := l.DMax - l.Omega + 1
+	l.EQ, l.EC = r.plane(nSW), r.plane(nSW)
+	l.EnvU, l.EnvL = r.f32s(), r.f32s()
+	if m := r.count(minSeedsLen); m > 0 {
+		l.Seeds = make([]index.Seeds, m)
+		for i := range l.Seeds {
+			sd := &l.Seeds[i]
+			sd.D = r.i64()
+			if k := r.count(8); k > 0 {
+				sd.T = make([]int, k)
+				for j := range sd.T {
+					sd.T[j] = r.i64()
+				}
+			}
+		}
+	}
+	if r.err == nil {
+		r.err = l.Validate(n)
+	}
+	return l
 }

@@ -248,6 +248,9 @@ func TestCheckpointTruncatedAndCorrupt(t *testing.T) {
 	if err := sys.AddSensor("s", noisySeasonal(rng, 400, 2, 5)); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := sys.Predict("s", 1); err != nil { // the record carries a window level
+		t.Fatal(err)
+	}
 	var buf bytes.Buffer
 	if err := sys.SaveTo(&buf); err != nil {
 		t.Fatal(err)
@@ -266,7 +269,7 @@ func TestCheckpointTruncatedAndCorrupt(t *testing.T) {
 		// fixture is small enough to try every one.
 		cutStride, flipStride int
 	}{
-		{"SMLRCKP2", buf.Bytes(), cfg, 97, 131},
+		{"saved now", buf.Bytes(), cfg, 97, 131},
 		{"learned-LB fixture", fixture, gpCfg, 1, 1},
 	} {
 		full := in.full
@@ -519,5 +522,50 @@ func TestFirstTouchSensorCheckpointMatchesTwin(t *testing.T) {
 		if got.Reused != want.Reused {
 			t.Fatalf("h=%d: restored reused=%t, twin reused=%t", h, got.Reused, want.Reused)
 		}
+	}
+}
+
+// TestRestoreDropsLevelOfOtherShape: a checkpoint restored under the
+// configuration it was saved with resumes the window level (the first
+// forecast builds nothing); under another ρ, or an ELV that lacks a
+// length the threshold seeds were kept for, the level is dropped and
+// the first forecast builds the index, as a checkpoint without one
+// would.
+func TestRestoreDropsLevelOfOtherShape(t *testing.T) {
+	cfg := smallConfig()
+	sys, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if err := sys.AddSensor("s", noisySeasonal(rand.New(rand.NewSource(9)), 400, 3, 10)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.Predict("s", 1); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := sys.SaveTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	otherRho, otherELV := cfg, cfg
+	otherRho.Rho = 2
+	otherELV.ELV = []int{16, 32, 40} // same d_max, no 24
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		builds uint64
+	}{{"same shape", cfg, 0}, {"other ρ", otherRho, 1}, {"seeds off the ELV", otherELV, 1}} {
+		restored, err := Load(bytes.NewReader(buf.Bytes()), c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if _, err := restored.Predict("s", 2); err != nil { // h=1 is the restored step's memo
+			t.Fatal(err)
+		}
+		if got := restored.Metrics().Counter("smiler_index_builds_total", "").Value(); got != c.builds {
+			t.Fatalf("%s: first forecast after the restore counted %d index builds, want %d", c.name, got, c.builds)
+		}
+		restored.Close()
 	}
 }

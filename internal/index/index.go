@@ -427,6 +427,10 @@ func (ix *Index) History() []float64 {
 	return append([]float64(nil), ix.c...)
 }
 
+// HistoryView returns the indexed history itself, not a copy: valid
+// until the next Advance, and not to be written.
+func (ix *Index) HistoryView() []float64 { return ix.c }
+
 // MasterQuery returns a copy of the current master query (the last
 // d_max points of the history).
 func (ix *Index) MasterQuery() []float64 {

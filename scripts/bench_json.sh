@@ -24,9 +24,10 @@
 #     BenchmarkContinuousGPLoopLong's dtw_runs/op, dtw_cols/op and
 #     gp_evals/op and
 #     BenchmarkTierEvictFault's, BenchmarkTierColdObserve's and
-#     BenchmarkSensorMigrateRoundTrip's allocs/op must equal the
-#     committed rows
-#     exactly. (The optimizer's allocations are per optimization, never
+#     BenchmarkSensorMigrateRoundTrip's allocs/op and
+#     BenchmarkTierFaultForecast's builds/op, dtw_runs/op and dtw_cols/op
+#     must equal the committed rows exactly, and that builds/op must be 0
+#     (a fault-in resumes the spilled index instead of rebuilding it). (The optimizer's allocations are per optimization, never
 #     per objective evaluation: a kernel that allocates per evaluation
 #     moves its count.) They are counts
 #     of work done at a fixed iteration count and repeat to the last
@@ -92,6 +93,13 @@ go test . -run '^$' -bench 'BenchmarkContinuousGPLoopLong$' \
 # iterations: their allocs/op are gated exactly.
 go test . -run '^$' -bench 'Benchmark(TierEvictFault|TierColdObserve|SensorMigrateRoundTrip)$' \
     -benchmem -benchtime 2000x >>"$raw"
+# A forecast of a cold 2,048-point sensor per op — a tail append that
+# evicts the other sensor, then a fault-in and a search — at a fixed 200
+# iterations: the spill file carries the index's window level and
+# threshold seeds, so builds/op is 0 and dtw_runs/op and dtw_cols/op are
+# a never-spilled sensor's; all three are gated exactly.
+go test . -run '^$' -bench 'BenchmarkTierFaultForecast$' \
+    -benchmem -benchtime 200x -cpu 2 >>"$raw"
 
 awk -v baseline="$base" '
 function field(line, key,    m) {
@@ -259,6 +267,7 @@ BEGIN {
     gated["BenchmarkTierEvictFault"] = "allocs_per_op"
     gated["BenchmarkTierColdObserve"] = "allocs_per_op"
     gated["BenchmarkSensorMigrateRoundTrip"] = "allocs_per_op"
+    gated["BenchmarkTierFaultForecast"] = "builds_per_op dtw_runs_per_op dtw_cols_per_op"
     while ((getline bl < baseline) > 0) {
         bn = bname(bl)
         if (bn in gated && field(bl, "iterations") != "") base[bn] = bl
@@ -270,6 +279,10 @@ BEGIN {
     bn = bname($0)
     if (!(bn in gated) || field($0, "iterations") == "") next
     seen[bn] = 1
+    if (bn == "BenchmarkTierFaultForecast" && field($0, "builds_per_op") + 0 != 0) {
+        printf "bench-json: INDEX REBUILT ON FAULT-IN: %s builds_per_op = %s, want 0\n", bn, field($0, "builds_per_op")
+        fail = 1
+    }
     nk = split(gated[bn], keys, " ")
     for (i = 1; i <= nk; i++) {
         cur = field($0, keys[i])

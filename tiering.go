@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -39,8 +40,11 @@ import (
 // step: folding it drops the queued answers unscored, the one thing a
 // spill still loses against a sensor that stayed hot (ROADMAP item 2).
 // Otherwise the fold is exact: the observes only grow the index
-// history, and the index is not built until the next search either
-// way.
+// history. The spill file also carries the index's window level and
+// threshold seeds as of the sensor's last search, so a fault-in resumes
+// the index instead of building it: the next search catches it up over
+// the folded tail as a hot sensor's search catches up over its
+// observes, and does the same work.
 //
 // Recency: the LRU list holds the MaxHotSensors most recently used
 // sensors, hot or cold. A cold observe moves its sensor to the front
@@ -79,6 +83,11 @@ type tierState struct {
 	// cold maps each spilled id to the number of values in its tail
 	// file; a sensor with none has no tail file.
 	cold map[string]int
+	// scratch holds the bytes of the spill file being written by an
+	// eviction or read by a fault-in, both of which run under s.mu
+	// write-locked, so one buffer, as large as the largest spill file
+	// so far, serves them all.
+	scratch []byte
 }
 
 // newTierState validates the tiering configuration and prepares the
@@ -145,9 +154,29 @@ func (t *tierState) path(id, suffix string) string {
 	return filepath.Join(t.dir, hex.EncodeToString(sum[:16])+suffix)
 }
 
-// writeSpill writes one sensor's spill file.
-func writeSpill(path string, sc sensorCheckpoint) error {
-	return os.WriteFile(path, encodeCheckpoint(checkpoint{Sensors: []sensorCheckpoint{sc}}), 0o644)
+// writeSpill writes one sensor's spill file, encoded in the tier's
+// scratch buffer. Callers hold s.mu write-locked.
+func (t *tierState) writeSpill(id string, sc sensorCheckpoint) error {
+	cp := checkpoint{Sensors: []sensorCheckpoint{sc}}
+	t.scratch = appendCheckpoint(slices.Grow(t.scratch[:0], checkpointLen(cp)), cp)
+	return os.WriteFile(t.spillPath(id), t.scratch, 0o644)
+}
+
+// readFileInto reads the whole file at path into buf, grown as needed,
+// and returns the bytes.
+func readFileInto(path string, buf []byte) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	buf = slices.Grow(buf[:0], int(fi.Size()))[:fi.Size()]
+	_, err = io.ReadFull(f, buf)
+	return buf, err
 }
 
 // readSpill loads one cold sensor's checkpoint entry from its spill
@@ -155,12 +184,21 @@ func writeSpill(path string, sc sensorCheckpoint) error {
 // frozen normaliser the spill stores, exactly as Observe would have
 // applied it, and lands at the end of the history. It is the one spill
 // reader, behind fault-in, the saves that fold cold sensors in and the
-// cold SaveSensorTo. Callers hold s.mu (read side suffices).
-func (s *System) readSpill(id string) (sensorCheckpoint, error) {
-	b, err := os.ReadFile(s.tier.spillPath(id))
+// cold SaveSensorTo. Callers hold s.mu (read side suffices); with it
+// write-locked they may pass the tier's scratch buffer as scratch, which
+// the file is then read into, and otherwise nil.
+func (s *System) readSpill(id string, scratch *[]byte) (sensorCheckpoint, error) {
+	var buf []byte
+	if scratch != nil {
+		buf = *scratch
+	}
+	b, err := readFileInto(s.tier.spillPath(id), buf)
 	var cp checkpoint
 	if err == nil {
-		cp, err = decodeCheckpoint(b)
+		cp, err = decodeCheckpoint(b) // copies out all it keeps
+	}
+	if scratch != nil && b != nil {
+		*scratch = b
 	}
 	if err == nil && (len(cp.Sensors) != 1 || cp.Sensors[0].ID != id || cp.WALCover != nil) {
 		err = errors.New("not a one-sensor checkpoint of this sensor")
@@ -458,7 +496,7 @@ func (s *System) faultIn(id string) error {
 	if !s.tier.isCold(id) {
 		return fmt.Errorf("smiler: unknown sensor %q", id)
 	}
-	sc, err := s.readSpill(id)
+	sc, err := s.readSpill(id, &s.tier.scratch)
 	if err != nil {
 		return err
 	}
@@ -534,7 +572,7 @@ func (s *System) evictLocked(id string) error {
 		return nil
 	}
 	st.mu.Lock()
-	if err := writeSpill(s.tier.spillPath(id), snapshotSensorLocked(id, st)); err != nil {
+	if err := s.tier.writeSpill(id, snapshotSensorLocked(id, st)); err != nil {
 		st.mu.Unlock()
 		return fmt.Errorf("smiler: spilling sensor %q: %w", id, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -134,8 +135,10 @@ func TestTieringSpillFaultRoundTrip(t *testing.T) {
 // before tails): in every forecast, every single-sensor export and the
 // final checkpoint, over a seeded schedule of finite and NaN observes,
 // forecasts at mixed horizons, saves, and removes with re-adds. The
-// lazy system is never more resident than the twin.
+// lazy system is never more resident than the twin. The never-spilled
+// subtests hold both to a twin that never spills at all.
 func TestTieringLazyMatchesEager(t *testing.T) {
+	t.Run("never-spilled", testTieringMatchesNeverSpilled)
 	for _, kind := range []PredictorKind{PredictorAR, PredictorGP} {
 		t.Run(kind.String(), func(t *testing.T) {
 			cfg := tieredConfig(3)
@@ -241,6 +244,118 @@ func TestTieringLazyMatchesEager(t *testing.T) {
 				t.Fatalf("the schedule must take tail appends in place of faults: lazy %+v, eager %+v", ls, es)
 			}
 		})
+	}
+}
+
+// searchWork is the per-search work a System's metrics count, the
+// quantities a sensor that spills must spend exactly as one that never
+// did.
+var searchWork = []string{
+	"smiler_knn_candidates_total", "smiler_knn_unfiltered_total", "smiler_knn_sealed_total",
+	"smiler_knn_cascade_pruned_total", "smiler_dtw_columns_total", "smiler_index_builds_total",
+}
+
+func readWork(sys *System) []uint64 {
+	out := make([]uint64, len(searchWork))
+	for i, name := range searchWork {
+		out[i] = sys.Metrics().Counter(name, "").Value()
+	}
+	return out
+}
+
+// testTieringMatchesNeverSpilled holds a sensor that is evicted between
+// every step (MaxHotSensors 1, two sensors taking turns) to an untiered
+// twin that never spills: a fault-in resumes the index — its window
+// level and threshold seeds travel in the spill file — so each search
+// counts the candidates, verifications, sealed and cascade-pruned
+// survivors, DTW columns and index builds the twin's does, step for
+// step. Forecasts are held bit for bit where a read faults the sensor
+// in before each observe, so it never has a tail. On the schedule where
+// observes append to the cold sensor's tail, only the counts are: the
+// tail fold drops the pending set unscored (ROADMAP item 2), so the
+// ensemble weights, and with them the answers, part from the twin's.
+// Both schedules include a gap long enough that the twin rebuilds too.
+func testTieringMatchesNeverSpilled(t *testing.T) {
+	for _, kind := range []PredictorKind{PredictorAR, PredictorGP} {
+		for _, tails := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/tails=%t", kind, tails), func(t *testing.T) {
+				cfg := smallConfig()
+				cfg.Predictor = kind
+				twin, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer twin.Close()
+				cfg.MaxHotSensors = 1
+				tiered, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer tiered.Close()
+				addSeeded(t, twin, 2)
+				addSeeded(t, tiered, 2)
+				steps := 40
+				if kind == PredictorGP {
+					steps = 16
+				}
+				rng := rand.New(rand.NewSource(44))
+				for step := 0; step < steps; step++ {
+					for i := 0; i < 2; i++ {
+						id := fmt.Sprintf("t%d", i)
+						if !tails {
+							if _, err := tiered.HistoryLen(id); err != nil { // fault in: no tail
+								t.Fatal(err)
+							}
+						}
+						observes := 1 + rng.Intn(3)
+						if step == steps/2 {
+							observes = 35 // m + ρ ≥ nSW: both sides rebuild
+						}
+						for range observes {
+							v := 50 + 5*rng.NormFloat64()
+							for _, sys := range []*System{twin, tiered} {
+								if err := sys.Observe(id, v); err != nil {
+									t.Fatal(err)
+								}
+							}
+						}
+						hs := []int{1 + rng.Intn(3)}
+						if rng.Intn(2) == 0 {
+							hs = append(hs, 4)
+						}
+						tw0, ti0 := readWork(twin), readWork(tiered)
+						want, err := twin.PredictHorizons(id, hs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := tiered.PredictHorizons(id, hs)
+						if err != nil {
+							t.Fatal(err)
+						}
+						tw1, ti1 := readWork(twin), readWork(tiered)
+						for j, name := range searchWork {
+							if g, w := ti1[j]-ti0[j], tw1[j]-tw0[j]; g != w {
+								t.Fatalf("step %d %s: %s moved by %d, never-spilled twin by %d", step, id, name, g, w)
+							}
+						}
+						for _, h := range hs {
+							g, w := got[h], want[h]
+							if !tails && (math.Float64bits(g.Mean) != math.Float64bits(w.Mean) ||
+								math.Float64bits(g.Variance) != math.Float64bits(w.Variance)) {
+								t.Fatalf("step %d %s h=%d: spilled %+v, never spilled %+v", step, id, h, g, w)
+							}
+						}
+					}
+				}
+				st := tiered.Tiering()
+				if st.Faults < uint64(2*steps-1) || (st.TailAppends > 0) != tails {
+					t.Fatalf("the schedule must fault each sensor in every step (tails %t): %+v", tails, st)
+				}
+				if g, w := readWork(tiered), readWork(twin); !slices.Equal(g, w) {
+					t.Fatalf("work %v, never-spilled twin %v", g, w)
+				}
+			})
+		}
 	}
 }
 
