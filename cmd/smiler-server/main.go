@@ -212,12 +212,7 @@ func run(o options) error {
 		Interval:      o.interval,
 		Logger:        logger,
 		StartNotReady: true,
-		Pipeline: ingest.Config{
-			Shards: o.shards,
-			OnError: func(obs ingest.Observation, err error) {
-				logger.Warn("observe failed", "sensor", obs.Sensor, "err", err)
-			},
-		},
+		Pipeline:      ingest.Config{Shards: o.shards},
 	}
 	var mgr *wal.Manager
 	if o.walDir != "" {
@@ -320,8 +315,8 @@ func run(o options) error {
 	if err := srv.Shutdown(ctx); err != nil {
 		return err
 	}
-	// The listener is stopped: drain the pipeline so every accepted
-	// observation reaches the system before state is persisted.
+	// The listener is stopped: close the pipeline so no observation
+	// applies after state is persisted.
 	if err := handler.Close(); err != nil {
 		return err
 	}

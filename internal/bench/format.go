@@ -195,12 +195,11 @@ func FormatSearchProfile(rows []SearchProfile) string {
 			r.Dataset, string(r.Method),
 			fmt.Sprintf("%.0f", p.ComputeCycles),
 			fmt.Sprintf("%.0f", p.GlobalCycles),
-			fmt.Sprintf("%.0f", p.SharedCycles),
 			fmt.Sprintf("%.0f", p.LaunchCycles),
 			fmt.Sprint(p.Launches),
 			fmt.Sprint(p.Blocks),
 		})
 	}
 	return "Search cost-model breakdown (simulated cycles)\n" +
-		table([]string{"dataset", "method", "compute", "global-mem", "shared-mem", "launch", "launches", "blocks"}, out)
+		table([]string{"dataset", "method", "compute", "global-mem", "launch", "launches", "blocks"}, out)
 }

@@ -138,11 +138,6 @@ type Node struct {
 	m      *metrics
 
 	closeOnce sync.Once
-
-	// paused sensors reject new mutations with 503 while a resync
-	// snapshot is being captured.
-	pauseMu sync.Mutex
-	paused  map[string]bool
 }
 
 // New builds the node, wires it into srv (gate, routes, replication
@@ -195,7 +190,6 @@ func New(sys *smiler.System, srv *server.Server, cfg Config) (*Node, error) {
 		log:     cfg.Logger,
 		selfURL: self.URL,
 		view:    v,
-		paused:  make(map[string]bool),
 	}
 	n.health = newProber(n)
 	n.repl = newReplicator(n)
@@ -274,34 +268,24 @@ func (n *Node) replicaTargets(sensor string) []string {
 	return out
 }
 
-// --- pause (quiesce) ---
+// --- resync snapshot ---
 
-func (n *Node) pauseSensor(sensor string) {
-	n.pauseMu.Lock()
-	n.paused[sensor] = true
-	n.pauseMu.Unlock()
+// captureSensor reads a sensor's (checkpoint bytes, covered seq) pair
+// atomically. It holds the sensor's shard lock, under which every
+// observation is applied and emitted, so every frame at or below the
+// sequence it reads is inside the snapshot and every frame above it is
+// not. Lock order: shard lock → replication seq → system. Add and
+// remove frames are emitted outside the shard lock, but each replaces
+// the follower's whole copy, so one racing the capture leaves nothing
+// to double-apply.
+func (n *Node) captureSensor(sensor string) (snap []byte, seq uint64, err error) {
+	n.srv.Pipeline().WithSensorLocked(sensor, func() { snap, seq, err = n.captureLocked(sensor) })
+	return snap, seq, err
 }
 
-func (n *Node) unpauseSensor(sensor string) {
-	n.pauseMu.Lock()
-	delete(n.paused, sensor)
-	n.pauseMu.Unlock()
-}
-
-func (n *Node) isPaused(sensor string) bool {
-	n.pauseMu.Lock()
-	defer n.pauseMu.Unlock()
-	return n.paused[sensor]
-}
-
-// captureSensor reads a paused sensor's (checkpoint bytes, covered
-// seq) pair atomically: the caller holds the pause, so new mutations
-// 503 (clients retry under their idempotent backoff); the pipeline
-// drains, and only then are the sequence number and state read.
-func (n *Node) captureSensor(sensor string) ([]byte, uint64, error) {
-	if err := n.srv.Pipeline().Drain(); err != nil {
-		return nil, 0, err
-	}
+// captureLocked is captureSensor's body; the caller holds the sensor's
+// shard lock.
+func (n *Node) captureLocked(sensor string) ([]byte, uint64, error) {
 	seq := n.repl.seqOf(sensor)
 	var b bytes.Buffer
 	if err := n.sys.SaveSensorTo(&b, sensor); err != nil {

@@ -49,15 +49,6 @@ func (n *Node) gate(w http.ResponseWriter, r *http.Request, next http.Handler) {
 		next.ServeHTTP(w, r) // not sensor-scoped: always local
 		return
 	}
-	// A sensor being snapshotted for a follower's resync takes no
-	// mutation: the snapshot must cover exactly the frames up to the
-	// sequence number it is tagged with.
-	if n.isPaused(sensor) && r.Method != http.MethodGet {
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable,
-			"sensor is quiescing for a resync snapshot; retry")
-		return
-	}
 	owner, promoted := n.route(sensor)
 	if owner.ID != n.cfg.Self {
 		if r.Header.Get(forwardedHeader) != "" {
@@ -370,25 +361,6 @@ func (n *Node) bulkObserve(w http.ResponseWriter, r *http.Request, body []byte) 
 		}
 		p.obs = append(p.obs, o)
 		p.indices = append(p.indices, i)
-	}
-	// Quiesce check before anything applies or forwards, mirroring the
-	// sensor-scoped gate: an item applied while its sensor is paused for
-	// a resync snapshot would land between the snapshot's sequence
-	// number and its state, so the whole batch answers 503 instead (5xx
-	// responses are never idempotency-cached, so a retry re-executes
-	// once the pause lifts).
-	for id, p := range parts {
-		if id != n.cfg.Self && !forwarded {
-			continue // remote partition: its owner runs this check
-		}
-		for _, o := range p.obs {
-			if n.isPaused(o.Sensor) {
-				w.Header().Set("Retry-After", "1")
-				writeError(w, http.StatusServiceUnavailable,
-					"sensor "+o.Sensor+" is quiescing for a resync snapshot; retry")
-				return
-			}
-		}
 	}
 	for id, p := range parts {
 		var res ingest.BulkResult

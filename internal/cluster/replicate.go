@@ -198,7 +198,7 @@ func (r *replicator) sinceContact(peer string) time.Duration {
 // emit encodes one applied mutation and queues it to every follower of
 // the sensor. Called on the owner, after the mutation is applied
 // locally (apply order equals emission order per sensor: observations
-// come from the sensor's single shard worker, lifecycle events from
+// are emitted under the sensor's shard lock, lifecycle events from
 // the serialized add/delete handlers).
 func (r *replicator) emit(rec wal.Record) {
 	targets := r.n.replicaTargets(rec.Sensor)
@@ -301,12 +301,9 @@ func (r *replicator) post(p *peerStream, body []byte) {
 	}
 }
 
-// pushSnapshot quiesces the sensor, captures a bit-exact snapshot
-// (checkpoint envelope) tagged with the replication sequence it
-// covers, and ships it to the peer. The quiesce — pause new writes,
-// drain the pipeline — guarantees the (state, seq) pair is atomic:
-// every frame at or below the tagged seq is inside the snapshot,
-// every frame above it is not.
+// pushSnapshot captures a bit-exact snapshot (checkpoint envelope)
+// tagged with the replication sequence it covers (captureSensor keeps
+// the pair atomic) and ships it to the peer.
 func (r *replicator) pushSnapshot(p *peerStream, sensor string) {
 	if !r.n.sys.HasSensor(sensor) {
 		return // removed since the gap; the remove frame will catch up
@@ -320,9 +317,7 @@ func (r *replicator) pushSnapshot(p *peerStream, sensor string) {
 		Type: "repl_resync", Severity: obs.SevWarn, Sensor: sensor, TraceID: tc.ID,
 		Detail: "snapshot push to " + p.to.ID,
 	})
-	r.n.pauseSensor(sensor)
 	body, seq, err := r.n.captureSensor(sensor)
-	r.n.unpauseSensor(sensor)
 	if err == nil {
 		err = r.n.shipSnapshot(obs.ContextWithTrace(context.Background(), tc), p.to, body, seq)
 	}

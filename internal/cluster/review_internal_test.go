@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,7 +18,7 @@ import (
 )
 
 // internalNode is one in-process member for tests that need access to
-// unexported node internals (pause, replicator bookkeeping).
+// unexported node internals (snapshot capture, replicator bookkeeping).
 type internalNode struct {
 	id   string
 	sys  *smiler.System
@@ -102,137 +103,91 @@ func newInternalPair(t *testing.T) [2]*internalNode {
 	return [2]*internalNode{nodes[0], nodes[1]}
 }
 
-// TestBulkObserveRejectsPausedSensor: while a sensor is quiesced for a
-// resync snapshot, a bulk batch containing it must not apply on this
-// node — directly (503 to the caller) or via a forwarded partition
-// (the owner rejects, the entry reports the item failed). An
-// observation applied under the pause would land between the
-// snapshot's sequence tag and its state.
-func TestBulkObserveRejectsPausedSensor(t *testing.T) {
+// TestObserveDuringResyncSnapshotLandsOnce: writes that arrive while
+// the owner captures a resync snapshot — one forwarded observe, one
+// bulk item, both entering at the follower — wait on the sensor's
+// shard lock until the snapshot is taken, then land on the follower
+// exactly once: once in the owner's history, once as a frame above the
+// snapshot's tag, and the follower's h=1 forecast equals the owner's
+// bit for bit.
+func TestObserveDuringResyncSnapshotLandsOnce(t *testing.T) {
 	nodes := newInternalPair(t)
-	const sensor = "pause-bulk"
+	const sensor = "resync-window"
 	ownerMember, _ := nodes[0].node.route(sensor)
-	var owner, other *internalNode
-	for _, in := range nodes {
-		if in.id == ownerMember.ID {
-			owner = in
-		} else {
-			other = in
-		}
-	}
-	if err := owner.sys.AddSensor(sensor, internalHist(400)); err != nil {
-		t.Fatal(err)
-	}
-
-	const body = `{"observations":[{"id":"` + sensor + `","value":51}]}`
-	post := func(url string) *http.Response {
-		t.Helper()
-		resp, err := http.Post(url+"/observations", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { resp.Body.Close() })
-		return resp
-	}
-
-	owner.node.pauseSensor(sensor)
-
-	// Directly on the quiescing owner: the whole batch answers 503 with
-	// a retry hint, nothing applies.
-	resp := post(owner.ts.URL)
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("bulk on paused owner: HTTP %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 for a quiescing sensor must carry Retry-After")
-	}
-
-	// Through the other node: the partition forwards to the owner, whose
-	// pause check rejects it; the entry reports the item as failed.
-	resp = post(other.ts.URL)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bulk via non-owner: HTTP %d, want 200 with per-item failure", resp.StatusCode)
-	}
-	var res ingest.BulkResult
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted != 0 || len(res.Failed) != 1 {
-		t.Fatalf("bulk via non-owner during pause: %+v, want 0 accepted / 1 failed", res)
-	}
-
-	owner.node.unpauseSensor(sensor)
-	resp = post(owner.ts.URL)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("bulk after unpause: HTTP %d, want 200", resp.StatusCode)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted != 1 {
-		t.Fatalf("bulk after unpause: %+v, want 1 accepted", res)
-	}
-	if err := owner.srv.Pipeline().Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := owner.sys.HistoryLen(sensor); got != 401 {
-		t.Fatalf("owner history = %d, want 401 (exactly the post-unpause item)", got)
-	}
-}
-
-// TestForwardedObserveRejectedMidCutover: while the owner holds a
-// sensor's pause to capture a resync snapshot, a write forwarded to it
-// by another member must be refused with a retry hint, not applied
-// under the snapshot — the gate checks the pause before it routes, for
-// forwarded and direct writes alike.
-func TestForwardedObserveRejectedMidCutover(t *testing.T) {
-	nodes := newInternalPair(t)
-	const sensor = "cutover-window"
-	ownerMember, _ := nodes[0].node.route(sensor)
-	owner, other := nodes[0], nodes[1]
+	owner, follower := nodes[0], nodes[1]
 	if owner.id != ownerMember.ID {
-		owner, other = other, owner
+		owner, follower = follower, owner
 	}
-	if err := owner.sys.AddSensor(sensor, internalHist(400)); err != nil {
-		t.Fatal(err)
-	}
-	owner.node.pauseSensor(sensor)
+	registerAndReplicate(t, owner, follower, sensor)
 
-	send := func() *http.Response {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodPost, owner.ts.URL+"/sensors/"+sensor+"/observe", strings.NewReader(`{"value":51}`))
+	post := func(path, body string) <-chan int {
+		done := make(chan int, 1)
+		go func() {
+			resp, err := http.Post(follower.ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				done <- -1
+				return
+			}
+			resp.Body.Close()
+			done <- resp.StatusCode
+		}()
+		return done
+	}
+	var observe, bulk <-chan int
+	var snapSeq uint64
+	owner.srv.Pipeline().WithSensorLocked(sensor, func() {
+		snap, seq, err := owner.node.captureLocked(sensor)
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set(forwardedHeader, "1")
-		req.Header.Set(fromHeader, other.id)
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
+		snapSeq = seq
+		observe = post("/sensors/"+sensor+"/observe", `{"value":61}`)
+		bulk = post("/observations", `{"observations":[{"id":"`+sensor+`","value":51}]}`)
+		select {
+		case code := <-observe:
+			t.Fatalf("observe answered %d while the snapshot held the shard lock", code)
+		case code := <-bulk:
+			t.Fatalf("bulk answered %d while the snapshot held the shard lock", code)
+		case <-time.After(100 * time.Millisecond):
+		}
+		if got, _ := owner.sys.HistoryLen(sensor); got != 400 {
+			t.Fatalf("owner history = %d under the capture, want 400", got)
+		}
+		// Ship before the lock is released: frames emitted after the
+		// capture then follow the snapshot, the order the peer stream
+		// gives pushSnapshot (it ships the snapshot before the next frame).
+		if err := owner.node.shipSnapshot(context.Background(), owner.node.view.members[follower.id], snap, seq); err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp
+	})
+	if code := <-observe; code != http.StatusOK {
+		t.Fatalf("observe after the snapshot: HTTP %d, want 200", code)
 	}
-	resp := send()
-	if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") == "" {
-		t.Fatalf("forwarded observe during a snapshot: HTTP %d (Retry-After %q), want 503 with a retry hint",
-			resp.StatusCode, resp.Header.Get("Retry-After"))
+	if code := <-bulk; code != http.StatusOK {
+		t.Fatalf("bulk after the snapshot: HTTP %d, want 200", code)
 	}
-	if err := owner.srv.Pipeline().Drain(); err != nil {
+	if got, _ := owner.sys.HistoryLen(sensor); got != 402 {
+		t.Fatalf("owner history = %d, want 402", got)
+	}
+	if got := owner.node.repl.seqOf(sensor); got != snapSeq+2 {
+		t.Fatalf("owner emitted up to seq %d, want %d: two frames above the snapshot", got, snapSeq+2)
+	}
+	eventually(t, 5*time.Second, "the follower to apply both frames", func() bool {
+		return follower.node.repl.seqOf(sensor) == snapSeq+2
+	})
+	if got, _ := follower.sys.HistoryLen(sensor); got != 402 {
+		t.Fatalf("follower history = %d, want 402: a write landed twice or not at all", got)
+	}
+	want, err := owner.sys.Predict(sensor, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := owner.sys.HistoryLen(sensor); got != 400 {
-		t.Fatalf("owner's history = %d, want 400: the write applied under the pause", got)
-	}
-	owner.node.unpauseSensor(sensor)
-	if resp := send(); resp.StatusCode != http.StatusOK {
-		t.Fatalf("forwarded observe after the pause: HTTP %d, want 200", resp.StatusCode)
-	}
-	if err := owner.srv.Pipeline().Drain(); err != nil {
+	got, err := follower.sys.Predict(sensor, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := owner.sys.HistoryLen(sensor); got != 401 {
-		t.Fatalf("owner's history = %d, want 401 after the pause lifts", got)
+	if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) || math.Float64bits(got.Variance) != math.Float64bits(want.Variance) {
+		t.Fatalf("follower forecast %v±%v, owner %v±%v", got.Mean, got.Variance, want.Mean, want.Variance)
 	}
 }
 

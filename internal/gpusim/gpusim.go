@@ -10,15 +10,17 @@
 //   - Kernels are launched over a grid of blocks; blocks execute
 //     concurrently on a goroutine worker pool (real parallelism), each
 //     carrying a private cycle counter.
-//   - A cost model charges cycles for compute ops, global-memory and
-//     shared-memory traffic, and serialized divergent paths, so the
-//     *relative* timing shape of the paper's experiments (index ≫ scan,
-//     banded ≫ unbanded) is reproduced in simulated seconds.
+//   - A cost model charges cycles for compute ops, global-memory
+//     traffic and kernel launches, so the *relative* timing shape of
+//     the paper's experiments (index ≫ scan, banded ≫ unbanded) is
+//     reproduced in simulated seconds. Shared-memory traffic and warp
+//     divergence are not charged.
 //   - Device memory is a hard budget: Malloc fails when the index no
 //     longer fits, which drives the "max sensors per GPU" experiment
 //     (paper Fig. 12c).
-//   - Per-block shared memory is a hard budget too, which is what
-//     forces the 2×(2ρ+2) compressed warping matrix of Algorithm 2.
+//   - Per-block shared memory is a hard budget too (its capacity is
+//     checked, its accesses cost nothing), which is what forces the
+//     2×(2ρ+2) compressed warping matrix of Algorithm 2.
 //
 // Simulated time is computed as Σ(block cycles) / (SMs × clock): blocks
 // are assumed to be spread evenly over the streaming multiprocessors,
@@ -56,7 +58,6 @@ type Config struct {
 	// Cost model, in cycles.
 	ComputeCyclesPerOp   float64 // one fused arithmetic op
 	GlobalCyclesPerWord  float64 // one coalesced 8-byte global access
-	SharedCyclesPerWord  float64 // one 8-byte shared-memory access
 	LaunchOverheadCycles float64 // fixed cost per kernel launch
 }
 
@@ -70,7 +71,6 @@ func DefaultConfig() Config {
 		SharedMemPerBlock:    48 << 10,
 		ComputeCyclesPerOp:   1,
 		GlobalCyclesPerWord:  4, // amortized coalesced bandwidth cost
-		SharedCyclesPerWord:  1,
 		LaunchOverheadCycles: 5000,
 	}
 }
@@ -95,8 +95,6 @@ type Device struct {
 	// Per-category cycle counters (fixed-point ×256) for profiling.
 	computeCycles atomic.Int64
 	globalCycles  atomic.Int64
-	sharedCycles  atomic.Int64
-	divergeCycles atomic.Int64
 	launchCycles  atomic.Int64
 
 	mu        sync.Mutex
@@ -229,8 +227,6 @@ type Block struct {
 	cycles      float64
 	compute     float64
 	global      float64
-	shared      float64
-	diverge     float64
 	sharedBytes int
 }
 
@@ -248,13 +244,6 @@ func (b *Block) GlobalAccess(n int) {
 	b.global += c
 }
 
-// SharedAccess charges n 8-byte shared-memory accesses.
-func (b *Block) SharedAccess(n int) {
-	c := float64(n) * b.dev.cfg.SharedCyclesPerWord
-	b.cycles += c
-	b.shared += c
-}
-
 // ParallelCompute charges compute work of threads lanes each doing
 // opsPerThread operations, assuming the block's lanes run CoresPerSM
 // wide: elapsed cycles = opsPerThread × ⌈threads / CoresPerSM⌉.
@@ -266,17 +255,6 @@ func (b *Block) ParallelCompute(threads, opsPerThread int) {
 	c := float64(waves) * float64(opsPerThread) * b.dev.cfg.ComputeCyclesPerOp
 	b.cycles += c
 	b.compute += c
-}
-
-// Diverge charges a divergent branch: on SIMD hardware the paths are
-// serialized, so the cost is the *sum* of the per-path cycle counts
-// rather than their max. Used to model mixing filtering with
-// verification in one kernel (the design the paper §4.4 avoids).
-func (b *Block) Diverge(pathCycles ...float64) {
-	for _, c := range pathCycles {
-		b.cycles += c
-		b.diverge += c
-	}
 }
 
 // AllocShared reserves bytes of the block's shared-memory budget and
@@ -366,8 +344,6 @@ func (d *Device) runBlock(id int, kernel func(b *Block) error) error {
 	d.cycles.Add(int64(blk.cycles * cycleFix))
 	d.computeCycles.Add(int64(blk.compute * cycleFix))
 	d.globalCycles.Add(int64(blk.global * cycleFix))
-	d.sharedCycles.Add(int64(blk.shared * cycleFix))
-	d.divergeCycles.Add(int64(blk.diverge * cycleFix))
 	return err
 }
 
@@ -389,8 +365,6 @@ func (d *Device) ResetTimer() {
 	d.blocks.Store(0)
 	d.computeCycles.Store(0)
 	d.globalCycles.Store(0)
-	d.sharedCycles.Store(0)
-	d.divergeCycles.Store(0)
 	d.launchCycles.Store(0)
 }
 
@@ -400,8 +374,6 @@ func (d *Device) ResetTimer() {
 type Profile struct {
 	ComputeCycles float64
 	GlobalCycles  float64
-	SharedCycles  float64
-	DivergeCycles float64
 	LaunchCycles  float64
 	Launches      int64
 	Blocks        int64
@@ -409,7 +381,7 @@ type Profile struct {
 
 // TotalCycles returns the sum of all categories.
 func (p Profile) TotalCycles() float64 {
-	return p.ComputeCycles + p.GlobalCycles + p.SharedCycles + p.DivergeCycles + p.LaunchCycles
+	return p.ComputeCycles + p.GlobalCycles + p.LaunchCycles
 }
 
 // Profile snapshots the per-category counters.
@@ -417,8 +389,6 @@ func (d *Device) Profile() Profile {
 	return Profile{
 		ComputeCycles: float64(d.computeCycles.Load()) / cycleFix,
 		GlobalCycles:  float64(d.globalCycles.Load()) / cycleFix,
-		SharedCycles:  float64(d.sharedCycles.Load()) / cycleFix,
-		DivergeCycles: float64(d.divergeCycles.Load()) / cycleFix,
 		LaunchCycles:  float64(d.launchCycles.Load()) / cycleFix,
 		Launches:      d.launches.Load(),
 		Blocks:        d.blocks.Load(),

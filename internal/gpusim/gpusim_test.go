@@ -207,14 +207,12 @@ func TestCostModelAccumulation(t *testing.T) {
 	err := d.Launch(1, func(b *Block) error {
 		b.Compute(10)     // 10 cycles
 		b.GlobalAccess(2) // 2*4 = 8
-		b.SharedAccess(5) // 5
-		b.Diverge(3, 4)   // 7
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 10.0 + 8 + 5 + 7
+	want := 10.0 + 8
 	if got := d.SimSeconds(); math.Abs(got-want) > 1e-9 {
 		t.Fatalf("SimSeconds = %v, want %v", got, want)
 	}

@@ -15,8 +15,6 @@ func TestProfileBreakdown(t *testing.T) {
 	err := d.Launch(2, func(b *Block) error {
 		b.Compute(10)
 		b.GlobalAccess(3)
-		b.SharedAccess(7)
-		b.Diverge(2, 3)
 		return nil
 	})
 	if err != nil {
@@ -28,12 +26,6 @@ func TestProfileBreakdown(t *testing.T) {
 	}
 	if p.GlobalCycles != 24 { // 2 × 3 × 4
 		t.Fatalf("global = %v", p.GlobalCycles)
-	}
-	if p.SharedCycles != 14 {
-		t.Fatalf("shared = %v", p.SharedCycles)
-	}
-	if p.DivergeCycles != 10 {
-		t.Fatalf("diverge = %v", p.DivergeCycles)
 	}
 	if p.LaunchCycles != 100 {
 		t.Fatalf("launch = %v", p.LaunchCycles)

@@ -3,6 +3,7 @@ package ingest
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 
 	"smiler"
@@ -49,9 +50,11 @@ func newBenchSystemMetrics(b *testing.B, sensors int, disableMetrics bool) (*smi
 }
 
 // BenchmarkIngestThroughput compares direct synchronous Observe
-// against pipelined bulk ingest at 1, 4 and 16 shards, all over the
-// same 16-sensor system. The recorded shape lives in EXPERIMENTS.md;
-// regenerate with:
+// against bulk ingest through the pipeline at 1, 4 and 16 shards, all
+// over the same 16-sensor system. The pipeline cases send their bulk
+// chunks from GOMAXPROCS concurrent callers, as concurrent HTTP
+// handlers do: shards are what lets those callers apply in parallel.
+// The recorded shape lives in EXPERIMENTS.md; regenerate with:
 //
 //	go test ./internal/ingest -bench Throughput -run '^$'
 func BenchmarkIngestThroughput(b *testing.B) {
@@ -86,25 +89,27 @@ func BenchmarkIngestThroughput(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			batch := make([]Observation, 0, bulkChunk)
+			defer p.Close()
+			var caller atomic.Int64
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				batch = append(batch, Observation{Sensor: ids[i%sensors], Value: 20 + float64(i%7)})
-				if len(batch) == bulkChunk || i == b.N-1 {
-					if res := p.ObserveBulk(batch); len(res.Failed) > 0 {
-						b.Fatal(res.Failed[0].Error)
+			b.RunParallel(func(pb *testing.PB) {
+				c := int(caller.Add(1)) // callers start on different sensors
+				batch := make([]Observation, 0, bulkChunk)
+				for i := 0; pb.Next(); i++ {
+					batch = append(batch, Observation{Sensor: ids[(c+i)%sensors], Value: 20 + float64(i%7)})
+					if len(batch) == bulkChunk {
+						if res := p.ObserveBulk(batch); len(res.Failed) > 0 {
+							b.Error(res.Failed[0].Error)
+							return
+						}
+						batch = batch[:0]
 					}
-					batch = batch[:0]
 				}
-			}
-			// Throughput means applied, not merely queued: the drain is
-			// part of the measured work.
-			if err := p.Drain(); err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
+				if res := p.ObserveBulk(batch); len(res.Failed) > 0 {
+					b.Error(res.Failed[0].Error)
+				}
+			})
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "obs/s")
-			p.Close()
 		})
 	}
 }

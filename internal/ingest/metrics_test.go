@@ -49,9 +49,8 @@ func TestRegisterMetricsExposition(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"smiler_ingest_shards 2",
-		`smiler_ingest_enqueued_total{shard="0"}`,
-		`smiler_ingest_enqueued_total{shard="1"}`,
-		`smiler_ingest_processed_total{shard="0"}`,
+		`smiler_ingest_processed_total{shard="0"} 10`,
+		`smiler_ingest_processed_total{shard="1"} 10`,
 		`smiler_ingest_apply_latency_seconds_total{shard="0"}`,
 		"smiler_forecast_cache_hits_total 1",
 		"smiler_forecast_cache_misses_total 1",
@@ -61,6 +60,7 @@ func TestRegisterMetricsExposition(t *testing.T) {
 		}
 	}
 	for _, gone := range []string{"smiler_ingest_queue_capacity", "smiler_ingest_dropped_total",
+		"smiler_ingest_queue_depth", "smiler_ingest_batches_total", "smiler_ingest_enqueued_total",
 		"smiler_forecast_coalesced_waits_total", "smiler_forecast_cache_invalidations_total", "smiler_forecast_cache_size"} {
 		if strings.Contains(out, gone) {
 			t.Errorf("exposition still has %q", gone)

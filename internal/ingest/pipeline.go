@@ -1,18 +1,19 @@
-// Package ingest is a sharded streaming ingestion pipeline that sits
-// between the transport layer (internal/server) and the prediction
-// system (smiler.System).
+// Package ingest is the sharded front-end between the transport layer
+// (internal/server) and the prediction system (smiler.System).
 //
 // The paper frames SMiLer as a continuous-query system over many
-// concurrent sensor streams (§3; §6.4.1 scales it out across GPUs).
-// Serving that shape over HTTP needs a front-end that decouples
-// request handling from the per-sensor locking of the core system:
+// concurrent sensor streams (§3): append the new value, then predict
+// from the updated index. The pipeline keeps that order over HTTP:
 //
 //   - Write side: each observation is hashed (FNV-1a) onto one of N
-//     shard workers. A shard is a bounded queue drained by a single
-//     goroutine in micro-batches, so observations for one sensor are
-//     applied in arrival order while distinct shards proceed in
-//     parallel. When a queue fills, the producer waits for space;
-//     nothing is shed.
+//     shards. Observe takes its shard's lock, journals the value,
+//     applies it to the system and runs the post-apply (replication)
+//     hook before it returns, so a caller's success means "journaled
+//     and applied", and a forecast that starts after it sees the value.
+//     The lock orders a sensor's observations; distinct shards proceed
+//     in parallel. A journal failure fails the observation, which is
+//     then not applied. A busy shard makes the caller wait; nothing is
+//     shed.
 //   - Read side: a forecast goes straight to the system, under a panic
 //     guard. Reuse lives in the sensor: between two observations every
 //     read of a horizon gets the first exact answer computed for it
@@ -22,9 +23,10 @@
 //     stale to invalidate. The pipeline counts the requests reuse
 //     answered whole (hits) and the others (misses).
 //
-// Close drains: every observation accepted before Close returns is
-// applied to the system, which is what lets the server drain the
-// pipeline before writing its shutdown checkpoint.
+// Lock order: shard lock → journal (WAL append) → system → post-apply
+// hook (replication emit). WithSensorLocked runs a caller's function
+// under the shard lock, so the cluster's resync snapshot (shard lock →
+// replication seq → system) sees no observation half applied.
 package ingest
 
 import (
@@ -33,11 +35,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"smiler"
+	"smiler/internal/obs"
 )
 
 // System is the slice of *smiler.System the pipeline drives; narrowed
@@ -46,6 +48,9 @@ type System interface {
 	Observe(id string, v float64) error
 	PredictHorizonsCtx(ctx context.Context, id string, hs []int) (map[int]smiler.Forecast, error)
 	HasSensor(id string) bool
+	// Events is the flight recorder a recovered panic is recorded in
+	// (nil records nothing).
+	Events() *obs.EventRing
 }
 
 // Observation is one sensor reading entering the pipeline.
@@ -56,41 +61,33 @@ type Observation struct {
 
 // Config configures a Pipeline; zero values take defaults.
 type Config struct {
-	// Shards is the number of shard workers (default GOMAXPROCS).
+	// Shards is the number of shards (default GOMAXPROCS).
 	Shards int
-	// OnError, when set, is called from shard workers for every
-	// observation whose asynchronous apply failed (e.g. to log it).
-	OnError func(Observation, error)
-	// Journal, when set, is called from the shard worker immediately
+	// Journal, when set, is called under the shard lock immediately
 	// before each observation is applied — the write-ahead-log hook.
-	// Because the worker is the shard's single writer, journal order
-	// exactly equals apply order. A journal failure counts in the
-	// shard's JournalErrors stat and is reported through OnError, but
-	// the observation is still applied: availability over durability
-	// for the window until the next successful sync.
+	// Journal order therefore equals apply order. A journal failure
+	// fails the observation (ErrJournal): it is not applied and counts
+	// in the shard's JournalErrors stat.
 	Journal func(shard int, id string, v float64) error
-	// OnApplied, when set, is called from the shard worker after each
+	// OnApplied, when set, is called under the shard lock after each
 	// observation has been successfully applied to the system — the
-	// replication hook.
-	// Per-sensor call order equals apply order (single worker per
-	// shard); failed applies never reach it. It can also be installed
-	// after construction with SetOnApplied (the cluster layer is built
-	// after the server that owns this pipeline).
+	// replication hook. Per-sensor call order equals apply order;
+	// failed applies never reach it. It can also be installed after
+	// construction with SetOnApplied (the cluster layer is built after
+	// the server that owns this pipeline).
+	//
+	// Both hooks run under the shard lock: neither may observe through
+	// this pipeline.
 	OnApplied func(Observation)
 }
 
-const (
-	// queueSize is each shard's queue capacity: room for eight full
-	// micro-batches, so a worker finds a batch waiting under load while
-	// a shard holds at most this many unapplied observations. A full
-	// queue makes Observe wait for space.
-	queueSize = 256
-	// maxBatch caps the micro-batch a worker drains per wakeup.
-	maxBatch = 32
+var (
+	// ErrClosed is returned by Observe/Drain after Close.
+	ErrClosed = errors.New("ingest: pipeline closed")
+	// ErrJournal wraps a failed journal append: the observation was
+	// not applied.
+	ErrJournal = errors.New("ingest: journal append failed")
 )
-
-// ErrClosed is returned by Observe/Drain after Close.
-var ErrClosed = errors.New("ingest: pipeline closed")
 
 // Pipeline is the sharded ingestion front-end. All methods are safe
 // for concurrent use.
@@ -104,19 +101,15 @@ type Pipeline struct {
 	hits, misses, panics atomic.Uint64
 
 	// onApplied is the live post-apply hook (Config.OnApplied or a
-	// later SetOnApplied), read atomically by shard workers.
+	// later SetOnApplied).
 	onApplied atomic.Pointer[func(Observation)]
 
-	// closeMu guards the closed flag against in-flight sends: Observe
-	// holds it shared while sending, Close holds it exclusively while
-	// closing the shard channels, so no send can race a close.
-	closeMu sync.RWMutex
-	closed  bool
-	wg      sync.WaitGroup
-	done    chan struct{}
+	// closed is read under any shard lock and written under all of
+	// them, so no observation applies after Close returns.
+	closed bool
 }
 
-// New builds a pipeline over sys and starts its shard workers.
+// New builds a pipeline over sys.
 func New(sys System, cfg Config) (*Pipeline, error) {
 	if sys == nil {
 		return nil, errors.New("ingest: nil system")
@@ -128,15 +121,12 @@ func New(sys System, cfg Config) (*Pipeline, error) {
 		cfg:    cfg,
 		sys:    sys,
 		shards: make([]*shard, cfg.Shards),
-		done:   make(chan struct{}),
 	}
 	if cfg.OnApplied != nil {
 		p.onApplied.Store(&cfg.OnApplied)
 	}
 	for i := range p.shards {
-		p.shards[i] = &shard{id: i, ch: make(chan item, queueSize)}
-		p.wg.Add(1)
-		go p.worker(p.shards[i])
+		p.shards[i] = &shard{id: i}
 	}
 	return p, nil
 }
@@ -156,28 +146,36 @@ func (p *Pipeline) shardFor(id string) *shard {
 	return p.shards[ShardIndex(id, len(p.shards))]
 }
 
-// Observe enqueues one observation for asynchronous apply, waiting for
-// space when the sensor's shard queue is full. It returns (true, nil)
-// when accepted and (false, err) when rejected: ErrClosed after Close,
-// or an unknown-sensor error.
+// Observe journals and applies one observation under its shard's lock,
+// waiting for the lock while the shard applies another. It returns
+// (true, nil) once the value is journaled and applied, and (false, err)
+// otherwise: ErrClosed after Close, an unknown-sensor error, an error
+// wrapping ErrJournal, or the system's apply error.
 func (p *Pipeline) Observe(id string, v float64) (accepted bool, err error) {
 	if !p.sys.HasSensor(id) {
 		return false, fmt.Errorf("ingest: unknown sensor %q", id)
 	}
-	it := item{obs: Observation{Sensor: id, Value: v}, at: time.Now()}
-	p.closeMu.RLock()
-	defer p.closeMu.RUnlock()
+	start := time.Now()
+	sh := p.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if p.closed {
 		return false, ErrClosed
 	}
-	sh := p.shardFor(id)
-	select {
-	case sh.ch <- it:
-	case <-p.done:
-		return false, ErrClosed
+	if err := p.apply(sh, Observation{Sensor: id, Value: v}, start); err != nil {
+		return false, err
 	}
-	sh.enqueued.Add(1)
 	return true, nil
+}
+
+// WithSensorLocked runs fn under the shard lock of sensor id: no
+// observation of id is journaled, applied or handed to the post-apply
+// hook while fn runs. fn must not observe through this pipeline.
+func (p *Pipeline) WithSensorLocked(id string, fn func()) {
+	sh := p.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	fn()
 }
 
 // BulkFailure reports one rejected observation of a bulk request.
@@ -187,7 +185,7 @@ type BulkFailure struct {
 	Error string `json:"error"`
 }
 
-// BulkResult accounts for a bulk enqueue. Dropped is always 0: the
+// BulkResult accounts for a bulk request. Dropped is always 0: the
 // pipeline sheds nothing. It stays in the reply for existing clients.
 type BulkResult struct {
 	Accepted int           `json:"accepted"`
@@ -195,9 +193,9 @@ type BulkResult struct {
 	Failed   []BulkFailure `json:"failed,omitempty"`
 }
 
-// ObserveBulk enqueues a batch of observations, possibly spanning many
-// sensors, and reports per-item outcomes instead of failing the batch
-// on the first bad item.
+// ObserveBulk observes a batch of observations, possibly spanning many
+// sensors, one by one in request order, and reports per-item outcomes
+// instead of failing the batch on the first bad item.
 func (p *Pipeline) ObserveBulk(obs []Observation) BulkResult {
 	var res BulkResult
 	for i, o := range obs {
@@ -258,8 +256,8 @@ func reusedAll(fs []smiler.Forecast) bool {
 }
 
 // SetOnApplied installs (or clears, with nil) the post-apply hook at
-// runtime — see Config.OnApplied for its contract. Safe to call while
-// workers run; observations mid-apply may still see the old hook.
+// runtime — see Config.OnApplied for its contract. Observations
+// mid-apply may still see the old hook.
 func (p *Pipeline) SetOnApplied(fn func(Observation)) {
 	if fn == nil {
 		p.onApplied.Store(nil)
@@ -268,48 +266,31 @@ func (p *Pipeline) SetOnApplied(fn func(Observation)) {
 	p.onApplied.Store(&fn)
 }
 
-// Drain blocks until every observation enqueued before the call has
-// been applied to the system. Observations enqueued concurrently with
-// Drain may or may not be covered.
+// Drain returns once every observation in flight when it was called
+// has been applied (or has failed): it takes and releases each shard's
+// lock in turn. After Close it returns ErrClosed.
 func (p *Pipeline) Drain() error {
-	p.closeMu.RLock()
-	if p.closed {
-		p.closeMu.RUnlock()
-		return ErrClosed
-	}
-	tokens := make([]chan struct{}, len(p.shards))
-	for i, sh := range p.shards {
-		tokens[i] = make(chan struct{})
-		select {
-		case sh.ch <- item{flush: tokens[i]}:
-		case <-p.done:
-			p.closeMu.RUnlock()
+	for _, sh := range p.shards {
+		sh.mu.Lock()
+		closed := p.closed
+		sh.mu.Unlock()
+		if closed {
 			return ErrClosed
 		}
-	}
-	p.closeMu.RUnlock()
-	for _, tok := range tokens {
-		<-tok
 	}
 	return nil
 }
 
-// Close drains and stops the pipeline: every accepted observation is
-// applied before Close returns, after which Observe and Drain return
-// ErrClosed. ForecastsCtx keeps working (reads do not need the workers).
-// Close is idempotent.
+// Close waits for in-flight observations and stops the pipeline:
+// afterwards Observe and Drain return ErrClosed. ForecastsCtx keeps
+// working. Close is idempotent.
 func (p *Pipeline) Close() error {
-	p.closeMu.Lock()
-	if p.closed {
-		p.closeMu.Unlock()
-		return nil
+	for _, sh := range p.shards {
+		sh.mu.Lock()
 	}
 	p.closed = true
-	close(p.done)
 	for _, sh := range p.shards {
-		close(sh.ch)
+		sh.mu.Unlock()
 	}
-	p.closeMu.Unlock()
-	p.wg.Wait()
 	return nil
 }

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"smiler"
+	"smiler/internal/obs"
 )
 
 // fakeSystem is an instrumented System: it records per-sensor
@@ -27,6 +29,8 @@ type fakeSystem struct {
 	applied      atomic.Int64
 
 	reused atomic.Bool // when set, every Forecast is marked Reused
+
+	events *obs.EventRing // nil records nothing
 }
 
 func newFakeSystem() *fakeSystem {
@@ -70,6 +74,8 @@ func (f *fakeSystem) HasSensor(id string) bool {
 	}
 	return f.known[id]
 }
+
+func (f *fakeSystem) Events() *obs.EventRing { return f.events }
 
 func (f *fakeSystem) forget(id string) {
 	f.mu.Lock()
@@ -119,33 +125,9 @@ func TestNewValidation(t *testing.T) {
 	p.Close()
 }
 
-// TestParseBackpressure pins the sizes of the one full-queue policy
-// left: every shard queue holds queueSize observations, and a worker
-// drains at most maxBatch of them per wakeup.
-func TestParseBackpressure(t *testing.T) {
-	if queueSize != 256 || maxBatch != 32 {
-		t.Fatalf("queueSize=%d maxBatch=%d, want 256/32", queueSize, maxBatch)
-	}
-	sys, p, release := gatedShard(t)
-	if c := cap(p.shards[0].ch); c != queueSize {
-		t.Fatalf("queue capacity %d, want %d", c, queueSize)
-	}
-	fillOneShard(t, sys, p)
-	release()
-	if err := p.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	// [0] on its own, the full queue in batches of maxBatch, then the
-	// Drain token on its own.
-	want := uint64(1 + queueSize/maxBatch + 1)
-	if st := p.Stats().Totals; st.Processed != queueSize+1 || st.Batches != want {
-		t.Fatalf("processed %d in %d batches, want %d in %d", st.Processed, st.Batches, queueSize+1, want)
-	}
-}
-
 // TestOrderingPerSensor is the core invariant: concurrent producers
 // for many sensors, each sensor's stream must be applied in its
-// arrival order even though shards batch and interleave.
+// arrival order even though shards interleave.
 func TestOrderingPerSensor(t *testing.T) {
 	sys := newFakeSystem()
 	p := mustPipeline(t, sys, Config{Shards: 4})
@@ -182,17 +164,14 @@ func TestOrderingPerSensor(t *testing.T) {
 		}
 	}
 	st := p.Stats()
-	if st.Totals.Processed != sensors*perSensor || st.Totals.Dropped != 0 {
+	if st.Totals.Processed != sensors*perSensor || st.Totals.Dropped != 0 || st.Totals.QueueDepth != 0 {
 		t.Fatalf("totals = %+v", st.Totals)
-	}
-	if st.Totals.Batches == 0 || st.Totals.AvgBatch <= 0 {
-		t.Fatalf("batching not accounted: %+v", st.Totals)
 	}
 }
 
-// gatedShard builds a one-shard pipeline whose worker blocks inside
+// gatedShard builds a one-shard pipeline whose shard stalls inside
 // the system's Observe until release is called. Cleanup releases it
-// too, so a failed test cannot leave Close waiting on the worker.
+// too, so a failed test cannot leave a caller holding the lock.
 func gatedShard(t *testing.T) (*fakeSystem, *Pipeline, func()) {
 	t.Helper()
 	sys := newFakeSystem()
@@ -202,26 +181,6 @@ func gatedShard(t *testing.T) (*fakeSystem, *Pipeline, func()) {
 	release := func() { once.Do(func() { close(sys.observeGate) }) }
 	t.Cleanup(release)
 	return sys, p, release
-}
-
-// fillOneShard stalls the single worker inside Observe and fills the
-// queue, returning once the pipeline is saturated: one observation in
-// flight, queueSize more waiting.
-func fillOneShard(t *testing.T, sys *fakeSystem, p *Pipeline) {
-	t.Helper()
-	if ok, err := p.Observe("s", 0); !ok || err != nil {
-		t.Fatalf("first observe: ok=%v err=%v", ok, err)
-	}
-	// Once the worker is blocked in Observe it has closed its batch on
-	// the first item alone, so the whole queue is free again.
-	waitFor(t, "worker to block on the first item", func() bool {
-		return sys.observeCalls.Load() == 1
-	})
-	for v := 1; v <= queueSize; v++ {
-		if ok, err := p.Observe("s", float64(v)); !ok || err != nil {
-			t.Fatalf("fill observe #%d: ok=%v err=%v", v, ok, err)
-		}
-	}
 }
 
 // observeAsync runs Observe on its own goroutine and delivers its
@@ -238,77 +197,100 @@ func observeAsync(p *Pipeline, id string, v float64) <-chan error {
 	return done
 }
 
-// TestBackpressureBlockIsLossless: an observe that meets a full queue
-// waits for space, then lands in arrival order.
-func TestBackpressureBlockIsLossless(t *testing.T) {
-	sys, p, release := gatedShard(t)
-	fillOneShard(t, sys, p)
+// stallShard starts an observation of "s" that stalls inside the
+// system's Observe, holding the one shard's lock, and returns its
+// outcome channel once it is stalled.
+func stallShard(t *testing.T, sys *fakeSystem, p *Pipeline) <-chan error {
+	t.Helper()
+	first := observeAsync(p, "s", 0)
+	waitFor(t, "the first observation to stall in apply", func() bool {
+		return sys.observeCalls.Load() == 1
+	})
+	return first
+}
 
-	done := observeAsync(p, "s", 999)
+// quiet fails the test if done delivers within a short window: the
+// observation behind it must still be waiting.
+func quiet(t *testing.T, done <-chan error, what string) {
+	t.Helper()
 	select {
 	case err := <-done:
-		t.Fatalf("observe on a full queue returned (%v) instead of waiting", err)
+		t.Fatalf("%s returned (%v) instead of waiting", what, err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if st := p.Stats().Totals; st.QueueDepth != queueSize || st.Enqueued != queueSize+1 {
-		t.Fatalf("while waiting: %+v", st)
+}
+
+// TestBackpressureBlockIsLossless: an observe that meets a busy shard
+// waits for its lock, returns only once its own value is applied, and
+// lands in arrival order.
+func TestBackpressureBlockIsLossless(t *testing.T) {
+	sys, p, release := gatedShard(t)
+	first := stallShard(t, sys, p)
+
+	second := observeAsync(p, "s", 999)
+	quiet(t, first, "an observe stalled in apply")
+	quiet(t, second, "an observe behind a busy shard")
+	if got := sys.observeCalls.Load(); got != 1 {
+		t.Fatalf("%d applies entered while the shard was busy, want 1", got)
 	}
 	release()
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	for _, done := range []<-chan error{first, second} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := p.Drain(); err != nil {
-		t.Fatal(err)
+	if seq := sys.sequence("s"); len(seq) != 2 || seq[0] != 0 || seq[1] != 999 {
+		t.Fatalf("applied %v, want [0 999]", seq)
 	}
-	seq := sys.sequence("s")
-	if len(seq) != queueSize+2 || seq[queueSize] != queueSize || seq[queueSize+1] != 999 {
-		t.Fatalf("processed %d observations ending %v", len(seq), seq[max(0, len(seq)-2):])
-	}
-	if st := p.Stats().Totals; st.Dropped != 0 || st.Processed != queueSize+2 {
+	if st := p.Stats().Totals; st.Dropped != 0 || st.QueueDepth != 0 || st.Processed != 2 || st.Enqueued != 2 {
 		t.Fatalf("totals = %+v", st)
 	}
 }
 
 // TestBackpressureDropNewest: nothing is shed. A bulk request that
-// meets a full queue reports every item accepted, none dropped.
+// meets a busy shard reports every item accepted, none dropped, and
+// returns with all of them applied.
 func TestBackpressureDropNewest(t *testing.T) {
 	sys, p, release := gatedShard(t)
-	fillOneShard(t, sys, p)
+	first := stallShard(t, sys, p)
 
 	done := make(chan BulkResult, 1)
 	go func() {
 		done <- p.ObserveBulk([]Observation{{"s", 997}, {"s", 998}, {"s", 999}})
 	}()
-	time.Sleep(20 * time.Millisecond) // let the bulk request meet the full queue
+	time.Sleep(20 * time.Millisecond) // let the bulk request meet the busy shard
 	release()
 	if res := <-done; res.Accepted != 3 || res.Dropped != 0 || len(res.Failed) != 0 {
-		t.Fatalf("bulk over a full queue = %+v", res)
+		t.Fatalf("bulk over a busy shard = %+v", res)
 	}
-	if err := p.Drain(); err != nil {
+	if err := <-first; err != nil {
 		t.Fatal(err)
 	}
-	if got := len(sys.sequence("s")); got != queueSize+4 {
-		t.Fatalf("processed %d, want %d", got, queueSize+4)
+	if got := len(sys.sequence("s")); got != 4 {
+		t.Fatalf("applied %d, want 4", got)
 	}
 	if st := p.Stats().Totals; st.Dropped != 0 {
 		t.Fatalf("totals = %+v", st)
 	}
 }
 
-// TestBackpressureError: a full queue is not an error. The only
-// refusals left are an unknown sensor and a closed pipeline.
+// TestBackpressureError: a busy shard is not an error. An unknown
+// sensor is refused at once, even while the shard is busy, and a
+// closed pipeline refuses everything.
 func TestBackpressureError(t *testing.T) {
 	sys, p, release := gatedShard(t)
 	sys.known = map[string]bool{"s": true}
-	fillOneShard(t, sys, p)
+	first := stallShard(t, sys, p)
 
 	if ok, err := p.Observe("ghost", 1); ok || err == nil || !strings.Contains(err.Error(), "unknown sensor") {
-		t.Fatalf("unknown sensor on a full queue: ok=%v err=%v", ok, err)
+		t.Fatalf("unknown sensor on a busy shard: ok=%v err=%v", ok, err)
 	}
 	done := observeAsync(p, "s", 999)
 	release()
-	if err := <-done; err != nil {
-		t.Fatalf("observe on a full queue: %v", err)
+	for _, d := range []<-chan error{first, done} {
+		if err := <-d; err != nil {
+			t.Fatalf("observe on a busy shard: %v", err)
+		}
 	}
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -316,8 +298,8 @@ func TestBackpressureError(t *testing.T) {
 	if ok, err := p.Observe("s", 1000); ok || err != ErrClosed {
 		t.Fatalf("post-close observe: ok=%v err=%v, want ErrClosed", ok, err)
 	}
-	if got := len(sys.sequence("s")); got != queueSize+2 {
-		t.Fatalf("processed %d, want %d", got, queueSize+2)
+	if got := len(sys.sequence("s")); got != 2 {
+		t.Fatalf("applied %d, want 2", got)
 	}
 }
 
@@ -392,28 +374,86 @@ func TestObserveBulkAccounting(t *testing.T) {
 	}
 }
 
-// TestAsyncObserveErrorAccounted covers a sensor disappearing between
-// enqueue and apply: the apply error lands in stats and OnError, not
-// on any caller.
-func TestAsyncObserveErrorAccounted(t *testing.T) {
-	sys := newFakeSystem()
+// TestObserveApplyErrorReturned covers a sensor disappearing between
+// the pipeline's check and the system's apply: the caller gets the
+// apply error, and it counts in Errors (and in Processed, which counts
+// what reached the apply).
+func TestObserveApplyErrorReturned(t *testing.T) {
+	sys, p, release := gatedShard(t)
 	sys.known = map[string]bool{"s": true}
-	sys.observeGate = make(chan struct{})
-	var reported atomic.Int64
-	p := mustPipeline(t, sys, Config{Shards: 1, OnError: func(o Observation, err error) {
-		reported.Add(1)
-	}})
+	done := stallShard(t, sys, p)
+	sys.forget("s") // vanishes mid-apply
+	release()
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "unknown sensor") {
+		t.Fatalf("observe of a vanished sensor: %v, want its apply error", err)
+	}
+	if st := p.Stats().Totals; st.Errors != 1 || st.Processed != 1 || st.JournalErrors != 0 {
+		t.Fatalf("totals = %+v, want 1 error in 1 processed", st)
+	}
+}
+
+// TestJournalFailureFailsObservation: a failed journal append fails
+// the observation. It is not applied, does not reach the post-apply
+// hook, and counts in JournalErrors; a bulk request reports the item
+// failed and applies the rest.
+func TestJournalFailureFailsObservation(t *testing.T) {
+	sys := newFakeSystem()
+	var hooked atomic.Int64
+	p := mustPipeline(t, sys, Config{
+		Shards: 1,
+		Journal: func(_ int, id string, v float64) error {
+			if v < 0 {
+				return errors.New("disk full")
+			}
+			return nil
+		},
+		OnApplied: func(Observation) { hooked.Add(1) },
+	})
+	if ok, err := p.Observe("s", -1); ok || !errors.Is(err, ErrJournal) || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("observe with a failing journal: ok=%v err=%v, want ErrJournal", ok, err)
+	}
+	res := p.ObserveBulk([]Observation{{"s", 1}, {"s", -2}, {"s", 3}})
+	if res.Accepted != 2 || len(res.Failed) != 1 || res.Failed[0].Index != 1 {
+		t.Fatalf("bulk with one failing journal append = %+v", res)
+	}
+	if seq := sys.sequence("s"); len(seq) != 2 || seq[0] != 1 || seq[1] != 3 {
+		t.Fatalf("applied %v, want [1 3]: a value whose journal append failed was applied", seq)
+	}
+	if hooked.Load() != 2 {
+		t.Fatalf("post-apply hook ran %d times, want 2", hooked.Load())
+	}
+	if st := p.Stats().Totals; st.JournalErrors != 2 || st.Processed != 2 || st.Errors != 0 {
+		t.Fatalf("totals = %+v, want 2 journal errors, 2 processed", st)
+	}
+}
+
+// TestObservePanicIsAnError: a panic while journaling becomes the
+// observation's error, counts in Panics and Errors, is recorded as a
+// panic_recovered event, and leaves the shard serving.
+func TestObservePanicIsAnError(t *testing.T) {
+	sys := newFakeSystem()
+	sys.events = obs.NewEventRing(16, nil)
+	p := mustPipeline(t, sys, Config{
+		Shards: 1,
+		Journal: func(_ int, id string, v float64) error {
+			if v < 0 {
+				panic("injected")
+			}
+			return nil
+		},
+	})
+	if ok, err := p.Observe("s", -1); ok || err == nil || !strings.Contains(err.Error(), "recovered panic") {
+		t.Fatalf("observe with a panicking journal: ok=%v err=%v", ok, err)
+	}
 	if ok, err := p.Observe("s", 1); !ok || err != nil {
-		t.Fatalf("observe: ok=%v err=%v", ok, err)
+		t.Fatalf("observe after a panic: ok=%v err=%v", ok, err)
 	}
-	sys.forget("s") // vanishes while queued
-	close(sys.observeGate)
-	if err := p.Drain(); err != nil {
-		t.Fatal(err)
+	if st := p.Stats().Totals; st.Panics != 1 || st.Errors != 1 || st.Processed != 1 {
+		t.Fatalf("totals = %+v", st)
 	}
-	st := p.Stats()
-	if st.Totals.Errors != 1 || reported.Load() != 1 {
-		t.Fatalf("errors=%d reported=%d, want 1/1", st.Totals.Errors, reported.Load())
+	evs := sys.events.Since(0, 16)
+	if len(evs) != 1 || evs[0].Type != "panic_recovered" || evs[0].Sensor != "s" {
+		t.Fatalf("events = %+v, want one panic_recovered for s", evs)
 	}
 }
 

@@ -2,49 +2,36 @@ package ingest
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
+
+	"smiler/internal/obs"
 )
 
-// item is one queue entry: either an observation or a flush token.
-// Flush tokens are how Drain observes progress without extra locks:
-// the worker closes the token's channel once everything enqueued
-// before it has been applied.
-type item struct {
-	obs   Observation
-	at    time.Time
-	flush chan struct{}
-}
-
-// shard is one ingestion worker: a bounded queue drained by a single
-// goroutine, so observations for any given sensor (which always hash
-// to the same shard) are applied in arrival order.
+// shard is one slice of the sensor space: its lock orders the
+// observations of every sensor hashed onto it, so each is journaled
+// and applied in arrival order.
 type shard struct {
 	id int
-	ch chan item
+	mu sync.Mutex
 
-	enqueued    atomic.Uint64
 	processed   atomic.Uint64
 	errs        atomic.Uint64
-	batches     atomic.Uint64
 	latencyNs   atomic.Int64
 	journalErrs atomic.Uint64
 	panics      atomic.Uint64
 }
 
 func (sh *shard) snapshot() ShardStats {
+	n := sh.processed.Load()
 	s := ShardStats{
 		Shard:         sh.id,
-		QueueDepth:    len(sh.ch),
-		Enqueued:      sh.enqueued.Load(),
-		Processed:     sh.processed.Load(),
+		Enqueued:      n,
+		Processed:     n,
 		Errors:        sh.errs.Load(),
-		Batches:       sh.batches.Load(),
 		JournalErrors: sh.journalErrs.Load(),
 		Panics:        sh.panics.Load(),
-	}
-	if s.Batches > 0 {
-		s.AvgBatch = float64(s.Processed) / float64(s.Batches)
 	}
 	if s.Processed > 0 {
 		s.AvgLatencyMicros = float64(sh.latencyNs.Load()) / 1e3 / float64(s.Processed)
@@ -52,74 +39,40 @@ func (sh *shard) snapshot() ShardStats {
 	return s
 }
 
-// worker drains the shard queue in micro-batches until the channel is
-// closed, then exits — which is what makes Close a drain: everything
-// accepted before the close is applied first.
-func (p *Pipeline) worker(sh *shard) {
-	defer p.wg.Done()
-	batch := make([]item, 0, maxBatch)
-	for first := range sh.ch {
-		batch = append(batch[:0], first)
-		// Opportunistically gather whatever else is already queued, up
-		// to maxBatch, without blocking: micro-batching amortizes the
-		// scheduling cost per observation under load while adding no
-		// latency when traffic is light.
-	gather:
-		for len(batch) < maxBatch {
-			select {
-			case it, ok := <-sh.ch:
-				if !ok {
-					break gather // closed; range exits after this batch
-				}
-				batch = append(batch, it)
-			default:
-				break gather
-			}
-		}
-		sh.batches.Add(1)
-		for _, it := range batch {
-			if it.flush != nil {
-				close(it.flush)
-				continue
-			}
-			p.applyItem(sh, it)
-			sh.processed.Add(1)
-			sh.latencyNs.Add(time.Since(it.at).Nanoseconds())
-		}
-	}
-}
-
-// applyItem journals and applies one observation with a panic guard:
-// a panic in the journal or the apply (a bug or an injected fault)
-// becomes one errored observation, never a dead shard worker — every
-// sensor hashed onto this shard would silently stop ingesting
-// otherwise.
-func (p *Pipeline) applyItem(sh *shard, it item) {
+// apply journals, applies and hands on one observation; the caller
+// holds sh.mu and called at start. A panic in the journal, the apply
+// or the hook (a bug or an injected fault) becomes this observation's
+// error and a flight-recorder event, never a dead process.
+func (p *Pipeline) apply(sh *shard, o Observation, start time.Time) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			sh.panics.Add(1)
 			sh.errs.Add(1)
-			if p.cfg.OnError != nil {
-				p.cfg.OnError(it.obs, fmt.Errorf("ingest: recovered panic applying observation: %v", r))
-			}
+			err = fmt.Errorf("ingest: recovered panic applying observation: %v", r)
+			p.sys.Events().Record(obs.Event{
+				Type:     "panic_recovered",
+				Severity: obs.SevError,
+				Sensor:   o.Sensor,
+				Detail:   err.Error(),
+			})
 		}
 	}()
 	if p.cfg.Journal != nil {
-		if err := p.cfg.Journal(sh.id, it.obs.Sensor, it.obs.Value); err != nil {
+		if err := p.cfg.Journal(sh.id, o.Sensor, o.Value); err != nil {
 			sh.journalErrs.Add(1)
-			if p.cfg.OnError != nil {
-				p.cfg.OnError(it.obs, fmt.Errorf("ingest: journal failed (observation still applied): %w", err))
-			}
+			return fmt.Errorf("%w: %v", ErrJournal, err)
 		}
 	}
-	if err := p.sys.Observe(it.obs.Sensor, it.obs.Value); err != nil {
+	defer func() {
+		sh.processed.Add(1)
+		sh.latencyNs.Add(time.Since(start).Nanoseconds())
+	}()
+	if err := p.sys.Observe(o.Sensor, o.Value); err != nil {
 		sh.errs.Add(1)
-		if p.cfg.OnError != nil {
-			p.cfg.OnError(it.obs, err)
-		}
-		return
+		return err
 	}
 	if fn := p.onApplied.Load(); fn != nil {
-		(*fn)(it.obs)
+		(*fn)(o)
 	}
+	return nil
 }

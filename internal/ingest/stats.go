@@ -1,36 +1,34 @@
 package ingest
 
-// ShardStats is a point-in-time snapshot of one shard worker's
-// counters. The same shape doubles as the all-shard aggregate (with
-// Shard = -1).
+// ShardStats is a point-in-time snapshot of one shard's counters. The
+// same shape doubles as the all-shard aggregate (with Shard = -1).
 type ShardStats struct {
 	// Shard is the shard index, or -1 for the aggregate row.
 	Shard int `json:"shard"`
-	// QueueDepth is the number of observations currently waiting in
-	// the shard's bounded queue.
+	// QueueDepth is always 0: an observation is applied before Observe
+	// returns, so nothing waits in a queue. It stays in the reply for
+	// existing clients.
 	QueueDepth int `json:"queue_depth"`
-	// Enqueued counts observations accepted into the queue.
+	// Enqueued equals Processed. It stays in the reply for existing
+	// clients.
 	Enqueued uint64 `json:"enqueued"`
-	// Processed counts observations applied to the system.
+	// Processed counts observations that reached the system's apply,
+	// applied or failed.
 	Processed uint64 `json:"processed"`
-	// Dropped is always 0: a full queue makes Observe wait, it never
+	// Dropped is always 0: a busy shard makes Observe wait, it never
 	// sheds. It stays in the reply for existing clients.
 	Dropped uint64 `json:"dropped"`
-	// Errors counts observations whose asynchronous apply failed.
+	// Errors counts observations whose apply failed or panicked.
 	Errors uint64 `json:"errors"`
-	// Batches counts micro-batches drained from the queue; Processed /
-	// Batches is the mean batch size.
-	Batches uint64 `json:"batches"`
-	// AvgBatch is the mean micro-batch size (0 before any batch).
-	AvgBatch float64 `json:"avg_batch"`
-	// AvgLatencyMicros is the mean enqueue-to-applied latency in
-	// microseconds (0 before any observation).
+	// AvgLatencyMicros is the mean call-to-applied latency (shard lock
+	// wait, journal and apply) in microseconds (0 before any
+	// observation).
 	AvgLatencyMicros float64 `json:"avg_latency_us"`
 	// JournalErrors counts observations whose write-ahead-log append
-	// failed (the observation was still applied).
+	// failed (the observation was not applied).
 	JournalErrors uint64 `json:"journal_errors"`
-	// Panics counts panics recovered inside the shard worker — each one
-	// an errored observation instead of a dead worker.
+	// Panics counts panics recovered while journaling or applying —
+	// each one an errored observation instead of a dead process.
 	Panics uint64 `json:"panics"`
 }
 
@@ -52,9 +50,9 @@ type CoalesceStats struct {
 // Stats is a point-in-time snapshot of the whole pipeline, served by
 // GET /pipeline/stats.
 type Stats struct {
-	// Shards is the number of shard workers.
+	// Shards is the number of shards.
 	Shards int `json:"shards"`
-	// PerShard holds one row per shard worker.
+	// PerShard holds one row per shard.
 	PerShard []ShardStats `json:"per_shard"`
 	// Totals aggregates PerShard (Shard = -1).
 	Totals ShardStats `json:"totals"`
@@ -76,17 +74,12 @@ func (p *Pipeline) Stats() Stats {
 		s := sh.snapshot()
 		st.PerShard[i] = s
 		t := &st.Totals
-		t.QueueDepth += s.QueueDepth
 		t.Enqueued += s.Enqueued
 		t.Processed += s.Processed
 		t.Errors += s.Errors
-		t.Batches += s.Batches
 		t.JournalErrors += s.JournalErrors
 		t.Panics += s.Panics
 		totalLatencyNs += sh.latencyNs.Load()
-	}
-	if st.Totals.Batches > 0 {
-		st.Totals.AvgBatch = float64(st.Totals.Processed) / float64(st.Totals.Batches)
 	}
 	if st.Totals.Processed > 0 {
 		st.Totals.AvgLatencyMicros = float64(totalLatencyNs) / 1e3 / float64(st.Totals.Processed)

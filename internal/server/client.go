@@ -28,8 +28,8 @@ const OwnerURLHeader = "X-Smiler-Owner-Url"
 // RetryPolicy bounds the client's automatic retries. Retries fire on
 // transport errors, HTTP 5xx and HTTP 429, with jittered exponential
 // backoff — except when the response carries a Retry-After header
-// (cluster nodes send one on every deliberate 503: resync quiesce,
-// replica write rejection), in which case the client sleeps
+// (cluster nodes send one on every deliberate 503: replica write
+// rejection), in which case the client sleeps
 // what the server asked for (capped at MaxDelay, plus up to 10%
 // jitter) instead of its own schedule. GETs are idempotent and always
 // eligible; POST/DELETE are retried too because every mutation
@@ -208,7 +208,7 @@ func (c *Client) doSensor(ctx context.Context, sensor, method, path string, body
 		if attempt > 0 {
 			// A Retry-After hint from the previous response overrides the
 			// exponential schedule: the server knows when it will be ready
-			// (resync quiesce, primary recovery).
+			// (primary recovery).
 			var hint time.Duration
 			var he *HTTPError
 			if errors.As(lastErr, &he) {

@@ -17,16 +17,16 @@ import (
 // TestControlPlaneResponsiveUnderSaturatedIngest is the regression
 // guard for a failure mode load testing exposed the risk of: when the
 // ingest pipeline is saturated, observe handlers park in ServeHTTP
-// waiting for queue space — and the
-// control-plane routes (/metrics, /readyz, /pipeline/stats) must NOT
-// be dragged down with them, or operators lose exactly the telemetry
-// that explains the overload.
+// waiting for their shard — and the control-plane routes (/metrics,
+// /readyz, /pipeline/stats, /healthz) and forecasts must NOT be dragged
+// down with them, or operators lose exactly the telemetry that explains
+// the overload.
 //
-// Saturation is manufactured deterministically: one shard, a Journal
-// hook that blocks the shard worker until released, and one request
-// that fills the shard's queue, so queued observations cannot drain.
+// Saturation is manufactured deterministically: one shard and a
+// Journal hook that blocks until released, so the first writer holds
+// the shard's lock inside its handler and every writer after it waits
+// for that lock inside its own.
 func TestControlPlaneResponsiveUnderSaturatedIngest(t *testing.T) {
-	const queueCap = 256 // internal/ingest's per-shard queue capacity
 	release := make(chan struct{})
 	parked := make(chan struct{}, 1)
 	sys, err := smiler.New(testConfig())
@@ -42,7 +42,7 @@ func TestControlPlaneResponsiveUnderSaturatedIngest(t *testing.T) {
 				case parked <- struct{}{}:
 				default:
 				}
-				<-release // stall the single shard worker
+				<-release // stall the writer holding the shard
 				return nil
 			},
 		},
@@ -50,8 +50,8 @@ func TestControlPlaneResponsiveUnderSaturatedIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Release the worker no matter how the test exits, so Close and the
-	// parked handlers can finish.
+	// Release the writers no matter how the test exits, so Close and
+	// the parked handlers can finish.
 	var releaseOnce sync.Once
 	unblock := func() { releaseOnce.Do(func() { close(release) }) }
 	defer unblock()
@@ -63,50 +63,47 @@ func TestControlPlaneResponsiveUnderSaturatedIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Registration bypasses the pipeline (history is applied
-	// synchronously), so setup succeeds with the worker already stalled.
+	// synchronously), so setup succeeds however the shard is held.
 	rng := rand.New(rand.NewSource(11))
 	if err := cl.AddSensor("sat", seasonal(rng, 400)); err != nil {
 		t.Fatal(err)
 	}
 
-	// Saturate: the worker takes the first observation off the queue
-	// on its own and parks on its journal call, one request fills the
-	// queue, and every writer after it blocks inside its observe
-	// handler, waiting for space.
-	if err := cl.Observe("sat", -1); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-parked: // the worker closed its batch on the first observation alone
-	case <-time.After(5 * time.Second):
-		t.Fatal("worker never picked up the first observation")
-	}
-	if err := cl.ObserveBatch("sat", make([]float64, queueCap)); err != nil {
-		t.Fatal(err)
-	}
+	// Saturate: the first writer parks on its journal call holding the
+	// shard, and every writer after it — single observes and one bulk
+	// request — blocks inside its handler, waiting for the shard.
 	const writers = 6
-	done := make(chan error, writers)
-	for i := 0; i < writers; i++ {
-		v := float64(i)
+	done := make(chan error, writers+2)
+	send := func(path, body string) {
 		go func() {
-			body := bytes.NewReader([]byte(fmt.Sprintf(`{"value": %g}`, v)))
-			resp, err := http.Post(ts.URL+"/sensors/sat/observe", "application/json", body)
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader([]byte(body)))
 			if err == nil {
 				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					err = fmt.Errorf("%s answered %d", path, resp.StatusCode)
+				}
 			}
 			done <- err
 		}()
 	}
-	if st := srv.Pipeline().Stats().Totals; st.Enqueued != 1+queueCap || st.QueueDepth != queueCap || st.Processed != 0 {
-		t.Fatalf("pipeline not saturated: %+v", st)
+	send("/sensors/sat/observe", `{"value": -1}`)
+	select {
+	case <-parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first writer never reached its journal call")
 	}
+	for i := 0; i < writers; i++ {
+		send("/sensors/sat/observe", fmt.Sprintf(`{"value": %d}`, i))
+	}
+	send("/observations", `{"observations":[{"id":"sat","value":1},{"id":"sat","value":2}]}`)
 
-	// The control plane must answer promptly while data-plane handlers
-	// are parked. 2s is generous — these are sub-millisecond routes; the
-	// bound only has to distinguish "responsive" from "waiting for the
-	// queue to drain", which it would do forever.
+	// The control plane and the read path must answer promptly while
+	// data-plane handlers are parked. 2s is generous — these are
+	// sub-millisecond routes; the bound only has to distinguish
+	// "responsive" from "waiting for the shard", which it would do
+	// forever.
 	quick := &http.Client{Timeout: 2 * time.Second}
-	for _, path := range []string{"/metrics", "/readyz", "/pipeline/stats", "/healthz"} {
+	for _, path := range []string{"/metrics", "/readyz", "/pipeline/stats", "/healthz", "/sensors/sat/forecast?h=1"} {
 		start := time.Now()
 		resp, err := quick.Get(ts.URL + path)
 		if err != nil {
@@ -122,33 +119,30 @@ func TestControlPlaneResponsiveUnderSaturatedIngest(t *testing.T) {
 	}
 
 	// Every writer must stay parked in its handler: blocked, not
-	// dropped and not errored.
+	// dropped, not errored and not applied.
 	select {
 	case err := <-done:
-		t.Fatalf("an observe returned (%v) while the queue was full", err)
+		t.Fatalf("a write returned (%v) while the shard was held", err)
 	case <-time.After(300 * time.Millisecond):
 	}
-	if st := srv.Pipeline().Stats(); st.Totals.Dropped != 0 || st.Totals.Errors != 0 || st.Totals.Enqueued != 1+queueCap {
+	if st := srv.Pipeline().Stats(); st.Totals.Dropped != 0 || st.Totals.Errors != 0 || st.Totals.Processed != 0 {
 		t.Fatalf("wedged pipeline leaked ops: %+v", st.Totals)
 	}
 
-	// Release the worker: every parked observe must now complete
-	// successfully — blocked, not lost.
+	// Release: every parked write must now complete successfully —
+	// blocked, not lost.
 	unblock()
-	for i := 0; i < writers; i++ {
+	for i := 0; i < writers+2; i++ {
 		select {
 		case err := <-done:
 			if err != nil {
-				t.Fatalf("observe failed after release: %v", err)
+				t.Fatalf("write failed after release: %v", err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("observe still blocked after the pipeline was released")
+			t.Fatal("a write still blocked after the shard was released")
 		}
 	}
-	if err := srv.Pipeline().Drain(); err != nil {
-		t.Fatal(err)
-	}
-	if st := srv.Pipeline().Stats(); st.Totals.Processed != 1+queueCap+writers {
-		t.Fatalf("processed %d, want %d", st.Totals.Processed, 1+queueCap+writers)
+	if st := srv.Pipeline().Stats(); st.Totals.Processed != 1+writers+2 {
+		t.Fatalf("processed %d, want %d", st.Totals.Processed, 1+writers+2)
 	}
 }

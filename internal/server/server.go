@@ -1,9 +1,10 @@
 // Package server exposes a SMiLer system as an HTTP/JSON service —
 // the deployment shape the paper targets (many sensors streaming
 // observations, applications pulling forecasts in real time). Writes
-// and forecasts are routed through internal/ingest: a sharded,
-// micro-batching ingestion pipeline with per-sensor ordering; a
-// forecast read is idempotent between two observations of its sensor.
+// and forecasts are routed through internal/ingest: a sharded
+// ingestion pipeline that journals and applies an observation under its
+// shard's lock before the request answers; a forecast read is
+// idempotent between two observations of its sensor.
 //
 // Routes:
 //
@@ -126,9 +127,8 @@ type Server struct {
 	journal SensorJournal
 }
 
-// SensorJournal persists sensor lifecycle events. A journal failure is
-// logged and counted but does not fail the request: availability over
-// durability, consistent with the observation journal.
+// SensorJournal persists sensor lifecycle events. A failed append fails
+// the request with 503 and changes nothing.
 type SensorJournal interface {
 	AppendAddSensor(id string, history []float64) error
 	AppendRemoveSensor(id string) error
@@ -143,7 +143,7 @@ type Options struct {
 	// Observe.
 	Interval time.Duration
 	// Pipeline configures the ingestion pipeline (zero values take
-	// ingest defaults: GOMAXPROCS shards, queue 256, Block policy).
+	// ingest defaults: GOMAXPROCS shards).
 	Pipeline ingest.Config
 	// Logger, when set, enables structured access logging: one line
 	// per request with method, path, status, latency and request ID.
@@ -175,24 +175,6 @@ func NewWithOptions(sys *smiler.System, opts Options) (*Server, error) {
 	}
 	if opts.Interval < 0 {
 		return nil, fmt.Errorf("server: negative sample interval %v", opts.Interval)
-	}
-	// Route recovered shard-worker panics into the flight recorder on
-	// their way to the embedder's error hook.
-	if ring := sys.Events(); ring != nil {
-		inner := opts.Pipeline.OnError
-		opts.Pipeline.OnError = func(o ingest.Observation, err error) {
-			if err != nil && strings.Contains(err.Error(), "recovered panic") {
-				ring.Record(obs.Event{
-					Type:     "panic_recovered",
-					Severity: obs.SevError,
-					Sensor:   o.Sensor,
-					Detail:   err.Error(),
-				})
-			}
-			if inner != nil {
-				inner(o, err)
-			}
-		}
 	}
 	pipe, err := ingest.New(sys, opts.Pipeline)
 	if err != nil {
@@ -279,10 +261,10 @@ func (s *Server) Handle(pattern string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, h)
 }
 
-// Close drains the ingestion pipeline: every accepted observation is
-// applied to the system before Close returns. Call it after the HTTP
-// listener has stopped and before checkpointing, so no accepted
-// observation is lost at shutdown.
+// Close stops the ingestion pipeline: it waits for observations in
+// flight, after which observes answer 503. Call it after the HTTP
+// listener has stopped and before checkpointing, so the checkpoint
+// holds every acknowledged observation and nothing applies after it.
 func (s *Server) Close() error { return s.pipe.Close() }
 
 // Pipeline exposes the ingestion pipeline (stats, manual drains).
@@ -436,9 +418,9 @@ type BulkObserveRequest struct {
 }
 
 // handleObservations is the bulk ingest endpoint: one POST carries
-// observations for many sensors, each routed to its shard. Per-item
-// failures (unknown sensor, full queue under the Error policy) are
-// reported in the response instead of failing the batch.
+// observations for many sensors, each applied under its shard's lock
+// in request order. Per-item failures (unknown sensor, failed journal
+// append) are reported in the response instead of failing the batch.
 func (s *Server) handleObservations(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		methodNotAllowed(w)
@@ -483,12 +465,11 @@ func (s *Server) handleSensors(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			if jerr := s.journal.AppendAddSensor(req.ID, req.History); jerr != nil {
-				if s.log != nil {
-					s.log.Warn("sensor journal failed", "sensor", req.ID, "err", jerr)
-				}
-			} else {
-				journaled = true
+				s.addMu.Unlock()
+				writeError(w, http.StatusServiceUnavailable, "sensor journal: "+jerr.Error())
+				return
 			}
+			journaled = true
 		}
 		err := s.sys.AddSensor(req.ID, req.History)
 		if err != nil && journaled {
@@ -555,8 +536,9 @@ func (s *Server) deleteSensor(w http.ResponseWriter, id string) {
 			writeError(w, http.StatusNotFound, fmt.Sprintf("smiler: unknown sensor %q", id))
 			return
 		}
-		if jerr := s.journal.AppendRemoveSensor(id); jerr != nil && s.log != nil {
-			s.log.Warn("sensor journal failed", "sensor", id, "err", jerr)
+		if jerr := s.journal.AppendRemoveSensor(id); jerr != nil {
+			writeError(w, http.StatusServiceUnavailable, "sensor journal: "+jerr.Error())
+			return
 		}
 	}
 	if err := s.sys.RemoveSensor(id); err != nil {
@@ -659,8 +641,8 @@ func (s *Server) observe(w http.ResponseWriter, r *http.Request, id string) {
 		writeError(w, http.StatusBadRequest, "no values to observe")
 		return
 	}
-	// Enqueue into the sharded pipeline: the observations are applied
-	// asynchronously, in order, by the sensor's shard worker.
+	// Each value is journaled and applied before the next: a 200 means
+	// all of them are, and a failure reports which value stopped.
 	for i, v := range values {
 		if _, err := s.pipe.Observe(id, v); err != nil {
 			writeError(w, statusFor(err), fmt.Sprintf("value %d: %s", i, err))
@@ -713,9 +695,8 @@ func (s *Server) readings(w http.ResponseWriter, r *http.Request, id string) {
 
 	// Finalized grid samples enter through the pipeline like every
 	// other observation. The sensor's lock spans each Add and the
-	// enqueue of the samples it finalizes, so concurrent requests for
-	// one sensor enqueue them in grid order. Observe may wait for queue
-	// space under it; that stalls only this sensor's readings.
+	// observe of the samples it finalizes, so concurrent requests for
+	// one sensor apply them in grid order.
 	sr.mu.Lock()
 	defer sr.mu.Unlock()
 	observed := 0
@@ -776,8 +757,9 @@ func less(a, b EnsembleCell) bool {
 
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, ingest.ErrClosed):
-		// Shutdown: the client should retry.
+	case errors.Is(err, ingest.ErrClosed), errors.Is(err, ingest.ErrJournal):
+		// Shutdown or a failed journal append: nothing was applied, and
+		// the client should retry.
 		return http.StatusServiceUnavailable
 	case strings.Contains(err.Error(), "unknown sensor"):
 		return http.StatusNotFound

@@ -556,7 +556,7 @@ func TestPipelineStatsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, gone := range []string{`"queue_size"`, `"max_batch"`, `"backpressure"`,
+	for _, gone := range []string{`"queue_size"`, `"max_batch"`, `"backpressure"`, `"batches"`, `"avg_batch"`,
 		`"coalesced_waits"`, `"invalidations"`, `"cache_size"`} {
 		if strings.Contains(string(raw), gone) {
 			t.Fatalf("/pipeline/stats still reports %s: %s", gone, raw)

@@ -81,12 +81,13 @@ case "$EVENTS" in
     ;;
 esac
 
-# Crash (no shutdown checkpoint): the WAL tail is uncovered, so the
-# next boot replays it and records wal_replay.
+# Crash (no shutdown checkpoint) straight after an acknowledged
+# observe: its WAL record is the only one the checkpoint does not
+# cover, so the next boot's wal_replay shows that an acked observation
+# survives a kill -9.
 curl -sf -X POST "http://$ADDR/sensors/smoke/observe" \
     -H 'Content-Type: application/json' -d '{"value": 12.5}' >/dev/null
 curl -sf "http://$ADDR/sensors/smoke/forecast?h=1" >/dev/null
-sleep 0.5 # let the ingestion pipeline drain to the WAL before the crash
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 

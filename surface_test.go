@@ -37,10 +37,9 @@ func TestConfigSurface(t *testing.T) {
 }
 
 // TestIngestConfigSurface pins the ingestion pipeline's options: the
-// shard count and three hooks. Queue capacity, batch cap and the
-// full-queue policy are fixed.
+// shard count and two hooks.
 func TestIngestConfigSurface(t *testing.T) {
-	pinFields[ingest.Config](t, "Shards", "OnError", "Journal", "OnApplied")
+	pinFields[ingest.Config](t, "Shards", "Journal", "OnApplied")
 }
 
 // TestWALOptionsSurface pins the write-ahead log's options. The
