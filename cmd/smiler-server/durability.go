@@ -14,13 +14,13 @@ import (
 	"smiler/internal/wal"
 )
 
-// walShards resolves the shard count requested for a fresh WAL
-// directory: the ingestion pipeline's configured worker count (its own
-// default is GOMAXPROCS). A directory that already holds logs pins its
-// own count in a meta file, which OpenManager reuses regardless of
-// this value — sensor→shard placement must not move while records for
-// the old placement remain on disk. The pipeline is then sized from
-// Manager.Shards() so placement agrees end to end.
+// walShards resolves the log count requested for a fresh WAL
+// directory: the -shards value (default GOMAXPROCS). A directory that
+// already holds logs pins its own count in a meta file, which
+// OpenManager reuses regardless of this value — sensor→log placement
+// must not move while records for the old placement remain on disk.
+// The pipeline's lock count need not agree: the manager places every
+// record itself.
 func walShards(configured int) int {
 	if configured > 0 {
 		return configured

@@ -19,8 +19,9 @@
 // the listener, then drains the ingestion pipeline, then writes the
 // checkpoint — no accepted observation is lost.
 //
-// With -wal-dir, every accepted observation and sensor add/remove is
-// appended to a sharded write-ahead log before it is applied, and
+// With -wal-dir, every write (an observation, a sensor's registration
+// or removal) is appended to a sharded write-ahead log under its
+// sensor's shard lock before it is applied, and
 // recovered on the next start even after a crash: startup replays the
 // WAL on top of the checkpoint, stopping cleanly at the first torn
 // record. -fsync picks the durability/latency trade-off (see
@@ -131,7 +132,7 @@ func registerFlags(fs *flag.FlagSet, o *options) {
 	fs.IntVar(&o.maxHistory, "max-history", 0, "cap indexed history per sensor (0 = unlimited)")
 	fs.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint file (load at start, save at shutdown)")
 	fs.DurationVar(&o.interval, "interval", 0, "fixed sample interval enabling POST /sensors/{id}/readings (0 = disabled)")
-	fs.IntVar(&o.shards, "shards", 0, "ingestion shard workers (0 = GOMAXPROCS)")
+	fs.IntVar(&o.shards, "shards", 0, "ingestion shard locks ordering each sensor's writes, and the log count of a fresh -wal-dir (0 = GOMAXPROCS)")
 	fs.StringVar(&o.logLevel, "log-level", "info", "log floor: debug|info|warn|error")
 	fs.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (off by default)")
 	fs.IntVar(&o.maxHotSensors, "max-hot-sensors", 0, "cap on sensors kept hot in memory; the LRU excess spills to disk (0 = unlimited)")
@@ -220,12 +221,7 @@ func run(o options) error {
 		if err != nil {
 			return err
 		}
-		opts.SensorJournal = mgr
-		opts.Pipeline.Journal = mgr.AppendObserve
-		// The WAL pins the shard count its logs were written under; the
-		// pipeline must shard identically or the journal hook would route
-		// observations to the wrong log.
-		opts.Pipeline.Shards = mgr.Shards()
+		opts.Pipeline.Journal = mgr.Append
 		registerWALMetrics(sys.Metrics(), mgr)
 	}
 

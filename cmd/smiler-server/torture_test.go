@@ -67,15 +67,7 @@ func writeWorkload(t *testing.T, dir string, ops []tortureOp, policy wal.SyncPol
 	defer mgr.Close()
 	sizes := make([][]int64, len(ops))
 	for i, op := range ops {
-		switch op.rec.Type {
-		case wal.RecAddSensor:
-			err = mgr.AppendAddSensor(op.rec.Sensor, op.rec.History)
-		case wal.RecObserve:
-			err = mgr.AppendObserve(op.shard, op.rec.Sensor, op.rec.Value)
-		case wal.RecRemoveSensor:
-			err = mgr.AppendRemoveSensor(op.rec.Sensor)
-		}
-		if err != nil {
+		if err := mgr.Append(op.rec); err != nil {
 			t.Fatalf("append op %d: %v", i, err)
 		}
 		sizes[i] = shardFileSizes(t, dir)

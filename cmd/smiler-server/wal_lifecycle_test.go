@@ -5,6 +5,8 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -52,10 +54,14 @@ func stopRun(t *testing.T, done chan error) {
 
 // TestRunWALLifecycle drives WAL durability through the real server
 // loop across two process lifetimes: the first run journals every
-// accepted event with no checkpoint configured, so on restart the WAL
+// accepted write with no checkpoint configured, so on restart the WAL
 // is the only durable copy; the second run must recover the full
 // state from replay alone, serve /readyz 200, and fold everything
-// into a post-recovery checkpoint.
+// into a post-recovery checkpoint. The first run's writes include a
+// sensor's whole lifecycle (registered, observed, removed, registered
+// again with another history), and the second run has more shard
+// locks than the WAL directory pins logs: the log manager places every
+// record itself, so the two counts need not agree.
 func TestRunWALLifecycle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("signal-driven lifecycle test")
@@ -72,6 +78,28 @@ func TestRunWALLifecycle(t *testing.T) {
 		fsync:     "always",
 		fallback:  "none",
 	}
+	// twin is fed the same writes in process: the recovered histories
+	// must equal its own bit for bit.
+	twin, err := smiler.New(smiler.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+	both := func(what string, errs ...error) {
+		t.Helper()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		}
+	}
+	series := func(n int, phase float64) []float64 {
+		out := make([]float64, n)
+		for i := range out {
+			out[i] = 10 + 3*math.Sin(2*math.Pi*float64(i)/24+phase)
+		}
+		return out
+	}
 
 	// First lifetime: WAL only, no checkpoint.
 	addr, done := startRun(t, base)
@@ -79,19 +107,16 @@ func TestRunWALLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const histLen, observed = 300, 7
-	hist := make([]float64, histLen)
-	for i := range hist {
-		hist[i] = 10 + 3*math.Sin(2*math.Pi*float64(i)/24)
+	hist, first, second := series(300, 0), series(300, 1), series(320, 2)
+	both("add s", cl.AddSensor("s", hist), twin.AddSensor("s", hist))
+	for i := 0; i < 7; i++ {
+		both("observe s", cl.Observe("s", hist[i]), twin.Observe("s", hist[i]))
 	}
-	if err := cl.AddSensor("s", hist); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < observed; i++ {
-		if err := cl.Observe("s", hist[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
+	both("add t", cl.AddSensor("t", first), twin.AddSensor("t", first))
+	both("observe t", cl.Observe("t", 4.5), twin.Observe("t", 4.5))
+	both("remove t", cl.RemoveSensor("t"), twin.RemoveSensor("t"))
+	both("add t again", cl.AddSensor("t", second), twin.AddSensor("t", second))
+	both("observe t", cl.Observe("t", 5.5), twin.Observe("t", 5.5))
 	resp, err := http.Get("http://" + addr + "/readyz")
 	if err != nil {
 		t.Fatal(err)
@@ -102,11 +127,13 @@ func TestRunWALLifecycle(t *testing.T) {
 	}
 	stopRun(t, done)
 
-	// Second lifetime: same WAL dir plus a checkpoint path. Startup
-	// must rebuild the sensor purely from WAL replay and then cover it
-	// with a post-recovery checkpoint.
+	// Second lifetime: same WAL dir (pinned at 2 logs) plus a
+	// checkpoint path, under 3 shard locks. Startup must rebuild both
+	// sensors purely from WAL replay and then cover them with a
+	// post-recovery checkpoint.
 	withCkpt := base
 	withCkpt.checkpoint = ckpt
+	withCkpt.shards = 3
 	addr, done = startRun(t, withCkpt)
 	cl, err = server.NewClient("http://"+addr, nil)
 	if err != nil {
@@ -116,19 +143,23 @@ func TestRunWALLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 1 || ids[0] != "s" {
-		t.Fatalf("recovered sensors = %v, want [s]", ids)
+	if !slices.Equal(ids, []string{"s", "t"}) {
+		t.Fatalf("recovered sensors = %v, want [s t]", ids)
 	}
 	if _, err := cl.Forecast("s", 1); err != nil {
 		t.Fatalf("forecast after WAL recovery: %v", err)
 	}
+	both("observe t", cl.Observe("t", 6.5), twin.Observe("t", 6.5))
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("post-recovery checkpoint not written: %v", err)
 	}
 	stopRun(t, done)
+	if meta, err := os.ReadFile(filepath.Join(walDir, "wal.meta")); err != nil || strings.TrimSpace(string(meta)) != "2" {
+		t.Fatalf("wal.meta = %q (%v), want the pinned 2", meta, err)
+	}
 
-	// The final checkpoint must hold the initial history plus every
-	// journaled observation.
+	// The final checkpoint must hold every journaled write: both
+	// histories equal the twin's.
 	f, err := os.Open(ckpt)
 	if err != nil {
 		t.Fatal(err)
@@ -139,11 +170,17 @@ func TestRunWALLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer restored.Close()
-	n, err := restored.HistoryLen("s")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != histLen+observed {
-		t.Fatalf("restored history %d points, want %d (WAL lost observations)", n, histLen+observed)
+	for _, id := range []string{"s", "t"} {
+		got, err := restored.History(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.History(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(got, want, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
+			t.Fatalf("%s: restored history (%d points) differs from the twin's (%d)", id, len(got), len(want))
+		}
 	}
 }

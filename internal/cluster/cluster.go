@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"smiler"
-	"smiler/internal/ingest"
 	"smiler/internal/server"
 	"smiler/internal/wal"
 )
@@ -197,12 +196,10 @@ func New(sys *smiler.System, srv *server.Server, cfg Config) (*Node, error) {
 
 	n.mountPeerRoutes()
 	srv.SetGate(n.gate)
-	// Every observation the pipeline applies locally streams to this
-	// sensor's followers (the gate only lets the owner apply locally,
-	// so emission happens exactly once per write).
-	srv.Pipeline().SetOnApplied(func(o ingest.Observation) {
-		n.repl.emit(wal.Record{Type: wal.RecObserve, Sensor: o.Sensor, Value: o.Value})
-	})
+	// Every write the pipeline applies locally streams to this sensor's
+	// followers (the gate only lets the owner apply locally, so emission
+	// happens exactly once per write).
+	srv.Pipeline().SetOnApplied(n.replicate)
 
 	n.health.start()
 	n.repl.start()
@@ -220,6 +217,28 @@ func (n *Node) Close() error {
 		n.repl.close()
 	})
 	return nil
+}
+
+// replicate is the pipeline's post-apply hook: it streams one applied
+// write to the sensor's followers. It runs under the sensor's shard
+// lock, so frames leave in apply order. A registration's frame carries
+// the history the system holds (after the MaxHistory cap), a
+// self-contained replace of the follower's copy; a removal also ends
+// the sensor's replication sequence.
+func (n *Node) replicate(rec wal.Record) {
+	if rec.Type == wal.RecAddSensor {
+		history, err := n.sys.History(rec.Sensor)
+		if err != nil {
+			// A failed fault-in: the follower learns of the sensor from
+			// its next frame, which it answers with a resync request.
+			return
+		}
+		rec.History = history
+	}
+	n.repl.emit(rec)
+	if rec.Type == wal.RecRemoveSensor {
+		n.repl.dropSeq(rec.Sensor)
+	}
 }
 
 // --- placement ---
@@ -272,12 +291,10 @@ func (n *Node) replicaTargets(sensor string) []string {
 
 // captureSensor reads a sensor's (checkpoint bytes, covered seq) pair
 // atomically. It holds the sensor's shard lock, under which every
-// observation is applied and emitted, so every frame at or below the
-// sequence it reads is inside the snapshot and every frame above it is
-// not. Lock order: shard lock → replication seq → system. Add and
-// remove frames are emitted outside the shard lock, but each replaces
-// the follower's whole copy, so one racing the capture leaves nothing
-// to double-apply.
+// write (observation, registration, removal) is applied and emitted,
+// so every frame at or below the sequence it reads is inside the
+// snapshot and every frame above it is not. Lock order: shard lock →
+// replication seq → system.
 func (n *Node) captureSensor(sensor string) (snap []byte, seq uint64, err error) {
 	n.srv.Pipeline().WithSensorLocked(sensor, func() { snap, seq, err = n.captureLocked(sensor) })
 	return snap, seq, err

@@ -12,7 +12,6 @@ import (
 	"smiler/internal/ingest"
 	"smiler/internal/obs"
 	"smiler/internal/server"
-	"smiler/internal/wal"
 )
 
 // forwardedHeader marks a request that already went through one
@@ -67,14 +66,6 @@ func (n *Node) gate(w http.ResponseWriter, r *http.Request, next http.Handler) {
 	n.setOwnerHeaders(w, owner)
 	if promoted {
 		n.serveAsReplica(w, r, sensor, next)
-		return
-	}
-	if r.Method == http.MethodPost && r.URL.Path == "/sensors" {
-		n.serveAddSensor(w, r, sensor, next)
-		return
-	}
-	if r.Method == http.MethodDelete {
-		n.serveRemoveSensor(w, r, sensor, next)
 		return
 	}
 	next.ServeHTTP(w, r)
@@ -186,58 +177,6 @@ func (n *Node) recordForwardTrace(sensor string, tc obs.TraceContext, owner Memb
 	}
 	tr.Finish(fwdErr)
 	store.Add(tr)
-}
-
-// --- owner-side lifecycle interception (replication of add/remove) ---
-
-// statusRecorder captures the status the local handler wrote so the
-// gate can replicate only mutations that actually applied.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
-	}
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	return r.ResponseWriter.Write(b)
-}
-
-// serveAddSensor runs the local registration and, on success, streams
-// a self-contained add-sensor frame (carrying the sensor's current
-// history, not the request body — any observation racing the
-// registration is then already inside it) to the followers.
-func (n *Node) serveAddSensor(w http.ResponseWriter, r *http.Request, sensor string, next http.Handler) {
-	rec := &statusRecorder{ResponseWriter: w}
-	next.ServeHTTP(rec, r)
-	if rec.status < 200 || rec.status >= 300 {
-		return
-	}
-	history, err := n.sys.History(sensor)
-	if err != nil {
-		return // removed in between; the remove frame covers it
-	}
-	n.repl.emit(wal.Record{Type: wal.RecAddSensor, Sensor: sensor, History: history})
-}
-
-// serveRemoveSensor runs the local removal and, on success, streams a
-// remove frame to the followers.
-func (n *Node) serveRemoveSensor(w http.ResponseWriter, r *http.Request, sensor string, next http.Handler) {
-	rec := &statusRecorder{ResponseWriter: w}
-	next.ServeHTTP(rec, r)
-	if rec.status < 200 || rec.status >= 300 {
-		return
-	}
-	n.repl.emit(wal.Record{Type: wal.RecRemoveSensor, Sensor: sensor})
-	n.repl.dropSeq(sensor)
 }
 
 // --- promoted replica serving ---

@@ -197,9 +197,8 @@ func (r *replicator) sinceContact(peer string) time.Duration {
 
 // emit encodes one applied mutation and queues it to every follower of
 // the sensor. Called on the owner, after the mutation is applied
-// locally (apply order equals emission order per sensor: observations
-// are emitted under the sensor's shard lock, lifecycle events from
-// the serialized add/delete handlers).
+// locally, under the sensor's shard lock (Node.replicate), so emission
+// order equals apply order per sensor for every frame kind.
 func (r *replicator) emit(rec wal.Record) {
 	targets := r.n.replicaTargets(rec.Sensor)
 	if len(targets) == 0 {

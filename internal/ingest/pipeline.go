@@ -5,15 +5,18 @@
 // concurrent sensor streams (§3): append the new value, then predict
 // from the updated index. The pipeline keeps that order over HTTP:
 //
-//   - Write side: each observation is hashed (FNV-1a) onto one of N
-//     shards. Observe takes its shard's lock, journals the value,
-//     applies it to the system and runs the post-apply (replication)
-//     hook before it returns, so a caller's success means "journaled
-//     and applied", and a forecast that starts after it sees the value.
-//     The lock orders a sensor's observations; distinct shards proceed
-//     in parallel. A journal failure fails the observation, which is
-//     then not applied. A busy shard makes the caller wait; nothing is
-//     shed.
+//   - Write side: every mutation — an observation, a sensor's
+//     registration, its removal — is one wal.Record, and its sensor is
+//     hashed (FNV-1a) onto one of N shards. Observe, AddSensor and
+//     RemoveSensor take the shard's lock and, under it, check that the
+//     sensor exists (or, for a registration, does not), journal the
+//     record, apply it to the system and run the post-apply
+//     (replication) hook before they return. So a caller's success
+//     means "journaled and applied", a forecast that starts after it
+//     sees the write, and journal order is apply order for all three
+//     kinds. Distinct shards proceed in parallel. A journal failure
+//     fails the write, which is then not applied. A busy shard makes
+//     the caller wait; nothing is shed.
 //   - Read side: a forecast goes straight to the system, under a panic
 //     guard. Reuse lives in the sensor: between two observations every
 //     read of a horizon gets the first exact answer computed for it
@@ -26,7 +29,7 @@
 // Lock order: shard lock → journal (WAL append) → system → post-apply
 // hook (replication emit). WithSensorLocked runs a caller's function
 // under the shard lock, so the cluster's resync snapshot (shard lock →
-// replication seq → system) sees no observation half applied.
+// replication seq → system) sees no write half applied.
 package ingest
 
 import (
@@ -40,12 +43,15 @@ import (
 
 	"smiler"
 	"smiler/internal/obs"
+	"smiler/internal/wal"
 )
 
 // System is the slice of *smiler.System the pipeline drives; narrowed
 // to an interface so tests can inject instrumented fakes.
 type System interface {
 	Observe(id string, v float64) error
+	AddSensor(id string, history []float64) error
+	RemoveSensor(id string) error
 	PredictHorizonsCtx(ctx context.Context, id string, hs []int) (map[int]smiler.Forecast, error)
 	HasSensor(id string) bool
 	// Events is the flight recorder a recovered panic is recorded in
@@ -64,28 +70,30 @@ type Config struct {
 	// Shards is the number of shards (default GOMAXPROCS).
 	Shards int
 	// Journal, when set, is called under the shard lock immediately
-	// before each observation is applied — the write-ahead-log hook.
-	// Journal order therefore equals apply order. A journal failure
-	// fails the observation (ErrJournal): it is not applied and counts
-	// in the shard's JournalErrors stat.
-	Journal func(shard int, id string, v float64) error
+	// before each write is applied — the write-ahead-log hook. Journal
+	// order therefore equals apply order. A journal failure fails the
+	// write (ErrJournal): it is not applied (a failed observation
+	// also counts in the shard's JournalErrors stat). A registration the
+	// system rejects after it was journaled is followed by a journaled
+	// removal, so a replay cannot resurrect it.
+	Journal func(wal.Record) error
 	// OnApplied, when set, is called under the shard lock after each
-	// observation has been successfully applied to the system — the
+	// write has been successfully applied to the system — the
 	// replication hook. Per-sensor call order equals apply order;
-	// failed applies never reach it. It can also be installed after
+	// failed writes never reach it. It can also be installed after
 	// construction with SetOnApplied (the cluster layer is built after
 	// the server that owns this pipeline).
 	//
-	// Both hooks run under the shard lock: neither may observe through
+	// Both hooks run under the shard lock: neither may write through
 	// this pipeline.
-	OnApplied func(Observation)
+	OnApplied func(wal.Record)
 }
 
 var (
-	// ErrClosed is returned by Observe/Drain after Close.
+	// ErrClosed is returned by every write and by Drain after Close.
 	ErrClosed = errors.New("ingest: pipeline closed")
-	// ErrJournal wraps a failed journal append: the observation was
-	// not applied.
+	// ErrJournal wraps a failed journal append: the write was not
+	// applied.
 	ErrJournal = errors.New("ingest: journal append failed")
 )
 
@@ -102,10 +110,10 @@ type Pipeline struct {
 
 	// onApplied is the live post-apply hook (Config.OnApplied or a
 	// later SetOnApplied).
-	onApplied atomic.Pointer[func(Observation)]
+	onApplied atomic.Pointer[func(wal.Record)]
 
 	// closed is read under any shard lock and written under all of
-	// them, so no observation applies after Close returns.
+	// them, so no write applies after Close returns.
 	closed bool
 }
 
@@ -133,8 +141,7 @@ func New(sys System, cfg Config) (*Pipeline, error) {
 
 // ShardIndex maps a sensor id onto one of n shards (FNV-1a): one
 // sensor always lands on one shard, which is what preserves its
-// ordering. Exported so the write-ahead log can co-locate a sensor's
-// registration records with its observations in the same shard log.
+// ordering. The write-ahead log places its records with it too.
 func ShardIndex(id string, n int) int {
 	h := fnv.New32a()
 	h.Write([]byte(id))
@@ -147,30 +154,52 @@ func (p *Pipeline) shardFor(id string) *shard {
 }
 
 // Observe journals and applies one observation under its shard's lock,
-// waiting for the lock while the shard applies another. It returns
-// (true, nil) once the value is journaled and applied, and (false, err)
-// otherwise: ErrClosed after Close, an unknown-sensor error, an error
-// wrapping ErrJournal, or the system's apply error.
+// waiting for the lock while the shard applies another write. It
+// returns (true, nil) once the value is journaled and applied, and
+// (false, err) otherwise: ErrClosed after Close, an unknown-sensor
+// error, an error wrapping ErrJournal, or the system's apply error. An
+// unknown sensor is refused at once, without waiting for a busy shard;
+// the check under the lock orders the observation against a removal.
 func (p *Pipeline) Observe(id string, v float64) (accepted bool, err error) {
 	if !p.sys.HasSensor(id) {
 		return false, fmt.Errorf("ingest: unknown sensor %q", id)
 	}
-	start := time.Now()
-	sh := p.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if p.closed {
-		return false, ErrClosed
-	}
-	if err := p.apply(sh, Observation{Sensor: id, Value: v}, start); err != nil {
+	if err := p.write(wal.Record{Type: wal.RecObserve, Sensor: id, Value: v}); err != nil {
 		return false, err
 	}
 	return true, nil
 }
 
-// WithSensorLocked runs fn under the shard lock of sensor id: no
-// observation of id is journaled, applied or handed to the post-apply
-// hook while fn runs. fn must not observe through this pipeline.
+// AddSensor journals and applies a sensor's registration under its
+// shard's lock. It fails if the sensor is already registered, with
+// ErrClosed after Close, with an error wrapping ErrJournal, or with the
+// system's error (the history is rejected).
+func (p *Pipeline) AddSensor(id string, history []float64) error {
+	return p.write(wal.Record{Type: wal.RecAddSensor, Sensor: id, History: history})
+}
+
+// RemoveSensor journals and applies a sensor's removal under its
+// shard's lock. It fails for an unknown sensor, with ErrClosed after
+// Close, or with an error wrapping ErrJournal.
+func (p *Pipeline) RemoveSensor(id string) error {
+	return p.write(wal.Record{Type: wal.RecRemoveSensor, Sensor: id})
+}
+
+// write runs one mutation under its sensor's shard lock.
+func (p *Pipeline) write(rec wal.Record) error {
+	start := time.Now()
+	sh := p.shardFor(rec.Sensor)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if p.closed {
+		return ErrClosed
+	}
+	return p.apply(sh, rec, start)
+}
+
+// WithSensorLocked runs fn under the shard lock of sensor id: no write
+// of id is journaled, applied or handed to the post-apply hook while fn
+// runs. fn must not write through this pipeline.
 func (p *Pipeline) WithSensorLocked(id string, fn func()) {
 	sh := p.shardFor(id)
 	sh.mu.Lock()
@@ -256,9 +285,9 @@ func reusedAll(fs []smiler.Forecast) bool {
 }
 
 // SetOnApplied installs (or clears, with nil) the post-apply hook at
-// runtime — see Config.OnApplied for its contract. Observations
-// mid-apply may still see the old hook.
-func (p *Pipeline) SetOnApplied(fn func(Observation)) {
+// runtime — see Config.OnApplied for its contract. Writes mid-apply
+// may still see the old hook.
+func (p *Pipeline) SetOnApplied(fn func(wal.Record)) {
 	if fn == nil {
 		p.onApplied.Store(nil)
 		return
@@ -266,8 +295,8 @@ func (p *Pipeline) SetOnApplied(fn func(Observation)) {
 	p.onApplied.Store(&fn)
 }
 
-// Drain returns once every observation in flight when it was called
-// has been applied (or has failed): it takes and releases each shard's
+// Drain returns once every write in flight when it was called has
+// been applied (or has failed): it takes and releases each shard's
 // lock in turn. After Close it returns ErrClosed.
 func (p *Pipeline) Drain() error {
 	for _, sh := range p.shards {
@@ -281,8 +310,8 @@ func (p *Pipeline) Drain() error {
 	return nil
 }
 
-// Close waits for in-flight observations and stops the pipeline:
-// afterwards Observe and Drain return ErrClosed. ForecastsCtx keeps
+// Close waits for in-flight writes and stops the pipeline: afterwards
+// every write and Drain return ErrClosed. ForecastsCtx keeps
 // working. Close is idempotent.
 func (p *Pipeline) Close() error {
 	for _, sh := range p.shards {

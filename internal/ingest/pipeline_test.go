@@ -12,6 +12,7 @@ import (
 
 	"smiler"
 	"smiler/internal/obs"
+	"smiler/internal/wal"
 )
 
 // fakeSystem is an instrumented System: it records per-sensor
@@ -77,10 +78,28 @@ func (f *fakeSystem) HasSensor(id string) bool {
 
 func (f *fakeSystem) Events() *obs.EventRing { return f.events }
 
-func (f *fakeSystem) forget(id string) {
+// AddSensor registers id; it needs a known set, and a history holding
+// a NaN is rejected.
+func (f *fakeSystem) AddSensor(id string, history []float64) error {
+	for _, v := range history {
+		if v != v {
+			return errors.New("NaN in history")
+		}
+	}
 	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.known[id] = true
+	return nil
+}
+
+func (f *fakeSystem) RemoveSensor(id string) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.known[id] {
+		return fmt.Errorf("unknown sensor %q", id)
+	}
 	delete(f.known, id)
-	f.mu.Unlock()
+	return nil
 }
 
 func (f *fakeSystem) sequence(id string) []float64 {
@@ -382,7 +401,7 @@ func TestObserveApplyErrorReturned(t *testing.T) {
 	sys, p, release := gatedShard(t)
 	sys.known = map[string]bool{"s": true}
 	done := stallShard(t, sys, p)
-	sys.forget("s") // vanishes mid-apply
+	sys.RemoveSensor("s") // vanishes mid-apply
 	release()
 	if err := <-done; err == nil || !strings.Contains(err.Error(), "unknown sensor") {
 		t.Fatalf("observe of a vanished sensor: %v, want its apply error", err)
@@ -401,13 +420,13 @@ func TestJournalFailureFailsObservation(t *testing.T) {
 	var hooked atomic.Int64
 	p := mustPipeline(t, sys, Config{
 		Shards: 1,
-		Journal: func(_ int, id string, v float64) error {
-			if v < 0 {
+		Journal: func(r wal.Record) error {
+			if r.Value < 0 {
 				return errors.New("disk full")
 			}
 			return nil
 		},
-		OnApplied: func(Observation) { hooked.Add(1) },
+		OnApplied: func(wal.Record) { hooked.Add(1) },
 	})
 	if ok, err := p.Observe("s", -1); ok || !errors.Is(err, ErrJournal) || !strings.Contains(err.Error(), "disk full") {
 		t.Fatalf("observe with a failing journal: ok=%v err=%v, want ErrJournal", ok, err)
@@ -435,8 +454,8 @@ func TestObservePanicIsAnError(t *testing.T) {
 	sys.events = obs.NewEventRing(16, nil)
 	p := mustPipeline(t, sys, Config{
 		Shards: 1,
-		Journal: func(_ int, id string, v float64) error {
-			if v < 0 {
+		Journal: func(r wal.Record) error {
+			if r.Value < 0 {
 				panic("injected")
 			}
 			return nil

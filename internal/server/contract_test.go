@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -15,20 +16,8 @@ import (
 
 	"smiler"
 	"smiler/internal/ingest"
+	"smiler/internal/wal"
 )
-
-// failingJournal is a SensorJournal whose appends fail while fail is set.
-type failingJournal struct{ fail *atomic.Bool }
-
-func (j failingJournal) AppendAddSensor(string, []float64) error { return j.err() }
-func (j failingJournal) AppendRemoveSensor(string) error         { return j.err() }
-
-func (j failingJournal) err() error {
-	if j.fail.Load() {
-		return errors.New("disk full")
-	}
-	return nil
-}
 
 // post sends body to path and returns the status and body, with no
 // client retry.
@@ -58,12 +47,15 @@ func TestJournalFailureFailsTheWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	j := failingJournal{fail: &fail}
 	srv, err := NewWithOptions(sys, Options{
-		Interval:      time.Minute,
-		SensorJournal: j,
+		Interval: time.Minute,
 		Pipeline: ingest.Config{
-			Journal: func(int, string, float64) error { return j.err() },
+			Journal: func(wal.Record) error {
+				if fail.Load() {
+					return errors.New("disk full")
+				}
+				return nil
+			},
 		},
 	})
 	if err != nil {
@@ -154,7 +146,7 @@ func TestReadYourWriteOverHTTP(t *testing.T) {
 	unblock := func() { releaseOnce.Do(func() { close(release) }) }
 	t.Cleanup(unblock)
 	srv, err := NewWithOptions(sys, Options{Pipeline: ingest.Config{
-		Journal: func(int, string, float64) error {
+		Journal: func(wal.Record) error {
 			stalled <- struct{}{}
 			<-release
 			return nil
@@ -214,5 +206,154 @@ func TestReadYourWriteOverHTTP(t *testing.T) {
 	if math.Float64bits(got.Mean) != math.Float64bits(want.Mean) || math.Float64bits(got.Variance) != math.Float64bits(want.Variance) {
 		t.Fatalf("forecast after the observe's 200 = %v±%v, a system fed the same values says %v±%v",
 			got.Mean, got.Variance, want.Mean, want.Variance)
+	}
+}
+
+// holdingJournal records every journaled record and every applied one
+// (the post-apply hook), and holds the first removal's journal call
+// until release is called: before its append when holdBefore is set,
+// after it otherwise.
+type holdingJournal struct {
+	holdBefore bool
+	holding    atomic.Bool
+	held       chan struct{}
+	released   chan struct{}
+	release    func()
+
+	mu                sync.Mutex
+	journaled, hooked []string
+}
+
+func newHoldingJournal(t *testing.T, holdBefore bool) *holdingJournal {
+	j := &holdingJournal{holdBefore: holdBefore, held: make(chan struct{}), released: make(chan struct{})}
+	var once sync.Once
+	j.release = func() { once.Do(func() { close(j.released) }) }
+	t.Cleanup(j.release)
+	return j
+}
+
+func (j *holdingJournal) hold() {
+	close(j.held)
+	<-j.released
+}
+
+func (j *holdingJournal) add(to *[]string, r wal.Record) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	*to = append(*to, r.Type.String()+" "+r.Sensor)
+}
+
+func (j *holdingJournal) config() ingest.Config {
+	return ingest.Config{
+		Journal: func(r wal.Record) error {
+			hold := r.Type == wal.RecRemoveSensor && j.holding.CompareAndSwap(false, true)
+			if hold && j.holdBefore {
+				j.hold()
+			}
+			j.add(&j.journaled, r)
+			if hold && !j.holdBefore {
+				j.hold()
+			}
+			return nil
+		},
+		OnApplied: func(r wal.Record) { j.add(&j.hooked, r) },
+	}
+}
+
+func (j *holdingJournal) records() (journaled, hooked []string) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return slices.Clone(j.journaled), slices.Clone(j.hooked)
+}
+
+// contractServer serves one registered sensor "s" with journal j.
+func contractServer(t *testing.T, j *holdingJournal) *httptest.Server {
+	t.Helper()
+	sys, err := smiler.New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sys.Close() })
+	if err := sys.AddSensor("s", seasonal(rand.New(rand.NewSource(5)), 400)); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewWithOptions(sys, Options{Pipeline: j.config()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// async sends one request on its own goroutine and delivers its status.
+func async(t *testing.T, method, url, body string) <-chan int {
+	done := make(chan int, 1)
+	go func() {
+		req, err := http.NewRequest(method, url, strings.NewReader(body))
+		if err != nil {
+			done <- -1
+			return
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			done <- -1
+			return
+		}
+		resp.Body.Close()
+		done <- resp.StatusCode
+	}()
+	return done
+}
+
+// TestConcurrentRemovalsJournalOnce: of two concurrent DELETEs of one
+// sensor, the one held inside its removal append is the one that
+// removes it (200), and the other finds the sensor gone (404) without
+// journaling a second removal.
+func TestConcurrentRemovalsJournalOnce(t *testing.T) {
+	j := newHoldingJournal(t, true)
+	ts := contractServer(t, j)
+	first := async(t, http.MethodDelete, ts.URL+"/sensors/s", "")
+	<-j.held
+	second := async(t, http.MethodDelete, ts.URL+"/sensors/s", "")
+	select {
+	case code := <-second:
+		j.release()
+		t.Fatalf("a second DELETE answered %d while the first was inside its journal append", code)
+	case <-time.After(100 * time.Millisecond):
+	}
+	j.release()
+	if a, b := <-first, <-second; a != http.StatusOK || b != http.StatusNotFound {
+		t.Fatalf("held DELETE answered %d, the other %d; want 200 and 404", a, b)
+	}
+	journaled, hooked := j.records()
+	if want := []string{"remove-sensor s"}; !slices.Equal(journaled, want) || !slices.Equal(hooked, want) {
+		t.Fatalf("journal %v, applied %v; want %v for both", journaled, hooked, want)
+	}
+}
+
+// TestObserveBehindRemovalIsRefused: an observe that arrives while a
+// DELETE of its sensor sits between its journal append and its apply
+// waits for the shard lock and then finds the sensor gone (404), so the
+// journal holds the removal alone, in the order the system applied it.
+func TestObserveBehindRemovalIsRefused(t *testing.T) {
+	j := newHoldingJournal(t, false)
+	ts := contractServer(t, j)
+	del := async(t, http.MethodDelete, ts.URL+"/sensors/s", "")
+	<-j.held
+	obs := async(t, http.MethodPost, ts.URL+"/sensors/s/observe", `{"value":51}`)
+	select {
+	case code := <-obs:
+		j.release()
+		t.Fatalf("an observe answered %d while a removal of its sensor was journaled but not applied", code)
+	case <-time.After(100 * time.Millisecond):
+	}
+	j.release()
+	if d, o := <-del, <-obs; d != http.StatusOK || o != http.StatusNotFound {
+		t.Fatalf("DELETE answered %d, the observe behind it %d; want 200 and 404", d, o)
+	}
+	journaled, hooked := j.records()
+	if want := []string{"remove-sensor s"}; !slices.Equal(journaled, want) || !slices.Equal(hooked, want) {
+		t.Fatalf("journal %v, applied %v; want %v for both", journaled, hooked, want)
 	}
 }

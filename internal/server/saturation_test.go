@@ -12,6 +12,7 @@ import (
 
 	"smiler"
 	"smiler/internal/ingest"
+	"smiler/internal/wal"
 )
 
 // TestControlPlaneResponsiveUnderSaturatedIngest is the regression
@@ -23,9 +24,9 @@ import (
 // the overload.
 //
 // Saturation is manufactured deterministically: one shard and a
-// Journal hook that blocks until released, so the first writer holds
-// the shard's lock inside its handler and every writer after it waits
-// for that lock inside its own.
+// Journal hook that blocks observations until released, so the first
+// writer holds the shard's lock inside its handler and every writer
+// after it waits for that lock inside its own.
 func TestControlPlaneResponsiveUnderSaturatedIngest(t *testing.T) {
 	release := make(chan struct{})
 	parked := make(chan struct{}, 1)
@@ -37,7 +38,10 @@ func TestControlPlaneResponsiveUnderSaturatedIngest(t *testing.T) {
 	srv, err := NewWithOptions(sys, Options{
 		Pipeline: ingest.Config{
 			Shards: 1,
-			Journal: func(shard int, id string, v float64) error {
+			Journal: func(r wal.Record) error {
+				if r.Type != wal.RecObserve {
+					return nil // registration goes through
+				}
 				select {
 				case parked <- struct{}{}:
 				default:
@@ -62,8 +66,8 @@ func TestControlPlaneResponsiveUnderSaturatedIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Registration bypasses the pipeline (history is applied
-	// synchronously), so setup succeeds however the shard is held.
+	// Registration journals through the same hook, which lets it
+	// through: setup ends before the shard is held.
 	rng := rand.New(rand.NewSource(11))
 	if err := cl.AddSensor("sat", seasonal(rng, 400)); err != nil {
 		t.Fatal(err)

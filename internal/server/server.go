@@ -2,8 +2,9 @@
 // the deployment shape the paper targets (many sensors streaming
 // observations, applications pulling forecasts in real time). Writes
 // and forecasts are routed through internal/ingest: a sharded
-// ingestion pipeline that journals and applies an observation under its
-// shard's lock before the request answers; a forecast read is
+// ingestion pipeline that journals and applies every write (an
+// observation, a sensor's registration or removal) under its sensor's
+// shard lock before the request answers; a forecast read is
 // idempotent between two observations of its sensor.
 //
 // Routes:
@@ -20,8 +21,8 @@
 //	GET    /debug/trace/{sensor}    last-N prediction traces (per-phase
 //	                                spans + kNN stats) as JSON; ?n=k
 //	GET    /pipeline/stats          ingestion pipeline counters (per-shard
-//	                                queue depth / processed / batching,
-//	                                forecast reuse hits)
+//	                                processed / errors / journal errors /
+//	                                apply latency, forecast reuse hits)
 //	POST   /observations            {"observations":[{"id":"...","value":x},...]}
 //	                                multi-sensor bulk ingest with per-item
 //	                                outcomes
@@ -39,9 +40,9 @@
 //	                                are regularized onto the fixed sample grid)
 //	GET    /sensors/{id}/ensemble   auto-tuning weights
 //
-// Observations accepted by the pipeline are applied asynchronously
-// (in per-sensor order); a full queue makes the handler wait for
-// space, so a write is never shed. All bodies and responses are JSON.
+// A write answers once it is journaled and applied, in per-sensor
+// order; a busy shard makes the handler wait for its lock, so a write
+// is never shed. All bodies and responses are JSON.
 // Errors are {"error": "..."} with an appropriate status code.
 package server
 
@@ -103,10 +104,6 @@ type Server struct {
 	reqPrefix string
 	reqSeq    atomic.Uint64
 
-	// addMu serializes sensor registration so duplicate-id races
-	// surface as clean 409s rather than interleaved errors.
-	addMu sync.Mutex
-
 	// interval, when positive, enables the timestamped-readings
 	// endpoint: raw (time, value) readings are regularized onto a
 	// fixed grid of this period before entering the system
@@ -121,17 +118,6 @@ type Server struct {
 	// balancers stop routing to it before the listener closes.
 	ready    atomic.Bool
 	draining atomic.Bool
-
-	// journal, when set, records sensor registrations and removals
-	// durably (the WAL) so they survive a crash between checkpoints.
-	journal SensorJournal
-}
-
-// SensorJournal persists sensor lifecycle events. A failed append fails
-// the request with 503 and changes nothing.
-type SensorJournal interface {
-	AppendAddSensor(id string, history []float64) error
-	AppendRemoveSensor(id string) error
 }
 
 // Options configures optional server behaviour.
@@ -143,7 +129,8 @@ type Options struct {
 	// Observe.
 	Interval time.Duration
 	// Pipeline configures the ingestion pipeline (zero values take
-	// ingest defaults: GOMAXPROCS shards).
+	// ingest defaults: GOMAXPROCS shards). Its Journal sees every write:
+	// observations, registrations and removals.
 	Pipeline ingest.Config
 	// Logger, when set, enables structured access logging: one line
 	// per request with method, path, status, latency and request ID.
@@ -152,9 +139,6 @@ type Options struct {
 	// StartNotReady makes GET /readyz answer 503 until SetReady is
 	// called — the recovery window where the WAL is still replaying.
 	StartNotReady bool
-	// SensorJournal, when set, receives sensor add/remove events for
-	// durable logging.
-	SensorJournal SensorJournal
 	// NodeID, when set, is reported by GET /healthz and in the
 	// smiler_build_info metric — the cluster node's identity.
 	NodeID string
@@ -188,7 +172,6 @@ func NewWithOptions(sys *smiler.System, opts Options) (*Server, error) {
 		reqPrefix: strconv.FormatInt(time.Now().UnixNano(), 36),
 		interval:  opts.Interval,
 		regs:      make(map[string]*sensorReadings),
-		journal:   opts.SensorJournal,
 		idem:      newIdemCache(),
 		nodeID:    opts.NodeID,
 	}
@@ -450,40 +433,8 @@ func (s *Server) handleSensors(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "missing sensor id")
 			return
 		}
-		s.addMu.Lock()
-		// Journal before apply, like the observation path, so a crash
-		// between the two cannot leave an applied-but-unjournaled event.
-		// The duplicate pre-check keeps a rejected re-registration out of
-		// the journal entirely (addMu serializes registrations, so the
-		// check cannot race another add).
-		journaled := false
-		if s.journal != nil {
-			if s.sys.HasSensor(req.ID) {
-				s.addMu.Unlock()
-				writeError(w, http.StatusConflict,
-					fmt.Sprintf("smiler: sensor %q already registered", req.ID))
-				return
-			}
-			if jerr := s.journal.AppendAddSensor(req.ID, req.History); jerr != nil {
-				s.addMu.Unlock()
-				writeError(w, http.StatusServiceUnavailable, "sensor journal: "+jerr.Error())
-				return
-			}
-			journaled = true
-		}
-		err := s.sys.AddSensor(req.ID, req.History)
-		if err != nil && journaled {
-			// The registration was journaled but rejected (bad history,
-			// closed system): append a compensating removal so replay
-			// cannot resurrect it. Safe because the pre-check above proved
-			// no sensor with this id existed before the journaled add.
-			if cerr := s.journal.AppendRemoveSensor(req.ID); cerr != nil && s.log != nil {
-				s.log.Warn("sensor journal compensation failed", "sensor", req.ID, "err", cerr)
-			}
-		}
-		s.addMu.Unlock()
-		if err != nil {
-			status := http.StatusBadRequest
+		if err := s.pipe.AddSensor(req.ID, req.History); err != nil {
+			status := statusFor(err)
 			if strings.Contains(err.Error(), "already registered") {
 				status = http.StatusConflict
 			}
@@ -526,23 +477,8 @@ func (s *Server) handleSensor(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) deleteSensor(w http.ResponseWriter, id string) {
-	// Journal before apply (see handleSensors). The pre-check keeps
-	// removals of unknown sensors out of the journal; if two concurrent
-	// deletes both pass it, both are journaled, one apply fails with
-	// not-found, and replay skips the second removal as unknown — the
-	// recovered state still matches.
-	if s.journal != nil {
-		if !s.sys.HasSensor(id) {
-			writeError(w, http.StatusNotFound, fmt.Sprintf("smiler: unknown sensor %q", id))
-			return
-		}
-		if jerr := s.journal.AppendRemoveSensor(id); jerr != nil {
-			writeError(w, http.StatusServiceUnavailable, "sensor journal: "+jerr.Error())
-			return
-		}
-	}
-	if err := s.sys.RemoveSensor(id); err != nil {
-		writeError(w, http.StatusNotFound, err.Error())
+	if err := s.pipe.RemoveSensor(id); err != nil {
+		writeError(w, statusFor(err), err.Error())
 		return
 	}
 	s.regMu.Lock()

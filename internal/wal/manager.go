@@ -10,12 +10,12 @@ import (
 	"strings"
 )
 
-// Manager shards one logical WAL across N per-shard Logs, mirroring
-// the ingestion pipeline's sharding: a sensor's registration and all
-// its observations land in one shard's log, so per-sensor ordering is
-// preserved by per-shard append order — the same argument the
-// ingestion pipeline makes for its queues. Cross-sensor order is not
-// preserved and does not matter (sensors are independent).
+// Manager shards one logical WAL across N per-shard Logs: every record
+// of a sensor (registration, observations, removal) lands in one
+// shard's log, so per-sensor order is that log's append order.
+// Cross-sensor order is not preserved and does not matter (sensors are
+// independent). The placement is the manager's own: it need not match
+// how the ingestion pipeline spreads sensors over its locks.
 type Manager struct {
 	dir      string
 	logs     []*Log
@@ -84,16 +84,15 @@ func listShardDirs(dir string) ([]int, error) {
 }
 
 // OpenManager opens (creating as needed) a sharded WAL under dir with
-// one log per shard. shardFor maps a sensor id onto its shard and
-// must match the ingestion pipeline's placement (ingest.ShardIndex)
-// so registration records share a log with their observations.
+// one log per shard. shardFor maps a sensor id onto its shard; Append
+// routes every record through it, so a sensor's registration shares a
+// log with its observations.
 //
 // The first open of a directory pins the shard count in a meta file;
-// later opens reuse the pinned count (callers should size anything
-// that must agree on placement — e.g. the ingestion pipeline — from
-// Shards(), not from their configured value). A directory holding
-// shard subdirectories but no meta file (written before meta existed)
-// pins the count inferred from the highest shard index.
+// later opens reuse the pinned count whatever shards asks for. A
+// directory holding shard subdirectories but no meta file (written
+// before meta existed) pins the count inferred from the highest shard
+// index.
 func OpenManager(dir string, shards int, opts Options, shardFor func(id string, shards int) int) (*Manager, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("wal: shard count %d must be positive", shards)
@@ -138,29 +137,10 @@ func OpenManager(dir string, shards int, opts Options, shardFor func(id string, 
 // Shards returns the number of shard logs.
 func (m *Manager) Shards() int { return len(m.logs) }
 
-// AppendObserve logs one observation into the given shard's log (the
-// shard the ingestion pipeline routed the observation to).
-func (m *Manager) AppendObserve(shard int, id string, v float64) error {
-	if shard < 0 || shard >= len(m.logs) {
-		return fmt.Errorf("wal: shard %d out of range [0, %d)", shard, len(m.logs))
-	}
-	_, err := m.logs[shard].Append(Record{Type: RecObserve, Sensor: id, Value: v})
-	return err
-}
-
-// AppendAddSensor logs a sensor registration into the sensor's shard.
-func (m *Manager) AppendAddSensor(id string, history []float64) error {
-	_, err := m.logs[m.shardFor(id, len(m.logs))].Append(Record{
-		Type: RecAddSensor, Sensor: id, History: history,
-	})
-	return err
-}
-
-// AppendRemoveSensor logs a sensor removal into the sensor's shard.
-func (m *Manager) AppendRemoveSensor(id string) error {
-	_, err := m.logs[m.shardFor(id, len(m.logs))].Append(Record{
-		Type: RecRemoveSensor, Sensor: id,
-	})
+// Append logs one record into the log of its sensor's shard (the
+// manager's own placement, like Log.Append for one log).
+func (m *Manager) Append(r Record) error {
+	_, err := m.logs[m.shardFor(r.Sensor, len(m.logs))].Append(r)
 	return err
 }
 

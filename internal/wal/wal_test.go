@@ -310,15 +310,15 @@ func TestManagerShardingAndReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AppendAddSensor("ab", []float64{1, 2}); err != nil {
+	if err := m.Append(Record{Type: RecAddSensor, Sensor: "ab", History: []float64{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if err := m.AppendObserve(shardFor("ab", 3), "ab", float64(i)); err != nil {
+		if err := m.Append(Record{Type: RecObserve, Sensor: "ab", Value: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := m.AppendRemoveSensor("ab"); err != nil {
+	if err := m.Append(Record{Type: RecRemoveSensor, Sensor: "ab"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err != nil {
@@ -350,7 +350,7 @@ func TestManagerResetAndRemoveDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AppendObserve(1, "x", 1); err != nil {
+	if err := m.Append(Record{Type: RecObserve, Sensor: "x", Value: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Reset(); err != nil {
@@ -392,10 +392,10 @@ func TestManagerPinsShardCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	const id = "abcd" // len 4: shard 1 of 3, but shard 0 of 4
-	if err := m.AppendAddSensor(id, []float64{1, 2}); err != nil {
+	if err := m.Append(Record{Type: RecAddSensor, Sensor: id, History: []float64{1, 2}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.AppendObserve(ShardByLen(id, m.Shards()), id, 1); err != nil {
+	if err := m.Append(Record{Type: RecObserve, Sensor: id, Value: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err != nil {
@@ -410,7 +410,7 @@ func TestManagerPinsShardCount(t *testing.T) {
 	if m.Shards() != 3 {
 		t.Fatalf("reopened with %d shards, want pinned 3", m.Shards())
 	}
-	if err := m.AppendObserve(ShardByLen(id, m.Shards()), id, 2); err != nil {
+	if err := m.Append(Record{Type: RecObserve, Sensor: id, Value: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Close(); err != nil {

@@ -8,8 +8,10 @@
 #      are recorded on the way out.
 #   2. restart  -> /debug/events shows checkpoint_restore (state came
 #      back from the shutdown checkpoint).
-#   3. kill -9 after more writes, restart -> /debug/events shows
-#      wal_replay (the uncovered WAL tail was replayed).
+#   3. kill -9 after more writes (an observe, and a second sensor
+#      registered, observed and deleted), restart -> /debug/events shows
+#      wal_replay (the uncovered WAL tail was replayed) and GET /sensors
+#      is exactly ["smoke"]: the journaled removal survived replay.
 #
 # Run via `make events-smoke`.
 set -eu
@@ -81,13 +83,19 @@ case "$EVENTS" in
     ;;
 esac
 
-# Crash (no shutdown checkpoint) straight after an acknowledged
-# observe: its WAL record is the only one the checkpoint does not
-# cover, so the next boot's wal_replay shows that an acked observation
-# survives a kill -9.
+# Crash (no shutdown checkpoint) straight after acknowledged writes:
+# an observe, and a second sensor's registration, observe and removal.
+# Their WAL records are the only ones the checkpoint does not cover, so
+# the next boot's wal_replay shows that acked writes survive a kill -9.
 curl -sf -X POST "http://$ADDR/sensors/smoke/observe" \
     -H 'Content-Type: application/json' -d '{"value": 12.5}' >/dev/null
 curl -sf "http://$ADDR/sensors/smoke/forecast?h=1" >/dev/null
+curl -sf -X POST "http://$ADDR/sensors" \
+    -H 'Content-Type: application/json' \
+    -d "{\"id\":\"gone\",\"history\":[$HIST]}" >/dev/null
+curl -sf -X POST "http://$ADDR/sensors/gone/observe" \
+    -H 'Content-Type: application/json' -d '{"value": 9.5}' >/dev/null
+curl -sf -X DELETE "http://$ADDR/sensors/gone" >/dev/null
 kill -9 "$PID"
 wait "$PID" 2>/dev/null || true
 
@@ -100,5 +108,10 @@ case "$EVENTS" in
     exit 1
     ;;
 esac
+SENSORS=$(curl -sf "http://$ADDR/sensors")
+if [ "$SENSORS" != '["smoke"]' ]; then
+    echo "events-smoke: post-crash sensors = $SENSORS, want [\"smoke\"]" >&2
+    exit 1
+fi
 
-echo "events-smoke: OK (startup, shutdown dump, checkpoint_restore, wal_replay)"
+echo "events-smoke: OK (startup, shutdown dump, checkpoint_restore, wal_replay, removal replayed)"

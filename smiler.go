@@ -440,9 +440,10 @@ func (s *System) Sensors() []string {
 }
 
 // HasSensor reports whether the sensor is currently registered (false
-// on a closed system). Ingestion front-ends use it to reject
-// observations for unknown sensors at enqueue time, before the
-// asynchronous apply.
+// on a closed system). The ingestion pipeline checks it under the
+// sensor's shard lock, before it journals a write, so a journaled
+// observation or removal always finds its sensor and a journaled
+// registration never finds one.
 func (s *System) HasSensor(id string) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

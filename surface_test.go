@@ -8,6 +8,7 @@ import (
 	"smiler"
 	"smiler/internal/cluster"
 	"smiler/internal/ingest"
+	"smiler/internal/server"
 	"smiler/internal/wal"
 )
 
@@ -40,6 +41,13 @@ func TestConfigSurface(t *testing.T) {
 // shard count and two hooks.
 func TestIngestConfigSurface(t *testing.T) {
 	pinFields[ingest.Config](t, "Shards", "Journal", "OnApplied")
+}
+
+// TestServerOptionsSurface pins the HTTP server's options. Every write
+// is journaled through Pipeline's one hook; there is no second one for
+// sensor registrations and removals.
+func TestServerOptionsSurface(t *testing.T) {
+	pinFields[server.Options](t, "Interval", "Pipeline", "Logger", "StartNotReady", "NodeID")
 }
 
 // TestWALOptionsSurface pins the write-ahead log's options. The
